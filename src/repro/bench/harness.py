@@ -77,18 +77,28 @@ def machine_info() -> Dict[str, object]:
     }
 
 
-def git_rev() -> str:
+def _git(*args: str) -> Optional[str]:
+    """Output of one git query on this checkout, or None without git."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
+            ["git", *args], capture_output=True, text=True, timeout=10,
             cwd=os.path.dirname(os.path.abspath(__file__)),
         )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def git_rev() -> str:
+    return _git("rev-parse", "--short", "HEAD") or "unknown"
+
+
+def git_dirty() -> Optional[bool]:
+    """Whether the checkout had uncommitted changes (None if unknown):
+    a report measured on uncommitted code must say so rather than pass
+    for the commit before it."""
+    status = _git("status", "--porcelain")
+    return None if status is None else bool(status)
 
 
 # -- micro: cycles/second per organization --------------------------------
@@ -158,9 +168,7 @@ def _time_low_cell(kind: NocKind) -> dict:
 #: nothing and the measurement isolates the stepped hot path: router
 #: allocation, flit movement, and event dispatch —
 #: ``stepped_cycles_per_sec`` is the number to watch.  The traffic is
-#: seeded, so the recorded stats digest doubles as a fast-path
-#: equivalence oracle: CI reruns these cells under
-#: ``REPRO_NO_FASTPATH=1`` and asserts the digests match bit for bit.
+#: seeded, so each cell records its stats digest beside its timing.
 _CONTESTED_RATE = 0.08
 _CONTESTED_CHIPLET_RATE = 0.02
 _CONTESTED_CYCLES = 3000
@@ -449,6 +457,7 @@ def run_bench(
         "schema": SCHEMA_VERSION,
         "stamp": time.strftime("%Y%m%dT%H%M%SZ", time.gmtime()),
         "git_rev": git_rev(),
+        "git_dirty": git_dirty(),
         "scale": scale.name,
         "shards": shards,
         "machine": machine_info(),
@@ -476,7 +485,9 @@ def write_report(report: Dict[str, object],
 def render_report(report: Dict[str, object]) -> str:
     lines = [
         f"bench report {report['stamp']}  "
-        f"(rev {report['git_rev']}, scale {report['scale']})",
+        f"(rev {report['git_rev']}"
+        f"{'+dirty' if report.get('git_dirty') else ''}, "
+        f"scale {report['scale']})",
         f"machine: {report['machine']['platform']}  "
         f"python {report['machine']['python']}  "
         f"calibration {report['machine']['calibration_mips']} Mips",

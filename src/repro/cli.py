@@ -115,11 +115,6 @@ def _add_time_skip_flag(p: argparse.ArgumentParser) -> None:
                         "every cycle (results are bit-identical either "
                         "way; this is a debugging escape hatch, also "
                         "available as REPRO_NO_TIME_SKIP=1)")
-    p.add_argument("--no-fastpath", action="store_true",
-                   help="disable build-time router specialization and "
-                        "run every router on the generic reference step "
-                        "(results are bit-identical either way; also "
-                        "available as REPRO_NO_FASTPATH=1)")
 
 
 def _add_topology_flag(p: argparse.ArgumentParser) -> None:
@@ -815,10 +810,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Flip the process-wide default before any network is built;
         # REPRO_JOBS worker pools inherit it via their initializer.
         set_time_skip(False)
-    if getattr(args, "no_fastpath", False):
-        from repro.noc.network import set_fastpath
-
-        set_fastpath(False)
     try:
         return args.func(args)
     except BrokenPipeError:  # e.g. piped into `head`

@@ -20,7 +20,6 @@ from repro.core.plan import PraPlan, SRC_VC
 from repro.core.pra_router import PraRouter
 from repro.noc.interface import NetworkInterface
 from repro.noc.mesh import MeshNetwork
-from repro.noc.network import _CREDIT
 from repro.noc.packet import Packet
 from repro.noc.topology import Direction
 from repro.params import NocParams
@@ -154,6 +153,10 @@ class PraNetwork(MeshNetwork):
 
     router_class = PraRouter
     interface_class = PraInterface
+    #: The control network's reservation walk
+    #: (:meth:`ControlNetwork._process`, a deferred call) reads credit
+    #: counters, so credits keep insertion order with control steps.
+    credits_ordered = True
 
     def __init__(self, params: NocParams):
         super().__init__(params)
@@ -194,27 +197,6 @@ class PraNetwork(MeshNetwork):
             source_dir=Direction.LOCAL,
             source_vc=packet.vc_index,
         )
-
-    # -- event scheduling -------------------------------------------------
-
-    def schedule_credit(self, time, port, vc_index) -> None:
-        """Credits ride the *ordered* event queue here, not the bulk
-        credit queue: the control network's reservation walk
-        (:meth:`ControlNetwork._process`, a deferred call) reads credit
-        counters, so a credit and a same-cycle control step must keep
-        their exact insertion order."""
-        if time <= self.cycle:
-            raise ValueError("events must be scheduled in the future")
-        events = self._events
-        bucket = events.get(time)
-        if bucket is None:
-            pool = self._bucket_pool
-            bucket = pool.pop() if pool else ([], [], [])
-            events[time] = bucket
-        bucket[2].append((_CREDIT, port, vc_index))
-
-    def _restore_credit(self, bucket, port, vc_index: int) -> None:
-        bucket[2].append((_CREDIT, port, vc_index))
 
     def _post_router_step(self, now: int) -> None:
         self.control.purge(now)

@@ -23,10 +23,9 @@ from typing import Deque, Dict, Optional, Set, Tuple
 from repro.core.plan import LAND_LATCH, LAND_NI, LAND_VC, PraPlan, SRC_VC
 from repro.core.reservation import ReservationEntry, ReservationTable
 from repro.noc.flit import Flit
-from repro.noc.network import _CREDIT
 from repro.noc.packet import Packet
 from repro.noc.ports import OutputPort
-from repro.noc.router import CREDIT_DELAY, MeshRouter
+from repro.noc.router import MeshRouter
 from repro.noc.topology import Direction
 from repro.noc.vc import VirtualChannel
 from repro.trace.events import EV_LATCH_BYPASS
@@ -169,194 +168,29 @@ class PraRouter(MeshRouter):
             # pinning resources): the local arbiter has nothing to do.
             return
         faults = self.network.faults
-        stalled = faults.enabled and faults.router_stalled(self.node, now)
-        if stalled:
+        fault_on = faults.enabled
+        if fault_on and faults.router_stalled(self.node, now):
             if now - self._last_purge >= _PURGE_PERIOD:
                 self._purge(now)
             return
         candidates = self._collect_head_candidates()
+        group_of = candidates.get
         for port in self.port_list:
             direction = port.direction
-            if faults.enabled and port.fault_stalled(now):
+            if fault_on and port.fault_stalled(now):
                 continue
-            if direction in busy_dirs:
-                self._count_blocked(candidates.get(direction), used_inputs)
-                continue
-            if port.held_by is not None:
+            if busy_dirs and direction in busy_dirs:
+                self._count_blocked(group_of(direction), used_inputs)
+            elif port.held_by is not None:
                 self._advance_held(port, now, used_inputs)
             else:
-                group = candidates.get(direction)
+                group = group_of(direction)
                 if group:
                     self._try_grant(port, direction, now, used_inputs, group)
         if self._use_lsd:
             self._lsd_scan(now, candidates)
         if now - self._last_purge >= _PURGE_PERIOD:
             self._purge(now)
-
-    # -- build-time specialization (hot-path engine v3) --------------------------
-
-    def finalize_build(self) -> None:
-        """Elect the flattened PRA step.
-
-        The PRA pipeline only exists on the flat mesh, so unlike the
-        base mesh election there is no layering to rule out — just
-        subclassing: any subclass keeps the generic :meth:`step`,
-        because the inline body replicates exactly this class's
-        arbitration (the local arbiter is the stock mesh one; the PRA
-        arbiter and LSD keep their own helpers in both paths).
-        """
-        if not self.network.fastpath:
-            return
-        if type(self) is not PraRouter:
-            return
-        self.step = self._step_fast_pra  # type: ignore[method-assign]
-
-    def _step_fast_pra(self, now: int) -> None:
-        """Monomorphic hot path for the PRA router.
-
-        Bit-identical to :meth:`step` with the generic local-arbiter
-        helpers (``_advance_held``/``_try_grant``/``_grant``/
-        ``_pop_and_send``) inlined, mirroring the base mesh
-        ``_step_fast``.  Falls back to the generic step whenever an
-        observer is attached (faults, tracer, shard boundary), so
-        instrumented runs always exercise the reference path.
-        """
-        network = self.network
-        if (network.faults.enabled or network.tracer.enabled
-                or network.boundary is not None):
-            PraRouter.step(self, now)
-            return
-        used_inputs: Set[Direction] = set()
-        busy_dirs: Set[Direction] = set()
-        self._execute_reservations(now, used_inputs, busy_dirs)
-        if self.active_flits == 0:
-            return
-        candidates = self._collect_head_candidates()
-        rr_last = self._rr_last
-        total = self._rr_total
-        pop_send = self._pop_send_fast_pra
-        for port in self.port_list:
-            direction = port.direction
-            if busy_dirs and direction in busy_dirs:
-                self._count_blocked(candidates.get(direction), used_inputs)
-                continue
-            held = port.held_by
-            if held is not None:
-                # Generic ``_advance_held``, tracer-off.
-                vc = port.active_vc
-                if vc is None:
-                    continue
-                flits = vc.flits
-                if not flits or flits[0].packet is not held:
-                    continue  # next flit still in flight from upstream
-                in_dir = vc.unit.direction
-                if in_dir in used_inputs:
-                    continue
-                if port.ni_sink is None and port.credits[port.held_dst_vc] < 1:
-                    continue
-                used_inputs.add(in_dir)
-                if pop_send(port, vc, now).is_tail:
-                    port.release()
-                continue
-            group = candidates.get(direction)
-            if not group:
-                continue
-            # Generic ``_try_grant`` fused: eligibility filter (the
-            # stock ``_may_grant`` — PRA reservation rules live in the
-            # PRA arbiter, not here) plus the rotation pick.
-            down_unit = port.downstream_unit
-            credits = port.credits
-            ejection = port.ni_sink is not None
-            last = rr_last[direction]
-            if last is None:
-                last = total - 1
-            choice = None
-            best = total
-            for vc in group:
-                if vc.unit.direction in used_inputs:
-                    continue
-                if not ejection:
-                    vc_index = vc.flits[0].packet.vc_index
-                    down_vc = down_unit.vcs[vc_index]
-                    if (down_vc.allocated_to is not None or down_vc.flits
-                            or credits[vc_index] < 1):
-                        continue
-                rank = (vc.rr_id - last - 1) % total
-                if rank < best:
-                    best = rank
-                    choice = vc
-            if choice is None:
-                continue
-            vc = choice
-            self._rr[direction] = vc.rr_key
-            rr_last[direction] = vc.rr_id
-            packet = vc.flits[0].packet
-            if not ejection:
-                down_unit.vcs[packet.vc_index].allocated_to = packet
-            # Inline ``port.hold`` (the unheld branch guarantees it).
-            port.held_by = packet
-            port.active_vc = vc
-            port.held_dst_vc = packet.vc_index
-            port.holder_sent = 0
-            used_inputs.add(vc.unit.direction)
-            if pop_send(port, vc, now).is_tail:
-                port.release()
-        if self._use_lsd:
-            self._lsd_scan(now, candidates)
-        if now - self._last_purge >= _PURGE_PERIOD:
-            self._purge(now)
-
-    def _pop_send_fast_pra(self, port: OutputPort, vc: VirtualChannel,
-                           now: int) -> Flit:
-        """``_pop_and_send`` + ``OutputPort.send`` fused for the
-        tracer-off, credit-charging case — the PRA twin of the mesh
-        ``_pop_send_fast``, except credits append into the *ordered*
-        event queue (:meth:`PraNetwork.schedule_credit` semantics: the
-        control network's reservation walk reads credit counters, so
-        credit/control insertion order is significant).  Every target
-        cycle is ``now + <positive const>`` with ``now ==
-        network.cycle``, so the future-only guard the public schedulers
-        enforce holds by construction."""
-        flit = vc.flits.popleft()
-        if flit.is_tail:
-            vc.allocated_to = vc.next_claim
-            vc.next_claim = None
-        self.active_flits -= 1
-        network = self.network
-        events = network._events
-        pool = network._bucket_pool
-        feeder = vc.unit.feeder_port
-        if feeder is not None:
-            time = now + CREDIT_DELAY
-            bucket = events.get(time)
-            if bucket is None:
-                bucket = pool.pop() if pool else ([], [], [])
-                events[time] = bucket
-            bucket[2].append((_CREDIT, feeder, vc.index))
-        port.flits_sent += 1
-        packet = flit.packet
-        if port.held_by is packet:
-            port.holder_sent += 1
-            vc_index = port.held_dst_vc
-        else:
-            vc_index = packet.vc_index
-        if port.ni_sink is not None:
-            network.schedule_eject(now + 1, port.ni_sink, flit)
-            return flit
-        credits = port.credits
-        if credits[vc_index] <= 0:
-            raise RuntimeError("credit underflow: flow control violated")
-        credits[vc_index] -= 1
-        if flit.is_head:
-            packet.hops_taken += 1
-        time = now + port.link_hop_latency
-        bucket = events.get(time)
-        if bucket is None:
-            bucket = pool.pop() if pool else ([], [], [])
-            events[time] = bucket
-        bucket[0].append((port.downstream_router, port.downstream_dir,
-                          vc_index, flit))
-        return flit
 
     # -- the PRA arbiter ---------------------------------------------------------
 
@@ -433,12 +267,8 @@ class PraRouter(MeshRouter):
 
     def _pop_source(self, step, now: int) -> None:
         if step.source_kind == SRC_VC:
-            vc = self.input_units[step.source_dir].vcs[step.source_vc]
-            vc.pop()
-            self.active_flits -= 1
-            feeder = vc.unit.feeder_port
-            if feeder is not None:
-                self.network.schedule_credit(now + CREDIT_DELAY, feeder, vc.index)
+            self._pop(self.input_units[step.source_dir].vcs[step.source_vc],
+                      now)
         else:
             self._latches[step.source_dir].popleft()
             self.active_flits -= 1
@@ -465,16 +295,14 @@ class PraRouter(MeshRouter):
         )
 
     # -- local arbiter constraints ------------------------------------------------
-
-    def _may_grant(self, port: OutputPort, packet: Packet, now: int) -> bool:
-        # Normally allocated packets never interleave with proactively
-        # allocated ones inside a VC because landings claim their VC
-        # (``allocated_to``) at reservation time — the structural
-        # equivalent of the paper's per-class multi-flit flag.  Port
-        # cycles reserved in the future are taken back by preemption
-        # (the PRA arbiter has priority at its slots), so the local
-        # arbiter needs no extra pending-reservation rule here.
-        return super()._may_grant(port, packet, now)
+    #
+    # The local arbiter is the stock mesh one.  Normally allocated
+    # packets never interleave with proactively allocated ones inside a
+    # VC because landings claim their VC (``allocated_to``) at
+    # reservation time — the structural equivalent of the paper's
+    # per-class multi-flit flag.  Port cycles reserved in the future are
+    # taken back by preemption (the PRA arbiter has priority at its
+    # slots), so VC allocation needs no pending-reservation rule.
 
     def _count_blocked(self, candidates, used_inputs) -> None:
         """A head flit that would have requested this output this cycle
@@ -496,39 +324,9 @@ class PraRouter(MeshRouter):
         """Inject (at most) one control packet for a deterministic stall.
 
         Only head flits at the front of a VC can be stalled waiting for
-        an output port, so the scan reuses the cycle's candidate map.
-        """
-        max_lag = self._max_lag
-        for vcs in candidates.values():
-            for vc in vcs:
-                front = vc.front()
-                if front is None or not front.is_head:
-                    continue
-                packet = front.packet
-                if packet.pra_pending or packet.pra_plan is not None:
-                    continue
-                release_slot = self._deterministic_release(packet, vc)
-                if release_slot is None:
-                    continue
-                lag = release_slot - (now + 1)
-                if lag < 1 or lag > max_lag:
-                    continue
-                run = self.network.control.inject(
-                    packet,
-                    self.node,
-                    start_slot=release_slot,
-                    trigger="lsd",
-                    source_kind=SRC_VC,
-                    source_dir=vc.unit.direction,
-                    source_vc=vc.index,
-                )
-                if run is not None:
-                    return  # one LSD injection per router per cycle
-
-    def _deterministic_release(
-        self, packet: Packet, vc: VirtualChannel
-    ) -> Optional[int]:
-        """First cycle ``packet`` could be granted, when predictable.
+        an output port, so the scan reuses the cycle's candidate map —
+        whose groups share an output port, so the port-side half of the
+        condition is evaluated once per group.
 
         The paper's condition: the wanted output is busy forwarding
         another multi-flit packet, and the downstream router has enough
@@ -540,21 +338,41 @@ class PraRouter(MeshRouter):
         cancels the plan (the hardware equivalent: the expected flit is
         absent, so the valid bit is dropped).
         """
-        direction = self.route_of(packet)
-        port = self.output_ports.get(direction)
-        if port is None or not port.is_held:
-            return None
-        holder = port.held_by
-        if holder is packet or not holder.is_multi_flit:
-            return None
-        remaining = port.remaining_flits_of_holder()
-        if remaining < 1:
-            return None
-        if not port.is_ejection and port.credits[holder.vc_index] < remaining:
-            return None
-        if vc.occupancy < packet.size:
-            return None
-        return self.network.cycle + remaining + 1
+        max_lag = self._max_lag
+        for direction, vcs in candidates.items():
+            port = self.output_ports[direction]
+            holder = port.held_by
+            if holder is None or not holder.is_multi_flit:
+                continue
+            # The holder's remaining flits are the lag: the port frees
+            # at ``now + remaining``, so the first grantable slot is the
+            # cycle after.
+            remaining = holder.size - port.holder_sent
+            if remaining < 1 or remaining > max_lag:
+                continue
+            if (port.ni_sink is None
+                    and port.credits[holder.vc_index] < remaining):
+                continue
+            for vc in vcs:
+                flits = vc.flits
+                if not flits or not flits[0].is_head:
+                    continue  # granted this cycle: its head has left
+                packet = flits[0].packet
+                if packet.pra_pending or packet.pra_plan is not None:
+                    continue
+                if packet is holder or len(flits) < packet.size:
+                    continue
+                run = self.network.control.inject(
+                    packet,
+                    self.node,
+                    start_slot=now + remaining + 1,
+                    trigger="lsd",
+                    source_kind=SRC_VC,
+                    source_dir=vc.unit.direction,
+                    source_vc=vc.index,
+                )
+                if run is not None:
+                    return  # one LSD injection per router per cycle
 
     # -- checkpointing ------------------------------------------------------------
 

@@ -141,10 +141,9 @@ def _worker_settings() -> tuple:
     process, so env-derived state the parent changed after import
     (``set_time_skip``, ``--cell-store``) would otherwise be lost —
     and fork-start workers would re-read the environment per cell."""
-    from repro.noc.network import fastpath_enabled, time_skip_enabled
+    from repro.noc.network import time_skip_enabled
 
-    return (time_skip_enabled(), fastpath_enabled(),
-            os.environ.get(STORE_ENV), _wall_limit())
+    return (time_skip_enabled(), os.environ.get(STORE_ENV), _wall_limit())
 
 
 #: Fault plan shipped into grid workers by :func:`_init_worker`
@@ -157,14 +156,13 @@ _worker_faults = None
 _in_worker = False
 
 
-def _init_worker(time_skip: bool, fastpath: bool, store_path: Optional[str],
+def _init_worker(time_skip: bool, store_path: Optional[str],
                  wall_limit: Optional[float], faults=None,
                  in_worker: bool = True) -> None:
     """Pool initializer: apply the parent's settings once per worker."""
-    from repro.noc.network import set_fastpath, set_time_skip
+    from repro.noc.network import set_time_skip
 
     set_time_skip(time_skip)
-    set_fastpath(fastpath)
     if store_path is None:
         os.environ.pop(STORE_ENV, None)
     else:

@@ -36,10 +36,6 @@ class MeshNetwork(Network):
             for node in range(self.topology.num_nodes)
         ]
         self._wire_ejection()
-        # Wiring is complete: let each router elect its specialized
-        # step binding (no-op under REPRO_NO_FASTPATH).
-        for router in self.routers:
-            router.finalize_build()
 
     def _wire_links(self) -> None:
         topo = self.topology

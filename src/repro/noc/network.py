@@ -71,28 +71,14 @@ def time_skip_enabled() -> bool:
     return _time_skip_default
 
 
-#: Process-wide default for build-time router specialization (the
-#: monomorphic ``step`` fast paths).  Captured at network construction
-#: (``net.fastpath``) because the election happens while the network is
-#: being wired.  ``REPRO_NO_FASTPATH=1`` forces every router onto the
-#: generic reference path; golden digests must be bit-identical either
-#: way (enforced by ``tests/test_fastpath.py``).
-_fastpath_default = not os.environ.get("REPRO_NO_FASTPATH")
-
-
-def set_fastpath(enabled: bool) -> None:
-    """Set the process-wide fast-path default for new networks."""
-    global _fastpath_default
-    _fastpath_default = bool(enabled)
-
-
-def fastpath_enabled() -> bool:
-    """The current process-wide fast-path default."""
-    return _fastpath_default
-
-
 class Network:
     """Base class for all four network organizations."""
+
+    #: Which lane of a cycle bucket credit returns ride: the bulk credit
+    #: queue, or (True) the *ordered* queue.  Mesh+PRA sets it — its
+    #: control network reads credit counters from deferred calls, so a
+    #: credit and a same-cycle control step must keep insertion order.
+    credits_ordered = False
 
     def __init__(self, params: NocParams):
         self.params = params
@@ -124,8 +110,7 @@ class Network:
         #: the *ordered* queue (ejections and deferred calls, which can
         #: inject packets and read shared state) preserves exact
         #: insertion order.  Mesh+PRA routes credits through the ordered
-        #: queue instead — its control network reads credit counters
-        #: from deferred calls (see ``PraNetwork.schedule_credit``).
+        #: queue instead (see ``credits_ordered``).
         self._events: Dict[int, tuple] = {}
         #: Drained buckets are recycled here; safe because ``_push``
         #: forbids scheduling into the bucket being drained.
@@ -149,10 +134,6 @@ class Network:
         #: Event-horizon time skipping (see module docstring); captured
         #: from the process default so a driver can opt out per network.
         self.time_skip = _time_skip_default
-        #: Build-time router specialization (monomorphic fast paths);
-        #: captured at construction because routers elect their ``step``
-        #: binding while the network is wired (``finalize_build``).
-        self.fastpath = _fastpath_default
         #: Idle cycles fast-forwarded instead of stepped.
         self.cycles_skipped = 0
         #: Boundary-port observer installed by the sharded engine
@@ -569,7 +550,10 @@ class Network:
             pool = self._bucket_pool
             bucket = pool.pop() if pool else ([], [], [])
             events[time] = bucket
-        bucket[1].append((port, vc_index))
+        if self.credits_ordered:
+            bucket[2].append((_CREDIT, port, vc_index))
+        else:
+            bucket[1].append((port, vc_index))
 
     def schedule_call(self, time, fn, *args) -> None:
         self._bucket(time)[2].append((_CALL, fn, args))
@@ -633,7 +617,7 @@ class Network:
         drain respects anyway.
         """
         bucket: tuple = ([], [], [])
-        arrivals, _, ordered = bucket
+        arrivals, credits, ordered = bucket
         for encoded in encoded_bucket:
             tag = encoded[0]
             if tag == "a":
@@ -641,7 +625,11 @@ class Network:
                                  as_port(encoded[2]), encoded[3],
                                  ctx.flit(encoded[4])))
             elif tag == "c":
-                self._restore_credit(bucket, ctx.port(encoded[1]), encoded[2])
+                if self.credits_ordered:
+                    ordered.append((_CREDIT, ctx.port(encoded[1]),
+                                    encoded[2]))
+                else:
+                    credits.append((ctx.port(encoded[1]), encoded[2]))
             elif tag == "e":
                 ordered.append((_EJECT, self.interfaces[encoded[1]],
                                 ctx.flit(encoded[2])))
@@ -649,12 +637,6 @@ class Network:
                 ordered.append((_CALL, ctx.callback(encoded[1]),
                                 tuple(ctx.deref(arg) for arg in encoded[2])))
         return bucket
-
-    def _restore_credit(self, bucket: tuple, port, vc_index: int) -> None:
-        """Where a restored credit event lands; Mesh+PRA overrides this
-        to route credits through the ordered queue (mirroring its
-        ``schedule_credit``)."""
-        bucket[1].append((port, vc_index))
 
     def state_dict(self, ctx) -> dict:
         """Mutable network state.  Wake queues serialize sorted (the

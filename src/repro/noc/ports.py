@@ -95,6 +95,8 @@ class OutputPort:
         self.flits_sent = 0
         #: Cycles from grant to downstream visibility (2 for the mesh:
         #: one ST+LT cycle, then allocation-eligible the next cycle).
+        #: The ejection port has no second cycle: the NI sees the flit
+        #: ``link_hop_latency - 1`` cycles after the grant.
         self.link_hop_latency = 2
 
     # -- wiring ---------------------------------------------------------
@@ -216,7 +218,7 @@ class OutputPort:
     #: this flag so the router falls back to the virtual call.
     _plain_send = True
 
-    def send(self, flit: Flit, now: int, charge_credit: bool = True,
+    def send(self, flit: Flit, now: int,
              vc_index: Optional[int] = None) -> None:
         """Transmit one flit to the immediate downstream hop.
 
@@ -240,14 +242,14 @@ class OutputPort:
                 ni=self.router is None,
             )
         if self.ni_sink is not None:
-            self.network.schedule_eject(now + 1, self.ni_sink, flit)
+            self.network.schedule_eject(now + self.link_hop_latency - 1,
+                                        self.ni_sink, flit)
             return
         if vc_index is None:
             vc_index = flit.packet.vc_index
-        if charge_credit:
-            if self.credits[vc_index] <= 0:
-                raise RuntimeError("credit underflow: flow control violated")
-            self.credits[vc_index] -= 1
+        if self.credits[vc_index] <= 0:
+            raise RuntimeError("credit underflow: flow control violated")
+        self.credits[vc_index] -= 1
         if flit.is_head and self.router is not None:
             flit.packet.hops_taken += 1
         self.network.schedule_arrival(

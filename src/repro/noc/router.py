@@ -21,6 +21,7 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.noc.flit import Flit
+from repro.noc.network import _CREDIT
 from repro.noc.packet import Packet
 from repro.noc.ports import OutputPort
 from repro.noc.topology import Direction, Port, as_port, port_name
@@ -139,13 +140,6 @@ class BaseRouter:
     #: latch deliveries without a virtual ``receive_flit`` call.
     _latch_index: Optional[int] = None
 
-    #: True once ``finalize_build`` verified the network keeps the
-    #: stock event schedulers, letting ``_pop_and_send`` (and the SMART
-    #: transmit) append straight into the cycle buckets.  Runtime still
-    #: checks ``network.boundary`` — sharded runs patch the schedulers
-    #: per instance.
-    _plain_sched = False
-
     def receive_flit(self, direction: Port, vc_index: int, flit: Flit) -> None:
         self.input_units[direction].receive(flit, vc_index)
         self.active_flits += 1
@@ -164,87 +158,83 @@ class BaseRouter:
     def step(self, now: int) -> None:
         raise NotImplementedError
 
-    def finalize_build(self) -> None:
-        """Build-time specialization hook, called once by the network
-        after all wiring (links, ejection, interfaces) is in place.  The
-        mesh router elects a monomorphic fast path here; the base router
-        has none."""
-
     # -- shared helpers -------------------------------------------------------
 
+    def _pop(self, vc: VirtualChannel, now: int) -> Flit:
+        """Dequeue the front flit of ``vc`` and return its credit to the
+        upstream feeder (for transmissions that bypass
+        :meth:`_pop_and_send`: SMART pass-throughs, PRA reserved slots)."""
+        flit = vc.pop()
+        self.active_flits -= 1
+        feeder = vc.unit.feeder_port
+        if feeder is not None:
+            self.network.schedule_credit(now + CREDIT_DELAY, feeder, vc.index)
+        return flit
+
     def _pop_and_send(
-        self, port: OutputPort, vc: VirtualChannel, now: int,
-        charge_credit: bool = True,
+        self, port: OutputPort, vc: VirtualChannel, now: int
     ) -> Flit:
-        """Dequeue the front flit of ``vc`` and transmit it on ``port``."""
-        # ``vc.pop()`` inlined: this helper moves every flit of every
-        # generic-path router, so the extra call showed up in profiles.
+        """Dequeue the front flit of ``vc`` and transmit it on ``port``.
+
+        This moves every normally allocated flit, so with no observer in
+        the way ``_pop`` and ``OutputPort.send`` are flattened in place
+        and the credit and the arrival go straight into their cycle
+        buckets (targets are ``now + <positive const>`` with ``now ==
+        network.cycle``, so the public schedulers' future-only guard
+        holds by construction).
+        """
+        network = self.network
+        if (network.boundary is not None or network.tracer.enabled
+                or not port._plain_send):
+            # A shard boundary patches the schedulers per instance, a
+            # tracer wants the link event, an overriding port its own
+            # ``send``: take the calls.
+            flit = self._pop(vc, now)
+            port.send(flit, now)
+            return flit
         flit = vc.flits.popleft()
         if flit.is_tail:
             vc.allocated_to = vc.next_claim
             vc.next_claim = None
         self.active_flits -= 1
-        network = self.network
-        # ``plain``: stock schedulers, no shard patching — credit and
-        # arrival appends go straight into the cycle buckets (targets
-        # are ``now + <positive const>`` with ``now == network.cycle``,
-        # so the future-only guard holds by construction).
-        plain = self._plain_sched and network.boundary is None
+        events = network._events
         feeder = vc.unit.feeder_port
         if feeder is not None:
-            if plain:
-                time = now + CREDIT_DELAY
-                events = network._events
-                bucket = events.get(time)
-                if bucket is None:
-                    pool = network._bucket_pool
-                    bucket = pool.pop() if pool else ([], [], [])
-                    events[time] = bucket
-                bucket[1].append((feeder, vc.index))
-            else:
-                network.schedule_credit(
-                    now + CREDIT_DELAY, feeder, vc.index
-                )
-        # Tracer-off transmit is ``OutputPort.send`` flattened in place
-        # (same fusion as ``_pop_send_fast``); tracing and overriding
-        # ports take the virtual call so they stay fully featured.
-        if network.tracer.enabled or not port._plain_send:
-            port.send(flit, now, charge_credit=charge_credit)
-            return flit
-        port.flits_sent += 1
-        vc_index = None
-        if port.held_by is flit.packet:
-            port.holder_sent += 1
-            vc_index = port.held_dst_vc
-        if port.ni_sink is not None:
-            network.schedule_eject(now + 1, port.ni_sink, flit)
-            return flit
-        if vc_index is None:
-            vc_index = flit.packet.vc_index
-        if charge_credit:
-            if port.credits[vc_index] <= 0:
-                raise RuntimeError("credit underflow: flow control violated")
-            port.credits[vc_index] -= 1
-        if flit.is_head and port.router is not None:
-            flit.packet.hops_taken += 1
-        if plain:
-            time = now + port.link_hop_latency
-            events = network._events
+            time = now + CREDIT_DELAY
             bucket = events.get(time)
             if bucket is None:
                 pool = network._bucket_pool
                 bucket = pool.pop() if pool else ([], [], [])
                 events[time] = bucket
-            bucket[0].append((port.downstream_router, port.downstream_dir,
-                              vc_index, flit))
+            if network.credits_ordered:
+                bucket[2].append((_CREDIT, feeder, vc.index))
+            else:
+                bucket[1].append((feeder, vc.index))
+        port.flits_sent += 1
+        packet = flit.packet
+        if port.held_by is packet:
+            port.holder_sent += 1
+            vc_index = port.held_dst_vc
         else:
-            network.schedule_arrival(
-                now + port.link_hop_latency,
-                port.downstream_router,
-                port.downstream_dir,
-                vc_index,
-                flit,
-            )
+            vc_index = packet.vc_index
+        if port.ni_sink is not None:
+            network.schedule_eject(now + port.link_hop_latency - 1,
+                                   port.ni_sink, flit)
+            return flit
+        credits = port.credits
+        if credits[vc_index] <= 0:
+            raise RuntimeError("credit underflow: flow control violated")
+        credits[vc_index] -= 1
+        if flit.is_head:
+            packet.hops_taken += 1
+        time = now + port.link_hop_latency
+        bucket = events.get(time)
+        if bucket is None:
+            pool = network._bucket_pool
+            bucket = pool.pop() if pool else ([], [], [])
+            events[time] = bucket
+        bucket[0].append((port.downstream_router, port.downstream_dir,
+                          vc_index, flit))
         return flit
 
     def _collect_head_candidates(self) -> Dict[Port, List[VirtualChannel]]:
@@ -267,16 +257,6 @@ class BaseRouter:
             else:
                 group.append(vc)
         return candidates
-
-    def _head_candidates(
-        self, direction: Port, used_inputs: Set[Port]
-    ) -> List[VirtualChannel]:
-        """Input VCs whose front flit is a head routed to ``direction``."""
-        return [
-            vc
-            for vc in self._collect_head_candidates().get(direction, [])
-            if vc.unit.direction not in used_inputs
-        ]
 
     def _round_robin_pick(
         self, direction: Port, candidates: List[VirtualChannel]
@@ -355,6 +335,11 @@ class BaseRouter:
 class MeshRouter(BaseRouter):
     """The baseline 1-stage speculative mesh router."""
 
+    #: Escape-VC layers per message class.  1 = flat: the downstream VC
+    #: is the packet's class VC; :class:`LayeredVcRouter` raises it and
+    #: supplies ``_dst_vc_for``.
+    vc_layers = 1
+
     def step(self, now: int) -> None:
         if self.active_flits == 0:
             return
@@ -375,278 +360,18 @@ class MeshRouter(BaseRouter):
                 if group:
                     self._try_grant(port, direction, now, used_inputs, group)
 
-    # -- build-time specialization (hot-path engine v3) ----------------------
-
-    def finalize_build(self) -> None:
-        """Elect a monomorphic ``step`` when this instance provably uses
-        the plain mesh pipeline.
-
-        Selection happens once, at build time: a flat (single escape
-        layer) router whose class keeps the stock ``step`` gets a
-        specialized binding — the full inline path for a plain
-        :class:`MeshRouter`, or the fast candidate scan
-        (:meth:`_step_scan`) when grant/hold hooks are overridden (the
-        SMART router).  Escape-layer routers (ring, chiplet) keep the
-        generic layered path; the PRA router elects its own flattened
-        pipeline (see ``PraRouter.finalize_build``).
-        ``REPRO_NO_FASTPATH`` disables election entirely.
-        """
-        if not self.network.fastpath:
-            return
-        network = self.network
-        cls = type(self)
-        from repro.noc.network import Network
-        net_cls = type(network)
-        # Stock event schedulers → transmit helpers may append into the
-        # cycle buckets directly (PraNetwork re-orders credits, so its
-        # routers keep the virtual calls on the generic path).
-        self._plain_sched = (
-            net_cls.schedule_arrival is Network.schedule_arrival
-            and net_cls.schedule_credit is Network.schedule_credit
-        )
-        if cls.step is not MeshRouter.step:
-            return  # custom pipeline (PRA) elects its own fast step
-        if isinstance(self, LayeredVcRouter):
-            return  # escape-layer routing stays on the generic path
-        if cls._collect_head_candidates is not \
-                BaseRouter._collect_head_candidates:
-            return
-        if cls._may_grant is not MeshRouter._may_grant:
-            return  # the fast scan fuses the stock eligibility check
-        #: Preallocated per-direction candidate buckets indexed by
-        #: ``int(port)``, so the hot scan never hashes or allocates.
-        size = max(int(port.direction) for port in self.port_list) + 1
-        self._cand_buckets: List[List[VirtualChannel]] = [
-            [] for _ in range(size)
-        ]
-        if (cls is MeshRouter
-                and cls._pop_and_send is BaseRouter._pop_and_send
-                and cls._make_output_port is BaseRouter._make_output_port):
-            self.step = self._step_fast  # type: ignore[method-assign]
-        else:
-            self.step = self._step_scan  # type: ignore[method-assign]
-
-    def _scan_heads_fast(self) -> int:
-        """Fill the preallocated candidate buckets; returns a bitmask of
-        touched output-port indices (callers must clear those buckets
-        before returning)."""
-        buckets = self._cand_buckets
-        row = self._route_row
-        touched = 0
-        for vc in self._vc_list:
-            flits = vc.flits
-            if flits:
-                front = flits[0]
-                if front.is_head:
-                    index = int(row[front.packet.dst])
-                    buckets[index].append(vc)
-                    touched |= 1 << index
-        return touched
-
-    def _clear_buckets(self, touched: int) -> None:
-        buckets = self._cand_buckets
-        while touched:
-            low = touched & -touched
-            buckets[low.bit_length() - 1].clear()
-            touched -= low
-
-    def _step_fast(self, now: int) -> None:
-        """Monomorphic hot path for the plain flat mesh.
-
-        Bit-identical to :meth:`step` with the generic helpers inlined:
-        candidate groups live in preallocated per-direction buckets, the
-        round-robin pick is rotation arithmetic fused with the
-        eligibility filter, and the pop→credit→send chain skips the
-        virtual dispatch.  Whenever an observer is attached (faults,
-        tracer, shard boundary) the router falls back to the generic
-        step, so instrumented runs always exercise the reference path.
-        """
-        if self.active_flits == 0:
-            return
-        network = self.network
-        if (network.faults.enabled or network.tracer.enabled
-                or network.boundary is not None):
-            MeshRouter.step(self, now)
-            return
-        touched = self._scan_heads_fast()
-        buckets = self._cand_buckets
-        rr_last = self._rr_last
-        total = self._rr_total
-        used = 0
-        for port in self.port_list:
-            held = port.held_by
-            if held is not None:
-                vc = port.active_vc
-                if vc is None:
-                    continue
-                flits = vc.flits
-                if not flits or flits[0].packet is not held:
-                    continue  # next flit still in flight from upstream
-                in_bit = 1 << vc.unit.direction
-                if used & in_bit:
-                    continue
-                if port.ni_sink is None and port.credits[port.held_dst_vc] < 1:
-                    continue
-                used |= in_bit
-                if self._pop_send_fast(port, vc, now).is_tail:
-                    port.release()
-                continue
-            index = int(port.direction)
-            if not (touched >> index) & 1:
-                continue
-            # Eligibility filter fused with the rotation pick.
-            last = rr_last[port.direction]
-            if last is None:
-                last = total - 1
-            down_unit = port.downstream_unit
-            credits = port.credits
-            ejection = port.ni_sink is not None
-            choice = None
-            best = total
-            for vc in buckets[index]:
-                if used & (1 << vc.unit.direction):
-                    continue
-                packet = vc.flits[0].packet
-                if not ejection:
-                    vc_index = packet.vc_index
-                    down_vc = down_unit.vcs[vc_index]
-                    if (down_vc.allocated_to is not None or down_vc.flits
-                            or credits[vc_index] < 1):
-                        continue
-                rank = (vc.rr_id - last - 1) % total
-                if rank < best:
-                    best = rank
-                    choice = vc
-            if choice is None:
-                continue
-            vc = choice
-            direction = port.direction
-            self._rr[direction] = vc.rr_key
-            rr_last[direction] = vc.rr_id
-            packet = vc.flits[0].packet
-            if not ejection:
-                down_unit.vcs[packet.vc_index].allocated_to = packet
-            # Inline port.hold (the unheld branch above guarantees it).
-            port.held_by = packet
-            port.active_vc = vc
-            port.held_dst_vc = packet.vc_index
-            port.holder_sent = 0
-            used |= 1 << vc.unit.direction
-            if self._pop_send_fast(port, vc, now).is_tail:
-                port.release()
-        self._clear_buckets(touched)
-
-    def _pop_send_fast(self, port: OutputPort, vc: VirtualChannel,
-                       now: int) -> Flit:
-        """:meth:`_pop_and_send` + :meth:`OutputPort.send` fused for the
-        tracer-off, credit-charging, plain-port case (the only one the
-        fast step reaches).  Event scheduling appends straight into the
-        cycle buckets: every target cycle is ``now + <positive const>``
-        with ``now == network.cycle``, so the future-only guard the
-        public schedulers enforce holds by construction."""
-        flit = vc.flits.popleft()
-        if flit.is_tail:
-            vc.allocated_to = vc.next_claim
-            vc.next_claim = None
-        self.active_flits -= 1
-        network = self.network
-        events = network._events
-        pool = network._bucket_pool
-        feeder = vc.unit.feeder_port
-        if feeder is not None:
-            time = now + CREDIT_DELAY
-            bucket = events.get(time)
-            if bucket is None:
-                bucket = pool.pop() if pool else ([], [], [])
-                events[time] = bucket
-            bucket[1].append((feeder, vc.index))
-        port.flits_sent += 1
-        packet = flit.packet
-        if port.held_by is packet:
-            port.holder_sent += 1
-            vc_index = port.held_dst_vc
-        else:
-            vc_index = packet.vc_index
-        if port.ni_sink is not None:
-            network.schedule_eject(now + 1, port.ni_sink, flit)
-            return flit
-        credits = port.credits
-        if credits[vc_index] <= 0:
-            raise RuntimeError("credit underflow: flow control violated")
-        credits[vc_index] -= 1
-        if flit.is_head:
-            packet.hops_taken += 1
-        time = now + port.link_hop_latency
-        bucket = events.get(time)
-        if bucket is None:
-            bucket = pool.pop() if pool else ([], [], [])
-            events[time] = bucket
-        bucket[0].append((port.downstream_router, port.downstream_dir,
-                          vc_index, flit))
-        return flit
-
-    def _step_scan(self, now: int) -> None:
-        """Fast candidate scan with virtual grant/hold hooks: the
-        per-cycle head scan, the eligibility filter (the election
-        verified the stock ``_may_grant``), and the round-robin pick
-        are inlined, while ``_advance_held``/``_grant`` stay
-        overridable — the SMART router's bypass logic rides on them."""
-        if self.active_flits == 0:
-            return
-        network = self.network
-        if (network.faults.enabled or network.tracer.enabled
-                or network.boundary is not None):
-            MeshRouter.step(self, now)
-            return
-        touched = self._scan_heads_fast()
-        buckets = self._cand_buckets
-        rr_last = self._rr_last
-        total = self._rr_total
-        used_inputs: Set[Port] = set()
-        for port in self.port_list:
-            if port.held_by is not None:
-                self._advance_held(port, now, used_inputs)
-                continue
-            index = int(port.direction)
-            if not (touched >> index) & 1:
-                continue
-            # ``_try_grant`` fused: the filter is the flattened
-            # VC-allocation check, the pick is rotation arithmetic.
-            direction = port.direction
-            down_unit = port.downstream_unit
-            credits = port.credits
-            ejection = port.ni_sink is not None
-            last = rr_last[direction]
-            if last is None:
-                last = total - 1
-            choice = None
-            best = total
-            for vc in buckets[index]:
-                if vc.unit.direction in used_inputs:
-                    continue
-                if not ejection:
-                    vc_index = vc.flits[0].packet.vc_index
-                    down_vc = down_unit.vcs[vc_index]
-                    if (down_vc.allocated_to is not None or down_vc.flits
-                            or credits[vc_index] < 1):
-                        continue
-                rank = (vc.rr_id - last - 1) % total
-                if rank < best:
-                    best = rank
-                    choice = vc
-            if choice is None:
-                continue
-            self._rr[direction] = choice.rr_key
-            rr_last[direction] = choice.rr_id
-            self._grant(port, choice, choice.flits[0].packet, now,
-                        used_inputs)
-        self._clear_buckets(touched)
-
     # -- switch traversal of an in-progress packet ---------------------------
 
     def _advance_held(
-        self, port: OutputPort, now: int, used_inputs: Set[Port]
+        self, port: OutputPort, now: int, used_inputs: Set[Port],
+        credit_port: Optional[OutputPort] = None,
     ) -> None:
+        """Send the holder's next flit through ``port`` if it can move.
+
+        ``credit_port`` names the port whose credits gate the flit when
+        that is not ``port`` itself (a SMART pass-through lands two
+        tiles away and skips the buffer ``port`` feeds).
+        """
         # Stall checks are inlined (``vc.front()`` / ``has_credit_for``
         # flattened); the trace helper is only invoked when a tracer is
         # actually attached, keeping the common stall to attribute work.
@@ -663,19 +388,23 @@ class MeshRouter(BaseRouter):
             if self.network.tracer.enabled:
                 self._trace_hold(port, now, "input_busy")
             return
-        if port.ni_sink is None and port.credits[port.held_dst_vc] < 1:
+        if port.ni_sink is None and (
+            (credit_port or port).credits[port.held_dst_vc] < 1
+        ):
             if self.network.tracer.enabled:
                 self._trace_hold(port, now, "no_credit")
             return
         used_inputs.add(direction)
-        flit = self._pop_and_send(port, vc, now)
-        if flit.is_tail:
-            port.release()
-            tracer = self.network.tracer
-            if tracer.enabled:
-                tracer.emit(now, EV_SWITCH_RELEASE, pid=flit.packet.pid,
-                            node=self.node,
-                            direction=port_name(port.direction))
+        if self._pop_and_send(port, vc, now).is_tail:
+            self._release(port, now)
+
+    def _release(self, port: OutputPort, now: int) -> None:
+        """The holder's tail flit left: free the switch."""
+        tracer = self.network.tracer
+        if tracer.enabled:
+            tracer.emit(now, EV_SWITCH_RELEASE, pid=port.held_by.pid,
+                        node=self.node, direction=port_name(port.direction))
+        port.release()
 
     def _trace_hold(self, port: OutputPort, now: int, reason: str) -> None:
         """Record a held port that could not advance this cycle."""
@@ -693,39 +422,51 @@ class MeshRouter(BaseRouter):
 
     def _try_grant(
         self, port: OutputPort, direction: Port, now: int,
-        used_inputs: Set[Port],
-        candidates: Optional[List[VirtualChannel]] = None,
+        used_inputs: Set[Port], candidates: List[VirtualChannel],
     ) -> None:
-        may_grant = self._may_grant
-        if candidates is None:
-            candidates = self._collect_head_candidates().get(direction, ())
-        # Eligibility filter fused with the rotation pick (one pass, no
-        # intermediate list); identical to filtering into ``eligible``
-        # and handing it to ``_round_robin_pick``.
-        total = self._rr_total
-        last = self._rr_last[direction]
-        if last is None:
-            last = total - 1
-        choice: Optional[VirtualChannel] = None
-        best = total
-        for vc in candidates:
-            if vc.unit.direction in used_inputs:
-                continue
-            if not may_grant(port, vc.flits[0].packet, now):
-                continue
-            rank = (vc.rr_id - last - 1) % total
-            if rank < best:
-                best = rank
-                choice = vc
-        if choice is None:
-            return
-        self._rr[direction] = choice.rr_key
-        self._rr_last[direction] = choice.rr_id
-        self._grant(port, choice, choice.flits[0].packet, now, used_inputs)
+        """Grant ``port`` to one of the head flits requesting it.
 
-    def _may_grant(self, port: OutputPort, packet: Packet, now: int) -> bool:
-        """VC-allocation check; the PRA router layers reservation rules."""
-        return port.can_allocate_vc(packet)
+        A candidate is eligible when its crossbar input is free this
+        cycle and VC allocation succeeds: the downstream VC is
+        unallocated, empty, and has a credit (ejection always succeeds).
+        """
+        if port.ni_sink is not None:
+            eligible = [vc for vc in candidates
+                        if vc.unit.direction not in used_inputs]
+        else:
+            eligible = []
+            layered = self.vc_layers > 1
+            down_vcs = port.downstream_unit.vcs
+            credits = port.credits
+            for vc in candidates:
+                if vc.unit.direction in used_inputs:
+                    continue
+                packet = vc.flits[0].packet
+                dst_vc = (self._dst_vc_for(packet, direction) if layered
+                          else packet.vc_index)
+                down_vc = down_vcs[dst_vc]
+                if (down_vc.allocated_to is None and not down_vc.flits
+                        and credits[dst_vc] >= 1):
+                    eligible.append(vc)
+        if eligible:
+            choice = self._round_robin_pick(direction, eligible)
+            self._grant(port, choice, choice.flits[0].packet, now,
+                        used_inputs)
+
+    def _claim_downstream(self, port: OutputPort, packet: Packet,
+                          now: int) -> int:
+        """Allocate the downstream VC that ``_try_grant`` found free;
+        returns its index."""
+        dst_vc = (packet.vc_index if self.vc_layers == 1
+                  else self._dst_vc_for(packet, port.direction))
+        port.downstream_unit.vcs[dst_vc].allocated_to = packet
+        boundary = self.network.boundary
+        if boundary is not None:
+            # Sharded runs mirror VC allocations whose downstream
+            # router lives in another shard (the write above landed
+            # on a local replica; the owner must replay it).
+            boundary.note_grant(port, packet, now)
+        return dst_vc
 
     def _grant(
         self,
@@ -736,32 +477,21 @@ class MeshRouter(BaseRouter):
         used_inputs: Set[Port],
     ) -> None:
         tracer = self.network.tracer
-        if not port.is_ejection:
-            port.downstream_vc(packet.vc_index).allocated_to = packet
-            boundary = self.network.boundary
-            if boundary is not None:
-                # Sharded runs mirror VC allocations whose downstream
-                # router lives in another shard (the write above landed
-                # on a local replica; the owner must replay it).
-                boundary.note_grant(port, packet, now)
+        dst_vc = packet.vc_index
+        if port.ni_sink is None:
+            dst_vc = self._claim_downstream(port, packet, now)
             if tracer.enabled:
                 tracer.emit(now, EV_VC_ALLOC, pid=packet.pid, node=self.node,
-                            direction=port_name(port.direction),
-                            vc=packet.vc_index)
-        port.hold(packet, source_vc=vc)
+                            direction=port_name(port.direction), vc=dst_vc)
+        port.hold(packet, vc, dst_vc)
         if tracer.enabled:
             tracer.emit(now, EV_SWITCH_GRANT, pid=packet.pid, node=self.node,
                         direction=port_name(port.direction),
                         input=port_name(vc.unit.direction),
                         input_vc=vc.index)
         used_inputs.add(vc.unit.direction)
-        flit = self._pop_and_send(port, vc, now)
-        if flit.is_tail:
-            port.release()
-            if tracer.enabled:
-                tracer.emit(now, EV_SWITCH_RELEASE, pid=packet.pid,
-                            node=self.node,
-                            direction=port_name(port.direction))
+        if self._pop_and_send(port, vc, now).is_tail:
+            self._release(port, now)
 
 
 class LayeredVcRouter(MeshRouter):
@@ -808,29 +538,9 @@ class LayeredVcRouter(MeshRouter):
         layer = 1 if direction in dirs else packet.ring_layer
         return packet.msg_class.value * self.vc_layers + layer
 
-    def _may_grant(self, port: OutputPort, packet: Packet, now: int) -> bool:
-        if port.ni_sink is not None:
-            return True
-        return port.can_allocate_vc(
-            packet, self._dst_vc_for(packet, port.direction)
-        )
-
-    def _grant(
-        self,
-        port: OutputPort,
-        vc: VirtualChannel,
-        packet: Packet,
-        now: int,
-        used_inputs: Set[Port],
-    ) -> None:
-        dst_vc: Optional[int] = None
-        if port.ni_sink is None:
-            dst_vc = self._dst_vc_for(packet, port.direction)
-            port.downstream_unit.vcs[dst_vc].allocated_to = packet
-            if port.direction in self._advancing_dirs():
-                packet.ring_layer = 1
-        port.hold(packet, source_vc=vc, dst_vc=dst_vc)
-        used_inputs.add(vc.unit.direction)
-        flit = self._pop_and_send(port, vc, now)
-        if flit.is_tail:
-            port.release()
+    def _claim_downstream(self, port: OutputPort, packet: Packet,
+                          now: int) -> int:
+        dst_vc = super()._claim_downstream(port, packet, now)
+        if port.direction in self._advancing_dirs():
+            packet.ring_layer = 1
+        return dst_vc

@@ -33,14 +33,14 @@ from repro.noc.flit import Flit
 from repro.noc.mesh import MeshNetwork
 from repro.noc.packet import Packet
 from repro.noc.ports import OutputPort
-from repro.noc.router import CREDIT_DELAY, MeshRouter
+from repro.noc.router import MeshRouter
 from repro.noc.topology import Direction
 from repro.noc.vc import VirtualChannel
 
 #: Grant-to-visibility latency: 2-stage pipeline + link (vs. 2 for mesh).
+#: Ejection takes the extra pipeline stage too (``OutputPort.send``
+#: ejects one cycle under the port's hop latency).
 SMART_HOP_LATENCY = 3
-#: Ejection takes the extra pipeline stage too.
-SMART_EJECT_LATENCY = 2
 
 
 class _BypassState:
@@ -66,248 +66,37 @@ class SmartRouter(MeshRouter):
         for port in self.output_ports.values():
             port.link_hop_latency = SMART_HOP_LATENCY
 
-    # -- build-time specialization (hot-path engine v3) -------------------------
-
-    def finalize_build(self) -> None:
-        """Elect the SMART-specific flattened step.
-
-        The base election (``MeshRouter.finalize_build``) already
-        verified the stock candidate scan and eligibility check and
-        allocated the per-direction buckets; this override swaps the
-        half-generic ``_step_scan`` binding (virtual grant/hold hooks)
-        for a fully fused pipeline when the instance is provably a plain
-        :class:`SmartRouter`.
-        """
-        super().finalize_build()
-        if "step" not in vars(self):
-            return  # the base election declined (fastpath off, layered)
-        if type(self) is not SmartRouter:
-            return
-        self.step = self._step_fast_smart  # type: ignore[method-assign]
-
-    def _step_fast_smart(self, now: int) -> None:
-        """Monomorphic hot path for the SMART router.
-
-        Bit-identical to the generic step with :meth:`_advance_held`
-        and :meth:`_grant` inlined around the fast candidate scan (the
-        SSR resolution stays in :meth:`_try_bypass`).  Falls back to
-        the generic step whenever an observer is attached, so
-        instrumented runs always exercise the reference path.
-        """
-        if self.active_flits == 0:
-            return
-        network = self.network
-        if (network.faults.enabled or network.tracer.enabled
-                or network.boundary is not None):
-            MeshRouter.step(self, now)
-            return
-        touched = self._scan_heads_fast()
-        buckets = self._cand_buckets
-        rr_last = self._rr_last
-        total = self._rr_total
-        bypasses = self._bypasses
-        send = self._send_smart
-        used = 0
-        for port in self.port_list:
-            held = port.held_by
-            if held is not None:
-                # ``_advance_held`` inlined (tracer known off).
-                vc = port.active_vc
-                if vc is None:
-                    continue
-                flits = vc.flits
-                if not flits or flits[0].packet is not held:
-                    continue  # next flit still in flight from upstream
-                in_bit = 1 << vc.unit.direction
-                if used & in_bit:
-                    continue
-                front_vc_index = flits[0].packet.vc_index
-                bypass = bypasses.get(port.direction)
-                if bypass is not None:
-                    if bypass.via_port.credits[front_vc_index] < 1:
-                        continue
-                elif port.ni_sink is None and port.credits[front_vc_index] < 1:
-                    continue
-                used |= in_bit
-                if send(port, vc, now, bypass).is_tail:
-                    self._release(port)
-                continue
-            index = int(port.direction)
-            if not (touched >> index) & 1:
-                continue
-            # Eligibility filter fused with the rotation pick.
-            direction = port.direction
-            down_unit = port.downstream_unit
-            credits = port.credits
-            ejection = port.ni_sink is not None
-            last = rr_last[direction]
-            if last is None:
-                last = total - 1
-            choice = None
-            best = total
-            for vc in buckets[index]:
-                if used & (1 << vc.unit.direction):
-                    continue
-                if not ejection:
-                    vc_index = vc.flits[0].packet.vc_index
-                    down_vc = down_unit.vcs[vc_index]
-                    if (down_vc.allocated_to is not None or down_vc.flits
-                            or credits[vc_index] < 1):
-                        continue
-                rank = (vc.rr_id - last - 1) % total
-                if rank < best:
-                    best = rank
-                    choice = vc
-            if choice is None:
-                continue
-            vc = choice
-            self._rr[direction] = vc.rr_key
-            rr_last[direction] = vc.rr_id
-            packet = vc.flits[0].packet
-            # ``_grant`` inlined: resolve the SSR, then hold and stream.
-            via_port = self._try_bypass(packet, direction, now)
-            bypass = None
-            if via_port is not None:
-                via_port.downstream_vc(packet.vc_index).allocated_to = packet
-                via_port.hold(packet, source_vc=None)
-                bypass = _BypassState(packet, via_port)
-                bypasses[direction] = bypass
-            elif not ejection:
-                down_unit.vcs[packet.vc_index].allocated_to = packet
-            # Inline ``port.hold`` (the unheld branch guarantees it).
-            port.held_by = packet
-            port.active_vc = vc
-            port.held_dst_vc = packet.vc_index
-            port.holder_sent = 0
-            used |= 1 << vc.unit.direction
-            if send(port, vc, now, bypass).is_tail:
-                self._release(port)
-        self._clear_buckets(touched)
-
     # -- grant: resolve the SSR, then stream at line rate ----------------------
 
-    def _grant(
-        self,
-        port: OutputPort,
-        vc: VirtualChannel,
-        packet: Packet,
-        now: int,
-        used_inputs: Set[Direction],
-    ) -> None:
+    def _claim_downstream(self, port: OutputPort, packet: Packet,
+                          now: int) -> int:
         via_port = self._try_bypass(packet, port.direction, now)
-        bypass = None
-        if via_port is not None:
-            landing_vc = via_port.downstream_vc(packet.vc_index)
-            landing_vc.allocated_to = packet
-            via_port.hold(packet, source_vc=None)
-            bypass = _BypassState(packet, via_port)
-            self._bypasses[port.direction] = bypass
-        elif port.ni_sink is None:
-            port.downstream_unit.vcs[packet.vc_index].allocated_to = packet
-        port.hold(packet, source_vc=vc)
-        used_inputs.add(vc.unit.direction)
-        flit = self._send_smart(port, vc, now, bypass)
-        if flit.is_tail:
-            self._release(port)
+        if via_port is None:
+            return super()._claim_downstream(port, packet, now)
+        via_port.downstream_vc(packet.vc_index).allocated_to = packet
+        via_port.hold(packet, source_vc=None)
+        self._bypasses[port.direction] = _BypassState(packet, via_port)
+        return packet.vc_index
 
     def _advance_held(
         self, port: OutputPort, now: int, used_inputs: Set[Direction]
     ) -> None:
-        vc = port.active_vc
-        if vc is None:
-            return
-        flits = vc.flits
-        if not flits or flits[0].packet is not port.held_by:
-            return
-        direction = vc.unit.direction
-        if direction in used_inputs:
-            return
-        front_vc_index = flits[0].packet.vc_index
         bypass = self._bypasses.get(port.direction)
-        if bypass is not None:
-            if bypass.via_port.credits[front_vc_index] < 1:
-                return
-        elif port.ni_sink is None and port.credits[front_vc_index] < 1:
-            return
-        used_inputs.add(direction)
-        flit = self._send_smart(port, vc, now, bypass)
-        if flit.is_tail:
-            self._release(port)
+        super()._advance_held(
+            port, now, used_inputs,
+            bypass.via_port if bypass is not None else None,
+        )
 
     # -- transmission -----------------------------------------------------------
 
-    def _send_smart(self, port: OutputPort, vc: VirtualChannel, now: int,
-                    bypass: Optional["_BypassState"]) -> Flit:
-        # Both callers resolved the bypass state during their credit
-        # check, so it is passed in rather than re-fetched here.
-        flit = vc.flits.popleft()
-        if flit.is_tail:
-            vc.allocated_to = vc.next_claim
-            vc.next_claim = None
-        self.active_flits -= 1
-        network = self.network
-        # Stock schedulers and no shard patching → append straight into
-        # the cycle buckets (all offsets below are positive constants
-        # with ``now == network.cycle``, so the future-only guard holds
-        # by construction).
-        plain = self._plain_sched and network.boundary is None
-        feeder = vc.unit.feeder_port
-        if feeder is not None:
-            if plain:
-                time = now + CREDIT_DELAY
-                events = network._events
-                bucket = events.get(time)
-                if bucket is None:
-                    pool = network._bucket_pool
-                    bucket = pool.pop() if pool else ([], [], [])
-                    events[time] = bucket
-                bucket[1].append((feeder, vc.index))
-            else:
-                network.schedule_credit(now + CREDIT_DELAY, feeder,
-                                        vc.index)
+    def _pop_and_send(
+        self, port: OutputPort, vc: VirtualChannel, now: int
+    ) -> Flit:
+        bypass = self._bypasses.get(port.direction)
         if bypass is None:
-            if port.ni_sink is not None:
-                port.flits_sent += 1
-                if port.held_by is flit.packet:
-                    port.holder_sent += 1
-                self.network.schedule_eject(
-                    now + SMART_EJECT_LATENCY, port.ni_sink, flit
-                )
-                return flit
-            # Single-hop transmit: ``OutputPort.send`` flattened in
-            # place (tracing or overriding ports take the virtual call).
-            if network.tracer.enabled or not port._plain_send:
-                port.send(flit, now)
-                return flit
-            port.flits_sent += 1
-            if port.held_by is flit.packet:
-                port.holder_sent += 1
-                vc_index = port.held_dst_vc
-            else:
-                vc_index = None
-            if vc_index is None:
-                vc_index = flit.packet.vc_index
-            if port.credits[vc_index] <= 0:
-                raise RuntimeError("credit underflow: flow control violated")
-            port.credits[vc_index] -= 1
-            if flit.is_head:
-                flit.packet.hops_taken += 1
-            time = now + port.link_hop_latency
-            if plain:
-                events = network._events
-                bucket = events.get(time)
-                if bucket is None:
-                    pool = network._bucket_pool
-                    bucket = pool.pop() if pool else ([], [], [])
-                    events[time] = bucket
-                bucket[0].append((port.downstream_router,
-                                  port.downstream_dir, vc_index, flit))
-            else:
-                network.schedule_arrival(time, port.downstream_router,
-                                         port.downstream_dir, vc_index,
-                                         flit)
-            return flit
+            return super()._pop_and_send(port, vc, now)
         # Two-tile traversal: both links this cycle, landing two hops away.
+        flit = self._pop(vc, now)
         packet = flit.packet
         via_port = bypass.via_port
         port.flits_sent += 1
@@ -317,18 +106,7 @@ class SmartRouter(MeshRouter):
         via_port.credits[packet.vc_index] -= 1
         if flit.is_head:
             packet.hops_taken += 2
-        if plain:
-            time = now + SMART_HOP_LATENCY
-            events = network._events
-            bucket = events.get(time)
-            if bucket is None:
-                pool = network._bucket_pool
-                bucket = pool.pop() if pool else ([], [], [])
-                events[time] = bucket
-            bucket[0].append((bypass.landing_router, bypass.landing_entry,
-                              packet.vc_index, flit))
-            return flit
-        network.schedule_arrival(
+        self.network.schedule_arrival(
             now + SMART_HOP_LATENCY,
             bypass.landing_router,
             bypass.landing_entry,
@@ -337,11 +115,11 @@ class SmartRouter(MeshRouter):
         )
         return flit
 
-    def _release(self, port: OutputPort) -> None:
+    def _release(self, port: OutputPort, now: int) -> None:
         bypass = self._bypasses.pop(port.direction, None)
         if bypass is not None:
             bypass.via_port.release()
-        port.release()
+        super()._release(port, now)
 
     # -- SSR arbitration -------------------------------------------------------------
 

@@ -144,7 +144,7 @@ class Topology:
         self.num_nodes = num_nodes
         #: Dense next-port tables, one row per source node, built lazily
         #: from :meth:`next_port` (the pure routing law, which stays the
-        #: reference oracle — ``tests/test_fastpath.py`` asserts every
+        #: reference oracle — ``tests/test_noc_units.py`` asserts every
         #: row entry against it).  ``row[dst]`` replaces the old
         #: ``node * num_nodes + dst`` dict memo: routers hold their row
         #: and route with one list index instead of a hash lookup.

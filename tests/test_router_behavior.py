@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.noc.packet import Packet
+from repro.noc.network import build_network
+from repro.noc.packet import Packet, packet_pool, reset_packet_ids
 from repro.noc.topology import Direction
-from repro.params import MessageClass, NocKind
+from repro.params import MessageClass, NocKind, NocParams
 from tests.helpers import assert_quiescent, make_network
 
 
@@ -148,3 +149,54 @@ class TestIdealBounds:
         net.drain(max_cycles=100)
         lower = -(-hops // 2) + 1
         assert pkt.network_latency() >= lower
+
+
+# -- batched dispatch: wake order must never matter -------------------------
+
+
+def _burst(net, order):
+    """Inject one single-flit packet at each node of ``order`` (in that
+    order) targeting the opposite corner, then run to completion."""
+    reset_packet_ids()
+    deliveries = {}
+    net.on_delivery(
+        lambda packet, now: deliveries.setdefault(
+            (packet.src, packet.dst), now
+        )
+    )
+    n = net.topology.num_nodes
+    for node in order:
+        net.send(packet_pool.acquire(node, n - 1 - node,
+                                     MessageClass.REQUEST,
+                                     created=net.cycle))
+    net.drain(max_cycles=20000)
+    return deliveries
+
+
+def test_out_of_order_wakes_are_sorted_and_deterministic():
+    """Satellite 6: wakes arriving in descending node order dirty the
+    sorted flag, and the results match the ascending-order run."""
+    params = NocParams(kind=NocKind.MESH, mesh_width=4, mesh_height=4)
+    net = build_network(params)
+    order = list(range(net.topology.num_nodes))
+    forward = _burst(net, order)
+
+    net = build_network(params)
+    assert net._ni_sorted
+    backward = _burst(net, list(reversed(order)))
+    assert forward == backward
+
+
+def test_wake_flags_track_out_of_order_appends():
+    net = build_network(NocParams(kind=NocKind.MESH, mesh_width=4,
+                                  mesh_height=4))
+    net.wake_ni(5)
+    assert net._ni_sorted
+    net.wake_ni(2)  # out of order: flag must go dirty
+    assert not net._ni_sorted
+    net.wake_router(1)
+    net.wake_router(4)
+    assert net._router_sorted  # ascending appends stay clean
+    net.step()
+    # The step loop consumed both queues and restored the invariant.
+    assert net._ni_sorted

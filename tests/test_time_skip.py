@@ -236,11 +236,9 @@ def test_worker_initializer_propagates_settings(tmp_path, monkeypatch):
     monkeypatch.setenv(STORE_ENV, store)
     monkeypatch.setenv("REPRO_WALL_LIMIT", "2.5")
     set_time_skip(False)
-    from repro.noc.network import fastpath_enabled
-
     try:
         settings = runner._worker_settings()
-        assert settings == (False, fastpath_enabled(), store, 2.5)
+        assert settings == (False, store, 2.5)
     finally:
         set_time_skip(True)
     try:

@@ -4,9 +4,14 @@ import json
 
 import pytest
 
+from collections import Counter
+
 from repro.cli import main
-from repro.noc.packet import Packet
-from repro.params import MessageClass, NocKind
+from repro.faults import FaultInjector, FaultSchedule
+from repro.invariants import InvariantSuite
+from repro.noc.network import build_network
+from repro.noc.packet import Packet, reset_packet_ids
+from repro.params import MessageClass, NocKind, NocParams
 from repro.perf.instrumentation import PraProbe, attribution_from_events
 from repro.trace import (
     EV_CONTROL_DROP,
@@ -17,6 +22,8 @@ from repro.trace import (
     EV_LINK,
     EV_PACKET_INJECT,
     EV_RESERVATION_COMMIT,
+    EV_SWITCH_GRANT,
+    EV_SWITCH_RELEASE,
     NULL_TRACER,
     RingTracer,
     TraceEvent,
@@ -26,7 +33,9 @@ from repro.trace import (
     reconstruct,
     timelines_by_pid,
 )
+from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
 from tests.helpers import make_network
+from tests.test_golden_determinism import _digest
 
 
 def traced_pra_run(src=0, dst=4, ready_in=4, **tracer_kwargs):
@@ -273,3 +282,94 @@ class TestTraceCli:
                    "--warmup", "50", "--measure", "100"])
         assert rc == 0
         assert "Web Search" in capsys.readouterr().out
+
+
+# -- observing must not change what is observed -----------------------------
+
+_ORGANIZATIONS = {
+    **{kind.value: NocParams(kind=kind, mesh_width=4, mesh_height=4)
+       for kind in NocKind},
+    "ring": NocParams(mesh_width=8, mesh_height=1, topology="ring"),
+    "chiplet": NocParams(topology="chiplet:2x2x3x3"),
+}
+
+
+def _contested_run(label, tracer=None):
+    """A seeded high-load run to quiescence on one organization."""
+    reset_packet_ids()
+    net = build_network(_ORGANIZATIONS[label])
+    if tracer is not None:
+        net.attach(tracer=tracer)
+    SyntheticTraffic(net, TrafficPattern.UNIFORM_RANDOM, 0.08,
+                     seed=5).run(400)
+    net.drain(max_cycles=20000)
+    return net
+
+
+@pytest.mark.parametrize("label", sorted(_ORGANIZATIONS))
+def test_attaching_a_tracer_is_digest_neutral(label):
+    """Every router runs its class's one ``step`` (no per-instance
+    binding an observer could knock out), and a traced run produces the
+    same statistics as an untraced one."""
+    plain = _contested_run(label)
+    assert all("step" not in vars(router) for router in plain.routers)
+    tracer = RingTracer(capacity=1 << 20)
+    traced = _contested_run(label, tracer)
+    assert tracer.emitted > 0 or not traced.routers  # ideal: no routers
+    assert _digest(traced.stats.summary()) == _digest(plain.stats.summary())
+
+
+def _chaos_digest(kind, tracer=None):
+    """Fault sweep with the invariant suite attached (mirrors the
+    time-skip chaos parity scenario)."""
+    reset_packet_ids()
+    net = build_network(NocParams(kind=kind, mesh_width=8, mesh_height=8))
+    schedule = FaultSchedule.random(11, net.topology.num_nodes, 300)
+    injector = FaultInjector(schedule)
+    suite = InvariantSuite(raise_on_violation=False)
+    net.attach(faults=injector, invariants=suite)
+    if tracer is not None:
+        net.attach(tracer=tracer)
+    SyntheticTraffic(
+        net, TrafficPattern.UNIFORM_RANDOM, 0.03, seed=3
+    ).run(300)
+    net.run(1500)
+    return (
+        _digest(net.stats.summary()),
+        dict(injector.counts),
+        suite.audits_run,
+        [str(v) for v in suite.violations],
+    )
+
+
+@pytest.mark.parametrize(
+    "kind", (NocKind.MESH, NocKind.SMART, NocKind.MESH_PRA),
+    ids=lambda k: k.value,
+)
+def test_chaos_sweep_is_tracer_neutral(kind):
+    """Fault injection and tracing compose: stalls, audits and results
+    of a chaos run are the same with a tracer listening."""
+    assert _chaos_digest(kind, RingTracer()) == _chaos_digest(kind)
+
+
+@pytest.mark.parametrize(
+    "label", ["mesh", "smart", "mesh+pra", "ring", "chiplet"]
+)
+def test_switch_events_balance_per_packet(label):
+    """Every delivered packet released every switch it was granted, on
+    every router family (the SMART and escape-layer routers used to emit
+    no grant events), and was granted at least one — unless Mesh+PRA
+    pre-allocated it, since a planned stretch crosses switches on the
+    PRA arbiter's reservations instead."""
+    tracer = RingTracer(capacity=1 << 20)
+    net = _contested_run(label, tracer)
+    assert tracer.dropped == 0
+    events = tracer.events()
+    grants = Counter(e.pid for e in events if e.kind == EV_SWITCH_GRANT)
+    releases = Counter(e.pid for e in events if e.kind == EV_SWITCH_RELEASE)
+    delivered = delivered_pids(events)
+    planned = planned_pids(events)
+    assert len(delivered) == net.stats.summary()["packets_ejected"] > 100
+    for pid in delivered:
+        assert grants[pid] == releases[pid], (pid, grants[pid], releases[pid])
+        assert grants[pid] >= 1 or pid in planned, pid

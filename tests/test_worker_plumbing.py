@@ -89,9 +89,9 @@ def test_wall_limit_initializer_wins(monkeypatch, reset_worker_wall_limit):
     """A budget installed by ``_init_worker`` overrides whatever the
     process environment says, including "no limit"."""
     monkeypatch.setenv("REPRO_WALL_LIMIT", "9.0")
-    runner._init_worker(True, True, None, 3.5)
+    runner._init_worker(True, None, 3.5)
     assert runner._cell_wall_limit() == 3.5
-    runner._init_worker(True, True, None, None)
+    runner._init_worker(True, None, None)
     assert runner._cell_wall_limit() is None
 
 
