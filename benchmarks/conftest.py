@@ -7,7 +7,6 @@ process and shared by all performance figures (see
 :mod:`repro.harness.runner`).
 """
 
-import os
 import pathlib
 
 import pytest
@@ -30,4 +29,4 @@ def save_result():
 def scale():
     from repro.harness.runner import get_scale
 
-    return get_scale(os.environ.get("REPRO_SCALE"))
+    return get_scale()

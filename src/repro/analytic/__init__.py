@@ -31,13 +31,7 @@ from repro.analytic.queueing import (
     zero_load_latency,
 )
 from repro.analytic.saturation import SaturationResult, find_saturation
-from repro.analytic.screen import (
-    ANALYTIC_ENV,
-    ScreenDecision,
-    analytic_mode,
-    resolve_mode,
-    screen_cell,
-)
+from repro.analytic.screen import ScreenDecision, screen_cell
 from repro.analytic.system import CellPrediction, predict_cell
 from repro.analytic.validate import (
     IPC_ERROR_MARGIN,
@@ -50,7 +44,6 @@ from repro.analytic.validate import (
 )
 
 __all__ = [
-    "ANALYTIC_ENV",
     "CellPrediction",
     "CellValidation",
     "ChipletValidation",
@@ -63,11 +56,9 @@ __all__ = [
     "TrafficGeometry",
     "TrafficMix",
     "ValidationReport",
-    "analytic_mode",
     "find_saturation",
     "predict_cell",
     "predict_network",
-    "resolve_mode",
     "saturation_rate",
     "screen_cell",
     "synthetic_mix",

@@ -1,17 +1,15 @@
-"""The ``REPRO_ANALYTIC`` pre-screen: which grid cells skip simulation.
+"""The analytic pre-screen: which grid cells skip simulation.
 
-Three modes (env var ``REPRO_ANALYTIC``, or the ``analytic=`` argument
-to :func:`repro.harness.runner.evaluation_grid`, which wins):
+Two modes (:attr:`repro.config.RunConfig.analytic`, from the
+``REPRO_ANALYTIC`` variable or the ``analytic=`` argument to
+:func:`repro.harness.runner.evaluation_grid`, which wins):
 
 * ``off`` (default) — every cell is simulated; the model is not
   consulted.
-* ``warm`` — the model is consulted for warm starts (the saturation
-  search's bracket, bench reporting) but never replaces a simulation:
-  every grid cell still runs cycle-accurately.
 * ``prune`` — cells the model decides *with high confidence* are served
   analytically: deep-unsaturated cells (bottleneck-link utilization at
-  the closed-loop fixed point below :func:`prune_max_util`, where the
-  CI-gated validation margin holds) and deep-saturated cells
+  the closed-loop fixed point below ``RunConfig.analytic_util``, where
+  the CI-gated validation margin holds) and deep-saturated cells
   (utilization beyond ``SATURATED_MIN_UTIL``, where simulation would
   only measure the same capacity wall slowly).  Everything in the
   contested band between them is simulated.
@@ -23,75 +21,16 @@ Pruned cells are marked ``PerfSample.analytic`` and are counted on
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analytic.system import CellPrediction, predict_cell
+from repro.config import PRUNE_MAX_UTIL
 from repro.params import NocKind
 from repro.perf.system import PerfSample
-
-ANALYTIC_ENV = "REPRO_ANALYTIC"
-#: Env override for the deep-unsaturated utilization bound (CI uses a
-#: tightened bound to force a partial prune and check the simulated
-#: remainder bit-for-bit against an unpruned sweep).
-ANALYTIC_UTIL_ENV = "REPRO_ANALYTIC_UTIL"
-
-MODES = ("off", "warm", "prune")
-
-#: Default deep-unsaturated bound: below half the bottleneck link's
-#: capacity the M/G/1 waiting term is small and near-linear, and the
-#: validated model error stays inside LATENCY_ERROR_MARGIN (the
-#: ``analytic-smoke`` CI job re-checks this every run).
-PRUNE_MAX_UTIL = 0.5
 
 #: Deep-saturated bound: offered load this far past the capacity wall
 #: pins the answer ("saturated") without a cycle-accurate run.
 SATURATED_MIN_UTIL = 1.25
-
-
-def analytic_mode() -> str:
-    """The mode from ``REPRO_ANALYTIC`` (empty/unset means ``off``)."""
-    raw = os.environ.get(ANALYTIC_ENV, "").strip().lower()
-    if not raw:
-        return "off"
-    if raw not in MODES:
-        raise ValueError(
-            f"{ANALYTIC_ENV} must be one of {MODES}, got {raw!r}"
-        )
-    return raw
-
-
-def resolve_mode(override: Optional[str] = None) -> str:
-    """An explicit ``analytic=`` argument wins over the environment."""
-    if override is None:
-        return analytic_mode()
-    mode = override.strip().lower()
-    if mode not in MODES:
-        raise ValueError(
-            f"analytic mode must be one of {MODES}, got {override!r}"
-        )
-    return mode
-
-
-def prune_max_util() -> float:
-    """The deep-unsaturated bound, honoring the env override."""
-    raw = os.environ.get(ANALYTIC_UTIL_ENV)
-    if not raw:
-        return PRUNE_MAX_UTIL
-    try:
-        bound = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ANALYTIC_UTIL_ENV} must be a utilization in (0, 1], "
-            f"got {raw!r}"
-        ) from None
-    if not 0.0 < bound <= 1.0:
-        raise ValueError(
-            f"{ANALYTIC_UTIL_ENV} must be a utilization in (0, 1], "
-            f"got {raw!r}"
-        )
-    return bound
 
 
 @dataclass(frozen=True)
@@ -110,8 +49,10 @@ class ScreenDecision:
         return self.prediction.sample(measure)
 
 
-def screen_cell(workload: str, kind: NocKind) -> ScreenDecision:
-    """Decide whether the model may serve this cell.
+def screen_cell(workload: str, kind: NocKind,
+                max_util: float = PRUNE_MAX_UTIL) -> ScreenDecision:
+    """Decide whether the model may serve this cell (``max_util`` is
+    the deep-unsaturated bound, ``RunConfig.analytic_util`` in a sweep).
 
     The confidence policy is utilization-based: the model's error is
     validated (and CI-gated) in the low-utilization regime, so only
@@ -121,7 +62,7 @@ def screen_cell(workload: str, kind: NocKind) -> ScreenDecision:
     """
     prediction = predict_cell(workload, kind)
     util = prediction.max_util
-    if util <= prune_max_util():
+    if util <= max_util:
         return ScreenDecision(workload, kind, prediction, True,
                               "deep-unsaturated")
     if util >= SATURATED_MIN_UTIL:

@@ -143,6 +143,7 @@ def validate_grid(
     scale=None,
     workloads: Optional[Iterable[str]] = None,
     kinds: Optional[Iterable[NocKind]] = None,
+    config=None,
 ) -> ValidationReport:
     """Compare the model against a (pruning-disabled) simulated grid.
 
@@ -155,7 +156,8 @@ def validate_grid(
 
     workloads = tuple(workloads) if workloads is not None else WORKLOAD_NAMES
     kinds = tuple(kinds) if kinds is not None else ALL_KINDS
-    grid = evaluation_grid(workloads, kinds, scale, analytic="off")
+    grid = evaluation_grid(workloads, kinds, scale, analytic="off",
+                           config=config)
     entries = []
     for workload in workloads:
         for kind in kinds:

@@ -21,10 +21,10 @@ import subprocess
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.config import RunConfig
 from repro.harness.runner import (
     ALL_KINDS,
     EvaluationScale,
-    _num_jobs,
     clear_grid_cache,
     evaluation_grid,
     get_scale,
@@ -122,8 +122,9 @@ def _time_micro_cell(
 #: later, so the network sits idle for long deterministic spans — the
 #: traffic shape the event-horizon skip (docs/performance.md) targets.
 #: No RNG is involved anywhere, so the stats digest recorded in the
-#: report doubles as a skip-equivalence oracle (CI runs the suite with
-#: and without ``--no-time-skip`` and asserts the digests match).
+#: report doubles as a skip-equivalence oracle
+#: (``tests/test_time_skip.py`` pins the same scenario stepped and
+#: skipped).
 #: Gap length matters: activity-based stepping already makes an idle
 #: cycle cost ~0.2us, so short gaps leave nothing to win — the paper
 #: case is a server NoC at a few percent utilization, i.e. long gaps.
@@ -340,29 +341,29 @@ def profile_micro(scale: EvaluationScale, top: int = 20) -> str:
 # -- macro: evaluation-grid wall time -------------------------------------
 
 
-def run_macro(scale: EvaluationScale) -> Dict[str, object]:
+def run_macro(scale: EvaluationScale,
+              config: Optional[RunConfig] = None) -> Dict[str, object]:
     """Wall time of the full {workload} x {organization} grid.
 
-    The grid honors ``REPRO_CELL_STORE`` (an attached store lets an
+    The grid honors ``config.cell_store`` (an attached store lets an
     interrupted macro run resume), so the report records how many cells
     came from the store: a wall time with nonzero ``store_hits`` is a
     resumed sweep, not a measurement of simulation throughput.
     """
+    config = config or RunConfig.from_env()
     clear_grid_cache()  # measure real work, not the process-level cache
     hits0 = grid_stats.grid_cache_hits
     misses0 = grid_stats.grid_cache_misses
     start = time.perf_counter()
-    grid = evaluation_grid(scale=scale)
+    grid = evaluation_grid(scale=scale, config=config)
     wall = time.perf_counter() - start
     clear_grid_cache()
     macro = {
         "cells": len(grid),
         "wall_s": round(wall, 3),
-        # The *resolved* worker count, not the raw environment string:
-        # "REPRO_JOBS=0" means one worker per CPU, and recording "0"
-        # made such reports unreadable (and unvalidated junk like
-        # "REPRO_JOBS=banana" used to land in reports verbatim).
-        "jobs": _num_jobs(),
+        # The *resolved* worker count ("REPRO_JOBS=0" means one worker
+        # per CPU; the report says how many that was).
+        "jobs": config.jobs,
         "store_hits": grid_stats.grid_cache_hits - hits0,
         "store_misses": grid_stats.grid_cache_misses - misses0,
     }
@@ -380,7 +381,8 @@ def run_macro(scale: EvaluationScale) -> Dict[str, object]:
 # -- analytic: pruned-sweep speedup ---------------------------------------
 
 
-def run_analytic(scale: EvaluationScale) -> Dict[str, object]:
+def run_analytic(scale: EvaluationScale,
+                 config: Optional[RunConfig] = None) -> Dict[str, object]:
     """The analytic fast path's win-meter: full vs. pruned sweep.
 
     Times the evaluation grid twice against no store — once with
@@ -397,12 +399,14 @@ def run_analytic(scale: EvaluationScale) -> Dict[str, object]:
 
     clear_grid_cache()
     start = time.perf_counter()
-    full = evaluation_grid(scale=scale, store=None, analytic="off")
+    full = evaluation_grid(scale=scale, store=None, analytic="off",
+                           config=config)
     wall_full = time.perf_counter() - start
     clear_grid_cache()
     pruned0 = grid_stats.analytic_cells
     start = time.perf_counter()
-    pruned = evaluation_grid(scale=scale, store=None, analytic="prune")
+    pruned = evaluation_grid(scale=scale, store=None, analytic="prune",
+                             config=config)
     wall_pruned = time.perf_counter() - start
     clear_grid_cache()
     cells_pruned = grid_stats.analytic_cells - pruned0
@@ -450,8 +454,10 @@ def run_bench(
     repeat: int = 2,
     include_macro: bool = True,
     shards: int = 1,
+    config: Optional[RunConfig] = None,
 ) -> Dict[str, object]:
-    scale = scale or get_scale()
+    config = config or RunConfig.from_env()
+    scale = scale or get_scale(config.scale)
     start = time.perf_counter()
     report: Dict[str, object] = {
         "schema": SCHEMA_VERSION,
@@ -467,8 +473,8 @@ def run_bench(
     # (reuse ratios near 1.0 mean the free lists are doing their job).
     report["pools"] = pool_summary()
     if include_macro:
-        report["macro"] = run_macro(scale)
-        report["analytic"] = run_analytic(scale)
+        report["macro"] = run_macro(scale, config)
+        report["analytic"] = run_analytic(scale, config)
     report["total_wall_s"] = round(time.perf_counter() - start, 3)
     return report
 

@@ -26,7 +26,7 @@ from repro.checkpoint.snapshot import (
     snapshot_system,
     write_snapshot,
 )
-from repro.checkpoint.store import STORE_ENV, CellStore, cell_key, default_store
+from repro.checkpoint.store import CellStore, cell_key
 
 __all__ = [
     "CODE_VERSION",
@@ -35,9 +35,7 @@ __all__ = [
     "CellStore",
     "RestoreContext",
     "SaveContext",
-    "STORE_ENV",
     "cell_key",
-    "default_store",
     "params_from_state",
     "params_state",
     "read_snapshot",

@@ -16,10 +16,6 @@ import os
 import tempfile
 from typing import Any, Optional
 
-#: Environment variable naming the default store directory.  Unset (the
-#: default) means no persistence — tests and one-off runs stay clean.
-STORE_ENV = "REPRO_CELL_STORE"
-
 
 def cell_key(payload: Any) -> str:
     """Content-addressed key: sha256 of the canonical JSON form."""
@@ -73,11 +69,3 @@ class CellStore:
         for _dirpath, _dirnames, filenames in os.walk(self.root):
             count += sum(1 for name in filenames if name.endswith(".json"))
         return count
-
-
-def default_store() -> Optional[CellStore]:
-    """The store named by ``REPRO_CELL_STORE``, or None when unset."""
-    root = os.environ.get(STORE_ENV)
-    if not root:
-        return None
-    return CellStore(root)

@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
+from repro.config import RunConfig, get_scale, parse_worker_count
 from repro.params import NocKind
 from repro.harness import (
     analytic_validation,
@@ -51,7 +52,6 @@ from repro.harness import (
     figure7,
     figure8,
     figure9,
-    get_scale,
     power_analysis,
     render_figure,
     section5b_stats,
@@ -60,18 +60,19 @@ from repro.harness import (
 )
 from repro.harness.reporting import render_bars
 
+#: name -> callable(config); only the grid-backed figures use it.
 _FIGURES = {
-    "table1": lambda scale: table1(),
-    "fig2": figure2,
-    "fig6": figure6,
-    "fig7": figure7,
-    "sec5b": section5b_stats,
-    "fig8": lambda scale: figure8(),
-    "fig9": figure9,
-    "power": power_analysis,
-    "zeroload": lambda scale: zero_load_table(),
-    "chiplet": chiplet_comparison,
-    "analytic": analytic_validation,
+    "table1": lambda config: table1(),
+    "fig2": lambda config: figure2(config=config),
+    "fig6": lambda config: figure6(config=config),
+    "fig7": lambda config: figure7(config=config),
+    "sec5b": lambda config: section5b_stats(config=config),
+    "fig8": lambda config: figure8(),
+    "fig9": lambda config: figure9(config=config),
+    "power": lambda config: power_analysis(config=config),
+    "zeroload": lambda config: zero_load_table(),
+    "chiplet": lambda config: chiplet_comparison(),
+    "analytic": lambda config: analytic_validation(config=config),
 }
 
 #: ``figures`` without ``--only`` runs these; the analytic validation
@@ -109,57 +110,11 @@ def _parse_mesh(text: str):
     return width, height
 
 
-def _add_time_skip_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-time-skip", action="store_true",
-                   help="disable event-horizon time skipping and step "
-                        "every cycle (results are bit-identical either "
-                        "way; this is a debugging escape hatch, also "
-                        "available as REPRO_NO_TIME_SKIP=1)")
-
-
 def _add_topology_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topology", default="mesh", metavar="SPEC",
                    help="topology spec: mesh (default), ring, or "
                         "chiplet:CXxCYxWxH[:star][:ilat=N] "
                         "(e.g. chiplet:2x2x4x4)")
-
-
-def _add_shards_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shards", type=str, default=None, metavar="N",
-                   help="cut the simulated mesh into N row stripes "
-                        "stepped by parallel workers (0 = one per CPU; "
-                        "also available as REPRO_SHARDS); statistics "
-                        "stay bit-identical to a serial run")
-
-
-def _resolve_shards(args: argparse.Namespace) -> int:
-    """``--shards`` wins over ``REPRO_SHARDS``; both share the
-    worker-count validator, so bad values exit 2 with the same message
-    shape as every other parameter error."""
-    from repro.harness.runner import parse_worker_count
-    from repro.shard import shards_from_env
-
-    if getattr(args, "shards", None) is not None:
-        return parse_worker_count(args.shards, "--shards")
-    return shards_from_env(default=1)
-
-
-def _apply_cell_store(args: argparse.Namespace) -> None:
-    """``--cell-store PATH`` persists finished evaluation-grid cells
-    there (equivalent to setting ``REPRO_CELL_STORE``), so an
-    interrupted grid resumes instead of recomputing."""
-    if getattr(args, "cell_store", None):
-        from repro.checkpoint import STORE_ENV
-
-        os.environ[STORE_ENV] = args.cell_store
-
-
-def _validate_wall_limit() -> None:
-    """Fail fast (exit 2 via ``main``) on a malformed REPRO_WALL_LIMIT
-    instead of deep inside a long sweep."""
-    from repro.harness.runner import _wall_limit
-
-    _wall_limit()
 
 
 def _report_grid_outcome() -> int:
@@ -174,10 +129,7 @@ def _report_grid_outcome() -> int:
     return 0
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
-    _apply_cell_store(args)
-    _validate_wall_limit()
-    scale = get_scale(args.scale)
+def _cmd_figures(args: argparse.Namespace, config: RunConfig) -> int:
     names = args.only.split(",") if args.only else list(_DEFAULT_FIGURES)
     collected = {}
     for name in names:
@@ -185,7 +137,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             print(f"unknown figure {name!r}; choose from {list(_FIGURES)}",
                   file=sys.stderr)
             return 2
-        result = _FIGURES[name](scale)
+        result = _FIGURES[name](config)
         collected[name] = result
         print(render_bars(result) if args.bars else render_figure(result))
         print()
@@ -249,16 +201,9 @@ def _drive(sim, warmup: int, measure: int, every: Optional[int],
     return sim.end_interval()
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace, _config: RunConfig) -> int:
     from repro.perf.system import SystemSimulator
 
-    shards = _resolve_shards(args)
-    if shards > 1:
-        # Full-system runs couple the cores to the NoC every cycle;
-        # only the synthetic-traffic scenarios shard today (see
-        # `repro bench --shards N` and repro.shard.run_sharded).
-        print(f"warning: --shards {shards} ignored: full-system runs "
-              f"do not shard yet; running serially", file=sys.stderr)
     if args.restore:
         from repro.checkpoint import read_snapshot, restore_system
 
@@ -307,7 +252,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: argparse.Namespace, _config: RunConfig) -> int:
     from repro.perf.system import SystemSimulator
     from repro.trace import (
         RingTracer,
@@ -360,7 +305,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace, _config: RunConfig) -> int:
     from dataclasses import replace
 
     from repro.noc.network import build_network
@@ -418,7 +363,7 @@ def _build_chaos_network(noc: str, width: int, height: int,
     ))
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
+def _cmd_chaos(args: argparse.Namespace, _config: RunConfig) -> int:
     from repro.faults import FaultInjector, FaultSchedule
     from repro.invariants import InvariantSuite
     from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
@@ -477,9 +422,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    _apply_cell_store(args)
-    _validate_wall_limit()
+def _cmd_bench(args: argparse.Namespace, config: RunConfig) -> int:
     from repro.bench import (
         compare_reports,
         profile_micro,
@@ -496,20 +439,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         print(render_compare(rows, path_a, path_b, args.fail_threshold))
         return 1 if failed else 0
-    scale = get_scale(args.scale)
+    scale = get_scale(config.scale)
     if args.profile is not None:
         print(profile_micro(scale, top=args.profile))
         return 0
+    shards = 1 if args.shards is None \
+        else parse_worker_count(args.shards, "--shards")
     report = run_bench(scale, repeat=args.repeat,
                        include_macro=not args.no_macro,
-                       shards=_resolve_shards(args))
+                       shards=shards, config=config)
     print(render_report(report))
     path = write_report(report, out=args.out)
     print(f"\nwrote {path}")
     return _report_grid_outcome()
 
 
-def _cmd_saturate(args: argparse.Namespace) -> int:
+def _cmd_saturate(args: argparse.Namespace, _config: RunConfig) -> int:
     from repro.analytic import find_saturation
     from repro.params import NocParams
     from repro.workloads.synthetic import TrafficPattern
@@ -554,11 +499,9 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analytic(args: argparse.Namespace) -> int:
-    _validate_wall_limit()
-    scale = get_scale(args.scale)
+def _cmd_analytic(args: argparse.Namespace, config: RunConfig) -> int:
     if args.validate:
-        result = analytic_validation(scale)
+        result = analytic_validation(config=config)
         print(render_figure(result))
         if not result["ok"]:
             report = result["report"]
@@ -591,18 +534,17 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_area(_args: argparse.Namespace) -> int:
+def _cmd_area(_args: argparse.Namespace, _config: RunConfig) -> int:
     print(render_figure(figure8()))
     return 0
 
 
-def _cmd_power(args: argparse.Namespace) -> int:
-    scale = get_scale(args.scale)
-    print(render_figure(power_analysis(scale)))
+def _cmd_power(args: argparse.Namespace, config: RunConfig) -> int:
+    print(render_figure(power_analysis(config=config)))
     return 0
 
 
-def _cmd_params(_args: argparse.Namespace) -> int:
+def _cmd_params(_args: argparse.Namespace, _config: RunConfig) -> int:
     print(render_figure(table1()))
     return 0
 
@@ -623,10 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, help="also dump JSON here")
     p.add_argument("--bars", action="store_true",
                    help="render ASCII bar charts instead of tables")
-    _add_time_skip_flag(p)
     p.add_argument("--cell-store", default=None, metavar="PATH",
                    help="persist finished evaluation-grid cells under "
-                        "PATH (sets REPRO_CELL_STORE) so interrupted "
+                        "PATH (or REPRO_CELL_STORE) so interrupted "
                         "sweeps resume")
     p.set_defaults(func=_cmd_figures)
 
@@ -656,8 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digest", action="store_true",
                    help="print the run's golden-determinism sha256 "
                         "digest (restored runs must match straight runs)")
-    _add_time_skip_flag(p)
-    _add_shards_flag(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
@@ -679,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSONL output path (default: trace.jsonl)")
     p.add_argument("--capacity", type=int, default=1 << 17,
                    help="ring-buffer bound on captured events")
-    _add_time_skip_flag(p)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("sweep", help="synthetic load-latency sweep")
@@ -693,7 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vcs", type=int, default=None,
                    help="virtual channels per port (default: per class)")
     _add_topology_flag(p)
-    _add_time_skip_flag(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
@@ -717,7 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intensity", type=float, default=1.0,
                    help="fault-schedule intensity multiplier")
     _add_topology_flag(p)
-    _add_time_skip_flag(p)
     p.set_defaults(func=_cmd_chaos)
 
     p = sub.add_parser(
@@ -744,10 +680,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "regressed by more than FRAC (e.g. 0.30)")
     p.add_argument("--cell-store", default=None, metavar="PATH",
                    help="persist finished evaluation-grid cells under "
-                        "PATH (sets REPRO_CELL_STORE); the macro report "
+                        "PATH (or REPRO_CELL_STORE); the macro report "
                         "records how many cells came from the store")
-    _add_time_skip_flag(p)
-    _add_shards_flag(p)
+    p.add_argument("--shards", type=str, default=None, metavar="N",
+                   help="cut the simulated mesh into N row stripes "
+                        "stepped by parallel workers (0 = one per CPU); "
+                        "statistics stay bit-identical to a serial run")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
@@ -774,7 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="also print every probe point")
     _add_topology_flag(p)
-    _add_time_skip_flag(p)
     p.set_defaults(func=_cmd_saturate)
 
     p = sub.add_parser(
@@ -786,7 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "if any cell's model error exceeds the margin")
     p.add_argument("--scale", default=None,
                    help="smoke | default | full (or REPRO_SCALE)")
-    _add_time_skip_flag(p)
     p.set_defaults(func=_cmd_analytic)
 
     p = sub.add_parser("area", help="Figure 8 area model")
@@ -804,14 +740,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "no_time_skip", False):
-        from repro.noc.network import set_time_skip
-
-        # Flip the process-wide default before any network is built;
-        # REPRO_JOBS worker pools inherit it via their initializer.
-        set_time_skip(False)
     try:
-        return args.func(args)
+        # The one place a CLI run's configuration is resolved: the
+        # environment, then the flags that override it.
+        flags = {name: value for name in ("scale", "cell_store")
+                 if (value := getattr(args, name, None))}
+        config = replace(RunConfig.from_env(), **flags)
+        return args.func(args, config)
     except BrokenPipeError:  # e.g. piped into `head`
         return 0
     except ValueError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from repro.config import RunConfig
 from repro.params import ChipParams, NocKind, PACKET_FLITS, MessageClass
 from repro.perf.metrics import geomean
 from repro.harness.runner import (
@@ -37,8 +38,10 @@ def _normalized_performance(
     workloads: Iterable[str],
     kinds: Iterable[NocKind],
     scale: Optional[EvaluationScale],
+    config: Optional[RunConfig] = None,
 ) -> Dict[str, Dict[NocKind, float]]:
-    grid = evaluation_grid(tuple(workloads), tuple(kinds), scale)
+    grid = evaluation_grid(tuple(workloads), tuple(kinds), scale,
+                           config=config)
     out: Dict[str, Dict[NocKind, float]] = {}
     for workload in workloads:
         baseline = grid.get((workload, NocKind.MESH))
@@ -67,10 +70,11 @@ def _perf_figure(
     workloads: Iterable[str],
     kinds: Iterable[NocKind],
     scale: Optional[EvaluationScale],
+    config: Optional[RunConfig],
 ) -> Dict:
     workloads = tuple(workloads)
     kinds = tuple(kinds)
-    normalized = _normalized_performance(workloads, kinds, scale)
+    normalized = _normalized_performance(workloads, kinds, scale, config)
     rows: List[List[object]] = [
         [wl] + [normalized[wl][k] for k in kinds] for wl in workloads
     ]
@@ -87,29 +91,34 @@ def _perf_figure(
     }
 
 
-def figure2(scale: Optional[EvaluationScale] = None) -> Dict:
+def figure2(scale: Optional[EvaluationScale] = None,
+            config: Optional[RunConfig] = None) -> Dict:
     """Figure 2: SMART and ideal NOCs vs. mesh (motivation)."""
     return _perf_figure(
         "Figure 2: performance of SMART and ideal NOCs, normalized to mesh",
         FIGURE2_WORKLOADS,
         (NocKind.MESH, NocKind.SMART, NocKind.IDEAL),
         scale,
+        config,
     )
 
 
-def figure6(scale: Optional[EvaluationScale] = None) -> Dict:
+def figure6(scale: Optional[EvaluationScale] = None,
+            config: Optional[RunConfig] = None) -> Dict:
     """Figure 6: full-system performance, normalized to mesh."""
     return _perf_figure(
         "Figure 6: system performance, normalized to a mesh-based design",
         WORKLOAD_NAMES,
         ALL_KINDS,
         scale,
+        config,
     )
 
 
-def figure7(scale: Optional[EvaluationScale] = None) -> Dict:
+def figure7(scale: Optional[EvaluationScale] = None,
+            config: Optional[RunConfig] = None) -> Dict:
     """Figure 7: distribution of control packets' lags when dropped."""
-    grid = evaluation_grid(WORKLOAD_NAMES, ALL_KINDS, scale)
+    grid = evaluation_grid(WORKLOAD_NAMES, ALL_KINDS, scale, config=config)
     rows = []
     distributions = {}
     for workload in WORKLOAD_NAMES:
@@ -132,9 +141,10 @@ def figure7(scale: Optional[EvaluationScale] = None) -> Dict:
     }
 
 
-def section5b_stats(scale: Optional[EvaluationScale] = None) -> Dict:
+def section5b_stats(scale: Optional[EvaluationScale] = None,
+                    config: Optional[RunConfig] = None) -> Dict:
     """Section V-B: control packets per data packet; blocked time."""
-    grid = evaluation_grid(WORKLOAD_NAMES, ALL_KINDS, scale)
+    grid = evaluation_grid(WORKLOAD_NAMES, ALL_KINDS, scale, config=config)
     rows = []
     per_workload = {}
     for workload in WORKLOAD_NAMES:
@@ -185,10 +195,11 @@ def figure8(chip: Optional[ChipParams] = None) -> Dict:
 
 
 def figure9(scale: Optional[EvaluationScale] = None,
-            chip: Optional[ChipParams] = None) -> Dict:
+            chip: Optional[ChipParams] = None,
+            config: Optional[RunConfig] = None) -> Dict:
     """Figure 9: performance density, normalized to mesh."""
     chip = chip or ChipParams()
-    grid = evaluation_grid(WORKLOAD_NAMES, ALL_KINDS, scale)
+    grid = evaluation_grid(WORKLOAD_NAMES, ALL_KINDS, scale, config=config)
     area = {kind: chip_area_mm2(chip, kind) for kind in ALL_KINDS}
     normalized = {}
     rows = []
@@ -217,10 +228,11 @@ def figure9(scale: Optional[EvaluationScale] = None,
 
 
 def power_analysis(scale: Optional[EvaluationScale] = None,
-                   chip: Optional[ChipParams] = None) -> Dict:
+                   chip: Optional[ChipParams] = None,
+                   config: Optional[RunConfig] = None) -> Dict:
     """Section V-E: NOC power vs. cores across organizations."""
     chip = chip or ChipParams()
-    grid = evaluation_grid(WORKLOAD_NAMES, ALL_KINDS, scale)
+    grid = evaluation_grid(WORKLOAD_NAMES, ALL_KINDS, scale, config=config)
     rows = []
     powers = {}
     for kind in ALL_KINDS:
@@ -394,7 +406,8 @@ def chiplet_comparison(scale: Optional[EvaluationScale] = None) -> Dict:
     }
 
 
-def analytic_validation(scale: Optional[EvaluationScale] = None) -> Dict:
+def analytic_validation(scale: Optional[EvaluationScale] = None,
+                        config: Optional[RunConfig] = None) -> Dict:
     """Model-vs-simulation error per grid cell (the pruning contract).
 
     Runs the cycle-accurate grid with pruning forced off and compares
@@ -406,7 +419,7 @@ def analytic_validation(scale: Optional[EvaluationScale] = None) -> Dict:
     from repro.analytic import (LATENCY_ERROR_MARGIN, validate_chiplet,
                                 validate_grid)
 
-    report = validate_grid(scale)
+    report = validate_grid(scale, config=config)
     rows: List[List[object]] = [
         [
             entry.workload,

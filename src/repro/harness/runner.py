@@ -1,4 +1,4 @@
-"""Shared evaluation machinery: scales and the resumable simulation grid.
+"""Shared evaluation machinery: the resumable simulation grid.
 
 Every performance figure (2, 6, 7, 9, the Section V-B statistics, and
 the power analysis) derives from one grid of full-system simulations:
@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.checkpoint.codec import CODE_VERSION
 from repro.checkpoint.snapshot import params_state
-from repro.checkpoint.store import STORE_ENV, cell_key, default_store
+from repro.checkpoint.store import CellStore, cell_key
+from repro.config import EvaluationScale, RunConfig, get_scale
 from repro.noc.stats import NetworkStats
 from repro.params import NocKind, default_chip
 from repro.perf.system import PerfSample, simulate
@@ -40,38 +41,8 @@ ALL_KINDS = (NocKind.MESH, NocKind.SMART, NocKind.MESH_PRA, NocKind.IDEAL)
 #: show up in ``grid_stats.summary()`` once the grid has run).
 grid_stats = NetworkStats()
 
-#: Sentinel distinguishing "use the default store" from "no store".
+#: Sentinel distinguishing "use the configured store" from "no store".
 _UNSET = object()
-
-
-@dataclass(frozen=True)
-class EvaluationScale:
-    """Simulation lengths for one quality preset."""
-
-    name: str
-    warmup: int
-    measure: int
-    num_seeds: int
-
-
-_SCALES = {
-    "smoke": EvaluationScale("smoke", warmup=300, measure=1500, num_seeds=1),
-    "default": EvaluationScale("default", warmup=1000, measure=5000,
-                               num_seeds=1),
-    "full": EvaluationScale("full", warmup=2000, measure=10000, num_seeds=3),
-}
-
-
-def get_scale(name: Optional[str] = None) -> EvaluationScale:
-    """Resolve a scale by name or the ``REPRO_SCALE`` env variable."""
-    name = name or os.environ.get("REPRO_SCALE", "default")
-    try:
-        return _SCALES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scale {name!r}; choose from {sorted(_SCALES)}"
-        ) from None
-
 
 GridKey = Tuple[str, NocKind]
 #: One simulation cell: (workload, kind, warmup, measure, seed).
@@ -107,96 +78,10 @@ def _cell_payload(cell: Cell) -> dict:
     }
 
 
-def _wall_limit() -> Optional[float]:
-    """Per-cell wall-clock budget (seconds) from REPRO_WALL_LIMIT.
-
-    Invalid values raise a clear :class:`ValueError` (CLI exit 2)
-    instead of silently dropping the budget."""
-    raw = os.environ.get("REPRO_WALL_LIMIT")
-    if not raw:
-        return None
-    try:
-        limit = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_WALL_LIMIT must be a positive number of seconds, "
-            f"got {raw!r}"
-        ) from None
-    if limit <= 0:
-        raise ValueError(
-            f"REPRO_WALL_LIMIT must be a positive number of seconds, "
-            f"got {raw!r}"
-        )
-    return limit
-
-
-#: Wall-clock budget installed by :func:`_init_worker`.  ``_UNSET`` in
-#: the parent process, where ``_simulate_cell`` reads the env directly.
-_worker_wall_limit = _UNSET
-
-
-def _worker_settings() -> tuple:
-    """Snapshot of the knobs a worker needs, captured once in the
-    parent.  Spawn-start workers re-import everything in a fresh
-    process, so env-derived state the parent changed after import
-    (``set_time_skip``, ``--cell-store``) would otherwise be lost —
-    and fork-start workers would re-read the environment per cell."""
-    from repro.noc.network import time_skip_enabled
-
-    return (time_skip_enabled(), os.environ.get(STORE_ENV), _wall_limit())
-
-
-#: Fault plan shipped into grid workers by :func:`_init_worker`
-#: (``None`` outside injected-fault test runs).
-_worker_faults = None
-
-#: True only in a pool worker: an injected "kill" fault exits the
-#: process there but downgrades to a raised error in the parent
-#: (killing the parent would take the supervisor down with it).
-_in_worker = False
-
-
-def _init_worker(time_skip: bool, store_path: Optional[str],
-                 wall_limit: Optional[float], faults=None,
-                 in_worker: bool = True) -> None:
-    """Pool initializer: apply the parent's settings once per worker."""
-    from repro.noc.network import set_time_skip
-
-    set_time_skip(time_skip)
-    if store_path is None:
-        os.environ.pop(STORE_ENV, None)
-    else:
-        os.environ[STORE_ENV] = store_path
-    global _worker_wall_limit, _worker_faults, _in_worker
-    _worker_wall_limit = wall_limit
-    _worker_faults = faults
-    _in_worker = in_worker
-
-
-def _cell_wall_limit() -> Optional[float]:
-    """Effective per-cell wall-clock budget.
-
-    Workers receive the parent's budget through :func:`_init_worker`.
-    A process that never ran the initializer (the parent itself, or a
-    worker created outside :func:`_run_cells` — e.g. a nested pool or a
-    spawn-start context that skipped the initargs) still sees
-    ``_UNSET`` and falls back to reading ``REPRO_WALL_LIMIT`` from its
-    own environment.  That fallback is deliberate and observable: a
-    ``--wall-limit`` value installed only via the initializer is NOT
-    recovered here, which is why every pool in this repository passes
-    ``initializer=_init_worker`` explicitly (covered by
-    ``tests/test_worker_plumbing.py``).
-    """
-    if _worker_wall_limit is _UNSET:
-        return _wall_limit()
-    return _worker_wall_limit
-
-
-def _simulate_cell(cell: Cell) -> PerfSample:
-    """Worker entry point (top-level so it pickles for multiprocessing)."""
+def _simulate_cell(cell: Cell, wall_limit: Optional[float]) -> PerfSample:
     workload, kind, warmup, measure, seed = cell
     sample = simulate(workload, kind, warmup=warmup, measure=measure,
-                      seed=seed, wall_limit=_cell_wall_limit())
+                      seed=seed, wall_limit=wall_limit)
     if sample.timed_out:
         print(
             f"warning: {workload}/{kind.value} seed {seed} hit the "
@@ -207,67 +92,37 @@ def _simulate_cell(cell: Cell) -> PerfSample:
     return sample
 
 
-def parse_worker_count(raw: str, source: str) -> int:
-    """Validate a worker/shard count the way ``NocParams`` validates CLI
-    input: a clear :class:`ValueError` naming the knob instead of a raw
-    traceback from deep inside pool setup.
+def _simulate_indexed(task: tuple):
+    """Pool entry point (top-level so it pickles for multiprocessing).
 
-    ``0`` means "one per CPU"; any positive integer is taken literally.
-    Shared by ``REPRO_JOBS``, ``REPRO_SHARDS``, and ``--shards``.
+    A task is ``(index, cell, attempt, wall_limit, faults)``: everything
+    a worker needs arrives in it, so a spawn-start worker behaves like a
+    fork-start one and like the in-parent serial path.  Results arrive
+    in completion order, hence the index; the attempt number keys
+    injected-fault lookup.
     """
-    try:
-        count = int(raw)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a non-negative integer "
-            f"(0 = one per CPU), got {raw!r}"
-        ) from None
-    if count < 0:
-        raise ValueError(
-            f"{source} must be a non-negative integer "
-            f"(0 = one per CPU), got {raw!r}"
-        )
-    if count == 0:
-        return os.cpu_count() or 1
-    return count
+    index, cell, attempt, wall_limit, faults = task
+    if faults is not None:
+        import multiprocessing
 
+        from repro.resilience.faults import ProcessFaultError
 
-def _num_jobs() -> int:
-    """Worker-process count from REPRO_JOBS.
-
-    ``1`` (the default) runs in-process, ``0`` means one worker per
-    CPU, anything else is taken literally.  Invalid values raise a
-    :class:`ValueError` that the CLI turns into a clean exit 2.
-    """
-    return parse_worker_count(os.environ.get("REPRO_JOBS", "1"),
-                              "REPRO_JOBS")
-
-
-def _simulate_indexed(item: Tuple[int, Cell, int]):
-    """Pool entry point carrying the cell index and attempt number
-    (results arrive in completion order; the attempt number keys
-    injected-fault lookup)."""
-    index, cell, attempt = item
-    if _worker_faults is not None:
-        action = _worker_faults.cell_action(index, attempt)
+        action = faults.cell_action(index, attempt)
         if action == "kill":
-            if _in_worker:
-                import os as _os
-
-                _os._exit(13)
-            from repro.resilience.faults import ProcessFaultError
-
+            # An injected kill exits a pool worker but downgrades to a
+            # raised error in the parent (killing the parent would take
+            # the supervisor down with it).
+            if multiprocessing.parent_process() is not None:
+                os._exit(13)
             raise ProcessFaultError(
                 f"injected kill for cell {index} (downgraded to an "
                 f"error outside a pool worker)"
             )
         if action == "error":
-            from repro.resilience.faults import ProcessFaultError
-
             raise ProcessFaultError(
                 f"injected failure for cell {index} attempt {attempt}"
             )
-    return index, _simulate_cell(cell)
+    return index, _simulate_cell(cell, wall_limit)
 
 
 def _cell_label(cell: Cell) -> str:
@@ -276,7 +131,7 @@ def _cell_label(cell: Cell) -> str:
 
 
 def _run_cells(cells: List[Cell], pending: List[int],
-               results: List[Optional[PerfSample]],
+               results: List[Optional[PerfSample]], config: RunConfig,
                store=None, keys: Optional[List[Optional[str]]] = None,
                faults=None, policy=None):
     """Simulate ``cells[i]`` for every i in ``pending``, in place,
@@ -297,7 +152,7 @@ def _run_cells(cells: List[Cell], pending: List[int],
     from repro.resilience.report import FailureRecord, RunReport
 
     if policy is None:
-        policy = RetryPolicy.from_env()
+        policy = RetryPolicy()
     report = RunReport(backend="grid")
     counts: Dict[int, int] = {}
 
@@ -329,32 +184,26 @@ def _run_cells(cells: List[Cell], pending: List[int],
             time.sleep(backoff)
         return counts[index]
 
+    def task(index: int, attempt: int) -> tuple:
+        return (index, cells[index], attempt, config.wall_limit, faults)
+
     def run_serial(queue) -> None:
         # In-parent execution still honors the fault plan (with kills
         # downgraded to errors), so poison cells quarantine identically
         # whether the sweep runs serial, parallel, or degraded.
-        global _worker_faults, _in_worker
-        saved = (_worker_faults, _in_worker)
-        _worker_faults, _in_worker = faults, False
-        try:
-            while queue:
-                index, attempt = queue.popleft()
-                try:
-                    _, sample = _simulate_indexed(
-                        (index, cells[index], attempt)
-                    )
-                except Exception as exc:
-                    next_attempt = record_error(index, repr(exc))
-                    if next_attempt is not None:
-                        queue.append((index, next_attempt))
-                    continue
-                record_success(index, sample)
-        finally:
-            _worker_faults, _in_worker = saved
+        while queue:
+            index, attempt = queue.popleft()
+            try:
+                _, sample = _simulate_indexed(task(index, attempt))
+            except Exception as exc:
+                next_attempt = record_error(index, repr(exc))
+                if next_attempt is not None:
+                    queue.append((index, next_attempt))
+                continue
+            record_success(index, sample)
 
-    jobs = _num_jobs()
     queue = deque((index, 0) for index in pending)
-    if jobs <= 1 or len(pending) <= 1:
+    if config.jobs <= 1 or len(pending) <= 1:
         run_serial(queue)
         return report
 
@@ -364,20 +213,17 @@ def _run_cells(cells: List[Cell], pending: List[int],
     # ProcessPoolExecutor rather than multiprocessing.Pool: a worker
     # dying mid-cell surfaces as BrokenProcessPool here, where Pool
     # (on this Python) simply hangs waiting for the lost result.
-    workers = min(jobs, len(pending))
+    workers = min(config.jobs, len(pending))
     rebuilds = 0
     while queue:
         broken = False
         futures = {}
         try:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
-                initargs=_worker_settings() + (faults, True),
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 while queue:
                     index, attempt = queue.popleft()
                     futures[pool.submit(
-                        _simulate_indexed, (index, cells[index], attempt)
+                        _simulate_indexed, task(index, attempt)
                     )] = (index, attempt)
                 for future in as_completed(futures):
                     index, attempt = futures[future]
@@ -429,14 +275,19 @@ def evaluation_grid(
     faults=None,
     policy=None,
     analytic: Optional[str] = None,
+    config: Optional[RunConfig] = None,
 ) -> Dict[GridKey, PerfSample]:
     """Run (or fetch) the {workload} x {organization} simulation grid.
 
+    ``config`` is the sweep's :class:`~repro.config.RunConfig`; without
+    one, the environment is resolved here, at call time.  Explicit
+    ``scale``, ``store`` and ``analytic`` arguments win over it.
+
     ``store`` is a :class:`~repro.checkpoint.store.CellStore` persisting
-    finished cells; by default it comes from the ``REPRO_CELL_STORE``
-    env variable (unset means no persistence), and ``store=None``
-    disables persistence explicitly.  Store reads happen in the parent
-    process, so with ``REPRO_JOBS > 1`` only the cells actually missing
+    finished cells; by default it is the one ``config.cell_store`` names
+    (``None`` means no persistence), and ``store=None`` disables
+    persistence explicitly.  Store reads and writes happen in the parent
+    process, so with ``config.jobs > 1`` only the cells actually missing
     are dispatched to the worker pool, and every finished cell is
     persisted as soon as it completes (a crash mid-sweep keeps all
     cells already computed).  Multi-seed scales merge per-seed samples
@@ -446,8 +297,7 @@ def evaluation_grid(
     serves high-confidence cells from :mod:`repro.analytic` instead of
     simulating them (marked ``PerfSample.analytic``, counted on
     ``grid_stats.analytic_cells``, never persisted to ``store``);
-    ``"warm"`` and ``"off"`` simulate everything.  ``None`` defers to
-    the ``REPRO_ANALYTIC`` env variable.
+    ``"off"`` simulates everything.
 
     The sweep runs supervised (see :mod:`repro.resilience`): failing
     cells retry with backoff under ``policy`` and are quarantined after
@@ -459,16 +309,18 @@ def evaluation_grid(
     for testing; fault-injected sweeps bypass the in-process grid cache
     so injected failures cannot poison cached results.
     """
-    from repro.analytic.screen import prune_max_util, resolve_mode
     from repro.resilience.report import publish
 
-    scale = scale or get_scale()
+    config = config or RunConfig.from_env()
+    if analytic is not None:
+        config = replace(config, analytic=analytic)
+    scale = scale or get_scale(config.scale)
     workloads = tuple(workloads)
     kinds = tuple(kinds)
     seeds = tuple(seed + 1 for seed in range(scale.num_seeds))
-    mode = resolve_mode(analytic)
+    prune = config.analytic == "prune"
     if store is _UNSET:
-        store = default_store()
+        store = CellStore(config.cell_store) if config.cell_store else None
     # The cache key carries everything that changes the result: the
     # attached store (two sweeps against different stores must not
     # alias) and the pruning policy (mode + effective utilization
@@ -476,18 +328,19 @@ def evaluation_grid(
     cache_key = (
         scale.name, workloads, kinds, seeds, _params_hash(),
         store.root if store is not None else None,
-        mode, prune_max_util() if mode == "prune" else None,
+        config.analytic_util if prune else None,
     )
     if faults is None and cache_key in _grid_cache:
         grid_stats.grid_cache_hits += 1
         return _grid_cache[cache_key]
     pruned: Dict[GridKey, PerfSample] = {}
-    if mode == "prune":
+    if prune:
         from repro.analytic.screen import screen_cell
 
         for workload in workloads:
             for kind in kinds:
-                decision = screen_cell(workload, kind)
+                decision = screen_cell(workload, kind,
+                                       config.analytic_util)
                 if decision.prune:
                     pruned[(workload, kind)] = decision.sample(
                         scale.measure
@@ -532,8 +385,8 @@ def evaluation_grid(
             sample = pruned.get((workload, kind))
             if sample is not None:
                 results[index] = sample
-    report = _run_cells(cells, pending, results, store=store, keys=keys,
-                        faults=faults, policy=policy)
+    report = _run_cells(cells, pending, results, config, store=store,
+                        keys=keys, faults=faults, policy=policy)
     publish(report)
     by_key: Dict[GridKey, list] = {}
     for (workload, kind, *_), sample in zip(cells, results):

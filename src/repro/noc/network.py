@@ -21,14 +21,13 @@ are empty, nothing can happen before the earliest scheduled event, so
 ``next_event_cycle()`` instead of stepping through provably idle
 cycles.  Skipped spans replay their invariant-checker boundaries
 exactly (:meth:`repro.invariants.checkers.InvariantSuite.on_skip`), so
-results stay bit-identical with skipping on or off.  Disable with
-``set_time_skip(False)``, the ``--no-time-skip`` CLI flag, or the
-``REPRO_NO_TIME_SKIP`` environment variable.
+results stay bit-identical with skipping on or off.  To step every
+cycle of one network (the reference ``tests/test_time_skip.py``
+compares against), set ``net.time_skip = False`` after building it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional
 
 from repro.faults.injector import NULL_FAULTS
@@ -53,22 +52,6 @@ _CALL = 3
 #: Sentinel for :meth:`Network.attach` keywords that were not passed
 #: (``None`` already means "detach", so absence needs its own marker).
 _KEEP = object()
-
-#: Process-wide default for event-horizon time skipping.  Networks
-#: capture it at construction (``net.time_skip``), so flip it before
-#: building a network (the CLI and the worker-pool initializer do).
-_time_skip_default = not os.environ.get("REPRO_NO_TIME_SKIP")
-
-
-def set_time_skip(enabled: bool) -> None:
-    """Set the process-wide time-skipping default for new networks."""
-    global _time_skip_default
-    _time_skip_default = bool(enabled)
-
-
-def time_skip_enabled() -> bool:
-    """The current process-wide time-skipping default."""
-    return _time_skip_default
 
 
 class Network:
@@ -131,9 +114,9 @@ class Network:
         self.faults = NULL_FAULTS
         #: Attached :class:`repro.invariants.InvariantSuite`, or None.
         self.invariants = None
-        #: Event-horizon time skipping (see module docstring); captured
-        #: from the process default so a driver can opt out per network.
-        self.time_skip = _time_skip_default
+        #: Event-horizon time skipping (see module docstring); a driver
+        #: can opt out per network.
+        self.time_skip = True
         #: Idle cycles fast-forwarded instead of stepped.
         self.cycles_skipped = 0
         #: Boundary-port observer installed by the sharded engine

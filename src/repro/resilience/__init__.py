@@ -7,8 +7,7 @@ real worker processes die.  This package supplies the supervision
 layer that keeps a run alive through those deaths:
 
 * :class:`RetryPolicy` — the knobs (retries, heartbeat, quarantine
-  threshold, backoff, recovery-point interval), each with a validated
-  ``REPRO_*`` environment variable;
+  threshold, backoff, recovery-point interval) as one validated value;
 * :func:`run_supervised` — the sharded-run supervisor (recovery-point
   barriers, pool respawn + restore, bounded backoff, serial
   degradation), digest-identical to an unfaulted run;

@@ -2,61 +2,16 @@
 
 A :class:`RetryPolicy` is a frozen value object, so the same policy
 drives a run identically wherever it is built — in the parent, in a
-respawned pool, or in a test.  Every knob has an environment variable
-(validated the way ``parse_worker_count`` validates ``REPRO_JOBS``: a
-clear :class:`ValueError` naming the knob, which the CLI turns into a
-clean exit 2) so long sweeps can be hardened without touching code:
-
-==========================  =============================================
-``REPRO_MAX_RETRIES``       recovery attempts (shard-pool respawns, grid
-                            pool rebuilds) before degrading gracefully
-``REPRO_HEARTBEAT_TIMEOUT`` seconds a shard worker may stay silent
-                            before it is diagnosed as hung
-``REPRO_QUARANTINE_AFTER``  failures of one evaluation-grid cell before
-                            it is quarantined as a poison cell
-``REPRO_RETRY_BACKOFF``     base seconds of the exponential backoff
-                            slept between recovery attempts
-``REPRO_RECOVERY_INTERVAL`` cycles between automatic recovery-point
-                            barriers in a sharded run (0 = auto: a
-                            quarter of the injection window)
-==========================  =============================================
+respawned pool, or in a test.  Pass one as ``policy=`` to
+:func:`repro.harness.runner.evaluation_grid` or
+:func:`repro.shard.run_sharded` to harden a long sweep; without one
+both run under the defaults below.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
-
-
-def _parse_int(raw: str, source: str, minimum: int) -> int:
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be an integer >= {minimum}, got {raw!r}"
-        ) from None
-    if value < minimum:
-        raise ValueError(
-            f"{source} must be an integer >= {minimum}, got {raw!r}"
-        )
-    return value
-
-
-def _parse_seconds(raw: str, source: str, minimum: float) -> float:
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a number of seconds >= {minimum}, "
-            f"got {raw!r}"
-        ) from None
-    if value < minimum:
-        raise ValueError(
-            f"{source} must be a number of seconds >= {minimum}, "
-            f"got {raw!r}"
-        )
-    return value
 
 
 @dataclass(frozen=True)
@@ -119,31 +74,3 @@ class RetryPolicy:
         if interval is None:
             interval = max(1, cycles // 4)
         return list(range(interval, cycles, interval))
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """Build a policy from the ``REPRO_*`` environment knobs."""
-        kwargs = {}
-        raw = os.environ.get("REPRO_MAX_RETRIES")
-        if raw is not None:
-            kwargs["max_retries"] = _parse_int(raw, "REPRO_MAX_RETRIES", 0)
-        raw = os.environ.get("REPRO_HEARTBEAT_TIMEOUT")
-        if raw is not None:
-            kwargs["heartbeat_timeout"] = _parse_seconds(
-                raw, "REPRO_HEARTBEAT_TIMEOUT", 1e-9
-            )
-        raw = os.environ.get("REPRO_QUARANTINE_AFTER")
-        if raw is not None:
-            kwargs["quarantine_after"] = _parse_int(
-                raw, "REPRO_QUARANTINE_AFTER", 1
-            )
-        raw = os.environ.get("REPRO_RETRY_BACKOFF")
-        if raw is not None:
-            kwargs["backoff_base"] = _parse_seconds(
-                raw, "REPRO_RETRY_BACKOFF", 0.0
-            )
-        raw = os.environ.get("REPRO_RECOVERY_INTERVAL")
-        if raw is not None:
-            interval = _parse_int(raw, "REPRO_RECOVERY_INTERVAL", 0)
-            kwargs["recovery_interval"] = interval or None
-        return cls(**kwargs)

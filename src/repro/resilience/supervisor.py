@@ -27,15 +27,19 @@ killed, respawned, or degraded must still hash to the serial digest.
 from __future__ import annotations
 
 import time
-from collections import deque
 from typing import List, Optional, Tuple
 
-from repro.noc.topology import MeshTopology
 from repro.resilience.faults import ProcessFaultPlan
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.report import FailureRecord, RunReport, publish
-from repro.shard.engine import ShardResult, _run_serial, summary_digest
-from repro.shard.merge import merge_snapshots, merge_stats
+from repro.shard.engine import (
+    ShardResult,
+    _run_serial,
+    drive_rounds,
+    merge_barrier,
+    summary_digest,
+)
+from repro.shard.merge import merge_stats
 from repro.shard.spec import (
     ShardError,
     SyntheticSpec,
@@ -50,13 +54,6 @@ def _diagnose(exc: ShardError) -> Tuple[str, str]:
         kind = "error" if exc.kind == "crashed" else exc.kind
         return str(exc.shard), kind
     return "driver", "protocol"
-
-
-def _merge_recovery(spec: SyntheticSpec, shards: int,
-                    pairs: List[Tuple[dict, dict]], barrier: int) -> dict:
-    topo = MeshTopology(spec.width, spec.height)
-    return merge_snapshots([snap for snap, _ in pairs],
-                           topo.row_domains(shards), barrier)
 
 
 def _degrade(spec: SyntheticSpec, shards: int, reason: Optional[str],
@@ -77,7 +74,8 @@ def _degrade(spec: SyntheticSpec, shards: int, reason: Optional[str],
     from repro.checkpoint.snapshot import restore_network, snapshot_network
 
     barrier, pairs = recovery
-    merged = _merge_recovery(spec, shards, pairs, barrier)
+    merged = merge_barrier(spec, shards, [snap for snap, _ in pairs],
+                           barrier)
     net, traffic = restore_network(merged)
     report.degraded = f"serial continuation from recovery point " \
                       f"at cycle {barrier}"
@@ -121,7 +119,7 @@ def run_supervised(spec: SyntheticSpec, shards: int,
     from repro.shard.process import ProcessPool
 
     if policy is None:
-        policy = RetryPolicy.from_env()
+        policy = RetryPolicy()
     if observers not in ("none", "tracing"):
         raise ValueError(
             f"observers must be 'none' or 'tracing', got {observers!r}"
@@ -152,14 +150,23 @@ def run_supervised(spec: SyntheticSpec, shards: int,
     pending_barriers = sorted(barriers)
 
     report = RunReport(backend="process")
-    end_inject = spec.cycles
-    deadline = spec.cycles + spec.drain
     recovery: Optional[Tuple[int, list]] = None  # (barrier, pairs)
     checkpoint: Optional[dict] = None
     attempt = 0
     incarnation = 0
     states = None
     final_clocks: List[int] = []
+
+    def on_barrier(cycle: int) -> None:
+        nonlocal recovery, attempt, checkpoint
+        pairs = pool.barrier(cycle)
+        recovery = (cycle, pairs)
+        report.recovery_points += 1
+        attempt = 0  # forward progress refills the budget
+        if checkpoint_at == cycle:
+            checkpoint = merge_barrier(
+                spec, effective, [snap for snap, _ in pairs], cycle
+            )
 
     while states is None:
         pool = ProcessPool(
@@ -168,45 +175,15 @@ def run_supervised(spec: SyntheticSpec, shards: int,
             incarnation=incarnation,
             restore=None if recovery is None else recovery[1],
         )
-        upcoming = deque(
-            b for b in pending_barriers
-            if recovery is None or b > recovery[0]
-        )
-        prev_clocks: Optional[List[int]] = None
         try:
-            while True:
-                hard_stop = upcoming[0] if upcoming else None
-                clocks, flights, produced = pool.round(hard_stop)
-                total = sum(flights)
-                if hard_stop is not None and produced == 0 \
-                        and all(c == hard_stop for c in clocks):
-                    pairs = pool.barrier(hard_stop)
-                    recovery = (hard_stop, pairs)
-                    report.recovery_points += 1
-                    attempt = 0  # forward progress refills the budget
-                    if checkpoint_at == hard_stop:
-                        checkpoint = _merge_recovery(
-                            spec, effective, pairs, hard_stop
-                        )
-                    upcoming.popleft()
-                    prev_clocks = None
-                    continue
-                if hard_stop is None and total == 0 \
-                        and all(c >= end_inject for c in clocks):
-                    states = pool.stats()
-                    final_clocks = list(pool.final_clocks)
-                    break
-                if total > 0 and all(c >= deadline for c in clocks):
-                    raise RuntimeError(
-                        f"network failed to drain: {total} packets in "
-                        f"flight after {spec.drain} cycles"
-                    )
-                if produced == 0 and clocks == prev_clocks:
-                    raise ShardError(
-                        f"sharded run stalled at clocks {clocks}: no "
-                        f"boundary traffic and no clock progress"
-                    )
-                prev_clocks = clocks
+            drive_rounds(
+                pool, spec,
+                [b for b in pending_barriers
+                 if recovery is None or b > recovery[0]],
+                on_barrier,
+            )
+            states = pool.stats()
+            final_clocks = list(pool.final_clocks)
             pool.close()
         except ShardError as exc:
             pool.kill()

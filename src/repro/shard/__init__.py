@@ -12,7 +12,7 @@ from repro.shard.engine import ShardResult, run_sharded, summary_digest
 from repro.shard.merge import merge_snapshots, merge_stats
 from repro.shard.spec import (GOLDEN_SPEC, SHARD_BENCH_SPEC, ShardError,
                               SyntheticSpec, WorkerFailure, plan_shards,
-                              serial_fallback_reason, shards_from_env)
+                              serial_fallback_reason)
 
 __all__ = [
     "GOLDEN_SPEC",
@@ -26,6 +26,5 @@ __all__ = [
     "plan_shards",
     "run_sharded",
     "serial_fallback_reason",
-    "shards_from_env",
     "summary_digest",
 ]

@@ -6,9 +6,10 @@ the scenario cannot shard (non-mesh organizations, single-row meshes,
 ``shards=1``), and otherwise drives the shard pool round by round until
 the network drains.  Both backends — the deterministic in-process pool
 here and the worker-process pool in :mod:`repro.shard.process` — expose
-the same three-call surface (``round`` / ``barrier_checkpoint`` /
-``stats``), so the driver and every test run identically against
-either.
+the same three-call surface (``round`` / ``barrier`` / ``stats``) and
+run under the same round loop (:func:`drive_rounds`), so every test
+runs identically against either; the inline pool is the reference the
+process backend is tested against.
 
 The correctness oracle is digest equality: a sharded run's merged
 statistics summary must hash to the same pinned sha256 as the serial
@@ -21,9 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
+from repro.noc.topology import MeshTopology
 from repro.shard.domain import ShardDomain
 from repro.shard.merge import merge_snapshots, merge_stats
 from repro.shard.spec import ShardError, SyntheticSpec, plan_shards
@@ -90,15 +93,15 @@ class _InlinePool:
             flights.append(dom.net.stats.in_flight)
         return clocks, flights, produced
 
-    def barrier_checkpoint(self, barrier: int) -> dict:
+    def barrier(self, barrier: int) -> List[dict]:
+        """Each shard's snapshot at the cycle barrier."""
         from repro.checkpoint.snapshot import snapshot_network
 
         snapshots = []
         for dom in self.domains:
             dom.barrier_drain(barrier)
             snapshots.append(snapshot_network(dom.net, dom.traffic))
-        ranges = [(dom.first, dom.last) for dom in self.domains]
-        return merge_snapshots(snapshots, ranges, barrier)
+        return snapshots
 
     def stats(self) -> List[Tuple[dict, int, int]]:
         return [(dom.net.stats.state_dict(), dom.net.cycles_skipped,
@@ -108,22 +111,33 @@ class _InlinePool:
         pass
 
 
-def _drive(pool, spec: SyntheticSpec,
-           checkpoint_at: Optional[int]) -> Optional[dict]:
-    """Run rounds until the network drains; returns the merged
-    checkpoint if one was requested."""
+def merge_barrier(spec: SyntheticSpec, count: int, snapshots: List[dict],
+                  barrier: int) -> dict:
+    """One serial-shaped snapshot from the ``count`` shards' snapshots
+    taken at the cycle barrier."""
+    topo = MeshTopology(spec.width, spec.height)
+    return merge_snapshots(snapshots, topo.row_domains(count), barrier)
+
+
+def drive_rounds(pool, spec: SyntheticSpec, barriers: Iterable[int],
+                 on_barrier: Callable[[int], None]) -> None:
+    """Run rounds on ``pool`` until the network drains.
+
+    Every shard stops at each cycle in ``barriers`` (ascending); once
+    all stand there with no boundary record in transit,
+    ``on_barrier(cycle)`` runs before the next round starts.
+    """
+    upcoming = deque(barriers)
     end_inject = spec.cycles
     deadline = spec.cycles + spec.drain
-    hard_stop = checkpoint_at
-    checkpoint = None
     prev_clocks: Optional[List[int]] = None
     while True:
+        hard_stop = upcoming[0] if upcoming else None
         clocks, flights, produced = pool.round(hard_stop)
         total = sum(flights)
         if hard_stop is not None and produced == 0 \
                 and all(c == hard_stop for c in clocks):
-            checkpoint = pool.barrier_checkpoint(hard_stop)
-            hard_stop = None
+            on_barrier(upcoming.popleft())
             prev_clocks = None
             continue
         # Once every shard has finished injecting and the global
@@ -133,7 +147,7 @@ def _drive(pool, spec: SyntheticSpec,
         # as coverage rises), so termination must not wait for silence.
         if hard_stop is None and total == 0 \
                 and all(c >= end_inject for c in clocks):
-            break
+            return
         if total > 0 and all(c >= deadline for c in clocks):
             raise RuntimeError(
                 f"network failed to drain: {total} packets in flight "
@@ -145,7 +159,6 @@ def _drive(pool, spec: SyntheticSpec,
                 f"traffic and no clock progress"
             )
         prev_clocks = clocks
-    return checkpoint
 
 
 def _run_serial(spec: SyntheticSpec, observers: str,
@@ -203,8 +216,8 @@ def run_sharded(spec: SyntheticSpec, shards: int,
     The process backend always runs supervised
     (:func:`repro.resilience.supervisor.run_supervised`): workers that
     die, hang, or babble are respawned from recovery-point barriers
-    under ``policy`` (default: :meth:`RetryPolicy.from_env`), and
-    ``faults`` injects deterministic process failures for testing.
+    under ``policy`` (default: ``RetryPolicy()``), and ``faults``
+    injects deterministic process failures for testing.
     """
     if backend not in ("inline", "process"):
         raise ValueError(
@@ -234,8 +247,17 @@ def run_sharded(spec: SyntheticSpec, shards: int,
             f"(0, {spec.cycles}], got {checkpoint_at}"
         )
     pool = _InlinePool(spec, effective, observers)
+    checkpoint = None
+
+    def on_barrier(cycle: int) -> None:
+        nonlocal checkpoint
+        checkpoint = merge_barrier(spec, effective, pool.barrier(cycle),
+                                   cycle)
+
     try:
-        checkpoint = _drive(pool, spec, checkpoint_at)
+        drive_rounds(pool, spec,
+                     [] if checkpoint_at is None else [checkpoint_at],
+                     on_barrier)
         states = pool.stats()
     finally:
         pool.close()

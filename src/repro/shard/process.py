@@ -28,9 +28,7 @@ import multiprocessing
 import time
 from typing import List, Optional, Tuple
 
-from repro.noc.topology import MeshTopology
 from repro.shard.domain import ShardDomain
-from repro.shard.merge import merge_snapshots
 from repro.shard.spec import ShardError, SyntheticSpec, WorkerFailure
 
 #: Pid-space stride between workers; far beyond any packet count a
@@ -126,7 +124,6 @@ class ProcessPool:
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else methods[0]
         )
-        self.spec = spec
         self.count = count
         self.heartbeat = heartbeat
         self.conns: list = []
@@ -227,12 +224,6 @@ class ProcessPool:
             self._send(i, ("barrier", barrier))
         return [tuple(self._recv(i, "snapshot")[1:])
                 for i in range(self.count)]
-
-    def barrier_checkpoint(self, barrier: int) -> dict:
-        pairs = self.barrier(barrier)
-        topo = MeshTopology(self.spec.width, self.spec.height)
-        return merge_snapshots([snap for snap, _ in pairs],
-                               topo.row_domains(self.count), barrier)
 
     def stats(self) -> List[Tuple[dict, int, int]]:
         for i in range(self.count):

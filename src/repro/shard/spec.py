@@ -11,7 +11,6 @@ copies.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -142,13 +141,3 @@ def serial_fallback_reason(cause: str, value: str, detail: str) -> str:
     parse the cause tag without matching free-form prose.
     """
     return f"[{cause}={value}] {detail}"
-
-
-def shards_from_env(default: int = 1) -> int:
-    """Resolve ``REPRO_SHARDS`` with the shared worker-count validator."""
-    from repro.harness.runner import parse_worker_count
-
-    raw = os.environ.get("REPRO_SHARDS")
-    if raw is None:
-        return default
-    return parse_worker_count(raw, "REPRO_SHARDS")

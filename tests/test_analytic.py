@@ -8,28 +8,22 @@ grid integration (store-key regression, pruned sweeps, validation).
 import pytest
 
 from repro.analytic import (
-    ANALYTIC_ENV,
     IPC_ERROR_MARGIN,
     LATENCY_ERROR_MARGIN,
     CellValidation,
     ValidationReport,
-    analytic_mode,
     find_saturation,
     predict_cell,
     predict_network,
-    resolve_mode,
     saturation_rate,
     screen_cell,
     synthetic_mix,
     zero_load_latency,
 )
-from repro.analytic.screen import (
-    ANALYTIC_UTIL_ENV,
-    PRUNE_MAX_UTIL,
-    prune_max_util,
-)
+from repro.analytic.screen import PRUNE_MAX_UTIL
 from repro.analytic.system import clear_prediction_cache
 from repro.checkpoint.store import CellStore
+from repro.config import RunConfig
 from repro.harness.figures import zero_load_table
 from repro.harness.runner import (
     ALL_KINDS,
@@ -142,41 +136,52 @@ class TestPredictCell:
 
 
 class TestModes:
+    """The live-environment spelling of the two analytic variables (the
+    value/junk table is in tests/test_config.py)."""
+
     def test_env_parsing(self, monkeypatch):
-        monkeypatch.delenv(ANALYTIC_ENV, raising=False)
-        assert analytic_mode() == "off"
-        monkeypatch.setenv(ANALYTIC_ENV, "prune")
-        assert analytic_mode() == "prune"
-        monkeypatch.setenv(ANALYTIC_ENV, " WARM ")
-        assert analytic_mode() == "warm"
-        monkeypatch.setenv(ANALYTIC_ENV, "sometimes")
-        with pytest.raises(ValueError):
-            analytic_mode()
+        monkeypatch.delenv("REPRO_ANALYTIC", raising=False)
+        assert RunConfig.from_env().analytic == "off"
+        monkeypatch.setenv("REPRO_ANALYTIC", "prune")
+        assert RunConfig.from_env().analytic == "prune"
+        monkeypatch.setenv("REPRO_ANALYTIC", " PRUNE ")
+        assert RunConfig.from_env().analytic == "prune"
+        for junk in ("sometimes", "warm"):
+            monkeypatch.setenv("REPRO_ANALYTIC", junk)
+            with pytest.raises(ValueError, match="REPRO_ANALYTIC must be"):
+                RunConfig.from_env()
 
     def test_override_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ANALYTIC_ENV, "prune")
-        assert resolve_mode("off") == "off"
-        assert resolve_mode(None) == "prune"
-        with pytest.raises(ValueError):
-            resolve_mode("maybe")
+        """An explicit ``analytic=`` beats the environment the call
+        resolves (what ``validate_grid`` and the ledger rely on)."""
+        monkeypatch.setenv("REPRO_ANALYTIC", "prune")
+        cells = (("Web Search",), (NocKind.MESH,))
+        key = ("Web Search", NocKind.MESH)
+        clear_grid_cache()
+        assert evaluation_grid(*cells, TINY, store=None)[key].analytic
+        forced = evaluation_grid(*cells, TINY, store=None, analytic="off")
+        assert not forced[key].analytic
+        with pytest.raises(ValueError, match="analytic must be one of"):
+            evaluation_grid(*cells, TINY, store=None, analytic="maybe")
+        clear_grid_cache()
 
     def test_util_bound_env(self, monkeypatch):
-        monkeypatch.delenv(ANALYTIC_UTIL_ENV, raising=False)
-        assert prune_max_util() == PRUNE_MAX_UTIL
-        monkeypatch.setenv(ANALYTIC_UTIL_ENV, "0.25")
-        assert prune_max_util() == 0.25
+        monkeypatch.delenv("REPRO_ANALYTIC_UTIL", raising=False)
+        assert RunConfig.from_env().analytic_util == PRUNE_MAX_UTIL
+        monkeypatch.setenv("REPRO_ANALYTIC_UTIL", "0.25")
+        assert RunConfig.from_env().analytic_util == 0.25
         for bad in ("zero", "0", "1.5", "-0.1"):
-            monkeypatch.setenv(ANALYTIC_UTIL_ENV, bad)
-            with pytest.raises(ValueError):
-                prune_max_util()
+            monkeypatch.setenv("REPRO_ANALYTIC_UTIL", bad)
+            with pytest.raises(ValueError,
+                               match="REPRO_ANALYTIC_UTIL must be"):
+                RunConfig.from_env()
 
 
 class TestScreen:
-    def test_default_bound_prunes_the_paper_grid(self, monkeypatch):
+    def test_default_bound_prunes_the_paper_grid(self):
         """Every cell of the paper's grid sits well below half the
         bottleneck link's capacity, so the default policy prunes all of
         them (the ISSUE's >= 2x sweep speedup follows directly)."""
-        monkeypatch.delenv(ANALYTIC_UTIL_ENV, raising=False)
         from repro.workloads.profiles import WORKLOAD_NAMES
 
         for workload in WORKLOAD_NAMES:
@@ -185,10 +190,9 @@ class TestScreen:
                 assert decision.prune, (workload, kind)
                 assert decision.reason == "deep-unsaturated"
 
-    def test_tightened_bound_forces_partial_prune(self, monkeypatch):
-        monkeypatch.setenv(ANALYTIC_UTIL_ENV, "0.24")
+    def test_tightened_bound_forces_partial_prune(self):
         verdicts = {
-            kind: screen_cell("Data Serving", kind)
+            kind: screen_cell("Data Serving", kind, max_util=0.24)
             for kind in ALL_KINDS
         }
         assert verdicts[NocKind.MESH].prune
@@ -255,17 +259,17 @@ class TestPrunedGrid:
         assert summary["analytic_cells"] >= 8
         clear_grid_cache()
 
-    def test_partial_prune_reproduces_simulated_cells_bitwise(
-            self, tmp_path, monkeypatch):
+    def test_partial_prune_reproduces_simulated_cells_bitwise(self):
         """The acceptance bit-identity: cells the screen does NOT prune
         must come out of a pruned sweep byte-for-byte equal to the same
         cells of an unpruned sweep."""
         clear_grid_cache()
-        monkeypatch.setenv(ANALYTIC_UTIL_ENV, "0.24")
+        config = RunConfig(analytic_util=0.24)
         cells = (("Data Serving",), ALL_KINDS)
-        full = evaluation_grid(*cells, TINY, store=None, analytic="off")
+        full = evaluation_grid(*cells, TINY, store=None, analytic="off",
+                               config=config)
         pruned = evaluation_grid(*cells, TINY, store=None,
-                                 analytic="prune")
+                                 analytic="prune", config=config)
         expected_analytic = {NocKind.MESH, NocKind.SMART}
         for kind in ALL_KINDS:
             sample = pruned[("Data Serving", kind)]

@@ -131,20 +131,25 @@ def test_compare_rejects_unknown_schema(tmp_path):
 
 
 def test_num_jobs_env_handling(monkeypatch):
-    from repro.harness import runner
+    """``REPRO_JOBS`` as the live process environment spells it (the
+    value/junk table is in tests/test_config.py)."""
+    import os
+
+    from repro.cli import main
+    from repro.config import RunConfig
 
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert runner._num_jobs() == 1
+    assert RunConfig.from_env().jobs == 1
     monkeypatch.setenv("REPRO_JOBS", "4")
-    assert runner._num_jobs() == 4
+    assert RunConfig.from_env().jobs == 4
     monkeypatch.setenv("REPRO_JOBS", "0")  # auto: one worker per CPU
-    assert runner._num_jobs() == (runner.os.cpu_count() or 1)
-    # Invalid values used to be swallowed into a silent default of 1;
-    # they now fail loudly with the shared worker-count message (the
-    # CLI turns this into exit 2, see tests/test_worker_plumbing.py).
+    assert RunConfig.from_env().jobs == (os.cpu_count() or 1)
+    # Invalid values fail loudly with the shared worker-count message
+    # (the CLI turns this into exit 2).
     monkeypatch.setenv("REPRO_JOBS", "not-a-number")
     with pytest.raises(ValueError, match="REPRO_JOBS must be"):
-        runner._num_jobs()
+        RunConfig.from_env()
+    assert main(["params"]) == 2
 
 
 def test_cli_compare_exit_codes(tmp_path, capsys):

@@ -57,6 +57,14 @@ def test_removed_router_step_flag_is_an_unknown_flag(capsys):
     assert exc.value.code == 2
 
 
+def test_removed_time_skip_flag_is_an_unknown_flag(capsys):
+    # Stepping every cycle is ``net.time_skip = False`` on one network,
+    # not a process-wide CLI switch.
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "web", "--no-time-skip"])
+    assert exc.value.code == 2
+
+
 def test_figures_json_dump(tmp_path, capsys):
     path = tmp_path / "out.json"
     rc = main(["figures", "--only", "table1,fig8", "--json", str(path)])

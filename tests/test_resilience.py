@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import RunConfig
 from repro.harness import runner
 from repro.harness.runner import EvaluationScale, evaluation_grid
 from repro.params import NocKind
@@ -284,10 +285,10 @@ def test_streaming_puts_survive_mid_sweep_crash(tmp_path, monkeypatch):
     real = runner._simulate_cell
     done = []
 
-    def flaky(cell):
+    def flaky(cell, wall_limit):
         if len(done) == 2:
             raise KeyboardInterrupt
-        sample = real(cell)
+        sample = real(cell, wall_limit)
         done.append(cell)
         return sample
 
@@ -307,37 +308,6 @@ def test_streaming_puts_survive_mid_sweep_crash(tmp_path, monkeypatch):
 
 
 # -- policy and plan validation ---------------------------------------------
-
-
-def test_retry_policy_from_env(monkeypatch):
-    for var in ("REPRO_MAX_RETRIES", "REPRO_HEARTBEAT_TIMEOUT",
-                "REPRO_QUARANTINE_AFTER", "REPRO_RETRY_BACKOFF",
-                "REPRO_RECOVERY_INTERVAL"):
-        monkeypatch.delenv(var, raising=False)
-    assert RetryPolicy.from_env() == RetryPolicy()
-    monkeypatch.setenv("REPRO_MAX_RETRIES", "5")
-    monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "2.5")
-    monkeypatch.setenv("REPRO_QUARANTINE_AFTER", "1")
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-    monkeypatch.setenv("REPRO_RECOVERY_INTERVAL", "0")
-    policy = RetryPolicy.from_env()
-    assert policy == RetryPolicy(max_retries=5, heartbeat_timeout=2.5,
-                                 quarantine_after=1, backoff_base=0.0,
-                                 recovery_interval=None)
-
-
-@pytest.mark.parametrize("var,raw,match", [
-    ("REPRO_MAX_RETRIES", "-1", "REPRO_MAX_RETRIES must be"),
-    ("REPRO_MAX_RETRIES", "two", "REPRO_MAX_RETRIES must be"),
-    ("REPRO_HEARTBEAT_TIMEOUT", "0", "REPRO_HEARTBEAT_TIMEOUT must be"),
-    ("REPRO_QUARANTINE_AFTER", "0", "REPRO_QUARANTINE_AFTER must be"),
-    ("REPRO_RETRY_BACKOFF", "-0.1", "REPRO_RETRY_BACKOFF must be"),
-    ("REPRO_RECOVERY_INTERVAL", "soon", "REPRO_RECOVERY_INTERVAL must be"),
-])
-def test_retry_policy_env_validation(monkeypatch, var, raw, match):
-    monkeypatch.setenv(var, raw)
-    with pytest.raises(ValueError, match=match):
-        RetryPolicy.from_env()
 
 
 def test_retry_policy_backoff_and_barriers():
@@ -391,16 +361,21 @@ def test_fault_plan_cell_lookup_and_random():
 def test_wall_limit_rejects_junk(monkeypatch, raw):
     monkeypatch.setenv("REPRO_WALL_LIMIT", raw)
     with pytest.raises(ValueError, match="REPRO_WALL_LIMIT must be"):
-        runner._wall_limit()
+        RunConfig.from_env()
+    # A library call made without config= resolves the environment at
+    # call time, so the junk budget fails before any cell runs.
+    with pytest.raises(ValueError, match="REPRO_WALL_LIMIT must be"):
+        evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
+                        store=None)
 
 
 def test_wall_limit_unset_or_valid(monkeypatch):
     monkeypatch.delenv("REPRO_WALL_LIMIT", raising=False)
-    assert runner._wall_limit() is None
+    assert RunConfig.from_env().wall_limit is None
     monkeypatch.setenv("REPRO_WALL_LIMIT", "")
-    assert runner._wall_limit() is None
+    assert RunConfig.from_env().wall_limit is None
     monkeypatch.setenv("REPRO_WALL_LIMIT", "7.25")
-    assert runner._wall_limit() == 7.25
+    assert RunConfig.from_env().wall_limit == 7.25
 
 
 def test_cli_exits_2_on_bad_wall_limit(monkeypatch, capsys):

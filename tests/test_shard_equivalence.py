@@ -20,7 +20,6 @@ from repro.shard import (
     SyntheticSpec,
     plan_shards,
     run_sharded,
-    shards_from_env,
     summary_digest,
 )
 from tests.test_golden_determinism import ALL_KINDS, GOLDEN_NETWORK
@@ -124,16 +123,6 @@ def test_run_sharded_validates_arguments():
         run_sharded(GOLDEN_SPEC, 2, checkpoint_at=GOLDEN_SPEC.cycles + 1)
     with pytest.raises(ValueError, match="checkpoint_at must be"):
         run_sharded(GOLDEN_SPEC, 1, checkpoint_at=-1)
-
-
-def test_shards_from_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SHARDS", raising=False)
-    assert shards_from_env() == 1
-    monkeypatch.setenv("REPRO_SHARDS", "4")
-    assert shards_from_env() == 4
-    monkeypatch.setenv("REPRO_SHARDS", "nope")
-    with pytest.raises(ValueError, match="REPRO_SHARDS must be"):
-        shards_from_env()
 
 
 def test_row_domains_partition_the_mesh():

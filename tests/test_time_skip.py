@@ -5,7 +5,8 @@ default) and once stepping every cycle — and asserts bit-identical
 results: stats digests, final cycle, invariant-audit counts, violations,
 fault counters, and traced event streams.  A separate group checks that
 checkpoints taken inside a skipped span restore and finish with the
-golden digest, and that the ``--no-time-skip`` escape hatches work.
+golden digest.  Stepping is a per-network attribute
+(``net.time_skip = False``); there is no process-wide switch.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.checkpoint import (
 )
 from repro.faults import FaultInjector, FaultSchedule
 from repro.invariants import InvariantSuite
-from repro.noc.network import build_network, set_time_skip, time_skip_enabled
+from repro.noc.network import build_network
 from repro.noc.packet import packet_pool, reset_packet_ids
 from repro.noc.ring import build_ring
 from repro.params import MessageClass, NocKind, NocParams
@@ -196,58 +197,16 @@ def test_cycles_skipped_counts_only_fastforwarded_cycles():
     assert 0 < net.cycles_skipped < net.cycle
 
 
-def test_set_time_skip_controls_new_networks():
-    assert time_skip_enabled()
-    try:
-        set_time_skip(False)
-        net = _make(NocKind.MESH)
-        assert net.time_skip is False
-    finally:
-        set_time_skip(True)
-    assert _make(NocKind.MESH).time_skip is True
+def test_full_system_digest_matches_with_and_without_skipping():
+    """The closed-loop simulator (cores, caches, directory on top of
+    the network) steps to the same digest it skips to."""
+    from repro.checkpoint import run_digest
+    from repro.perf.system import SystemSimulator
 
+    def run(time_skip: bool) -> str:
+        sim = SystemSimulator("Web Search", NocKind.MESH, seed=3)
+        sim.chip.network.time_skip = time_skip
+        sample = sim.run_sample(warmup=50, measure=200)
+        return run_digest(sample, sim.chip.network.stats.summary())
 
-def test_cli_no_time_skip_flag_is_digest_neutral(capsys):
-    from repro.cli import main
-
-    def run(extra):
-        argv = ["simulate", "web", "--noc", "mesh", "--warmup", "50",
-                "--measure", "200", "--seed", "3", "--digest"] + extra
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        return [line for line in out.splitlines()
-                if line.startswith("digest:")][0]
-
-    try:
-        fast = run([])
-        slow = run(["--no-time-skip"])
-    finally:
-        set_time_skip(True)
-    assert fast == slow
-
-
-def test_worker_initializer_propagates_settings(tmp_path, monkeypatch):
-    """REPRO_JOBS workers apply the parent's settings once instead of
-    re-reading the environment per cell."""
-    from repro.checkpoint.store import STORE_ENV
-    from repro.harness import runner
-
-    store = str(tmp_path / "cells")
-    monkeypatch.setenv(STORE_ENV, store)
-    monkeypatch.setenv("REPRO_WALL_LIMIT", "2.5")
-    set_time_skip(False)
-    try:
-        settings = runner._worker_settings()
-        assert settings == (False, store, 2.5)
-    finally:
-        set_time_skip(True)
-    try:
-        runner._init_worker(*settings)
-        assert time_skip_enabled() is False
-        assert runner._cell_wall_limit() == 2.5
-        import os
-
-        assert os.environ[STORE_ENV] == store
-    finally:
-        set_time_skip(True)
-        runner._worker_wall_limit = runner._UNSET
+    assert run(True) == run(False)
