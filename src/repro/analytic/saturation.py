@@ -6,8 +6,8 @@ runs.  The analytic model supplies the starting bracket: the capacity
 bound from :func:`repro.analytic.queueing.saturation_rate` pins the
 knee to within a few tens of percent, so a *warm* search opens a narrow
 bracket around it instead of cold-scanning from zero — typically
-halving the number of probe simulations (the bench harness reports the
-exact count either way).
+halving the number of probe simulations (the result records the exact
+count either way).
 
 A probe run is judged *saturated* when either
 

@@ -15,9 +15,9 @@ Commands:
   per-packet timeline (a planned response by default);
 * ``sweep [--noc KIND] [--pattern P] [--rates ...]`` — open-loop
   load-latency curves under synthetic traffic;
-* ``saturate [--noc KIND] [--pattern P] [--cold]`` — bisect the
-  saturation injection rate, warm-started from the analytic queueing
-  model's capacity bound (``--cold`` reproduces the legacy scan);
+* ``saturate [--noc KIND] [--pattern P]`` — bisect the saturation
+  injection rate, warm-started from the analytic queueing model's
+  capacity bound;
 * ``analytic [--validate] [--scale S]`` — print the queueing model's
   predicted grid with zero simulation, or (with ``--validate``) run
   the cycle-accurate grid and fail if the model's error exceeds the
@@ -26,10 +26,6 @@ Commands:
   seeded fault schedule (dropped control packets, stalled routers and
   links, multi-drop blackouts) with the runtime invariant checkers
   attached; exits non-zero on violations or undelivered packets;
-* ``bench [--scale S] [--profile [N]] [--compare A B]`` — self-measure
-  simulator throughput (cycles/second per organization plus the
-  evaluation-grid wall time), write a ``BENCH_<stamp>.json`` report,
-  or diff two reports;
 * ``area`` / ``power`` — the analytic physical models;
 * ``params`` — echo the Table I configuration.
 """
@@ -42,7 +38,7 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.config import RunConfig, get_scale, parse_worker_count
+from repro.config import RunConfig
 from repro.params import NocKind
 from repro.harness import (
     analytic_validation,
@@ -422,38 +418,6 @@ def _cmd_chaos(args: argparse.Namespace, _config: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def _cmd_bench(args: argparse.Namespace, config: RunConfig) -> int:
-    from repro.bench import (
-        compare_reports,
-        profile_micro,
-        render_compare,
-        render_report,
-        run_bench,
-        write_report,
-    )
-
-    if args.compare:
-        path_a, path_b = args.compare
-        rows, failed = compare_reports(
-            path_a, path_b, fail_threshold=args.fail_threshold
-        )
-        print(render_compare(rows, path_a, path_b, args.fail_threshold))
-        return 1 if failed else 0
-    scale = get_scale(config.scale)
-    if args.profile is not None:
-        print(profile_micro(scale, top=args.profile))
-        return 0
-    shards = 1 if args.shards is None \
-        else parse_worker_count(args.shards, "--shards")
-    report = run_bench(scale, repeat=args.repeat,
-                       include_macro=not args.no_macro,
-                       shards=shards, config=config)
-    print(render_report(report))
-    path = write_report(report, out=args.out)
-    print(f"\nwrote {path}")
-    return _report_grid_outcome()
-
-
 def _cmd_saturate(args: argparse.Namespace, _config: RunConfig) -> int:
     from repro.analytic import find_saturation
     from repro.params import NocParams
@@ -475,7 +439,6 @@ def _cmd_saturate(args: argparse.Namespace, _config: RunConfig) -> int:
         seed=args.seed,
         threshold=args.threshold,
         tolerance=args.tol,
-        warm=not args.cold,
         hotspot_nodes=hotspot,
     )
     print(f"organization:         {kind.value}")
@@ -657,38 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chaos)
 
     p = sub.add_parser(
-        "bench",
-        help="self-measuring performance benchmark of the simulator",
-    )
-    p.add_argument("--scale", default=None,
-                   help="smoke | default | full (or REPRO_SCALE)")
-    p.add_argument("--repeat", type=int, default=2,
-                   help="timing repetitions per micro cell (best-of)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="report path (default: BENCH_<stamp>.json)")
-    p.add_argument("--no-macro", action="store_true",
-                   help="skip the evaluation-grid macro benchmark")
-    p.add_argument("--profile", type=int, nargs="?", const=20, default=None,
-                   metavar="N",
-                   help="cProfile the micro suite and print the top N "
-                        "functions instead of writing a report")
-    p.add_argument("--compare", nargs=2, metavar=("A", "B"),
-                   help="diff two BENCH_*.json reports instead of running")
-    p.add_argument("--fail-threshold", type=float, default=None,
-                   metavar="FRAC",
-                   help="with --compare: exit non-zero if any organization "
-                        "regressed by more than FRAC (e.g. 0.30)")
-    p.add_argument("--cell-store", default=None, metavar="PATH",
-                   help="persist finished evaluation-grid cells under "
-                        "PATH (or REPRO_CELL_STORE); the macro report "
-                        "records how many cells came from the store")
-    p.add_argument("--shards", type=str, default=None, metavar="N",
-                   help="cut the simulated mesh into N row stripes "
-                        "stepped by parallel workers (0 = one per CPU); "
-                        "statistics stay bit-identical to a serial run")
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser(
         "saturate",
         help="model-seeded bisection search for the saturation rate",
     )
@@ -704,9 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "zero-load (default 3.0)")
     p.add_argument("--tol", type=float, default=0.002,
                    help="bisection bracket width to converge to")
-    p.add_argument("--cold", action="store_true",
-                   help="ignore the analytic estimate and cold-scan "
-                        "from 1%% load (more probes, same answer)")
     p.add_argument("--hotspot", default=None, metavar="N,N,...",
                    help="hotspot node ids for --pattern hotspot")
     p.add_argument("--verbose", action="store_true",

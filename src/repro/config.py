@@ -71,12 +71,11 @@ def _scale_name(raw, source: str) -> str:
 
 
 def parse_worker_count(raw, source: str) -> int:
-    """Validate a worker/shard count the way ``NocParams`` validates CLI
+    """Validate a worker count the way ``NocParams`` validates CLI
     input: a clear :class:`ValueError` naming the knob instead of a raw
     traceback from deep inside pool setup.
 
     ``0`` means "one per CPU"; any positive integer is taken literally.
-    Shared by ``REPRO_JOBS`` and ``bench --shards``.
     """
     try:
         count = int(raw)

@@ -130,10 +130,6 @@ class PraPlan:
     def size(self) -> int:
         return self.packet.size
 
-    @property
-    def last_step(self) -> Optional[PlanStep]:
-        return self.steps[-1] if self.steps else None
-
     # -- claims -----------------------------------------------------------
 
     def claim_landing_vc(self, port: "OutputPort", vc_index: int) -> None:

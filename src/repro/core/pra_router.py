@@ -23,11 +23,9 @@ from typing import Deque, Dict, Optional, Set, Tuple
 from repro.core.plan import LAND_LATCH, LAND_NI, LAND_VC, PraPlan, SRC_VC
 from repro.core.reservation import ReservationEntry, ReservationTable
 from repro.noc.flit import Flit
-from repro.noc.packet import Packet
 from repro.noc.ports import OutputPort
 from repro.noc.router import MeshRouter
 from repro.noc.topology import Direction
-from repro.noc.vc import VirtualChannel
 from repro.trace.events import EV_LATCH_BYPASS
 
 #: Sentinel VC index addressing an input unit's latch in arrivals.

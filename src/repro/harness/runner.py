@@ -399,7 +399,9 @@ def evaluation_grid(
         kept = [sample for sample in samples if sample is not None]
         if kept:
             grid[key] = _merge(kept)
-    if faults is None:
+    # Timed-out cells are partial measurements: like the cell store,
+    # the cache must not serve them to a later call with a larger budget.
+    if faults is None and not any(s.timed_out for s in grid.values()):
         _grid_cache[cache_key] = grid
     return grid
 

@@ -292,7 +292,7 @@ packet_pool = PacketPool()
 
 
 def pool_summary() -> Dict[str, int]:
-    """Combined packet- and flit-pool counters (bench reports and the
+    """Combined packet- and flit-pool counters (the benchmark ledger and the
     opt-in ``NetworkStats.summary(include_pools=True)``)."""
     out = dict(packet_pool.stats())
     out.update(flit_pool.stats())

@@ -201,16 +201,6 @@ class OutputPort:
         self.held_dst_vc = None
         self.holder_sent = 0
 
-    def remaining_flits_of_holder(self) -> int:
-        """Flits of the holder not yet sent through this port.
-
-        Valid while the port is held; used by LSD to compute the
-        deterministic release time.
-        """
-        if self.held_by is None:
-            return 0
-        return self.held_by.size - self.holder_sent
-
     # -- flit transmission ----------------------------------------------
 
     #: ``BaseRouter._pop_and_send`` inlines the tracer-off body of
@@ -218,18 +208,16 @@ class OutputPort:
     #: this flag so the router falls back to the virtual call.
     _plain_send = True
 
-    def send(self, flit: Flit, now: int,
-             vc_index: Optional[int] = None) -> None:
-        """Transmit one flit to the immediate downstream hop.
-
-        ``vc_index`` selects the downstream VC; it defaults to the
+    def send(self, flit: Flit, now: int) -> None:
+        """Transmit one flit to the immediate downstream hop, on the
         holder's granted VC (when held) or the packet's message class.
         """
         self.flits_sent += 1
         if self.held_by is flit.packet:
             self.holder_sent += 1
-            if vc_index is None:
-                vc_index = self.held_dst_vc
+            vc_index = self.held_dst_vc
+        else:
+            vc_index = flit.packet.vc_index
         tracer = self.network.tracer
         if tracer.enabled:
             tracer.emit(
@@ -245,8 +233,6 @@ class OutputPort:
             self.network.schedule_eject(now + self.link_hop_latency - 1,
                                         self.ni_sink, flit)
             return
-        if vc_index is None:
-            vc_index = flit.packet.vc_index
         if self.credits[vc_index] <= 0:
             raise RuntimeError("credit underflow: flow control violated")
         self.credits[vc_index] -= 1

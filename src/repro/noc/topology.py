@@ -255,14 +255,6 @@ class Topology:
         """Router-to-router hops along the routing law's path."""
         return len(self.route(src, dst)) - 1
 
-    def route_latency(self, src: int, dst: int) -> int:
-        """Sum of link latencies along the route (0 for src == dst)."""
-        return sum(
-            self.link_latency(node, port)
-            for node, port in self.route(src, dst)
-            if port is not Direction.LOCAL
-        )
-
     def bidirectional_links(self) -> List[Tuple[int, int]]:
         """Each physical adjacent pair once; for area/power accounting
         and link-count normalization."""

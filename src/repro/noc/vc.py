@@ -60,10 +60,6 @@ class VirtualChannel:
     def occupancy(self) -> int:
         return len(self.flits)
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self.flits)
-
     def can_accept_packet(self, packet: Packet) -> bool:
         """True when a new packet may be allocated this VC."""
         return self.allocated_to is None and self.is_empty
@@ -123,7 +119,3 @@ class InputUnit:
 
     def receive(self, flit: Flit, vc_index: int) -> None:
         self.vcs[vc_index].push(flit)
-
-    @property
-    def buffered_flits(self) -> int:
-        return sum(len(vc.flits) for vc in self.vcs)

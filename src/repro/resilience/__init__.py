@@ -15,8 +15,8 @@ layer that keeps a run alive through those deaths:
   process-level fault injection (kill / hang / garbage / error) so
   every recovery path is testable;
 * :class:`RunReport` / :class:`FailureRecord` — the structured flight
-  record the CLI prints on nonzero exit and the bench harness embeds
-  in reports; :func:`last_run_report` fetches the most recent one.
+  record the CLI prints on nonzero exit and the benchmark ledger
+  reads; :func:`last_run_report` fetches the most recent one.
 """
 
 from repro.resilience.faults import (

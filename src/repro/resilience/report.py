@@ -2,8 +2,8 @@
 
 A :class:`RunReport` is the supervisor's flight record: every failure it
 saw, every recovery it performed, every cell it gave up on.  The CLI
-prints it on nonzero exit, the bench harness embeds its counters in
-reports, and ``publish`` mirrors the counters onto the module-wide
+prints it on nonzero exit, the benchmark ledger reads its counters,
+and ``publish`` mirrors the counters onto the module-wide
 ``grid_stats`` object so they appear in ``NetworkStats.summary()``
 alongside the grid-cache counters.
 """

@@ -10,13 +10,12 @@ Entry point: :func:`repro.shard.engine.run_sharded`.
 
 from repro.shard.engine import ShardResult, run_sharded, summary_digest
 from repro.shard.merge import merge_snapshots, merge_stats
-from repro.shard.spec import (GOLDEN_SPEC, SHARD_BENCH_SPEC, ShardError,
-                              SyntheticSpec, WorkerFailure, plan_shards,
+from repro.shard.spec import (GOLDEN_SPEC, ShardError, SyntheticSpec,
+                              WorkerFailure, plan_shards,
                               serial_fallback_reason)
 
 __all__ = [
     "GOLDEN_SPEC",
-    "SHARD_BENCH_SPEC",
     "ShardError",
     "ShardResult",
     "SyntheticSpec",

@@ -85,12 +85,6 @@ class SyntheticSpec:
 #: The pinned golden scenario (see tests/test_golden_determinism.py).
 GOLDEN_SPEC = SyntheticSpec()
 
-#: Dedicated sharding win-meter scenario for ``repro bench``: a 16x16
-#: mesh is large enough that per-cycle simulation work dominates the
-#: boundary-exchange overhead.
-SHARD_BENCH_SPEC = SyntheticSpec(width=16, height=16, rate=0.02,
-                                 seed=11, cycles=600, drain=20000)
-
 
 def plan_shards(params: NocParams,
                 requested: int) -> Tuple[int, Optional[str]]:

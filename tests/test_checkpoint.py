@@ -298,6 +298,30 @@ def test_grid_in_memory_key_includes_params_and_seeds():
     runner.clear_grid_cache()
 
 
+def test_timed_out_grid_is_not_cached():
+    """A grid truncated by a wall budget is a partial measurement: a
+    later call in the same process with no budget must re-simulate."""
+    from repro.config import RunConfig
+    from repro.harness import runner
+
+    cells = (("Web Search",), (NocKind.MESH,), _tiny_scale())
+    key = ("Web Search", NocKind.MESH)
+    runner.clear_grid_cache()
+    limited = runner.evaluation_grid(*cells, store=None,
+                                     config=RunConfig(wall_limit=1e-9))
+    assert limited[key].timed_out
+    hits = runner.grid_stats.grid_cache_hits
+    full = runner.evaluation_grid(*cells, store=None,
+                                  config=RunConfig(wall_limit=None))
+    assert not full[key].timed_out
+    assert full[key].cycles > limited[key].cycles
+    # The complete grid is cached as before.
+    assert runner.evaluation_grid(*cells, store=None,
+                                  config=RunConfig()) is full
+    assert runner.grid_stats.grid_cache_hits == hits + 1
+    runner.clear_grid_cache()
+
+
 def test_corrupt_store_cell_reads_as_miss(tmp_path):
     store = CellStore(str(tmp_path))
     store.put("ab" * 32, {"sample": {"x": 1}})

@@ -65,6 +65,22 @@ def test_removed_time_skip_flag_is_an_unknown_flag(capsys):
     assert exc.value.code == 2
 
 
+def test_bench_is_an_unknown_command(capsys):
+    # Performance is measured from outside, by benchmarks/ledger/run.py.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_removed_saturate_cold_flag_is_an_unknown_flag(capsys):
+    # The cold scan survives as ``find_saturation(warm=False)``, the
+    # reference the warm bracket is tested against.
+    with pytest.raises(SystemExit) as exc:
+        main(["saturate", "--cold"])
+    assert exc.value.code == 2
+
+
 def test_figures_json_dump(tmp_path, capsys):
     path = tmp_path / "out.json"
     rc = main(["figures", "--only", "table1,fig8", "--json", str(path)])

@@ -69,6 +69,16 @@ def test_from_env(environ, expected):
         assert RunConfig.from_env(environ) == replace(RunConfig(), **expected)
 
 
+def test_cli_exits_2_on_junk_jobs(monkeypatch, capsys):
+    """A junk variable stops every subcommand, even one that never
+    spawns a worker."""
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_JOBS", "not-a-number")
+    assert main(["params"]) == 2
+    assert "REPRO_JOBS must be" in capsys.readouterr().err
+
+
 def test_direct_construction_validates_and_names_the_field():
     assert RunConfig(jobs=0).jobs == CPUS
     assert RunConfig(analytic=" Prune ").analytic == "prune"

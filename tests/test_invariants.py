@@ -8,6 +8,7 @@ from repro.core.plan import PlanStep, PraPlan, SRC_VC
 from repro.core.reservation import ReservationEntry
 from repro.faults import FaultInjector, FaultSchedule, StallWindow
 from repro.invariants import InvariantSuite, InvariantViolation, wait_graph
+from repro.noc.chiplet import build_chiplet
 from repro.noc.packet import Packet
 from repro.noc.ring import build_ring
 from repro.noc.topology import Direction
@@ -110,6 +111,35 @@ def test_wait_graph_snapshots_blocked_packets():
     assert graph["blocked"]
     assert all({"pid", "node", "where", "reason"} <= set(b)
                for b in graph["blocked"])
+
+
+@pytest.mark.parametrize("build,src,dst,stalled", [
+    # Stop 7 -> stop 0 clockwise is the ring's dateline link.
+    (lambda: build_ring(8), 7, 1, 0),
+    # Gateway 0 -> gateway 4 is an inter-chiplet (interposer) link.
+    (lambda: build_chiplet("chiplet:2x2x2x2"), 0, 5, 4),
+], ids=["ring", "chiplet"])
+def test_wait_graph_follows_the_escape_layer(build, src, dst, stalled):
+    """Behind a layer-advancing link a head waits for the *layer-1* VC
+    of its class, not the class VC: the graph must look at the VC the
+    router would allocate and name the packet that owns it."""
+    net = build()
+    net.attach(faults=FaultInjector(FaultSchedule(router_stalls=(
+        StallWindow(node=stalled, start=0, duration=1 << 20),
+    ))))
+    first, second = (Packet(src=src, dst=dst, msg_class=MessageClass.REQUEST,
+                            created=0) for _ in range(2))
+    net.send(first)
+    net.send(second)
+    net.run(30)
+    # ``first`` crossed the link and sits in the stalled router's
+    # layer-1 VC; ``second`` is still in layer 0, one hop behind it.
+    assert (first.ring_layer, second.ring_layer) == (1, 0)
+    graph = wait_graph(net, net.cycle)
+    (entry,) = [b for b in graph["blocked"] if b["pid"] == second.pid]
+    assert entry["node"] == src and entry["reason"] == "vc_busy"
+    assert graph["edges"] == [{"pid": second.pid, "waits_on": first.pid,
+                               "reason": "vc_busy"}]
 
 
 # -- corruption detection -------------------------------------------------

@@ -383,5 +383,5 @@ def test_cli_exits_2_on_bad_wall_limit(monkeypatch, capsys):
 
     # Validation fails fast, before any simulation work starts.
     monkeypatch.setenv("REPRO_WALL_LIMIT", "fast")
-    assert main(["bench", "--no-macro"]) == 2
+    assert main(["figures", "--only", "fig2", "--scale", "smoke"]) == 2
     assert "REPRO_WALL_LIMIT must be" in capsys.readouterr().err

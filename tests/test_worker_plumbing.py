@@ -1,11 +1,10 @@
 """Worker-pool plumbing: count validation and what a worker receives.
 
-Covers the shared worker-count validator behind ``REPRO_JOBS`` and
-``bench --shards`` (bad values must exit 2 with a clear message, like
-every other CLI parameter), the resolved counts recorded in bench
-reports, and the promise that a :class:`RunConfig` passed to
-``evaluation_grid`` reaches the pool workers inside their tasks — with
-nothing in the environment, under fork and under spawn.
+Covers the worker-count validator behind ``REPRO_JOBS`` (bad values
+must fail with a clear message, like every other parameter) and the
+promise that a :class:`RunConfig` passed to ``evaluation_grid`` reaches
+the pool workers inside their tasks — with nothing in the environment,
+under fork and under spawn.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.config import RunConfig, parse_worker_count
 
 def test_parse_worker_count_accepts_literals_and_auto():
     assert parse_worker_count("4", "REPRO_JOBS") == 4
-    assert parse_worker_count("1", "--shards") == 1
+    assert parse_worker_count("1", "jobs") == 1
     # 0 means one worker per CPU.
     assert parse_worker_count("0", "REPRO_JOBS") == (os.cpu_count() or 1)
 
@@ -28,18 +27,11 @@ def test_parse_worker_count_accepts_literals_and_auto():
 @pytest.mark.parametrize("raw", ["banana", "-1", "2.5", "", None])
 def test_parse_worker_count_rejects_junk(raw):
     with pytest.raises(ValueError) as excinfo:
-        parse_worker_count(raw, "--shards")
+        parse_worker_count(raw, "REPRO_JOBS")
     # The message names the knob and echoes the offending value, the
     # same shape NocParams uses for CLI validation errors.
-    assert "--shards must be a non-negative integer" in str(excinfo.value)
+    assert "REPRO_JOBS must be a non-negative integer" in str(excinfo.value)
     assert repr(raw) in str(excinfo.value)
-
-
-def test_cli_exits_2_on_bad_shard_flag(capsys):
-    from repro.cli import main
-
-    assert main(["bench", "--no-macro", "--shards", "lots"]) == 2
-    assert "--shards must be" in capsys.readouterr().err
 
 
 def test_simulate_has_no_shards_flag():
@@ -48,21 +40,6 @@ def test_simulate_has_no_shards_flag():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "web", "--shards", "2"])
     assert exc.value.code == 2
-
-
-def test_run_macro_records_resolved_jobs(monkeypatch):
-    """The macro report must record the *resolved* worker count (an
-    int), not the raw environment string — ``REPRO_JOBS=0`` used to be
-    reported as the string ``"0"``."""
-    from repro.bench.harness import run_macro
-    from repro.harness.runner import EvaluationScale
-
-    tiny = EvaluationScale("tiny", warmup=20, measure=80, num_seeds=1)
-    monkeypatch.setenv("REPRO_JOBS", "1")
-    macro = run_macro(tiny)
-    assert macro["jobs"] == 1
-    assert isinstance(macro["jobs"], int)
-    assert run_macro(tiny, RunConfig(jobs=0))["jobs"] == (os.cpu_count() or 1)
 
 
 # -- what a pool worker receives -------------------------------------------
@@ -93,7 +70,6 @@ def test_config_reaches_pool_workers(method, monkeypatch, capfd):
             *cells, tiny, store=None,
             config=RunConfig(jobs=2, wall_limit=1e-9),
         )
-        clear_grid_cache()  # the in-process cache does not key on budgets
         unlimited = evaluation_grid(*cells, tiny, store=None,
                                     config=RunConfig(jobs=2))
     finally:
