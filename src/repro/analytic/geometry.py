@@ -177,12 +177,6 @@ def traffic_geometry(
     )
 
 
-def clear_geometry_cache() -> None:
-    """Drop memoized geometries (tests poking at cache behavior)."""
-    traffic_geometry.cache_clear()
-    topology_geometry.cache_clear()
-
-
 def pra_overflow_hops(reservation_horizon: int, max_lag: int) -> int:
     """Hop count an announced packet covers before its reservations age
     out of the table: empirically ``horizon - max_lag`` on the default

@@ -16,7 +16,7 @@ Two modes (:attr:`repro.config.RunConfig.analytic`, from the
 
 Pruned cells are marked ``PerfSample.analytic`` and are counted on
 ``grid_stats`` (``analytic_cells`` vs ``simulated_cells`` in
-``NetworkStats.summary``); they are never written to a cell store.
+``grid_stats.summary()``); they are never written to a cell store.
 """
 
 from __future__ import annotations

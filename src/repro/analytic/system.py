@@ -160,10 +160,6 @@ class CellPrediction:
     #: Expected hops per packet (for the power model's activity counts).
     avg_hops: float
 
-    @property
-    def per_core_ipc(self) -> float:
-        return self.ipc / 64.0
-
     def sample(self, measure: int,
                num_tiles: int = 64) -> PerfSample:
         """Materialize a :class:`PerfSample` covering ``measure`` cycles.

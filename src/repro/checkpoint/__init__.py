@@ -16,6 +16,7 @@ from repro.checkpoint.codec import (
 from repro.checkpoint.snapshot import (
     FORMAT,
     FORMAT_VERSION,
+    SnapshotError,
     params_from_state,
     params_state,
     read_snapshot,
@@ -35,6 +36,7 @@ __all__ = [
     "CellStore",
     "RestoreContext",
     "SaveContext",
+    "SnapshotError",
     "cell_key",
     "params_from_state",
     "params_state",

@@ -24,6 +24,24 @@ def cell_key(payload: Any) -> str:
     ).hexdigest()
 
 
+def atomic_write(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a tmp file in the same
+    directory and ``os.replace``: a reader (or a crash) sees the old
+    file or the new one, never a truncated one."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class CellStore:
     """Filesystem-backed map from cell key to JSON payload."""
 
@@ -45,19 +63,8 @@ class CellStore:
     def put(self, key: str, payload: dict) -> None:
         """Atomically persist ``payload`` under ``key``."""
         path = self._path(key)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        atomic_write(path, json.dumps(payload).encode())
 
     def __contains__(self, key: str) -> bool:
         return os.path.exists(self._path(key))

@@ -550,9 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default="checkpoint-{cycle}.json",
                    metavar="TPL",
                    help="checkpoint path template; '{cycle}' expands to "
-                        "the snapshot cycle, the extension picks the "
-                        "format: .json, .json.gz, or .npz "
-                        "(default: %(default)s)")
+                        "the snapshot cycle; name it .json or .json.gz "
+                        "(gzip-framed) (default: %(default)s)")
     p.add_argument("--restore", default=None, metavar="FILE",
                    help="resume from a snapshot instead of starting at "
                         "cycle 0 (pass the same --warmup/--measure as "

@@ -37,7 +37,6 @@ from repro.core.plan import (
 )
 from repro.core.reservation import ReservationEntry
 from repro.noc.packet import Packet
-from repro.noc.routing import xy_route
 from repro.noc.topology import Direction
 from repro.trace.events import (
     EV_CONTROL_DROP,
@@ -218,7 +217,7 @@ class ControlNetwork:
                             node=source_node, accepted=False,
                             trigger=trigger)
             return None
-        route = xy_route(self.network.topology, source_node, packet.dst)
+        route = self.network.topology.route(source_node, packet.dst)
         run = ControlRun(
             packet,
             route,

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.checkpoint.codec import CODE_VERSION
 from repro.checkpoint.snapshot import params_state
 from repro.checkpoint.store import CellStore, cell_key
 from repro.config import EvaluationScale, RunConfig, get_scale
-from repro.noc.stats import NetworkStats
 from repro.params import NocKind, default_chip
 from repro.perf.system import PerfSample, simulate
 from repro.workloads.profiles import WORKLOAD_NAMES
@@ -37,9 +37,31 @@ from repro.workloads.profiles import WORKLOAD_NAMES
 #: All four organizations, in the paper's presentation order.
 ALL_KINDS = (NocKind.MESH, NocKind.SMART, NocKind.MESH_PRA, NocKind.IDEAL)
 
-#: Module-wide cache counters (``grid_cache_hits``/``grid_cache_misses``
-#: show up in ``grid_stats.summary()`` once the grid has run).
-grid_stats = NetworkStats()
+
+@dataclass
+class GridStats:
+    """Harness counters: what the grid, its supervisor and the analytic
+    screen did in this process (no simulation state lives here)."""
+
+    grid_cache_hits: int = 0
+    grid_cache_misses: int = 0
+    #: Mirrored from each supervised run's report by
+    #: ``repro.resilience.report.publish``.
+    worker_retries: int = 0
+    worker_respawns: int = 0
+    pool_rebuilds: int = 0
+    cells_quarantined: int = 0
+    #: Grid cells served by the queueing model under
+    #: ``REPRO_ANALYTIC=prune`` vs. cells that were still simulated.
+    analytic_cells: int = 0
+    simulated_cells: int = 0
+
+    def summary(self) -> Dict[str, int]:
+        return asdict(self)
+
+
+#: The module-wide counters.
+grid_stats = GridStats()
 
 #: Sentinel distinguishing "use the configured store" from "no store".
 _UNSET = object()
@@ -49,20 +71,16 @@ GridKey = Tuple[str, NocKind]
 Cell = Tuple[str, NocKind, int, int, int]
 _grid_cache: Dict[tuple, Dict[GridKey, PerfSample]] = {}
 
-_params_hash_cache: Optional[str] = None
 
-
+@lru_cache(maxsize=None)
 def _params_hash() -> str:
     """Digest of the default chip parameters the grid simulates with
     (part of every cell key, so a parameter change invalidates persisted
     cells instead of silently reusing them)."""
-    global _params_hash_cache
-    if _params_hash_cache is None:
-        payload = {
-            kind.value: params_state(default_chip(kind)) for kind in ALL_KINDS
-        }
-        _params_hash_cache = cell_key(payload)[:16]
-    return _params_hash_cache
+    payload = {
+        kind.value: params_state(default_chip(kind)) for kind in ALL_KINDS
+    }
+    return cell_key(payload)[:16]
 
 
 def _cell_payload(cell: Cell) -> dict:

@@ -34,7 +34,6 @@ from repro.noc.topology import (
     port_name,
     topology_from_spec,
 )
-from repro.noc.routing import xy_route, xy_next_direction
 from repro.noc.stats import NetworkStats
 from repro.noc.network import Network, build_network
 from repro.noc.ring import RingNetwork, build_ring
@@ -59,8 +58,6 @@ __all__ = [
     "parse_topology_spec",
     "topology_from_spec",
     "build_topology",
-    "xy_route",
-    "xy_next_direction",
     "NetworkStats",
     "Network",
     "build_network",

@@ -567,9 +567,7 @@ class Network:
 
     def _encode_bucket(self, bucket: tuple, ctx) -> list:
         """Flatten one bucket into the wire format, in drain order
-        (arrivals, credits, then the ordered queue).  The per-event
-        encoding is unchanged from the flat-list era, so old snapshots
-        decode and the shard merge tooling needs no version bump."""
+        (arrivals, credits, then the ordered queue)."""
         arrivals, credits, ordered = bucket
         out = [
             ["a", router.node, int(direction), vc_index, ctx.flit_ref(flit)]
@@ -594,10 +592,9 @@ class Network:
     def _decode_bucket(self, encoded_bucket: list, ctx) -> tuple:
         """Re-classify a flat encoded event list into per-kind queues.
 
-        Classification is by tag, not position, so pre-batching
-        snapshots (interleaved order) load correctly: relative order
-        within each kind is preserved, which is the only order the
-        drain respects anyway.
+        Classification is by tag, not position (the shard merge
+        concatenates buckets): relative order within each kind is
+        preserved, which is the only order the drain respects.
         """
         bucket: tuple = ([], [], [])
         arrivals, credits, ordered = bucket
@@ -642,9 +639,7 @@ class Network:
 
     def load_state(self, state: dict, ctx) -> None:
         self.cycle = state["cycle"]
-        # Tolerated as absent: snapshots written before the event
-        # horizon existed carry no skip counter.
-        self.cycles_skipped = state.get("cycles_skipped", 0)
+        self.cycles_skipped = state["cycles_skipped"]
         self.stats.load_state(state["stats"])
         num_nodes = self.topology.num_nodes
         self._ni_awake = [False] * num_nodes

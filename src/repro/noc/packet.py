@@ -292,8 +292,8 @@ packet_pool = PacketPool()
 
 
 def pool_summary() -> Dict[str, int]:
-    """Combined packet- and flit-pool counters (the benchmark ledger and the
-    opt-in ``NetworkStats.summary(include_pools=True)``)."""
+    """Combined packet- and flit-pool counters (read by the benchmark
+    ledger)."""
     out = dict(packet_pool.stats())
     out.update(flit_pool.stats())
     return out

@@ -46,10 +46,9 @@ SMART_HOP_LATENCY = 3
 class _BypassState:
     """Per-output-port record of an active 2-tile pass-through."""
 
-    __slots__ = ("packet", "via_port", "landing_router", "landing_entry")
+    __slots__ = ("via_port", "landing_router", "landing_entry")
 
-    def __init__(self, packet: Packet, via_port: OutputPort):
-        self.packet = packet
+    def __init__(self, via_port: OutputPort):
         self.via_port = via_port
         self.landing_router = via_port.downstream_router
         self.landing_entry = via_port.downstream_unit.direction
@@ -75,7 +74,7 @@ class SmartRouter(MeshRouter):
             return super()._claim_downstream(port, packet, now)
         via_port.downstream_vc(packet.vc_index).allocated_to = packet
         via_port.hold(packet, source_vc=None)
-        self._bypasses[port.direction] = _BypassState(packet, via_port)
+        self._bypasses[port.direction] = _BypassState(via_port)
         return packet.vc_index
 
     def _advance_held(
@@ -157,7 +156,7 @@ class SmartRouter(MeshRouter):
     def state_dict(self, ctx) -> dict:
         state = super().state_dict(ctx)
         state["bypasses"] = [
-            [int(direction), ctx.packet_ref(bypass.packet),
+            [int(direction),
              bypass.via_port.router.node, int(bypass.via_port.direction)]
             for direction, bypass in self._bypasses.items()
         ]
@@ -166,13 +165,11 @@ class SmartRouter(MeshRouter):
     def load_state(self, state: dict, ctx) -> None:
         super().load_state(state, ctx)
         self._bypasses = {}
-        for direction_value, packet_ref, via_node, via_dir in state["bypasses"]:
+        for direction_value, via_node, via_dir in state["bypasses"]:
             via_port = self.network.routers[via_node].output_ports[
                 Direction(via_dir)
             ]
-            self._bypasses[Direction(direction_value)] = _BypassState(
-                ctx.packet(packet_ref), via_port
-            )
+            self._bypasses[Direction(direction_value)] = _BypassState(via_port)
 
     def _has_local_candidate(self, direction: Direction) -> bool:
         row = self._route_row

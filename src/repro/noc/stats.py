@@ -54,25 +54,6 @@ class NetworkStats:
     control_drop_reasons: Counter = field(default_factory=Counter)
     #: Data packets that began traversal with a pre-allocated path.
     pra_planned_packets: int = 0
-    #: Evaluation-grid cache observability (counted on the module-wide
-    #: ``repro.harness.runner.grid_stats`` instance, not per network).
-    grid_cache_hits: int = 0
-    grid_cache_misses: int = 0
-    #: Supervised-execution observability (also counted on the
-    #: module-wide ``grid_stats`` instance via
-    #: ``repro.resilience.report.publish`` — never on the stats object
-    #: of a supervised run itself, so recovery leaves the pinned golden
-    #: digests untouched).
-    worker_retries: int = 0
-    worker_respawns: int = 0
-    pool_rebuilds: int = 0
-    cells_quarantined: int = 0
-    #: Analytic fast-path observability (also only ever counted on the
-    #: module-wide ``grid_stats`` instance): grid cells served by the
-    #: queueing model under ``REPRO_ANALYTIC=prune`` vs. cells that
-    #: still went through the cycle-accurate simulator.
-    analytic_cells: int = 0
-    simulated_cells: int = 0
 
     def record_injection(self, packet: Packet) -> None:
         self.packets_injected += 1
@@ -150,8 +131,8 @@ class NetworkStats:
             return 0.0
         return self.pra_blocked_cycles / total_time
 
-    def summary(self, include_pools: bool = False) -> Dict[str, float]:
-        out = {
+    def summary(self) -> Dict[str, float]:
+        return {
             "packets_injected": self.packets_injected,
             "packets_ejected": self.packets_ejected,
             "packets_unfinished": self.in_flight,
@@ -160,35 +141,6 @@ class NetworkStats:
             "avg_hops": self.avg_hops,
             "control_packets_per_data_packet": self.control_packets_per_data_packet,
         }
-        # Grid-cache counters appear only when a cache was actually in
-        # play; unconditional keys would shift the pinned golden digests
-        # in tests/test_golden_determinism.py.
-        if self.grid_cache_hits or self.grid_cache_misses:
-            out["grid_cache_hits"] = self.grid_cache_hits
-            out["grid_cache_misses"] = self.grid_cache_misses
-        # Same deal for the supervision counters: they only ever tick on
-        # the module-wide grid_stats object, and only when something
-        # actually failed, so unfaulted summaries stay digest-stable.
-        if self.worker_retries or self.worker_respawns \
-                or self.pool_rebuilds or self.cells_quarantined:
-            out["worker_retries"] = self.worker_retries
-            out["worker_respawns"] = self.worker_respawns
-            out["pool_rebuilds"] = self.pool_rebuilds
-            out["cells_quarantined"] = self.cells_quarantined
-        # And the analytic-screening counters: they only tick when a
-        # sweep ran with REPRO_ANALYTIC=prune, never during a plain
-        # simulation, so golden summaries are unaffected.
-        if self.analytic_cells or self.simulated_cells:
-            out["analytic_cells"] = self.analytic_cells
-            out["simulated_cells"] = self.simulated_cells
-        # Allocator counters are process-wide (not per network) and vary
-        # with unrelated runs in the same process, so they are opt-in to
-        # keep the default key set digest-stable.
-        if include_pools:
-            from repro.noc.packet import pool_summary
-
-            out.update(pool_summary())
-        return out
 
     # -- checkpointing ---------------------------------------------------
 
@@ -216,14 +168,6 @@ class NetworkStats:
                 for reason, count in sorted(self.control_drop_reasons.items())
             ],
             "pra_planned_packets": self.pra_planned_packets,
-            "grid_cache_hits": self.grid_cache_hits,
-            "grid_cache_misses": self.grid_cache_misses,
-            "worker_retries": self.worker_retries,
-            "worker_respawns": self.worker_respawns,
-            "pool_rebuilds": self.pool_rebuilds,
-            "cells_quarantined": self.cells_quarantined,
-            "analytic_cells": self.analytic_cells,
-            "simulated_cells": self.simulated_cells,
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
@@ -252,13 +196,3 @@ class NetworkStats:
             {reason: count for reason, count in state["control_drop_reasons"]}
         )
         self.pra_planned_packets = state["pra_planned_packets"]
-        self.grid_cache_hits = state["grid_cache_hits"]
-        self.grid_cache_misses = state["grid_cache_misses"]
-        # Absent in snapshots written before supervised execution.
-        self.worker_retries = state.get("worker_retries", 0)
-        self.worker_respawns = state.get("worker_respawns", 0)
-        self.pool_rebuilds = state.get("pool_rebuilds", 0)
-        self.cells_quarantined = state.get("cells_quarantined", 0)
-        # Absent in snapshots written before the analytic fast path.
-        self.analytic_cells = state.get("analytic_cells", 0)
-        self.simulated_cells = state.get("simulated_cells", 0)

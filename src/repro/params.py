@@ -49,10 +49,6 @@ class TechnologyParams:
     repeater_energy_fraction: float = 0.19
     wire_pitch_nm: float = 200.0
 
-    @property
-    def cycle_time_ps(self) -> float:
-        return 1000.0 / self.frequency_ghz
-
 
 @dataclass(frozen=True)
 class CoreParams:

@@ -19,7 +19,7 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.noc.network import Network
 from repro.params import MessageClass
@@ -148,7 +148,6 @@ class PraProbe:
         self.network = network
         self._sink = _AttributionSink()
         self._installed = False
-        self._own_tracer: Optional[RingTracer] = None
 
     @classmethod
     def attach(cls, network: Network) -> "PraProbe":
@@ -164,16 +163,7 @@ class PraProbe:
         if not tracer.enabled:
             tracer = RingTracer(capacity=_PROBE_RING_CAPACITY)
             self.network.attach(tracer=tracer)
-            self._own_tracer = tracer
         tracer.subscribe(self._sink.consume)
-
-    def uninstall(self) -> None:
-        """Detach the probe's private tracer, if it attached one."""
-        if self._own_tracer is not None and (
-            self.network.tracer is self._own_tracer
-        ):
-            self.network.attach(tracer=None)
-        self._own_tracer = None
 
     def report(self) -> LatencyReport:
         return self._sink.report()

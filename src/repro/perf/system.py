@@ -57,10 +57,6 @@ class PerfSample:
         """Aggregate application instructions per cycle (all cores)."""
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    @property
-    def per_core_ipc(self) -> float:
-        return self.ipc / 64
-
     def to_dict(self) -> dict:
         """JSON-serializable summary (for manifests and notebooks)."""
         return {

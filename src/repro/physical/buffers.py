@@ -37,9 +37,6 @@ class BufferModel:
     def leakage_w(self) -> float:
         return self.bits * BUFFER_LEAKAGE_UW_PER_BIT * 1e-6
 
-    def access_energy_j(self, bits: int) -> float:
-        return bits * BUFFER_ENERGY_FJ_PER_BIT * 1e-15
-
 
 def router_vc_buffer_bits(chip: ChipParams) -> int:
     """Standard VC storage of one router (all organizations)."""

@@ -8,8 +8,7 @@ every recovery path in :mod:`repro.resilience.supervisor` and the
 supervised evaluation grid is deterministically testable.  Like
 :class:`repro.faults.FaultSchedule`, a plan is a frozen value object:
 the same plan against the same scenario reproduces the same failures
-bit for bit, and the ``random`` constructor derives fault placement
-from a seed via the shared splitmix64 hash.
+bit for bit.
 
 Fault scopes:
 
@@ -33,8 +32,6 @@ import os
 import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-from repro.faults.schedule import mix01
 
 #: Exit code of a fault-injected worker kill (recognizable in reports).
 KILL_EXIT_CODE = 113
@@ -84,7 +81,6 @@ class ProcessFaultPlan:
     """A reproducible description of every process that will misbehave."""
 
     faults: Tuple[ProcFault, ...] = ()
-    seed: int = 0
 
     @property
     def is_empty(self) -> bool:
@@ -98,29 +94,6 @@ class ProcessFaultPlan:
             if fault.attempt is None or fault.attempt == attempt:
                 return fault.action
         return None
-
-    @classmethod
-    def random(cls, seed: int, shards: int, horizon: int,
-               intensity: float = 1.0) -> "ProcessFaultPlan":
-        """A seeded plan killing/hanging roughly ``intensity`` workers
-        somewhere inside the injection window (chaos-style sweeps)."""
-        if shards < 1:
-            raise ValueError("shards must be positive")
-        if horizon < 10:
-            raise ValueError("horizon too short for a fault plan")
-        if intensity < 0:
-            raise ValueError("intensity must be non-negative")
-        faults = []
-        count = max(1, round(intensity)) if intensity else 0
-        for k in range(count):
-            shard = int(mix01(seed, 1, k) * shards)
-            cycle = int(horizon // 10
-                        + mix01(seed, 2, k) * (horizon * 7 // 10))
-            action = _SHARD_ACTIONS[int(mix01(seed, 3, k) * 2)]  # kill/hang
-            faults.append(ProcFault(scope="shard", target=min(shard,
-                                                              shards - 1),
-                                    action=action, at=cycle))
-        return cls(faults=tuple(faults), seed=seed)
 
 
 class ShardFaultDriver:

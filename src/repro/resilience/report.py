@@ -4,7 +4,7 @@ A :class:`RunReport` is the supervisor's flight record: every failure it
 saw, every recovery it performed, every cell it gave up on.  The CLI
 prints it on nonzero exit, the benchmark ledger reads its counters,
 and ``publish`` mirrors the counters onto the module-wide
-``grid_stats`` object so they appear in ``NetworkStats.summary()``
+``grid_stats`` object so they appear in ``grid_stats.summary()``
 alongside the grid-cache counters.
 """
 
@@ -118,7 +118,7 @@ _LAST_REPORT: Optional[RunReport] = None
 def publish(report: RunReport) -> None:
     """Record ``report`` as the latest and mirror its counters onto the
     process-wide ``grid_stats`` object (so retry/respawn/quarantine
-    totals show up in ``NetworkStats.summary()``)."""
+    totals show up in ``grid_stats.summary()``)."""
     global _LAST_REPORT
     _LAST_REPORT = report
     # Imported lazily: repro.harness.runner imports this module.

@@ -33,12 +33,9 @@ def merge_stats(states: List[dict]) -> NetworkStats:
         "packets_injected", "packets_ejected", "flits_ejected",
         "total_hops", "pra_blocked_cycles", "control_packets_injected",
         "control_injection_conflicts", "pra_planned_packets",
-        "grid_cache_hits", "grid_cache_misses",
-        "worker_retries", "worker_respawns", "pool_rebuilds",
-        "cells_quarantined",
     ]
     for key in int_keys:
-        base[key] = sum(state.get(key, 0) for state in states)
+        base[key] = sum(state[key] for state in states)
     base["network_latencies"] = [
         v for state in states for v in state["network_latencies"]
     ]

@@ -12,12 +12,17 @@ schedule, and on the ring topology that ``ALL_KINDS`` excludes.
 
 from __future__ import annotations
 
+import copy
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.checkpoint import (
     CellStore,
+    SnapshotError,
     read_snapshot,
     restore_network,
     restore_system,
@@ -205,26 +210,172 @@ def test_snapshot_on_ring_topology():
     assert _continue_and_digest(net2, traffic2, cycles - half) == straight
 
 
-# -- snapshot file formats -------------------------------------------------
+# -- the snapshot file codec -----------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["snap.json", "snap.json.gz", "snap.npz"])
-def test_snapshot_file_formats_round_trip(name, tmp_path):
-    if name.endswith(".npz"):
-        pytest.importorskip("numpy")
+def _smart_snapshot() -> dict:
     net, traffic = _build_golden(NocKind.SMART)
     traffic.run(200)
-    snap = snapshot_network(net, traffic)
+    return snapshot_network(net, traffic)
+
+
+@pytest.mark.parametrize("name", ["snap.json", "snap.json.gz"])
+def test_snapshot_file_formats_round_trip(name, tmp_path):
+    snap = _smart_snapshot()
     path = str(tmp_path / name)
     write_snapshot(snap, path)
     assert read_snapshot(path) == _json_round_trip(snap)
+
+
+def test_equal_state_gives_byte_equal_gz(tmp_path):
+    """No wall clock and no file name in the gzip header."""
+    snap = _smart_snapshot()
+    first, second = tmp_path / "first.json.gz", tmp_path / "second.json.gz"
+    write_snapshot(snap, str(first))
+    write_snapshot(_json_round_trip(snap), str(second))
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_gzip_framing_is_sniffed_not_named(tmp_path):
+    snap = _smart_snapshot()
+    write_snapshot(snap, str(tmp_path / "snap.json.gz"))
+    renamed = tmp_path / "snap.json"
+    os.replace(tmp_path / "snap.json.gz", renamed)
+    net, traffic = restore_network(read_snapshot(str(renamed)))
+    assert net.cycle == 200 and traffic is not None
+
+
+def test_failed_write_keeps_previous_file_and_no_tmp(tmp_path, monkeypatch):
+    snap = _smart_snapshot()
+    path = tmp_path / "snap.json"
+    write_snapshot(snap, str(path))
+    good = path.read_bytes()
+
+    # The encoder fails part-way through the dict.
+    with pytest.raises(TypeError):
+        write_snapshot({**snap, "zz": object()}, str(path))
+    assert path.read_bytes() == good
+
+    # The process dies between the data write and the rename.
+    def crash(src, dst):
+        raise OSError("injected")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="injected"):
+        write_snapshot({**snap, "kind": "other"}, str(path))
+    assert path.read_bytes() == good
+    assert os.listdir(tmp_path) == ["snap.json"]
+
+
+def test_checkpoint_package_needs_no_numpy(tmp_path):
+    """The package has no runtime dependency: with ``numpy`` masked the
+    codec still imports and round-trips (fresh process, so the mask is
+    in place before the first import)."""
+    script = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from repro.checkpoint import read_snapshot, write_snapshot\n"
+        "write_snapshot({'a': [1, 2]}, sys.argv[1])\n"
+        "assert read_snapshot(sys.argv[1]) == {'a': [1, 2]}\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "snap.json.gz")],
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_network_stats_hold_simulation_state_only():
+    from repro.harness.runner import GridStats
+    from repro.noc.stats import NetworkStats
+
+    harness_keys = set(GridStats().summary())
+    assert len(harness_keys) == 8
+    assert not harness_keys & set(NetworkStats().state_dict())
+    assert sorted(NetworkStats().summary()) == [
+        "avg_hops", "avg_network_latency", "avg_total_latency",
+        "control_packets_per_data_packet", "packets_ejected",
+        "packets_injected", "packets_unfinished",
+    ]
+
+
+# -- damaged snapshots: one typed error ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def system_snapshot() -> dict:
+    reset_packet_ids()
+    sim = SystemSimulator("Web Search", NocKind.MESH_PRA, seed=5)
+    sim.start()
+    sim.chip.run(150)
+    return snapshot_system(sim)
+
+
+def _truncate(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+
+
+def _flip_bit(path):
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    data[len(data) // 2] ^= 0x10
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def _drop_router_key(snap):
+    del snap["system"]["chip"]["network"]["routers"][0]["rr"]
+
+
+def _drop_registry_packet(snap):
+    del snap["registries"]["packets"][0]
+
+
+def _skew_code_version(snap):
+    snap["code_version"] = "2"
+
+
+_DAMAGE = {
+    "truncated-json": ("ck.json", None, _truncate),
+    "truncated-gz": ("ck.json.gz", None, _truncate),
+    "bit-flipped-gz": ("ck.json.gz", None, _flip_bit),
+    "missing-router-key": ("ck.json", _drop_router_key, None),
+    "missing-registry-packet": ("ck.json.gz", _drop_registry_packet, None),
+    "code-version-skew": ("ck.json", _skew_code_version, None),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGE))
+def test_damaged_snapshot_raises_snapshot_error(damage, system_snapshot,
+                                                tmp_path, capsys):
+    from repro.cli import main
+
+    name, edit_state, edit_file = _DAMAGE[damage]
+    snap = copy.deepcopy(system_snapshot)
+    if edit_state is not None:
+        edit_state(snap)
+    path = str(tmp_path / name)
+    write_snapshot(snap, path)
+    if edit_file is not None:
+        edit_file(path)
+
+    with pytest.raises(SnapshotError):
+        restore_system(read_snapshot(path))
+
+    assert main(["simulate", "--restore", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
 
 
 def test_reading_a_non_checkpoint_file_fails_loudly(tmp_path):
     path = str(tmp_path / "nope.json")
     with open(path, "w") as fh:
         json.dump({"format": "something-else"}, fh)
-    with pytest.raises(ValueError, match="not a repro checkpoint"):
+    with pytest.raises(SnapshotError, match="not a repro checkpoint"):
         restore_network(read_snapshot(path))
 
 

@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.noc.packet import Packet
-from repro.noc.routing import turn_node, xy_route
 from repro.noc.topology import Direction, MeshTopology
 from repro.params import MessageClass, NocKind
 from tests.helpers import assert_quiescent, make_network
@@ -106,7 +105,7 @@ def test_xy_route_is_minimal_and_terminates(w, h, a, b):
     topo = MeshTopology(w, h)
     src = a % topo.num_nodes
     dst = b % topo.num_nodes
-    route = xy_route(topo, src, dst)
+    route = topo.route(src, dst)
     # Route length = Manhattan distance + the ejection hop.
     assert len(route) == topo.hop_distance(src, dst) + 1
     assert route[0][0] == src
@@ -130,8 +129,9 @@ def test_xy_route_is_minimal_and_terminates(w, h, a, b):
 def test_turn_node_lies_on_route(w, h, a, b):
     topo = MeshTopology(w, h)
     src, dst = a % topo.num_nodes, b % topo.num_nodes
-    turn = turn_node(topo, src, dst)
-    nodes = [n for n, _ in xy_route(topo, src, dst)]
+    # Where XY routing turns: the destination's column, the source's row.
+    turn = topo.node_at(topo.coords(dst)[0], topo.coords(src)[1])
+    nodes = [n for n, _ in topo.route(src, dst)]
     assert turn in nodes
 
 

@@ -335,7 +335,7 @@ def test_proc_fault_validation():
         ProcFault(scope="shard", target=-1, action="kill")
 
 
-def test_fault_plan_cell_lookup_and_random():
+def test_fault_plan_cell_lookup():
     plan = ProcessFaultPlan(faults=(
         ProcFault(scope="cell", target=2, action="error", attempt=None),
         ProcFault(scope="cell", target=3, action="kill", attempt=1),
@@ -345,13 +345,6 @@ def test_fault_plan_cell_lookup_and_random():
     assert plan.cell_action(3, 1) == "kill"
     assert plan.cell_action(3, 0) is None
     assert plan.cell_action(0, 0) is None
-    # Seeded plans are deterministic values.
-    assert ProcessFaultPlan.random(7, shards=4, horizon=800) \
-        == ProcessFaultPlan.random(7, shards=4, horizon=800)
-    for fault in ProcessFaultPlan.random(7, shards=4, horizon=800).faults:
-        assert fault.scope == "shard"
-        assert 0 <= fault.target < 4
-        assert 80 <= fault.at < 720
 
 
 # -- REPRO_WALL_LIMIT validation (satellite) --------------------------------
