@@ -119,12 +119,6 @@ class Network:
         self.time_skip = True
         #: Idle cycles fast-forwarded instead of stepped.
         self.cycles_skipped = 0
-        #: Boundary-port observer installed by the sharded engine
-        #: (:mod:`repro.shard`).  When set, routers report grants whose
-        #: downstream router belongs to another shard through
-        #: ``boundary.note_grant(port, packet, now)``.  None in every
-        #: serial run, keeping the hot path to one attribute check.
-        self.boundary = None
         #: Shard ownership view (:class:`repro.shard.domain.ShardDomain`)
         #: consulted by the invariant suite to restrict audits to owned
         #: components.  None in every serial run.
@@ -199,8 +193,21 @@ class Network:
         Wakes raised by the events that just ran land in this cycle's
         batch; wakes raised *during* the loops always target future
         cycles (all cross-component effects are future-scheduled).
+
+        The cycle is three calls so that a driver which must pause
+        between routers (:mod:`repro.shard` waits on its neighbours
+        before a stripe's first and last row) runs the same code.
         """
         now = self.cycle
+        batch = self._begin_step(now)
+        if batch:
+            self._step_routers(batch, now)
+        self._end_step(now)
+
+    def _begin_step(self, now: int) -> List[int]:
+        """Run ``now``'s events and awake NIs; return the routers due
+        this cycle, detached from the wake queue in ascending node
+        order with their awake flags cleared."""
         self._run_events(now)
         batch = self._ni_queue
         if batch:
@@ -228,18 +235,28 @@ class Network:
                 batch.sort()
                 self._router_sorted = True
             awake = self._router_awake
-            routers = self.routers
             for node in batch:
                 awake[node] = False
-            for node in batch:
-                router = routers[node]
-                router.step(now)
-                if not awake[node] and router.has_work():
-                    awake[node] = True
-                    queue = self._router_queue
-                    if queue and node < queue[-1]:
-                        self._router_sorted = False
-                    queue.append(node)
+        return batch
+
+    def _step_routers(self, batch: List[int], now: int) -> None:
+        """Step the routers of ``batch`` — all of a ``_begin_step``
+        result, or consecutive slices of it — re-arming each one that
+        still holds work."""
+        awake = self._router_awake
+        routers = self.routers
+        for node in batch:
+            router = routers[node]
+            router.step(now)
+            if not awake[node] and router.has_work():
+                awake[node] = True
+                queue = self._router_queue
+                if queue and node < queue[-1]:
+                    self._router_sorted = False
+                queue.append(node)
+
+    def _end_step(self, now: int) -> None:
+        """Close cycle ``now`` once every due router has stepped."""
         self._post_router_step(now)
         if self.invariants is not None:
             self.invariants.on_cycle(self, now)
@@ -260,28 +277,22 @@ class Network:
             return
         arrivals, credits, ordered = bucket
         if arrivals:
-            if self.boundary is not None:
-                # Sharded runs wrap ``wake_router`` per instance to
-                # filter non-owned nodes; take the dispatching path so
-                # the wrapper stays in the loop.
-                mode = 0
-            else:
-                mode = self._plain_arrivals
-                if mode is None:
-                    routers = self.routers
-                    if not routers:
-                        mode = 0
-                    elif all(router._plain_receive
-                             and router.network is self
-                             for router in routers):
-                        mode = 1  # stock reception everywhere
-                    elif all(router._latch_index is not None
-                             and router.network is self
-                             for router in routers):
-                        mode = 2  # PRA: VC push or latch append
-                    else:
-                        mode = 0  # mixed/custom: virtual dispatch
-                    self._plain_arrivals = mode
+            mode = self._plain_arrivals
+            if mode is None:
+                routers = self.routers
+                if not routers:
+                    mode = 0
+                elif all(router._plain_receive
+                         and router.network is self
+                         for router in routers):
+                    mode = 1  # stock reception everywhere
+                elif all(router._latch_index is not None
+                         and router.network is self
+                         for router in routers):
+                    mode = 2  # PRA: VC push or latch append
+                else:
+                    mode = 0  # mixed/custom: virtual dispatch
+                self._plain_arrivals = mode
             if mode == 1:
                 # Inlined ``BaseRouter.receive_flit`` (+ wake): the
                 # delivery loop is the single hottest event path.

@@ -135,6 +135,13 @@ class BaseRouter:
     #: ``Network._run_events`` inline delivery (PRA latches opt out).
     _plain_receive = True
 
+    #: Set by :mod:`repro.shard` on the routers of a stripe's cut rows
+    #: only (a neighbour lives in another shard): such a router sends
+    #: through the network's per-instance patched schedulers and reports
+    #: VC allocations to ``boundary.note_grant(port, packet, now)``.
+    #: None everywhere else: one attribute check on the hot path.
+    boundary = None
+
     #: Sentinel VC index of latch landings (PRA); ``None`` everywhere
     #: else.  Set per class so the inlined arrival loop can dispatch
     #: latch deliveries without a virtual ``receive_flit`` call.
@@ -184,11 +191,11 @@ class BaseRouter:
         holds by construction).
         """
         network = self.network
-        if (network.boundary is not None or network.tracer.enabled
+        if (self.boundary is not None or network.tracer.enabled
                 or not port._plain_send):
-            # A shard boundary patches the schedulers per instance, a
-            # tracer wants the link event, an overriding port its own
-            # ``send``: take the calls.
+            # A shard's cut row must go through the schedulers its
+            # domain patched, a tracer wants the link event, an
+            # overriding port its own ``send``: take the calls.
             flit = self._pop(vc, now)
             port.send(flit, now)
             return flit
@@ -460,9 +467,9 @@ class MeshRouter(BaseRouter):
         dst_vc = (packet.vc_index if self.vc_layers == 1
                   else self._dst_vc_for(packet, port.direction))
         port.downstream_unit.vcs[dst_vc].allocated_to = packet
-        boundary = self.network.boundary
+        boundary = self.boundary
         if boundary is not None:
-            # Sharded runs mirror VC allocations whose downstream
+            # A shard's cut row mirrors VC allocations whose downstream
             # router lives in another shard (the write above landed
             # on a local replica; the owner must replay it).
             boundary.note_grant(port, packet, now)

@@ -7,8 +7,9 @@ supervision loop:
   shard drains its boundary records and snapshots
   (:meth:`ProcessPool.barrier`), so a clean per-shard restart state
   always exists;
-* when a worker fails (died / hung / garbage / crashed — every receive
-  is heartbeat-polled and diagnosed as a structured
+* when a worker fails (died / hung / garbage / crashed — the pool's
+  switch waits on every pipe and process sentinel under a heartbeat
+  deadline and diagnoses each as a structured
   :class:`~repro.shard.spec.WorkerFailure`), it kills the pool, sleeps
   a bounded exponential backoff, and **respawns** the whole pool from
   the last recovery point (reaching a new recovery point resets the
@@ -27,7 +28,7 @@ killed, respawned, or degraded must still hash to the serial digest.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.resilience.faults import ProcessFaultPlan
 from repro.resilience.policy import RetryPolicy
@@ -35,11 +36,12 @@ from repro.resilience.report import FailureRecord, RunReport, publish
 from repro.shard.engine import (
     ShardResult,
     _run_serial,
-    drive_rounds,
+    check_run_args,
+    drive,
     merge_barrier,
+    sharded_result,
     summary_digest,
 )
-from repro.shard.merge import merge_stats
 from repro.shard.spec import (
     ShardError,
     SyntheticSpec,
@@ -120,13 +122,10 @@ def run_supervised(spec: SyntheticSpec, shards: int,
 
     if policy is None:
         policy = RetryPolicy()
-    if observers not in ("none", "tracing"):
-        raise ValueError(
-            f"observers must be 'none' or 'tracing', got {observers!r}"
-        )
     if faults is not None and faults.is_empty:
         faults = None
     effective, reason = plan_shards(spec.params(), shards)
+    check_run_args(spec, observers, checkpoint_at, effective)
     if effective == 1:
         if faults is not None:
             raise ValueError(
@@ -137,12 +136,6 @@ def run_supervised(spec: SyntheticSpec, shards: int,
         result.report = RunReport(backend="serial")
         publish(result.report)
         return result
-    if checkpoint_at is not None \
-            and not 0 < checkpoint_at <= spec.cycles:
-        raise ValueError(
-            f"checkpoint_at must be within the injection phase "
-            f"(0, {spec.cycles}], got {checkpoint_at}"
-        )
 
     barriers = set(policy.barriers(spec.cycles))
     if checkpoint_at is not None:
@@ -155,7 +148,6 @@ def run_supervised(spec: SyntheticSpec, shards: int,
     attempt = 0
     incarnation = 0
     states = None
-    final_clocks: List[int] = []
 
     def on_barrier(cycle: int) -> None:
         nonlocal recovery, attempt, checkpoint
@@ -176,14 +168,13 @@ def run_supervised(spec: SyntheticSpec, shards: int,
             restore=None if recovery is None else recovery[1],
         )
         try:
-            drive_rounds(
+            drive(
                 pool, spec,
                 [b for b in pending_barriers
                  if recovery is None or b > recovery[0]],
                 on_barrier,
             )
             states = pool.stats()
-            final_clocks = list(pool.final_clocks)
             pool.close()
         except ShardError as exc:
             pool.kill()
@@ -206,19 +197,7 @@ def run_supervised(spec: SyntheticSpec, shards: int,
             pool.kill()
             raise
 
-    stats = merge_stats([state for state, _, _ in states])
-    summary = stats.summary()
     publish(report)
-    return ShardResult(
-        digest=summary_digest(summary),
-        summary=summary,
-        shards=effective,
-        backend="process",
-        fallback_reason=reason,
-        checkpoint=checkpoint,
-        cycles=max(final_clocks),
-        cycles_skipped=sum(skipped for _, skipped, _ in states),
-        offered=sum(offered for _, _, offered in states),
-        clocks=final_clocks,
-        report=report,
-    )
+    return sharded_result(spec, states, shards=effective,
+                          backend="process", fallback_reason=reason,
+                          checkpoint=checkpoint, report=report)

@@ -1,9 +1,10 @@
 """Sharded parallel simulation of one large mesh.
 
 One scenario, cut into contiguous row stripes, stepped by cooperating
-workers that exchange boundary flits, credits, and VC grants at
-conservative cycle barriers — with statistics bit-identical to the
-serial simulator (the golden-digest tests are the oracle).
+workers that exchange boundary flits, credits, and VC grants under a
+conservative sub-cycle dependency rule (:mod:`repro.shard.domain`) —
+with statistics bit-identical to the serial simulator (the
+golden-digest tests are the oracle).
 
 Entry point: :func:`repro.shard.engine.run_sharded`.
 """

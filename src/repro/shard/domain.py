@@ -20,32 +20,56 @@ Cross-boundary effects travel as small picklable records:
 * ``("g", capture, node, dir, vc, pid)`` — a router allocated a VC in
   a non-owned downstream router; the owner mirrors ``allocated_to``.
 
-Synchronization is conservative in the Chandy–Misra–Bryant style.
-The serial step order (all NIs, then all routers, in ascending node
-id) gives the cut an asymmetric discipline: records from the previous
-shard (lower ids, steps *before* this stripe in the same cycle) apply
-before this shard executes the capture cycle; records from the next
-shard (steps *after*) are staged and applied one cycle later.  A shard
-may therefore execute cycle ``t`` iff it holds complete knowledge of
-the previous shard through ``t`` and of the next shard through
-``t - 1``.  Knowledge comes either from a neighbor's reported
-``through`` (cycles it fully executed and flushed) or from its
-``promise`` (a lower bound on any future record's capture cycle — the
-null message of CMB), corrected on the receiving side by the earliest
-arrival the sender has not acknowledged yet.
+Synchronization is conservative in the Chandy–Misra–Bryant style, at
+sub-cycle granularity.  The serial step order (events, all NIs, then
+all routers in ascending node id) decides what a stripe needs, and when:
+
+* events, injection, NIs and **interior rows** of cycle ``t`` need
+  nothing new — every record is captured inside a cut-row router's
+  ``step``, and only cut-row routers read what a record changes;
+* the **first owned row** needs the previous stripe through ``t``: its
+  routers step *before* this row in the same cycle, so its staged
+  records of capture ``<= t`` drain right before the row steps;
+* the **last owned row** needs the next stripe through ``t - 1``: it
+  steps *after*, so its records of capture ``<= t - 1`` drain right
+  before the row steps (a one-row stripe needs both before its row).
+
+Symmetrically a stripe's prev-bound records of cycle ``t`` are final
+once its first row has stepped, its next-bound ones at the end of the
+cycle, and each side is flushed with ``through = t`` right then — so
+stripe ``i`` runs the head of cycle ``t + 1`` while stripe ``i + 1`` is
+still inside cycle ``t``: a pipeline, not turns.
+
+Knowledge of a neighbor comes either from its reported ``through`` or
+from its ``promise`` (a lower bound on any future record's capture
+cycle — the null message of CMB), corrected on the receiving side by
+the earliest arrival the sender has not acknowledged yet.  No lookahead
+window wider than that exists on a flat mesh: ``MeshRouter._try_grant``
+reads the downstream VC in the very cycle it allocates it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.noc.packet import Packet
 from repro.noc.topology import Direction
 from repro.shard.spec import ShardError, SyntheticSpec
 
 INF = math.inf
+
+#: ``emit(side, message)``: where :meth:`ShardDomain.advance` hands a
+#: flush for the ``"prev"``/``"next"`` neighbor the moment it is final.
+Emit = Callable[[str, dict], None]
+
+
+def flush_target(index: int, side: str) -> Tuple[int, str]:
+    """Where a flush that stripe ``index`` emitted toward ``side`` goes:
+    the receiving stripe and the side it arrives from there."""
+    return (index - 1, "next") if side == "prev" else (index + 1, "prev")
 
 
 class _WireCtx:
@@ -80,7 +104,7 @@ class _Link:
                  "sent_log", "last_through", "last_promise", "last_seen")
 
     def __init__(self):
-        self.cov_through = -1     # peer fully executed & flushed <= this
+        self.cov_through = -1     # peer's records captured <= this are all here
         self.promise = 0          # peer's latest capture lower bound
         self.staged = deque()     # received records, capture-ordered
         self.out_records: list = []   # captured since the last flush
@@ -141,9 +165,39 @@ class ShardDomain:
         self.exited = aux["exited"]
         self.prev = _Link() if index > 0 else None
         self.next = _Link() if index < count - 1 else None
+        width = net.topology.width
+        #: Node ids splitting a sorted router batch into first row /
+        #: interior / last row (a one-row stripe is all first row).
+        self._interior = self.first + width
+        self._last_row = max(self.last - width + 1, self._interior)
+        self._one_row = self.last - self.first < width
+        #: The cycle in progress: ``[first row, interior, last row]``
+        #: router batches (the first becomes None once it and the
+        #: interior have stepped), or None at a cycle boundary.
+        self._rows: Optional[list] = None
+        #: Cycle of the last packet delivery here; the latest across
+        #: all stripes is where the serial run's drain stops.  (Not in
+        #: ``aux``: recovery points lie inside the injection window,
+        #: whose end already bounds the run from below.)
+        self.last_delivery = -1
         traffic.inject_filter = self.owns
         net.shard_view = self
         self._install_hooks()
+        # The boundary is a property of the cut rows, not of the
+        # network: only a row facing another shard captures records.
+        cut_rows: List[int] = []
+        if self.prev is not None:
+            cut_rows += range(self.first, self._interior)
+        if self.next is not None:
+            cut_rows += range(self.last - width + 1, self.last + 1)
+        for node in cut_rows:
+            net.routers[node].boundary = self
+        # Park every non-owned node as permanently awake: waking it is
+        # a no-op, so it is never queued and never stepped.  (A restore
+        # rebuilt the flags, hence here and not in ``spec.build``.)
+        for node in range(net.topology.num_nodes):
+            if not self.owns(node):
+                net._router_awake[node] = net._ni_awake[node] = True
         if observers == "tracing":
             from repro.invariants import InvariantSuite
             from repro.trace import RingTracer
@@ -157,6 +211,12 @@ class ShardDomain:
         return self.first <= node <= self.last
 
     @property
+    def mid_cycle(self) -> bool:
+        """Whether :meth:`advance` returned inside a cycle, at one of
+        its two wait points, rather than at a cycle boundary."""
+        return self._rows is not None
+
+    @property
     def resident(self) -> int:
         """Packets physically inside this stripe (or bound for it)."""
         return self.net.stats.in_flight + self.entered - self.exited
@@ -166,21 +226,6 @@ class ShardDomain:
     def _install_hooks(self) -> None:
         net = self.net
         first, last = self.first, self.last
-
-        orig_wake_router = net.wake_router
-        orig_wake_ni = net.wake_ni
-
-        def wake_router(node: int) -> None:
-            if first <= node <= last:
-                orig_wake_router(node)
-
-        def wake_ni(node: int) -> None:
-            if first <= node <= last:
-                orig_wake_ni(node)
-
-        net.wake_router = wake_router
-        net.wake_ni = wake_ni
-
         orig_arrival = net.schedule_arrival
 
         def schedule_arrival(time, router, direction, vc_index, flit):
@@ -222,11 +267,10 @@ class ShardDomain:
             orig_credit(time, port, vc_index)
 
         net.schedule_credit = schedule_credit
-        net.boundary = self
 
     def note_grant(self, port, packet, now: int) -> None:
-        """Boundary-port hook (see ``Network.boundary``): a local router
-        allocated a VC whose router lives in another shard."""
+        """Cut-row hook (see ``BaseRouter.boundary``): a local router
+        allocated a VC whose router may live in another shard."""
         node = port.downstream_router.node
         if self.owns(node):
             return
@@ -287,12 +331,6 @@ class ShardDomain:
         for record in grants:
             self._apply(record)
 
-    def _drain_staged(self, now: int) -> None:
-        # The previous stripe steps before this one within a cycle, the
-        # next stripe after it — hence the asymmetric thresholds.
-        self._drain_link(self.prev, now)
-        self._drain_link(self.next, now - 1)
-
     # -- conservative coverage ---------------------------------------------
 
     def _coverage(self, link: Optional[_Link]) -> float:
@@ -335,69 +373,105 @@ class ShardDomain:
 
     # -- the advance loop ---------------------------------------------------
 
-    def advance(self, hard_stop: Optional[int] = None) -> bool:
-        """Execute (or provably skip) cycles while coverage allows.
+    def advance(self, emit: Emit, hard_stop: Optional[int] = None) -> bool:
+        """Run as far as knowledge of the neighbors allows.
 
-        Returns True if the clock moved.  ``hard_stop`` pins a
-        checkpoint barrier: the clock never passes it.
+        Resumable: it returns at a cycle boundary or at one of a
+        cycle's two wait points (before the first row, before the last)
+        and picks up there on the next call.  Every flush goes to
+        ``emit`` the moment it is final.  Returns True if anything ran
+        or was emitted.  ``hard_stop`` pins a checkpoint barrier: the
+        clock never passes it.
         """
         net = self.net
-        spec = self.spec
-        end_inject = spec.cycles
-        stop = spec.cycles + spec.drain
+        stats = net.stats
+        end_inject = self.spec.cycles
+        stop = end_inject + self.spec.drain
         if hard_stop is not None and hard_stop < stop:
             stop = hard_stop
-        progressed = False
+        moved = False
         while True:
             t = net.cycle
-            if t >= stop:
+            rows = self._rows
+            if rows is None:
+                if t >= stop:
+                    break
+                # Events, injection and NIs need nothing new: what the
+                # neighbors captured through t - 1 (prev) and t - 2
+                # (next) drained during the previous cycle.
+                ejected = stats.packets_ejected
+                net._run_events(t)
+                if stats.packets_ejected != ejected:
+                    self.last_delivery = t
+                if t < end_inject:
+                    # Injection draws the RNG every cycle; never skip.
+                    self.traffic.inject()
+                else:
+                    horizon = net.next_event_cycle()
+                    if horizon is None or horizon > t:
+                        if not self._skip_idle(t, stop):
+                            break
+                        moved = True
+                        continue
+                batch = net._begin_step(t)
+                lo = bisect_left(batch, self._interior)
+                hi = bisect_left(batch, self._last_row, lo)
+                rows = self._rows = [batch[:lo], batch[lo:hi], batch[hi:]]
+                moved = True
+            if rows[0] is not None:
+                if self._coverage(self.prev) < t or (
+                        self._one_row and self._coverage(self.next) < t - 1):
+                    break
+                self._drain_link(self.prev, t)
+                if self._one_row:
+                    self._drain_link(self.next, t - 1)
+                net._step_routers(rows[0], t)
+                rows[0] = None
+                self._flush(emit, "prev")
+                net._step_routers(rows[1], t)
+                moved = True
+            if self._coverage(self.next) < t - 1:
                 break
-            limit = min(self._coverage(self.prev),
-                        self._coverage(self.next) + 1)
-            if t > limit:
-                break
-            # Fire this cycle's due events first: a staged pop record
-            # may target a replica flit whose arrival fires exactly now.
-            net._run_events(t)
-            self._drain_staged(t)
-            if t < end_inject:
-                # Injection draws the RNG every cycle; never skip here.
-                self.traffic.inject()
-                net.step()
-                progressed = True
-                continue
-            horizon = net.next_event_cycle()
-            if horizon is not None and horizon <= t:
-                net.step()
-                progressed = True
-                continue
-            # Idle at t: fast-forward, bounded by coverage and by the
-            # cycles at which staged records fall due.
-            target = stop
-            if horizon is not None and horizon < target:
-                target = horizon
-            if limit != INF and limit + 1 < target:
-                target = int(limit) + 1
-            bound = self._staged_min(self.prev)
-            if bound is not None and bound < target:
-                target = bound
-            bound = self._staged_min(self.next)
-            if bound is not None and bound + 1 < target:
-                target = bound + 1
-            if target <= t:
-                break
-            if horizon is None and limit == INF \
-                    and self._staged_min(self.prev) is None \
-                    and self._staged_min(self.next) is None:
-                # Fully quiescent and unconstrained: nothing can happen
-                # here until a neighbor flushes something.
-                break
-            if net.time_skip:
-                net._skip_to(target)
-            else:
-                net.step()
-            progressed = True
-        return progressed
+            self._drain_link(self.next, t - 1)
+            net._step_routers(rows[2], t)
+            net._end_step(t)
+            self._rows = None
+            self._flush(emit, "next")
+            moved = True
+        # Flush before you block: an idle span's ``through`` and the
+        # boundary heartbeats (promise, ack) have no other way out.
+        flushed_prev = self._flush(emit, "prev")
+        flushed_next = self._flush(emit, "next")
+        return moved or flushed_prev or flushed_next
+
+    def _skip_idle(self, t: int, stop: int) -> bool:
+        """Fast-forward from the idle cycle ``t`` (its events have run,
+        nothing is awake), bounded by coverage and by the cycles at
+        which staged records fall due.  False if nothing is known yet
+        about ``t`` itself."""
+        net = self.net
+        limit = min(self._coverage(self.prev),
+                    self._coverage(self.next) + 1)
+        if t > limit:
+            return False
+        # An idle cycle still owes its drains: the records may target
+        # replica flits and arm events for the cycles right after.
+        self._drain_link(self.prev, t)
+        self._drain_link(self.next, t - 1)
+        # ``limit`` is finite: a promise never exceeds its sender's own
+        # coverage of this shard plus three (see ``_promise``).
+        target = min(stop, int(limit) + 1)
+        horizon = net.next_event_cycle()
+        if horizon is not None and horizon < target:
+            target = horizon
+        due = self._staged_min(self.prev)
+        if due is not None and due < target:
+            target = due
+        due = self._staged_min(self.next)
+        if due is not None and due + 1 < target:
+            target = due + 1
+        net._skip_to(target)
+        return True
 
     def barrier_drain(self, barrier: int) -> None:
         """Settle staged records at a checkpoint barrier.
@@ -418,20 +492,41 @@ class ShardDomain:
 
     # -- flush protocol ------------------------------------------------------
 
-    def make_flush(self, side: str) -> Optional[dict]:
-        """Compose the outgoing message for ``side`` ("prev"/"next").
+    def _flush(self, emit: Emit, side: str) -> bool:
+        """Emit what ``side`` does not have yet; True if anything went."""
+        through = self.net.cycle - 1
+        if side == "prev" and self._rows is not None \
+                and self._rows[0] is None:
+            through += 1    # this cycle's first row has stepped
+        message = self.make_flush(side, through)
+        if message is None:
+            return False
+        emit(side, message)
+        return True
+
+    def make_flush(self, side: str, through: int) -> Optional[dict]:
+        """Compose the outgoing message for ``side`` ("prev"/"next"),
+        every record of capture ``<= through`` being final.
 
         Returns None when the peer already has everything: no new
-        records, and through/promise/ack unchanged since the last flush.
+        records, ``through`` unchanged and — at a cycle boundary, the
+        only place they can tell the peer more than ``through`` does —
+        promise and ack unchanged since the last flush.
         """
         link = self.prev if side == "prev" else self.next
         if link is None:
             return None
-        through = self.net.cycle - 1
+        nothing_new = not link.out_records and through == link.last_through
+        mid_cycle = self.mid_cycle
+        if nothing_new and mid_cycle:
+            return None
         promise = self._promise()
-        if (not link.out_records and through == link.last_through
-                and promise == link.last_promise
-                and link.in_ack == link.last_seen):
+        if mid_cycle:
+            # The routers yet to step this cycle are detached from the
+            # wake queue, so the event horizon is blind to them.
+            promise = min(promise, self.net.cycle)
+        elif nothing_new and promise == link.last_promise \
+                and link.in_ack == link.last_seen:
             return None
         link.out_seq += 1
         message = {

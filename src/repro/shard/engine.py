@@ -3,11 +3,12 @@
 ``run_sharded`` is the one public door: it plans the cut
 (:func:`repro.shard.spec.plan_shards`), falls back to a serial run when
 the scenario cannot shard (non-mesh organizations, single-row meshes,
-``shards=1``), and otherwise drives the shard pool round by round until
-the network drains.  Both backends — the deterministic in-process pool
-here and the worker-process pool in :mod:`repro.shard.process` — expose
-the same three-call surface (``round`` / ``barrier`` / ``stats``) and
-run under the same round loop (:func:`drive_rounds`), so every test
+``shards=1``), and otherwise drives the shard pool until the network
+drains.  Both backends — the deterministic in-process pool here and
+the worker-process pool in :mod:`repro.shard.process` — expose the same
+three-call surface (``run`` / ``barrier`` / ``stats``) and run under
+the same driver (:func:`drive`), which owns every decision a run
+takes: barrier reached, drained, failed to drain, stalled.  Every test
 runs identically against either; the inline pool is the reference the
 process backend is tested against.
 
@@ -24,10 +25,11 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Iterable, List, Optional
 
 from repro.noc.topology import MeshTopology
-from repro.shard.domain import ShardDomain
+from repro.shard.domain import ShardDomain, flush_target
 from repro.shard.merge import merge_snapshots, merge_stats
 from repro.shard.spec import ShardError, SyntheticSpec, plan_shards
 
@@ -49,49 +51,50 @@ class ShardResult:
     backend: str                     # "serial", "inline", or "process"
     fallback_reason: Optional[str] = None
     checkpoint: Optional[dict] = None
-    cycles: int = 0                  # final clock (max across shards)
+    #: The serial run's final clock: its drain stops on the cycle of
+    #: the last delivery, wherever each shard's own clock ended up.
+    cycles: int = 0
     cycles_skipped: int = 0
     offered: int = 0
+    #: Where each shard's clock stood when the run was declared drained
+    #: (on the process backend that depends on timing).
     clocks: List[int] = field(default_factory=list)
     #: The supervisor's flight record (process backend; None inline).
     report: Optional[object] = None
 
 
-class _InlinePool:
-    """All shards in one process, advanced round-robin.
+#: ``done(clocks, flights, settled)``: the driver's verdict on a pool's
+#: latest per-shard clocks and in-flight counts; ``settled`` says every
+#: shard is blocked with no flush in transit.  True ends ``pool.run``.
+Done = Callable[[List[int], List[int], bool], bool]
 
-    Messages to the *next* shard are delivered within the same round
-    (the sweep runs in ascending shard order), messages to the
-    *previous* shard at the start of the following round.
+
+class _InlinePool:
+    """All shards in one process, resumed in turn.
+
+    A flush reaches its neighbor the moment it is emitted, so a sweep
+    in which no shard moved means none ever will.
     """
 
     def __init__(self, spec: SyntheticSpec, count: int, observers: str):
         self.domains = [ShardDomain(spec, i, count, observers=observers)
                         for i in range(count)]
-        self.pending: List[list] = [[] for _ in range(count)]
 
-    def round(self, hard_stop: Optional[int]
-              ) -> Tuple[List[int], List[int], int]:
-        produced = 0
-        clocks: List[int] = []
-        flights: List[int] = []
-        for i, dom in enumerate(self.domains):
-            inbox = self.pending[i]
-            self.pending[i] = []
-            for side, message in inbox:
-                dom.receive_flush(side, message)
-            dom.advance(hard_stop=hard_stop)
-            message = dom.make_flush("prev")
-            if message is not None:
-                produced += 1
-                self.pending[i - 1].append(("next", message))
-            message = dom.make_flush("next")
-            if message is not None:
-                produced += 1
-                self.pending[i + 1].append(("prev", message))
-            clocks.append(dom.net.cycle)
-            flights.append(dom.net.stats.in_flight)
-        return clocks, flights, produced
+    def _deliver(self, index: int, side: str, message: dict) -> None:
+        target, arrives_from = flush_target(index, side)
+        self.domains[target].receive_flush(arrives_from, message)
+
+    def run(self, hard_stop: Optional[int], done: Done) -> None:
+        emits = [partial(self._deliver, i) for i in range(len(self.domains))]
+        while True:
+            moved = False
+            for dom, emit in zip(self.domains, emits):
+                if dom.advance(emit, hard_stop):
+                    moved = True
+            if done([dom.net.cycle for dom in self.domains],
+                    [dom.net.stats.in_flight for dom in self.domains],
+                    not moved):
+                return
 
     def barrier(self, barrier: int) -> List[dict]:
         """Each shard's snapshot at the cycle barrier."""
@@ -103,12 +106,17 @@ class _InlinePool:
             snapshots.append(snapshot_network(dom.net, dom.traffic))
         return snapshots
 
-    def stats(self) -> List[Tuple[dict, int, int]]:
-        return [(dom.net.stats.state_dict(), dom.net.cycles_skipped,
-                 dom.traffic.offered) for dom in self.domains]
+    def stats(self) -> List[dict]:
+        return [shard_stats(dom) for dom in self.domains]
 
-    def close(self) -> None:
-        pass
+
+def shard_stats(dom: ShardDomain) -> dict:
+    """What a finished shard contributes to the :class:`ShardResult`."""
+    return {"stats": dom.net.stats.state_dict(),
+            "skipped": dom.net.cycles_skipped,
+            "offered": dom.traffic.offered,
+            "clock": dom.net.cycle,
+            "last_delivery": dom.last_delivery}
 
 
 def merge_barrier(spec: SyntheticSpec, count: int, snapshots: List[dict],
@@ -119,46 +127,86 @@ def merge_barrier(spec: SyntheticSpec, count: int, snapshots: List[dict],
     return merge_snapshots(snapshots, topo.row_domains(count), barrier)
 
 
-def drive_rounds(pool, spec: SyntheticSpec, barriers: Iterable[int],
-                 on_barrier: Callable[[int], None]) -> None:
-    """Run rounds on ``pool`` until the network drains.
+def drive(pool, spec: SyntheticSpec, barriers: Iterable[int],
+          on_barrier: Callable[[int], None]) -> None:
+    """Run ``pool`` until the network drains.
 
     Every shard stops at each cycle in ``barriers`` (ascending); once
     all stand there with no boundary record in transit,
-    ``on_barrier(cycle)`` runs before the next round starts.
+    ``on_barrier(cycle)`` runs before the shards are let go again.
     """
     upcoming = deque(barriers)
     end_inject = spec.cycles
     deadline = spec.cycles + spec.drain
-    prev_clocks: Optional[List[int]] = None
-    while True:
-        hard_stop = upcoming[0] if upcoming else None
-        clocks, flights, produced = pool.round(hard_stop)
+    hard_stop: Optional[int] = None
+
+    def done(clocks: List[int], flights: List[int], settled: bool) -> bool:
         total = sum(flights)
-        if hard_stop is not None and produced == 0 \
-                and all(c == hard_stop for c in clocks):
-            on_barrier(upcoming.popleft())
-            prev_clocks = None
-            continue
-        # Once every shard has finished injecting and the global
-        # in-flight count is zero, no packet exists anywhere and no
-        # boundary record can ever be produced again — the statistics
-        # are final.  Heartbeat flushes may keep flowing (promises creep
-        # as coverage rises), so termination must not wait for silence.
-        if hard_stop is None and total == 0 \
-                and all(c >= end_inject for c in clocks):
-            return
+        if hard_stop is None:
+            # Once every shard has finished injecting and the global
+            # in-flight count is zero, no packet exists anywhere and no
+            # boundary record can ever be produced again — the
+            # statistics are final.  A count reported before its shard
+            # ran on is safe: past injection it can only over-count.
+            # Heartbeat flushes may keep flowing (promises creep as
+            # coverage rises), so termination must not wait for silence.
+            if total == 0 and all(c >= end_inject for c in clocks):
+                return True
+        elif settled and all(c == hard_stop for c in clocks):
+            return True
         if total > 0 and all(c >= deadline for c in clocks):
             raise RuntimeError(
                 f"network failed to drain: {total} packets in flight "
                 f"after {spec.drain} cycles"
             )
-        if produced == 0 and clocks == prev_clocks:
+        if settled:
             raise ShardError(
-                f"sharded run stalled at clocks {clocks}: no boundary "
-                f"traffic and no clock progress"
+                f"sharded run stalled at clocks {clocks}: every shard "
+                f"blocked and no boundary traffic in transit"
             )
-        prev_clocks = clocks
+        return False
+
+    while True:
+        hard_stop = upcoming[0] if upcoming else None
+        pool.run(hard_stop, done)
+        if hard_stop is None:
+            return
+        on_barrier(upcoming.popleft())
+
+
+def check_run_args(spec: SyntheticSpec, observers: str,
+                   checkpoint_at: Optional[int], effective: int) -> None:
+    """Reject a bad ``observers`` / ``checkpoint_at`` before any work.
+
+    A serial run (``effective == 1``) can snapshot at cycle 0; a cycle
+    barrier across shards cannot."""
+    if observers not in ("none", "tracing"):
+        raise ValueError(
+            f"observers must be 'none' or 'tracing', got {observers!r}"
+        )
+    lowest = 0 if effective == 1 else 1
+    if checkpoint_at is not None \
+            and not lowest <= checkpoint_at <= spec.cycles:
+        raise ValueError(
+            f"checkpoint_at must be within the injection phase "
+            f"[{lowest}, {spec.cycles}], got {checkpoint_at}"
+        )
+
+
+def sharded_result(spec: SyntheticSpec, states: List[dict],
+                   **fields) -> ShardResult:
+    """Fold the pool's per-shard ``stats()`` into one result."""
+    summary = merge_stats([state["stats"] for state in states]).summary()
+    return ShardResult(
+        digest=summary_digest(summary),
+        summary=summary,
+        cycles=max(spec.cycles,
+                   1 + max(state["last_delivery"] for state in states)),
+        cycles_skipped=sum(state["skipped"] for state in states),
+        offered=sum(state["offered"] for state in states),
+        clocks=[state["clock"] for state in states],
+        **fields,
+    )
 
 
 def _run_serial(spec: SyntheticSpec, observers: str,
@@ -174,11 +222,6 @@ def _run_serial(spec: SyntheticSpec, observers: str,
         net.attach(invariants=InvariantSuite())
     checkpoint = None
     if checkpoint_at is not None:
-        if not 0 <= checkpoint_at <= spec.cycles:
-            raise ValueError(
-                f"checkpoint_at must be within the injection phase "
-                f"[0, {spec.cycles}], got {checkpoint_at}"
-            )
         from repro.checkpoint.snapshot import snapshot_network
 
         traffic.run(checkpoint_at)
@@ -223,10 +266,6 @@ def run_sharded(spec: SyntheticSpec, shards: int,
         raise ValueError(
             f"backend must be 'inline' or 'process', got {backend!r}"
         )
-    if observers not in ("none", "tracing"):
-        raise ValueError(
-            f"observers must be 'none' or 'tracing', got {observers!r}"
-        )
     if backend == "process":
         from repro.resilience.supervisor import run_supervised
 
@@ -238,14 +277,9 @@ def run_sharded(spec: SyntheticSpec, shards: int,
             "process fault injection requires the process backend"
         )
     effective, reason = plan_shards(spec.params(), shards)
+    check_run_args(spec, observers, checkpoint_at, effective)
     if effective == 1:
         return _run_serial(spec, observers, checkpoint_at, reason)
-    if checkpoint_at is not None \
-            and not 0 < checkpoint_at <= spec.cycles:
-        raise ValueError(
-            f"checkpoint_at must be within the injection phase "
-            f"(0, {spec.cycles}], got {checkpoint_at}"
-        )
     pool = _InlinePool(spec, effective, observers)
     checkpoint = None
 
@@ -254,25 +288,8 @@ def run_sharded(spec: SyntheticSpec, shards: int,
         checkpoint = merge_barrier(spec, effective, pool.barrier(cycle),
                                    cycle)
 
-    try:
-        drive_rounds(pool, spec,
-                     [] if checkpoint_at is None else [checkpoint_at],
-                     on_barrier)
-        states = pool.stats()
-    finally:
-        pool.close()
-    stats = merge_stats([state for state, _, _ in states])
-    summary = stats.summary()
-    clocks = [dom.net.cycle for dom in pool.domains]
-    return ShardResult(
-        digest=summary_digest(summary),
-        summary=summary,
-        shards=effective,
-        backend=backend,
-        fallback_reason=reason,
-        checkpoint=checkpoint,
-        cycles=max(clocks),
-        cycles_skipped=sum(skipped for _, skipped, _ in states),
-        offered=sum(offered for _, _, offered in states),
-        clocks=clocks,
-    )
+    drive(pool, spec, [] if checkpoint_at is None else [checkpoint_at],
+          on_barrier)
+    return sharded_result(spec, pool.stats(), shards=effective,
+                          backend=backend, fallback_reason=reason,
+                          checkpoint=checkpoint)

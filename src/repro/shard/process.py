@@ -1,16 +1,24 @@
 """Worker-process backend for sharded simulation.
 
-One process per shard, each owning a :class:`ShardDomain`; the parent
-coordinates supersteps over ``multiprocessing`` pipes and routes flush
-messages between adjacent shards.  All protocol logic lives in the
-domain — this module is only plumbing, which is what keeps the inline
-and process backends digest-identical by construction.
+One process per shard, each owning a :class:`ShardDomain`, and no
+rounds: the parent is a switch.  A worker blocks on its pipe, takes in
+everything queued there, advances as far as its knowledge of the
+neighbors allows — each flush going up the pipe the moment the domain
+emits it — and, right before it blocks again, reports ``("idle",
+messages consumed, clock, in_flight)``.  The parent waits on every pipe
+and process sentinel at once and forwards a flush to the neighbor as it
+arrives.  A report whose consumed count equals what the parent has sent
+that worker is current (one sent before a forwarded flush was taken in
+is recognisably stale); when every worker's is, nothing is in transit —
+all the shared driver (:func:`repro.shard.engine.drive`) needs to see a
+barrier reached, the network drained, or the protocol stalled.  All
+protocol logic lives in the domain; this module is only plumbing, which
+keeps the inline and process backends digest-identical by construction.
 
-The plumbing is supervised: every receive polls with a timeout instead
-of blocking forever, so a dead worker (exit code and pid in hand), a
-hung worker (silent past the heartbeat), and a babbling worker
-(malformed reply) each surface as a structured
-:class:`~repro.shard.spec.WorkerFailure` that
+The plumbing is supervised: a dead worker (its sentinel fires; exit
+code and pid in hand), a hung worker (owing a message, silent past the
+heartbeat), and a babbling worker (malformed message) each surface as a
+structured :class:`~repro.shard.spec.WorkerFailure` that
 :func:`repro.resilience.supervisor.run_supervised` can recover from.
 Workers optionally carry a :class:`~repro.resilience.faults.ShardFaultDriver`
 so every one of those failure modes is deterministically injectable,
@@ -26,17 +34,15 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from typing import List, Optional, Tuple
+from multiprocessing.connection import wait
+from typing import Iterator, List, Optional, Tuple
 
-from repro.shard.domain import ShardDomain
+from repro.shard.domain import ShardDomain, flush_target
 from repro.shard.spec import ShardError, SyntheticSpec, WorkerFailure
 
 #: Pid-space stride between workers; far beyond any packet count a
 #: single run can mint.
 _PID_STRIDE = 1_000_000_000
-
-#: Seconds between liveness checks while waiting on a worker reply.
-_POLL_TICK = 0.05
 
 
 def _worker_main(conn, spec: SyntheticSpec, index: int, count: int,
@@ -45,6 +51,7 @@ def _worker_main(conn, spec: SyntheticSpec, index: int, count: int,
     try:
         from repro.noc.packet import set_next_pid
         from repro.resilience.faults import ShardFaultDriver
+        from repro.shard.engine import shard_stats
 
         # Stride first; a recovery restore overrides the counter with
         # the snapshotted value (which already includes the stride base).
@@ -52,10 +59,17 @@ def _worker_main(conn, spec: SyntheticSpec, index: int, count: int,
         driver = ShardFaultDriver(faults, index, incarnation)
         dom = ShardDomain(spec, index, count, observers=observers,
                           restore_from=restore)
+
+        def emit(side: str, flush: dict) -> None:
+            conn.send(("flush", side, flush))
+
+        consumed = 0        # run / flush messages taken in so far
+        fresh = False       # ... any of them since the last advance
+        hard_stop: Optional[int] = None
         while True:
-            message = conn.recv()
-            command = message[0]
-            if command == "round":
+            if fresh and not conn.poll():
+                # Everything queued is in: one advance answers it all.
+                fresh = False
                 action = driver.poll(dom.net.cycle)
                 if action == "kill":
                     ShardFaultDriver.execute_kill()
@@ -64,30 +78,33 @@ def _worker_main(conn, spec: SyntheticSpec, index: int, count: int,
                 elif action == "garbage":
                     conn.send(("garbage-injected", 0xDEAD))
                     continue
-                _, inbox, hard_stop = message
-                for side, flush in inbox:
-                    dom.receive_flush(side, flush)
-                dom.advance(hard_stop=hard_stop)
-                conn.send(("state", dom.net.cycle,
-                           dom.net.stats.in_flight,
-                           dom.make_flush("prev"),
-                           dom.make_flush("next")))
+                dom.advance(emit, hard_stop)
+                conn.send(("idle", consumed, dom.net.cycle,
+                           dom.net.stats.in_flight))
+                continue
+            message = conn.recv()   # blocks (never spins) when idle
+            command = message[0]
+            if command == "flush":
+                dom.receive_flush(message[1], message[2])
+            elif command == "run":
+                hard_stop = message[1]
             elif command == "barrier":
                 from repro.checkpoint.snapshot import snapshot_network
 
                 dom.barrier_drain(message[1])
                 conn.send(("snapshot",
                            snapshot_network(dom.net, dom.traffic),
-                           {"entered": dom.entered,
-                            "exited": dom.exited}))
+                           {"entered": dom.entered, "exited": dom.exited}))
+                continue
             elif command == "stats":
-                conn.send(("stats", dom.net.stats.state_dict(),
-                           dom.net.cycles_skipped, dom.traffic.offered,
-                           dom.net.cycle))
+                conn.send(("stats", shard_stats(dom)))
+                continue
             elif command == "stop":
                 return
             else:
                 raise ShardError(f"unknown command {command!r}")
+            consumed += 1
+            fresh = True
     except BaseException as exc:  # incl. SystemExit/KeyboardInterrupt:
         # always attempt the structured error report so the parent sees
         # a diagnosis instead of a bare EOFError.
@@ -107,10 +124,10 @@ def _worker_main(conn, spec: SyntheticSpec, index: int, count: int,
 
 
 class ProcessPool:
-    """Parent-side coordinator over one pipe per shard worker.
+    """Parent-side switch over one pipe per shard worker.
 
-    ``heartbeat`` bounds how long any single reply may take before the
-    worker is declared hung; ``faults`` ships a
+    ``heartbeat`` bounds how long a worker that owes a message may stay
+    silent before it is declared hung; ``faults`` ships a
     :class:`~repro.resilience.faults.ProcessFaultPlan` into the workers;
     ``incarnation``/``restore`` let a respawned pool resume from a
     recovery-point barrier (``restore[i]`` is shard ``i``'s
@@ -128,8 +145,16 @@ class ProcessPool:
         self.heartbeat = heartbeat
         self.conns: list = []
         self.procs: list = []
-        self.pending: List[list] = [[] for _ in range(count)]
-        self.final_clocks = [0] * count
+        #: Latest reported clock and in-flight count per shard.
+        self.clocks = [0] * count
+        self.flights = [0] * count
+        #: ``run`` / ``flush`` messages sent to each worker; its idle
+        #: report is current when it has consumed this many.
+        self.sent = [0] * count
+        #: Whether each worker owes nothing, and when one that does
+        #: was last heard from (or handed work while it owed nothing).
+        self.idle = [True] * count
+        self.heard = [0.0] * count
         for index in range(count):
             parent, child = ctx.Pipe()
             proc = ctx.Process(
@@ -143,8 +168,12 @@ class ProcessPool:
             child.close()
             self.conns.append(parent)
             self.procs.append(proc)
+        #: What the switch waits on, each mapped to ``(shard, is_pipe)``.
+        self._sources = {conn: (i, True) for i, conn in enumerate(self.conns)}
+        self._sources.update((proc.sentinel, (i, False))
+                             for i, proc in enumerate(self.procs))
 
-    # -- supervised receive ------------------------------------------------
+    # -- the supervised switch ---------------------------------------------
 
     def _died(self, shard: int) -> WorkerFailure:
         proc = self.procs[shard]
@@ -155,85 +184,107 @@ class ProcessPool:
         return WorkerFailure(shard, "died", exitcode=proc.exitcode,
                              pid=proc.pid)
 
-    def _recv(self, shard: int, expect: str):
-        """Receive one reply from ``shard``, diagnosing every way the
-        worker can fail to produce it."""
-        conn = self.conns[shard]
-        proc = self.procs[shard]
-        deadline = (None if self.heartbeat is None
-                    else time.monotonic() + self.heartbeat)
-        while not conn.poll(_POLL_TICK):
-            if not proc.is_alive() and not conn.poll(0):
-                raise self._died(shard)
-            if deadline is not None and time.monotonic() > deadline:
-                raise WorkerFailure(
-                    shard, "hung", pid=proc.pid,
-                    detail=f"no reply within {self.heartbeat}s "
-                           f"heartbeat timeout",
-                )
-        try:
-            reply = conn.recv()
-        except (EOFError, OSError):
-            raise self._died(shard) from None
-        if not isinstance(reply, tuple) or not reply:
-            raise WorkerFailure(shard, "garbage", pid=proc.pid,
-                                detail=repr(reply)[:200])
-        if reply[0] == "error":
-            raise WorkerFailure(shard, "crashed", pid=proc.pid,
-                                detail=str(reply[1]))
-        if reply[0] != expect:
-            raise WorkerFailure(
-                shard, "garbage", pid=proc.pid,
-                detail=f"expected {expect!r} reply, "
-                       f"got {repr(reply)[:200]}",
-            )
-        return reply
-
     def _send(self, shard: int, message: tuple) -> None:
+        if self.idle[shard]:
+            self.idle[shard] = False
+            self.heard[shard] = time.monotonic()
         try:
             self.conns[shard].send(message)
         except (BrokenPipeError, OSError):
             raise self._died(shard) from None
 
+    def _messages(self, accept: tuple) -> Iterator[Tuple[int, tuple]]:
+        """``(shard, message)`` as the workers speak, diagnosing every
+        way one can fail to: it exits (its sentinel fires with the pipe
+        drained), it owes a message and stays silent past the
+        heartbeat, it reports its own crash, or it sends anything but
+        the ``accept`` kinds."""
+        conns = self.conns
+        sources = self._sources
+        while True:
+            timeout = suspect = None
+            if self.heartbeat is not None:
+                suspect = min((i for i in range(self.count)
+                               if not self.idle[i]),
+                              key=self.heard.__getitem__, default=None)
+            if suspect is not None:
+                timeout = max(0.0, self.heard[suspect] + self.heartbeat
+                              - time.monotonic())
+            ready = wait(sources, timeout)
+            if not ready:
+                raise WorkerFailure(
+                    suspect, "hung", pid=self.procs[suspect].pid,
+                    detail=f"no message within {self.heartbeat}s "
+                           f"heartbeat timeout",
+                )
+            now = time.monotonic()
+            for shard, is_pipe in map(sources.__getitem__, ready):
+                if not is_pipe:
+                    continue
+                try:
+                    message = conns[shard].recv()
+                except (EOFError, OSError):
+                    raise self._died(shard) from None
+                self.heard[shard] = now
+                kind = (message[0] if isinstance(message, tuple) and message
+                        else None)
+                if kind == "error":
+                    raise WorkerFailure(
+                        shard, "crashed", pid=self.procs[shard].pid,
+                        detail=str(message[1]))
+                if kind not in accept:
+                    raise WorkerFailure(
+                        shard, "garbage", pid=self.procs[shard].pid,
+                        detail=f"expected one of {accept}, "
+                               f"got {repr(message)[:200]}")
+                yield shard, message
+            for shard, is_pipe in map(sources.__getitem__, ready):
+                # A worker's last words (its error report) come first.
+                if not is_pipe and not conns[shard].poll():
+                    raise self._died(shard)
+
+    def _collect(self, command: tuple, expect: str) -> List[tuple]:
+        """Send ``command`` to every worker; one ``expect`` reply each.
+        Flushes and idle reports still on their way up are dropped: the
+        run they belonged to is over."""
+        for shard in range(self.count):
+            self._send(shard, command)
+        replies: List[Optional[tuple]] = [None] * self.count
+        for shard, message in self._messages(("flush", "idle", expect)):
+            if message[0] == expect:
+                replies[shard] = message
+                self.idle[shard] = True
+                if None not in replies:
+                    return replies
+
     # -- the three-call backend surface ------------------------------------
 
-    def round(self, hard_stop: Optional[int]
-              ) -> Tuple[List[int], List[int], int]:
-        for i in range(self.count):
-            self._send(i, ("round", self.pending[i], hard_stop))
-            self.pending[i] = []
-        clocks: List[int] = []
-        flights: List[int] = []
-        produced = 0
-        for i in range(self.count):
-            _, clock, flight, out_prev, out_next = self._recv(i, "state")
-            clocks.append(clock)
-            flights.append(flight)
-            if out_prev is not None:
-                produced += 1
-                self.pending[i - 1].append(("next", out_prev))
-            if out_next is not None:
-                produced += 1
-                self.pending[i + 1].append(("prev", out_next))
-        self.final_clocks = clocks
-        return clocks, flights, produced
+    def run(self, hard_stop: Optional[int], done) -> None:
+        """Let the workers go (up to ``hard_stop``) and switch their
+        flushes until ``done`` accepts the reported state."""
+        for shard in range(self.count):
+            self.sent[shard] += 1
+            self._send(shard, ("run", hard_stop))
+        for shard, message in self._messages(("flush", "idle")):
+            if message[0] == "flush":
+                target, arrives_from = flush_target(shard, message[1])
+                self.sent[target] += 1
+                self._send(target, ("flush", arrives_from, message[2]))
+            else:
+                _, consumed, clock, flight = message
+                self.clocks[shard] = clock
+                self.flights[shard] = flight
+                self.idle[shard] = consumed == self.sent[shard]
+                if done(self.clocks, self.flights, all(self.idle)):
+                    return
 
     def barrier(self, barrier: int) -> List[Tuple[dict, dict]]:
         """Collect each shard's raw ``(snapshot, aux)`` recovery pair."""
-        for i in range(self.count):
-            self._send(i, ("barrier", barrier))
-        return [tuple(self._recv(i, "snapshot")[1:])
-                for i in range(self.count)]
+        return [tuple(reply[1:])
+                for reply in self._collect(("barrier", barrier), "snapshot")]
 
-    def stats(self) -> List[Tuple[dict, int, int]]:
-        for i in range(self.count):
-            self._send(i, ("stats",))
-        out = []
-        for i in range(self.count):
-            _, state, skipped, offered, clock = self._recv(i, "stats")
-            out.append((state, skipped, offered))
-            self.final_clocks[i] = clock
-        return out
+    def stats(self) -> List[dict]:
+        return [reply[1] for reply in self._collect(("stats",), "stats")]
 
     def close(self) -> None:
         for conn in self.conns:

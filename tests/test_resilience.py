@@ -138,6 +138,44 @@ def test_checkpoint_survives_supervised_recovery():
     assert summary_digest(net.stats.summary()) == GOLDEN_MESH
 
 
+def test_dead_worker_diagnosed_when_it_exits_not_at_the_heartbeat():
+    """The switch waits on every worker's process sentinel beside its
+    pipe, so a worker that dies while its neighbor sits blocked is
+    named — shard and signal — as it exits, not once a poll tick or
+    the heartbeat runs out."""
+    import os
+    import signal
+    import time
+
+    from repro.shard import WorkerFailure
+    from repro.shard.engine import drive
+    from repro.shard.process import ProcessPool
+
+    pool = ProcessPool(GOLDEN_SPEC, 2, "none", heartbeat=60.0)
+    real_run = pool.run
+    killed_at = []
+
+    def run_then_kill(hard_stop, done):
+        def done_after_kill(clocks, flights, settled):
+            if not killed_at and min(clocks) > 100:
+                os.kill(pool.procs[1].pid, signal.SIGKILL)
+                killed_at.append(time.monotonic())
+            return done(clocks, flights, settled)
+        real_run(hard_stop, done_after_kill)
+
+    pool.run = run_then_kill
+    try:
+        with pytest.raises(WorkerFailure) as caught:
+            drive(pool, GOLDEN_SPEC, [], None)
+        elapsed = time.monotonic() - killed_at[0]
+    finally:
+        pool.kill()
+    assert caught.value.kind == "died"
+    assert caught.value.shard == 1
+    assert caught.value.exitcode == -signal.SIGKILL
+    assert elapsed < 10.0
+
+
 def test_recovery_counters_reach_network_stats():
     """publish() mirrors recovery counters onto grid_stats, where the
     summary surfaces them — but only when nonzero."""
