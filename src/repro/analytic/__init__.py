@@ -20,7 +20,7 @@ See docs/performance.md ("The analytical fast path") for the model's
 assumptions and the error-margin policy.
 """
 
-from repro.analytic.geometry import TrafficGeometry, traffic_geometry
+from repro.analytic.geometry import TrafficGeometry
 from repro.analytic.queueing import (
     FULL_SYSTEM_MIX,
     NetworkPoint,
@@ -62,7 +62,6 @@ __all__ = [
     "saturation_rate",
     "screen_cell",
     "synthetic_mix",
-    "traffic_geometry",
     "validate_chiplet",
     "validate_grid",
     "zero_load_latency",

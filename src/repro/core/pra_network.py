@@ -157,6 +157,8 @@ class PraNetwork(MeshNetwork):
     #: (:meth:`ControlNetwork._process`, a deferred call) reads credit
     #: counters, so credits keep insertion order with control steps.
     credits_ordered = True
+    #: Pre-allocated flits land in the routers' latches (Figure 4).
+    latch_arrivals = True
 
     def __init__(self, params: NocParams):
         super().__init__(params)

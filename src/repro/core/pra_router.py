@@ -23,13 +23,11 @@ from typing import Deque, Dict, Optional, Set, Tuple
 from repro.core.plan import LAND_LATCH, LAND_NI, LAND_VC, PraPlan, SRC_VC
 from repro.core.reservation import ReservationEntry, ReservationTable
 from repro.noc.flit import Flit
+from repro.noc.network import LATCH_INDEX
 from repro.noc.ports import OutputPort
 from repro.noc.router import MeshRouter
 from repro.noc.topology import Direction
 from repro.trace.events import EV_LATCH_BYPASS
-
-#: Sentinel VC index addressing an input unit's latch in arrivals.
-LATCH_INDEX = -1
 
 #: How often stale claims/reservations are garbage-collected.
 _PURGE_PERIOD = 64
@@ -118,23 +116,6 @@ class PraRouter(MeshRouter):
     def release_input_claim(self, key, plan: PraPlan) -> None:
         if self._input_claims.get(key) is plan:
             del self._input_claims[key]
-
-    # -- flit reception (latch landings use the sentinel index) ---------------
-
-    #: Latch landings need this dispatching path, so the network keeps
-    #: calling ``receive_flit`` instead of inlining arrival delivery —
-    #: unless every router advertises the latch sentinel, in which case
-    #: ``Network._run_events`` dispatches latch landings inline too.
-    _plain_receive = False
-    _latch_index = LATCH_INDEX
-
-    def receive_flit(self, direction: Direction, vc_index: int, flit: Flit) -> None:
-        if vc_index == LATCH_INDEX:
-            self._latches[direction].append(flit)
-        else:
-            self.input_units[direction].vcs[vc_index].push(flit)
-        self.active_flits += 1
-        self.network.wake_router(self.node)
 
     def has_work(self) -> bool:
         """Awake while flits are buffered or any reservation is pending.

@@ -103,25 +103,24 @@ def wait_graph(net, now: int) -> Dict[str, Any]:
                     continue
                 direction = router.route_of(pkt)
                 port = router.output_ports.get(direction)
-                # The downstream VC the router itself would allocate:
-                # layered routers remap the class VC onto escape layers.
-                dst_vc = (pkt.vc_index if router.vc_layers == 1
-                          else router._dst_vc_for(pkt, direction))
                 if port is None:
                     reason = "no_route"
                 elif port.held_by is not None and port.held_by is not pkt:
                     reason = "switch_held"
                     edges.append((pkt.pid, port.held_by.pid, reason))
-                elif not port.can_allocate_vc(pkt, dst_vc):
+                else:
+                    # The row VC allocation itself reads: across a
+                    # layer-advancing link this is not the class VC.
+                    dst_vc = port.next_vc[vc.index]
                     dvc = port.downstream_vc(dst_vc)
                     owner = dvc.allocated_to if dvc is not None else None
-                    if owner is not None and owner is not pkt:
+                    if port.can_allocate_vc(pkt, dst_vc):
+                        reason = "arbitration"
+                    elif owner is not None and owner is not pkt:
                         reason = "vc_busy"
                         edges.append((pkt.pid, owner.pid, reason))
                     else:
                         reason = "no_credit"
-                else:
-                    reason = "arbitration"
                 blocked.append({"pid": pkt.pid, "node": router.node,
                                 "where": where, "reason": reason,
                                 "wants": port_name(direction)})

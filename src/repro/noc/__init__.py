@@ -36,13 +36,11 @@ from repro.noc.topology import (
 )
 from repro.noc.stats import NetworkStats
 from repro.noc.network import Network, build_network
-from repro.noc.ring import RingNetwork, build_ring
-from repro.noc.chiplet import ChipletNetwork, build_chiplet
+from repro.noc.ring import build_ring
+from repro.noc.chiplet import build_chiplet
 
 __all__ = [
-    "RingNetwork",
     "build_ring",
-    "ChipletNetwork",
     "build_chiplet",
     "Flit",
     "FlitType",

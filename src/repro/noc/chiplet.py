@@ -6,8 +6,11 @@ per chiplet.  The gateway's extra ports cross the package substrate —
 either to the four neighbouring gateways over an interposer mesh, or up
 to a central IO die (star variant) — with a configurable (slower)
 inter-chiplet link latency.  All structure lives in
-:class:`repro.noc.topology.ChipletTopology`; this module only binds the
-escape-layer deadlock scheme and the VC provisioning.
+:class:`repro.noc.topology.ChipletTopology`, the escape-layer rule
+included (``advances_layer``: any port >= ``FIRST_INTERPOSER_PORT``), so
+a chiplet hierarchy runs on the stock
+:class:`~repro.noc.mesh.MeshNetwork`; this module is the convenience
+constructor.
 
 Deadlock freedom mirrors the ring's dateline argument, keyed on the
 hierarchy instead of a wrap link: layer 0 carries a packet's
@@ -15,59 +18,23 @@ intra-source-chiplet XY hops (acyclic) and layer 1 everything after its
 first inter-chiplet hop — interposer XY or star hops, then
 intra-destination XY — which is acyclic because the hierarchical route
 never re-enters an earlier phase.  The only cross-layer dependency is
-0 → 1, so the layered VC dependency graph is acyclic; the runtime
-deadlock watchdog checks the claim on every chiplet run.
+0 → 1, so the layered VC dependency graph is acyclic
+(``tests/test_properties.py`` builds that graph and checks it; the
+runtime deadlock watchdog keeps watching on every chiplet run).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.noc.interface import LayeredInterface
 from repro.noc.mesh import MeshNetwork
-from repro.noc.router import LayeredVcRouter
-from repro.noc.topology import CHIPLET_VC_LAYERS, FIRST_INTERPOSER_PORT, Port
-from repro.params import NocParams, NUM_MESSAGE_CLASSES
-
-
-class ChipletRouter(LayeredVcRouter):
-    """Mesh-pipelined router whose inter-chiplet ports advance the
-    escape layer.  Gateways and the IO die simply have more ports."""
-
-    vc_layers = CHIPLET_VC_LAYERS
-
-    def _advances_layer(self, direction: Port) -> bool:
-        return int(direction) >= FIRST_INTERPOSER_PORT
-
-
-class ChipletInterface(LayeredInterface):
-    """NI whose injection targets the layered chiplet VCs."""
-
-    vc_layers = CHIPLET_VC_LAYERS
-
-
-class ChipletNetwork(MeshNetwork):
-    """Baseline routers on a chiplet topology (mesh or star interposer)."""
-
-    router_class = ChipletRouter
-    interface_class = ChipletInterface
-
-    def __init__(self, params: NocParams):
-        want = NUM_MESSAGE_CLASSES * CHIPLET_VC_LAYERS
-        if params.router.vcs_per_port < want:
-            params = replace(
-                params,
-                router=replace(params.router, vcs_per_port=want),
-            )
-        super().__init__(params)
+from repro.params import NocParams
 
 
 def build_chiplet(spec: str = "chiplet:2x2x4x4",
-                  flits_per_vc: int = 5) -> ChipletNetwork:
+                  flits_per_vc: int = 5) -> MeshNetwork:
     """Convenience constructor from a spec string."""
     params = NocParams(topology=spec)
-    params = replace(
-        params,
-        router=replace(params.router, flits_per_vc=flits_per_vc),
-    )
-    return ChipletNetwork(params)
+    return MeshNetwork(replace(
+        params, router=replace(params.router, flits_per_vc=flits_per_vc),
+    ))

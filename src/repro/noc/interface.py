@@ -84,20 +84,16 @@ class NetworkInterface:
         port = self.port
         packet = port.held_by
         assert packet is not None
-        # Check the credit pool of the VC the holder was actually
-        # granted (``held_dst_vc``), not ``packet.vc_index``: layered
-        # interfaces (ring datelines, chiplet escapes) remap the
-        # downstream VC at injection, and checking the wrong pool could
-        # transmit without credit mid-packet.  Identical for the base
-        # mesh, where the two always coincide.
+        # The credit pool of the VC the holder was granted
+        # (``held_dst_vc``), which is not ``packet.vc_index`` on a
+        # topology with escape layers.
         dst_vc = port.held_dst_vc
         if port.ni_sink is None and port.credits[dst_vc] < 1:
             return
         flit = packet.flits[self._holder_next_flit]
         self._holder_next_flit += 1
         network = self.network
-        if (network.tracer.enabled or not port._plain_send
-                or port.ni_sink is not None):
+        if network.tracer.enabled or port.ni_sink is not None:
             port.send(flit, now)
         else:
             # ``OutputPort.send`` flattened for the common case: a held
@@ -131,24 +127,16 @@ class NetworkInterface:
             packet = queue[0]
             if not self._may_inject(packet, now):
                 continue
-            if not port.can_allocate_vc(packet, self._injection_vc(packet)):
+            if not port.can_allocate_vc(
+                    packet, port.next_vc[packet.vc_index]):
                 continue
             self._rr = (idx + 1) % NUM_MESSAGE_CLASSES
             self._start_injection(packet, now)
             return
 
-    def _injection_vc(self, packet: Packet) -> int:
-        """Hook: downstream VC index an injection targets (layered
-        interfaces remap message classes onto escape-layer VCs)."""
-        return packet.vc_index
-
-    def _prepare_injection(self, packet: Packet) -> None:
-        """Hook: per-packet setup right before injection starts."""
-
     def _start_injection(self, packet: Packet, now: int) -> None:
         port = self.port
-        self._prepare_injection(packet)
-        dst_vc = self._injection_vc(packet)
+        dst_vc = port.next_vc[packet.vc_index]
         port.downstream_vc(dst_vc).allocated_to = packet
         port.hold(packet, source_vc=None, dst_vc=dst_vc)
         packet.injected = now
@@ -208,21 +196,3 @@ class NetworkInterface:
 
     def __repr__(self) -> str:
         return f"NetworkInterface(node={self.node})"
-
-
-class LayeredInterface(NetworkInterface):
-    """NI for layered-VC networks (ring datelines, chiplet escapes).
-
-    Each message class owns ``vc_layers`` consecutive VCs; packets
-    always inject on layer 0 and the routers advance them to layer 1 at
-    the escape boundary (the ring dateline, or the first interposer
-    hop), which is what breaks the cyclic channel dependency.
-    """
-
-    vc_layers = 2
-
-    def _prepare_injection(self, packet: Packet) -> None:
-        packet.ring_layer = 0
-
-    def _injection_vc(self, packet: Packet) -> int:
-        return packet.msg_class.value * self.vc_layers

@@ -28,13 +28,15 @@ compares against), set ``net.time_skip = False`` after building it.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from importlib import import_module
 from typing import Callable, Dict, List, Optional
 
 from repro.faults.injector import NULL_FAULTS
 from repro.noc.stats import NetworkStats
 from repro.noc.packet import Packet, packet_pool
 from repro.noc.topology import as_port, build_topology
-from repro.params import NocKind, NocParams
+from repro.params import NUM_MESSAGE_CLASSES, NocKind, NocParams
 from repro.trace.tracer import NULL_TRACER
 
 #: Signature of the packet delivery callback: (packet, cycle).
@@ -48,6 +50,10 @@ _ARRIVAL = 0
 _EJECT = 1
 _CREDIT = 2
 _CALL = 3
+
+#: Sentinel VC index of an arrival that lands in the input unit's latch
+#: instead of a VC (only on ``latch_arrivals`` networks).
+LATCH_INDEX = -1
 
 #: Sentinel for :meth:`Network.attach` keywords that were not passed
 #: (``None`` already means "detach", so absence needs its own marker).
@@ -63,9 +69,35 @@ class Network:
     #: credit and a same-cycle control step must keep insertion order.
     credits_ordered = False
 
+    #: Whether arrivals can address an input unit's latch
+    #: (``LATCH_INDEX``) as well as its VCs; picks the delivery loop of
+    #: ``_run_events``.  Mesh+PRA sets it (paper Figure 4's extra entry).
+    latch_arrivals = False
+
     def __init__(self, params: NocParams):
-        self.params = params
         self.topology = build_topology(params)
+        # VC provisioning: every message class gets one VC per escape
+        # layer of the topology (more if the caller asked for more).
+        layers = self.topology.vc_layers
+        if params.router.vcs_per_port < NUM_MESSAGE_CLASSES * layers:
+            params = replace(params, router=replace(
+                params.router, vcs_per_port=NUM_MESSAGE_CLASSES * layers,
+            ))
+        self.params = params
+        #: The three ``OutputPort.next_vc`` rows (shared, hence tuples):
+        #: a hop keeps a packet in its VC, except that a link the
+        #: topology marks layer-advancing lands it in its class's
+        #: layer-1 VC (a single-layer topology marks none and the row
+        #: degenerates to the identity), and an NI injects class ``c``
+        #: on its layer-0 VC.
+        num_vcs = params.router.vcs_per_port
+        self.same_vcs = tuple(range(num_vcs))
+        self.escape_vcs = tuple(
+            vc - vc % layers + min(1, layers - 1) for vc in range(num_vcs)
+        )
+        self.injection_vcs = tuple(
+            cls * layers for cls in range(NUM_MESSAGE_CLASSES)
+        )
         self.cycle = 0
         self.stats = NetworkStats()
         self.routers: List = []
@@ -98,12 +130,6 @@ class Network:
         #: Drained buckets are recycled here; safe because ``_push``
         #: forbids scheduling into the bucket being drained.
         self._bucket_pool: List[tuple] = []
-        #: Lazily resolved arrival-delivery mode for ``_run_events``:
-        #: 1 = every router takes the stock flit-reception path
-        #: (``BaseRouter.receive_flit``), inline it; 2 = every router
-        #: is latch-capable (Mesh+PRA), inline with the latch-sentinel
-        #: dispatch; 0 = mixed/custom, virtual ``receive_flit`` calls.
-        self._plain_arrivals: Optional[int] = None
         self._delivery_handler: Optional[DeliveryHandler] = None
         self._head_handler: Optional[DeliveryHandler] = None
         #: Event tracer; the null object keeps the hot path to a single
@@ -277,27 +303,11 @@ class Network:
             return
         arrivals, credits, ordered = bucket
         if arrivals:
-            mode = self._plain_arrivals
-            if mode is None:
-                routers = self.routers
-                if not routers:
-                    mode = 0
-                elif all(router._plain_receive
-                         and router.network is self
-                         for router in routers):
-                    mode = 1  # stock reception everywhere
-                elif all(router._latch_index is not None
-                         and router.network is self
-                         for router in routers):
-                    mode = 2  # PRA: VC push or latch append
-                else:
-                    mode = 0  # mixed/custom: virtual dispatch
-                self._plain_arrivals = mode
-            if mode == 1:
-                # Inlined ``BaseRouter.receive_flit`` (+ wake): the
-                # delivery loop is the single hottest event path.
-                awake = self._router_awake
-                queue = self._router_queue
+            # A flit lands in its VC (or latch) and wakes the router:
+            # the single hottest event path, hence two flat loops.
+            awake = self._router_awake
+            queue = self._router_queue
+            if not self.latch_arrivals:
                 for router, direction, vc_index, flit in arrivals:
                     vc = router.input_units[direction].vcs[vc_index]
                     if len(vc.flits) >= vc.capacity:
@@ -313,13 +323,9 @@ class Network:
                         if queue and node < queue[-1]:
                             self._router_sorted = False
                         queue.append(node)
-            elif mode == 2:
-                # Inlined ``PraRouter.receive_flit`` (+ wake): same
-                # loop with the latch-sentinel dispatch kept.
-                awake = self._router_awake
-                queue = self._router_queue
+            else:
                 for router, direction, vc_index, flit in arrivals:
-                    if vc_index == router._latch_index:
+                    if vc_index == LATCH_INDEX:
                         router._latches[direction].append(flit)
                     else:
                         vc = router.input_units[direction].vcs[vc_index]
@@ -336,9 +342,6 @@ class Network:
                         if queue and node < queue[-1]:
                             self._router_sorted = False
                         queue.append(node)
-            else:
-                for router, direction, vc_index, flit in arrivals:
-                    router.receive_flit(direction, vc_index, flit)
         for port, vc_index in credits:
             port.credits[vc_index] += 1
         for event in ordered:
@@ -675,47 +678,35 @@ class Network:
             ni.load_state(ni_state, ctx)
 
 
+#: Organization -> (module, class).  Resolved at call time: every
+#: organization's module imports this one.
+_NETWORK_CLASSES = {
+    NocKind.MESH: ("repro.noc.mesh", "MeshNetwork"),
+    NocKind.SMART: ("repro.noc.smart", "SmartNetwork"),
+    NocKind.MESH_PRA: ("repro.core.pra_network", "PraNetwork"),
+    NocKind.IDEAL: ("repro.noc.ideal", "IdealNetwork"),
+}
+
+#: Organizations each topology kind runs.  SMART's bypass and PRA's
+#: control segments are straight runs of an XY mesh; the ideal network
+#: walks any route but was never run on a ring.
+_SUPPORTED_KINDS = {
+    "mesh": (NocKind.MESH, NocKind.SMART, NocKind.MESH_PRA, NocKind.IDEAL),
+    "ring": (NocKind.MESH,),
+    "chiplet": (NocKind.MESH, NocKind.IDEAL),
+}
+
+
 def build_network(params: NocParams) -> Network:
     """Instantiate the organization selected by ``params.kind`` on the
     topology selected by ``params.topology``."""
-    # Local imports avoid circular dependencies between organizations.
-    spec_kind = getattr(params, "topology", "mesh").split(":", 1)[0]
-    if spec_kind == "ring":
-        if params.kind is not NocKind.MESH:
-            raise ValueError(
-                f"ring topology only supports the baseline router "
-                f"(kind=mesh), not {params.kind.value}"
-            )
-        from repro.noc.ring import RingNetwork
-
-        return RingNetwork(params)
-    if spec_kind == "chiplet":
-        if params.kind is NocKind.MESH:
-            from repro.noc.chiplet import ChipletNetwork
-
-            return ChipletNetwork(params)
-        if params.kind is NocKind.IDEAL:
-            from repro.noc.ideal import IdealNetwork
-
-            return IdealNetwork(params)
+    topology_kind = params.topology.split(":", 1)[0]
+    supported = _SUPPORTED_KINDS[topology_kind]
+    if params.kind not in supported:
         raise ValueError(
-            f"chiplet topology supports kinds mesh and ideal, "
+            f"{topology_kind} topology supports kinds "
+            f"{', '.join(kind.value for kind in supported)}, "
             f"not {params.kind.value}"
         )
-    if params.kind is NocKind.MESH:
-        from repro.noc.mesh import MeshNetwork
-
-        return MeshNetwork(params)
-    if params.kind is NocKind.SMART:
-        from repro.noc.smart import SmartNetwork
-
-        return SmartNetwork(params)
-    if params.kind is NocKind.MESH_PRA:
-        from repro.core.pra_network import PraNetwork
-
-        return PraNetwork(params)
-    if params.kind is NocKind.IDEAL:
-        from repro.noc.ideal import IdealNetwork
-
-        return IdealNetwork(params)
-    raise ValueError(f"unknown network kind: {params.kind}")
+    module, name = _NETWORK_CLASSES[params.kind]
+    return getattr(import_module(module), name)(params)

@@ -69,7 +69,6 @@ class Packet:
         "pra_pending",
         "pra_blocked_cycles",
         "hops_taken",
-        "ring_layer",
         "pooled",
     )
 
@@ -126,8 +125,6 @@ class Packet:
         self.pra_blocked_cycles = 0
         #: Link traversals of the head flit (for stats / energy).
         self.hops_taken = 0
-        #: Dateline VC layer on ring interconnects (0 before crossing).
-        self.ring_layer = 0
 
     def __getattr__(self, name: str) -> Any:
         # ``flits`` is materialized on first access: the ideal network
@@ -162,7 +159,6 @@ class Packet:
             "pra_pending": self.pra_pending,
             "pra_blocked_cycles": self.pra_blocked_cycles,
             "hops_taken": self.hops_taken,
-            "ring_layer": self.ring_layer,
         }
 
     @classmethod
@@ -191,7 +187,6 @@ class Packet:
         packet.pra_pending = state["pra_pending"]
         packet.pra_blocked_cycles = state["pra_blocked_cycles"]
         packet.hops_taken = state["hops_taken"]
-        packet.ring_layer = state["ring_layer"]
         return packet
 
     def network_latency(self) -> Optional[int]:

@@ -50,6 +50,7 @@ class OutputPort:
         "holder_sent",
         "flits_sent",
         "link_hop_latency",
+        "next_vc",
     )
 
     def __init__(
@@ -87,8 +88,8 @@ class OutputPort:
         self.held_by: Optional[Packet] = None
         #: Source VC in this router that feeds the held packet.
         self.active_vc: Optional[VirtualChannel] = None
-        #: Downstream VC index granted to the holder (usually the
-        #: packet's message class; ring datelines remap it).
+        #: Downstream VC index granted to the holder (``next_vc`` of
+        #: the VC it came from).
         self.held_dst_vc: Optional[int] = None
         #: Flits of the holder already transmitted through this port.
         self.holder_sent = 0
@@ -98,6 +99,16 @@ class OutputPort:
         #: The ejection port has no second cycle: the NI sees the flit
         #: ``link_hop_latency - 1`` cycles after the grant.
         self.link_hop_latency = 2
+        #: Downstream VC a head flit asks for, indexed by the input VC
+        #: it sits in (an NI's injection port: by its class queue).  One
+        #: of the network's three shared rows — the topology's escape
+        #: rule as data, read by VC allocation and the wait graph alike.
+        if router is None:
+            self.next_vc = network.injection_vcs
+        elif network.topology.advances_layer(self.node, direction):
+            self.next_vc = network.escape_vcs
+        else:
+            self.next_vc = network.same_vcs
 
     # -- wiring ---------------------------------------------------------
 
@@ -202,11 +213,6 @@ class OutputPort:
         self.holder_sent = 0
 
     # -- flit transmission ----------------------------------------------
-
-    #: ``BaseRouter._pop_and_send`` inlines the tracer-off body of
-    #: :meth:`send`.  A subclass that overrides ``send`` must clear
-    #: this flag so the router falls back to the virtual call.
-    _plain_send = True
 
     def send(self, flit: Flit, now: int) -> None:
         """Transmit one flit to the immediate downstream hop, on the

@@ -8,94 +8,27 @@ baseline so the claim can be reproduced as an experiment
 (`benchmarks/test_background_ring_scaling.py`).
 
 Structure: N ring stops, each with a clockwise port, a counter-clockwise
-port, and the local NI port (:class:`repro.noc.topology.RingTopology`;
-the generic mesh wiring builds the wrap links from it).  Packets take
-the shorter direction.  Deadlock freedom on the wrap-around cycle uses
-the classic *dateline* scheme via the shared escape-layer machinery
-(:class:`repro.noc.router.LayeredVcRouter`): each message class gets two
-VC layers; a packet starts in layer 0 and switches to layer 1 when it
-crosses the dateline link (stop N-1 → stop 0 clockwise, or stop 0 →
-stop N-1 counter-clockwise), breaking the cyclic channel dependency.
-Router timing matches the mesh's 1-stage speculative pipeline (2
-cycles/hop at zero load).
+port, and the local NI port.  All of it is
+:class:`repro.noc.topology.RingTopology` — the wrap links, the
+shorter-direction routing law, and the *dateline* that keeps the
+wrap-around cycle deadlock-free (two VC layers per message class; the
+two wrap links advance a packet to layer 1) — so the ring runs on the
+stock :class:`~repro.noc.mesh.MeshNetwork` with the mesh's 1-stage
+speculative pipeline (2 cycles/hop at zero load).  This module is the
+convenience constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.noc.interface import LayeredInterface
 from repro.noc.mesh import MeshNetwork
-from repro.noc.router import LayeredVcRouter
-from repro.noc.topology import Direction, Port
-from repro.params import NocParams, NUM_MESSAGE_CLASSES
-
-#: Ring directions reuse the mesh port ids: EAST = clockwise,
-#: WEST = counter-clockwise.
-CLOCKWISE = Direction.EAST
-COUNTER_CLOCKWISE = Direction.WEST
-
-#: VC layers per message class for dateline deadlock avoidance.
-RING_VC_LAYERS = 2
+from repro.params import NocParams
 
 
-class RingRouter(LayeredVcRouter):
-    """One ring stop: clockwise, counter-clockwise, and local ports.
-
-    Routing (shorter direction, ties clockwise) comes from the
-    topology's routing law; this class only pins the dateline edges
-    that advance the escape layer.
-    """
-
-    vc_layers = RING_VC_LAYERS
-
-    def __init__(self, node: int, network: "RingNetwork"):
-        super().__init__(node, network)
-        self.ring_size = self.topology.num_nodes
-
-    def _advances_layer(self, direction: Port) -> bool:
-        if direction is CLOCKWISE:
-            return self.node == self.ring_size - 1
-        if direction is COUNTER_CLOCKWISE:
-            return self.node == 0
-        return False
-
-
-class RingInterface(LayeredInterface):
-    """NI whose injection targets the layered ring VCs."""
-
-    vc_layers = RING_VC_LAYERS
-
-
-class RingNetwork(MeshNetwork):
-    """A bidirectional ring of ``num_stops`` tiles."""
-
-    router_class = RingRouter
-    interface_class = RingInterface
-
-    def __init__(self, params: NocParams):
-        if params.topology != "ring":
-            params = replace(params, topology="ring")
-        if params.router.vcs_per_port < NUM_MESSAGE_CLASSES * RING_VC_LAYERS:
-            params = replace(
-                params,
-                router=replace(
-                    params.router,
-                    vcs_per_port=NUM_MESSAGE_CLASSES * RING_VC_LAYERS,
-                ),
-            )
-        super().__init__(params)
-
-
-def build_ring(num_stops: int, flits_per_vc: int = 5) -> RingNetwork:
+def build_ring(num_stops: int, flits_per_vc: int = 5) -> MeshNetwork:
     """Convenience constructor: a ring of ``num_stops`` tiles."""
     params = NocParams(mesh_width=num_stops, mesh_height=1, topology="ring")
-    params = replace(
-        params,
-        router=replace(
-            params.router,
-            vcs_per_port=NUM_MESSAGE_CLASSES * RING_VC_LAYERS,
-            flits_per_vc=flits_per_vc,
-        ),
-    )
-    return RingNetwork(params)
+    return MeshNetwork(replace(
+        params, router=replace(params.router, flits_per_vc=flits_per_vc),
+    ))

@@ -129,28 +129,12 @@ class BaseRouter:
             vc_depth=self.vc_depth,
         )
 
-    # -- flit reception -----------------------------------------------------
-
-    #: True while the class keeps this stock reception path, letting
-    #: ``Network._run_events`` inline delivery (PRA latches opt out).
-    _plain_receive = True
-
     #: Set by :mod:`repro.shard` on the routers of a stripe's cut rows
     #: only (a neighbour lives in another shard): such a router sends
     #: through the network's per-instance patched schedulers and reports
     #: VC allocations to ``boundary.note_grant(port, packet, now)``.
     #: None everywhere else: one attribute check on the hot path.
     boundary = None
-
-    #: Sentinel VC index of latch landings (PRA); ``None`` everywhere
-    #: else.  Set per class so the inlined arrival loop can dispatch
-    #: latch deliveries without a virtual ``receive_flit`` call.
-    _latch_index: Optional[int] = None
-
-    def receive_flit(self, direction: Port, vc_index: int, flit: Flit) -> None:
-        self.input_units[direction].receive(flit, vc_index)
-        self.active_flits += 1
-        self.network.wake_router(self.node)
 
     def has_work(self) -> bool:
         """Whether this router must be stepped again next cycle."""
@@ -191,11 +175,10 @@ class BaseRouter:
         holds by construction).
         """
         network = self.network
-        if (self.boundary is not None or network.tracer.enabled
-                or not port._plain_send):
+        if self.boundary is not None or network.tracer.enabled:
             # A shard's cut row must go through the schedulers its
-            # domain patched, a tracer wants the link event, an
-            # overriding port its own ``send``: take the calls.
+            # domain patched, a tracer wants the link event: take the
+            # calls.
             flit = self._pop(vc, now)
             port.send(flit, now)
             return flit
@@ -340,12 +323,12 @@ class BaseRouter:
 
 
 class MeshRouter(BaseRouter):
-    """The baseline 1-stage speculative mesh router."""
+    """The baseline 1-stage speculative mesh router.
 
-    #: Escape-VC layers per message class.  1 = flat: the downstream VC
-    #: is the packet's class VC; :class:`LayeredVcRouter` raises it and
-    #: supplies ``_dst_vc_for``.
-    vc_layers = 1
+    The same pipeline runs every topology graph: degree comes from the
+    topology's port set, and the escape-layer rule of rings and chiplet
+    hierarchies is the ``next_vc`` row of each output port.
+    """
 
     def step(self, now: int) -> None:
         if self.active_flits == 0:
@@ -434,23 +417,22 @@ class MeshRouter(BaseRouter):
         """Grant ``port`` to one of the head flits requesting it.
 
         A candidate is eligible when its crossbar input is free this
-        cycle and VC allocation succeeds: the downstream VC is
-        unallocated, empty, and has a credit (ejection always succeeds).
+        cycle and VC allocation succeeds: the downstream VC
+        (``port.next_vc`` of the VC the head sits in) is unallocated,
+        empty, and has a credit (ejection always succeeds).
         """
         if port.ni_sink is not None:
             eligible = [vc for vc in candidates
                         if vc.unit.direction not in used_inputs]
         else:
             eligible = []
-            layered = self.vc_layers > 1
+            next_vc = port.next_vc
             down_vcs = port.downstream_unit.vcs
             credits = port.credits
             for vc in candidates:
                 if vc.unit.direction in used_inputs:
                     continue
-                packet = vc.flits[0].packet
-                dst_vc = (self._dst_vc_for(packet, direction) if layered
-                          else packet.vc_index)
+                dst_vc = next_vc[vc.index]
                 down_vc = down_vcs[dst_vc]
                 if (down_vc.allocated_to is None and not down_vc.flits
                         and credits[dst_vc] >= 1):
@@ -461,11 +443,8 @@ class MeshRouter(BaseRouter):
                         used_inputs)
 
     def _claim_downstream(self, port: OutputPort, packet: Packet,
-                          now: int) -> int:
-        """Allocate the downstream VC that ``_try_grant`` found free;
-        returns its index."""
-        dst_vc = (packet.vc_index if self.vc_layers == 1
-                  else self._dst_vc_for(packet, port.direction))
+                          dst_vc: int, now: int) -> None:
+        """Allocate the downstream VC that ``_try_grant`` found free."""
         port.downstream_unit.vcs[dst_vc].allocated_to = packet
         boundary = self.boundary
         if boundary is not None:
@@ -473,7 +452,6 @@ class MeshRouter(BaseRouter):
             # router lives in another shard (the write above landed
             # on a local replica; the owner must replay it).
             boundary.note_grant(port, packet, now)
-        return dst_vc
 
     def _grant(
         self,
@@ -486,7 +464,8 @@ class MeshRouter(BaseRouter):
         tracer = self.network.tracer
         dst_vc = packet.vc_index
         if port.ni_sink is None:
-            dst_vc = self._claim_downstream(port, packet, now)
+            dst_vc = port.next_vc[vc.index]
+            self._claim_downstream(port, packet, dst_vc, now)
             if tracer.enabled:
                 tracer.emit(now, EV_VC_ALLOC, pid=packet.pid, node=self.node,
                             direction=port_name(port.direction), vc=dst_vc)
@@ -499,55 +478,3 @@ class MeshRouter(BaseRouter):
         used_inputs.add(vc.unit.direction)
         if self._pop_and_send(port, vc, now).is_tail:
             self._release(port, now)
-
-
-class LayeredVcRouter(MeshRouter):
-    """A mesh-pipelined router whose VCs are split into escape layers.
-
-    Per-class VCs subdivide into ``vc_layers`` layers; a packet starts
-    in layer 0 and is bumped to layer 1 the first time it crosses a
-    *layer-advancing* output port (:meth:`_advances_layer`) — the ring's
-    dateline link, or a chiplet's inter-chiplet link.  Choosing the
-    advancing edges so that each layer's channel graph is acyclic makes
-    the layered VC dependency graph acyclic, i.e. deadlock-free; the
-    deadlock watchdog verifies this at runtime.
-
-    The current layer rides on ``packet.ring_layer`` (named for its
-    first user; it is simply "escape layer").
-    """
-
-    #: VC layers per message class (downstream VC = class * layers + layer).
-    vc_layers = 2
-
-    #: Lazily built frozenset of layer-advancing output directions.
-    #: ``_advances_layer`` is a pure function of the direction, so the
-    #: per-grant virtual call collapses to one set-membership test.
-    _adv_dirs: Optional[frozenset] = None
-
-    def _advances_layer(self, direction: Port) -> bool:
-        """Does granting ``direction`` move the packet to layer 1?"""
-        raise NotImplementedError
-
-    def _advancing_dirs(self) -> frozenset:
-        dirs = self._adv_dirs
-        if dirs is None:
-            dirs = self._adv_dirs = frozenset(
-                direction for direction in self.output_ports
-                if self._advances_layer(direction)
-            )
-        return dirs
-
-    def _dst_vc_for(self, packet: Packet, direction: Port) -> int:
-        """Downstream VC: the packet's class layer, escaped if needed."""
-        dirs = self._adv_dirs
-        if dirs is None:
-            dirs = self._advancing_dirs()
-        layer = 1 if direction in dirs else packet.ring_layer
-        return packet.msg_class.value * self.vc_layers + layer
-
-    def _claim_downstream(self, port: OutputPort, packet: Packet,
-                          now: int) -> int:
-        dst_vc = super()._claim_downstream(port, packet, now)
-        if port.direction in self._advancing_dirs():
-            packet.ring_layer = 1
-        return dst_vc

@@ -68,14 +68,14 @@ class SmartRouter(MeshRouter):
     # -- grant: resolve the SSR, then stream at line rate ----------------------
 
     def _claim_downstream(self, port: OutputPort, packet: Packet,
-                          now: int) -> int:
+                          dst_vc: int, now: int) -> None:
         via_port = self._try_bypass(packet, port.direction, now)
         if via_port is None:
-            return super()._claim_downstream(port, packet, now)
+            super()._claim_downstream(port, packet, dst_vc, now)
+            return
         via_port.downstream_vc(packet.vc_index).allocated_to = packet
         via_port.hold(packet, source_vc=None)
         self._bypasses[port.direction] = _BypassState(via_port)
-        return packet.vc_index
 
     def _advance_held(
         self, port: OutputPort, now: int, used_inputs: Set[Direction]

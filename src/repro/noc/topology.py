@@ -19,7 +19,14 @@ graph contract"):
   :meth:`Topology.route_port` reads it through dense per-node tables
   (:meth:`Topology.route_row`) and :meth:`Topology.route` through a
   bounded memo.  Tables live **on the topology instance**, so two live
-  topologies can never serve each other's cached routes.
+  topologies can never serve each other's cached routes;
+* deadlock freedom is part of the graph: each message class owns
+  :attr:`Topology.vc_layers` consecutive VCs, a packet starts in layer 0
+  and moves to layer 1 on the first link for which
+  :meth:`Topology.advances_layer` holds.  The advancing links are chosen
+  so that every layer's channel graph is acyclic and the only
+  cross-layer dependency is 0 -> 1 (``tests/test_properties.py`` checks
+  the channel-dependency graph of every topology here).
 
 Concrete graphs:
 
@@ -32,8 +39,8 @@ Concrete graphs:
   gateways or through a **central IO die** (Zen3-style star), with a
   distinct inter-chiplet link latency.  Routing is hierarchical source
   routing: intra-chiplet XY to the gateway, interposer XY (or the star
-  hop), then XY to the destination; deadlock freedom uses a VC escape
-  layer (see :data:`CHIPLET_VC_LAYERS`).
+  hop), then XY to the destination; the first inter-chiplet link
+  advances the escape layer (see :data:`CHIPLET_VC_LAYERS`).
 """
 
 from __future__ import annotations
@@ -138,6 +145,12 @@ class Topology:
     #: Spec kind string ("mesh", "ring", "chiplet").
     kind = "abstract"
 
+    #: VC layers per message class (a class's VCs are ``class *
+    #: vc_layers + layer``).  1 where the routing law alone is
+    #: deadlock-free (XY on a mesh); graphs with a cycle to break
+    #: declare 2 and name the breaking links in :meth:`advances_layer`.
+    vc_layers = 1
+
     def __init__(self, num_nodes: int):
         if num_nodes < 1:
             raise ValueError("topology must have at least one node")
@@ -181,6 +194,11 @@ class Topology:
         """Cycles from switch grant to downstream eligibility (2 for
         on-die mesh hops; hierarchies stretch inter-chiplet edges)."""
         return 2
+
+    def advances_layer(self, node: int, port: Port) -> bool:
+        """Does the link out of ``node`` through ``port`` move a packet
+        to escape layer 1?  Never, on a single-layer topology."""
+        return False
 
     # -- generic queries ----------------------------------------------------
 
@@ -391,13 +409,15 @@ class MeshTopology(Topology):
 class RingTopology(Topology):
     """A bidirectional ring of ``num_stops`` nodes.
 
-    Shortest-direction routing, clockwise (EAST) on ties — the exact
-    law the ring router has always applied.  Deadlock freedom over the
-    wrap-around cycle is the router's dateline VC scheme
-    (:mod:`repro.noc.ring`), not a topology property.
+    Shortest-direction routing, clockwise (EAST) on ties.  Deadlock
+    freedom over the wrap-around cycle is the classic *dateline*: two
+    VC layers per class, and the two wrap links (stop N-1 -> 0 clockwise,
+    stop 0 -> N-1 counter-clockwise) advance a packet to layer 1, so
+    neither layer's channels close the ring.
     """
 
     kind = "ring"
+    vc_layers = 2
 
     def __init__(self, num_stops: int):
         super().__init__(num_stops)
@@ -437,6 +457,11 @@ class RingTopology(Topology):
         backward = (node - dst) % self.num_nodes
         return Direction.EAST if forward <= backward else Direction.WEST
 
+    def advances_layer(self, node: int, port: Port) -> bool:
+        if port is Direction.EAST:
+            return node == self.num_nodes - 1
+        return port is Direction.WEST and node == 0
+
     def hop_distance(self, src: int, dst: int) -> int:
         forward = (dst - src) % self.num_nodes
         return min(forward, self.num_nodes - forward)
@@ -466,6 +491,7 @@ class ChipletTopology(Topology):
     """
 
     kind = "chiplet"
+    vc_layers = CHIPLET_VC_LAYERS
 
     def __init__(self, chiplets_x: int, chiplets_y: int,
                  chip_width: int, chip_height: int,
@@ -679,6 +705,9 @@ class ChipletTopology(Topology):
             return self.interposer_latency
         return 2
 
+    def advances_layer(self, node: int, port: Port) -> bool:
+        return int(port) >= FIRST_INTERPOSER_PORT
+
     def hop_distance(self, src: int, dst: int) -> int:
         """Route length: intra hops + interposer hops + intra hops."""
         self._check(src)
@@ -825,5 +854,5 @@ def topology_from_spec(spec: TopologySpec, width: int,
 
 def build_topology(params) -> Topology:
     """The topology described by a :class:`repro.params.NocParams`."""
-    spec = parse_topology_spec(getattr(params, "topology", "mesh"))
+    spec = parse_topology_spec(params.topology)
     return topology_from_spec(spec, params.mesh_width, params.mesh_height)

@@ -116,6 +116,3 @@ class InputUnit:
         #: Upstream OutputPort feeding this unit (set by Network wiring);
         #: credits return to it when flits are dequeued here.
         self.feeder_port = None
-
-    def receive(self, flit: Flit, vc_index: int) -> None:
-        self.vcs[vc_index].push(flit)

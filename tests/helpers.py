@@ -9,7 +9,10 @@ turns into a crisp assertion failure here.
 
 from __future__ import annotations
 
+from typing import Dict, List, Optional, Set, Tuple
+
 from repro.noc.network import Network, build_network
+from repro.noc.topology import Topology
 from repro.params import NocKind, NocParams
 
 
@@ -19,6 +22,62 @@ def make_network(kind: NocKind, width: int = 4, height: int = 4,
         NocParams(kind=kind, mesh_width=width, mesh_height=height,
                   **noc_kwargs)
     )
+
+
+def occupied_vc(net: Network, packet) -> int:
+    """Index of the one input VC that buffers flits of ``packet``."""
+    (index,) = {
+        vc.index
+        for router in net.routers
+        for unit in router.input_units.values()
+        for vc in unit.vcs
+        if any(flit.packet is packet for flit in vc.flits)
+    }
+    return index
+
+
+def channel_dependency_cycle(topo: Topology) -> Optional[List[Tuple]]:
+    """A cycle in the channel-dependency graph of ``topo``, or None.
+
+    A channel is ``(node, out_port, layer)`` — the VCs of one escape
+    layer at the far end of one directed link.  A packet holding a
+    channel waits for the next channel of its route, so every
+    consecutive pair on every endpoint-to-endpoint route is an edge;
+    the routing law plus ``advances_layer`` is deadlock-free iff the
+    graph is acyclic (Dally & Seitz).  Needs nothing but the topology.
+    """
+    succ: Dict[Tuple, Set[Tuple]] = {}
+    endpoints = range(topo.num_endpoints)
+    for src in endpoints:
+        for dst in endpoints:
+            layer, held = 0, None
+            for node, port in topo.route(src, dst)[:-1]:
+                if topo.advances_layer(node, port):
+                    layer = 1
+                channel = (node, port, layer)
+                if held is not None:
+                    succ.setdefault(held, set()).add(channel)
+                held = channel
+    # Depth-first search in sorted order, so a reported cycle is stable.
+    done: Dict[Tuple, bool] = {}  # False while on the current path
+    for start in sorted(succ):
+        if start in done:
+            continue
+        done[start] = False
+        path, pending = [start], [iter(sorted(succ[start]))]
+        while path:
+            for channel in pending[-1]:
+                if channel not in done:
+                    done[channel] = False
+                    path.append(channel)
+                    pending.append(iter(sorted(succ.get(channel, ()))))
+                    break
+                if not done[channel]:
+                    return path[path.index(channel):]
+            else:
+                done[path.pop()] = True
+                pending.pop()
+    return None
 
 
 def assert_quiescent(net: Network) -> None:

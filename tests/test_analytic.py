@@ -20,6 +20,8 @@ from repro.analytic import (
     synthetic_mix,
     zero_load_latency,
 )
+from repro.analytic.geometry import geometry_for
+from repro.analytic.queueing import _zero_load_mean
 from repro.analytic.screen import PRUNE_MAX_UTIL
 from repro.analytic.system import clear_prediction_cache
 from repro.checkpoint.store import CellStore
@@ -32,7 +34,7 @@ from repro.harness.runner import (
     evaluation_grid,
     grid_stats,
 )
-from repro.params import NocKind, NocParams
+from repro.params import NocKind, NocParams, PraParams, SmartParams
 from repro.workloads.synthetic import TrafficPattern
 
 TINY = EvaluationScale("tiny", warmup=150, measure=700, num_seeds=1)
@@ -57,6 +59,51 @@ class TestZeroLoad:
     def test_zero_hops_is_free(self):
         for kind in ALL_KINDS:
             assert zero_load_latency(kind, 0, 0) == 0.0
+
+
+@pytest.mark.parametrize("kind,announced,overrides", [
+    (NocKind.SMART, False, {"smart": SmartParams(hops_per_cycle=1)}),
+    (NocKind.SMART, False, {"smart": SmartParams(hops_per_cycle=2)}),
+    (NocKind.MESH_PRA, True, {"pra": PraParams(hops_per_cycle=1)}),
+    (NocKind.MESH_PRA, True, {"pra": PraParams(hops_per_cycle=2)}),
+    (NocKind.IDEAL, False, {"ideal_hops_per_cycle": 1}),
+    (NocKind.IDEAL, False, {"ideal_hops_per_cycle": 2}),
+    (NocKind.IDEAL, False, {"ideal_hops_per_cycle": 3}),
+], ids=["smart-1", "smart-2", "pra-1", "pra-2",
+        "ideal-1", "ideal-2", "ideal-3"])
+def test_mean_law_is_the_pair_mean_of_the_point_law(kind, announced,
+                                                    overrides):
+    """The mean zero-load law honours the hops-per-cycle parameters the
+    point law does: under uniform traffic it is the plain average of
+    ``zero_load_latency`` over all (src, dst) pairs."""
+    params = NocParams(kind=kind, **overrides)
+    width, nodes = params.mesh_width, params.num_nodes
+    pairs = [(src, dst) for src in range(nodes) for dst in range(nodes)
+             if src != dst]
+    exact = sum(
+        zero_load_latency(kind, src % width - dst % width,
+                          src // width - dst // width, 1, params, announced)
+        for src, dst in pairs
+    ) / len(pairs)
+    mean = _zero_load_mean(kind, geometry_for(params), 1, params, announced)
+    assert mean == pytest.approx(exact, abs=1e-9)
+
+
+def test_geometry_aggregates_are_pinned():
+    """One route-walking enumerator serves every topology; these are
+    the values the mesh-only and the generic enumerators it replaced
+    produced (exact float equality)."""
+    mesh = geometry_for(NocParams())
+    assert (mesh.e_hops, mesh.e_lat_hops, mesh.e_ceil_half_hops,
+            mesh.max_link_coeff, len(mesh.link_coeffs),
+            mesh.e_segments, mesh.e_pra_hops) == (
+        5.333333333333334, 10.666666666666668, 2.9206349206349875,
+        0.03174603174603166, 224, 3.1746031746032424, 3.674603174603201)
+    chiplet = geometry_for(NocParams(topology="chiplet:2x2x4x4"))
+    assert (chiplet.e_hops, chiplet.e_lat_hops, chiplet.e_ceil_half_hops,
+            chiplet.max_link_coeff, len(chiplet.link_coeffs)) == (
+        4.6984126984127155, 11.42857142857135, 2.6031746031746215,
+        0.12698412698412656, 200)
 
 
 class TestPredictNetwork:

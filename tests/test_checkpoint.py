@@ -334,7 +334,7 @@ def _drop_registry_packet(snap):
 
 
 def _skew_code_version(snap):
-    snap["code_version"] = "2"
+    snap["code_version"] = "3"
 
 
 _DAMAGE = {

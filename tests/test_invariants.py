@@ -14,7 +14,7 @@ from repro.noc.ring import build_ring
 from repro.noc.topology import Direction
 from repro.params import MessageClass, NocKind
 from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
-from tests.helpers import assert_quiescent, make_network
+from tests.helpers import assert_quiescent, make_network, occupied_vc
 
 
 def drain(net, limit=4000):
@@ -134,7 +134,7 @@ def test_wait_graph_follows_the_escape_layer(build, src, dst, stalled):
     net.run(30)
     # ``first`` crossed the link and sits in the stalled router's
     # layer-1 VC; ``second`` is still in layer 0, one hop behind it.
-    assert (first.ring_layer, second.ring_layer) == (1, 0)
+    assert (occupied_vc(net, first), occupied_vc(net, second)) == (1, 0)
     graph = wait_graph(net, net.cycle)
     (entry,) = [b for b in graph["blocked"] if b["pid"] == second.pid]
     assert entry["node"] == src and entry["reason"] == "vc_busy"

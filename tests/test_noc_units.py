@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.noc.chiplet import build_chiplet
 from repro.noc.flit import Flit, FlitType
+from repro.noc.interface import NetworkInterface
+from repro.noc.mesh import MeshNetwork
+from repro.noc.network import build_network
 from repro.noc.packet import Packet, reset_packet_ids
+from repro.noc.ring import build_ring
+from repro.noc.router import MeshRouter
 from repro.noc.topology import (
     MeshTopology,
     RingTopology,
@@ -11,7 +17,13 @@ from repro.noc.topology import (
     topology_from_spec,
 )
 from repro.noc.vc import VirtualChannel
-from repro.params import MessageClass, NocKind
+from repro.params import (
+    NUM_MESSAGE_CLASSES,
+    MessageClass,
+    NocKind,
+    NocParams,
+    RouterParams,
+)
 from tests.helpers import make_network
 
 
@@ -217,3 +229,73 @@ def test_route_memo_stays_bounded_and_correct():
     assert route == expected
     assert len(topo._route_cache) < _ROUTE_CACHE_CAP
     assert route[0][0] == 5 and route[-1][0] == 58
+
+
+# -- the escape layer as per-port data --------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_ring(8),
+    lambda: build_chiplet("chiplet:2x2x4x4"),
+    lambda: build_chiplet("chiplet:2x2x4x4:star"),
+], ids=["ring", "chiplet", "chiplet-star"])
+def test_next_vc_rows_follow_the_topology_escape_rule(build):
+    """Every output port's ``next_vc`` is the escape rule written out
+    from ``vc_layers`` / ``advances_layer``: a hop keeps the VC, a
+    layer-advancing link lands in the class's layer-1 VC, and an NI
+    injects class ``c`` on its layer-0 VC."""
+    net = build()
+    topo = net.topology
+    layers = topo.vc_layers
+    num_vcs = net.params.router.vcs_per_port
+    assert layers == 2 and num_vcs == NUM_MESSAGE_CLASSES * layers
+    advancing = 0
+    for router in net.routers:
+        for port_id, port in router.output_ports.items():
+            advances = topo.advances_layer(router.node, port_id)
+            advancing += advances
+            assert list(port.next_vc) == [
+                (vc // layers) * layers + 1 if advances else vc
+                for vc in range(num_vcs)
+            ], f"router {router.node} port {port_id}"
+    assert advancing  # the rule is not vacuous on this topology
+    for ni in net.interfaces:
+        assert list(ni.port.next_vc) == [
+            cls * layers for cls in range(NUM_MESSAGE_CLASSES)
+        ]
+
+
+@pytest.mark.parametrize("vcs", [3, 6])
+def test_every_mesh_port_aliases_the_identity_row(vcs):
+    net = make_network(NocKind.MESH, 8, 8,
+                       router=RouterParams(vcs_per_port=vcs))
+    assert net.same_vcs == tuple(range(vcs))
+    assert all(port.next_vc is net.same_vcs
+               for router in net.routers
+               for port in router.output_ports.values())
+    assert all(ni.port.next_vc == (0, 1, 2) for ni in net.interfaces)
+
+
+@pytest.mark.parametrize("topology", ["ring", "chiplet:2x2x2x2"])
+def test_one_network_class_serves_every_topology(topology):
+    net = build_network(NocParams(topology=topology))
+    assert type(net) is MeshNetwork
+    assert {type(router) for router in net.routers} == {MeshRouter}
+    assert {type(ni) for ni in net.interfaces} == {NetworkInterface}
+
+
+@pytest.mark.parametrize("topology,kind,supported", [
+    ("ring", NocKind.SMART, "mesh"),
+    ("ring", NocKind.MESH_PRA, "mesh"),
+    ("ring", NocKind.IDEAL, "mesh"),
+    ("chiplet:2x2x2x2", NocKind.SMART, "mesh, ideal"),
+    ("chiplet:2x2x2x2", NocKind.MESH_PRA, "mesh, ideal"),
+])
+def test_unsupported_organization_names_the_supported_kinds(
+        topology, kind, supported):
+    with pytest.raises(ValueError) as err:
+        build_network(NocParams(kind=kind, topology=topology))
+    assert str(err.value) == (
+        f"{topology.split(':')[0]} topology supports kinds {supported}, "
+        f"not {kind.value}"
+    )

@@ -5,6 +5,7 @@ import random
 from repro.noc.packet import Packet
 from repro.noc.ring import build_ring
 from repro.params import MessageClass
+from repro.trace import EV_VC_ALLOC, RingTracer
 
 
 class TestRingBasics:
@@ -34,13 +35,18 @@ class TestRingBasics:
 
     def test_dateline_crossing_delivers(self):
         net = build_ring(8)
+        tracer = RingTracer()
+        net.attach(tracer=tracer)
         # 6 -> 1 clockwise crosses the 7 -> 0 dateline.
         pkt = Packet(src=6, dst=1, msg_class=MessageClass.RESPONSE,
                      created=net.cycle)
         net.send(pkt)
         net.drain(max_cycles=200)
         assert pkt.ejected is not None
-        assert pkt.ring_layer == 1  # switched layers at the dateline
+        # Switched layers at the dateline: the response class's layer-0
+        # VC into stop 7, its layer-1 VC across 7 -> 0 and from then on.
+        assert [event.data["vc"]
+                for event in tracer.events(pkt.pid, [EV_VC_ALLOC])] == [4, 5, 5]
 
     def test_multi_flit_across_dateline_intact(self):
         net = build_ring(6)
