@@ -3,8 +3,12 @@
 Splits Mesh+PRA network latency into planned responses, unplanned
 responses, and requests, and reports plan coverage and length — the
 quantities that explain how much of the mesh-to-ideal gap PRA can
-capture in this substrate.
+capture in this substrate.  A second table counts every refused
+reservation attempt by the check that refused it and the control
+packet's remaining lag.
 """
+
+from collections import Counter
 
 from repro.harness.reporting import format_table
 from repro.params import NocKind
@@ -46,10 +50,24 @@ def test_attribution(benchmark, save_result, scale):
         f"mean plan length {report.mean_plan_length:.2f} steps, "
         f"capture = {(mesh_sample.avg_network_latency - sample.avg_network_latency) / max(1e-9, mesh_sample.avg_network_latency - ideal_sample.avg_network_latency):.2f}"
     )
+    refusals = report.control_refusals
+    lags = sorted({lag for _, lag in refusals})
+    totals = Counter()
+    for (check, _), count in refusals.items():
+        totals[check] += count
+    refusal_rows = [
+        [check] + [refusals.get((check, lag), 0) for lag in lags] + [total]
+        for check, total in sorted(totals.items(),
+                                   key=lambda item: (-item[1], item[0]))
+    ]
     save_result(
         "attribution",
         format_table(["Population", "Packets", "Mean latency"], rows,
-                     f"Latency attribution ({WORKLOAD})") + "\n" + extra,
+                     f"Latency attribution ({WORKLOAD})") + "\n" + extra
+        + "\n\n"
+        + format_table(["Check"] + [f"lag {lag}" for lag in lags] + ["all"],
+                       refusal_rows,
+                       "Refused reservations by check and lag at drop"),
     )
     # The structural facts the gap analysis rests on:
     assert report.planned_fraction > 0.5

@@ -45,7 +45,7 @@ from repro.tile.llc import Transaction
 
 #: Bumped whenever a change invalidates previously written snapshots or
 #: persisted evaluation-grid cells.
-CODE_VERSION = "4"
+CODE_VERSION = "5"
 
 _SCALARS = (bool, int, float, str)
 

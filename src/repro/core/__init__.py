@@ -2,7 +2,8 @@
 
 Mesh+PRA augments the baseline mesh data network with:
 
-* per-output-port reservation bit vectors (:mod:`repro.core.reservation`),
+* a per-router table of promised future timeslots, the paper's
+  reservation bit vectors (:mod:`repro.core.reservation`),
 * a bypass path and a one-cycle latch in each input unit, a PRA arbiter
   beside the local arbiter, and a Long Stall Detection unit
   (:mod:`repro.core.pra_router`),
@@ -15,15 +16,15 @@ else the network behaves exactly like the baseline mesh.
 """
 
 from repro.core.plan import PlanStep, PraPlan
-from repro.core.reservation import ReservationEntry, ReservationTable
+from repro.core.reservation import Promises, Window
 from repro.core.control_network import ControlNetwork, ControlRun
 from repro.core.pra_network import PraNetwork
 
 __all__ = [
     "PlanStep",
     "PraPlan",
-    "ReservationEntry",
-    "ReservationTable",
+    "Promises",
+    "Window",
     "ControlNetwork",
     "ControlRun",
     "PraNetwork",

@@ -17,7 +17,9 @@ packet's XY route, attempting one :class:`~repro.core.plan.PlanStep`
 every two cycles.  Reservation attempts are all-or-nothing per step:
 driver-port timeslots, bypassed-router timeslots, crossbar input slots,
 latch availability (for the ACK conversion of the previous landing), and
-full-packet buffer space at the new landing.  Contention for the
+full-packet buffer space at the new landing — each one window in a
+router's :class:`~repro.core.reservation.Promises`, and a refused
+attempt is counted under the check that refused it.  Contention for the
 multi-drop media and injection latches is modeled with per-(node,
 direction, cycle) claims; the loser is dropped, mirroring the statically
 prioritized input latches of the hardware.
@@ -35,7 +37,7 @@ from repro.core.plan import (
     PraPlan,
     SRC_LATCH,
 )
-from repro.core.reservation import ReservationEntry
+from repro.core.reservation import IN, LATCH, OUT
 from repro.noc.packet import Packet
 from repro.noc.topology import Direction
 from repro.trace.events import (
@@ -252,12 +254,14 @@ class ControlNetwork:
         if faults.enabled and not self._survives_faults(run, node, now,
                                                         faults):
             return
-        if direction is Direction.LOCAL:
-            self._reserve_ejection(run, node, now)
-            return
         hops = self._step_hops(run, direction)
-        if not self._reserve_step(run, node, direction, hops, now):
-            self._finish(run, DROP_RESOURCE_BUSY)
+        refused = self._reserve_step(run, node, direction, hops, now)
+        if refused is not None:
+            self._finish(run, DROP_RESOURCE_BUSY, refused)
+            return
+        if direction is Direction.LOCAL:
+            run.lag -= 1
+            self._finish(run, DROP_REACHED_DESTINATION)
             return
         run.pos += hops
         run.entry_dir = direction.opposite
@@ -339,24 +343,26 @@ class ControlNetwork:
         direction: Direction,
         hops: int,
         now: int,
-    ) -> bool:
+    ) -> Optional[str]:
+        """Reserve the run's next step; the last one (``direction`` is
+        ``LOCAL``) pre-allocates the destination router's ejection port.
+        Returns None once committed, else the check that refused."""
         routers = self.network.routers
         driver: "PraRouter" = routers[node]
+        promises = driver.promises
         size = run.packet.size
         slot = run.next_slot
-        driver_port = driver.output_ports[direction]
         src_kind, src_dir, src_vc = self._step_source(run)
 
+        if not promises.within_horizon(now, slot, size):
+            return "horizon"
         # 1. Driver output-port timeslots.  A port currently held by a
         # normally allocated packet is still reservable: the PRA arbiter
         # preempts the hold at the reserved slots (the held transmission
         # skips those cycles), and buffer interleaving is impossible
         # because landings claim their VC at reservation time.
-        table = driver_port.reservations
-        if not table.within_horizon(now, slot, size):
-            return False
-        if not table.window_free(slot, size):
-            return False
+        if not promises.free((OUT, direction), slot, size):
+            return "driver_port"
         # Injected link stalls are visible at reservation time (the
         # static schedule), so slots that would drive a dead link are
         # refused here and the packet degrades to hop-by-hop allocation.
@@ -364,50 +370,55 @@ class ControlNetwork:
         if faults.enabled and faults.link_window_blocked(
             node, direction, slot, size
         ):
-            return False
+            return "link_fault"
         # 2. Driver crossbar input.
-        if not driver.input_window_free(src_dir, slot, size):
-            return False
+        if not promises.free((IN, src_dir), slot, size):
+            return "driver_input"
         # 3. Bypassed router (2-hop steps).
-        via_router = None
-        via_port = None
+        via_node = None
         if hops == 2:
             via_node = run.route[run.pos + 1][0]
-            via_router = routers[via_node]
-            via_port = via_router.output_ports[direction]
-            if not via_port.reservations.within_horizon(now, slot, size):
-                return False
-            if not via_port.reservations.window_free(slot, size):
-                return False
-            if not via_router.input_window_free(direction.opposite, slot, size):
-                return False
+            via = routers[via_node].promises
+            if not via.free((OUT, direction), slot, size):
+                return "via_port"
+            if not via.free((IN, direction.opposite), slot, size):
+                return "via_input"
             if faults.enabled and faults.link_window_blocked(
                 via_node, direction, slot, size
             ):
-                return False
-        # 4. Landing buffer: full-packet space in the standard VC.
-        landing_port = via_port if hops == 2 else driver_port
-        landing_node = run.route[run.pos + hops][0]
-        vc_index = run.packet.vc_index
-        landing_vc = landing_port.downstream_vc(vc_index)
-        if not landing_vc.can_accept_packet(run.packet):
-            return False
-        if landing_port.credits[vc_index] < size:
-            return False
+                return "link_fault"
+        # 4. Landing buffer: full-packet space in the standard VC (an
+        # ejecting step lands in the NI, which always accepts).
+        ejecting = direction is Direction.LOCAL
+        if not ejecting:
+            landing_port = routers[
+                node if via_node is None else via_node
+            ].output_ports[direction]
+            vc_index = run.packet.vc_index
+            if not landing_port.downstream_vc(vc_index).can_accept_packet(
+                run.packet
+            ):
+                return "landing_vc"
+            if landing_port.credits[vc_index] < size:
+                return "landing_credits"
         # 5. ACK conversion: the previous landing (this driver) becomes a
         # latch instead of a buffered stop — the latch must be free.
         # Flit i lands in the latch at the end of slot - 1 + i.
-        if run.pos > 0 and not driver.latch_window_free(src_dir, slot - 1, size):
-            return False
+        if run.pos > 0 and not promises.free((LATCH, src_dir), slot - 1, size):
+            return "latch"
         # 6. LLC-triggered runs stream the response out of the source
         # NI: its local VC and injection credits must be claimable.
-        if run.pos == 0 and run.trigger == "llc":
-            if not self._step0_source_claimable(run, node):
-                return False
+        if (run.pos == 0 and run.trigger == "llc"
+                and not self._step0_source_claimable(run, node)):
+            return "source_vc"
 
         # --- commit ---
         if run.pos > 0:
-            self._convert_previous_landing(run, driver, src_dir, slot, size)
+            # The ACK: the flit will pass through this router's latch
+            # instead of stopping in the claimed standard VC.
+            run.plan.release_landing_vc()
+            run.plan.steps[-1].landing_kind = LAND_LATCH
+            promises.claim((LATCH, src_dir), slot - 1, size, run.plan)
         else:
             self._claim_step0_source(run, driver, now)
         step = PlanStep(
@@ -418,99 +429,33 @@ class ControlNetwork:
             source_kind=src_kind,
             source_dir=src_dir,
             source_vc=src_vc,
-            via_node=(run.route[run.pos + 1][0] if hops == 2 else None),
-            landing_node=landing_node,
-            landing_kind=LAND_VC,
+            via_node=via_node,
+            landing_node=node if ejecting else run.route[run.pos + hops][0],
+            landing_kind=LAND_NI if ejecting else LAND_VC,
             landing_entry=direction.opposite,
         )
         self._append_step(run, step)
-        for i in range(size):
-            table.reserve(
-                slot + i, ReservationEntry(run.plan, step, i, is_driver=True)
-            )
-            driver.claim_input(src_dir, slot + i, run.plan)
-            if via_port is not None:
-                via_port.reservations.reserve(
-                    slot + i,
-                    ReservationEntry(run.plan, step, i, is_driver=False),
-                )
-                via_router.claim_input(direction.opposite, slot + i, run.plan)
-        run.plan.claim_landing_vc(landing_port, vc_index)
+        promises.claim((OUT, direction), slot, size, run.plan, step, True)
+        promises.claim((IN, src_dir), slot, size, run.plan)
         # The reserved routers must be stepping when their slots arrive
         # even if no flit is buffered there; has_work() keeps them awake
-        # until the tables drain.
+        # until the windows are over.
         self.network.wake_router(node)
-        if via_router is not None:
-            self.network.wake_router(via_router.node)
+        if via_node is not None:
+            via.claim((OUT, direction), slot, size, run.plan, step)
+            via.claim((IN, direction.opposite), slot, size, run.plan)
+            self.network.wake_router(via_node)
+        if not ejecting:
+            run.plan.claim_landing_vc(landing_port, vc_index)
         tracer = self.network.tracer
         if tracer.enabled:
             tracer.emit(
                 now, EV_RESERVATION_COMMIT, pid=run.packet.pid, node=node,
                 direction=direction.name, slot=slot, size=size, hops=hops,
-                via=step.via_node, landing=landing_node,
+                via=via_node, landing=step.landing_node,
                 landing_kind=step.landing_kind,
             )
-        return True
-
-    def _reserve_ejection(self, run: ControlRun, node: int, now: int) -> None:
-        """Final step: pre-allocate the destination router's local port."""
-        driver: "PraRouter" = self.network.routers[node]
-        port = driver.output_ports[Direction.LOCAL]
-        size = run.packet.size
-        slot = run.next_slot
-        src_kind, src_dir, src_vc = self._step_source(run)
-        faults = self.network.faults
-        ok = (
-            not (faults.enabled and faults.link_window_blocked(
-                node, Direction.LOCAL, slot, size))
-        ) and (
-            port.reservations.within_horizon(now, slot, size)
-            and port.reservations.window_free(slot, size)
-            and driver.input_window_free(src_dir, slot, size)
-            and (
-                run.pos == 0
-                or driver.latch_window_free(src_dir, slot - 1, size)
-            )
-            and (
-                run.pos > 0
-                or run.trigger != "llc"
-                or self._step0_source_claimable(run, node)
-            )
-        )
-        if not ok:
-            self._finish(run, DROP_RESOURCE_BUSY)
-            return
-        if run.pos > 0:
-            self._convert_previous_landing(run, driver, src_dir, slot, size)
-        else:
-            self._claim_step0_source(run, driver, now)
-        step = PlanStep(
-            driver_node=node,
-            out_dir=Direction.LOCAL,
-            slot=slot,
-            hops=1,
-            source_kind=src_kind,
-            source_dir=src_dir,
-            source_vc=src_vc,
-            landing_node=node,
-            landing_kind=LAND_NI,
-        )
-        self._append_step(run, step)
-        for i in range(size):
-            port.reservations.reserve(
-                slot + i, ReservationEntry(run.plan, step, i, is_driver=True)
-            )
-            driver.claim_input(src_dir, slot + i, run.plan)
-        self.network.wake_router(node)
-        tracer = self.network.tracer
-        if tracer.enabled:
-            tracer.emit(
-                now, EV_RESERVATION_COMMIT, pid=run.packet.pid, node=node,
-                direction=Direction.LOCAL.name, slot=slot, size=size,
-                hops=1, via=None, landing=node, landing_kind=LAND_NI,
-            )
-        run.lag -= 1
-        self._finish(run, DROP_REACHED_DESTINATION)
+        return None
 
     # -- helpers ----------------------------------------------------------
 
@@ -518,18 +463,6 @@ class ControlNetwork:
         if run.pos == 0:
             return run.source_kind, run.source_dir, run.source_vc
         return SRC_LATCH, run.entry_dir, 0
-
-    def _convert_previous_landing(
-        self, run, driver: "PraRouter", entry_dir: Direction, slot: int,
-        size: int,
-    ) -> None:
-        """Apply the ACK: the flit will pass through this router's latch
-        instead of stopping in the claimed standard VC."""
-        prev = run.plan.steps[-1]
-        run.plan.release_landing_vc()
-        prev.landing_kind = LAND_LATCH
-        for i in range(size):
-            driver.claim_latch(entry_dir, slot - 1 + i, run.plan)
 
     def _step0_source_claimable(self, run: ControlRun, node: int) -> bool:
         """The announced response will stream through the source NI's
@@ -637,28 +570,28 @@ class ControlNetwork:
                         steps=len(plan.steps))
         plan.cancel()
 
-    def _finish(self, run: ControlRun, reason: str) -> None:
+    def _finish(self, run: ControlRun, reason: str,
+                refused: Optional[str] = None) -> None:
         """The control packet is dropped (every control packet ends in a
         drop); record Figure 7's lag-at-drop and settle the plan."""
         lag = max(run.lag, 0)
-        self._record_drop(lag, reason, run)
+        self._record_drop(lag, reason, run, refused)
         if not run.plan.steps:
             run.plan.cancel()
             run.packet.pra_pending = False
 
-    def _record_drop(self, lag: int, reason: str,
-                     run: Optional[ControlRun] = None) -> None:
+    def _record_drop(self, lag: int, reason: str, run: ControlRun,
+                     refused: Optional[str] = None) -> None:
         self.stats.control_lag_at_drop[lag] += 1
         self.stats.control_drop_reasons[reason] += 1
+        if refused is not None:
+            self.stats.control_refusals[refused, lag] += 1
         tracer = self.network.tracer
         if tracer.enabled:
             tracer.emit(
-                self.network.cycle, EV_CONTROL_DROP,
-                pid=run.packet.pid if run is not None else None,
-                node=(run.route[min(run.pos, len(run.route) - 1)][0]
-                      if run is not None else None),
-                reason=reason, lag=lag,
-                steps=len(run.plan.steps) if run is not None else 0,
+                self.network.cycle, EV_CONTROL_DROP, pid=run.packet.pid,
+                node=run.route[min(run.pos, len(run.route) - 1)][0],
+                reason=reason, lag=lag, steps=len(run.plan.steps),
             )
 
     def purge(self, now: int) -> None:

@@ -4,9 +4,11 @@ A :class:`PraPlan` records, slot by slot, how a data packet will cross a
 stretch of the network once proactive resource allocation has succeeded:
 a sequence of :class:`PlanStep`\\ s, each one single-cycle traversal of
 one or two hops.  The data-network routers execute the plan through
-their reservation tables (:mod:`repro.core.reservation`); the plan
-object itself mainly tracks the resources claimed on the packet's behalf
-so they can be refunded if the packet misses its window.
+the windows promised to it (:mod:`repro.core.reservation`), which die
+with the plan's ``cancelled`` flag; the plan object itself tracks only
+the claims that hold a resource *now* — the landing VC's credits and the
+source NI's VC and pin — so they can be refunded if the packet misses
+its window.
 
 Terminology mapping to the paper (Figures 3-5):
 
@@ -107,19 +109,12 @@ class PraPlan:
         self.steps: List[PlanStep] = []
         self.cancelled = False
         #: True once the last step's tail flit has been driven; finished
-        #: plans keep their (already consumed) claims until the periodic
+        #: plans keep their (already consumed) windows until the periodic
         #: purge, which the leak checkers must not flag.
         self.finished = False
-        self.completed_steps = 0
         #: Current standard-VC claim at the chain's tail:
         #: (port feeding the landing router, vc index, credits claimed).
         self.vc_claim: Optional[Tuple["OutputPort", int, int]] = None
-        #: Latch claims: (router, (entry_dir, slot)) keys to release.
-        self.latch_claims: List[Tuple[object, Tuple[Direction, int]]] = []
-        #: Reservation-table entries placed for this plan, for refunds.
-        self.table_entries: List[Tuple[object, int]] = []
-        #: Input-port usage claims: (router, (direction, slot)).
-        self.input_claims: List[Tuple[object, Tuple[Direction, int]]] = []
         #: True when the source NI's local VC was claimed (or chained)
         #: for this packet and the injection slot pinned.
         self.injection_claim = False
@@ -175,15 +170,6 @@ class PraPlan:
         self.packet.pra_plan = None
         self.packet.pra_pending = False
         self.release_landing_vc()
-        for router, key in self.latch_claims:
-            router.release_latch_claim(key, self)
-        for router, key in self.input_claims:
-            router.release_input_claim(key, self)
-        # Void reservation-table entries eagerly so the tables' pending
-        # counters stay exact; the tables also skip any entry whose plan
-        # is cancelled, so a missed void degrades gracefully.
-        for table, slot in self.table_entries:
-            table.void(slot, self)
         if self.source_interface is not None:
             if self.injection_claim:
                 vc = self.source_interface.port.downstream_vc(
@@ -201,14 +187,7 @@ class PraPlan:
     # -- checkpointing ---------------------------------------------------
 
     def state_dict(self, ctx) -> dict:
-        """Scalar plan state plus the VC claim by port locator.
-
-        The ``latch_claims`` / ``table_entries`` / ``input_claims``
-        back-reference lists are *not* serialized: the routers rebuild
-        them on restore by re-registering their claims through the same
-        ``claim_latch`` / ``claim_input`` / ``reserve`` calls that built
-        them originally.
-        """
+        """Scalar plan state plus the VC claim by port locator."""
         vc_claim = None
         if self.vc_claim is not None:
             port, vc_index, remaining = self.vc_claim
@@ -219,7 +198,6 @@ class PraPlan:
             "steps": [step.state_dict() for step in self.steps],
             "cancelled": self.cancelled,
             "finished": self.finished,
-            "completed_steps": self.completed_steps,
             "vc_claim": vc_claim,
             "injection_claim": self.injection_claim,
             "source_interface": (
@@ -234,7 +212,6 @@ class PraPlan:
         plan.steps = [PlanStep.from_state(s) for s in state["steps"]]
         plan.cancelled = state["cancelled"]
         plan.finished = state["finished"]
-        plan.completed_steps = state["completed_steps"]
         if state["vc_claim"] is not None:
             port_ref, vc_index, remaining = state["vc_claim"]
             plan.vc_claim = (ctx.port(port_ref), vc_index, remaining)

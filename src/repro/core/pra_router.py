@@ -3,10 +3,11 @@
 Relative to the baseline mesh router, each input unit gains a *bypass*
 path (pre-allocated flits cross link → crossbar → link combinationally,
 modeled by the upstream driver charging this router's port for the slot)
-and a one-cycle *latch*; each output port gains a reservation table (the
-bit vectors); and the arbiter is split: the **PRA arbiter** executes any
-reservation recorded for the current cycle, and the **local arbiter**
-handles everything else, skipping resources the PRA arbiter is using.
+and a one-cycle *latch*; the router gains a table of promised future
+timeslots (the bit vectors, :class:`~repro.core.reservation.Promises`);
+and the arbiter is split: the **PRA arbiter** executes any window
+covering the current cycle, and the **local arbiter** handles
+everything else, skipping resources the PRA arbiter is using.
 
 The **Long Stall Detection (LSD)** unit watches for a packet stalled
 behind a multi-flit packet whose transmission end is deterministic
@@ -18,104 +19,40 @@ pre-allocated by the time the port frees up.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Set
 
 from repro.core.plan import LAND_LATCH, LAND_NI, LAND_VC, PraPlan, SRC_VC
-from repro.core.reservation import ReservationEntry, ReservationTable
+from repro.core.reservation import Promises, Window
 from repro.noc.flit import Flit
 from repro.noc.network import LATCH_INDEX
-from repro.noc.ports import OutputPort
 from repro.noc.router import MeshRouter
 from repro.noc.topology import Direction
 from repro.trace.events import EV_LATCH_BYPASS
 
-#: How often stale claims/reservations are garbage-collected.
+#: How often dead windows are garbage-collected.
 _PURGE_PERIOD = 64
-
-
-class PraOutputPort(OutputPort):
-    """Output port with the PRA reservation bit vectors attached."""
-
-    __slots__ = ("reservations",)
-
-    def __init__(self, *args, horizon: int, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.reservations = ReservationTable(horizon)
-
-    def state_dict(self, ctx) -> dict:
-        state = super().state_dict(ctx)
-        state["reservations"] = self.reservations.state_dict(ctx)
-        return state
-
-    def load_state(self, state: dict, ctx) -> None:
-        super().load_state(state, ctx)
-        self.reservations.load_state(state["reservations"], ctx)
 
 
 class PraRouter(MeshRouter):
     """Mesh router extended with PRA arbitration, latches, and LSD."""
 
     def __init__(self, node: int, network):
-        self._horizon = network.params.pra.reservation_horizon
         super().__init__(node, network)
         #: One latch per input direction (Figure 4's extra VC).
         self._latches: Dict[Direction, Deque[Flit]] = {
             d: deque() for d in self.input_units
         }
-        #: Latch occupancy promises: (entry_dir, slot) -> plan.
-        self._latch_claims: Dict[Tuple[Direction, int], PraPlan] = {}
-        #: Crossbar-input promises: (direction, slot) -> plan.
-        self._input_claims: Dict[Tuple[Direction, int], PraPlan] = {}
+        #: Every future timeslot promised on this router's output
+        #: ports, crossbar inputs and latches (the control network
+        #: claims, the PRA arbiter executes).
+        self.promises = Promises(
+            network.params.pra.reservation_horizon,
+            [port.direction for port in self.port_list],
+        )
         self._last_purge = 0
         #: Cached PRA knobs (the step loop reads them every cycle).
         self._use_lsd = network.params.pra.use_lsd_trigger
         self._max_lag = network.params.pra.max_lag
-
-    def _make_output_port(self, direction: Direction) -> PraOutputPort:
-        return PraOutputPort(
-            router=self,
-            direction=direction,
-            network=self.network,
-            num_vcs=self.num_vcs,
-            vc_depth=self.vc_depth,
-            horizon=self._horizon,
-        )
-
-    # -- claims used by the control network -----------------------------------
-
-    def latch_window_free(self, direction: Direction, first_slot: int,
-                          count: int) -> bool:
-        for i in range(count):
-            plan = self._latch_claims.get((direction, first_slot + i))
-            if plan is not None and not plan.cancelled:
-                return False
-        return True
-
-    def claim_latch(self, direction: Direction, slot: int, plan: PraPlan) -> None:
-        key = (direction, slot)
-        self._latch_claims[key] = plan
-        plan.latch_claims.append((self, key))
-
-    def release_latch_claim(self, key, plan: PraPlan) -> None:
-        if self._latch_claims.get(key) is plan:
-            del self._latch_claims[key]
-
-    def input_window_free(self, direction: Direction, first_slot: int,
-                          count: int) -> bool:
-        for i in range(count):
-            plan = self._input_claims.get((direction, first_slot + i))
-            if plan is not None and not plan.cancelled:
-                return False
-        return True
-
-    def claim_input(self, direction: Direction, slot: int, plan: PraPlan) -> None:
-        key = (direction, slot)
-        self._input_claims[key] = plan
-        plan.input_claims.append((self, key))
-
-    def release_input_claim(self, key, plan: PraPlan) -> None:
-        if self._input_claims.get(key) is plan:
-            del self._input_claims[key]
 
     def has_work(self) -> bool:
         """Awake while flits are buffered or any reservation is pending.
@@ -124,12 +61,8 @@ class PraRouter(MeshRouter):
         the always-stepping behavior exactly: the PRA arbiter must run
         at every reserved cycle even when no flit is buffered locally.
         """
-        if self.active_flits > 0:
-            return True
-        for port in self.port_list:
-            if port.reservations._count:
-                return True
-        return False
+        return (self.active_flits > 0
+                or self.promises.pending(self.network.cycle + 1))
 
     # -- per-cycle processing ---------------------------------------------------
 
@@ -176,41 +109,35 @@ class PraRouter(MeshRouter):
     def _execute_reservations(
         self, now: int, used_inputs: Set[Direction], busy_dirs: Set[Direction]
     ) -> None:
-        for port in self.port_list:
-            table = port.reservations
-            if table._count == 0:
-                continue
-            entry = table.pop(now)
-            if entry is None:
-                continue
-            if not entry.is_driver:
+        for window in self.promises.due(now):
+            if window.is_driver:
+                self._drive_window(window, now, used_inputs, busy_dirs)
+            else:
                 # A pre-allocated flit crosses this router's crossbar and
                 # output link this cycle (set up by the upstream driver);
                 # pin the port and the crossbar input for the cycle.  A
                 # normally allocated transmission holding the port simply
                 # skips this cycle (the PRA arbiter has priority).
-                busy_dirs.add(port.direction)
-                used_inputs.add(entry.step.out_dir.opposite)
-                continue
-            self._drive_entry(port, entry, now, used_inputs, busy_dirs)
+                out_dir = window.step.out_dir
+                busy_dirs.add(out_dir)
+                used_inputs.add(out_dir.opposite)
 
-    def _drive_entry(
+    def _drive_window(
         self,
-        port: PraOutputPort,
-        entry: ReservationEntry,
+        window: Window,
         now: int,
         used_inputs: Set[Direction],
         busy_dirs: Set[Direction],
     ) -> None:
-        plan = entry.plan
-        step = entry.step
+        plan = window.plan
+        step = window.step
         packet = plan.packet
         flit = self._source_front(step)
-        expected = packet.flits[entry.flit_index]
-        if flit is not expected:
+        if flit is not packet.flits[now - window.first]:
             plan.cancel()
             return
-        busy_dirs.add(port.direction)
+        port = self.output_ports[step.out_dir]
+        busy_dirs.add(step.out_dir)
         used_inputs.add(step.source_dir)
         self._pop_source(step, now)
         # Charge link/crossbar activity; a 2-hop step also crosses the
@@ -361,16 +288,7 @@ class PraRouter(MeshRouter):
             [int(direction), [ctx.flit_ref(flit) for flit in latch]]
             for direction, latch in self._latches.items()
         ]
-        state["latch_claims"] = [
-            [int(direction), slot, ctx.plan_ref(plan)]
-            for (direction, slot), plan in self._latch_claims.items()
-            if not plan.cancelled
-        ]
-        state["input_claims"] = [
-            [int(direction), slot, ctx.plan_ref(plan)]
-            for (direction, slot), plan in self._input_claims.items()
-            if not plan.cancelled
-        ]
+        state["promises"] = self.promises.state_dict(ctx, self.network.cycle)
         state["last_purge"] = self._last_purge
         return state
 
@@ -380,25 +298,11 @@ class PraRouter(MeshRouter):
             self._latches[Direction(direction_value)] = deque(
                 ctx.flit(ref) for ref in refs
             )
-        # ``claim_latch`` / ``claim_input`` rebuild each plan's release
-        # back-reference lists as a side effect, mirroring reserve().
-        self._latch_claims = {}
-        for direction_value, slot, plan_ref in state["latch_claims"]:
-            self.claim_latch(Direction(direction_value), slot,
-                             ctx.plan(plan_ref))
-        self._input_claims = {}
-        for direction_value, slot, plan_ref in state["input_claims"]:
-            self.claim_input(Direction(direction_value), slot,
-                             ctx.plan(plan_ref))
+        self.promises.load_state(state["promises"], ctx)
         self._last_purge = state["last_purge"]
 
     # -- housekeeping -------------------------------------------------------------
 
     def _purge(self, now: int) -> None:
         self._last_purge = now
-        for port in self.output_ports.values():
-            port.reservations.purge_before(now)
-        for claims in (self._latch_claims, self._input_claims):
-            stale = [key for key in claims if key[1] < now]
-            for key in stale:
-                del claims[key]
+        self.promises.purge(now)

@@ -1,4 +1,4 @@
-"""Per-output-port reservation tables (the paper's bit vectors).
+"""One router's future-timeslot promises (the paper's bit vectors).
 
 Figure 4 of the paper attaches to every output port a set of bit vectors
 holding, for several future timeslots, whether the slot is proactively
@@ -6,206 +6,158 @@ allocated (*Valid*), which input port and VC the packet comes from
 (*Input Select*, *Local VC Select*), and which downstream VC it goes to
 (*Downstream VC Select*), shifting left one slot per cycle.
 
-We model the same state as a fixed-size ring buffer indexed by
-``slot % size``: live entries always fall inside ``[now, now + horizon]``
-(reservations are only placed for future slots and the PRA arbiter pops
-each slot's entry on its cycle), so a ring of ``horizon + 2`` cells can
-never alias two live slots.  This keeps every hot-path operation —
-``pop``/``entry_at``/``is_free``/emptiness — a single indexed load, where
-the previous dict-backed table scanned ``list(self._slots.items())`` on
-each ``has_pending*`` probe.
+A control packet fills them all-or-nothing per segment, and what a
+segment reserves is always one contiguous run of cycles on one resource.
+That :class:`Window` is the unit stored here, on three kinds of resource
+per router direction:
 
-Entries reference the :class:`~repro.core.plan.PraPlan` they belong to.
-A cancelled plan voids its entries *eagerly* (``PraPlan.cancel`` calls
-:meth:`ReservationTable.void`); the queries additionally treat any entry
-whose plan is cancelled as absent, which keeps the table correct even if
-``cancelled`` is flipped without going through ``cancel()`` (the
-hardware equivalent either way: the valid bit is cleared, freeing the
-slot for the local arbiter).
+* ``(OUT, d)`` — output port ``d``'s crossbar column and link: the bit
+  vectors proper, and the only windows the PRA arbiter executes;
+* ``(IN, d)`` — the crossbar input fed from input port ``d``;
+* ``(LATCH, d)`` — the one-flit latch behind input port ``d``.
+
+Cancellation is lazy: a window belongs to a
+:class:`~repro.core.plan.PraPlan`, and every query treats a window whose
+plan is cancelled as absent (the hardware equivalent: the valid bit is
+cleared, freeing the slot for the local arbiter).  Nothing has to be
+refunded when a plan dies; :meth:`Promises.purge` sweeps the remains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.plan import PlanStep, PraPlan
-from repro.params import MessageClass
+from repro.noc.topology import Direction
+
+#: Resource kinds.
+OUT, IN, LATCH = range(3)
+
+Resource = Tuple[int, Direction]
 
 
-@dataclass
-class ReservationEntry:
-    """One timeslot's allocation on one output port."""
+class Window(NamedTuple):
+    """Cycles ``[first, end)`` of one resource, promised to ``plan``."""
 
+    first: int
+    end: int
     plan: PraPlan
-    step: PlanStep
-    #: Index of the packet flit expected in this slot.
-    flit_index: int
+    #: The step an ``OUT`` window executes (None on ``IN`` / ``LATCH``);
+    #: flit ``now - first`` of the packet is expected at cycle ``now``.
+    step: Optional[PlanStep] = None
     #: True at the router that reads the flit and drives the (multi-hop)
-    #: traversal; False at a bypassed router, whose entry only pins its
-    #: crossbar and output link for the slot.
-    is_driver: bool
-
-    @property
-    def live(self) -> bool:
-        return not self.plan.cancelled
+    #: traversal; False at a bypassed router, whose window only pins its
+    #: crossbar and output link.
+    is_driver: bool = False
 
 
-class ReservationTable:
-    """Future-timeslot allocations of a single output port."""
+class Promises:
+    """Every window promised on one router's resources."""
 
-    __slots__ = ("horizon", "_size", "_ring", "_count")
+    __slots__ = ("horizon", "_rows", "_out")
 
-    def __init__(self, horizon: int):
+    def __init__(self, horizon: int, directions: Sequence[Direction]):
         self.horizon = horizon
-        self._size = horizon + 2
-        #: ``_ring[slot % _size]`` is ``(slot, entry)`` or None.
-        self._ring: List[Optional[Tuple[int, ReservationEntry]]] = (
-            [None] * self._size
-        )
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __bool__(self) -> bool:
-        return self._count > 0
-
-    @property
-    def _slots(self) -> Dict[int, ReservationEntry]:
-        """Dict view of occupied cells (invariant checkers and tests)."""
-        return {cell[0]: cell[1] for cell in self._ring if cell is not None}
+        self._rows: Dict[Resource, List[Window]] = {
+            (kind, direction): []
+            for kind in (OUT, IN, LATCH)
+            for direction in directions
+        }
+        #: The ``OUT`` rows in the router's port-processing order.
+        self._out = [self._rows[OUT, direction] for direction in directions]
 
     # -- queries ------------------------------------------------------------
 
-    def entry_at(self, slot: int) -> Optional[ReservationEntry]:
-        """Live entry at ``slot`` (purging a cancelled one)."""
-        idx = slot % self._size
-        cell = self._ring[idx]
-        if cell is None or cell[0] != slot:
-            return None
-        entry = cell[1]
-        if entry.plan.cancelled:
-            self._ring[idx] = None
-            self._count -= 1
-            return None
-        return entry
+    def within_horizon(self, now: int, first: int, count: int) -> bool:
+        return first + count - 1 <= now + self.horizon
 
-    def is_free(self, slot: int) -> bool:
-        return self.entry_at(slot) is None
+    def free(self, resource: Resource, first: int, count: int) -> bool:
+        """True when no live window overlaps ``count`` cycles from
+        ``first``."""
+        end = first + count
+        for window in self._rows[resource]:
+            if (window.first < end and first < window.end
+                    and not window.plan.cancelled):
+                return False
+        return True
 
-    def window_free(self, first_slot: int, count: int) -> bool:
-        """True when ``count`` consecutive slots are unallocated."""
-        entry_at = self.entry_at
-        return all(
-            entry_at(first_slot + i) is None for i in range(count)
-        )
-
-    def within_horizon(self, now: int, first_slot: int, count: int) -> bool:
-        return first_slot + count - 1 <= now + self.horizon
-
-    def has_pending(self, now: int) -> bool:
-        """Any live allocation at or after ``now``?"""
-        if self._count == 0:
-            return False
-        return any(
-            cell is not None
-            and cell[0] >= now
-            and not cell[1].plan.cancelled
-            for cell in self._ring
-        )
-
-    def has_pending_multiflit(self, now: int, msg_class: MessageClass) -> bool:
-        """The paper's per-class multi-flit interleaving flag: true when
-        a multi-flit packet of ``msg_class`` holds future slots here."""
-        if self._count == 0:
-            return False
-        for cell in self._ring:
-            if cell is None or cell[0] < now:
-                continue
-            entry = cell[1]
-            if entry.plan.cancelled:
-                continue
-            packet = entry.plan.packet
-            if packet.is_multi_flit and packet.msg_class is msg_class:
-                return True
+    def pending(self, now: int) -> bool:
+        """Does a live ``OUT`` window cover ``now`` or a later cycle?"""
+        for row in self._out:
+            for window in row:
+                if window.end > now and not window.plan.cancelled:
+                    return True
         return False
+
+    def windows(self) -> Iterator[Tuple[Resource, Window]]:
+        """Every stored window, dead ones included (audits, snapshots)."""
+        for resource, row in self._rows.items():
+            for window in row:
+                yield resource, window
 
     # -- updates -------------------------------------------------------------
 
-    def reserve(self, slot: int, entry: ReservationEntry) -> None:
-        idx = slot % self._size
-        cell = self._ring[idx]
-        if cell is not None:
-            if cell[0] == slot and not cell[1].plan.cancelled:
-                raise RuntimeError("double-booked reservation slot")
-            # Evict a stale or cancelled occupant of this ring cell.
-            self._count -= 1
-        self._ring[idx] = (slot, entry)
-        self._count += 1
-        entry.plan.table_entries.append((self, slot))
+    def claim(self, resource: Resource, first: int, count: int,
+              plan: PraPlan, step: Optional[PlanStep] = None,
+              is_driver: bool = False) -> None:
+        if not self.free(resource, first, count):
+            raise RuntimeError("double-booked reservation window")
+        self._rows[resource].append(
+            Window(first, first + count, plan, step, is_driver)
+        )
 
-    def pop(self, slot: int) -> Optional[ReservationEntry]:
-        """Remove and return the live entry for ``slot``, if any."""
-        idx = slot % self._size
-        cell = self._ring[idx]
-        if cell is None or cell[0] != slot:
-            return None
-        self._ring[idx] = None
-        self._count -= 1
-        entry = cell[1]
-        if entry.plan.cancelled:
-            return None
-        return entry
+    def due(self, now: int) -> List[Window]:
+        """The live ``OUT`` windows covering ``now``, in port order (at
+        most one per port).  A window is removed with its last cycle, so
+        a live one left entirely in the past was never executed."""
+        hits = []
+        for row in self._out:
+            if not row:
+                continue  # the common case, every cycle of every router
+            for index, window in enumerate(row):
+                if (window.first <= now < window.end
+                        and not window.plan.cancelled):
+                    hits.append(window)
+                    if window.end == now + 1:
+                        del row[index]
+                    break
+        return hits
 
-    def void(self, slot: int, plan: PraPlan) -> None:
-        """Eagerly clear ``plan``'s entry at ``slot`` (plan cancelled)."""
-        idx = slot % self._size
-        cell = self._ring[idx]
-        if cell is not None and cell[0] == slot and cell[1].plan is plan:
-            self._ring[idx] = None
-            self._count -= 1
-
-    def purge_before(self, now: int) -> None:
-        """Drop stale slots (shift-left of the bit vectors)."""
-        if self._count == 0:
-            return
-        ring = self._ring
-        for idx, cell in enumerate(ring):
-            if cell is not None and cell[0] < now:
-                ring[idx] = None
-                self._count -= 1
+    def purge(self, now: int) -> None:
+        """Drop windows that are over or whose plan was cancelled."""
+        for row in self._rows.values():
+            if row:
+                row[:] = [
+                    window for window in row
+                    if window.end > now and not window.plan.cancelled
+                ]
 
     # -- checkpointing ---------------------------------------------------
 
-    def state_dict(self, ctx) -> dict:
-        """Occupied cells in slot order; cancelled plans' entries are
-        dropped (the queries already treat them as absent)."""
-        cells = []
-        for cell in self._ring:
-            if cell is None:
+    def state_dict(self, ctx, now: int) -> list:
+        """The windows a query can still see, in claim order per row."""
+        rows = []
+        for (kind, direction), window in self.windows():
+            if window.end <= now or window.plan.cancelled:
                 continue
-            slot, entry = cell
-            if entry.plan.cancelled:
-                continue
-            # Identity index: PlanStep is a value-comparing dataclass,
-            # so ``steps.index(entry.step)`` could match a twin step.
-            step_index = next(
-                i for i, step in enumerate(entry.plan.steps)
-                if step is entry.step
-            )
-            cells.append([slot, ctx.plan_ref(entry.plan), step_index,
-                          entry.flit_index, entry.is_driver])
-        cells.sort(key=lambda cell: cell[0])
-        return {"cells": cells}
+            step_index = None
+            if window.step is not None:
+                # Identity index: PlanStep is a value-comparing
+                # dataclass, so ``steps.index`` could match a twin step.
+                step_index = next(
+                    i for i, step in enumerate(window.plan.steps)
+                    if step is window.step
+                )
+            rows.append([kind, int(direction), window.first, window.end,
+                         ctx.plan_ref(window.plan), step_index,
+                         window.is_driver])
+        return rows
 
-    def load_state(self, state: dict, ctx) -> None:
-        self._ring = [None] * self._size
-        self._count = 0
-        for slot, plan_ref, step_index, flit_index, is_driver in state["cells"]:
+    def load_state(self, state: list, ctx) -> None:
+        for row in self._rows.values():
+            row.clear()
+        for kind, direction, first, end, plan_ref, step_index, driver in state:
             plan = ctx.plan(plan_ref)
-            # ``reserve`` re-appends ``(table, slot)`` to the plan's
-            # refund list, rebuilding it as a side effect.
-            self.reserve(slot, ReservationEntry(
-                plan, plan.steps[step_index], flit_index, is_driver
-            ))
+            step = None if step_index is None else plan.steps[step_index]
+            self.claim((kind, Direction(direction)), first, end - first,
+                       plan, step, driver)

@@ -385,13 +385,18 @@ def evaluation_grid(
             cell = cells[index]
             key = cell_key(_cell_payload(cell))
             keys[index] = key
-            cached = store.get(key)
-            if cached is not None:
-                results[index] = PerfSample.from_state(cached["sample"])
-                grid_stats.grid_cache_hits += 1
-            else:
+            try:
+                results[index] = PerfSample.from_state(
+                    store.get(key)["sample"]
+                )
+            except (TypeError, KeyError, ValueError):
+                # No cell (None), or valid JSON that is not a sample (a
+                # bit flip, a foreign file): a miss either way, and the
+                # recomputed cell overwrites it.
                 pending.append(index)
                 grid_stats.grid_cache_misses += 1
+            else:
+                grid_stats.grid_cache_hits += 1
     else:
         pending = simulated
     if pruned:

@@ -9,22 +9,23 @@ Four families of checks, all pure observation:
 * **Credit accounting** — for every (output port, VC): credits +
   reserved claims + downstream occupancy + in-flight arrivals + pending
   credit returns == buffer depth, and nothing is negative.
-* **Reservation/claim leaks** — no live reservation-table entry, latch
-  claim, input claim, or buffer claim survives past its timeslot or its
-  plan's cancellation.
+* **Reservation/claim leaks** — no live output-port window survives
+  its last timeslot unexecuted, and no buffer claim survives its plan's
+  cancellation.
 * **Deadlock/livelock watchdog** — if packets are in flight but no flit
   has moved for a whole window, snapshot the blocked-packet wait graph
   and raise a structured report instead of letting the run spin.
 
-Checks read ``table._slots`` directly rather than through ``entry_at``
-(which deletes cancelled entries as a side effect): an audit must never
-mutate the state it audits.
+Checks read ``Promises.windows()`` rather than ``due`` (which removes
+a window with its last cycle): an audit must never mutate the state it
+audits.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.reservation import OUT
 from repro.noc.network import _CREDIT, _EJECT
 from repro.noc.topology import port_name
 
@@ -493,31 +494,19 @@ class InvariantSuite:
         """No live timeslot in the past; no claim outliving its plan."""
         routers, _, _ = scope
         for router in routers:
-            for port in router.output_ports.values():
-                table = getattr(port, "reservations", None)
-                if table is None:
-                    continue
-                for slot, entry in list(table._slots.items()):
-                    if slot < now and entry.live:
-                        self._fail(
-                            "reservation_leak", now,
-                            f"live reservation for packet "
-                            f"{entry.plan.packet.pid} at router "
-                            f"{router.node} port {port_name(port.direction)} "
-                            f"was never executed (slot {slot} < {now})",
-                        )
-            for name in ("_latch_claims", "_input_claims"):
-                claims = getattr(router, name, None)
-                if claims is None:
-                    continue
-                for key, plan in list(claims.items()):
-                    if plan.cancelled:
-                        self._fail(
-                            "claim_leak", now,
-                            f"cancelled plan for packet {plan.packet.pid} "
-                            f"still holds {name[1:]} {key} at router "
-                            f"{router.node}",
-                        )
+            promises = getattr(router, "promises", None)
+            windows = promises.windows() if promises is not None else ()
+            for (kind, direction), window in windows:
+                if (kind == OUT and window.end <= now
+                        and not window.plan.cancelled):
+                    self._fail(
+                        "reservation_leak", now,
+                        f"live reservation for packet "
+                        f"{window.plan.packet.pid} at router "
+                        f"{router.node} port {port_name(direction)} "
+                        f"was never executed (window [{window.first}, "
+                        f"{window.end}) is over at {now})",
+                    )
             for port in router.output_ports.values():
                 if port.is_ejection or port.downstream_unit is None:
                     continue

@@ -349,9 +349,9 @@ class Network:
             if kind == _EJECT:
                 event[1].eject_flit(event[2], now)
             elif kind == _CREDIT:
-                # ``OutputPort.return_credit`` inlined (its single
-                # definition is a bare increment; ordering relative to
-                # ejections and deferred calls is what matters here).
+                # A credit return is a bare increment; its order
+                # relative to ejections and deferred calls is what
+                # matters here.
                 event[1].credits[event[2]] += 1
             else:
                 event[1](*event[2])

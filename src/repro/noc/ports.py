@@ -135,11 +135,6 @@ class OutputPort:
             return None
         return self.downstream_unit.vcs[vc_index]
 
-    def usable_credits(self, vc_index: int) -> int:
-        """Credits visible to *normally* allocated traffic (PRA claims
-        have already been withdrawn from the pool)."""
-        return self.credits[vc_index]
-
     # -- PRA buffer claims --------------------------------------------------
 
     def claim_buffer(self, vc_index: int, count: int) -> None:
@@ -163,8 +158,9 @@ class OutputPort:
         """VC allocation check for a normally routed head flit.
 
         Runs once per (output, candidate) pair every arbitration cycle;
-        the ``downstream_vc``/``can_accept_packet``/``usable_credits``
-        chain is flattened to plain attribute reads.
+        the ``downstream_vc``/``can_accept_packet`` chain is flattened
+        to plain attribute reads (``credits`` is what normally allocated
+        traffic may use: PRA claims are already withdrawn from it).
         """
         if self.ni_sink is not None:
             return True
@@ -251,9 +247,6 @@ class OutputPort:
             vc_index,
             flit,
         )
-
-    def return_credit(self, vc_index: int) -> None:
-        self.credits[vc_index] += 1
 
     # -- checkpointing ---------------------------------------------------
 

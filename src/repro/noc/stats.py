@@ -52,6 +52,9 @@ class NetworkStats:
     control_injection_conflicts: int = 0
     control_lag_at_drop: Counter = field(default_factory=Counter)
     control_drop_reasons: Counter = field(default_factory=Counter)
+    #: Refused reservation attempts by ``(check, lag at drop)``: which
+    #: resource check of the control network turned the packet away.
+    control_refusals: Counter = field(default_factory=Counter)
     #: Data packets that began traversal with a pre-allocated path.
     pra_planned_packets: int = 0
 
@@ -167,6 +170,10 @@ class NetworkStats:
                 [reason, count]
                 for reason, count in sorted(self.control_drop_reasons.items())
             ],
+            "control_refusals": [
+                [check, lag, count]
+                for (check, lag), count in sorted(self.control_refusals.items())
+            ],
             "pra_planned_packets": self.pra_planned_packets,
         }
 
@@ -194,5 +201,9 @@ class NetworkStats:
         )
         self.control_drop_reasons = Counter(
             {reason: count for reason, count in state["control_drop_reasons"]}
+        )
+        self.control_refusals = Counter(
+            {(check, lag): count
+             for check, lag, count in state["control_refusals"]}
         )
         self.pra_planned_packets = state["pra_planned_packets"]

@@ -49,6 +49,9 @@ class LatencyReport:
     request_latency: float = 0.0
     #: Histogram of plan lengths (single-cycle steps) at run end.
     plan_lengths: Dict[int, int] = field(default_factory=dict)
+    #: Refused reservation attempts by ``(check, lag at drop)`` — from
+    #: the network's own counter, so only a live probe fills it.
+    control_refusals: Dict[Tuple[str, int], int] = field(default_factory=dict)
 
     @property
     def planned_fraction(self) -> float:
@@ -166,4 +169,6 @@ class PraProbe:
         tracer.subscribe(self._sink.consume)
 
     def report(self) -> LatencyReport:
-        return self._sink.report()
+        report = self._sink.report()
+        report.control_refusals = dict(self.network.stats.control_refusals)
+        return report

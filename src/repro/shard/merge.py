@@ -47,12 +47,13 @@ def merge_stats(states: List[dict]) -> NetworkStats:
         for value, latencies in state["per_class_latency"]:
             per_class.setdefault(value, []).extend(latencies)
     base["per_class_latency"] = [[v, lat] for v, lat in per_class.items()]
-    for key in ("control_lag_at_drop", "control_drop_reasons"):
+    for key in ("control_lag_at_drop", "control_drop_reasons",
+                "control_refusals"):
         counts: dict = {}
         for state in states:
-            for item, count in state[key]:
-                counts[item] = counts.get(item, 0) + count
-        base[key] = sorted(counts.items())
+            for *item, count in state[key]:
+                counts[tuple(item)] = counts.get(tuple(item), 0) + count
+        base[key] = sorted([*item, count] for item, count in counts.items())
     merged.load_state(base)
     return merged
 

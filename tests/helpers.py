@@ -3,7 +3,7 @@
 ``assert_quiescent`` is the strongest invariant in the suite: after a
 network drains, every buffer must be empty, every credit returned, every
 ownership and proactive claim released.  Any leak in the PRA claim
-machinery (reservations, latch claims, VC ownership, credit accounting)
+machinery (promised windows, VC ownership, credit accounting)
 turns into a crisp assertion failure here.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.reservation import OUT
 from repro.noc.network import Network, build_network
 from repro.noc.topology import Topology
 from repro.params import NocKind, NocParams
@@ -80,6 +81,44 @@ def channel_dependency_cycle(topo: Topology) -> Optional[List[Tuple]]:
     return None
 
 
+class SlotPromises:
+    """Brute-force reference for :class:`repro.core.reservation.Promises`:
+    one dict cell per promised ``(resource, cycle)``, written and popped
+    a cycle at a time the way the per-port ring and the per-router claim
+    dicts did before windows.  The model test requires equal answers."""
+
+    def __init__(self, directions):
+        self.directions = list(directions)
+        #: (resource, cycle) -> (plan, flit index, is_driver)
+        self.cells: Dict[Tuple, Tuple] = {}
+
+    def _live(self, resource, cycle) -> bool:
+        cell = self.cells.get((resource, cycle))
+        return cell is not None and not cell[0].cancelled
+
+    def free(self, resource, first: int, count: int) -> bool:
+        return not any(self._live(resource, first + i) for i in range(count))
+
+    def claim(self, resource, first: int, count: int, plan,
+              is_driver: bool = False) -> None:
+        for i in range(count):
+            self.cells[resource, first + i] = (plan, i, is_driver)
+
+    def due(self, now: int) -> List[Tuple]:
+        cells = (self.cells.pop(((OUT, direction), now), None)
+                 for direction in self.directions)
+        return [cell for cell in cells
+                if cell is not None and not cell[0].cancelled]
+
+    def pending(self, now: int) -> bool:
+        return any(kind == OUT and cycle >= now and self._live((kind, d), cycle)
+                   for (kind, d), cycle in self.cells)
+
+    def purge(self, now: int) -> None:
+        for key in [key for key in self.cells if key[1] < now]:
+            del self.cells[key]
+
+
 def assert_quiescent(net: Network) -> None:
     """All traffic delivered and every resource back to its idle state."""
     assert net.stats.in_flight == 0, "packets still in flight"
@@ -111,26 +150,18 @@ def assert_quiescent(net: Network) -> None:
         if latches is not None:
             for direction, latch in latches.items():
                 assert not latch, f"latch not drained at {router.node}"
-        # PRA bookkeeping: no live reservation-table entries and no
-        # latch/input claims owned by a plan that is still pending
-        # (cancelled or finished plans merely await the periodic purge).
-        for port in router.output_ports.values():
-            table = getattr(port, "reservations", None)
-            if table is None:
-                continue
-            for slot, entry in list(table._slots.items()):
-                assert not entry.live, (
-                    f"live reservation leaked at router {router.node} "
-                    f"port {port.direction.name} slot {slot}: {entry.plan}"
-                )
-        for attr in ("_latch_claims", "_input_claims"):
-            claims = getattr(router, attr, None)
-            if claims is None:
-                continue
-            for key, plan in list(claims.items()):
-                assert plan.cancelled or plan.finished, (
-                    f"{attr} entry at router {router.node} {key} owned "
-                    f"by a pending plan: {plan}"
+        # PRA bookkeeping: an output-port window is removed with its
+        # last executed cycle, so one left behind must be cancelled; a
+        # latch or crossbar-input window may also belong to a finished
+        # plan (both merely await the periodic purge).
+        promises = getattr(router, "promises", None)
+        if promises is not None:
+            for (kind, direction), window in promises.windows():
+                plan = window.plan
+                assert plan.cancelled or (kind != OUT and plan.finished), (
+                    f"promise leaked at router {router.node} on "
+                    f"{(kind, direction.name)} [{window.first}, "
+                    f"{window.end}): {plan}"
                 )
     for ni in net.interfaces:
         assert not ni.port.is_held, f"NI port held at {ni.node}"

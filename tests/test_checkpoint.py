@@ -31,6 +31,7 @@ from repro.checkpoint import (
     snapshot_system,
     write_snapshot,
 )
+from repro.core.reservation import OUT
 from repro.faults import FaultInjector, FaultSchedule
 from repro.noc.network import build_network
 from repro.noc.packet import reset_packet_ids
@@ -134,12 +135,13 @@ def _mid_multi_flit(net) -> bool:
 
 
 def _mid_reservation(net) -> bool:
-    """Some PRA output port has a live reservation window."""
+    """Some PRA output port is partway through a live reservation
+    window (flits already driven, flits still promised)."""
     return any(
-        len(port.reservations) > 0
+        kind == OUT and window.first < net.cycle < window.end
+        and not window.plan.cancelled
         for router in net.routers
-        for port in router.output_ports.values()
-        if hasattr(port, "reservations")
+        for (kind, _), window in router.promises.windows()
     )
 
 
@@ -427,6 +429,38 @@ def test_grid_resumes_from_cell_store(tmp_path):
     summary = grid_stats.summary()
     assert summary["grid_cache_hits"] == grid_stats.grid_cache_hits
     assert summary["grid_cache_misses"] == grid_stats.grid_cache_misses
+    clear_grid_cache()
+
+
+@pytest.mark.parametrize("junk", ["[1, 2, 3]", '{"sample": {}}',
+                                  '{"sample": {"noc_kind": "torus"}}'])
+def test_grid_cell_that_is_not_a_sample_is_a_miss(junk, tmp_path):
+    """Valid JSON that is not a sample (a bit flip or a foreign file
+    away) is recomputed and overwritten, like a truncated cell."""
+    from repro.harness.runner import (
+        clear_grid_cache,
+        evaluation_grid,
+        grid_stats,
+    )
+
+    store = CellStore(str(tmp_path))
+    cells = (("Web Search",), (NocKind.IDEAL,), _tiny_scale())
+    clear_grid_cache()
+    good = evaluation_grid(*cells, store=store)
+    (path,) = [os.path.join(root, name)
+               for root, _, names in os.walk(str(tmp_path))
+               for name in names]
+    with open(path, "w") as fh:
+        fh.write(junk)
+
+    clear_grid_cache()
+    misses0 = grid_stats.grid_cache_misses
+    again = evaluation_grid(*cells, store=store)
+    assert grid_stats.grid_cache_misses - misses0 == 1
+    key = ("Web Search", NocKind.IDEAL)
+    assert again[key].to_state() == good[key].to_state()
+    with open(path) as fh:
+        assert "sample" in json.load(fh)  # overwritten with a real cell
     clear_grid_cache()
 
 

@@ -5,7 +5,7 @@ scream on corrupted state, and the watchdog turns hangs into reports.
 import pytest
 
 from repro.core.plan import PlanStep, PraPlan, SRC_VC
-from repro.core.reservation import ReservationEntry
+from repro.core.reservation import LATCH, OUT, Window
 from repro.faults import FaultInjector, FaultSchedule, StallWindow
 from repro.invariants import InvariantSuite, InvariantViolation, wait_graph
 from repro.noc.chiplet import build_chiplet
@@ -189,12 +189,12 @@ def test_stale_live_reservation_is_detected():
     plan = PraPlan(packet, start_slot=2)
     step = PlanStep(driver_node=0, out_dir=Direction.EAST, slot=2, hops=1,
                     source_kind=SRC_VC)
-    table = net.routers[0].output_ports[Direction.EAST].reservations
-    entry = ReservationEntry(plan=plan, step=step, flit_index=0, is_driver=True)
-    # Plant the stale entry directly in the ring, bypassing reserve()'s
-    # validation (the corruption this audit exists to catch).
-    table._ring[2 % table._size] = (2, entry)
-    table._count += 1
+    # Plant the stale window directly in its row: a live one is only
+    # ever left in the past by a router that slept through it (the
+    # corruption this audit exists to catch).
+    net.routers[0].promises._rows[OUT, Direction.EAST].append(
+        Window(2, 3, plan, step, is_driver=True)
+    )
     suite = InvariantSuite()
     with pytest.raises(InvariantViolation) as exc:
         suite.audit(net, net.cycle)
@@ -206,12 +206,16 @@ def test_cancelled_plan_claim_is_detected():
     net.run(4)
     packet = Packet(src=0, dst=5, msg_class=MessageClass.REQUEST, created=0)
     plan = PraPlan(packet, start_slot=2)
-    plan.cancelled = True
-    net.routers[0]._latch_claims[(Direction.EAST, 99)] = plan
-    suite = InvariantSuite()
-    with pytest.raises(InvariantViolation) as exc:
-        suite.audit(net, net.cycle)
-    assert exc.value.check == "claim_leak"
+    promises = net.routers[0].promises
+    promises.claim((LATCH, Direction.EAST), 99, 5, plan)
+    assert not promises.free((LATCH, Direction.EAST), 101, 1)
+    plan.cancel()
+    # Cancellation is the flag alone: every query sees through the dead
+    # window at once, it is no leak, and the purge sweeps it.
+    assert promises.free((LATCH, Direction.EAST), 99, 5)
+    InvariantSuite().audit(net, net.cycle)
+    promises.purge(net.cycle)
+    assert not list(promises.windows())
 
 
 def test_collect_mode_accumulates_instead_of_raising():

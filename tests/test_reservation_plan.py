@@ -1,12 +1,18 @@
-"""Unit tests for the PRA bookkeeping: reservation tables and plans."""
+"""Unit tests for the PRA bookkeeping: promised windows and plans."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.plan import PlanStep, PraPlan, LAND_VC, SRC_VC
-from repro.core.reservation import ReservationEntry, ReservationTable
+from repro.core.reservation import IN, LATCH, OUT, Promises
 from repro.noc.packet import Packet
 from repro.noc.topology import Direction
 from repro.params import MessageClass
+from tests.helpers import SlotPromises
+
+EAST = (OUT, Direction.EAST)
+DIRECTIONS = (Direction.LOCAL, Direction.EAST, Direction.WEST)
 
 
 def make_plan(size_class=MessageClass.RESPONSE):
@@ -14,72 +20,135 @@ def make_plan(size_class=MessageClass.RESPONSE):
     return PraPlan(pkt, start_slot=10), pkt
 
 
-def make_entry(plan, slot=10, flit=0, driver=True):
-    step = PlanStep(
-        driver_node=0, out_dir=Direction.EAST, slot=slot, hops=1,
+def make_step(slot=10, out_dir=Direction.EAST):
+    return PlanStep(
+        driver_node=0, out_dir=out_dir, slot=slot, hops=1,
         source_kind=SRC_VC, source_dir=Direction.LOCAL, source_vc=2,
         landing_node=1, landing_kind=LAND_VC,
         landing_entry=Direction.WEST,
     )
-    return ReservationEntry(plan, step, flit, is_driver=driver)
+
+
+def make_promises(horizon=12):
+    return Promises(horizon, DIRECTIONS)
 
 
 class TestReservationTable:
     def test_reserve_and_pop(self):
-        table = ReservationTable(horizon=12)
+        promises = make_promises()
         plan, _ = make_plan()
-        entry = make_entry(plan)
-        table.reserve(10, entry)
-        assert not table.is_free(10)
-        assert table.pop(10) is entry
-        assert table.is_free(10)
+        step = make_step()
+        promises.claim(EAST, 10, 2, plan, step, is_driver=True)
+        assert not promises.free(EAST, 11, 1)
+        (window,) = promises.due(10)
+        assert (window.plan, window.step, 10 - window.first) == (plan, step, 0)
+        assert promises.pending(11)
+        (window,) = promises.due(11)
+        assert 11 - window.first == 1 and window.is_driver
+        # Executed to its last cycle: the window is gone.
+        assert promises.free(EAST, 10, 2) and not promises.pending(11)
+        assert not list(promises.windows())
 
     def test_double_booking_rejected(self):
-        table = ReservationTable(horizon=12)
+        promises = make_promises()
         plan, _ = make_plan()
-        table.reserve(10, make_entry(plan))
+        promises.claim(EAST, 10, 3, plan, make_step())
         with pytest.raises(RuntimeError):
-            table.reserve(10, make_entry(plan))
+            promises.claim(EAST, 12, 3, plan, make_step(12))
 
     def test_cancelled_plan_frees_slot(self):
-        table = ReservationTable(horizon=12)
+        promises = make_promises()
         plan, _ = make_plan()
-        table.reserve(10, make_entry(plan))
+        promises.claim(EAST, 10, 1, plan, make_step())
         plan.cancelled = True
-        assert table.is_free(10)
+        assert promises.free(EAST, 10, 1)
+        assert not promises.pending(0)
         # A new reservation may take the slot.
         plan2, _ = make_plan()
-        table.reserve(10, make_entry(plan2))
-        assert table.entry_at(10).plan is plan2
+        promises.claim(EAST, 10, 1, plan2, make_step())
+        (window,) = promises.due(10)
+        assert window.plan is plan2
 
     def test_window_free(self):
-        table = ReservationTable(horizon=12)
+        promises = make_promises()
         plan, _ = make_plan()
-        table.reserve(12, make_entry(plan, slot=12))
-        assert table.window_free(8, 4)
-        assert not table.window_free(10, 4)
+        promises.claim(EAST, 12, 1, plan, make_step(12))
+        assert promises.free(EAST, 8, 4)
+        assert not promises.free(EAST, 10, 4)
+        # Resources are independent of one another.
+        assert promises.free((IN, Direction.EAST), 10, 4)
+        assert promises.free((OUT, Direction.WEST), 10, 4)
 
     def test_horizon(self):
-        table = ReservationTable(horizon=8)
-        assert table.within_horizon(now=100, first_slot=104, count=5)
-        assert not table.within_horizon(now=100, first_slot=105, count=5)
-
-    def test_has_pending_multiflit_per_class(self):
-        table = ReservationTable(horizon=12)
-        plan, pkt = make_plan(MessageClass.RESPONSE)
-        table.reserve(11, make_entry(plan, slot=11))
-        assert table.has_pending_multiflit(10, MessageClass.RESPONSE)
-        assert not table.has_pending_multiflit(10, MessageClass.REQUEST)
-        assert not table.has_pending_multiflit(12, MessageClass.RESPONSE)
+        promises = make_promises(horizon=8)
+        assert promises.within_horizon(now=100, first=104, count=5)
+        assert not promises.within_horizon(now=100, first=105, count=5)
 
     def test_purge_before(self):
-        table = ReservationTable(horizon=12)
+        promises = make_promises()
         plan, _ = make_plan()
-        table.reserve(5, make_entry(plan, slot=5))
-        table.reserve(9, make_entry(plan, slot=9))
-        table.purge_before(8)
-        assert len(table) == 1
-        assert table.is_free(5) and not table.is_free(9)
+        promises.claim(EAST, 5, 1, plan, make_step(5))
+        promises.claim(EAST, 9, 1, plan, make_step(9))
+        promises.claim((LATCH, Direction.WEST), 3, 5, plan)
+        promises.purge(8)
+        assert [window.first for _, window in promises.windows()] == [9]
+        assert promises.free(EAST, 5, 1) and not promises.free(EAST, 9, 1)
+
+
+#: One operation of the model test.  A claim asks for ``count`` cycles
+#: starting ``lead`` cycles ahead on resource number ``resource``.
+_OPS = st.one_of(
+    st.tuples(st.just("claim"), st.integers(0, 8), st.integers(1, 14),
+              st.integers(1, 5), st.booleans()),
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+    st.tuples(st.just("advance"), st.integers(1, 7)),
+    st.tuples(st.just("purge")),
+)
+
+
+@given(st.lists(_OPS, max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_promises_agree_with_the_per_slot_reference(ops):
+    """Random claim / cancel / advance / purge sequences give the same
+    ``free`` / ``due`` / ``pending`` answers from the window table as
+    from one dict cell per promised cycle."""
+    resources = [(kind, d) for kind in (OUT, IN, LATCH) for d in DIRECTIONS]
+    promises, model = make_promises(), SlotPromises(DIRECTIONS)
+    plans, now = [], 100
+    for op, *args in ops:
+        if op == "claim":
+            index, lead, count, driver = args
+            resource = resources[index]
+            free = model.free(resource, now + lead, count)
+            assert promises.free(resource, now + lead, count) == free
+            if not free:
+                continue
+            plan, _ = make_plan()
+            plans.append(plan)
+            step = (make_step(now + lead, resource[1])
+                    if resource[0] == OUT else None)
+            promises.claim(resource, now + lead, count, plan, step, driver)
+            model.claim(resource, now + lead, count, plan, driver)
+        elif op == "cancel" and plans:
+            plans[args[0] % len(plans)].cancel()
+        elif op == "advance":
+            # A router is stepped at every cycle it has work pending.
+            for now in range(now, now + args[0]):
+                assert [
+                    (w.plan, now - w.first, w.is_driver)
+                    for w in promises.due(now)
+                ] == model.due(now)
+                assert promises.pending(now + 1) == model.pending(now + 1)
+            now += 1
+        elif op == "purge":
+            promises.purge(now)
+            model.purge(now)
+        assert promises.pending(now) == model.pending(now)
+        for resource in resources:
+            for first in range(now, now + 20):
+                for count in (1, 3, 5):
+                    assert (promises.free(resource, first, count)
+                            == model.free(resource, first, count))
 
 
 class _FakePort:
