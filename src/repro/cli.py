@@ -81,12 +81,11 @@ _DEFAULT_FIGURES = [name for name in _FIGURES if name != "analytic"]
 _NOC_KINDS = {k.value: k for k in NocKind}
 _NOC_KINDS.update({k.value.replace("+", "_"): k for k in NocKind})
 
-#: Organizations the chaos harness can inject faults into ("ring" is a
-#: router-level topology here, not a NocKind; "ideal" has no routers or
-#: links to fault, so it is excluded).
+#: Organizations the chaos harness can inject faults into ("ideal" has
+#: no routers or links to fault, so it is excluded; a ring is
+#: ``--noc mesh --topology ring``).
 _CHAOS_NOCS = sorted(
-    {name for name, k in _NOC_KINDS.items() if k is not NocKind.IDEAL}
-    | {"ring"}
+    name for name, k in _NOC_KINDS.items() if k is not NocKind.IDEAL
 )
 
 
@@ -344,28 +343,18 @@ def _cmd_sweep(args: argparse.Namespace, _config: RunConfig) -> int:
     return 0
 
 
-def _build_chaos_network(noc: str, width: int, height: int,
-                         topology: str = "mesh"):
-    """A network for the chaos harness; ``ring`` wraps the stop count."""
-    from repro.noc.network import build_network
-    from repro.noc.ring import build_ring
-    from repro.params import NocParams
-
-    if noc == "ring":
-        return build_ring(width * height)
-    return build_network(NocParams(
-        kind=_NOC_KINDS[noc], mesh_width=width, mesh_height=height,
-        topology=topology,
-    ))
-
-
 def _cmd_chaos(args: argparse.Namespace, _config: RunConfig) -> int:
     from repro.faults import FaultInjector, FaultSchedule
     from repro.invariants import InvariantSuite
+    from repro.noc.network import build_network
+    from repro.params import NocParams
     from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
 
     width, height = args.mesh
-    net = _build_chaos_network(args.noc, width, height, args.topology)
+    net = build_network(NocParams(
+        kind=_NOC_KINDS[args.noc], mesh_width=width, mesh_height=height,
+        topology=args.topology,
+    ))
     num_nodes = net.topology.num_nodes
     schedule = FaultSchedule.random(
         args.fault_seed, num_nodes, args.cycles, intensity=args.intensity
@@ -384,6 +373,7 @@ def _cmd_chaos(args: argparse.Namespace, _config: RunConfig) -> int:
 
     stats = net.stats
     print(f"organization:         {args.noc}")
+    print(f"topology:             {args.topology}")
     print(f"nodes:                {num_nodes}")
     print(f"fault seed:           {args.fault_seed} "
           f"(intensity {args.intensity})")
@@ -602,7 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noc", default="mesh_pra", choices=_CHAOS_NOCS)
     p.add_argument("--mesh", type=_parse_mesh, default=(4, 4),
                    metavar="WxH",
-                   help="mesh dimensions (ring: WxH stops; default 4x4)")
+                   help="mesh dimensions (a ring has W*H stops; "
+                        "default 4x4)")
     p.add_argument("--cycles", type=int, default=500,
                    help="injection window length")
     p.add_argument("--drain", type=int, default=4096,

@@ -45,7 +45,7 @@ class PraInterface(NetworkInterface):
         if self.port.is_held:
             holder = self.port.held_by
             drain_done = self.network.cycle + (
-                holder.size - self._holder_next_flit
+                holder.size - self.port.holder_sent
             )
             if drain_done > grant_time:
                 return False
@@ -106,25 +106,12 @@ class PraInterface(NetworkInterface):
         port.hold(packet, source_vc=None)
         packet.injected = now
         self._trace_injection(packet, now)
-        self._holder_next_flit = 0
         self._continue_holder(now)
 
     def _continue_holder(self, now: int) -> None:
-        port = self.port
-        packet = port.held_by
-        assert packet is not None
-        if not port.has_credit_for(packet.vc_index):
-            return
-        flit = packet.flits[self._holder_next_flit]
-        self._holder_next_flit += 1
-        port.send(flit, now)
-        if flit.is_tail:
-            queue = self.queues[packet.vc_index]
-            if queue and queue[0] is packet:
-                queue.popleft()
-            else:
-                queue.remove(packet)
-            port.release()
+        packet = self.port.held_by
+        super()._continue_holder(now)
+        if self.port.held_by is None:
             self._pins.pop(packet.pid, None)
 
     # -- checkpointing ---------------------------------------------------

@@ -45,10 +45,9 @@ class GridStats:
 
     grid_cache_hits: int = 0
     grid_cache_misses: int = 0
-    #: Mirrored from each supervised run's report by
+    #: Mirrored from each supervised sweep's report by
     #: ``repro.resilience.report.publish``.
     worker_retries: int = 0
-    worker_respawns: int = 0
     pool_rebuilds: int = 0
     cells_quarantined: int = 0
     #: Grid cells served by the queueing model under
@@ -171,7 +170,7 @@ def _run_cells(cells: List[Cell], pending: List[int],
 
     if policy is None:
         policy = RetryPolicy()
-    report = RunReport(backend="grid")
+    report = RunReport()
     counts: Dict[int, int] = {}
 
     def record_success(index: int, sample: PerfSample) -> None:

@@ -48,7 +48,6 @@ class NetworkInterface:
         )
         self.port.connect(router, Direction.LOCAL)
         self._rr = 0
-        self._holder_next_flit = 0
 
     # -- injection ---------------------------------------------------------
 
@@ -61,8 +60,8 @@ class NetworkInterface:
     def has_work(self) -> bool:
         """Whether this NI must be stepped again next cycle.
 
-        A held port implies the holder packet is still at its queue
-        head (popped only on tail send), so checking the queues covers
+        A held port implies the holder packet is still in its queue
+        (removed only on tail send), so checking the queues covers
         mid-packet injection as well.
         """
         return any(self.queues)
@@ -90,8 +89,7 @@ class NetworkInterface:
         dst_vc = port.held_dst_vc
         if port.ni_sink is None and port.credits[dst_vc] < 1:
             return
-        flit = packet.flits[self._holder_next_flit]
-        self._holder_next_flit += 1
+        flit = packet.flits[port.holder_sent]
         network = self.network
         if network.tracer.enabled or port.ni_sink is not None:
             port.send(flit, now)
@@ -114,7 +112,12 @@ class NetworkInterface:
                 flit,
             )
         if flit.is_tail:
-            self.queues[packet.vc_index].popleft()
+            queue = self.queues[packet.vc_index]
+            if queue[0] is packet:
+                queue.popleft()
+            else:
+                # A pinned packet picked from mid-queue (Mesh+PRA).
+                queue.remove(packet)
             port.release()
 
     def _arbitrate(self, now: int) -> None:
@@ -141,7 +144,6 @@ class NetworkInterface:
         port.hold(packet, source_vc=None, dst_vc=dst_vc)
         packet.injected = now
         self._trace_injection(packet, now)
-        self._holder_next_flit = 0
         self._continue_holder(now)
 
     def _trace_injection(self, packet: Packet, now: int) -> None:
@@ -166,7 +168,6 @@ class NetworkInterface:
                 for queue in self.queues
             ],
             "rr": self._rr,
-            "holder_next_flit": self._holder_next_flit,
             "port": self.port.state_dict(ctx),
         }
 
@@ -176,7 +177,6 @@ class NetworkInterface:
             for refs in state["queues"]
         ]
         self._rr = state["rr"]
-        self._holder_next_flit = state["holder_next_flit"]
         self.port.load_state(state["port"], ctx)
 
     # -- ejection ------------------------------------------------------------

@@ -82,8 +82,9 @@ class OutputPort:
         #: Buffer space currently promised to proactively allocated
         #: packets (PRA).  Claims are taken *out of* ``credits`` (so
         #: normal traffic simply sees fewer credits); this counter only
-        #: tracks how much of the missing space is a PRA promise, which
-        #: the blocked-time statistic needs.
+        #: tracks how much of the missing space is a PRA promise, for
+        #: the invariant suite's credit audit and its
+        #: ``buffer_claim_orphan`` check.
         self.reserved: List[int] = [0] * num_vcs
         self.held_by: Optional[Packet] = None
         #: Source VC in this router that feeds the held packet.

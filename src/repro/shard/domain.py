@@ -125,44 +125,23 @@ class ShardDomain:
     """A row stripe of the mesh plus its boundary bookkeeping."""
 
     def __init__(self, spec: SyntheticSpec, index: int, count: int,
-                 observers: str = "none", restore_from=None):
+                 observers: str = "none"):
         self.spec = spec
         self.index = index
         self.count = count
-        if restore_from is None:
-            net, traffic = spec.build()
-            packets: dict = {}
-            aux = {"entered": 0, "exited": 0}
-        else:
-            # Recovery-point restart: rebuild this shard's full state
-            # (owned rows real, neighbor rows replicas) from its own
-            # barrier snapshot instead of from scratch.  The boundary
-            # links below start fresh, which is protocol-consistent:
-            # ``barrier_drain`` applied every staged record before the
-            # snapshot, so a barrier is as clean a cut as cycle 0.
-            from repro.checkpoint.snapshot import restore_network
-
-            snap, aux = restore_from
-            packets = {}
-            net, traffic = restore_network(snap, packets_out=packets)
-            if traffic is None:
-                raise ShardError(
-                    "recovery snapshot carries no traffic state"
-                )
+        net, traffic = spec.build()
         self.net = net
         self.traffic = traffic
         domains = net.topology.row_domains(count)
         self.first, self.last = domains[index]
         #: Packets that crossed in, keyed by pid (body flits of a packet
-        #: arrive as bare (pid, index) references).  On restore this is
-        #: every snapshotted packet — a superset of the original map,
-        #: harmless because it is only ever read by pid.
-        self.registry = dict(packets)
+        #: arrive as bare (pid, index) references).
+        self.registry: dict = {}
         #: Packets that fully crossed in / out of this stripe; together
         #: with the local injected/ejected counters these make
         #: :attr:`resident` the exact count of packets physically here.
-        self.entered = aux["entered"]
-        self.exited = aux["exited"]
+        self.entered = 0
+        self.exited = 0
         self.prev = _Link() if index > 0 else None
         self.next = _Link() if index < count - 1 else None
         width = net.topology.width
@@ -176,9 +155,7 @@ class ShardDomain:
         #: interior have stepped), or None at a cycle boundary.
         self._rows: Optional[list] = None
         #: Cycle of the last packet delivery here; the latest across
-        #: all stripes is where the serial run's drain stops.  (Not in
-        #: ``aux``: recovery points lie inside the injection window,
-        #: whose end already bounds the run from below.)
+        #: all stripes is where the serial run's drain stops.
         self.last_delivery = -1
         traffic.inject_filter = self.owns
         net.shard_view = self
@@ -193,8 +170,7 @@ class ShardDomain:
         for node in cut_rows:
             net.routers[node].boundary = self
         # Park every non-owned node as permanently awake: waking it is
-        # a no-op, so it is never queued and never stepped.  (A restore
-        # rebuilt the flags, hence here and not in ``spec.build``.)
+        # a no-op, so it is never queued and never stepped.
         for node in range(net.topology.num_nodes):
             if not self.owns(node):
                 net._router_awake[node] = net._ni_awake[node] = True
@@ -473,8 +449,8 @@ class ShardDomain:
         net._skip_to(target)
         return True
 
-    def barrier_drain(self, barrier: int) -> None:
-        """Settle staged records at a checkpoint barrier.
+    def barrier_snapshot(self, barrier: int) -> dict:
+        """Settle staged records at a checkpoint barrier and snapshot.
 
         Called when every shard's clock sits exactly at ``barrier``:
         records captured at ``barrier - 1`` by the *next* stripe (which
@@ -482,6 +458,8 @@ class ShardDomain:
         land before the snapshot so the merged checkpoint equals the
         serial state at the barrier.
         """
+        from repro.checkpoint.snapshot import snapshot_network
+
         if self.net.cycle != barrier:
             raise ShardError(
                 f"shard {self.index} at cycle {self.net.cycle}, "
@@ -489,6 +467,16 @@ class ShardDomain:
             )
         self._drain_link(self.prev, barrier - 1)
         self._drain_link(self.next, barrier - 1)
+        return snapshot_network(self.net, self.traffic)
+
+    def final_state(self) -> dict:
+        """What this finished shard contributes to the run's result."""
+        net = self.net
+        return {"stats": net.stats.state_dict(),
+                "skipped": net.cycles_skipped,
+                "offered": self.traffic.offered,
+                "clock": net.cycle,
+                "last_delivery": self.last_delivery}
 
     # -- flush protocol ------------------------------------------------------
 

@@ -3,14 +3,15 @@
 ``run_sharded`` is the one public door: it plans the cut
 (:func:`repro.shard.spec.plan_shards`), falls back to a serial run when
 the scenario cannot shard (non-mesh organizations, single-row meshes,
-``shards=1``), and otherwise drives the shard pool until the network
+``shards=1``), and otherwise drives a shard pool until the network
 drains.  Both backends — the deterministic in-process pool here and
 the worker-process pool in :mod:`repro.shard.process` — expose the same
-three-call surface (``run`` / ``barrier`` / ``stats``) and run under
-the same driver (:func:`drive`), which owns every decision a run
-takes: barrier reached, drained, failed to drain, stalled.  Every test
-runs identically against either; the inline pool is the reference the
-process backend is tested against.
+surface (``run`` / ``barrier`` / ``stats`` / ``close`` / ``kill``) and
+run under the same driver (:func:`drive`), which owns every decision a
+run takes: barrier reached, drained, failed to drain, stalled.  The
+backend only chooses the pool class; every test runs identically
+against either, and the inline pool is the reference the process
+backend is tested against.
 
 The correctness oracle is digest equality: a sharded run's merged
 statistics summary must hash to the same pinned sha256 as the serial
@@ -31,6 +32,7 @@ from typing import Callable, Iterable, List, Optional
 from repro.noc.topology import MeshTopology
 from repro.shard.domain import ShardDomain, flush_target
 from repro.shard.merge import merge_snapshots, merge_stats
+from repro.shard.process import ProcessPool
 from repro.shard.spec import ShardError, SyntheticSpec, plan_shards
 
 
@@ -59,7 +61,8 @@ class ShardResult:
     #: Where each shard's clock stood when the run was declared drained
     #: (on the process backend that depends on timing).
     clocks: List[int] = field(default_factory=list)
-    #: The supervisor's flight record (process backend; None inline).
+    #: Always None: a sharded run is never supervised (a failed worker
+    #: raises).  Kept because the benchmark ledger reads it.
     report: Optional[object] = None
 
 
@@ -98,33 +101,15 @@ class _InlinePool:
 
     def barrier(self, barrier: int) -> List[dict]:
         """Each shard's snapshot at the cycle barrier."""
-        from repro.checkpoint.snapshot import snapshot_network
-
-        snapshots = []
-        for dom in self.domains:
-            dom.barrier_drain(barrier)
-            snapshots.append(snapshot_network(dom.net, dom.traffic))
-        return snapshots
+        return [dom.barrier_snapshot(barrier) for dom in self.domains]
 
     def stats(self) -> List[dict]:
-        return [shard_stats(dom) for dom in self.domains]
+        return [dom.final_state() for dom in self.domains]
 
+    def close(self) -> None:
+        """Nothing to stop: the shards live in this process."""
 
-def shard_stats(dom: ShardDomain) -> dict:
-    """What a finished shard contributes to the :class:`ShardResult`."""
-    return {"stats": dom.net.stats.state_dict(),
-            "skipped": dom.net.cycles_skipped,
-            "offered": dom.traffic.offered,
-            "clock": dom.net.cycle,
-            "last_delivery": dom.last_delivery}
-
-
-def merge_barrier(spec: SyntheticSpec, count: int, snapshots: List[dict],
-                  barrier: int) -> dict:
-    """One serial-shaped snapshot from the ``count`` shards' snapshots
-    taken at the cycle barrier."""
-    topo = MeshTopology(spec.width, spec.height)
-    return merge_snapshots(snapshots, topo.row_domains(count), barrier)
+    kill = close
 
 
 def drive(pool, spec: SyntheticSpec, barriers: Iterable[int],
@@ -247,8 +232,7 @@ def _run_serial(spec: SyntheticSpec, observers: str,
 
 def run_sharded(spec: SyntheticSpec, shards: int,
                 backend: str = "inline", observers: str = "none",
-                checkpoint_at: Optional[int] = None,
-                policy=None, faults=None) -> ShardResult:
+                checkpoint_at: Optional[int] = None) -> ShardResult:
     """Simulate ``spec`` cut into ``shards`` row stripes.
 
     Serial and sharded runs of the same spec produce bit-identical
@@ -256,40 +240,36 @@ def run_sharded(spec: SyntheticSpec, shards: int,
     additionally returns a merged snapshot taken at that cycle barrier,
     restorable by :func:`repro.checkpoint.snapshot.restore_network`.
 
-    The process backend always runs supervised
-    (:func:`repro.resilience.supervisor.run_supervised`): workers that
-    die, hang, or babble are respawned from recovery-point barriers
-    under ``policy`` (default: ``RetryPolicy()``), and ``faults``
-    injects deterministic process failures for testing.
+    ``backend`` picks the pool: ``"inline"`` (every shard in this
+    process) or ``"process"`` (one worker process per shard).  A worker
+    that dies, hangs or babbles raises a
+    :class:`~repro.shard.spec.WorkerFailure` after the pool is killed.
     """
-    if backend not in ("inline", "process"):
+    pools = {"inline": _InlinePool, "process": ProcessPool}
+    if backend not in pools:
         raise ValueError(
             f"backend must be 'inline' or 'process', got {backend!r}"
-        )
-    if backend == "process":
-        from repro.resilience.supervisor import run_supervised
-
-        return run_supervised(spec, shards, observers=observers,
-                              checkpoint_at=checkpoint_at,
-                              policy=policy, faults=faults)
-    if faults is not None:
-        raise ValueError(
-            "process fault injection requires the process backend"
         )
     effective, reason = plan_shards(spec.params(), shards)
     check_run_args(spec, observers, checkpoint_at, effective)
     if effective == 1:
         return _run_serial(spec, observers, checkpoint_at, reason)
-    pool = _InlinePool(spec, effective, observers)
+    pool = pools[backend](spec, effective, observers)
     checkpoint = None
 
     def on_barrier(cycle: int) -> None:
         nonlocal checkpoint
-        checkpoint = merge_barrier(spec, effective, pool.barrier(cycle),
-                                   cycle)
+        ranges = MeshTopology(spec.width, spec.height).row_domains(effective)
+        checkpoint = merge_snapshots(pool.barrier(cycle), ranges, cycle)
 
-    drive(pool, spec, [] if checkpoint_at is None else [checkpoint_at],
-          on_barrier)
-    return sharded_result(spec, pool.stats(), shards=effective,
+    try:
+        drive(pool, spec, [] if checkpoint_at is None else [checkpoint_at],
+              on_barrier)
+        states = pool.stats()
+    except BaseException:
+        pool.kill()
+        raise
+    pool.close()
+    return sharded_result(spec, states, shards=effective,
                           backend=backend, fallback_reason=reason,
                           checkpoint=checkpoint)

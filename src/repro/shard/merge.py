@@ -79,7 +79,7 @@ def merge_snapshots(snapshots: List[dict],
 
     ``snapshots[k]`` must be ``snapshot_network(...)`` output taken with
     every shard's clock exactly at ``barrier`` and all staged boundary
-    records applied (:meth:`ShardDomain.barrier_drain`).
+    records applied (:meth:`ShardDomain.barrier_snapshot`).
     """
     base = snapshots[0]
     for snap in snapshots:

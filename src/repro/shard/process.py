@@ -15,14 +15,13 @@ barrier reached, the network drained, or the protocol stalled.  All
 protocol logic lives in the domain; this module is only plumbing, which
 keeps the inline and process backends digest-identical by construction.
 
-The plumbing is supervised: a dead worker (its sentinel fires; exit
-code and pid in hand), a hung worker (owing a message, silent past the
-heartbeat), and a babbling worker (malformed message) each surface as a
-structured :class:`~repro.shard.spec.WorkerFailure` that
-:func:`repro.resilience.supervisor.run_supervised` can recover from.
-Workers optionally carry a :class:`~repro.resilience.faults.ShardFaultDriver`
-so every one of those failure modes is deterministically injectable,
-and can start from a recovery-point snapshot instead of cycle 0.
+A worker that fails is diagnosed, not recovered: a dead worker (its
+sentinel fires; exit code and pid in hand), a hung worker (owing a
+message, silent past :data:`HEARTBEAT_S`), a babbling worker (a
+message kind the protocol does not have) and a crashed worker (it
+reports its own exception) each surface as a structured
+:class:`~repro.shard.spec.WorkerFailure`, which
+:func:`repro.shard.engine.run_sharded` raises after killing the pool.
 
 Workers start their pid counters a billion apart so packets minted in
 different processes never collide when a merged checkpoint stitches
@@ -44,21 +43,18 @@ from repro.shard.spec import ShardError, SyntheticSpec, WorkerFailure
 #: single run can mint.
 _PID_STRIDE = 1_000_000_000
 
+#: Seconds a worker that owes a message may stay silent before it is
+#: declared hung.
+HEARTBEAT_S = 60.0
+
 
 def _worker_main(conn, spec: SyntheticSpec, index: int, count: int,
-                 observers: str, faults=None, incarnation: int = 0,
-                 restore=None) -> None:
+                 observers: str) -> None:
     try:
         from repro.noc.packet import set_next_pid
-        from repro.resilience.faults import ShardFaultDriver
-        from repro.shard.engine import shard_stats
 
-        # Stride first; a recovery restore overrides the counter with
-        # the snapshotted value (which already includes the stride base).
         set_next_pid(index * _PID_STRIDE)
-        driver = ShardFaultDriver(faults, index, incarnation)
-        dom = ShardDomain(spec, index, count, observers=observers,
-                          restore_from=restore)
+        dom = ShardDomain(spec, index, count, observers=observers)
 
         def emit(side: str, flush: dict) -> None:
             conn.send(("flush", side, flush))
@@ -70,14 +66,6 @@ def _worker_main(conn, spec: SyntheticSpec, index: int, count: int,
             if fresh and not conn.poll():
                 # Everything queued is in: one advance answers it all.
                 fresh = False
-                action = driver.poll(dom.net.cycle)
-                if action == "kill":
-                    ShardFaultDriver.execute_kill()
-                elif action == "hang":
-                    ShardFaultDriver.execute_hang()
-                elif action == "garbage":
-                    conn.send(("garbage-injected", 0xDEAD))
-                    continue
                 dom.advance(emit, hard_stop)
                 conn.send(("idle", consumed, dom.net.cycle,
                            dom.net.stats.in_flight))
@@ -89,15 +77,10 @@ def _worker_main(conn, spec: SyntheticSpec, index: int, count: int,
             elif command == "run":
                 hard_stop = message[1]
             elif command == "barrier":
-                from repro.checkpoint.snapshot import snapshot_network
-
-                dom.barrier_drain(message[1])
-                conn.send(("snapshot",
-                           snapshot_network(dom.net, dom.traffic),
-                           {"entered": dom.entered, "exited": dom.exited}))
+                conn.send(("snapshot", dom.barrier_snapshot(message[1])))
                 continue
             elif command == "stats":
-                conn.send(("stats", shard_stats(dom)))
+                conn.send(("stats", dom.final_state()))
                 continue
             elif command == "stop":
                 return
@@ -124,25 +107,14 @@ def _worker_main(conn, spec: SyntheticSpec, index: int, count: int,
 
 
 class ProcessPool:
-    """Parent-side switch over one pipe per shard worker.
+    """Parent-side switch over one pipe per shard worker."""
 
-    ``heartbeat`` bounds how long a worker that owes a message may stay
-    silent before it is declared hung; ``faults`` ships a
-    :class:`~repro.resilience.faults.ProcessFaultPlan` into the workers;
-    ``incarnation``/``restore`` let a respawned pool resume from a
-    recovery-point barrier (``restore[i]`` is shard ``i``'s
-    ``(snapshot, aux)`` pair from :meth:`barrier`).
-    """
-
-    def __init__(self, spec: SyntheticSpec, count: int, observers: str,
-                 faults=None, heartbeat: Optional[float] = None,
-                 incarnation: int = 0, restore=None):
+    def __init__(self, spec: SyntheticSpec, count: int, observers: str):
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else methods[0]
         )
         self.count = count
-        self.heartbeat = heartbeat
         self.conns: list = []
         self.procs: list = []
         #: Latest reported clock and in-flight count per shard.
@@ -159,9 +131,7 @@ class ProcessPool:
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child, spec, index, count, observers, faults,
-                      incarnation,
-                      None if restore is None else restore[index]),
+                args=(child, spec, index, count, observers),
                 daemon=True,
             )
             proc.start()
@@ -173,7 +143,7 @@ class ProcessPool:
         self._sources.update((proc.sentinel, (i, False))
                              for i, proc in enumerate(self.procs))
 
-    # -- the supervised switch ---------------------------------------------
+    # -- the diagnosing switch ---------------------------------------------
 
     def _died(self, shard: int) -> WorkerFailure:
         proc = self.procs[shard]
@@ -196,26 +166,24 @@ class ProcessPool:
     def _messages(self, accept: tuple) -> Iterator[Tuple[int, tuple]]:
         """``(shard, message)`` as the workers speak, diagnosing every
         way one can fail to: it exits (its sentinel fires with the pipe
-        drained), it owes a message and stays silent past the
-        heartbeat, it reports its own crash, or it sends anything but
-        the ``accept`` kinds."""
+        drained), it owes a message and stays silent past
+        :data:`HEARTBEAT_S`, it reports its own crash, or it sends
+        anything but the ``accept`` kinds."""
         conns = self.conns
         sources = self._sources
         while True:
-            timeout = suspect = None
-            if self.heartbeat is not None:
-                suspect = min((i for i in range(self.count)
-                               if not self.idle[i]),
-                              key=self.heard.__getitem__, default=None)
+            timeout = None
+            suspect = min((i for i in range(self.count) if not self.idle[i]),
+                          key=self.heard.__getitem__, default=None)
             if suspect is not None:
-                timeout = max(0.0, self.heard[suspect] + self.heartbeat
+                timeout = max(0.0, self.heard[suspect] + HEARTBEAT_S
                               - time.monotonic())
             ready = wait(sources, timeout)
             if not ready:
                 raise WorkerFailure(
                     suspect, "hung", pid=self.procs[suspect].pid,
-                    detail=f"no message within {self.heartbeat}s "
-                           f"heartbeat timeout",
+                    detail=f"no message within the {HEARTBEAT_S}s "
+                           f"heartbeat",
                 )
             now = time.monotonic()
             for shard, is_pipe in map(sources.__getitem__, ready):
@@ -257,7 +225,7 @@ class ProcessPool:
                 if None not in replies:
                     return replies
 
-    # -- the three-call backend surface ------------------------------------
+    # -- the backend surface -----------------------------------------------
 
     def run(self, hard_stop: Optional[int], done) -> None:
         """Let the workers go (up to ``hard_stop``) and switch their
@@ -278,9 +246,9 @@ class ProcessPool:
                 if done(self.clocks, self.flights, all(self.idle)):
                     return
 
-    def barrier(self, barrier: int) -> List[Tuple[dict, dict]]:
-        """Collect each shard's raw ``(snapshot, aux)`` recovery pair."""
-        return [tuple(reply[1:])
+    def barrier(self, barrier: int) -> List[dict]:
+        """Each shard's snapshot at the cycle barrier."""
+        return [reply[1]
                 for reply in self._collect(("barrier", barrier), "snapshot")]
 
     def stats(self) -> List[dict]:
@@ -299,7 +267,8 @@ class ProcessPool:
                 proc.terminate()
 
     def kill(self) -> None:
-        """Hard-stop every worker (recovery: no goodbye, no waiting)."""
+        """Hard-stop every worker after a failure: no goodbye, no
+        waiting."""
         for proc in self.procs:
             try:
                 if proc.is_alive():

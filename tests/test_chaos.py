@@ -106,11 +106,13 @@ def test_chaos_cli_smoke(capsys):
 
 
 def test_chaos_cli_ring(capsys):
-    rc = main(["chaos", "--noc", "ring", "--mesh", "2x4",
-               "--cycles", "300", "--rate", "0.02",
+    rc = main(["chaos", "--noc", "mesh", "--topology", "ring",
+               "--mesh", "2x4", "--cycles", "300", "--rate", "0.02",
                "--fault-seed", "3"])
     assert rc == 0
-    assert "organization:         ring" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "topology:             ring" in out
+    assert "nodes:                8" in out
 
 
 # -- CLI input validation (exit 2, clean message) -------------------------

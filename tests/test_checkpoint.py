@@ -291,7 +291,7 @@ def test_network_stats_hold_simulation_state_only():
     from repro.noc.stats import NetworkStats
 
     harness_keys = set(GridStats().summary())
-    assert len(harness_keys) == 8
+    assert len(harness_keys) == 7
     assert not harness_keys & set(NetworkStats().state_dict())
     assert sorted(NetworkStats().summary()) == [
         "avg_hops", "avg_network_latency", "avg_total_latency",

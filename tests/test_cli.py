@@ -81,6 +81,16 @@ def test_removed_saturate_cold_flag_is_an_unknown_flag(capsys):
     assert exc.value.code == 2
 
 
+def test_chaos_ring_is_a_topology_not_an_organization(capsys):
+    # ``--noc ring`` silently ignored ``--topology``; a ring is spelled
+    # ``--noc mesh --topology ring``, and any other kind exits 2.
+    with pytest.raises(SystemExit) as exc:
+        main(["chaos", "--noc", "ring", "--topology", "chiplet:2x2x3x3",
+              "--cycles", "50"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'ring'" in capsys.readouterr().err
+
+
 def test_figures_json_dump(tmp_path, capsys):
     path = tmp_path / "out.json"
     rc = main(["figures", "--only", "table1,fig8", "--json", str(path)])

@@ -1,15 +1,17 @@
-"""Supervised execution: every recovery path, digest-verified.
+"""Failure handling of the simulator's worker processes.
 
-The resilience layer's correctness oracle is the same one the shard
-layer uses: the pinned golden digests.  A supervised sharded run whose
-workers were killed, hung, or babbling must still hash to the serial
-digest — recovery is only correct if it is invisible in the statistics.
-For the evaluation grid the oracle is bit-identical samples: a sweep
-with a poison cell or a crashed pool must reproduce the unfaulted
-samples for every cell it completes.
+A sharded process run is diagnosed, not recovered: a shard worker that
+dies, hangs or babbles raises a structured ``WorkerFailure`` out of
+``run_sharded``.  The evaluation grid is supervised, and its oracle is
+bit-identical samples: a sweep with a poison cell or a crashed pool
+must reproduce the unfaulted samples for every cell it completes.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+import time
 
 import pytest
 
@@ -24,118 +26,105 @@ from repro.resilience import (
     clear_last_report,
     last_run_report,
 )
-from repro.shard import GOLDEN_SPEC, run_sharded
+from repro.shard import GOLDEN_SPEC, WorkerFailure, run_sharded
+from repro.shard import process
 from tests.test_golden_determinism import GOLDEN_NETWORK
 
 GOLDEN_MESH = GOLDEN_NETWORK[NocKind.MESH]
 
-#: No backoff sleeps, recovery points every 200 cycles — the recovery
-#: paths themselves are what these tests time-bound, not the waits.
-FAST = RetryPolicy(max_retries=2, heartbeat_timeout=30.0,
-                   quarantine_after=2, backoff_base=0.0,
-                   recovery_interval=200)
+#: No backoff sleeps — the recovery paths themselves are what these
+#: tests time-bound, not the waits.
+FAST = RetryPolicy(max_retries=2, quarantine_after=2, backoff_base=0.0)
 
 
-def _kill(shard: int, at: int, incarnation=0) -> ProcessFaultPlan:
-    return ProcessFaultPlan(faults=(
-        ProcFault(scope="shard", target=shard, action="kill", at=at,
-                  incarnation=incarnation),
-    ))
+# -- sharded-run failure diagnosis ------------------------------------------
 
 
-# -- sharded-run recovery ---------------------------------------------------
+def _misbehave(monkeypatch, shard: int, behave) -> None:
+    """Workers forked from here on run ``behave(conn)`` as shard
+    ``shard`` instead of the real worker loop."""
+    real = process._worker_main
+
+    def worker(conn, spec, index, count, observers):
+        if index == shard:
+            behave(conn)
+        else:
+            real(conn, spec, index, count, observers)
+
+    monkeypatch.setattr(process, "_worker_main", worker)
 
 
-def test_supervised_clean_run_matches_golden():
-    result = run_sharded(GOLDEN_SPEC, 2, backend="process", policy=FAST)
+def _failure(shards: int = 2, **kwargs) -> WorkerFailure:
+    with pytest.raises(WorkerFailure) as caught:
+        run_sharded(GOLDEN_SPEC, shards, backend="process", **kwargs)
+    return caught.value
+
+
+def test_hung_worker_detected_by_heartbeat(monkeypatch):
+    """A worker that takes its command and never answers trips the
+    heartbeat and is named as hung; its neighbor, which has answered,
+    is not."""
+    monkeypatch.setattr(process, "HEARTBEAT_S", 0.5)
+
+    def stop_answering(conn):
+        conn.recv()
+        time.sleep(3600)
+
+    _misbehave(monkeypatch, 0, stop_answering)
+    failure = _failure()
+    assert failure.kind == "hung"
+    assert failure.shard == 0
+
+
+def test_garbage_reply_diagnosed(monkeypatch):
+    def babble(conn):
+        conn.recv()
+        conn.send(("gibberish", 0xDEAD))
+        conn.recv()
+
+    _misbehave(monkeypatch, 1, babble)
+    failure = _failure()
+    assert failure.kind == "garbage"
+    assert failure.shard == 1
+    assert "gibberish" in failure.detail
+
+
+def test_killed_worker_raises_instead_of_respawning(monkeypatch):
+    """A SIGKILLed worker (the OOM-killer shape) fails the run, naming
+    the shard and the signal; nothing respawns it."""
+    spawned = []
+    real_init = process.ProcessPool.__init__
+
+    def counting_init(self, *args, **kwargs):
+        spawned.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(process.ProcessPool, "__init__", counting_init)
+    _misbehave(monkeypatch, 1,
+               lambda conn: os.kill(os.getpid(), signal.SIGKILL))
+    failure = _failure()
+    assert failure.kind == "died"
+    assert failure.shard == 1
+    assert failure.exitcode == -signal.SIGKILL
+    assert len(spawned) == 1
+
+
+def test_process_run_without_checkpoint_sends_no_barrier(monkeypatch):
+    """A run stops at a cycle barrier only where ``checkpoint_at`` asks
+    for one."""
+    commands = []
+    real_send = process.ProcessPool._send
+
+    def tapped_send(self, shard, message):
+        commands.append(message[0])
+        real_send(self, shard, message)
+
+    monkeypatch.setattr(process.ProcessPool, "_send", tapped_send)
+    result = run_sharded(GOLDEN_SPEC, 2, backend="process")
     assert result.digest == GOLDEN_MESH
-    assert result.backend == "process"
-    assert result.report is not None
-    assert result.report.clean
-    # 800 injection cycles at a 200-cycle interval: barriers at 200,
-    # 400, and 600.
-    assert result.report.recovery_points == 3
-
-
-def test_killed_worker_restored_from_recovery_point():
-    """A worker killed mid-run (the OOM-killer shape) is respawned from
-    the last cycle-barrier recovery point and the run still reproduces
-    the pinned golden digest bit for bit."""
-    result = run_sharded(GOLDEN_SPEC, 2, backend="process", policy=FAST,
-                         faults=_kill(shard=1, at=300))
-    assert result.digest == GOLDEN_MESH
-    assert result.backend == "process"
-    report = result.report
-    assert report.respawns >= 1
-    assert report.degraded is None
-    assert any(f.kind == "died" for f in report.failures)
-    # The diagnosis names the worker and its exit code.
-    died = next(f for f in report.failures if f.kind == "died")
-    assert died.scope == "shard"
-    assert died.target == "1"
-    assert "exit code 113" in died.detail
-
-
-def test_hung_worker_detected_by_heartbeat():
-    """A worker that goes silent trips the heartbeat timeout, is
-    diagnosed as hung, and the pool recovers from the last barrier."""
-    policy = RetryPolicy(max_retries=2, heartbeat_timeout=0.5,
-                         backoff_base=0.0, recovery_interval=200)
-    plan = ProcessFaultPlan(faults=(
-        ProcFault(scope="shard", target=0, action="hang", at=300),
-    ))
-    result = run_sharded(GOLDEN_SPEC, 2, backend="process", policy=policy,
-                         faults=plan)
-    assert result.digest == GOLDEN_MESH
-    report = result.report
-    assert report.respawns >= 1
-    assert report.degraded is None
-    assert any(f.kind == "hung" for f in report.failures)
-
-
-def test_garbage_reply_diagnosed_and_recovered():
-    plan = ProcessFaultPlan(faults=(
-        ProcFault(scope="shard", target=1, action="garbage", at=300),
-    ))
-    result = run_sharded(GOLDEN_SPEC, 2, backend="process", policy=FAST,
-                         faults=plan)
-    assert result.digest == GOLDEN_MESH
-    assert any(f.kind == "garbage" for f in result.report.failures)
-    assert result.report.degraded is None
-
-
-def test_degrades_to_serial_when_retries_exhaust():
-    """A fault that kills the worker on *every* incarnation defeats
-    respawning; the supervisor must degrade to a serial continuation
-    from the last recovery point — and still hit the golden digest."""
-    policy = RetryPolicy(max_retries=1, backoff_base=0.0,
-                         recovery_interval=200)
-    result = run_sharded(GOLDEN_SPEC, 2, backend="process", policy=policy,
-                         faults=_kill(shard=1, at=300, incarnation=None))
-    assert result.digest == GOLDEN_MESH
-    assert result.backend == "serial-degraded"
-    report = result.report
-    assert report.degraded is not None
-    assert "cycle 200" in report.degraded
-    assert len(report.failures) == 2  # attempt 1 retried, attempt 2 gave up
-
-
-def test_checkpoint_survives_supervised_recovery():
-    """checkpoint_at through the supervised backend, with a kill before
-    the checkpoint barrier: the merged checkpoint must still restore to
-    the golden digest (same contract as test_shard_equivalence)."""
-    from repro.checkpoint.snapshot import restore_network
-    from repro.shard import summary_digest
-
-    result = run_sharded(GOLDEN_SPEC, 2, backend="process", policy=FAST,
-                         checkpoint_at=400, faults=_kill(shard=0, at=300))
-    assert result.digest == GOLDEN_MESH
-    assert result.checkpoint is not None
-    net, traffic = restore_network(result.checkpoint)
-    assert net.cycle == 400
-    traffic.run(GOLDEN_SPEC.cycles - 400)
-    net.drain(max_cycles=GOLDEN_SPEC.drain)
-    assert summary_digest(net.stats.summary()) == GOLDEN_MESH
+    assert result.report is None
+    assert "barrier" not in commands
+    assert commands.count("stats") == 2
 
 
 def test_dead_worker_diagnosed_when_it_exits_not_at_the_heartbeat():
@@ -143,15 +132,10 @@ def test_dead_worker_diagnosed_when_it_exits_not_at_the_heartbeat():
     pipe, so a worker that dies while its neighbor sits blocked is
     named — shard and signal — as it exits, not once a poll tick or
     the heartbeat runs out."""
-    import os
-    import signal
-    import time
-
-    from repro.shard import WorkerFailure
     from repro.shard.engine import drive
     from repro.shard.process import ProcessPool
 
-    pool = ProcessPool(GOLDEN_SPEC, 2, "none", heartbeat=60.0)
+    pool = ProcessPool(GOLDEN_SPEC, 2, "none")
     real_run = pool.run
     killed_at = []
 
@@ -174,28 +158,6 @@ def test_dead_worker_diagnosed_when_it_exits_not_at_the_heartbeat():
     assert caught.value.shard == 1
     assert caught.value.exitcode == -signal.SIGKILL
     assert elapsed < 10.0
-
-
-def test_recovery_counters_reach_network_stats():
-    """publish() mirrors recovery counters onto grid_stats, where the
-    summary surfaces them — but only when nonzero."""
-    before = runner.grid_stats.worker_respawns
-    result = run_sharded(GOLDEN_SPEC, 2, backend="process", policy=FAST,
-                         faults=_kill(shard=1, at=300))
-    assert runner.grid_stats.worker_respawns == before + result.report.respawns
-    assert "worker_respawns" in runner.grid_stats.summary()
-    # The supervised run's own merged stats stay digest-clean: recovery
-    # bookkeeping never leaks into the simulation summary.
-    assert "worker_respawns" not in result.summary
-
-
-def test_fault_injection_requires_process_backend():
-    with pytest.raises(ValueError, match="process backend"):
-        run_sharded(GOLDEN_SPEC, 2, backend="inline",
-                    faults=_kill(shard=0, at=100))
-    with pytest.raises(ValueError, match="multi-shard"):
-        run_sharded(GOLDEN_SPEC, 1, backend="process", policy=FAST,
-                    faults=_kill(shard=0, at=100))
 
 
 # -- evaluation-grid supervision --------------------------------------------
@@ -222,8 +184,7 @@ def test_poison_cell_quarantined_sweep_completes(baseline_grid):
     cell is bit-identical to the unfaulted baseline."""
     clear_last_report()
     plan = ProcessFaultPlan(faults=(
-        ProcFault(scope="cell", target=POISON_INDEX, action="error",
-                  attempt=None),
+        ProcFault(target=POISON_INDEX, action="error", attempt=None),
     ))
     grid = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
                            store=None, faults=plan, policy=FAST)
@@ -245,7 +206,7 @@ def test_transient_cell_failure_retries_to_full_grid(baseline_grid):
     one retry recorded, nothing quarantined, full grid, identical."""
     clear_last_report()
     plan = ProcessFaultPlan(faults=(
-        ProcFault(scope="cell", target=2, action="error", attempt=0),
+        ProcFault(target=2, action="error", attempt=0),
     ))
     grid = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
                            store=None, faults=plan, policy=FAST)
@@ -263,7 +224,7 @@ def test_grid_pool_rebuilt_after_worker_death(baseline_grid, monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "2")
     clear_last_report()
     plan = ProcessFaultPlan(faults=(
-        ProcFault(scope="cell", target=0, action="kill", attempt=0),
+        ProcFault(target=0, action="kill", attempt=0),
     ))
     grid = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
                            store=None, faults=plan, policy=FAST)
@@ -283,9 +244,8 @@ def test_parallel_poison_cell_quarantines_exactly_one(baseline_grid,
     monkeypatch.setenv("REPRO_JOBS", "2")
     clear_last_report()
     plan = ProcessFaultPlan(faults=(
-        ProcFault(scope="cell", target=POISON_INDEX, action="error",
-                  attempt=None),
-        ProcFault(scope="cell", target=3, action="kill", attempt=0),
+        ProcFault(target=POISON_INDEX, action="error", attempt=None),
+        ProcFault(target=3, action="kill", attempt=0),
     ))
     grid = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
                            store=None, faults=plan, policy=FAST)
@@ -302,8 +262,7 @@ def test_faulted_sweeps_bypass_grid_cache(baseline_grid):
     grid cache: a clean sweep right after a poisoned one sees every
     cell again."""
     plan = ProcessFaultPlan(faults=(
-        ProcFault(scope="cell", target=POISON_INDEX, action="error",
-                  attempt=None),
+        ProcFault(target=POISON_INDEX, action="error", attempt=None),
     ))
     poisoned = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
                                store=None, faults=plan, policy=FAST)
@@ -348,35 +307,28 @@ def test_streaming_puts_survive_mid_sweep_crash(tmp_path, monkeypatch):
 # -- policy and plan validation ---------------------------------------------
 
 
-def test_retry_policy_backoff_and_barriers():
+def test_retry_policy_backoff():
     policy = RetryPolicy(backoff_base=0.05)
     assert policy.backoff(1) == 0.05
     assert policy.backoff(3) == 0.2
     assert policy.backoff(0) == 0.0
-    assert RetryPolicy(recovery_interval=200).barriers(800) == [200, 400, 600]
-    # Auto interval: a quarter of the injection window.
-    assert RetryPolicy().barriers(800) == [200, 400, 600]
     with pytest.raises(ValueError, match="max_retries"):
         RetryPolicy(max_retries=-1)
-    with pytest.raises(ValueError, match="recovery_interval"):
-        RetryPolicy(recovery_interval=0)
+    with pytest.raises(ValueError, match="quarantine_after"):
+        RetryPolicy(quarantine_after=0)
 
 
 def test_proc_fault_validation():
-    with pytest.raises(ValueError, match="scope must be"):
-        ProcFault(scope="node", target=0, action="kill")
-    with pytest.raises(ValueError, match="shard faults support"):
-        ProcFault(scope="shard", target=0, action="error")
-    with pytest.raises(ValueError, match="cell faults support"):
-        ProcFault(scope="cell", target=0, action="hang")
+    with pytest.raises(ValueError, match="faults support actions"):
+        ProcFault(target=0, action="hang")
     with pytest.raises(ValueError, match="target must be"):
-        ProcFault(scope="shard", target=-1, action="kill")
+        ProcFault(target=-1, action="kill")
 
 
 def test_fault_plan_cell_lookup():
     plan = ProcessFaultPlan(faults=(
-        ProcFault(scope="cell", target=2, action="error", attempt=None),
-        ProcFault(scope="cell", target=3, action="kill", attempt=1),
+        ProcFault(target=2, action="error", attempt=None),
+        ProcFault(target=3, action="kill", attempt=1),
     ))
     assert plan.cell_action(2, 0) == "error"
     assert plan.cell_action(2, 7) == "error"

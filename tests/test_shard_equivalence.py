@@ -93,6 +93,22 @@ def test_checkpoint_with_observers_attached():
     assert result.checkpoint["network"]["cycle"] == 400
 
 
+def test_process_checkpoint_merges_and_restores():
+    """The same merged-checkpoint contract across worker processes: the
+    snapshot stitched from the workers' barrier replies restores into a
+    serial network that finishes on the golden digest."""
+    from repro.checkpoint.snapshot import restore_network
+
+    result = run_sharded(GOLDEN_SPEC, 2, backend="process",
+                         checkpoint_at=400)
+    assert result.digest == GOLDEN_NETWORK[NocKind.MESH]
+    net, traffic = restore_network(result.checkpoint)
+    assert net.cycle == 400
+    traffic.run(GOLDEN_SPEC.cycles - 400)
+    net.drain(max_cycles=GOLDEN_SPEC.drain)
+    assert summary_digest(net.stats.summary()) == GOLDEN_NETWORK[NocKind.MESH]
+
+
 def test_process_backend_matches_inline():
     result = run_sharded(GOLDEN_SPEC, 2, backend="process")
     assert result.digest == GOLDEN_NETWORK[NocKind.MESH]
@@ -217,7 +233,7 @@ def test_process_switch_forwards_a_flush_per_stripe_per_cycle():
     flushes per simulated cycle (the round protocol: two rounds of up
     to four messages), and a worker it wakes almost always moves — a
     new clock or a flush of its own before it reports idle again."""
-    pool = _TappedPool(GOLDEN_SPEC, 2, "none", heartbeat=60.0)
+    pool = _TappedPool(GOLDEN_SPEC, 2, "none")
     try:
         drive(pool, GOLDEN_SPEC, [], None)
         states = pool.stats()
