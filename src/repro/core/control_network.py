@@ -160,13 +160,11 @@ class ControlNetwork:
         self.params = network.params.pra
         self.stats = network.stats
         #: Multi-drop media and injection-latch claims, bucketed per
-        #: cycle: cycle -> {(node, direction-or-"inject"), ...}.  Buckets
-        #: are popped as cycles pass, so claims for past cycles are
-        #: unreachable and the structure stays bounded by the claim
-        #: horizon regardless of run length.
+        #: cycle: cycle -> {(node, direction-or-"inject"), ...}.  Every
+        #: claim targets a future cycle, and each claim first pops the
+        #: buckets of cycles already reached, so at most
+        #: ``SEGMENT_CYCLES`` buckets exist after any claim.
         self._media: Dict[int, Set[Tuple[int, object]]] = {}
-        #: First cycle whose bucket has not been purged yet.
-        self._purge_floor = 0
 
     # -- injection ----------------------------------------------------------
 
@@ -210,7 +208,7 @@ class ControlNetwork:
                                 node=source_node, site="control_inject",
                                 fault="drop")
                 return None
-        if not self._claim(source_node, "inject", process_at):
+        if not self._claim_all([(source_node, "inject", process_at)]):
             # The local latch is busy: the packet never enters the
             # control network (it is not counted as injected).
             self.stats.control_injection_conflicts += 1
@@ -418,7 +416,7 @@ class ControlNetwork:
             # instead of stopping in the claimed standard VC.
             run.plan.release_landing_vc()
             run.plan.steps[-1].landing_kind = LAND_LATCH
-            promises.claim((LATCH, src_dir), slot - 1, size, run.plan)
+            promises.claim(now, (LATCH, src_dir), slot - 1, size, run.plan)
         else:
             self._claim_step0_source(run, driver, now)
         step = PlanStep(
@@ -435,15 +433,15 @@ class ControlNetwork:
             landing_entry=direction.opposite,
         )
         self._append_step(run, step)
-        promises.claim((OUT, direction), slot, size, run.plan, step, True)
-        promises.claim((IN, src_dir), slot, size, run.plan)
+        promises.claim(now, (OUT, direction), slot, size, run.plan, step, True)
+        promises.claim(now, (IN, src_dir), slot, size, run.plan)
         # The reserved routers must be stepping when their slots arrive
         # even if no flit is buffered there; has_work() keeps them awake
         # until the windows are over.
         self.network.wake_router(node)
         if via_node is not None:
-            via.claim((OUT, direction), slot, size, run.plan, step)
-            via.claim((IN, direction.opposite), slot, size, run.plan)
+            via.claim(now, (OUT, direction), slot, size, run.plan, step)
+            via.claim(now, (IN, direction.opposite), slot, size, run.plan)
             self.network.wake_router(via_node)
         if not ejecting:
             run.plan.claim_landing_vc(landing_port, vc_index)
@@ -503,31 +501,27 @@ class ControlNetwork:
         run.plan.source_interface = ni
         ni.pin(run.packet, run.plan)
 
-    def _claim(self, node: int, key, cycle: int) -> bool:
-        bucket = self._media.get(cycle)
-        media_key = (node, key)
-        if bucket is None:
-            self._media[cycle] = {media_key}
-            return True
-        if media_key in bucket:
-            return False
-        bucket.add(media_key)
-        return True
-
     def _claim_all(self, keys: Sequence[Tuple[int, object, int]]) -> bool:
-        """Claim every (node, key, cycle) or none (check, then commit)."""
+        """Claim every (node, key, cycle) or none (check, then commit),
+        after dropping the buckets of cycles no claim can target."""
+        media = self._media
+        now = self.network.cycle
+        for cycle in [cycle for cycle in media if cycle <= now]:
+            del media[cycle]
         for node, key, cycle in keys:
-            bucket = self._media.get(cycle)
+            bucket = media.get(cycle)
             if bucket is not None and (node, key) in bucket:
                 return False
         for node, key, cycle in keys:
-            self._media.setdefault(cycle, set()).add((node, key))
+            media.setdefault(cycle, set()).add((node, key))
         return True
 
     def claimed(self, node: int, key, cycle: int) -> bool:
-        """Is this (node, key, cycle) media slot currently claimed?"""
+        """Is this (node, key, cycle) media slot claimed?  A reached
+        cycle's bucket is dead, even before a claim drops it."""
         bucket = self._media.get(cycle)
-        return bucket is not None and (node, key) in bucket
+        return (cycle > self.network.cycle and bucket is not None
+                and (node, key) in bucket)
 
     def _append_step(self, run: ControlRun, step: PlanStep) -> None:
         """Commit a step; the packet adopts the plan at its first step
@@ -594,36 +588,35 @@ class ControlNetwork:
                 reason=reason, lag=lag, steps=len(run.plan.steps),
             )
 
-    def purge(self, now: int) -> None:
-        """Pop media-claim buckets for cycles that have passed.
-
-        O(cycles advanced) instead of a scan over every live claim, and
-        afterwards no claim for a cycle ``< now`` is reachable."""
-        while self._purge_floor < now:
-            self._media.pop(self._purge_floor, None)
-            self._purge_floor += 1
-
     # -- checkpointing ---------------------------------------------------
 
     def state_dict(self, ctx) -> dict:
         """Media claims are membership-only (never iterated), so each
-        bucket is serialized in a canonical sorted order."""
+        bucket is serialized in a canonical sorted order.  Buckets of
+        cycles already reached are dead and left out, so a snapshot does
+        not depend on when the last claim happened."""
+        now = self.network.cycle
         media = []
         for cycle, bucket in sorted(self._media.items()):
+            if cycle <= now:
+                continue
             claims = sorted(
                 ([node, int(key) if isinstance(key, Direction) else key]
                  for node, key in bucket),
                 key=lambda claim: (claim[0], str(claim[1])),
             )
             media.append([cycle, claims])
-        return {"media": media, "purge_floor": self._purge_floor}
+        return {"media": media}
 
     def load_state(self, state: dict, ctx) -> None:
+        # Older snapshots may hold reached buckets (and a purge floor):
+        # both are dead, so they are dropped here.
+        now = self.network.cycle
         self._media = {
             cycle: {
                 (node, key if key == "inject" else Direction(key))
                 for node, key in claims
             }
             for cycle, claims in state["media"]
+            if cycle > now
         }
-        self._purge_floor = state["purge_floor"]

@@ -109,8 +109,8 @@ class PraPlan:
         self.steps: List[PlanStep] = []
         self.cancelled = False
         #: True once the last step's tail flit has been driven; finished
-        #: plans keep their (already consumed) windows until the periodic
-        #: purge, which the leak checkers must not flag.
+        #: plans keep their (already consumed) windows until the row's
+        #: next claim, which the leak checkers must not flag.
         self.finished = False
         #: Current standard-VC claim at the chain's tail:
         #: (port feeding the landing router, vc index, credits claimed).

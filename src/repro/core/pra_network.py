@@ -187,15 +187,6 @@ class PraNetwork(MeshNetwork):
             source_vc=packet.vc_index,
         )
 
-    def _post_router_step(self, now: int) -> None:
-        self.control.purge(now)
-
-    def _post_skip(self, start: int, end: int) -> None:
-        # A stepped run purges after every cycle of the span; popping is
-        # idempotent, so one purge at the last stepped cycle leaves the
-        # claim buckets (and the checkpointed purge floor) identical.
-        self.control.purge(end - 1)
-
     # -- checkpointing ---------------------------------------------------
 
     def state_dict(self, ctx) -> dict:

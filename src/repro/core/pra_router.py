@@ -29,10 +29,6 @@ from repro.noc.router import MeshRouter
 from repro.noc.topology import Direction
 from repro.trace.events import EV_LATCH_BYPASS
 
-#: How often dead windows are garbage-collected.
-_PURGE_PERIOD = 64
-
-
 class PraRouter(MeshRouter):
     """Mesh router extended with PRA arbitration, latches, and LSD."""
 
@@ -49,7 +45,6 @@ class PraRouter(MeshRouter):
             network.params.pra.reservation_horizon,
             [port.direction for port in self.port_list],
         )
-        self._last_purge = 0
         #: Cached PRA knobs (the step loop reads them every cycle).
         self._use_lsd = network.params.pra.use_lsd_trigger
         self._max_lag = network.params.pra.max_lag
@@ -82,8 +77,6 @@ class PraRouter(MeshRouter):
         faults = self.network.faults
         fault_on = faults.enabled
         if fault_on and faults.router_stalled(self.node, now):
-            if now - self._last_purge >= _PURGE_PERIOD:
-                self._purge(now)
             return
         candidates = self._collect_head_candidates()
         group_of = candidates.get
@@ -101,8 +94,6 @@ class PraRouter(MeshRouter):
                     self._try_grant(port, direction, now, used_inputs, group)
         if self._use_lsd:
             self._lsd_scan(now, candidates)
-        if now - self._last_purge >= _PURGE_PERIOD:
-            self._purge(now)
 
     # -- the PRA arbiter ---------------------------------------------------------
 
@@ -289,7 +280,6 @@ class PraRouter(MeshRouter):
             for direction, latch in self._latches.items()
         ]
         state["promises"] = self.promises.state_dict(ctx, self.network.cycle)
-        state["last_purge"] = self._last_purge
         return state
 
     def load_state(self, state: dict, ctx) -> None:
@@ -299,10 +289,3 @@ class PraRouter(MeshRouter):
                 ctx.flit(ref) for ref in refs
             )
         self.promises.load_state(state["promises"], ctx)
-        self._last_purge = state["last_purge"]
-
-    # -- housekeeping -------------------------------------------------------------
-
-    def _purge(self, now: int) -> None:
-        self._last_purge = now
-        self.promises.purge(now)

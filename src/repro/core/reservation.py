@@ -20,7 +20,10 @@ Cancellation is lazy: a window belongs to a
 :class:`~repro.core.plan.PraPlan`, and every query treats a window whose
 plan is cancelled as absent (the hardware equivalent: the valid bit is
 cleared, freeing the slot for the local arbiter).  Nothing has to be
-refunded when a plan dies; :meth:`Promises.purge` sweeps the remains.
+refunded when a plan dies, and nothing sweeps the table: like a slot
+shifting off the end of a bit vector, a window that is over or cancelled
+is invisible to every query, and :meth:`Promises.claim` drops its row's
+dead windows before it appends.
 """
 
 from __future__ import annotations
@@ -97,14 +100,17 @@ class Promises:
 
     # -- updates -------------------------------------------------------------
 
-    def claim(self, resource: Resource, first: int, count: int,
+    def claim(self, now: int, resource: Resource, first: int, count: int,
               plan: PraPlan, step: Optional[PlanStep] = None,
               is_driver: bool = False) -> None:
+        """Promise ``count`` cycles from ``first``, after dropping the
+        row's windows that are over or cancelled at ``now``."""
+        row = self._rows[resource]
+        row[:] = [window for window in row
+                  if window.end > now and not window.plan.cancelled]
         if not self.free(resource, first, count):
             raise RuntimeError("double-booked reservation window")
-        self._rows[resource].append(
-            Window(first, first + count, plan, step, is_driver)
-        )
+        row.append(Window(first, first + count, plan, step, is_driver))
 
     def due(self, now: int) -> List[Window]:
         """The live ``OUT`` windows covering ``now``, in port order (at
@@ -122,15 +128,6 @@ class Promises:
                         del row[index]
                     break
         return hits
-
-    def purge(self, now: int) -> None:
-        """Drop windows that are over or whose plan was cancelled."""
-        for row in self._rows.values():
-            if row:
-                row[:] = [
-                    window for window in row
-                    if window.end > now and not window.plan.cancelled
-                ]
 
     # -- checkpointing ---------------------------------------------------
 
@@ -154,10 +151,11 @@ class Promises:
         return rows
 
     def load_state(self, state: list, ctx) -> None:
+        """Append directly: a snapshot holds only live windows."""
         for row in self._rows.values():
             row.clear()
         for kind, direction, first, end, plan_ref, step_index, driver in state:
             plan = ctx.plan(plan_ref)
             step = None if step_index is None else plan.steps[step_index]
-            self.claim((kind, Direction(direction)), first, end - first,
-                       plan, step, driver)
+            self._rows[kind, Direction(direction)].append(
+                Window(first, end, plan, step, driver))

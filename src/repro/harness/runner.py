@@ -40,16 +40,12 @@ ALL_KINDS = (NocKind.MESH, NocKind.SMART, NocKind.MESH_PRA, NocKind.IDEAL)
 
 @dataclass
 class GridStats:
-    """Harness counters: what the grid, its supervisor and the analytic
-    screen did in this process (no simulation state lives here)."""
+    """Harness counters: what the grid and the analytic screen did in
+    this process (no simulation state lives here; recovery is recorded
+    on the sweep's ``RunReport``)."""
 
     grid_cache_hits: int = 0
     grid_cache_misses: int = 0
-    #: Mirrored from each supervised sweep's report by
-    #: ``repro.resilience.report.publish``.
-    worker_retries: int = 0
-    pool_rebuilds: int = 0
-    cells_quarantined: int = 0
     #: Grid cells served by the queueing model under
     #: ``REPRO_ANALYTIC=prune`` vs. cells that were still simulated.
     analytic_cells: int = 0

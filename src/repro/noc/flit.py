@@ -6,16 +6,14 @@ and tail).  Flits carry a reference to their packet; routing state lives
 on the packet.
 
 Flits are a pure function of ``(packet, index)`` with no mutable state
-of their own, which makes them ideal free-list citizens: the
-:class:`FlitPool` below recycles flit objects of packets that went
-through the packet pool (see :mod:`repro.noc.packet`), resetting every
-field on reuse so a recycled flit is indistinguishable from a fresh one.
+of their own: a packet materializes its flits on first access, and
+checkpoints reference a flit as ``(pid, index)``.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.packet import Packet
@@ -37,11 +35,6 @@ class Flit:
     __slots__ = ("packet", "index", "kind", "is_head", "is_tail")
 
     def __init__(self, packet: "Packet", index: int):
-        self.reset(packet, index)
-
-    def reset(self, packet: "Packet", index: int) -> None:
-        """(Re)bind this flit to ``(packet, index)``, overwriting every
-        field — the whole free-list reuse contract."""
         size = packet.size
         if not (0 <= index < size):
             raise ValueError(f"flit index {index} outside packet of {size}")
@@ -62,54 +55,3 @@ class Flit:
 
     def __repr__(self) -> str:
         return f"Flit(pkt={self.packet.pid}, idx={self.index}, {self.kind.value})"
-
-
-class FlitPool:
-    """Free list of flit objects (allocation-churn relief).
-
-    Only the packet pool feeds it: a pooled packet's flits return here
-    when the packet is re-sized on reuse, and ``acquire`` resets every
-    field before handing a flit back out, so behavior is bit-identical
-    to constructing fresh objects (the golden-determinism digests hold
-    with pooling on the hot path).
-    """
-
-    __slots__ = ("_free", "acquired", "reused", "released")
-
-    def __init__(self):
-        self._free: List[Flit] = []
-        self.acquired = 0
-        self.reused = 0
-        self.released = 0
-
-    def acquire(self, packet: "Packet", index: int) -> Flit:
-        self.acquired += 1
-        if self._free:
-            self.reused += 1
-            flit = self._free.pop()
-            flit.reset(packet, index)
-            return flit
-        return Flit(packet, index)
-
-    def release(self, flits: List[Flit]) -> None:
-        """Take dead flits back.  Callers must guarantee no live
-        reference remains (tail delivered, all events consumed)."""
-        self.released += len(flits)
-        self._free.extend(flits)
-
-    def stats(self) -> dict:
-        return {
-            "flits_acquired": self.acquired,
-            "flits_reused": self.reused,
-            "flits_released": self.released,
-            "flits_free": len(self._free),
-        }
-
-    def clear(self) -> None:
-        """Drop the free list and zero the counters (test isolation)."""
-        self._free.clear()
-        self.acquired = self.reused = self.released = 0
-
-
-#: The process-wide flit free list.
-flit_pool = FlitPool()

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.faults.injector import NULL_FAULTS
 from repro.noc.stats import NetworkStats
-from repro.noc.packet import Packet, packet_pool
+from repro.noc.packet import Packet
 from repro.noc.topology import as_port, build_topology
 from repro.params import NUM_MESSAGE_CLASSES, NocKind, NocParams
 from repro.trace.tracer import NULL_TRACER
@@ -283,7 +283,6 @@ class Network:
 
     def _end_step(self, now: int) -> None:
         """Close cycle ``now`` once every due router has stepped."""
-        self._post_router_step(now)
         if self.invariants is not None:
             self.invariants.on_cycle(self, now)
         self.cycle = now + 1
@@ -385,6 +384,8 @@ class Network:
         The invariant suite replays its watchdog/audit boundaries over
         the span first, so ``audits_run``, progress bookkeeping, and any
         violations land exactly as if every cycle had been stepped.
+        Nothing else is replayed: no organization keeps per-cycle
+        housekeeping (dead PRA claims are dropped when next touched).
         """
         start = self.cycle
         if self.invariants is not None:
@@ -400,12 +401,6 @@ class Network:
                 raise
         self.cycles_skipped += target - start
         self.cycle = target
-        self._post_skip(start, target)
-
-    def _post_skip(self, start: int, end: int) -> None:
-        """Subclass hook after a skip over ``[start, end)``: replicate
-        whatever per-cycle housekeeping a stepped run would have done
-        (the control network purges its media-claim buckets here)."""
 
     def run(self, cycles: int) -> None:
         end = self.cycle + cycles
@@ -557,21 +552,19 @@ class Network:
 
     # -- hooks -------------------------------------------------------------
 
-    def _post_router_step(self, now: int) -> None:
-        """Subclass hook run after routers each cycle (control network)."""
-
     def _deliver(self, packet: Packet, now: int) -> None:
         packet.ejected = now
         self.stats.record_ejection(packet)
         if self._delivery_handler is not None:
             self._delivery_handler(packet, now)
-        # Recycle pool-born packets once delivery is fully settled.  A
-        # surviving plan reference (partial PRA execution, in-flight
-        # control run) keeps the object out of the pool: late plan
-        # cleanup still holds it.
-        if packet.pooled and packet.pra_plan is None \
-                and not packet.pra_pending:
-            packet_pool.release(packet)
+        # Once delivery is settled, break the packet <-> flit cycle so
+        # the packet dies by refcount.  A surviving plan (partial PRA
+        # execution, in-flight control run) may still read its flits.
+        if packet.pra_plan is None and not packet.pra_pending:
+            try:
+                del packet.flits
+            except AttributeError:
+                pass  # never materialized (the ideal network)
 
     def _head_arrived(self, packet: Packet, now: int) -> None:
         if self._head_handler is not None:

@@ -5,13 +5,17 @@ individual flits, unlike flit-reservation flow control) so that flits of
 a packet are never reordered on a single-cycle multi-hop path.  The
 packet object therefore carries the PRA plan produced by a successful
 control-packet run (see :mod:`repro.core.control_network`).
+
+Packets and flits are plain objects.  On delivery the network drops a
+settled packet's flit list, so the packet/flit reference cycle dies by
+refcount rather than waiting for the cyclic collector.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.noc.flit import Flit, flit_pool
+from repro.noc.flit import Flit
 from repro.params import MessageClass, PACKET_FLITS
 
 #: Next packet id to hand out.  A plain module int (rather than
@@ -69,7 +73,6 @@ class Packet:
         "pra_pending",
         "pra_blocked_cycles",
         "hops_taken",
-        "pooled",
     )
 
     def __init__(
@@ -81,23 +84,6 @@ class Packet:
         created: int = 0,
         payload: Any = None,
     ):
-        #: True for packets drawn from the free-list pool; the network
-        #: recycles them automatically on delivery.
-        self.pooled = False
-        self._reset(src, dst, msg_class, size, created, payload)
-
-    def _reset(
-        self,
-        src: int,
-        dst: int,
-        msg_class: MessageClass,
-        size: Optional[int],
-        created: int,
-        payload: Any,
-    ) -> None:
-        """(Re)initialize every field, consuming a fresh pid — shared by
-        the constructor and the pool, so a recycled packet is
-        indistinguishable from a newly constructed one."""
         if size is None:
             size = PACKET_FLITS[msg_class]
         if size < 1:
@@ -131,8 +117,7 @@ class Packet:
         # moves whole packets and never looks at individual flits, so
         # eager construction would waste a third of its runtime.
         if name == "flits":
-            acquire = flit_pool.acquire
-            flits: List[Flit] = [acquire(self, i) for i in range(self.size)]
+            flits: List[Flit] = [Flit(self, i) for i in range(self.size)]
             self.flits = flits
             return flits
         raise AttributeError(name)
@@ -169,9 +154,6 @@ class Packet:
         restore context after every registry object exists.
         """
         packet = cls.__new__(cls)
-        # Pool membership is allocator bookkeeping, not simulator state:
-        # a restored packet simply is not recycled when it dies.
-        packet.pooled = False
         packet.pid = state["pid"]
         packet.src = state["src"]
         packet.dst = state["dst"]
@@ -206,89 +188,8 @@ class Packet:
         )
 
 
-#: Slot descriptor for ``flits`` — reading through it (instead of
-#: ``packet.flits``) does NOT trigger lazy materialization.
-_FLITS_SLOT = Packet.flits
-
-
-class PacketPool:
-    """Free list of packet (and, transitively, flit) objects.
-
-    ``acquire`` hands out a packet indistinguishable from a fresh
-    ``Packet(...)`` — every field reset, a *new* pid consumed — so the
-    pid sequence, and with it every golden digest, is unchanged by
-    pooling.  ``release`` drops the payload/plan references and returns
-    the object (reset-on-release); its flits go back to the
-    :data:`~repro.noc.flit.flit_pool` so a re-sized reuse recycles them
-    too.  Only packets created through the pool are marked ``pooled``
-    and recycled by ``Network._deliver``; directly constructed packets
-    (tests, one-off probes) are never touched.
-    """
-
-    __slots__ = ("_free", "acquired", "reused", "released")
-
-    def __init__(self):
-        self._free: List[Packet] = []
-        self.acquired = 0
-        self.reused = 0
-        self.released = 0
-
-    def acquire(
-        self,
-        src: int,
-        dst: int,
-        msg_class: MessageClass,
-        size: Optional[int] = None,
-        created: int = 0,
-        payload: Any = None,
-    ) -> Packet:
-        self.acquired += 1
-        if self._free:
-            self.reused += 1
-            packet = self._free.pop()
-            packet._reset(src, dst, msg_class, size, created, payload)
-            return packet
-        packet = Packet(src, dst, msg_class, size=size, created=created,
-                        payload=payload)
-        packet.pooled = True
-        return packet
-
-    def release(self, packet: Packet) -> None:
-        """Take a dead packet back.  Callers must guarantee delivery is
-        fully settled: tail ejected, no live plan, no pending events."""
-        self.released += 1
-        try:
-            flits = _FLITS_SLOT.__get__(packet, Packet)
-        except AttributeError:
-            flits = None  # never materialized (the ideal network)
-        if flits is not None:
-            flit_pool.release(flits)
-            _FLITS_SLOT.__delete__(packet)
-        packet.payload = None
-        packet.pra_plan = None
-        self._free.append(packet)
-
-    def stats(self) -> dict:
-        return {
-            "packets_acquired": self.acquired,
-            "packets_reused": self.reused,
-            "packets_released": self.released,
-            "packets_free": len(self._free),
-        }
-
-    def clear(self) -> None:
-        """Drop the free list and zero the counters (test isolation)."""
-        self._free.clear()
-        self.acquired = self.reused = self.released = 0
-
-
-#: The process-wide packet free list.
-packet_pool = PacketPool()
-
-
 def pool_summary() -> Dict[str, int]:
-    """Combined packet- and flit-pool counters (read by the benchmark
-    ledger)."""
-    out = dict(packet_pool.stats())
-    out.update(flit_pool.stats())
-    return out
+    """Zero counters: packets and flits have no free list (the benchmark
+    ledger still reads them)."""
+    return dict.fromkeys(("packets_acquired", "packets_reused",
+                          "flits_acquired", "flits_reused"), 0)

@@ -177,9 +177,6 @@ class OutputPort:
             and self.credits[vc_index] >= 1
         )
 
-    def has_credit_for(self, vc_index: int) -> bool:
-        return self.ni_sink is not None or self.credits[vc_index] >= 1
-
     # -- fault site -------------------------------------------------------
 
     def fault_stalled(self, now: int) -> bool:

@@ -362,7 +362,7 @@ class MeshRouter(BaseRouter):
         that is not ``port`` itself (a SMART pass-through lands two
         tiles away and skips the buffer ``port`` feeds).
         """
-        # Stall checks are inlined (``vc.front()`` / ``has_credit_for``
+        # Stall checks are inlined (``vc.front()`` and the credit test
         # flattened); the trace helper is only invoked when a tracer is
         # actually attached, keeping the common stall to attribute work.
         vc = port.active_vc

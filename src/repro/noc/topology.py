@@ -367,16 +367,6 @@ class MeshTopology(Topology):
         dx, dy = self.coords(dst)
         return abs(sx - dx) + abs(sy - dy)
 
-    def walk(self, node: int, direction: Direction, hops: int) -> Optional[int]:
-        """Node reached after ``hops`` steps in ``direction`` (None if the
-        walk leaves the mesh).  Used by multi-drop control segments."""
-        current: Optional[int] = node
-        for _ in range(hops):
-            if current is None:
-                return None
-            current = self.neighbor(current, direction)
-        return current
-
     def row_domains(self, count: int) -> List[Tuple[int, int]]:
         """Partition the mesh into ``count`` contiguous row stripes.
 

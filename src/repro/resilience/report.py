@@ -96,17 +96,9 @@ _LAST_REPORT: Optional[RunReport] = None
 
 
 def publish(report: RunReport) -> None:
-    """Record ``report`` as the latest and mirror its counters onto the
-    process-wide ``grid_stats`` object (so retry/rebuild/quarantine
-    totals show up in ``grid_stats.summary()``)."""
+    """Record ``report`` as the latest sweep's."""
     global _LAST_REPORT
     _LAST_REPORT = report
-    # Imported lazily: repro.harness.runner imports this module.
-    from repro.harness.runner import grid_stats
-
-    grid_stats.worker_retries += report.retries
-    grid_stats.pool_rebuilds += report.pool_rebuilds
-    grid_stats.cells_quarantined += len(report.quarantined)
 
 
 def last_run_report() -> Optional[RunReport]:

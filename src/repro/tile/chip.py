@@ -18,7 +18,7 @@ import random
 from typing import Callable, List, Optional
 
 from repro.noc.network import Network, build_network
-from repro.noc.packet import Packet, packet_pool
+from repro.noc.packet import Packet
 from repro.params import ChipParams, MessageClass
 from repro.tile.address import home_slice, memory_channel
 from repro.tile.cache import SetAssociativeCache
@@ -97,7 +97,7 @@ class Chip:
                 self.cycle + LOCAL_ACCESS_OVERHEAD,
             )
             return
-        request = packet_pool.acquire(
+        request = Packet(
             txn.core_node,
             txn.home,
             MessageClass.REQUEST,
@@ -147,7 +147,7 @@ class Chip:
     def send_coherence(self, src: int, dst: int) -> None:
         self.coherence_sent += 1
         self.network.send(
-            packet_pool.acquire(
+            Packet(
                 src,
                 dst,
                 MessageClass.COHERENCE,

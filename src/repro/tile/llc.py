@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
-from repro.noc.packet import Packet, packet_pool
+from repro.noc.packet import Packet
 from repro.params import MessageClass
 from repro.tile.address import block_of
 from repro.tile.cache import SetAssociativeCache
@@ -156,7 +156,7 @@ class LlcSlice:
                 now + data_cycles, self.chip.complete_local, txn
             )
             return
-        response = packet_pool.acquire(
+        response = Packet(
             self.node,
             txn.core_node,
             MessageClass.RESPONSE,

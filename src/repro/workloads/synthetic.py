@@ -12,7 +12,7 @@ from enum import Enum
 from typing import List, Optional
 
 from repro.noc.network import Network
-from repro.noc.packet import Packet, packet_pool
+from repro.noc.packet import Packet
 from repro.params import MessageClass
 
 
@@ -85,8 +85,7 @@ class SyntheticTraffic:
             if self.inject_filter is not None \
                     and not self.inject_filter(node):
                 continue
-            pkt = packet_pool.acquire(node, dst, msg_class,
-                                      created=self.network.cycle)
+            pkt = Packet(node, dst, msg_class, created=self.network.cycle)
             self.network.send(pkt)
             self.offered += 1
 
@@ -133,7 +132,7 @@ class SyntheticTraffic:
     def _maybe_reply(self, packet: Packet, now: int) -> None:
         if packet.msg_class is not MessageClass.REQUEST:
             return
-        reply = packet_pool.acquire(
+        reply = Packet(
             packet.dst,
             packet.src,
             MessageClass.RESPONSE,

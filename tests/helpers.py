@@ -114,10 +114,6 @@ class SlotPromises:
         return any(kind == OUT and cycle >= now and self._live((kind, d), cycle)
                    for (kind, d), cycle in self.cells)
 
-    def purge(self, now: int) -> None:
-        for key in [key for key in self.cells if key[1] < now]:
-            del self.cells[key]
-
 
 def assert_quiescent(net: Network) -> None:
     """All traffic delivered and every resource back to its idle state."""
@@ -153,7 +149,7 @@ def assert_quiescent(net: Network) -> None:
         # PRA bookkeeping: an output-port window is removed with its
         # last executed cycle, so one left behind must be cancelled; a
         # latch or crossbar-input window may also belong to a finished
-        # plan (both merely await the periodic purge).
+        # plan (both merely await the row's next claim).
         promises = getattr(router, "promises", None)
         if promises is not None:
             for (kind, direction), window in promises.windows():

@@ -161,6 +161,37 @@ def test_snapshot_mid_reservation_window():
     assert digest == GOLDEN_NETWORK[NocKind.MESH_PRA]
 
 
+def _two_hop_claim_in_flight(net) -> bool:
+    """A 2-hop segment's pair of latch claims (the via router's and the
+    next router's, same direction) waits in a future media bucket."""
+    neighbor = net.topology.neighbor
+    return any(
+        key != "inject" and (neighbor(node, key), key) in bucket
+        for cycle, bucket in net.control._media.items()
+        if cycle > net.cycle
+        for node, key in bucket
+    )
+
+
+def _claim_in_flight_beside_a_reached_bucket(net) -> bool:
+    """The snapshot filter has something to leave out: a bucket for a
+    cycle already reached sits beside a live 2-hop claim."""
+    return (_two_hop_claim_in_flight(net)
+            and min(net.control._media) <= net.cycle)
+
+
+def test_snapshot_with_two_hop_media_claim_in_flight():
+    snap, remaining = _snapshot_when(
+        NocKind.MESH_PRA, _claim_in_flight_beside_a_reached_bucket)
+    cycle = snap["network"]["cycle"]
+    assert all(claim_cycle > cycle for claim_cycle, _
+               in snap["network"]["control"]["media"])
+    net2, traffic2 = restore_network(snap)
+    assert _two_hop_claim_in_flight(net2)
+    digest = _continue_and_digest(net2, traffic2, remaining)
+    assert digest == GOLDEN_NETWORK[NocKind.MESH_PRA]
+
+
 def _chaos_run(snapshot_at: int):
     """The chaos scenario: mesh+PRA with an active random fault
     schedule.  Returns the straight-run digest and, when
@@ -291,7 +322,7 @@ def test_network_stats_hold_simulation_state_only():
     from repro.noc.stats import NetworkStats
 
     harness_keys = set(GridStats().summary())
-    assert len(harness_keys) == 7
+    assert len(harness_keys) == 4
     assert not harness_keys & set(NetworkStats().state_dict())
     assert sorted(NetworkStats().summary()) == [
         "avg_hops", "avg_network_latency", "avg_total_latency",

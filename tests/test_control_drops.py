@@ -13,10 +13,13 @@ from repro.core.control_network import (
     DROP_LAG_ZERO,
     DROP_REACHED_DESTINATION,
     DROP_RESOURCE_BUSY,
+    SEGMENT_CYCLES,
 )
-from repro.noc.packet import Packet
+from repro.core.reservation import Promises
+from repro.noc.packet import Packet, reset_packet_ids
 from repro.noc.topology import Direction
 from repro.params import MessageClass
+from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
 from tests.helpers import assert_quiescent
 from tests.test_control_network import make_pra
 
@@ -47,7 +50,7 @@ class TestTransactionalMediaClaims:
         net = make_pra()
         pkt = announce_response(net, src=0, dst=4)
         # Occupy the via router's input latch for the transmit cycle.
-        assert net.control._claim(1, Direction.EAST, SEGMENT_CLAIM_CYCLE)
+        assert net.control._claim_all([(1, Direction.EAST, SEGMENT_CLAIM_CYCLE)])
         net.run(2)  # segment processed at cycle 1, dropped at transmit
         assert (net.stats.control_drop_reasons[DROP_CONTROL_CONFLICT] == 1)
         assert not net.control.claimed(2, Direction.EAST, SEGMENT_CLAIM_CYCLE)
@@ -64,7 +67,7 @@ class TestTransactionalMediaClaims:
         node's latch must remain unclaimed."""
         net = make_pra()
         pkt = announce_response(net, src=0, dst=4)
-        assert net.control._claim(2, Direction.EAST, SEGMENT_CLAIM_CYCLE)
+        assert net.control._claim_all([(2, Direction.EAST, SEGMENT_CLAIM_CYCLE)])
         net.run(2)
         assert (net.stats.control_drop_reasons[DROP_CONTROL_CONFLICT] == 1)
         assert not net.control.claimed(1, Direction.EAST, SEGMENT_CLAIM_CYCLE)
@@ -76,33 +79,57 @@ class TestTransactionalMediaClaims:
 
 
 class TestMediaBuckets:
-    """Claims live in per-cycle buckets popped as the clock advances."""
+    """Claims live in per-cycle buckets; a claim drops the reached ones."""
 
     def test_past_cycle_claims_are_unreachable(self):
         net = make_pra()
         control = net.control
-        assert control._claim(5, "inject", 6)
+        assert control._claim_all([(5, "inject", 6)])
         assert control.claimed(5, "inject", 6)
-        net.run(8)  # the clock passes cycle 6; its bucket is popped
+        net.run(8)  # idle: nothing sweeps, but no query sees cycle 6
         assert not control.claimed(5, "inject", 6)
-        assert all(cycle >= net.cycle for cycle in control._media)
-        # The slot is claimable again (nothing stale blocks it).
-        assert control._claim(5, "inject", net.cycle + 2)
+        # The next claim drops every reached bucket, and the slot is
+        # claimable again (nothing stale blocks it).
+        assert control._claim_all([(5, "inject", net.cycle + 2)])
+        assert all(cycle > net.cycle for cycle in control._media)
 
     def test_structure_stays_bounded_under_traffic(self):
-        """After a busy run the claim table holds only future cycles
-        within the reservation horizon — not one entry per historical
-        claim."""
+        """After a busy run the claim table holds at most one bucket per
+        cycle a claim can reach ahead — not one per historical claim.
+        Buckets from before an idle tail stay until the next claim."""
         net = make_pra()
         for src in range(8):
             announce_response(net, src=src, dst=src + 16)
             net.run(1)
         net.run(30)
-        horizon = 64  # claims never extend past the slot horizon
-        assert all(
-            net.cycle <= cycle <= net.cycle + horizon
-            for cycle in net.control._media
-        )
+        assert net.stats.control_packets_injected
+        assert len(net.control._media) <= SEGMENT_CYCLES
+        assert all(cycle <= net.cycle + SEGMENT_CYCLES
+                   for cycle in net.control._media)
+
+
+def test_promise_rows_hold_no_window_older_than_their_last_claim(
+        monkeypatch):
+    """The window-table counterpart of the media bound: a claim drops
+    its row's dead windows, so after a contested run no row holds a
+    window that was already over at that row's last claim."""
+    last_claim = {}
+    claim = Promises.claim
+
+    def recording_claim(self, now, resource, *args, **kwargs):
+        last_claim[id(self), resource] = now
+        return claim(self, now, resource, *args, **kwargs)
+
+    monkeypatch.setattr(Promises, "claim", recording_claim)
+    reset_packet_ids()
+    net = make_pra()
+    SyntheticTraffic(net, TrafficPattern.UNIFORM_RANDOM, 0.1,
+                     seed=3).run(400)
+    assert net.stats.pra_planned_packets
+    for router in net.routers:
+        promises = router.promises
+        for resource, window in promises.windows():
+            assert window.end > last_claim[id(promises), resource]
 
 
 def _no_setup(net):
@@ -111,7 +138,7 @@ def _no_setup(net):
 
 def _preclaim_next_latch(net):
     """Force a control conflict at the first transmit segment."""
-    net.control._claim(2, Direction.EAST, SEGMENT_CLAIM_CYCLE)
+    net.control._claim_all([(2, Direction.EAST, SEGMENT_CLAIM_CYCLE)])
     return None
 
 

@@ -207,15 +207,16 @@ def test_cancelled_plan_claim_is_detected():
     packet = Packet(src=0, dst=5, msg_class=MessageClass.REQUEST, created=0)
     plan = PraPlan(packet, start_slot=2)
     promises = net.routers[0].promises
-    promises.claim((LATCH, Direction.EAST), 99, 5, plan)
+    promises.claim(net.cycle, (LATCH, Direction.EAST), 99, 5, plan)
     assert not promises.free((LATCH, Direction.EAST), 101, 1)
     plan.cancel()
     # Cancellation is the flag alone: every query sees through the dead
-    # window at once, it is no leak, and the purge sweeps it.
+    # window at once, it is no leak, and the row's next claim drops it.
     assert promises.free((LATCH, Direction.EAST), 99, 5)
     InvariantSuite().audit(net, net.cycle)
-    promises.purge(net.cycle)
-    assert not list(promises.windows())
+    replacement = PraPlan(packet, start_slot=2)
+    promises.claim(net.cycle, (LATCH, Direction.EAST), 99, 5, replacement)
+    assert [window.plan for _, window in promises.windows()] == [replacement]
 
 
 def test_collect_mode_accumulates_instead_of_raising():

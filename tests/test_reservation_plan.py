@@ -38,7 +38,7 @@ class TestReservationTable:
         promises = make_promises()
         plan, _ = make_plan()
         step = make_step()
-        promises.claim(EAST, 10, 2, plan, step, is_driver=True)
+        promises.claim(0, EAST, 10, 2, plan, step, is_driver=True)
         assert not promises.free(EAST, 11, 1)
         (window,) = promises.due(10)
         assert (window.plan, window.step, 10 - window.first) == (plan, step, 0)
@@ -52,27 +52,27 @@ class TestReservationTable:
     def test_double_booking_rejected(self):
         promises = make_promises()
         plan, _ = make_plan()
-        promises.claim(EAST, 10, 3, plan, make_step())
+        promises.claim(0, EAST, 10, 3, plan, make_step())
         with pytest.raises(RuntimeError):
-            promises.claim(EAST, 12, 3, plan, make_step(12))
+            promises.claim(0, EAST, 12, 3, plan, make_step(12))
 
     def test_cancelled_plan_frees_slot(self):
         promises = make_promises()
         plan, _ = make_plan()
-        promises.claim(EAST, 10, 1, plan, make_step())
+        promises.claim(0, EAST, 10, 1, plan, make_step())
         plan.cancelled = True
         assert promises.free(EAST, 10, 1)
         assert not promises.pending(0)
         # A new reservation may take the slot.
         plan2, _ = make_plan()
-        promises.claim(EAST, 10, 1, plan2, make_step())
+        promises.claim(0, EAST, 10, 1, plan2, make_step())
         (window,) = promises.due(10)
         assert window.plan is plan2
 
     def test_window_free(self):
         promises = make_promises()
         plan, _ = make_plan()
-        promises.claim(EAST, 12, 1, plan, make_step(12))
+        promises.claim(0, EAST, 12, 1, plan, make_step(12))
         assert promises.free(EAST, 8, 4)
         assert not promises.free(EAST, 10, 4)
         # Resources are independent of one another.
@@ -84,14 +84,21 @@ class TestReservationTable:
         assert promises.within_horizon(now=100, first=104, count=5)
         assert not promises.within_horizon(now=100, first=105, count=5)
 
-    def test_purge_before(self):
+    def test_claim_drops_dead_windows(self):
         promises = make_promises()
         plan, _ = make_plan()
-        promises.claim(EAST, 5, 1, plan, make_step(5))
-        promises.claim(EAST, 9, 1, plan, make_step(9))
-        promises.claim((LATCH, Direction.WEST), 3, 5, plan)
-        promises.purge(8)
-        assert [window.first for _, window in promises.windows()] == [9]
+        dead, _ = make_plan()
+        promises.claim(0, EAST, 5, 1, plan, make_step(5))
+        promises.claim(0, EAST, 9, 1, plan, make_step(9))
+        promises.claim(0, EAST, 11, 1, dead, make_step(11))
+        promises.claim(0, (LATCH, Direction.WEST), 3, 5, plan)
+        dead.cancel()
+        # Nothing sweeps: the over and cancelled windows stay until the
+        # row is next claimed, and only that row drops them.
+        promises.claim(8, EAST, 12, 1, plan, make_step(12))
+        assert [(resource, window.first)
+                for resource, window in promises.windows()] == [
+            (EAST, 9), (EAST, 12), ((LATCH, Direction.WEST), 3)]
         assert promises.free(EAST, 5, 1) and not promises.free(EAST, 9, 1)
 
 
@@ -102,14 +109,13 @@ _OPS = st.one_of(
               st.integers(1, 5), st.booleans()),
     st.tuples(st.just("cancel"), st.integers(0, 40)),
     st.tuples(st.just("advance"), st.integers(1, 7)),
-    st.tuples(st.just("purge")),
 )
 
 
 @given(st.lists(_OPS, max_size=60))
 @settings(max_examples=150, deadline=None)
 def test_promises_agree_with_the_per_slot_reference(ops):
-    """Random claim / cancel / advance / purge sequences give the same
+    """Random claim / cancel / advance sequences give the same
     ``free`` / ``due`` / ``pending`` answers from the window table as
     from one dict cell per promised cycle."""
     resources = [(kind, d) for kind in (OUT, IN, LATCH) for d in DIRECTIONS]
@@ -127,7 +133,8 @@ def test_promises_agree_with_the_per_slot_reference(ops):
             plans.append(plan)
             step = (make_step(now + lead, resource[1])
                     if resource[0] == OUT else None)
-            promises.claim(resource, now + lead, count, plan, step, driver)
+            promises.claim(now, resource, now + lead, count, plan, step,
+                           driver)
             model.claim(resource, now + lead, count, plan, driver)
         elif op == "cancel" and plans:
             plans[args[0] % len(plans)].cancel()
@@ -140,9 +147,6 @@ def test_promises_agree_with_the_per_slot_reference(ops):
                 ] == model.due(now)
                 assert promises.pending(now + 1) == model.pending(now + 1)
             now += 1
-        elif op == "purge":
-            promises.purge(now)
-            model.purge(now)
         assert promises.pending(now) == model.pending(now)
         for resource in resources:
             for first in range(now, now + 20):

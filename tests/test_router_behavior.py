@@ -3,7 +3,7 @@
 import pytest
 
 from repro.noc.network import build_network
-from repro.noc.packet import Packet, packet_pool, reset_packet_ids
+from repro.noc.packet import Packet, reset_packet_ids
 from repro.noc.topology import Direction
 from repro.params import MessageClass, NocKind, NocParams
 from tests.helpers import assert_quiescent, make_network
@@ -166,9 +166,8 @@ def _burst(net, order):
     )
     n = net.topology.num_nodes
     for node in order:
-        net.send(packet_pool.acquire(node, n - 1 - node,
-                                     MessageClass.REQUEST,
-                                     created=net.cycle))
+        net.send(Packet(node, n - 1 - node, MessageClass.REQUEST,
+                        created=net.cycle))
     net.drain(max_cycles=20000)
     return deliveries
 

@@ -25,7 +25,7 @@ from repro.checkpoint import (
 from repro.faults import FaultInjector, FaultSchedule
 from repro.invariants import InvariantSuite
 from repro.noc.network import build_network
-from repro.noc.packet import packet_pool, reset_packet_ids
+from repro.noc.packet import Packet, reset_packet_ids
 from repro.noc.ring import build_ring
 from repro.params import MessageClass, NocKind, NocParams
 from repro.trace import RingTracer
@@ -63,8 +63,7 @@ def _run_pingpong(net, *, time_skip: bool, observers: bool = False):
     n = net.topology.num_nodes
 
     def send(src: int, dst: int) -> None:
-        net.send(packet_pool.acquire(src, dst, MessageClass.REQUEST,
-                                     created=net.cycle))
+        net.send(Packet(src, dst, MessageClass.REQUEST, created=net.cycle))
 
     def on_delivery(packet, now: int) -> None:
         if now + _PING_GAP < _PING_CYCLES:
