@@ -7,7 +7,7 @@ bound from :func:`repro.analytic.queueing.saturation_rate` pins the
 knee to within a few tens of percent, so a *warm* search opens a narrow
 bracket around it instead of cold-scanning from zero — typically
 halving the number of probe simulations (the result records the exact
-count either way).
+count).
 
 A probe run is judged *saturated* when either
 
@@ -69,7 +69,6 @@ class SaturationResult:
     #: The model's zero-load mean latency used for the knee test.
     zero_load_latency: float
     threshold: float
-    warm: bool
     points: Tuple[SaturationPoint, ...]
 
     @property
@@ -137,17 +136,11 @@ def find_saturation(
     seed: int = 1,
     threshold: float = 3.0,
     tolerance: float = 0.002,
-    warm: bool = True,
     hotspot_nodes: Optional[Tuple[int, ...]] = None,
     response_size: int = 5,
 ) -> SaturationResult:
-    """Bisect the saturation Bernoulli injection rate for ``kind``.
-
-    ``warm=True`` opens the bracket around the analytic capacity bound;
-    ``warm=False`` reproduces the legacy cold geometric scan from 1%
-    load.  Both converge to the same knee (the probes are identical
-    cycle-accurate runs); warm just gets there in fewer probes.
-    """
+    """Bisect the saturation Bernoulli injection rate for ``kind``,
+    from a bracket around the analytic capacity bound."""
     params = params or NocParams(kind=kind)
     mix = synthetic_mix(pattern, response_size)
     zero_load = predict_network(
@@ -176,24 +169,16 @@ def find_saturation(
         points.append(point)
         return point.saturated
 
-    if warm:
-        lo = _WARM_LO * estimate
-        hi = min(1.0, _WARM_HI * estimate)
-        # Repair the bracket if the model missed: walk lo down until it
-        # is unsaturated, hi up until it is saturated.
-        while lo > tolerance and probe(lo):
-            hi = lo
-            lo *= 0.5
-        while hi < 1.0 and not probe(hi):
-            lo = hi
-            hi = min(1.0, hi * 1.5)
-    else:
-        lo = 0.0
-        rate = 0.01
-        while rate < 1.0 and not probe(rate):
-            lo = rate
-            rate *= 2.0
-        hi = min(1.0, rate)
+    lo = _WARM_LO * estimate
+    hi = min(1.0, _WARM_HI * estimate)
+    # Repair the bracket if the model missed: walk lo down until it is
+    # unsaturated, hi up until it is saturated.
+    while lo > tolerance and probe(lo):
+        hi = lo
+        lo *= 0.5
+    while hi < 1.0 and not probe(hi):
+        lo = hi
+        hi = min(1.0, hi * 1.5)
 
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
@@ -210,6 +195,5 @@ def find_saturation(
         bracket=(lo, hi),
         zero_load_latency=zero_load,
         threshold=threshold,
-        warm=warm,
         points=tuple(points),
     )

@@ -19,8 +19,8 @@ Reference encodings (JSON-safe tagged lists):
                           packet ``pid`` — flits are a pure function of
                           their packet, so they rematerialize on demand)
 ``["txn", tid]``          :class:`~repro.tile.llc.Transaction`
-``["plan", plid]``        :class:`~repro.core.plan.PraPlan`
-``["run", rid]``          :class:`~repro.core.control_network.ControlRun`
+``["plan", plid]``        :class:`~repro.core.plan.PraPlan` (a control
+                          packet in flight is its plan)
 ``["rp", node, d]``       a router's :class:`~repro.noc.ports.OutputPort`
 ``["nip", node]``         an NI's injection port
 ``["cb", key, name]``     bound method ``name`` of the owner registered
@@ -34,7 +34,6 @@ import random
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.control_network import ControlRun
 from repro.core.plan import PraPlan
 from repro.noc.flit import Flit
 from repro.noc.packet import Packet
@@ -45,7 +44,7 @@ from repro.tile.llc import Transaction
 
 #: Bumped whenever a change invalidates previously written snapshots or
 #: persisted evaluation-grid cells.
-CODE_VERSION = "5"
+CODE_VERSION = "6"
 
 _SCALARS = (bool, int, float, str)
 
@@ -66,12 +65,10 @@ class SaveContext:
     def __init__(self) -> None:
         self._packets: Dict[int, Packet] = {}
         self._txns: Dict[int, Transaction] = {}
-        #: Plans and runs have no intrinsic id; they get sequential ones
-        #: at first reference (keyed by object identity).
+        #: Plans have no intrinsic id; they get sequential ones at first
+        #: reference (keyed by object identity).
         self._plan_ids: Dict[int, int] = {}
         self._plans: Dict[int, PraPlan] = {}
-        self._run_ids: Dict[int, int] = {}
-        self._runs: Dict[int, ControlRun] = {}
         self._owner_keys: Dict[int, Tuple] = {}
 
     # -- typed references -------------------------------------------------
@@ -103,14 +100,6 @@ class SaveContext:
             self._plan_ids[id(plan)] = plid
             self._plans[plid] = plan
         return ["plan", plid]
-
-    def run_ref(self, run: ControlRun) -> list:
-        rid = self._run_ids.get(id(run))
-        if rid is None:
-            rid = len(self._run_ids)
-            self._run_ids[id(run)] = rid
-            self._runs[rid] = run
-        return ["run", rid]
 
     def port_ref(self, port: OutputPort) -> list:
         if port.router is None:
@@ -156,8 +145,6 @@ class SaveContext:
             return self.txn_ref(value)
         if isinstance(value, PraPlan):
             return self.plan_ref(value)
-        if isinstance(value, ControlRun):
-            return self.run_ref(value)
         if isinstance(value, OutputPort):
             return self.port_ref(value)
         raise TypeError(
@@ -168,11 +155,10 @@ class SaveContext:
 
     def finalize(self) -> dict:
         """Serialize every registered object (fixpoint: serializing one
-        object may register more — a plan references its packet, a run
-        its plan)."""
+        object may register more — a plan references its packet, a
+        packet its plan)."""
         packets: Dict[int, dict] = {}
         plans: Dict[int, dict] = {}
-        runs: Dict[int, dict] = {}
         txns: Dict[int, dict] = {}
         progress = True
         while progress:
@@ -185,10 +171,6 @@ class SaveContext:
                 if plid not in plans:
                     plans[plid] = self._plans[plid].state_dict(self)
                     progress = True
-            for rid in list(self._runs):
-                if rid not in runs:
-                    runs[rid] = self._runs[rid].state_dict(self)
-                    progress = True
             for tid in list(self._txns):
                 if tid not in txns:
                     txns[tid] = self._txns[tid].to_state()
@@ -196,7 +178,6 @@ class SaveContext:
         return {
             "packets": [[pid, packets[pid]] for pid in sorted(packets)],
             "plans": [[plid, plans[plid]] for plid in sorted(plans)],
-            "runs": [[rid, runs[rid]] for rid in sorted(runs)],
             "txns": [[tid, txns[tid]] for tid in sorted(txns)],
         }
 
@@ -212,7 +193,6 @@ class RestoreContext:
         self._registries = registries
         self._packets: Dict[int, Packet] = {}
         self._plans: Dict[int, PraPlan] = {}
-        self._runs: Dict[int, ControlRun] = {}
         self._txns: Dict[int, Transaction] = {}
         self._owners: Dict[Tuple, Any] = {}
 
@@ -232,8 +212,6 @@ class RestoreContext:
             packet_states.append((packet, state))
         for plid, state in reg.get("plans", []):
             self._plans[plid] = PraPlan.from_state(state, self)
-        for rid, state in reg.get("runs", []):
-            self._runs[rid] = ControlRun.from_state(state, self)
         # Packet shells reference payloads/plans that now all exist.
         for packet, state in packet_states:
             packet.payload = self.deref(state["payload"])
@@ -260,9 +238,6 @@ class RestoreContext:
         if ref is None:
             return None
         return self._plans[ref[1]]
-
-    def run(self, ref: list) -> ControlRun:
-        return self._runs[ref[1]]
 
     def port(self, ref: list) -> OutputPort:
         if ref[0] == "nip":
@@ -296,8 +271,6 @@ class RestoreContext:
             return self.txn(value)
         if tag == "plan":
             return self.plan(value)
-        if tag == "run":
-            return self.run(value)
         if tag in ("rp", "nip"):
             return self.port(value)
         if tag == "cb":

@@ -3,9 +3,9 @@
 A snapshot captures everything needed to continue a run bit-for-bit in a
 fresh process: the immutable parameters (to rebuild the object tree),
 the mutable ``state_dict`` of every component, the live-object
-registries (packets, plans, control runs, transactions), and the global
-id counters.  ``tests/test_golden_determinism.py`` pins the resulting
-digests, so "restore + continue" and "straight run" are enforced to be
+registries (packets, plans, transactions), and the global id counters.
+``tests/test_golden_determinism.py`` pins the resulting digests, so
+"restore + continue" and "straight run" are enforced to be
 indistinguishable.
 
 One file format: the snapshot dict as JSON, gzip-framed when the file

@@ -440,8 +440,7 @@ def _cmd_saturate(args: argparse.Namespace, _config: RunConfig) -> int:
     print(f"model error:          {result.model_error:.1%}")
     print(f"zero-load latency:    {result.zero_load_latency:.2f} cycles "
           f"(knee at {result.threshold:g}x)")
-    print(f"probe simulations:    {result.simulated_points} "
-          f"({'warm' if result.warm else 'cold'} start)")
+    print(f"probe simulations:    {result.simulated_points} (warm start)")
     if args.verbose:
         print()
         print("rate      latency   delivered saturated")

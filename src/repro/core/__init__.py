@@ -17,7 +17,7 @@ else the network behaves exactly like the baseline mesh.
 
 from repro.core.plan import PlanStep, PraPlan
 from repro.core.reservation import Promises, Window
-from repro.core.control_network import ControlNetwork, ControlRun
+from repro.core.control_network import ControlNetwork
 from repro.core.pra_network import PraNetwork
 
 __all__ = [
@@ -26,6 +26,5 @@ __all__ = [
     "Promises",
     "Window",
     "ControlNetwork",
-    "ControlRun",
     "PraNetwork",
 ]

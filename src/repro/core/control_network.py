@@ -12,7 +12,8 @@ multi-drop segment, so a segment that would cross the XY turn point
 covers a single hop.  A control packet that cannot reserve what it needs
 is simply dropped; partial pre-allocation keeps whatever was reserved.
 
-Mapping into the simulator: a :class:`ControlRun` walks the data
+Mapping into the simulator: a control packet is the
+:class:`~repro.core.plan.PraPlan` it builds, whose cursor walks the data
 packet's XY route, attempting one :class:`~repro.core.plan.PlanStep`
 every two cycles.  Reservation attempts are all-or-nothing per step:
 driver-port timeslots, bypassed-router timeslots, crossbar input slots,
@@ -27,7 +28,7 @@ prioritized input latches of the hardware.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.core.plan import (
     LAND_LATCH,
@@ -67,91 +68,6 @@ DROP_FAULT_BLACKOUT = "fault_blackout"
 SEGMENT_CYCLES = 2
 
 
-class ControlRun:
-    """One control packet's life, from injection to drop."""
-
-    __slots__ = (
-        "packet",
-        "plan",
-        "route",
-        "pos",
-        "next_slot",
-        "lag",
-        "trigger",
-        "source_kind",
-        "source_dir",
-        "source_vc",
-        "entry_dir",
-    )
-
-    def __init__(
-        self,
-        packet: Packet,
-        route: List[Tuple[int, Direction]],
-        start_slot: int,
-        lag: int,
-        trigger: str,
-        source_kind: str,
-        source_dir: Direction,
-        source_vc: int,
-    ):
-        self.packet = packet
-        self.plan = PraPlan(packet, start_slot)
-        self.route = route
-        self.pos = 0
-        self.next_slot = start_slot
-        self.lag = lag
-        self.trigger = trigger
-        self.source_kind = source_kind
-        self.source_dir = source_dir
-        self.source_vc = source_vc
-        #: Direction the data packet enters the current driver from.
-        self.entry_dir: Optional[Direction] = None
-
-    # -- checkpointing ---------------------------------------------------
-
-    def state_dict(self, ctx) -> dict:
-        return {
-            "packet": ctx.packet_ref(self.packet),
-            "plan": ctx.plan_ref(self.plan),
-            "route": [[node, int(direction)] for node, direction in self.route],
-            "pos": self.pos,
-            "next_slot": self.next_slot,
-            "lag": self.lag,
-            "trigger": self.trigger,
-            "source_kind": self.source_kind,
-            "source_dir": int(self.source_dir),
-            "source_vc": self.source_vc,
-            "entry_dir": (int(self.entry_dir)
-                          if self.entry_dir is not None else None),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict, ctx) -> "ControlRun":
-        # ``__init__`` would build a fresh PraPlan; the restored run must
-        # share the registry's plan object with its packet and the
-        # reservation tables instead.
-        run = cls.__new__(cls)
-        run.packet = ctx.packet(state["packet"])
-        run.plan = ctx.plan(state["plan"])
-        run.route = [
-            (node, Direction(direction))
-            for node, direction in state["route"]
-        ]
-        run.pos = state["pos"]
-        run.next_slot = state["next_slot"]
-        run.lag = state["lag"]
-        run.trigger = state["trigger"]
-        run.source_kind = state["source_kind"]
-        run.source_dir = Direction(state["source_dir"])
-        run.source_vc = state["source_vc"]
-        run.entry_dir = (
-            Direction(state["entry_dir"])
-            if state["entry_dir"] is not None else None
-        )
-        return run
-
-
 class ControlNetwork:
     """Reservation engine shared by all Mesh+PRA routers."""
 
@@ -177,13 +93,13 @@ class ControlNetwork:
         source_kind: str,
         source_dir: Direction,
         source_vc: int,
-    ) -> Optional[ControlRun]:
+    ) -> Optional[PraPlan]:
         """Place a control packet in the local latch, if free.
 
         ``start_slot`` is the cycle the data packet's head flit will
-        traverse the source router's output port.  Returns the run, or
-        None when the injection was dropped (latch busy or lag window
-        unusable).
+        traverse the source router's output port.  Returns the plan the
+        control packet builds, or None when the injection was dropped
+        (latch busy or lag window unusable).
         """
         now = self.network.cycle
         process_at = now + 1
@@ -217,11 +133,10 @@ class ControlNetwork:
                             node=source_node, accepted=False,
                             trigger=trigger)
             return None
-        route = self.network.topology.route(source_node, packet.dst)
-        run = ControlRun(
+        plan = PraPlan(
             packet,
-            route,
             start_slot,
+            self.network.topology.route(source_node, packet.dst),
             lag,
             trigger,
             source_kind,
@@ -234,44 +149,44 @@ class ControlNetwork:
             tracer.emit(now, EV_CONTROL_INJECT, pid=packet.pid,
                         node=source_node, accepted=True, trigger=trigger,
                         lag=lag, start_slot=start_slot, dst=packet.dst)
-        self.network.schedule_call(process_at, self._process, run)
-        return run
+        self.network.schedule_call(process_at, self._process, plan)
+        return plan
 
     # -- per-segment processing -------------------------------------------
 
-    def _process(self, run: ControlRun) -> None:
+    def _process(self, plan: PraPlan) -> None:
         now = self.network.cycle
-        if run.plan.cancelled:
+        if plan.cancelled:
             # The data packet missed its window and the plan was torn
             # down while this control packet was still in flight; any
             # further reservation would leak claims.  Drop.
-            self._record_drop(max(run.lag, 0), DROP_RESOURCE_BUSY, run)
+            self._record_drop(max(plan.lag, 0), DROP_RESOURCE_BUSY, plan)
             return
-        node, direction = run.route[run.pos]
+        node, direction = plan.route[plan.pos]
         faults = self.network.faults
-        if faults.enabled and not self._survives_faults(run, node, now,
+        if faults.enabled and not self._survives_faults(plan, node, now,
                                                         faults):
             return
-        hops = self._step_hops(run, direction)
-        refused = self._reserve_step(run, node, direction, hops, now)
+        hops = self._step_hops(plan, direction)
+        refused = self._reserve_step(plan, node, direction, hops, now)
         if refused is not None:
-            self._finish(run, DROP_RESOURCE_BUSY, refused)
+            self._finish(plan, DROP_RESOURCE_BUSY, refused)
             return
         if direction is Direction.LOCAL:
-            run.lag -= 1
-            self._finish(run, DROP_REACHED_DESTINATION)
+            plan.lag -= 1
+            self._finish(plan, DROP_REACHED_DESTINATION)
             return
-        run.pos += hops
-        run.entry_dir = direction.opposite
-        run.next_slot += 1
-        run.lag -= 1
+        plan.pos += hops
+        plan.entry_dir = direction.opposite
+        plan.next_slot += 1
+        plan.lag -= 1
         tracer = self.network.tracer
         if tracer.enabled:
-            tracer.emit(now, EV_CONTROL_SEGMENT, pid=run.packet.pid,
+            tracer.emit(now, EV_CONTROL_SEGMENT, pid=plan.packet.pid,
                         node=node, direction=direction.name, hops=hops,
-                        slot=run.next_slot - 1, lag=run.lag)
-        if run.lag <= 0:
-            self._finish(run, DROP_LAG_ZERO)
+                        slot=plan.next_slot - 1, lag=plan.lag)
+        if plan.lag <= 0:
+            self._finish(plan, DROP_LAG_ZERO)
             return
         # Transmit over the next multi-drop segment: the receivers' input
         # latches are claimed; on conflict the packet is dropped there.
@@ -280,19 +195,19 @@ class ControlNetwork:
         # that later drops an unrelated control packet with a spurious
         # conflict at that (node, direction, cycle).
         next_time = now + SEGMENT_CYCLES
-        keys = [(run.route[run.pos][0], direction, next_time)]
+        keys = [(plan.route[plan.pos][0], direction, next_time)]
         if hops == 2:
-            keys.append((run.route[run.pos - 1][0], direction, next_time))
+            keys.append((plan.route[plan.pos - 1][0], direction, next_time))
         if not self._claim_all(keys):
-            self._finish(run, DROP_CONTROL_CONFLICT)
+            self._finish(plan, DROP_CONTROL_CONFLICT)
             return
-        self.network.schedule_call(next_time, self._process, run)
+        self.network.schedule_call(next_time, self._process, plan)
 
-    def _survives_faults(self, run: ControlRun, node: int, now: int,
+    def _survives_faults(self, plan: PraPlan, node: int, now: int,
                          faults) -> bool:
         """Apply control-plane faults at a segment boundary.
 
-        Returns False (after settling the run) when the control packet
+        Returns False (after settling the plan) when the control packet
         was eaten here.  ACK loss is applied *before* any reservation
         attempt, so the already committed prefix — which ends in a
         standard-VC landing with full buffer space claimed — stays
@@ -300,35 +215,35 @@ class ControlNetwork:
         back to hop-by-hop allocation.
         """
         tracer = self.network.tracer
-        pid = run.packet.pid
+        pid = plan.packet.pid
         if faults.blackout_at(node, now):
             faults.record("control_blackout")
             if tracer.enabled:
                 tracer.emit(now, EV_FAULT, pid=pid, node=node,
                             site="control_segment", fault="blackout")
-            self._finish(run, DROP_FAULT_BLACKOUT)
+            self._finish(plan, DROP_FAULT_BLACKOUT)
             return False
         if faults.drop_control_segment(node, pid, now):
             faults.record("control_drop")
             if tracer.enabled:
                 tracer.emit(now, EV_FAULT, pid=pid, node=node,
                             site="control_segment", fault="drop")
-            self._finish(run, DROP_FAULT)
+            self._finish(plan, DROP_FAULT)
             return False
-        if run.pos > 0 and faults.suppress_ack(node, pid, now):
+        if plan.pos > 0 and faults.suppress_ack(node, pid, now):
             faults.record("ack_loss")
             if tracer.enabled:
                 tracer.emit(now, EV_FAULT, pid=pid, node=node,
                             site="ack", fault="suppressed")
-            self._finish(run, DROP_FAULT_ACK)
+            self._finish(plan, DROP_FAULT_ACK)
             return False
         return True
 
-    def _step_hops(self, run: ControlRun, direction: Direction) -> int:
+    def _step_hops(self, plan: PraPlan, direction: Direction) -> int:
         """2 hops when the route continues straight past the next router
         (turns are not allowed within a multi-drop segment)."""
-        nxt = run.pos + 1
-        if nxt < len(run.route) and run.route[nxt][1] is direction:
+        nxt = plan.pos + 1
+        if nxt < len(plan.route) and plan.route[nxt][1] is direction:
             return 2
         return 1
 
@@ -336,21 +251,21 @@ class ControlNetwork:
 
     def _reserve_step(
         self,
-        run: ControlRun,
+        plan: PraPlan,
         node: int,
         direction: Direction,
         hops: int,
         now: int,
     ) -> Optional[str]:
-        """Reserve the run's next step; the last one (``direction`` is
+        """Reserve the plan's next step; the last one (``direction`` is
         ``LOCAL``) pre-allocates the destination router's ejection port.
         Returns None once committed, else the check that refused."""
         routers = self.network.routers
         driver: "PraRouter" = routers[node]
         promises = driver.promises
-        size = run.packet.size
-        slot = run.next_slot
-        src_kind, src_dir, src_vc = self._step_source(run)
+        size = plan.packet.size
+        slot = plan.next_slot
+        src_kind, src_dir, src_vc = self._step_source(plan)
 
         if not promises.within_horizon(now, slot, size):
             return "horizon"
@@ -375,7 +290,7 @@ class ControlNetwork:
         # 3. Bypassed router (2-hop steps).
         via_node = None
         if hops == 2:
-            via_node = run.route[run.pos + 1][0]
+            via_node = plan.route[plan.pos + 1][0]
             via = routers[via_node].promises
             if not via.free((OUT, direction), slot, size):
                 return "via_port"
@@ -392,9 +307,9 @@ class ControlNetwork:
             landing_port = routers[
                 node if via_node is None else via_node
             ].output_ports[direction]
-            vc_index = run.packet.vc_index
+            vc_index = plan.packet.vc_index
             if not landing_port.downstream_vc(vc_index).can_accept_packet(
-                run.packet
+                plan.packet
             ):
                 return "landing_vc"
             if landing_port.credits[vc_index] < size:
@@ -402,23 +317,24 @@ class ControlNetwork:
         # 5. ACK conversion: the previous landing (this driver) becomes a
         # latch instead of a buffered stop — the latch must be free.
         # Flit i lands in the latch at the end of slot - 1 + i.
-        if run.pos > 0 and not promises.free((LATCH, src_dir), slot - 1, size):
+        if plan.pos > 0 and not promises.free((LATCH, src_dir), slot - 1,
+                                              size):
             return "latch"
-        # 6. LLC-triggered runs stream the response out of the source
+        # 6. LLC-triggered plans stream the response out of the source
         # NI: its local VC and injection credits must be claimable.
-        if (run.pos == 0 and run.trigger == "llc"
-                and not self._step0_source_claimable(run, node)):
+        if (plan.pos == 0 and plan.trigger == "llc"
+                and not self._step0_source_claimable(plan, node)):
             return "source_vc"
 
         # --- commit ---
-        if run.pos > 0:
+        if plan.pos > 0:
             # The ACK: the flit will pass through this router's latch
             # instead of stopping in the claimed standard VC.
-            run.plan.release_landing_vc()
-            run.plan.steps[-1].landing_kind = LAND_LATCH
-            promises.claim(now, (LATCH, src_dir), slot - 1, size, run.plan)
+            plan.release_landing_vc()
+            plan.steps[-1].landing_kind = LAND_LATCH
+            promises.claim(now, (LATCH, src_dir), slot - 1, size, plan)
         else:
-            self._claim_step0_source(run, driver, now)
+            self._claim_step0_source(plan, driver, now)
         step = PlanStep(
             driver_node=node,
             out_dir=direction,
@@ -428,27 +344,27 @@ class ControlNetwork:
             source_dir=src_dir,
             source_vc=src_vc,
             via_node=via_node,
-            landing_node=node if ejecting else run.route[run.pos + hops][0],
+            landing_node=node if ejecting else plan.route[plan.pos + hops][0],
             landing_kind=LAND_NI if ejecting else LAND_VC,
             landing_entry=direction.opposite,
         )
-        self._append_step(run, step)
-        promises.claim(now, (OUT, direction), slot, size, run.plan, step, True)
-        promises.claim(now, (IN, src_dir), slot, size, run.plan)
+        self._append_step(plan, step)
+        promises.claim(now, (OUT, direction), slot, size, plan, step, True)
+        promises.claim(now, (IN, src_dir), slot, size, plan)
         # The reserved routers must be stepping when their slots arrive
         # even if no flit is buffered there; has_work() keeps them awake
         # until the windows are over.
         self.network.wake_router(node)
         if via_node is not None:
-            via.claim(now, (OUT, direction), slot, size, run.plan, step)
-            via.claim(now, (IN, direction.opposite), slot, size, run.plan)
+            via.claim(now, (OUT, direction), slot, size, plan, step)
+            via.claim(now, (IN, direction.opposite), slot, size, plan)
             self.network.wake_router(via_node)
         if not ejecting:
-            run.plan.claim_landing_vc(landing_port, vc_index)
+            plan.claim_landing_vc(landing_port, vc_index)
         tracer = self.network.tracer
         if tracer.enabled:
             tracer.emit(
-                now, EV_RESERVATION_COMMIT, pid=run.packet.pid, node=node,
+                now, EV_RESERVATION_COMMIT, pid=plan.packet.pid, node=node,
                 direction=direction.name, slot=slot, size=size, hops=hops,
                 via=via_node, landing=step.landing_node,
                 landing_kind=step.landing_kind,
@@ -457,12 +373,12 @@ class ControlNetwork:
 
     # -- helpers ----------------------------------------------------------
 
-    def _step_source(self, run: ControlRun) -> Tuple[str, Direction, int]:
-        if run.pos == 0:
-            return run.source_kind, run.source_dir, run.source_vc
-        return SRC_LATCH, run.entry_dir, 0
+    def _step_source(self, plan: PraPlan) -> Tuple[str, Direction, int]:
+        if plan.pos == 0:
+            return plan.source_kind, plan.source_dir, plan.source_vc
+        return SRC_LATCH, plan.entry_dir, 0
 
-    def _step0_source_claimable(self, run: ControlRun, node: int) -> bool:
+    def _step0_source_claimable(self, plan: PraPlan, node: int) -> bool:
         """The announced response will stream through the source NI's
         local VC.  The VC is claimable when it is free, or when its
         current owner is itself a pinned, planned injection whose drain
@@ -472,8 +388,8 @@ class ControlNetwork:
         NI is the only writer into this VC and injections charge credits
         normally, so no buffer-space claim is needed."""
         ni = self.network.interfaces[node]
-        vc = ni.port.downstream_vc(run.packet.vc_index)
-        if vc.can_accept_packet(run.packet):
+        vc = ni.port.downstream_vc(plan.packet.vc_index)
+        if vc.can_accept_packet(plan.packet):
             return True
         owner = vc.allocated_to
         if owner is None or vc.next_claim is not None:
@@ -481,25 +397,25 @@ class ControlNetwork:
         owner_plan = owner.pra_plan
         return (
             owner_plan is not None
-            and owner_plan.injection_claim
+            and owner_plan.injection_vc is vc
             and not owner_plan.cancelled
         )
 
-    def _claim_step0_source(self, run, driver: "PraRouter", now: int) -> None:
+    def _claim_step0_source(self, plan: PraPlan, driver: "PraRouter",
+                            now: int) -> None:
         """Take (or chain) ownership of the source NI's local VC and pin
         the injection slot."""
-        if run.trigger != "llc":
+        if plan.trigger != "llc":
             return
         ni = self.network.interfaces[driver.node]
-        vc = ni.port.downstream_vc(run.packet.vc_index)
+        vc = ni.port.downstream_vc(plan.packet.vc_index)
         if vc.allocated_to is None and vc.is_empty:
-            vc.allocated_to = run.packet
+            vc.allocated_to = plan.packet
         else:
             assert vc.next_claim is None
-            vc.next_claim = run.packet
-        run.plan.injection_claim = True
-        run.plan.source_interface = ni
-        ni.pin(run.packet, run.plan)
+            vc.next_claim = plan.packet
+        plan.injection_vc = vc
+        ni.pin(plan, now)
 
     def _claim_all(self, keys: Sequence[Tuple[int, object, int]]) -> bool:
         """Claim every (node, key, cycle) or none (check, then commit),
@@ -523,22 +439,22 @@ class ControlNetwork:
         return (cycle > self.network.cycle and bucket is not None
                 and (node, key) in bucket)
 
-    def _append_step(self, run: ControlRun, step: PlanStep) -> None:
+    def _append_step(self, plan: PraPlan, step: PlanStep) -> None:
         """Commit a step; the packet adopts the plan at its first step
-        (the NI may need the plan before the run terminates)."""
-        first = not run.plan.steps
-        run.plan.steps.append(step)
+        (the NI may need the plan before the walk ends)."""
+        first = not plan.steps
+        plan.steps.append(step)
         if first:
-            run.packet.pra_plan = run.plan
+            plan.packet.pra_plan = plan
             self.stats.pra_planned_packets += 1
             faults = self.network.faults
             if faults.enabled:
                 expire_at = faults.plan_expiry(
-                    run.packet.pid, self.network.cycle, run.plan.start_slot
+                    plan.packet.pid, self.network.cycle, plan.start_slot
                 )
                 if expire_at is not None:
                     self.network.schedule_call(
-                        expire_at, self._expire_plan, run.plan
+                        expire_at, self._expire_plan, plan
                     )
 
     def _expire_plan(self, plan: PraPlan) -> None:
@@ -564,17 +480,17 @@ class ControlNetwork:
                         steps=len(plan.steps))
         plan.cancel()
 
-    def _finish(self, run: ControlRun, reason: str,
+    def _finish(self, plan: PraPlan, reason: str,
                 refused: Optional[str] = None) -> None:
         """The control packet is dropped (every control packet ends in a
         drop); record Figure 7's lag-at-drop and settle the plan."""
-        lag = max(run.lag, 0)
-        self._record_drop(lag, reason, run, refused)
-        if not run.plan.steps:
-            run.plan.cancel()
-            run.packet.pra_pending = False
+        lag = max(plan.lag, 0)
+        self._record_drop(lag, reason, plan, refused)
+        if not plan.steps:
+            plan.cancel()
+            plan.packet.pra_pending = False
 
-    def _record_drop(self, lag: int, reason: str, run: ControlRun,
+    def _record_drop(self, lag: int, reason: str, plan: PraPlan,
                      refused: Optional[str] = None) -> None:
         self.stats.control_lag_at_drop[lag] += 1
         self.stats.control_drop_reasons[reason] += 1
@@ -583,9 +499,9 @@ class ControlNetwork:
         tracer = self.network.tracer
         if tracer.enabled:
             tracer.emit(
-                self.network.cycle, EV_CONTROL_DROP, pid=run.packet.pid,
-                node=run.route[min(run.pos, len(run.route) - 1)][0],
-                reason=reason, lag=lag, steps=len(run.plan.steps),
+                self.network.cycle, EV_CONTROL_DROP, pid=plan.packet.pid,
+                node=plan.route[min(plan.pos, len(plan.route) - 1)][0],
+                reason=reason, lag=lag, steps=len(plan.steps),
             )
 
     # -- checkpointing ---------------------------------------------------

@@ -1,14 +1,17 @@
-"""Pre-allocated paths: the product of a successful control-packet run.
+"""Pre-allocations: one object from control packet to last flit.
 
-A :class:`PraPlan` records, slot by slot, how a data packet will cross a
-stretch of the network once proactive resource allocation has succeeded:
-a sequence of :class:`PlanStep`\\ s, each one single-cycle traversal of
-one or two hops.  The data-network routers execute the plan through
-the windows promised to it (:mod:`repro.core.reservation`), which die
-with the plan's ``cancelled`` flag; the plan object itself tracks only
-the claims that hold a resource *now* — the landing VC's credits and the
-source NI's VC and pin — so they can be refunded if the packet misses
-its window.
+A :class:`PraPlan` is born when a control packet is injected and lives
+until the data packet's last pre-allocated flit has been driven (or the
+plan is cancelled).  While the control packet walks the data packet's
+route it carries the walk's cursor — route position, next slot, lag —
+and commits, slot by slot, a sequence of :class:`PlanStep`\\ s, each one
+single-cycle traversal of one or two hops.  The data-network routers
+execute the plan through the windows promised to it
+(:mod:`repro.core.reservation`, the source NI's pinned injection slot
+included), which die with the plan's ``cancelled`` flag; the plan
+object itself tracks only the claims that hold a resource *now* — the
+landing VC's credits and the source NI's local VC — so they can be
+refunded if the packet misses its window.
 
 Terminology mapping to the paper (Figures 3-5):
 
@@ -24,13 +27,14 @@ Terminology mapping to the paper (Figures 3-5):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.noc.packet import Packet
 from repro.noc.topology import Direction
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.ports import OutputPort
+    from repro.noc.vc import VirtualChannel
 
 #: Landing kinds.
 LAND_VC = "vc"
@@ -101,9 +105,13 @@ class PlanStep:
 
 
 class PraPlan:
-    """A data packet's active pre-allocated path and its claims."""
+    """One pre-allocation: the control packet's walk, the steps it
+    committed, and the claims that hold a resource now."""
 
-    def __init__(self, packet: Packet, start_slot: int):
+    def __init__(self, packet: Packet, start_slot: int,
+                 route: Sequence[Tuple[int, Direction]] = (), lag: int = 0,
+                 trigger: str = "", source_kind: str = SRC_VC,
+                 source_dir: Direction = Direction.LOCAL, source_vc: int = 0):
         self.packet = packet
         self.start_slot = start_slot
         self.steps: List[PlanStep] = []
@@ -112,14 +120,25 @@ class PraPlan:
         #: plans keep their (already consumed) windows until the row's
         #: next claim, which the leak checkers must not flag.
         self.finished = False
+        #: The control packet's cursor on the data packet's route; once
+        #: the walk ends these simply keep their last values.
+        self.route = route
+        self.pos = 0
+        self.next_slot = start_slot
+        self.lag = lag
+        self.trigger = trigger
+        #: Where step 0 reads the flit at the source router.
+        self.source_kind = source_kind
+        self.source_dir = source_dir
+        self.source_vc = source_vc
+        #: Direction the data packet enters the current driver from.
+        self.entry_dir: Optional[Direction] = None
         #: Current standard-VC claim at the chain's tail:
         #: (port feeding the landing router, vc index, credits claimed).
         self.vc_claim: Optional[Tuple["OutputPort", int, int]] = None
-        #: True when the source NI's local VC was claimed (or chained)
-        #: for this packet and the injection slot pinned.
-        self.injection_claim = False
-        #: The source NI, for releasing a pin on cancellation.
-        self.source_interface = None
+        #: The source NI's local VC this plan took or chained (LLC
+        #: trigger only); the injection slot is pinned as a window.
+        self.injection_vc: Optional["VirtualChannel"] = None
 
     @property
     def size(self) -> int:
@@ -170,56 +189,68 @@ class PraPlan:
         self.packet.pra_plan = None
         self.packet.pra_pending = False
         self.release_landing_vc()
-        if self.source_interface is not None:
-            if self.injection_claim:
-                vc = self.source_interface.port.downstream_vc(
-                    self.packet.vc_index
-                )
-                if vc.next_claim is self.packet:
-                    vc.next_claim = None
-                elif vc.allocated_to is self.packet and vc.is_empty:
-                    # Promote a chained claim immediately: the VC is
-                    # free, so the successor owns it from now on.
-                    vc.allocated_to = vc.next_claim
-                    vc.next_claim = None
-            self.source_interface.release_pin(self.packet)
+        vc = self.injection_vc
+        if vc is not None:
+            if vc.next_claim is self.packet:
+                vc.next_claim = None
+            elif vc.allocated_to is self.packet and vc.is_empty:
+                # Promote a chained claim immediately: the VC is free,
+                # so the successor owns it from now on.
+                vc.allocated_to = vc.next_claim
+                vc.next_claim = None
 
     # -- checkpointing ---------------------------------------------------
 
     def state_dict(self, ctx) -> dict:
-        """Scalar plan state plus the VC claim by port locator."""
-        vc_claim = None
+        """Scalar plan state plus both VC claims by port locator."""
+        vc_claim = injection_vc = None
         if self.vc_claim is not None:
             port, vc_index, remaining = self.vc_claim
             vc_claim = [ctx.port_ref(port), vc_index, remaining]
+        if self.injection_vc is not None:
+            vc = self.injection_vc
+            injection_vc = [ctx.port_ref(vc.unit.feeder_port), vc.index]
         return {
             "packet": ctx.packet_ref(self.packet),
             "start_slot": self.start_slot,
             "steps": [step.state_dict() for step in self.steps],
             "cancelled": self.cancelled,
             "finished": self.finished,
+            "route": [[node, int(direction)] for node, direction in self.route],
+            "pos": self.pos,
+            "next_slot": self.next_slot,
+            "lag": self.lag,
+            "trigger": self.trigger,
+            "source_kind": self.source_kind,
+            "source_dir": int(self.source_dir),
+            "source_vc": self.source_vc,
+            "entry_dir": (int(self.entry_dir)
+                          if self.entry_dir is not None else None),
             "vc_claim": vc_claim,
-            "injection_claim": self.injection_claim,
-            "source_interface": (
-                self.source_interface.node
-                if self.source_interface is not None else None
-            ),
+            "injection_vc": injection_vc,
         }
 
     @classmethod
     def from_state(cls, state: dict, ctx) -> "PraPlan":
-        plan = cls(ctx.packet(state["packet"]), state["start_slot"])
+        plan = cls(
+            ctx.packet(state["packet"]), state["start_slot"],
+            [(node, Direction(d)) for node, d in state["route"]],
+            state["lag"], state["trigger"], state["source_kind"],
+            Direction(state["source_dir"]), state["source_vc"],
+        )
         plan.steps = [PlanStep.from_state(s) for s in state["steps"]]
         plan.cancelled = state["cancelled"]
         plan.finished = state["finished"]
+        plan.pos = state["pos"]
+        plan.next_slot = state["next_slot"]
+        if state["entry_dir"] is not None:
+            plan.entry_dir = Direction(state["entry_dir"])
         if state["vc_claim"] is not None:
             port_ref, vc_index, remaining = state["vc_claim"]
             plan.vc_claim = (ctx.port(port_ref), vc_index, remaining)
-        plan.injection_claim = state["injection_claim"]
-        if state["source_interface"] is not None:
-            plan.source_interface = ctx.network.interfaces[
-                state["source_interface"]
-            ]
+        if state["injection_vc"] is not None:
+            port_ref, vc_index = state["injection_vc"]
+            plan.injection_vc = ctx.port(port_ref).downstream_vc(vc_index)
         return plan
 
     def __repr__(self) -> str:

@@ -13,11 +13,10 @@ Two event windows trigger proactive allocation (paper Section III):
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from repro.core.control_network import ControlNetwork
 from repro.core.plan import PraPlan, SRC_VC
 from repro.core.pra_router import PraRouter
+from repro.core.reservation import PIN
 from repro.noc.interface import NetworkInterface
 from repro.noc.mesh import MeshNetwork
 from repro.noc.packet import Packet
@@ -34,8 +33,9 @@ class PraInterface(NetworkInterface):
 
     def __init__(self, node: int, network, router):
         super().__init__(node, network, router)
-        #: packet id -> (packet, grant cycle, plan)
-        self._pins: Dict[int, Tuple[Packet, int, PraPlan]] = {}
+        #: The router's ``PIN`` row: one window of grant cycles per
+        #: announced response, in claim order (the arbitration priority).
+        self._pin_row = router.promises.row(PIN)
 
     # -- pin management --------------------------------------------------------
 
@@ -49,40 +49,40 @@ class PraInterface(NetworkInterface):
             )
             if drain_done > grant_time:
                 return False
-        for _, other_grant, plan in self._pins.values():
-            if plan.cancelled:
-                continue
-            other_end = other_grant + plan.size
-            if not (grant_time + size <= other_grant or grant_time >= other_end):
-                return False
-        return True
+        return self.router.promises.free(PIN, grant_time, size)
 
-    def pin(self, packet: Packet, plan: PraPlan) -> None:
+    def pin(self, plan: PraPlan, now: int) -> None:
+        """Promise the plan's packet the injection link from its grant
+        cycle, one cycle per flit; the window dies with the plan."""
         grant_time = plan.start_slot - _INJECTION_LEAD
-        self._pins[packet.pid] = (packet, grant_time, plan)
-
-    def release_pin(self, packet: Packet) -> None:
-        self._pins.pop(packet.pid, None)
+        self.router.promises.claim(now, PIN, grant_time, plan.size, plan)
 
     # -- injection overrides ------------------------------------------------------
 
     def _may_inject(self, packet: Packet, now: int) -> bool:
-        if not self._pins:
+        row = self._pin_row
+        if not row:
             return True
-        pin = self._pins.get(packet.pid)
-        if pin is not None:
-            return now >= pin[1]
         # Unpinned packets may only use the port if they finish before
         # the earliest pinned grant.
-        earliest = min(g for (_, g, p) in self._pins.values() if not p.cancelled)
-        return now + packet.size <= earliest
+        earliest = None
+        for window in row:
+            if window.end <= now or window.plan.cancelled:
+                continue
+            if window.plan.packet is packet:
+                return now >= window.first
+            if earliest is None or window.first < earliest:
+                earliest = window.first
+        return earliest is None or now + packet.size <= earliest
 
     def _arbitrate(self, now: int) -> None:
         # A pinned packet whose grant time has arrived takes priority and
         # may be picked from anywhere in its class queue.
-        for packet, grant_time, plan in list(self._pins.values()):
-            if plan.cancelled or now < grant_time:
+        for window in self._pin_row:
+            if (now < window.first or window.end <= now
+                    or window.plan.cancelled):
                 continue
+            packet = window.plan.packet
             if packet in self.queues[packet.vc_index]:
                 self._start_injection(packet, now)
                 return
@@ -107,32 +107,6 @@ class PraInterface(NetworkInterface):
         packet.injected = now
         self._trace_injection(packet, now)
         self._continue_holder(now)
-
-    def _continue_holder(self, now: int) -> None:
-        packet = self.port.held_by
-        super()._continue_holder(now)
-        if self.port.held_by is None:
-            self._pins.pop(packet.pid, None)
-
-    # -- checkpointing ---------------------------------------------------
-
-    def state_dict(self, ctx) -> dict:
-        state = super().state_dict(ctx)
-        # ``_arbitrate`` iterates pins in insertion order, so the dict
-        # order is part of the arbitration priority — keep it as-is.
-        state["pins"] = [
-            [pid, grant_time, ctx.plan_ref(plan)]
-            for pid, (packet, grant_time, plan) in self._pins.items()
-            if not plan.cancelled
-        ]
-        return state
-
-    def load_state(self, state: dict, ctx) -> None:
-        super().load_state(state, ctx)
-        self._pins = {}
-        for pid, grant_time, plan_ref in state["pins"]:
-            plan = ctx.plan(plan_ref)
-            self._pins[pid] = (ctx.packet(["pkt", pid]), grant_time, plan)
 
 
 class PraNetwork(MeshNetwork):

@@ -259,7 +259,7 @@ class PraRouter(MeshRouter):
                     continue
                 if packet is holder or len(flits) < packet.size:
                     continue
-                run = self.network.control.inject(
+                plan = self.network.control.inject(
                     packet,
                     self.node,
                     start_slot=now + remaining + 1,
@@ -268,7 +268,7 @@ class PraRouter(MeshRouter):
                     source_dir=vc.unit.direction,
                     source_vc=vc.index,
                 )
-                if run is not None:
+                if plan is not None:
                     return  # one LSD injection per router per cycle
 
     # -- checkpointing ------------------------------------------------------------

@@ -9,12 +9,15 @@ allocated (*Valid*), which input port and VC the packet comes from
 A control packet fills them all-or-nothing per segment, and what a
 segment reserves is always one contiguous run of cycles on one resource.
 That :class:`Window` is the unit stored here, on three kinds of resource
-per router direction:
+per router direction, plus one row for the attached NI:
 
 * ``(OUT, d)`` — output port ``d``'s crossbar column and link: the bit
   vectors proper, and the only windows the PRA arbiter executes;
 * ``(IN, d)`` — the crossbar input fed from input port ``d``;
-* ``(LATCH, d)`` — the one-flit latch behind input port ``d``.
+* ``(LATCH, d)`` — the one-flit latch behind input port ``d``;
+* ``PIN = (INJ, LOCAL)`` — the NI's injection link: an announced
+  response's pinned grant cycles, one per flit, which the NI reads in
+  claim order (:class:`~repro.core.pra_network.PraInterface`).
 
 Cancellation is lazy: a window belongs to a
 :class:`~repro.core.plan.PraPlan`, and every query treats a window whose
@@ -34,9 +37,12 @@ from repro.core.plan import PlanStep, PraPlan
 from repro.noc.topology import Direction
 
 #: Resource kinds.
-OUT, IN, LATCH = range(3)
+OUT, IN, LATCH, INJ = range(4)
 
 Resource = Tuple[int, Direction]
+
+#: The attached NI's injection slots: the one ``INJ`` row.
+PIN: Resource = (INJ, Direction.LOCAL)
 
 
 class Window(NamedTuple):
@@ -45,7 +51,7 @@ class Window(NamedTuple):
     first: int
     end: int
     plan: PraPlan
-    #: The step an ``OUT`` window executes (None on ``IN`` / ``LATCH``);
+    #: The step an ``OUT`` window executes (None on any other row);
     #: flit ``now - first`` of the packet is expected at cycle ``now``.
     step: Optional[PlanStep] = None
     #: True at the router that reads the flit and drives the (multi-hop)
@@ -66,6 +72,7 @@ class Promises:
             for kind in (OUT, IN, LATCH)
             for direction in directions
         }
+        self._rows[PIN] = []
         #: The ``OUT`` rows in the router's port-processing order.
         self._out = [self._rows[OUT, direction] for direction in directions]
 
@@ -91,6 +98,12 @@ class Promises:
                 if window.end > now and not window.plan.cancelled:
                     return True
         return False
+
+    def row(self, resource: Resource) -> List[Window]:
+        """One resource's stored windows in claim order, dead ones
+        included.  Claims rewrite the list in place, so a reader may
+        keep it (the NI aliases the ``PIN`` row)."""
+        return self._rows[resource]
 
     def windows(self) -> Iterator[Tuple[Resource, Window]]:
         """Every stored window, dead ones included (audits, snapshots)."""

@@ -127,7 +127,7 @@ class FaultSchedule:
     #: Probability a control packet is dropped at a segment boundary.
     segment_drop_prob: float = 0.0
     #: Probability the ACK converting a landing is suppressed (the
-    #: control run sees the conversion fail and drops there).
+    #: control packet sees the conversion fail and drops there).
     ack_loss_prob: float = 0.0
     #: Probability a committed plan expires (is cancelled) before its
     #: first timeslot — models corrupted/expired reservation state.

@@ -559,7 +559,7 @@ class Network:
             self._delivery_handler(packet, now)
         # Once delivery is settled, break the packet <-> flit cycle so
         # the packet dies by refcount.  A surviving plan (partial PRA
-        # execution, in-flight control run) may still read its flits.
+        # execution, in-flight control packet) may still read its flits.
         if packet.pra_plan is None and not packet.pra_pending:
             try:
                 del packet.flits

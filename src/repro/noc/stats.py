@@ -19,6 +19,11 @@ def _mean(values: List[int]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
+def _ratio(acc: List[int]) -> float:
+    """Mean of a ``[sum, count]`` accumulator (0 when empty)."""
+    return acc[0] / acc[1] if acc[1] else 0.0
+
+
 def _percentile(values: List[int], fraction: float) -> float:
     """Nearest-rank percentile of ``values`` (0 for empty input)."""
     if not values:
@@ -39,9 +44,12 @@ class NetworkStats:
     flits_ejected: int = 0
     total_hops: int = 0
     network_latencies: List[int] = field(default_factory=list)
-    total_latencies: List[int] = field(default_factory=list)
-    per_class_latency: Dict[MessageClass, List[int]] = field(
-        default_factory=lambda: {mc: [] for mc in MessageClass}
+    #: ``[sum, count]`` of creation-to-ejection latencies (only the mean
+    #: is read, and integer sums keep it exact).
+    total_latency: List[int] = field(default_factory=lambda: [0, 0])
+    #: ``[sum, count]`` of network latencies per message class.
+    class_latency: Dict[MessageClass, List[int]] = field(
+        default_factory=lambda: {mc: [0, 0] for mc in MessageClass}
     )
     #: Cycles packets spent blocked behind resources proactively
     #: allocated to *other* packets (Section V-B underutilization stat).
@@ -69,9 +77,13 @@ class NetworkStats:
         tot = packet.total_latency()
         if net is not None:
             self.network_latencies.append(net)
-            self.per_class_latency[packet.msg_class].append(net)
+            acc = self.class_latency[packet.msg_class]
+            acc[0] += net
+            acc[1] += 1
         if tot is not None:
-            self.total_latencies.append(tot)
+            acc = self.total_latency
+            acc[0] += tot
+            acc[1] += 1
         self.pra_blocked_cycles += packet.pra_blocked_cycles
 
     # -- summaries -------------------------------------------------------
@@ -82,7 +94,7 @@ class NetworkStats:
 
     @property
     def avg_total_latency(self) -> float:
-        return _mean(self.total_latencies)
+        return _ratio(self.total_latency)
 
     @property
     def avg_hops(self) -> float:
@@ -91,7 +103,7 @@ class NetworkStats:
         return self.total_hops / self.packets_ejected
 
     def avg_class_latency(self, mc: MessageClass) -> float:
-        return _mean(self.per_class_latency[mc])
+        return _ratio(self.class_latency[mc])
 
     def latency_percentile(self, fraction: float) -> float:
         """Network-latency percentile (e.g. 0.99 for the p99 tail)."""
@@ -154,10 +166,9 @@ class NetworkStats:
             "flits_ejected": self.flits_ejected,
             "total_hops": self.total_hops,
             "network_latencies": list(self.network_latencies),
-            "total_latencies": list(self.total_latencies),
-            "per_class_latency": [
-                [mc.value, list(values)]
-                for mc, values in self.per_class_latency.items()
+            "total_latency": list(self.total_latency),
+            "class_latency": [
+                [mc.value, *acc] for mc, acc in self.class_latency.items()
             ],
             "pra_blocked_cycles": self.pra_blocked_cycles,
             "control_packets_injected": self.control_packets_injected,
@@ -185,13 +196,13 @@ class NetworkStats:
         self.flits_ejected = state["flits_ejected"]
         self.total_hops = state["total_hops"]
         self.network_latencies = list(state["network_latencies"])
-        self.total_latencies = list(state["total_latencies"])
+        self.total_latency = list(state["total_latency"])
         restored = {
-            MessageClass(value): list(values)
-            for value, values in state["per_class_latency"]
+            MessageClass(value): [total, count]
+            for value, total, count in state["class_latency"]
         }
-        self.per_class_latency = {
-            mc: restored.get(mc, []) for mc in MessageClass
+        self.class_latency = {
+            mc: restored.get(mc, [0, 0]) for mc in MessageClass
         }
         self.pra_blocked_cycles = state["pra_blocked_cycles"]
         self.control_packets_injected = state["control_packets_injected"]

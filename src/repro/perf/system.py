@@ -32,6 +32,9 @@ class PerfSample:
     cycles: int
     packets: int
     avg_network_latency: float
+    #: The same mean network latency under its historical name (the
+    #: golden digests pin ``to_dict()``'s keys); it is not an
+    #: issue-to-completion transaction latency.
     avg_transaction_latency: float
     #: PRA diagnostics (zero for other organizations).
     control_packets: int = 0
@@ -230,14 +233,12 @@ class SystemSimulator:
         stats = self.chip.network.stats
         n_lat = stats.network_latencies[start.lat_len:end.lat_len]
         packets = end.ejected - start.ejected
-        avg_net = sum(n_lat) / len(n_lat) if n_lat else 0.0
-        lat_sum = end.txn_latency_sum - start.txn_latency_sum
-        lat_cnt = end.txn_latency_count - start.txn_latency_count
+        net_time = sum(n_lat)
+        avg_net = net_time / len(n_lat) if n_lat else 0.0
         control = end.control - start.control
         lag_counter = end.lag_counter - start.lag_counter
         lag_total = sum(lag_counter.values())
         blocked = end.blocked - start.blocked
-        net_time = sum(n_lat)
         return PerfSample(
             workload=self.profile.name,
             noc_kind=self.noc_kind,
@@ -245,7 +246,7 @@ class SystemSimulator:
             cycles=cycles,
             packets=packets,
             avg_network_latency=avg_net,
-            avg_transaction_latency=(lat_sum / lat_cnt) if lat_cnt else 0.0,
+            avg_transaction_latency=avg_net,
             control_packets=control,
             control_per_data=(control / packets) if packets else 0.0,
             lag_distribution=(
@@ -290,9 +291,8 @@ class _Snapshot:
     """Counter snapshot for interval differencing."""
 
     __slots__ = (
-        "instructions", "injected", "ejected", "lat_len",
-        "txn_latency_sum", "txn_latency_count", "control", "lag_counter",
-        "blocked", "flits", "hops",
+        "instructions", "injected", "ejected", "lat_len", "control",
+        "lag_counter", "blocked", "flits", "hops",
     )
 
     @classmethod
@@ -303,8 +303,6 @@ class _Snapshot:
         snap.injected = stats.packets_injected
         snap.ejected = stats.packets_ejected
         snap.lat_len = len(stats.network_latencies)
-        snap.txn_latency_sum = sum(stats.network_latencies)
-        snap.txn_latency_count = len(stats.network_latencies)
         snap.control = stats.control_packets_injected
         snap.lag_counter = Counter(stats.control_lag_at_drop)
         snap.blocked = stats.pra_blocked_cycles
@@ -318,8 +316,6 @@ class _Snapshot:
             "injected": self.injected,
             "ejected": self.ejected,
             "lat_len": self.lat_len,
-            "txn_latency_sum": self.txn_latency_sum,
-            "txn_latency_count": self.txn_latency_count,
             "control": self.control,
             "lag_counter": sorted(self.lag_counter.items()),
             "blocked": self.blocked,
@@ -334,8 +330,6 @@ class _Snapshot:
         snap.injected = state["injected"]
         snap.ejected = state["ejected"]
         snap.lat_len = state["lat_len"]
-        snap.txn_latency_sum = state["txn_latency_sum"]
-        snap.txn_latency_count = state["txn_latency_count"]
         snap.control = state["control"]
         snap.lag_counter = Counter(
             {lag: count for lag, count in state["lag_counter"]}

@@ -2,11 +2,11 @@
 
 Two merge problems arise in a sharded run:
 
-* **Statistics** — every counter in :class:`NetworkStats` is either an
-  integer sum or a list of integer latencies, so shard stats merge by
-  summing scalars and concatenating lists; the summary means come out
-  bit-identical to a serial run because integer sums are
-  order-independent.
+* **Statistics** — every counter in :class:`NetworkStats` is an integer
+  sum, an integer ``[sum, count]`` pair or a list of integer latencies,
+  so shard stats merge by summing numbers and concatenating lists; the
+  summary means come out bit-identical to a serial run because integer
+  sums are order-independent.
 * **Checkpoints** — at a cycle barrier every shard snapshots its full
   network (owned rows real, neighbor rows replicas).  The merged
   snapshot takes each router/NI from its owning shard, keeps only the
@@ -39,14 +39,16 @@ def merge_stats(states: List[dict]) -> NetworkStats:
     base["network_latencies"] = [
         v for state in states for v in state["network_latencies"]
     ]
-    base["total_latencies"] = [
-        v for state in states for v in state["total_latencies"]
+    base["total_latency"] = [
+        sum(state["total_latency"][i] for state in states) for i in (0, 1)
     ]
     per_class: dict = {}
     for state in states:
-        for value, latencies in state["per_class_latency"]:
-            per_class.setdefault(value, []).extend(latencies)
-    base["per_class_latency"] = [[v, lat] for v, lat in per_class.items()]
+        for value, total, count in state["class_latency"]:
+            acc = per_class.setdefault(value, [0, 0])
+            acc[0] += total
+            acc[1] += count
+    base["class_latency"] = [[v, *acc] for v, acc in per_class.items()]
     for key in ("control_lag_at_drop", "control_drop_reasons",
                 "control_refusals"):
         counts: dict = {}
@@ -127,7 +129,7 @@ def merge_snapshots(snapshots: List[dict],
     packets: dict = {}
     for snap in snapshots:
         registries = snap["registries"]
-        for key in ("plans", "runs", "txns"):
+        for key in ("plans", "txns"):
             if registries[key]:
                 raise ShardError(
                     f"cannot merge non-empty {key!r} registry "
@@ -140,7 +142,7 @@ def merge_snapshots(snapshots: List[dict],
                 packets[pid] = state
     registries = {
         "packets": [[pid, packets[pid]] for pid in sorted(packets)],
-        "plans": [], "runs": [], "txns": [],
+        "plans": [], "txns": [],
     }
 
     counters = {

@@ -165,6 +165,3 @@ def assert_quiescent(net: Network) -> None:
             assert not queue, f"NI queue not drained at {ni.node}"
         for vc_index, credits in enumerate(ni.port.credits):
             assert credits == depth, f"NI credit leak at {ni.node}"
-        pins = getattr(ni, "_pins", None)
-        if pins is not None:
-            assert not pins, f"pin leaked at NI {ni.node}"

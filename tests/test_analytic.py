@@ -22,6 +22,7 @@ from repro.analytic import (
 )
 from repro.analytic.geometry import geometry_for
 from repro.analytic.queueing import _zero_load_mean
+from repro.analytic.saturation import measure_point
 from repro.analytic.screen import PRUNE_MAX_UTIL
 from repro.analytic.system import clear_prediction_cache
 from repro.checkpoint.store import CellStore
@@ -396,7 +397,6 @@ class TestSaturation:
         assert hi - lo <= 0.02
         assert result.model_estimate > 0.0
         assert result.simulated_points == len(result.points) > 0
-        assert result.warm
         # The knee sits below the pure link-capacity bound.
         assert result.measured <= result.model_estimate
 
@@ -404,12 +404,28 @@ class TestSaturation:
         params = NocParams(kind=NocKind.MESH, mesh_width=4, mesh_height=4)
         warm = find_saturation(NocKind.MESH, params=params, cycles=400,
                                tolerance=0.02)
-        cold = find_saturation(NocKind.MESH, params=params, cycles=400,
-                               tolerance=0.02, warm=False)
+
+        def saturated(rate):
+            return measure_point(
+                NocKind.MESH, rate, params=params, cycles=400,
+                zero_load=warm.zero_load_latency,
+            ).saturated
+
+        # The cold reference: a geometric scan up from 1 % load, then the
+        # same bisection.
+        lo, rate = 0.0, 0.01
+        while rate < 1.0 and not saturated(rate):
+            lo, rate = rate, rate * 2.0
+        hi = min(1.0, rate)
+        while hi - lo > 0.02:
+            mid = 0.5 * (lo + hi)
+            if saturated(mid):
+                hi = mid
+            else:
+                lo = mid
         # Identical probes, identical classifier: the two searches must
         # land in overlapping brackets.
-        assert abs(warm.measured - cold.measured) <= 0.04
-        assert not cold.warm
+        assert abs(warm.measured - 0.5 * (lo + hi)) <= 0.04
 
 
 def teardown_module() -> None:

@@ -9,12 +9,16 @@ or a resource leak.
 
 import pytest
 
+from repro.checkpoint import run_digest
 from repro.cli import main
 from repro.faults import FaultInjector, FaultSchedule, LinkStall, StallWindow
 from repro.invariants import InvariantSuite
+from repro.noc.packet import reset_packet_ids
 from repro.noc.ring import build_ring
 from repro.noc.topology import Direction
 from repro.params import NocKind
+from repro.perf.system import SystemSimulator
+from repro.tile.llc import set_next_tid
 from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
 from tests.helpers import assert_quiescent, make_network
 
@@ -67,6 +71,33 @@ def test_chaos_high_intensity_pra():
                          rate=0.05, intensity=3.0)
     counts = injector.counts
     assert counts["control_drop"] > 0 or counts["control_blackout"] > 0
+
+
+#: ``run_digest`` of the faulted full-system run below, per fault seed.
+FULL_SYSTEM_DIGESTS = {
+    7: "36375c408a5553c15e497bc3fcad5fbea62e9ad56c69647f260d9a14ffad5bc3",
+    8: "ad4fa97e28b0ca01572b12775e1df63422f0671de86dff0ad45abef46214c914",
+    9: "d0856dc7efdce055f7fcd21c6dfa6175395d165167764277b9d61f6a568ff2c4",
+}
+
+
+@pytest.mark.parametrize("fault_seed", sorted(FULL_SYSTEM_DIGESTS))
+def test_chaos_full_system_pra(fault_seed):
+    """Synthetic traffic never announces, so only the full system builds
+    LLC-triggered plans and pinned injection slots under faults — plan
+    expiries included, which cancel pins while their packets wait."""
+    reset_packet_ids()  # fault decisions hash packet ids
+    set_next_tid(0)
+    sim = SystemSimulator("Web Search", NocKind.MESH_PRA, seed=3)
+    injector = FaultInjector(FaultSchedule.random(fault_seed, 64, 1500))
+    suite = InvariantSuite(raise_on_violation=False)
+    sim.chip.network.attach(faults=injector, invariants=suite)
+    sample = sim.run_sample(200, 1300)
+    assert suite.violations == []
+    assert not suite.watchdog_fired
+    assert injector.counts["plan_expired"] > 0
+    digest = run_digest(sample, sim.chip.network.stats.summary())
+    assert digest == FULL_SYSTEM_DIGESTS[fault_seed]
 
 
 def test_ring_stall_only_schedule():

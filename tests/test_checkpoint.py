@@ -6,8 +6,9 @@ a run mid-flight, push the snapshot through a real serialization
 boundary (``json.dumps`` or an actual file), restore into freshly built
 objects, continue, and require the exact digest a straight run
 produces.  Snapshot points are chosen adversarially — mid
-multi-flit packet, mid reservation window, under an active fault
-schedule, and on the ring topology that ``ALL_KINDS`` excludes.
+multi-flit packet, mid reservation window, with a pinned response not
+yet injected, under an active fault schedule, and on the ring topology
+that ``ALL_KINDS`` excludes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.checkpoint import (
     snapshot_system,
     write_snapshot,
 )
-from repro.core.reservation import OUT
+from repro.core.reservation import OUT, PIN
 from repro.faults import FaultInjector, FaultSchedule
 from repro.noc.network import build_network
 from repro.noc.packet import reset_packet_ids
@@ -190,6 +191,40 @@ def test_snapshot_with_two_hop_media_claim_in_flight():
     assert _two_hop_claim_in_flight(net2)
     digest = _continue_and_digest(net2, traffic2, remaining)
     assert digest == GOLDEN_NETWORK[NocKind.MESH_PRA]
+
+
+def _pinned_response_waiting(net) -> bool:
+    """An announced response holds a live ``PIN`` window but has not
+    left its NI yet: the NI's arbitration still has to honour it."""
+    return any(
+        window.end > net.cycle and not window.plan.cancelled
+        and window.plan.packet.injected is None
+        for router in net.routers
+        for window in router.promises.row(PIN)
+    )
+
+
+def test_snapshot_with_live_pin_window():
+    reset_packet_ids()
+    sim = SystemSimulator("Web Search", NocKind.MESH_PRA, seed=5)
+    sim.start()
+    sim.chip.run(200)
+    sim.begin_interval()
+    for elapsed in range(1, 800):
+        sim.chip.run(1)
+        if _pinned_response_waiting(sim.chip.network):
+            break
+    else:
+        raise AssertionError("no pinned response ever waited in its NI")
+    sim2 = restore_system(_json_round_trip(snapshot_system(sim)))
+    net2 = sim2.chip.network
+    assert _pinned_response_waiting(net2)
+    assert all(ni._pin_row is ni.router.promises.row(PIN)
+               for ni in net2.interfaces)
+    sim2.chip.run(800 - elapsed)
+    sample = sim2.end_interval()
+    digest = run_digest(sample, net2.stats.summary())
+    assert digest == GOLDEN_SYSTEM[NocKind.MESH_PRA]
 
 
 def _chaos_run(snapshot_at: int):

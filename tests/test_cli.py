@@ -74,7 +74,8 @@ def test_bench_is_an_unknown_command(capsys):
 
 
 def test_removed_saturate_cold_flag_is_an_unknown_flag(capsys):
-    # The cold scan survives as ``find_saturation(warm=False)``, the
+    # The cold scan survives only inside
+    # ``test_analytic::TestSaturation::test_cold_search_agrees``, the
     # reference the warm bracket is tested against.
     with pytest.raises(SystemExit) as exc:
         main(["saturate", "--cold"])
