@@ -54,6 +54,7 @@ from repro.harness import (
     table1,
     zero_load_table,
 )
+from repro.harness.figures import MissingCellError
 from repro.harness.reporting import render_bars
 
 #: name -> callable(config); only the grid-backed figures use it.
@@ -666,6 +667,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args, config)
     except BrokenPipeError:  # e.g. piped into `head`
         return 0
+    except MissingCellError as exc:
+        # A figure needs a cell the sweep quarantined: say which, and
+        # why, instead of a traceback.
+        _report_grid_outcome()
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         # Invalid parameter combinations (dataclass validation, bad
         # pattern/rate strings) exit like argparse errors do.

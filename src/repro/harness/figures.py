@@ -34,6 +34,22 @@ _KIND_LABEL = {
 }
 
 
+class MissingCellError(LookupError):
+    """A figure needs a grid cell the sweep does not have (typically
+    one quarantined after repeated failures; see the run report)."""
+
+
+def _cell(grid: Dict, workload: str, kind: NocKind):
+    """The one way grid figures read a cell."""
+    try:
+        return grid[(workload, kind)]
+    except KeyError:
+        raise MissingCellError(
+            f"grid cell {workload}/{kind.value} is missing from the "
+            f"sweep; a quarantined cell is listed in the grid run report"
+        ) from None
+
+
 def _normalized_performance(
     workloads: Iterable[str],
     kinds: Iterable[NocKind],
@@ -44,22 +60,9 @@ def _normalized_performance(
                            config=config)
     out: Dict[str, Dict[NocKind, float]] = {}
     for workload in workloads:
-        baseline = grid.get((workload, NocKind.MESH))
-        if baseline is None or not baseline.ipc:
-            # A quarantined (or zero-IPC) mesh cell leaves nothing to
-            # normalize against; a KeyError/ZeroDivisionError here
-            # would surface far from the cause.
-            raise RuntimeError(
-                f"cannot normalize {workload!r} to the mesh baseline: "
-                f"the (workload={workload!r}, kind=mesh) grid cell is "
-                + ("missing (quarantined after repeated failures — see "
-                   "the run report on stderr)" if baseline is None
-                   else "present but reports zero IPC")
-                + "; re-run the sweep or drop the workload from the "
-                  "figure"
-            )
+        baseline = _cell(grid, workload, NocKind.MESH).ipc
         out[workload] = {
-            kind: grid[(workload, kind)].ipc / baseline.ipc
+            kind: _cell(grid, workload, kind).ipc / baseline
             for kind in kinds
         }
     return out
@@ -122,7 +125,7 @@ def figure7(scale: Optional[EvaluationScale] = None,
     rows = []
     distributions = {}
     for workload in WORKLOAD_NAMES:
-        dist = grid[(workload, NocKind.MESH_PRA)].lag_distribution
+        dist = _cell(grid, workload, NocKind.MESH_PRA).lag_distribution
         distributions[workload] = dist
         lag0 = dist.get(0, 0.0)
         lag1 = dist.get(1, 0.0)
@@ -148,7 +151,7 @@ def section5b_stats(scale: Optional[EvaluationScale] = None,
     rows = []
     per_workload = {}
     for workload in WORKLOAD_NAMES:
-        sample = grid[(workload, NocKind.MESH_PRA)]
+        sample = _cell(grid, workload, NocKind.MESH_PRA)
         per_workload[workload] = {
             "control_per_data": sample.control_per_data,
             "blocked_fraction": sample.pra_blocked_fraction,
@@ -204,9 +207,9 @@ def figure9(scale: Optional[EvaluationScale] = None,
     normalized = {}
     rows = []
     for workload in WORKLOAD_NAMES:
-        base = grid[(workload, NocKind.MESH)].ipc / area[NocKind.MESH]
+        base = _cell(grid, workload, NocKind.MESH).ipc / area[NocKind.MESH]
         normalized[workload] = {
-            kind: (grid[(workload, kind)].ipc / area[kind]) / base
+            kind: (_cell(grid, workload, kind).ipc / area[kind]) / base
             for kind in ALL_KINDS
         }
         rows.append([workload] + [normalized[workload][k] for k in ALL_KINDS])
@@ -239,7 +242,7 @@ def power_analysis(scale: Optional[EvaluationScale] = None,
         # Worst-case workload activity for this organization.
         worst = None
         for workload in WORKLOAD_NAMES:
-            sample = grid[(workload, kind)]
+            sample = _cell(grid, workload, kind)
             avg_flits = (
                 sample.flits_delivered / sample.packets
                 if sample.packets else 1.0
@@ -359,34 +362,27 @@ def chiplet_comparison(scale: Optional[EvaluationScale] = None) -> Dict:
     """Chiplet hierarchies vs the flat mesh (``figures --only chiplet``).
 
     Simulates the baseline and ideal organizations over each topology
-    at a deep-unsaturated rate, sets the analytic model's predictions
-    beside them, and adds two modeled ablation columns: the announced
-    PRA-over-interposer law (:func:`_modeled_pra_interposer`) and the
-    capacity bound of the bottleneck link (the gateway concentration
-    penalty made visible).
+    at a deep-unsaturated rate with the analytic model's predictions
+    beside them (:func:`repro.analytic.validate_chiplet`), and adds two
+    modeled ablation columns: the announced PRA-over-interposer law
+    (:func:`_modeled_pra_interposer`) and the capacity bound of the
+    bottleneck link (the gateway concentration penalty made visible).
     """
-    from repro.analytic.queueing import (predict_network, saturation_rate,
-                                         synthetic_mix)
-    from repro.noc.network import build_network
+    from repro.analytic import validate_chiplet
+    from repro.analytic.queueing import saturation_rate, synthetic_mix
     from repro.params import NocParams
-    from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
+    from repro.workloads.synthetic import TrafficPattern
 
     rate = 0.005
-    cycles = 2000
+    entries = validate_chiplet(CHIPLET_FIGURE_SPECS, rate=rate)
     mix = synthetic_mix(TrafficPattern.UNIFORM_RANDOM)
     rows: List[List[object]] = []
     for topology in CHIPLET_FIGURE_SPECS:
         row: List[object] = [topology]
-        for kind in (NocKind.MESH, NocKind.IDEAL):
-            params = NocParams(kind=kind, topology=topology)
-            net = build_network(params)
-            SyntheticTraffic(
-                net, TrafficPattern.UNIFORM_RANDOM, rate, seed=5
-            ).run(cycles)
-            net.drain()
-            row.append(net.stats.summary()["avg_network_latency"])
-            row.append(predict_network(kind, rate, mix,
-                                       params=params).latency)
+        # One mesh entry, then one ideal entry per topology.
+        for entry in entries:
+            if entry.topology == topology:
+                row += [entry.simulated_latency, entry.predicted_latency]
         row.append(_modeled_pra_interposer(topology))
         row.append(saturation_rate(
             NocKind.MESH, mix, params=NocParams(topology=topology)

@@ -2,25 +2,25 @@
 
 Every performance figure (2, 6, 7, 9, the Section V-B statistics, and
 the power analysis) derives from one grid of full-system simulations:
-{workload} x {NoC organization} x {seed}.  Finished cells are cached at
-two levels:
+{workload} x {NoC organization} x {seed}.  Each cell is cached under
+one content-addressed key, :func:`~repro.checkpoint.store.cell_key` of
+its coordinates, the parameter hash and the code version, in one store
+per call:
 
-* **in process** — the grid is computed once per (scale, workloads,
-  kinds, seeds, parameter hash) and reused for the process lifetime;
-* **on disk** — with a :class:`~repro.checkpoint.store.CellStore`
+* a :class:`~repro.checkpoint.store.CellStore` on disk, when one is
   attached (the ``REPRO_CELL_STORE`` env var or an explicit ``store=``
-  argument), every finished cell is persisted under a content-addressed
-  key, so an interrupted sweep resumes from the cells already done —
-  across processes and machines sharing the directory.
+  argument): an interrupted sweep resumes from the cells already done,
+  across processes and machines sharing the directory;
+* otherwise the **process store**, the same map held in memory for the
+  process lifetime, so two figures that share cells simulate them once.
 
-Cache behavior is observable: hits and misses are counted on the
+Cache behavior is observable: cell hits and misses are counted on the
 module-wide ``grid_stats`` object and appear in
 ``grid_stats.summary()``.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
@@ -44,6 +44,7 @@ class GridStats:
     this process (no simulation state lives here; recovery is recorded
     on the sweep's ``RunReport``)."""
 
+    #: Cells served by the call's store vs. cells it had to simulate.
     grid_cache_hits: int = 0
     grid_cache_misses: int = 0
     #: Grid cells served by the queueing model under
@@ -64,7 +65,17 @@ _UNSET = object()
 GridKey = Tuple[str, NocKind]
 #: One simulation cell: (workload, kind, warmup, measure, seed).
 Cell = Tuple[str, NocKind, int, int, int]
-_grid_cache: Dict[tuple, Dict[GridKey, PerfSample]] = {}
+
+
+class _MemoryStore(dict):
+    """A cell store held in memory: the ``get`` / ``put`` of
+    :class:`~repro.checkpoint.store.CellStore` on a dict."""
+
+    put = dict.__setitem__
+
+
+#: The store of every call with no disk store attached.
+_process_store = _MemoryStore()
 
 
 @lru_cache(maxsize=None)
@@ -105,179 +116,16 @@ def _simulate_cell(cell: Cell, wall_limit: Optional[float]) -> PerfSample:
     return sample
 
 
-def _simulate_indexed(task: tuple):
-    """Pool entry point (top-level so it pickles for multiprocessing).
-
-    A task is ``(index, cell, attempt, wall_limit, faults)``: everything
-    a worker needs arrives in it, so a spawn-start worker behaves like a
-    fork-start one and like the in-parent serial path.  Results arrive
-    in completion order, hence the index; the attempt number keys
-    injected-fault lookup.
-    """
-    index, cell, attempt, wall_limit, faults = task
-    if faults is not None:
-        import multiprocessing
-
-        from repro.resilience.faults import ProcessFaultError
-
-        action = faults.cell_action(index, attempt)
-        if action == "kill":
-            # An injected kill exits a pool worker but downgrades to a
-            # raised error in the parent (killing the parent would take
-            # the supervisor down with it).
-            if multiprocessing.parent_process() is not None:
-                os._exit(13)
-            raise ProcessFaultError(
-                f"injected kill for cell {index} (downgraded to an "
-                f"error outside a pool worker)"
-            )
-        if action == "error":
-            raise ProcessFaultError(
-                f"injected failure for cell {index} attempt {attempt}"
-            )
-    return index, _simulate_cell(cell, wall_limit)
+def _run_cell(item: tuple) -> PerfSample:
+    """The supervisor's work function: ``item`` is ``(cell,
+    wall_limit)``.  Top-level so it pickles for the worker pool, and
+    it looks ``_simulate_cell`` up at call time."""
+    return _simulate_cell(*item)
 
 
 def _cell_label(cell: Cell) -> str:
     workload, kind, _, _, seed = cell
     return f"{workload}/{kind.value} seed {seed}"
-
-
-def _run_cells(cells: List[Cell], pending: List[int],
-               results: List[Optional[PerfSample]], config: RunConfig,
-               store=None, keys: Optional[List[Optional[str]]] = None,
-               faults=None, policy=None):
-    """Simulate ``cells[i]`` for every i in ``pending``, in place,
-    under supervision; returns the :class:`RunReport`.
-
-    Supervision means: each cell retries with exponential backoff and
-    is quarantined (result left ``None``, sweep continues) after
-    ``policy.quarantine_after`` failures; a crashed worker pool is
-    rebuilt and the outstanding cells resubmitted, degrading to serial
-    in-parent execution when rebuilds exhaust ``policy.max_retries``;
-    and every finished cell streams into ``store`` immediately, so a
-    crash mid-sweep keeps all work already done.
-    """
-    import time
-    from collections import deque
-
-    from repro.resilience.policy import RetryPolicy
-    from repro.resilience.report import FailureRecord, RunReport
-
-    if policy is None:
-        policy = RetryPolicy()
-    report = RunReport()
-    counts: Dict[int, int] = {}
-
-    def record_success(index: int, sample: PerfSample) -> None:
-        results[index] = sample
-        # Timed-out cells are partial measurements; persisting them
-        # would freeze the truncation into every future sweep.
-        # Analytic samples are model output, not ground truth, and must
-        # never masquerade as cached simulation results.
-        if store is not None and keys is not None \
-                and sample is not None and not sample.timed_out \
-                and not sample.analytic:
-            store.put(keys[index], {"sample": sample.to_state()})
-
-    def record_error(index: int, detail: str) -> Optional[int]:
-        """Count one failure of ``index``; returns the next attempt
-        number, or None once the cell is quarantined."""
-        counts[index] = counts.get(index, 0) + 1
-        record = FailureRecord(scope="cell", target=_cell_label(cells[index]),
-                               kind="error", attempts=counts[index],
-                               detail=detail)
-        report.record_failure(record)
-        if counts[index] >= policy.quarantine_after:
-            report.quarantined.append(record)
-            return None
-        report.retries += 1
-        backoff = policy.backoff(counts[index])
-        if backoff:
-            time.sleep(backoff)
-        return counts[index]
-
-    def task(index: int, attempt: int) -> tuple:
-        return (index, cells[index], attempt, config.wall_limit, faults)
-
-    def run_serial(queue) -> None:
-        # In-parent execution still honors the fault plan (with kills
-        # downgraded to errors), so poison cells quarantine identically
-        # whether the sweep runs serial, parallel, or degraded.
-        while queue:
-            index, attempt = queue.popleft()
-            try:
-                _, sample = _simulate_indexed(task(index, attempt))
-            except Exception as exc:
-                next_attempt = record_error(index, repr(exc))
-                if next_attempt is not None:
-                    queue.append((index, next_attempt))
-                continue
-            record_success(index, sample)
-
-    queue = deque((index, 0) for index in pending)
-    if config.jobs <= 1 or len(pending) <= 1:
-        run_serial(queue)
-        return report
-
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-
-    # ProcessPoolExecutor rather than multiprocessing.Pool: a worker
-    # dying mid-cell surfaces as BrokenProcessPool here, where Pool
-    # (on this Python) simply hangs waiting for the lost result.
-    workers = min(config.jobs, len(pending))
-    rebuilds = 0
-    while queue:
-        broken = False
-        futures = {}
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                while queue:
-                    index, attempt = queue.popleft()
-                    futures[pool.submit(
-                        _simulate_indexed, task(index, attempt)
-                    )] = (index, attempt)
-                for future in as_completed(futures):
-                    index, attempt = futures[future]
-                    try:
-                        _, sample = future.result()
-                    except BrokenProcessPool:
-                        # Collateral damage, not this cell's fault: no
-                        # failure count.  The attempt still advances so
-                        # an attempt-keyed injected kill does not
-                        # re-fire forever on resubmission.
-                        broken = True
-                        queue.append((index, attempt + 1))
-                        continue
-                    except Exception as exc:
-                        next_attempt = record_error(index, repr(exc))
-                        if next_attempt is not None:
-                            queue.append((index, next_attempt))
-                        continue
-                    record_success(index, sample)
-        except BrokenProcessPool:  # pragma: no cover - raised at exit
-            broken = True
-        if broken:
-            rebuilds += 1
-            report.pool_rebuilds += 1
-            report.record_failure(FailureRecord(
-                scope="pool", target=f"{workers}-worker grid pool",
-                kind="died", attempts=rebuilds,
-                detail="worker pool crashed; rebuilding and "
-                       "resubmitting outstanding cells",
-            ))
-            if rebuilds > policy.max_retries:
-                report.degraded = (
-                    "serial completion in the parent process after "
-                    f"{rebuilds} worker-pool crashes"
-                )
-                run_serial(queue)
-                return report
-            backoff = policy.backoff(rebuilds)
-            if backoff:
-                time.sleep(backoff)
-    return report
 
 
 def evaluation_grid(
@@ -286,7 +134,6 @@ def evaluation_grid(
     scale: Optional[EvaluationScale] = None,
     store=_UNSET,
     faults=None,
-    policy=None,
     analytic: Optional[str] = None,
     config: Optional[RunConfig] = None,
 ) -> Dict[GridKey, PerfSample]:
@@ -296,33 +143,35 @@ def evaluation_grid(
     one, the environment is resolved here, at call time.  Explicit
     ``scale``, ``store`` and ``analytic`` arguments win over it.
 
-    ``store`` is a :class:`~repro.checkpoint.store.CellStore` persisting
-    finished cells; by default it is the one ``config.cell_store`` names
-    (``None`` means no persistence), and ``store=None`` disables
-    persistence explicitly.  Store reads and writes happen in the parent
-    process, so with ``config.jobs > 1`` only the cells actually missing
-    are dispatched to the worker pool, and every finished cell is
-    persisted as soon as it completes (a crash mid-sweep keeps all
-    cells already computed).  Multi-seed scales merge per-seed samples
-    by summing instructions and cycles into one sample per cell.
+    ``store`` is the :class:`~repro.checkpoint.store.CellStore` the
+    cells are read from and written to; by default it is the one
+    ``config.cell_store`` names.  With none (``store=None``, or nothing
+    configured) the call uses the process store, in memory.  Every cell
+    is looked up by its key, and only the misses are simulated: with
+    ``config.jobs > 1`` in a worker pool, while the store is read and
+    written in this process.  Each finished cell is put as soon as it
+    completes (a crash mid-sweep keeps all cells already computed),
+    except a cell cut short by ``config.wall_limit``, which is a
+    partial measurement.  Multi-seed scales merge per-seed samples by
+    summing instructions and cycles into one sample per cell.
 
     ``analytic`` selects the queueing-model fast path: ``"prune"``
     serves high-confidence cells from :mod:`repro.analytic` instead of
     simulating them (marked ``PerfSample.analytic``, counted on
-    ``grid_stats.analytic_cells``, never persisted to ``store``);
-    ``"off"`` simulates everything.
+    ``grid_stats.analytic_cells``, never looked up in or put to the
+    store); ``"off"`` simulates everything.
 
     The sweep runs supervised (see :mod:`repro.resilience`): failing
-    cells retry with backoff under ``policy`` and are quarantined after
-    repeated failures (their grid entries are dropped rather than
-    killing the sweep), crashed worker pools are rebuilt, and the
-    resulting :class:`RunReport` is available afterwards via
+    cells retry with backoff and are quarantined after repeated
+    failures (their grid entries are dropped rather than killing the
+    sweep), crashed worker pools are rebuilt, and the resulting
+    :class:`~repro.resilience.RunReport` is available afterwards via
     :func:`repro.resilience.last_run_report`.  ``faults`` injects a
-    deterministic :class:`~repro.resilience.faults.ProcessFaultPlan`
-    for testing; fault-injected sweeps bypass the in-process grid cache
-    so injected failures cannot poison cached results.
+    deterministic :class:`~repro.resilience.ProcessFaultPlan` for
+    testing; without a disk store, a fault-injected sweep uses a fresh
+    in-memory store, so it neither reads nor seeds the process store.
     """
-    from repro.resilience.report import publish
+    from repro.resilience import supervise
 
     config = config or RunConfig.from_env()
     if analytic is not None:
@@ -330,24 +179,12 @@ def evaluation_grid(
     scale = scale or get_scale(config.scale)
     workloads = tuple(workloads)
     kinds = tuple(kinds)
-    seeds = tuple(seed + 1 for seed in range(scale.num_seeds))
-    prune = config.analytic == "prune"
     if store is _UNSET:
         store = CellStore(config.cell_store) if config.cell_store else None
-    # The cache key carries everything that changes the result: the
-    # attached store (two sweeps against different stores must not
-    # alias) and the pruning policy (mode + effective utilization
-    # bound) alongside the cell coordinates.
-    cache_key = (
-        scale.name, workloads, kinds, seeds, _params_hash(),
-        store.root if store is not None else None,
-        config.analytic_util if prune else None,
-    )
-    if faults is None and cache_key in _grid_cache:
-        grid_stats.grid_cache_hits += 1
-        return _grid_cache[cache_key]
+    if store is None:
+        store = _MemoryStore() if faults is not None else _process_store
     pruned: Dict[GridKey, PerfSample] = {}
-    if prune:
+    if config.analytic == "prune":
         from repro.analytic.screen import screen_cell
 
         for workload in workloads:
@@ -366,46 +203,40 @@ def evaluation_grid(
         (workload, kind, scale.warmup, scale.measure, seed)
         for workload in workloads
         for kind in kinds
-        for seed in seeds
+        for seed in range(1, scale.num_seeds + 1)
     ]
     results: List[Optional[PerfSample]] = [None] * len(cells)
-    keys: List[Optional[str]] = [None] * len(cells)
-    simulated = [
-        index for index, (workload, kind, *_) in enumerate(cells)
-        if (workload, kind) not in pruned
-    ]
-    if store is not None:
-        pending: List[int] = []
-        for index in simulated:
-            cell = cells[index]
-            key = cell_key(_cell_payload(cell))
-            keys[index] = key
-            try:
-                results[index] = PerfSample.from_state(
-                    store.get(key)["sample"]
-                )
-            except (TypeError, KeyError, ValueError):
-                # No cell (None), or valid JSON that is not a sample (a
-                # bit flip, a foreign file): a miss either way, and the
-                # recomputed cell overwrites it.
-                pending.append(index)
-                grid_stats.grid_cache_misses += 1
-            else:
-                grid_stats.grid_cache_hits += 1
-    else:
-        pending = simulated
-    if pruned:
-        # Analytic cells never touch the store (keys stay None) and
-        # never enter the worker pool; each seed slot gets the same
-        # deterministic model sample so _merge treats the cell exactly
-        # like a simulated one.
-        for index, (workload, kind, *_) in enumerate(cells):
-            sample = pruned.get((workload, kind))
-            if sample is not None:
-                results[index] = sample
-    report = _run_cells(cells, pending, results, config, store=store,
-                        keys=keys, faults=faults, policy=policy)
-    publish(report)
+    keys: Dict[int, str] = {}
+    pending: Dict[int, tuple] = {}
+    for index, cell in enumerate(cells):
+        # Each seed slot of a pruned cell gets the same deterministic
+        # model sample, so _merge treats it exactly like a simulated one.
+        results[index] = pruned.get(cell[:2])
+        if results[index] is not None:
+            continue
+        keys[index] = cell_key(_cell_payload(cell))
+        try:
+            results[index] = PerfSample.from_state(
+                store.get(keys[index])["sample"]
+            )
+        except (TypeError, KeyError, ValueError):
+            # No cell (None), or valid JSON that is not a sample (a bit
+            # flip, a foreign file): a miss either way, and the
+            # recomputed cell overwrites it.
+            pending[index] = (cell, config.wall_limit)
+            grid_stats.grid_cache_misses += 1
+        else:
+            grid_stats.grid_cache_hits += 1
+
+    def finish(index: int, sample: PerfSample) -> None:
+        results[index] = sample
+        # Persisting a timed-out cell would freeze the truncation into
+        # every later sweep.
+        if not sample.timed_out:
+            store.put(keys[index], {"sample": sample.to_state()})
+
+    supervise(_run_cell, pending, finish,
+              lambda index: _cell_label(cells[index]), config.jobs, faults)
     by_key: Dict[GridKey, list] = {}
     for (workload, kind, *_), sample in zip(cells, results):
         by_key.setdefault((workload, kind), []).append(sample)
@@ -417,10 +248,6 @@ def evaluation_grid(
         kept = [sample for sample in samples if sample is not None]
         if kept:
             grid[key] = _merge(kept)
-    # Timed-out cells are partial measurements: like the cell store,
-    # the cache must not serve them to a later call with a larger budget.
-    if faults is None and not any(s.timed_out for s in grid.values()):
-        _grid_cache[cache_key] = grid
     return grid
 
 
@@ -478,9 +305,9 @@ def _merge(samples) -> PerfSample:
 
 
 def clear_grid_cache() -> None:
-    """Forget in-process cached grids (tests use this for isolation).
+    """Empty the process store (tests use this for isolation).
 
     The ``grid_stats`` counters survive, so callers can observe hit and
     miss totals across a clear (e.g. a resumed sweep's second pass).
     """
-    _grid_cache.clear()
+    _process_store.clear()

@@ -44,8 +44,9 @@ class PerfSample:
     #: Link/buffer activity for the power model.
     flits_delivered: int = 0
     total_hops: int = 0
-    #: Packets injected during the interval but still in flight at its
-    #: end (not silently dropped from the report).
+    #: Packets injected during the interval minus packets ejected during
+    #: it.  Not an in-flight count: packets injected before the interval
+    #: and ejected inside it are subtracted too, so it can be negative.
     packets_unfinished: int = 0
     #: True when the wall-clock limit cut the interval short; the
     #: counters then cover only the cycles actually simulated.

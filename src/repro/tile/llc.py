@@ -17,7 +17,8 @@ Hit/miss can be decided two ways:
 * **statistical** (default for paper-scale runs): drawn from the
   workload profile's LLC hit ratio;
 * **detailed**: a real :class:`~repro.tile.cache.SetAssociativeCache`
-  models the slice contents (used by examples and tests).
+  models the slice contents (``SystemSimulator(detailed_llc=True)``;
+  only tests use it).
 """
 
 from __future__ import annotations

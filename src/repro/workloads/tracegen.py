@@ -1,11 +1,12 @@
 """Synthetic per-core memory access traces.
 
-Generates the address-accurate access stream for the detailed simulation
-mode: instruction fetches walk a large instruction footprint (the
-defining property of server workloads [1], [2]), data accesses mix a
-hot working set with a cold zipf-ish tail.  The fast statistical mode
-bypasses explicit addresses; this generator backs the detailed LLC mode
-and the examples.
+Generates every core's L1-miss stream: instruction fetches walk a large
+instruction footprint (the defining property of server workloads [1],
+[2]), data accesses mix a hot working set with a cold zipf-ish tail.
+Every :class:`~repro.perf.core_model.CoreModel` draws its misses and
+the instruction gaps between them from here, and each miss's address
+picks its home LLC slice, its memory channel and its directory
+sharers — in the statistical LLC mode as much as in the detailed one.
 """
 
 from __future__ import annotations

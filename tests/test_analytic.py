@@ -257,24 +257,27 @@ class TestScreen:
 
 
 class TestGridStoreKey:
-    """Satellite regression: the in-process grid cache must key on the
-    attached store — two sweeps against different stores are different
-    computations (the old cache returned store A's grid to store B)."""
+    """Regression: a sweep reads only the store it is given — two
+    sweeps against different stores are different computations, so
+    store B must not be served store A's cell."""
 
     def test_cache_distinguishes_stores(self, tmp_path):
         clear_grid_cache()
         cells = (("Web Search",), (NocKind.MESH,))
+        key = ("Web Search", NocKind.MESH)
         store_a = CellStore(str(tmp_path / "a"))
         store_b = CellStore(str(tmp_path / "b"))
+        hits = grid_stats.grid_cache_hits
         grid_a = evaluation_grid(*cells, TINY, store=store_a)
         grid_a_again = evaluation_grid(*cells, TINY, store=store_a)
-        assert grid_a_again is grid_a
+        assert grid_stats.grid_cache_hits == hits + 1  # A served its cell
         grid_b = evaluation_grid(*cells, TINY, store=store_b)
-        assert grid_b is not grid_a
         assert len(store_b) == 1  # B really ran and persisted its cell
+        # The process store holds neither disk store's cell.
         grid_none = evaluation_grid(*cells, TINY, store=None)
-        assert grid_none is not grid_a
-        assert grid_none is not grid_b
+        assert grid_stats.grid_cache_hits == hits + 1
+        for grid in (grid_a_again, grid_b, grid_none):
+            assert grid[key].to_state() == grid_a[key].to_state()
         clear_grid_cache()
 
     def test_cache_distinguishes_analytic_modes(self):
@@ -335,13 +338,15 @@ class TestPrunedGrid:
 
 class TestBaselineGuard:
     """Satellite regression: normalizing to a missing mesh baseline
-    must fail loudly at the figure, not as a KeyError deep inside."""
+    must fail loudly at the figure, naming the cell, not as a bare
+    KeyError deep inside."""
 
     def test_missing_mesh_cell_raises_clear_error(self):
-        from repro.harness.figures import _normalized_performance
+        from repro.harness.figures import (MissingCellError,
+                                           _normalized_performance)
 
         clear_grid_cache()
-        with pytest.raises(RuntimeError, match="mesh baseline"):
+        with pytest.raises(MissingCellError, match="Web Search/mesh "):
             _normalized_performance(
                 ("Web Search",), (NocKind.IDEAL,), TINY,
             )

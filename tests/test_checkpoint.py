@@ -566,9 +566,10 @@ def test_timed_out_grid_is_not_cached():
                                   config=RunConfig(wall_limit=None))
     assert not full[key].timed_out
     assert full[key].cycles > limited[key].cycles
-    # The complete grid is cached as before.
-    assert runner.evaluation_grid(*cells, store=None,
-                                  config=RunConfig()) is full
+    assert runner.grid_stats.grid_cache_hits == hits
+    # The complete cell is cached as before.
+    again = runner.evaluation_grid(*cells, store=None, config=RunConfig())
+    assert again[key].to_state() == full[key].to_state()
     assert runner.grid_stats.grid_cache_hits == hits + 1
     runner.clear_grid_cache()
 

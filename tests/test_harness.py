@@ -1,5 +1,7 @@
 """Tests for the experiment harness at a tiny scale."""
 
+import os
+
 import pytest
 
 from repro.harness import (
@@ -16,11 +18,27 @@ from repro.harness import (
     section5b_stats,
     table1,
 )
-from repro.harness.runner import EvaluationScale, clear_grid_cache
+from repro.config import RunConfig
+from repro.harness import runner
+from repro.harness.runner import EvaluationScale, clear_grid_cache, grid_stats
 from repro.params import NocKind
 from repro.workloads.profiles import WORKLOAD_NAMES
 
 TINY = EvaluationScale("tiny", warmup=150, measure=700, num_seeds=1)
+
+
+def _count_simulations(monkeypatch) -> list:
+    """Record every cell ``runner._simulate_cell`` simulates from here
+    on (in-process sweeps only)."""
+    calls = []
+    real = runner._simulate_cell
+
+    def counted(cell, wall_limit):
+        calls.append(cell)
+        return real(cell, wall_limit)
+
+    monkeypatch.setattr(runner, "_simulate_cell", counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +55,11 @@ class TestRunner:
                 assert (workload, kind) in grid
 
     def test_grid_is_cached(self, grid):
+        hits = grid_stats.grid_cache_hits
         again = evaluation_grid(scale=TINY)
-        assert again is grid
+        assert grid_stats.grid_cache_hits - hits == 24
+        assert {key: sample.to_state() for key, sample in again.items()} \
+            == {key: sample.to_state() for key, sample in grid.items()}
 
     def test_scales(self):
         assert get_scale("smoke").name == "smoke"
@@ -47,13 +68,46 @@ class TestRunner:
             get_scale("enormous")
 
     def test_multi_seed_merge(self):
-        clear_grid_cache()
         two = EvaluationScale("two", warmup=100, measure=400, num_seeds=2)
         grid = evaluation_grid(("Web Search",), (NocKind.MESH,), scale=two)
         sample = grid[("Web Search", NocKind.MESH)]
         assert sample.cycles == 2 * 400
         assert sample.instructions > 0
+
+    def test_more_seeds_simulate_only_the_new_ones(self, monkeypatch):
+        """Cells are cached one seed at a time: a 2-seed grid after a
+        1-seed grid of the same lengths simulates only seed 2."""
+        one = EvaluationScale("seeds-1", warmup=20, measure=80, num_seeds=1)
+        two = EvaluationScale("seeds-2", warmup=20, measure=80, num_seeds=2)
+        cells = (("Web Search",), (NocKind.MESH,))
         clear_grid_cache()
+        evaluation_grid(*cells, scale=one, config=RunConfig())
+        calls = _count_simulations(monkeypatch)
+        grid = evaluation_grid(*cells, scale=two, config=RunConfig())
+        clear_grid_cache()
+        assert [seed for *_, seed in calls] == [2]
+        assert grid[("Web Search", NocKind.MESH)].cycles == 2 * 80
+
+    def test_default_figures_simulate_each_cell_once(self, monkeypatch,
+                                                     capsys):
+        """Fig. 2's six cells are Fig. 6's too: the default figure set
+        simulates the 24-cell grid once, not 24 + 6 cells."""
+        from repro.cli import main
+        from repro.config import SCALES
+
+        for name in [k for k in os.environ if k.startswith("REPRO_")]:
+            monkeypatch.delenv(name)
+        monkeypatch.setitem(SCALES, "cells-once", EvaluationScale(
+            "cells-once", warmup=20, measure=80, num_seeds=1))
+        calls = _count_simulations(monkeypatch)
+        clear_grid_cache()
+        try:
+            assert main(["figures", "--scale", "cells-once"]) == 0
+        finally:
+            clear_grid_cache()
+        assert len(calls) == 24
+        assert len(set(calls)) == 24
+        assert "Figure 6" in capsys.readouterr().out
 
     def test_merge_weights_by_sample_counts(self):
         """Regression: merged latencies and distributions must weight

@@ -15,14 +15,15 @@ import time
 
 import pytest
 
+from repro import resilience
 from repro.config import RunConfig
 from repro.harness import runner
-from repro.harness.runner import EvaluationScale, evaluation_grid
+from repro.harness.runner import EvaluationScale, evaluation_grid, grid_stats
 from repro.params import NocKind
 from repro.resilience import (
     ProcFault,
     ProcessFaultPlan,
-    RetryPolicy,
+    backoff,
     clear_last_report,
     last_run_report,
 )
@@ -32,9 +33,14 @@ from tests.test_golden_determinism import GOLDEN_NETWORK
 
 GOLDEN_MESH = GOLDEN_NETWORK[NocKind.MESH]
 
-#: No backoff sleeps — the recovery paths themselves are what these
-#: tests time-bound, not the waits.
-FAST = RetryPolicy(max_retries=2, quarantine_after=2, backoff_base=0.0)
+@pytest.fixture
+def fast(monkeypatch):
+    """Quarantine after two failures, and no backoff sleeps — the
+    recovery paths themselves are what these tests time-bound, not the
+    waits."""
+    monkeypatch.setattr(resilience, "MAX_POOL_REBUILDS", 2)
+    monkeypatch.setattr(resilience, "QUARANTINE_AFTER", 2)
+    monkeypatch.setattr(resilience, "BACKOFF_BASE", 0.0)
 
 
 # -- sharded-run failure diagnosis ------------------------------------------
@@ -178,7 +184,7 @@ def baseline_grid():
     return {key: sample.to_state() for key, sample in grid.items()}
 
 
-def test_poison_cell_quarantined_sweep_completes(baseline_grid):
+def test_poison_cell_quarantined_sweep_completes(baseline_grid, fast):
     """A cell failing on every attempt is quarantined after
     ``quarantine_after`` failures; the sweep finishes and every other
     cell is bit-identical to the unfaulted baseline."""
@@ -187,11 +193,11 @@ def test_poison_cell_quarantined_sweep_completes(baseline_grid):
         ProcFault(target=POISON_INDEX, action="error", attempt=None),
     ))
     grid = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
-                           store=None, faults=plan, policy=FAST)
+                           store=None, faults=plan)
     report = last_run_report()
     assert len(report.quarantined) == 1
     assert report.quarantined[0].target == POISON_LABEL
-    assert report.quarantined[0].attempts == FAST.quarantine_after
+    assert report.quarantined[0].attempts == resilience.QUARANTINE_AFTER
     assert not report.completed
     # The poisoned key is dropped; the other three cells are intact
     # and bit-identical.
@@ -201,7 +207,7 @@ def test_poison_cell_quarantined_sweep_completes(baseline_grid):
         assert sample.to_state() == baseline_grid[key]
 
 
-def test_transient_cell_failure_retries_to_full_grid(baseline_grid):
+def test_transient_cell_failure_retries_to_full_grid(baseline_grid, fast):
     """A cell that fails only on its first attempt recovers on retry:
     one retry recorded, nothing quarantined, full grid, identical."""
     clear_last_report()
@@ -209,7 +215,7 @@ def test_transient_cell_failure_retries_to_full_grid(baseline_grid):
         ProcFault(target=2, action="error", attempt=0),
     ))
     grid = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
-                           store=None, faults=plan, policy=FAST)
+                           store=None, faults=plan)
     report = last_run_report()
     assert report.retries == 1
     assert not report.quarantined
@@ -217,7 +223,8 @@ def test_transient_cell_failure_retries_to_full_grid(baseline_grid):
     assert {key: s.to_state() for key, s in grid.items()} == baseline_grid
 
 
-def test_grid_pool_rebuilt_after_worker_death(baseline_grid, monkeypatch):
+def test_grid_pool_rebuilt_after_worker_death(baseline_grid, monkeypatch,
+                                              fast):
     """A pool worker dying mid-cell (os._exit — BrokenProcessPool in
     the parent) triggers one pool rebuild; outstanding cells are
     resubmitted and the finished grid matches the baseline exactly."""
@@ -227,7 +234,7 @@ def test_grid_pool_rebuilt_after_worker_death(baseline_grid, monkeypatch):
         ProcFault(target=0, action="kill", attempt=0),
     ))
     grid = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
-                           store=None, faults=plan, policy=FAST)
+                           store=None, faults=plan)
     report = last_run_report()
     assert report.pool_rebuilds == 1
     assert report.degraded is None
@@ -237,7 +244,7 @@ def test_grid_pool_rebuilt_after_worker_death(baseline_grid, monkeypatch):
 
 
 def test_parallel_poison_cell_quarantines_exactly_one(baseline_grid,
-                                                      monkeypatch):
+                                                      monkeypatch, fast):
     """The acceptance scenario: a parallel sweep with one poison cell
     AND one killed worker finishes, quarantines exactly the poison
     cell, and reproduces every other sample bit for bit."""
@@ -248,7 +255,7 @@ def test_parallel_poison_cell_quarantines_exactly_one(baseline_grid,
         ProcFault(target=3, action="kill", attempt=0),
     ))
     grid = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
-                           store=None, faults=plan, policy=FAST)
+                           store=None, faults=plan)
     report = last_run_report()
     assert [f.target for f in report.quarantined] == [POISON_LABEL]
     assert report.pool_rebuilds >= 1
@@ -257,22 +264,25 @@ def test_parallel_poison_cell_quarantines_exactly_one(baseline_grid,
         assert sample.to_state() == baseline_grid[key]
 
 
-def test_faulted_sweeps_bypass_grid_cache(baseline_grid):
-    """A fault-injected sweep must neither read nor seed the in-process
-    grid cache: a clean sweep right after a poisoned one sees every
-    cell again."""
+def test_faulted_sweeps_bypass_grid_cache(baseline_grid, fast):
+    """A fault-injected sweep must neither read nor seed the process
+    store: it simulates every cell even though the baseline sweep stored
+    them, and a clean sweep right after a poisoned one sees every cell
+    again."""
     plan = ProcessFaultPlan(faults=(
         ProcFault(target=POISON_INDEX, action="error", attempt=None),
     ))
+    hits = grid_stats.grid_cache_hits
     poisoned = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
-                               store=None, faults=plan, policy=FAST)
+                               store=None, faults=plan)
+    assert grid_stats.grid_cache_hits == hits
     assert len(poisoned) == len(baseline_grid) - 1
     clean = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
                             store=None)
     assert {key: s.to_state() for key, s in clean.items()} == baseline_grid
 
 
-def test_streaming_puts_survive_mid_sweep_crash(tmp_path, monkeypatch):
+def test_streaming_puts_survive_mid_sweep_crash(tmp_path, monkeypatch, fast):
     """Finished cells stream into the store as they complete, so a
     crash mid-sweep (here: a KeyboardInterrupt after two cells) keeps
     the work already done."""
@@ -294,28 +304,54 @@ def test_streaming_puts_survive_mid_sweep_crash(tmp_path, monkeypatch):
                             num_seeds=1)
     with pytest.raises(KeyboardInterrupt):
         evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=scale,
-                        store=store, policy=FAST)
+                        store=store)
     assert len(store) == 2
     # The persisted cells resume a rerun: only the missing ones run.
     monkeypatch.setattr(runner, "_simulate_cell", real)
     grid = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=scale,
-                           store=store, policy=FAST)
+                           store=store)
     assert len(grid) == len(WORKLOADS) * len(KINDS)
     assert len(store) == len(WORKLOADS) * len(KINDS)
 
 
-# -- policy and plan validation ---------------------------------------------
+def test_quarantined_cell_fails_the_figure_with_the_report(monkeypatch,
+                                                           capsys, fast):
+    """A figure that needs a quarantined cell exits 1 with the run
+    report and the missing cell on stderr — not a bare KeyError out of
+    ``main``."""
+    from repro.cli import main
+    from repro.config import SCALES
+
+    for name in [k for k in os.environ if k.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+    monkeypatch.setitem(SCALES, "quarantine", EvaluationScale(
+        "quarantine", warmup=20, measure=80, num_seeds=1))
+    real = runner._simulate_cell
+
+    def poisoned(cell, wall_limit):
+        if cell[:2] == ("Web Search", NocKind.MESH_PRA):
+            raise RuntimeError("poisoned cell")
+        return real(cell, wall_limit)
+
+    monkeypatch.setattr(runner, "_simulate_cell", poisoned)
+    runner.clear_grid_cache()
+    try:
+        assert main(["figures", "--only", "fig7",
+                     "--scale", "quarantine"]) == 1
+    finally:
+        runner.clear_grid_cache()
+    err = capsys.readouterr().err
+    assert "grid run report:" in err
+    assert "Web Search/mesh+pra" in err
+
+
+# -- backoff and plan validation --------------------------------------------
 
 
 def test_retry_policy_backoff():
-    policy = RetryPolicy(backoff_base=0.05)
-    assert policy.backoff(1) == 0.05
-    assert policy.backoff(3) == 0.2
-    assert policy.backoff(0) == 0.0
-    with pytest.raises(ValueError, match="max_retries"):
-        RetryPolicy(max_retries=-1)
-    with pytest.raises(ValueError, match="quarantine_after"):
-        RetryPolicy(quarantine_after=0)
+    assert backoff(1) == 0.05
+    assert backoff(3) == 0.2
+    assert backoff(0) == 0.0
 
 
 def test_proc_fault_validation():
