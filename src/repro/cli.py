@@ -304,23 +304,16 @@ def _cmd_trace(args: argparse.Namespace, _config: RunConfig) -> int:
 def _cmd_sweep(args: argparse.Namespace, _config: RunConfig) -> int:
     from dataclasses import replace
 
-    from repro.noc.network import build_network
+    from repro.noc.network import build_network, supported_kinds
     from repro.params import NocParams, RouterParams
     from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
 
     pattern = TrafficPattern(args.pattern)
     topology = args.topology
-    if args.noc:
-        kinds = [_NOC_KINDS[args.noc]]
-    elif topology.startswith("chiplet"):
-        # Only the baseline and ideal organizations build on chiplet
-        # topologies; an explicit --noc outside that set still fails
-        # loudly in build_network.
-        kinds = [NocKind.MESH, NocKind.IDEAL]
-    elif topology == "ring":
-        kinds = [NocKind.MESH]
-    else:
-        kinds = list(NocKind)
+    # An explicit --noc the topology does not run fails loudly in
+    # build_network.
+    kinds = ([_NOC_KINDS[args.noc]] if args.noc
+             else supported_kinds(topology))
     rates = [float(r) for r in args.rates.split(",")]
     width, height = args.mesh
     router = RouterParams()
@@ -647,7 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_area)
 
     p = sub.add_parser("power", help="Section V-E power analysis")
-    p.add_argument("--scale", default="smoke")
+    p.add_argument("--scale", default=None,
+                   help="smoke | default | full (or REPRO_SCALE)")
     p.set_defaults(func=_cmd_power)
 
     p = sub.add_parser("params", help="echo the Table I configuration")

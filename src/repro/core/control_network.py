@@ -111,18 +111,12 @@ class ControlNetwork:
         faults = self.network.faults
         if faults.enabled:
             if faults.blackout_at(source_node, process_at):
-                faults.record("control_blackout")
-                if tracer.enabled:
-                    tracer.emit(now, EV_FAULT, pid=packet.pid,
-                                node=source_node, site="control_inject",
-                                fault="blackout")
+                self._fault(now, "control_blackout", packet.pid,
+                            source_node, "control_inject", "blackout")
                 return None
             if faults.drop_control_inject(source_node, packet.pid, now):
-                faults.record("control_drop")
-                if tracer.enabled:
-                    tracer.emit(now, EV_FAULT, pid=packet.pid,
-                                node=source_node, site="control_inject",
-                                fault="drop")
+                self._fault(now, "control_drop", packet.pid, source_node,
+                            "control_inject", "drop")
                 return None
         if not self._claim_all([(source_node, "inject", process_at)]):
             # The local latch is busy: the packet never enters the
@@ -214,30 +208,34 @@ class ControlNetwork:
         self-consistent: the data packet simply stops there and falls
         back to hop-by-hop allocation.
         """
-        tracer = self.network.tracer
         pid = plan.packet.pid
         if faults.blackout_at(node, now):
-            faults.record("control_blackout")
-            if tracer.enabled:
-                tracer.emit(now, EV_FAULT, pid=pid, node=node,
-                            site="control_segment", fault="blackout")
+            self._fault(now, "control_blackout", pid, node,
+                        "control_segment", "blackout")
             self._finish(plan, DROP_FAULT_BLACKOUT)
             return False
         if faults.drop_control_segment(node, pid, now):
-            faults.record("control_drop")
-            if tracer.enabled:
-                tracer.emit(now, EV_FAULT, pid=pid, node=node,
-                            site="control_segment", fault="drop")
+            self._fault(now, "control_drop", pid, node, "control_segment",
+                        "drop")
             self._finish(plan, DROP_FAULT)
             return False
         if plan.pos > 0 and faults.suppress_ack(node, pid, now):
-            faults.record("ack_loss")
-            if tracer.enabled:
-                tracer.emit(now, EV_FAULT, pid=pid, node=node,
-                            site="ack", fault="suppressed")
+            self._fault(now, "ack_loss", pid, node, "ack", "suppressed")
             self._finish(plan, DROP_FAULT_ACK)
             return False
         return True
+
+    def _fault(self, now: int, kind: str, pid: int, node: Optional[int],
+               site: str, fault: str, **data) -> None:
+        """One acted-on control-plane fault: count it under ``kind``
+        (when an injector is attached) and trace it."""
+        faults = self.network.faults
+        if faults.enabled:
+            faults.record(kind)
+        tracer = self.network.tracer
+        if tracer.enabled:
+            tracer.emit(now, EV_FAULT, pid=pid, node=node, site=site,
+                        fault=fault, **data)
 
     def _step_hops(self, plan: PraPlan, direction: Direction) -> int:
         """2 hops when the route continues straight past the next router
@@ -467,17 +465,9 @@ class ControlNetwork:
             return
         if self.network.cycle >= plan.start_slot:
             return
-        faults = self.network.faults
-        if faults.enabled:
-            faults.record("plan_expired")
-        tracer = self.network.tracer
-        if tracer.enabled:
-            tracer.emit(self.network.cycle, EV_FAULT,
-                        pid=plan.packet.pid,
-                        node=plan.steps[0].driver_node if plan.steps
-                        else None,
-                        site="reservation", fault="expired",
-                        steps=len(plan.steps))
+        self._fault(self.network.cycle, "plan_expired", plan.packet.pid,
+                    plan.steps[0].driver_node if plan.steps else None,
+                    "reservation", "expired", steps=len(plan.steps))
         plan.cancel()
 
     def _finish(self, plan: PraPlan, reason: str,

@@ -231,49 +231,6 @@ class InvariantSuite:
         if now % self.audit_period == 0:
             self.audit(net, now)
 
-    def on_skip(self, net, start: int, end: int) -> None:
-        """Replay ``on_cycle`` for every cycle in ``[start, end)`` of a
-        span the network proved idle (event-horizon time skipping).
-
-        Nothing can mutate the network inside the span, so the watchdog
-        signature is computed once and a clean audit stands in for all
-        later audit boundaries; the per-boundary effects — progress
-        bookkeeping, ``audits_run``, watchdog firings, violations — land
-        exactly as if every cycle had been stepped, in the same order.
-        """
-        stride = self.watchdog_stride
-        period = self.audit_period
-        wd = start + (-start) % stride
-        audit = start + (-start) % period
-        _, _, in_flight = _shard_scope(net)
-        sig = self._progress_signature(net) if in_flight else None
-        audit_clean: Optional[bool] = None
-        while True:
-            boundary = min(wd, audit)
-            if boundary >= end:
-                break
-            # Watchdog before audit at a shared boundary, as on_cycle.
-            if boundary == wd:
-                if not in_flight:
-                    self._last_signature = None
-                    self._last_progress_cycle = boundary
-                elif sig != self._last_signature:
-                    self._last_signature = sig
-                    self._last_progress_cycle = boundary
-                elif boundary - self._last_progress_cycle \
-                        >= self.watchdog_window:
-                    # Fires (and re-arms) through the stepped code path.
-                    self._check_progress(net, boundary)
-                wd += stride
-            if boundary == audit:
-                if audit_clean:
-                    self.audits_run += 1
-                else:
-                    before = len(self.violations)
-                    self.audit(net, boundary)
-                    audit_clean = len(self.violations) == before
-                audit += period
-
     # -- the watchdog -----------------------------------------------------
 
     def _check_progress(self, net, now: int) -> None:

@@ -62,20 +62,6 @@ class IdealNetwork(Network):
         else:
             bucket.append((node, packet))
 
-    def next_event_cycle(self):
-        """Event horizon over the packet-granular state: blocked packets
-        retry their link claims every cycle, so any busy node pins the
-        horizon to now; otherwise the earliest deferred call or arrival
-        bounds it."""
-        if self._busy_nodes:
-            return self.cycle
-        horizon = min(self._events) if self._events else None
-        if self._arrivals:
-            arrival = min(self._arrivals)
-            if horizon is None or arrival < horizon:
-                horizon = arrival
-        return horizon
-
     def step(self) -> None:
         now = self.cycle
         self._run_events(now)
@@ -88,9 +74,7 @@ class IdealNetwork(Network):
                 self._waiting[node].append(packet)
                 self._busy_nodes.add(node)
         self._advance_waiting(now)
-        if self.invariants is not None:
-            self.invariants.on_cycle(self, now)
-        self.cycle = now + 1
+        self._end_step(now)
 
     def _advance_waiting(self, now: int) -> None:
         if not self._busy_nodes:

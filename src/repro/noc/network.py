@@ -14,28 +14,18 @@ because an idle component's ``step`` is a no-op by construction — the
 wake sets only elide calls that would have returned immediately — so
 simulation results are bit-identical to exhaustive stepping (enforced
 by ``tests/test_golden_determinism.py``).
-
-On top of the wake sets sits the *event horizon*: when both wake queues
-are empty, nothing can happen before the earliest scheduled event, so
-:meth:`Network.run` and :meth:`Network.drain` fast-forward the clock to
-``next_event_cycle()`` instead of stepping through provably idle
-cycles.  Skipped spans replay their invariant-checker boundaries
-exactly (:meth:`repro.invariants.checkers.InvariantSuite.on_skip`), so
-results stay bit-identical with skipping on or off.  To step every
-cycle of one network (the reference ``tests/test_time_skip.py``
-compares against), set ``net.time_skip = False`` after building it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from importlib import import_module
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.injector import NULL_FAULTS
 from repro.noc.stats import NetworkStats
 from repro.noc.packet import Packet
-from repro.noc.topology import as_port, build_topology
+from repro.noc.topology import as_port, build_topology, parse_topology_spec
 from repro.params import NUM_MESSAGE_CLASSES, NocKind, NocParams
 from repro.trace.tracer import NULL_TRACER
 
@@ -140,10 +130,8 @@ class Network:
         self.faults = NULL_FAULTS
         #: Attached :class:`repro.invariants.InvariantSuite`, or None.
         self.invariants = None
-        #: Event-horizon time skipping (see module docstring); a driver
-        #: can opt out per network.
-        self.time_skip = True
-        #: Idle cycles fast-forwarded instead of stepped.
+        #: Idle cycles a shard stripe fast-forwarded instead of stepping
+        #: (:mod:`repro.shard`); always 0 on a serial network.
         self.cycles_skipped = 0
         #: Shard ownership view (:class:`repro.shard.domain.ShardDomain`)
         #: consulted by the invariant suite to restrict audits to owned
@@ -282,7 +270,9 @@ class Network:
                 queue.append(node)
 
     def _end_step(self, now: int) -> None:
-        """Close cycle ``now`` once every due router has stepped."""
+        """Close cycle ``now`` once every due router has stepped: the
+        one place a serial clock advances (the ideal network's packet
+        step closes through it too)."""
         if self.invariants is not None:
             self.invariants.on_cycle(self, now)
         self.cycle = now + 1
@@ -359,75 +349,15 @@ class Network:
         ordered.clear()
         self._bucket_pool.append(bucket)
 
-    # -- the event horizon -------------------------------------------------
-
-    def next_event_cycle(self) -> Optional[int]:
-        """Earliest cycle at which any work can happen.
-
-        Returns ``self.cycle`` while a component is awake (something may
-        act this cycle), the earliest scheduled event bucket otherwise,
-        or ``None`` when the network is fully quiescent.  A cycle
-        strictly between ``self.cycle`` and this horizon is provably a
-        no-op: no events fire, no component steps.
-        """
-        if self._ni_queue or self._router_queue:
-            return self.cycle
-        events = self._events
-        if not events:
-            return None
-        return min(events)
-
-    def _skip_to(self, target: int) -> None:
-        """Fast-forward the clock across a span the caller proved idle
-        (``next_event_cycle()`` past ``target`` or absent).
-
-        The invariant suite replays its watchdog/audit boundaries over
-        the span first, so ``audits_run``, progress bookkeeping, and any
-        violations land exactly as if every cycle had been stepped.
-        Nothing else is replayed: no organization keeps per-cycle
-        housekeeping (dead PRA claims are dropped when next touched).
-        """
-        start = self.cycle
-        if self.invariants is not None:
-            try:
-                self.invariants.on_skip(self, start, target)
-            except RuntimeError as exc:
-                # A violation fired mid-span: land the clock where a
-                # stepped run would have raised it.
-                cycle = getattr(exc, "cycle", None)
-                if cycle is not None and start <= cycle < target:
-                    self.cycles_skipped += cycle - start
-                    self.cycle = cycle
-                raise
-        self.cycles_skipped += target - start
-        self.cycle = target
-
     def run(self, cycles: int) -> None:
-        end = self.cycle + cycles
         step = self.step
-        if not self.time_skip:
-            for _ in range(cycles):
-                step()
-            return
-        while self.cycle < end:
-            horizon = self.next_event_cycle()
-            if horizon is None or horizon > end:
-                horizon = end
-            if horizon > self.cycle:
-                self._skip_to(horizon)
-            else:
-                step()
+        for _ in range(cycles):
+            step()
 
-    def drain(self, max_cycles: int = 1_000_000, check_every: int = 64) -> None:
-        """Run until every injected packet has been delivered.
-
-        With time skipping on, idle spans fast-forward to the next
-        event, so the drain finishes at exactly the quiescent cycle and
-        a drain that cannot finish hits its deadline without spinning.
-        Without it, the deadline comparison is only evaluated every
-        ``check_every`` cycles; the in-flight count is still checked
-        after every step so the network stops on the delivery cycle.
-        """
+    def drain(self, max_cycles: int = 1_000_000) -> None:
+        """Step until every injected packet has been delivered, so the
+        network stops on the delivery cycle; raise after ``max_cycles``
+        cycles otherwise."""
         deadline = self.cycle + max_cycles
         stats = self.stats
         step = self.step
@@ -438,24 +368,7 @@ class Network:
                     f"packets in flight after {max_cycles} cycles"
                     f"{self._drain_hint()}"
                 )
-            if self.time_skip:
-                horizon = self.next_event_cycle()
-                if horizon is None:
-                    # In flight with nothing scheduled and nobody awake:
-                    # deadlocked.  Burn the remaining budget in one jump
-                    # so the watchdog (if attached) and the deadline
-                    # fire exactly as a stepped run would.
-                    self._skip_to(deadline)
-                    continue
-                if horizon > self.cycle:
-                    self._skip_to(min(horizon, deadline))
-                    continue
-                step()
-            else:
-                for _ in range(min(check_every, deadline - self.cycle)):
-                    step()
-                    if stats.in_flight == 0:
-                        break
+            step()
 
     def _drain_hint(self) -> str:
         """Wait-graph summary appended to the drain-failure message."""
@@ -690,11 +603,17 @@ _SUPPORTED_KINDS = {
 }
 
 
+def supported_kinds(topology: str) -> Tuple[NocKind, ...]:
+    """The organizations that build on the topology spec ``topology``
+    (raises ``ValueError`` on a malformed spec)."""
+    return _SUPPORTED_KINDS[parse_topology_spec(topology).kind]
+
+
 def build_network(params: NocParams) -> Network:
     """Instantiate the organization selected by ``params.kind`` on the
     topology selected by ``params.topology``."""
     topology_kind = params.topology.split(":", 1)[0]
-    supported = _SUPPORTED_KINDS[topology_kind]
+    supported = supported_kinds(params.topology)
     if params.kind not in supported:
         raise ValueError(
             f"{topology_kind} topology supports kinds "

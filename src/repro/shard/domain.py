@@ -319,10 +319,20 @@ class ShardDomain:
                 pending = fire
         return max(link.cov_through, min(link.promise, pending) - 1)
 
+    def _horizon(self) -> Optional[int]:
+        """Earliest cycle at which this stripe can act: now while a
+        component is awake, else the earliest scheduled event, or None
+        when nothing is scheduled.  Every cycle strictly before it is a
+        no-op, which is what lets a waiting stripe fast-forward."""
+        net = self.net
+        if net._ni_queue or net._router_queue:
+            return net.cycle
+        return min(net._events) if net._events else None
+
     def _promise(self) -> float:
         """Lower bound on the capture cycle of any future record."""
         net = self.net
-        horizon = net.next_event_cycle()
+        horizon = self._horizon()
         promise = INF if horizon is None else float(horizon)
         if net.cycle < self.spec.cycles:
             # Still injecting: a packet injected at `cycle` reaches its
@@ -383,7 +393,7 @@ class ShardDomain:
                     # Injection draws the RNG every cycle; never skip.
                     self.traffic.inject()
                 else:
-                    horizon = net.next_event_cycle()
+                    horizon = self._horizon()
                     if horizon is None or horizon > t:
                         if not self._skip_idle(t, stop):
                             break
@@ -424,7 +434,8 @@ class ShardDomain:
         """Fast-forward from the idle cycle ``t`` (its events have run,
         nothing is awake), bounded by coverage and by the cycles at
         which staged records fall due.  False if nothing is known yet
-        about ``t`` itself."""
+        about ``t`` itself.  An attached invariant suite sees every
+        skipped cycle, as it would have stepped."""
         net = self.net
         limit = min(self._coverage(self.prev),
                     self._coverage(self.next) + 1)
@@ -437,7 +448,7 @@ class ShardDomain:
         # ``limit`` is finite: a promise never exceeds its sender's own
         # coverage of this shard plus three (see ``_promise``).
         target = min(stop, int(limit) + 1)
-        horizon = net.next_event_cycle()
+        horizon = self._horizon()
         if horizon is not None and horizon < target:
             target = horizon
         due = self._staged_min(self.prev)
@@ -446,7 +457,11 @@ class ShardDomain:
         due = self._staged_min(self.next)
         if due is not None and due + 1 < target:
             target = due + 1
-        net._skip_to(target)
+        if net.invariants is not None:
+            for cycle in range(t, target):
+                net.invariants.on_cycle(net, cycle)
+        net.cycles_skipped += target - t
+        net.cycle = target
         return True
 
     def barrier_snapshot(self, barrier: int) -> dict:
@@ -511,7 +526,7 @@ class ShardDomain:
         promise = self._promise()
         if mid_cycle:
             # The routers yet to step this cycle are detached from the
-            # wake queue, so the event horizon is blind to them.
+            # wake queue, so ``_horizon`` is blind to them.
             promise = min(promise, self.net.cycle)
         elif nothing_new and promise == link.last_promise \
                 and link.in_ack == link.last_seen:

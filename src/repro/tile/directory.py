@@ -5,9 +5,8 @@ notes coherence traffic is negligible for server workloads ([4], [16],
 [17]) and gives it a dedicated message class only to avoid protocol
 deadlock.  We model the directory faithfully enough to generate that
 message class: reads register sharers; writes invalidate other sharers
-with single-flit coherence messages.  The fast statistical mode instead
-draws a per-workload coherence fraction (see
-:class:`repro.workloads.profiles.WorkloadProfile`)."""
+with single-flit coherence messages.  This runs in every LLC mode: the
+statistical one decides hits and misses, never sharers."""
 
 from __future__ import annotations
 

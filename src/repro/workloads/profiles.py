@@ -13,8 +13,9 @@ The parameters encode what the paper's argument actually depends on:
   the ILP proxy for the 3-way Cortex-A15-like core.
 * ``mlp`` — sustainable overlapping data misses (bounded by the
   16-entry LSQ and the workloads' pointer-chasing behavior).
-* ``write_fraction`` / ``coherence_fraction`` — writes and the
-  (negligible) coherence traffic they induce.
+* ``write_fraction`` — data accesses that are writes; the directory
+  turns each into invalidations of the block's other sharers, the
+  (negligible) coherence traffic.
 
 Values are calibrated from the CloudSuite characterization the paper
 cites ([2]: Ferdman et al., ASPLOS'12; [3]; [7]) — e.g. Media Streaming

@@ -278,6 +278,38 @@ def test_snapshot_on_ring_topology():
     assert _continue_and_digest(net2, traffic2, cycles - half) == straight
 
 
+_GAP_BEFORE_SNAP, _GAP_AFTER_SNAP = 50, 70
+
+
+def _burst_gap_burst(tmp_path=None):
+    """Two mesh+PRA bursts separated by a 120-cycle idle gap.  With
+    ``tmp_path``, the run is snapshotted to disk in the middle of the
+    gap and continues on the restored network."""
+    net, traffic = _build_golden(NocKind.MESH_PRA)
+    traffic.run(250)
+    net.drain(max_cycles=_DRAIN)
+    if tmp_path is None:
+        net.run(_GAP_BEFORE_SNAP + _GAP_AFTER_SNAP)
+    else:
+        net.run(_GAP_BEFORE_SNAP)
+        assert net.stats.in_flight == 0
+        path = str(tmp_path / "mid-gap.json")
+        write_snapshot(snapshot_network(net, traffic), path)
+        net, traffic = restore_network(read_snapshot(path))
+        net.run(_GAP_AFTER_SNAP)
+    traffic.run(250)
+    net.drain(max_cycles=_DRAIN)
+    return net
+
+
+def test_snapshot_in_an_idle_gap_restores_exactly(tmp_path):
+    straight = _burst_gap_burst()
+    resumed = _burst_gap_burst(tmp_path)
+    assert _digest(resumed.stats.summary()) \
+        == _digest(straight.stats.summary())
+    assert resumed.cycle == straight.cycle
+
+
 # -- the snapshot file codec -----------------------------------------------
 
 

@@ -58,8 +58,7 @@ def test_removed_router_step_flag_is_an_unknown_flag(capsys):
 
 
 def test_removed_time_skip_flag_is_an_unknown_flag(capsys):
-    # Stepping every cycle is ``net.time_skip = False`` on one network,
-    # not a process-wide CLI switch.
+    # A network steps every cycle; there is nothing to switch off.
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "web", "--no-time-skip"])
     assert exc.value.code == 2
@@ -90,6 +89,22 @@ def test_chaos_ring_is_a_topology_not_an_organization(capsys):
               "--cycles", "50"])
     assert exc.value.code == 2
     assert "invalid choice: 'ring'" in capsys.readouterr().err
+
+
+def test_power_runs_the_scale_the_environment_names(monkeypatch, capsys):
+    # ``power`` and ``figures --only power`` print the same table, so
+    # they must simulate the same grid.
+    scales = []
+
+    def power_analysis(config):
+        scales.append(config.scale)
+        return {"title": "power", "headers": ["scale"], "rows": []}
+
+    monkeypatch.setenv("REPRO_SCALE", "full")
+    monkeypatch.setattr("repro.cli.power_analysis", power_analysis)
+    assert main(["power"]) == 0
+    main(["figures", "--only", "power"])
+    assert scales == ["full", "full"]
 
 
 def test_figures_json_dump(tmp_path, capsys):

@@ -299,3 +299,23 @@ def test_unsupported_organization_names_the_supported_kinds(
         f"{topology.split(':')[0]} topology supports kinds {supported}, "
         f"not {kind.value}"
     )
+
+
+@pytest.mark.parametrize("kind", list(NocKind), ids=lambda k: k.value)
+def test_run_steps_every_cycle_of_an_idle_span(kind):
+    # The only work is one event far past the span: every cycle of it
+    # is still one ``step`` (the ideal network's included).
+    net = build_network(NocParams(kind=kind, mesh_width=4, mesh_height=4))
+    net.schedule_call(10_000, lambda: None)
+    steps = []
+    step = net.step
+
+    def counted_step():
+        steps.append(net.cycle)
+        step()
+
+    net.step = counted_step
+    net.run(300)
+    assert steps == list(range(300))
+    assert net.cycle == 300
+    assert net.cycles_skipped == 0
