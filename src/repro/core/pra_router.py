@@ -19,6 +19,7 @@ pre-allocated by the time the port frees up.
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter, itemgetter
 from typing import Deque, Dict, Optional, Set
 
 from repro.core.plan import LAND_LATCH, LAND_NI, LAND_VC, PraPlan, SRC_VC
@@ -28,6 +29,10 @@ from repro.noc.network import LATCH_INDEX
 from repro.noc.router import MeshRouter
 from repro.noc.topology import Direction
 from repro.trace.events import EV_LATCH_BYPASS
+
+_RR_ID = attrgetter("rr_id")
+_FIRST = itemgetter(0)
+
 
 class PraRouter(MeshRouter):
     """Mesh router extended with PRA arbitration, latches, and LSD."""
@@ -62,6 +67,7 @@ class PraRouter(MeshRouter):
     # -- per-cycle processing ---------------------------------------------------
 
     def step(self, now: int) -> None:
+        """The PRA arbiter, then the local one, then LSD."""
         used_inputs: Set[Direction] = set()
         busy_dirs: Set[Direction] = set()
         # The PRA arbiter runs even under an injected router stall:
@@ -70,30 +76,20 @@ class PraRouter(MeshRouter):
         # latches — freezing them would strand flits forever instead
         # of modeling a recoverable hardware hiccup.
         self._execute_reservations(now, used_inputs, busy_dirs)
-        if self.active_flits == 0:
+        if not self.active_flits:
             # Awake purely for reserved slots (driving a bypass or
             # pinning resources): the local arbiter has nothing to do.
             return
+        # LSD looks at the requests as they stood before the local
+        # arbiter ran, and idles with it under a router stall.
+        requests = self._use_lsd and [
+            (port, port.waiting[:]) for port in self.port_list if port.waiting
+        ]
+        super().step(now, used_inputs, busy_dirs)
         faults = self.network.faults
-        fault_on = faults.enabled
-        if fault_on and faults.router_stalled(self.node, now):
-            return
-        candidates = self._collect_head_candidates()
-        group_of = candidates.get
-        for port in self.port_list:
-            direction = port.direction
-            if fault_on and port.fault_stalled(now):
-                continue
-            if busy_dirs and direction in busy_dirs:
-                self._count_blocked(group_of(direction), used_inputs)
-            elif port.held_by is not None:
-                self._advance_held(port, now, used_inputs)
-            else:
-                group = group_of(direction)
-                if group:
-                    self._try_grant(port, direction, now, used_inputs, group)
-        if self._use_lsd:
-            self._lsd_scan(now, candidates)
+        if requests and not (faults.enabled
+                             and faults.router_stalled(self.node, now)):
+            self._lsd_scan(now, requests)
 
     # -- the PRA arbiter ---------------------------------------------------------
 
@@ -201,29 +197,27 @@ class PraRouter(MeshRouter):
     # taken back by preemption (the PRA arbiter has priority at its
     # slots), so VC allocation needs no pending-reservation rule.
 
-    def _count_blocked(self, candidates, used_inputs) -> None:
+    def _count_blocked(self, waiting, used_inputs) -> None:
         """A head flit that would have requested this output this cycle
         was blocked by a proactive allocation for another packet."""
-        if not candidates:
-            return
-        for vc in candidates:
+        for vc in waiting:
             if vc.unit.direction in used_inputs:
                 continue
-            front = vc.front()
-            if front is not None and front.is_head and (
-                front.packet.pra_plan is None
-            ):
-                front.packet.pra_blocked_cycles += 1
+            packet = vc.flits[0].packet
+            if packet.pra_plan is None:
+                packet.pra_blocked_cycles += 1
 
     # -- the Long Stall Detection unit ----------------------------------------------
 
-    def _lsd_scan(self, now: int, candidates) -> None:
+    def _lsd_scan(self, now: int, requests) -> None:
         """Inject (at most) one control packet for a deterministic stall.
 
         Only head flits at the front of a VC can be stalled waiting for
-        an output port, so the scan reuses the cycle's candidate map —
-        whose groups share an output port, so the port-side half of the
-        condition is evaluated once per group.
+        an output port, so the scan reads ``requests``: each port's
+        ``waiting`` list as it stood before the local arbiter ran.  The
+        port-side half of the condition is evaluated once per port;
+        ports and VCs are then tried in ascending ``rr_id`` order (the
+        order of the router's input VCs).
 
         The paper's condition: the wanted output is busy forwarding
         another multi-flit packet, and the downstream router has enough
@@ -236,8 +230,8 @@ class PraRouter(MeshRouter):
         absent, so the valid bit is dropped).
         """
         max_lag = self._max_lag
-        for direction, vcs in candidates.items():
-            port = self.output_ports[direction]
+        stalled = []
+        for port, vcs in requests:
             holder = port.held_by
             if holder is None or not holder.is_multi_flit:
                 continue
@@ -250,6 +244,10 @@ class PraRouter(MeshRouter):
             if (port.ni_sink is None
                     and port.credits[holder.vc_index] < remaining):
                 continue
+            vcs.sort(key=_RR_ID)
+            stalled.append((vcs[0].rr_id, remaining, holder, vcs))
+        stalled.sort(key=_FIRST)
+        for _, remaining, holder, vcs in stalled:
             for vc in vcs:
                 flits = vc.flits
                 if not flits or not flits[0].is_head:

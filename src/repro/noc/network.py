@@ -304,7 +304,10 @@ class Network:
                             f"VC{vc_index} overflow: credit discipline "
                             "violated"
                         )
-                    vc.flits.append(flit)
+                    flits = vc.flits
+                    flits.append(flit)
+                    if flit.is_head and len(flits) == 1:
+                        router._queue_head(vc)
                     router.active_flits += 1
                     node = router.node
                     if not awake[node]:
@@ -323,7 +326,10 @@ class Network:
                                 f"VC{vc_index} overflow: credit discipline "
                                 "violated"
                             )
-                        vc.flits.append(flit)
+                        flits = vc.flits
+                        flits.append(flit)
+                        if flit.is_head and len(flits) == 1:
+                            router._queue_head(vc)
                     router.active_flits += 1
                     node = router.node
                     if not awake[node]:

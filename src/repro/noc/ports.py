@@ -51,6 +51,9 @@ class OutputPort:
         "flits_sent",
         "link_hop_latency",
         "next_vc",
+        "waiting",
+        "rr_last",
+        "credit_port",
     )
 
     def __init__(
@@ -110,6 +113,19 @@ class OutputPort:
             self.next_vc = network.escape_vcs
         else:
             self.next_vc = network.same_vcs
+        #: Input VCs of this port's router whose front flit is a head
+        #: routed here: the port's request queue.  The router keeps it
+        #: in step with its buffers (``BaseRouter._queue_head``).
+        self.waiting: List[VirtualChannel] = []
+        #: ``rr_id`` of the input VC this port granted last, or None
+        #: before the first grant (round-robin restarts after it).
+        self.rr_last: Optional[int] = None
+        #: The port whose credits and downstream buffer the holder's
+        #: flits use: this port (one hop), or during a SMART
+        #: pass-through the bypassed router's port, which the flits
+        #: cross in the same cycle (two hops).  :meth:`release` ends a
+        #: pass-through.
+        self.credit_port: "OutputPort" = self
 
     # -- wiring ---------------------------------------------------------
 
@@ -158,10 +174,10 @@ class OutputPort:
                         vc_index: Optional[int] = None) -> bool:
         """VC allocation check for a normally routed head flit.
 
-        Runs once per (output, candidate) pair every arbitration cycle;
-        the ``downstream_vc``/``can_accept_packet`` chain is flattened
-        to plain attribute reads (``credits`` is what normally allocated
-        traffic may use: PRA claims are already withdrawn from it).
+        An NI runs it once per class queue it tries to inject from;
+        routers write the same test out in their arbitration pass.
+        ``credits`` is what normally allocated traffic may use: PRA
+        claims are already withdrawn from it.
         """
         if self.ni_sink is not None:
             return True
@@ -201,6 +217,9 @@ class OutputPort:
         self.holder_sent = 0
 
     def release(self) -> None:
+        if self.credit_port is not self:
+            self.credit_port.release()
+            self.credit_port = self
         self.held_by = None
         self.active_vc = None
         self.held_dst_vc = None

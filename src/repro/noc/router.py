@@ -18,7 +18,7 @@ in-flight packet — the property the Long Stall Detection unit exploits.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Set
 
 from repro.noc.flit import Flit
 from repro.noc.network import _CREDIT
@@ -55,15 +55,6 @@ class BaseRouter:
         self.output_ports: Dict[Port, OutputPort] = {}
         #: Flits currently buffered in this router (early-exit counter).
         self.active_flits = 0
-        #: Round-robin state per output port: the (input port, vc index)
-        #: key last granted, or None before the first grant.
-        #: Advancing relative to the previous *grant* (instead of a
-        #: monotonically increasing pointer indexed into a list whose
-        #: membership changes every cycle) is what makes arbitration
-        #: fair under churning candidate sets.
-        self._rr: Dict[Port, Optional[Tuple[int, int]]] = {
-            Direction.LOCAL: None
-        }
 
         self.input_units[Direction.LOCAL] = InputUnit(
             Direction.LOCAL, self.num_vcs, self.vc_depth
@@ -76,15 +67,13 @@ class BaseRouter:
                 port, self.num_vcs, self.vc_depth
             )
             self.output_ports[port] = self._make_output_port(port)
-            self._rr[port] = None
         # Ejection port toward the NI (wired by the network).
         self.output_ports[Direction.LOCAL] = self._make_output_port(
             Direction.LOCAL
         )
         self._unit_list: List[InputUnit] = list(self.input_units.values())
-        #: Dense next-port row for this node (the candidate scan
-        #: resolves a route per buffered head flit every cycle, so it
-        #: must be a single list index, not a hash lookup).
+        #: Dense next-port row for this node (a single list index, not a
+        #: hash lookup, for the hottest routing query).
         self._route_row = self.topology.route_row(node)
         self._rebuild_port_cache()
 
@@ -100,7 +89,12 @@ class BaseRouter:
         self.port_list: List[OutputPort] = [
             self.output_ports[p] for p in order if p in self.output_ports
         ]
-        #: Every input VC, flattened in fixed unit order (hot-scan list).
+        #: The output port each destination leaves through (the route
+        #: row resolved to ports): where a head flit queues.
+        self._port_row: List[Optional[OutputPort]] = [
+            self.output_ports.get(p) for p in self._route_row
+        ]
+        #: Every input VC, flattened in fixed unit order.
         self._vc_list: List[VirtualChannel] = [
             vc for unit in self._unit_list for vc in unit.vcs
         ]
@@ -113,12 +107,9 @@ class BaseRouter:
         for rank, vc in enumerate(ranked):
             vc.rr_id = rank
         self._rr_total = len(ranked)
-        self._rr_key_to_id = {vc.rr_key: vc.rr_id for vc in ranked}
-        #: Last-granted rr id per output port (mirrors ``_rr``, which
-        #: stays the checkpointed form).
-        self._rr_last: Dict[Port, Optional[int]] = {
-            direction: None for direction in self._rr
-        }
+        #: ``rr_id`` -> ``rr_key``: the checkpointed form of a port's
+        #: ``rr_last``.
+        self._rr_keys = [vc.rr_key for vc in ranked]
 
     def _make_output_port(self, direction: Port) -> OutputPort:
         return OutputPort(
@@ -149,132 +140,38 @@ class BaseRouter:
     def step(self, now: int) -> None:
         raise NotImplementedError
 
-    # -- shared helpers -------------------------------------------------------
+    # -- the wait lists -------------------------------------------------------
+    #
+    # ``OutputPort.waiting`` holds the VCs whose front flit is a head
+    # routed to that port.  Three events change that set: a head lands
+    # in an empty VC (the arrival loops of ``Network._run_events``), a
+    # head leaves (a grant, ``_dequeue``), and a tail leaves with a
+    # chained packet's head queued behind it.
+
+    def _queue_head(self, vc: VirtualChannel) -> None:
+        """``vc``'s front flit is now a head: it waits on its port."""
+        self._port_row[vc.flits[0].packet.dst].waiting.append(vc)
+
+    def _dequeue(self, vc: VirtualChannel) -> Flit:
+        """Dequeue the front flit of ``vc``, keeping the wait lists
+        right (the credit is the caller's business)."""
+        flit = vc.pop()
+        self.active_flits -= 1
+        if flit.is_head:
+            self._port_row[flit.packet.dst].waiting.remove(vc)
+        if flit.is_tail and vc.flits and vc.flits[0].is_head:
+            self._queue_head(vc)
+        return flit
 
     def _pop(self, vc: VirtualChannel, now: int) -> Flit:
         """Dequeue the front flit of ``vc`` and return its credit to the
-        upstream feeder (for transmissions that bypass
-        :meth:`_pop_and_send`: SMART pass-throughs, PRA reserved slots)."""
-        flit = vc.pop()
-        self.active_flits -= 1
+        upstream feeder (for transmissions outside the arbitration
+        pass: PRA reserved slots)."""
+        flit = self._dequeue(vc)
         feeder = vc.unit.feeder_port
         if feeder is not None:
             self.network.schedule_credit(now + CREDIT_DELAY, feeder, vc.index)
         return flit
-
-    def _pop_and_send(
-        self, port: OutputPort, vc: VirtualChannel, now: int
-    ) -> Flit:
-        """Dequeue the front flit of ``vc`` and transmit it on ``port``.
-
-        This moves every normally allocated flit, so with no observer in
-        the way ``_pop`` and ``OutputPort.send`` are flattened in place
-        and the credit and the arrival go straight into their cycle
-        buckets (targets are ``now + <positive const>`` with ``now ==
-        network.cycle``, so the public schedulers' future-only guard
-        holds by construction).
-        """
-        network = self.network
-        if self.boundary is not None or network.tracer.enabled:
-            # A shard's cut row must go through the schedulers its
-            # domain patched, a tracer wants the link event: take the
-            # calls.
-            flit = self._pop(vc, now)
-            port.send(flit, now)
-            return flit
-        flit = vc.flits.popleft()
-        if flit.is_tail:
-            vc.allocated_to = vc.next_claim
-            vc.next_claim = None
-        self.active_flits -= 1
-        events = network._events
-        feeder = vc.unit.feeder_port
-        if feeder is not None:
-            time = now + CREDIT_DELAY
-            bucket = events.get(time)
-            if bucket is None:
-                pool = network._bucket_pool
-                bucket = pool.pop() if pool else ([], [], [])
-                events[time] = bucket
-            if network.credits_ordered:
-                bucket[2].append((_CREDIT, feeder, vc.index))
-            else:
-                bucket[1].append((feeder, vc.index))
-        port.flits_sent += 1
-        packet = flit.packet
-        if port.held_by is packet:
-            port.holder_sent += 1
-            vc_index = port.held_dst_vc
-        else:
-            vc_index = packet.vc_index
-        if port.ni_sink is not None:
-            network.schedule_eject(now + port.link_hop_latency - 1,
-                                   port.ni_sink, flit)
-            return flit
-        credits = port.credits
-        if credits[vc_index] <= 0:
-            raise RuntimeError("credit underflow: flow control violated")
-        credits[vc_index] -= 1
-        if flit.is_head:
-            packet.hops_taken += 1
-        time = now + port.link_hop_latency
-        bucket = events.get(time)
-        if bucket is None:
-            pool = network._bucket_pool
-            bucket = pool.pop() if pool else ([], [], [])
-            events[time] = bucket
-        bucket[0].append((port.downstream_router, port.downstream_dir,
-                          vc_index, flit))
-        return flit
-
-    def _collect_head_candidates(self) -> Dict[Port, List[VirtualChannel]]:
-        """One pass over all input VCs: head flits grouped by the output
-        port they request.  Built once per cycle and shared by all
-        output ports (and by LSD in the PRA router)."""
-        candidates: Dict[Port, List[VirtualChannel]] = {}
-        row = self._route_row
-        for vc in self._vc_list:
-            flits = vc.flits
-            if not flits:
-                continue
-            front = flits[0]
-            if not front.is_head:
-                continue
-            direction = row[front.packet.dst]
-            group = candidates.get(direction)
-            if group is None:
-                candidates[direction] = [vc]
-            else:
-                group.append(vc)
-        return candidates
-
-    def _round_robin_pick(
-        self, direction: Port, candidates: List[VirtualChannel]
-    ) -> VirtualChannel:
-        """Grant the first candidate strictly after the last grantee in
-        cyclic (input direction, vc index) order.
-
-        The candidate list's membership changes every cycle, so the
-        pointer must be anchored to the previously granted *key*, not an
-        index into the list: an index-modulo scheme can starve a VC
-        indefinitely when membership oscillates.  With dense per-VC
-        ranks ("first id strictly after the last grantee, wrapping")
-        the pick is a modular-arithmetic minimum — no per-cycle sort.
-        """
-        total = self._rr_total
-        last = self._rr_last[direction]
-        if last is None:
-            last = total - 1
-        choice: Optional[VirtualChannel] = None
-        best = total
-        for vc in candidates:
-            rank = (vc.rr_id - last - 1) % total
-            if rank < best:
-                best = rank
-                choice = vc
-        self._rr[direction] = choice.rr_key
-        self._rr_last[direction] = choice.rr_id
-        return choice
 
     # -- checkpointing ---------------------------------------------------
 
@@ -291,8 +188,10 @@ class BaseRouter:
             ],
             "active_flits": self.active_flits,
             "rr": [
-                [int(direction), list(key) if key is not None else None]
-                for direction, key in self._rr.items()
+                [int(port.direction),
+                 None if port.rr_last is None
+                 else list(self._rr_keys[port.rr_last])]
+                for port in self.port_list
             ],
         }
 
@@ -306,17 +205,17 @@ class BaseRouter:
                 port_state, ctx
             )
         self.active_flits = state["active_flits"]
-        self._rr = {
-            as_port(direction_value):
-                tuple(key) if key is not None else None
-            for direction_value, key in state["rr"]
-        }
-        # Rebuild the dense-rank mirror of the checkpointed keys.
-        key_to_id = self._rr_key_to_id
-        self._rr_last = {
-            direction: None if key is None else key_to_id[key]
-            for direction, key in self._rr.items()
-        }
+        key_to_id = {key: rr_id for rr_id, key in enumerate(self._rr_keys)}
+        for direction_value, key in state["rr"]:
+            self.output_ports[as_port(direction_value)].rr_last = (
+                None if key is None else key_to_id[tuple(key)]
+            )
+        # The wait lists are derived state: rebuild them from the VCs.
+        for port in self.port_list:
+            port.waiting = []
+        for vc in self._vc_list:
+            if vc.flits and vc.flits[0].is_head:
+                self._queue_head(vc)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(node={self.node})"
@@ -330,121 +229,210 @@ class MeshRouter(BaseRouter):
     hierarchies is the ``next_vc`` row of each output port.
     """
 
-    def step(self, now: int) -> None:
-        if self.active_flits == 0:
+    def step(self, now: int, used_inputs: Optional[Set[Port]] = None,
+             busy_dirs: Collection[Port] = ()) -> None:
+        """The local arbiter: one pass over the output ports.
+
+        A held port streams its holder's next flit; a free one grants
+        the first eligible VC of its ``waiting`` list after its last
+        grantee (RC + VA + speculative SA in one cycle), and the head
+        leaves at once.  Mesh+PRA runs this pass after its PRA arbiter,
+        passing the crossbar inputs that arbiter took (``used_inputs``)
+        and the output ports it drives this cycle (``busy_dirs``).
+
+        The dequeue and the send are written out in place.  With no
+        observer attached the credit and the arrival go straight into
+        their cycle buckets (targets are ``now + <positive const>`` with
+        ``now == network.cycle``, so the schedulers' future-only guard
+        holds by construction); a shard's cut row (``boundary``) and a
+        tracer take the scheduler calls instead.
+        """
+        if not self.active_flits:
             return
-        faults = self.network.faults
-        fault_on = faults.enabled
-        if fault_on and faults.router_stalled(self.node, now):
+        network = self.network
+        fault_on = network.faults.enabled
+        if fault_on and network.faults.router_stalled(self.node, now):
             return
-        used_inputs: Set[Port] = set()
-        group_of = self._collect_head_candidates().get
+        if used_inputs is None:
+            used_inputs = set()
+        tracer = network.tracer
+        slow = self.boundary is not None or tracer.enabled
+        events = network._events
         for port in self.port_list:
             if fault_on and port.fault_stalled(now):
                 continue
-            if port.held_by is not None:
-                self._advance_held(port, now, used_inputs)
+            if busy_dirs and port.direction in busy_dirs:
+                if port.waiting:
+                    self._count_blocked(port.waiting, used_inputs)
+                continue
+            packet = port.held_by
+            if packet is not None:
+                # Stream the holder's next flit if it can move.
+                vc = port.active_vc
+                if vc is None:
+                    continue  # a SMART bypass crossing this port
+                flits = vc.flits
+                if not flits or flits[0].packet is not packet:
+                    if tracer.enabled:
+                        self._trace_hold(port, now, "awaiting_flit")
+                    continue  # next flit still in flight from upstream
+                if vc.unit.direction in used_inputs:
+                    if tracer.enabled:
+                        self._trace_hold(port, now, "input_busy")
+                    continue
+                if port.ni_sink is None and (
+                    port.credit_port.credits[port.held_dst_vc] < 1
+                ):
+                    if tracer.enabled:
+                        self._trace_hold(port, now, "no_credit")
+                    continue
             else:
-                direction = port.direction
-                group = group_of(direction)
-                if group:
-                    self._try_grant(port, direction, now, used_inputs, group)
+                waiting = port.waiting
+                if not waiting:
+                    continue
+                # Grant the eligible VC first after the last grantee in
+                # cyclic ``rr_id`` order.  Anchoring on the last
+                # grantee (not an index into a list whose membership
+                # changes every cycle) is what keeps churning requester
+                # sets from starving anyone.  Eligible: the crossbar
+                # input is free and the downstream VC (``next_vc`` of
+                # the VC the head sits in) is unallocated, empty and
+                # has a credit; ejection always succeeds.
+                total = self._rr_total
+                last = port.rr_last
+                if last is None:
+                    last = total - 1
+                vc = None
+                best = total
+                sink = port.ni_sink
+                if sink is None:
+                    next_vc = port.next_vc
+                    down_vcs = port.downstream_unit.vcs
+                    credits = port.credits
+                for candidate in waiting:
+                    if candidate.unit.direction in used_inputs:
+                        continue
+                    rank = (candidate.rr_id - last - 1) % total
+                    if rank >= best:
+                        continue
+                    if sink is None:
+                        dst_vc = next_vc[candidate.index]
+                        down_vc = down_vcs[dst_vc]
+                        if (down_vc.allocated_to is not None
+                                or down_vc.flits or credits[dst_vc] < 1):
+                            continue
+                    best = rank
+                    vc = candidate
+                if vc is None:
+                    continue
+                port.rr_last = vc.rr_id
+                packet = vc.flits[0].packet
+                if sink is None:
+                    dst_vc = next_vc[vc.index]
+                    self._claim_downstream(port, packet, dst_vc, now)
+                    if tracer.enabled:
+                        tracer.emit(now, EV_VC_ALLOC, pid=packet.pid,
+                                    node=self.node,
+                                    direction=port_name(port.direction),
+                                    vc=dst_vc)
+                else:
+                    dst_vc = packet.vc_index
+                port.held_by = packet
+                port.active_vc = vc
+                port.held_dst_vc = dst_vc
+                port.holder_sent = 0
+                if tracer.enabled:
+                    tracer.emit(now, EV_SWITCH_GRANT, pid=packet.pid,
+                                node=self.node,
+                                direction=port_name(port.direction),
+                                input=port_name(vc.unit.direction),
+                                input_vc=vc.index)
+                waiting.remove(vc)
+                flits = vc.flits
+            # Dequeue the front flit of ``vc`` ...
+            used_inputs.add(vc.unit.direction)
+            flit = flits.popleft()
+            if flit.is_tail:
+                vc.allocated_to = vc.next_claim
+                vc.next_claim = None
+                if flits and flits[0].is_head:
+                    self._queue_head(vc)
+            self.active_flits -= 1
+            feeder = vc.unit.feeder_port
+            if feeder is not None:
+                if slow:
+                    network.schedule_credit(now + CREDIT_DELAY, feeder,
+                                            vc.index)
+                else:
+                    time = now + CREDIT_DELAY
+                    bucket = events.get(time)
+                    if bucket is None:
+                        pool = network._bucket_pool
+                        bucket = pool.pop() if pool else ([], [], [])
+                        events[time] = bucket
+                    if network.credits_ordered:
+                        bucket[2].append((_CREDIT, feeder, vc.index))
+                    else:
+                        bucket[1].append((feeder, vc.index))
+            # ... and send it through ``port``.
+            credit_port = port.credit_port
+            if slow and credit_port is port:
+                port.send(flit, now)
+            else:
+                port.flits_sent += 1
+                port.holder_sent += 1
+                vc_index = port.held_dst_vc
+                if port.ni_sink is not None:
+                    network.schedule_eject(now + port.link_hop_latency - 1,
+                                           port.ni_sink, flit)
+                else:
+                    credits = credit_port.credits
+                    if credits[vc_index] <= 0:
+                        raise RuntimeError(
+                            "credit underflow: flow control violated")
+                    credits[vc_index] -= 1
+                    if credit_port is not port:
+                        # A SMART pass-through also crosses the bypassed
+                        # router's port this cycle and lands behind it.
+                        credit_port.flits_sent += 1
+                        credit_port.holder_sent += 1
+                        if flit.is_head:
+                            packet.hops_taken += 2
+                    elif flit.is_head:
+                        packet.hops_taken += 1
+                    time = now + port.link_hop_latency
+                    bucket = events.get(time)
+                    if bucket is None:
+                        pool = network._bucket_pool
+                        bucket = pool.pop() if pool else ([], [], [])
+                        events[time] = bucket
+                    bucket[0].append((credit_port.downstream_router,
+                                      credit_port.downstream_dir, vc_index,
+                                      flit))
+            if flit.is_tail:
+                if tracer.enabled:
+                    tracer.emit(now, EV_SWITCH_RELEASE, pid=packet.pid,
+                                node=self.node,
+                                direction=port_name(port.direction))
+                port.release()
 
-    # -- switch traversal of an in-progress packet ---------------------------
-
-    def _advance_held(
-        self, port: OutputPort, now: int, used_inputs: Set[Port],
-        credit_port: Optional[OutputPort] = None,
-    ) -> None:
-        """Send the holder's next flit through ``port`` if it can move.
-
-        ``credit_port`` names the port whose credits gate the flit when
-        that is not ``port`` itself (a SMART pass-through lands two
-        tiles away and skips the buffer ``port`` feeds).
-        """
-        # Stall checks are inlined (``vc.front()`` and the credit test
-        # flattened); the trace helper is only invoked when a tracer is
-        # actually attached, keeping the common stall to attribute work.
-        vc = port.active_vc
-        if vc is None:
-            return
-        flits = vc.flits
-        if not flits or flits[0].packet is not port.held_by:
-            if self.network.tracer.enabled:
-                self._trace_hold(port, now, "awaiting_flit")
-            return  # next flit still in flight from upstream
-        direction = vc.unit.direction
-        if direction in used_inputs:
-            if self.network.tracer.enabled:
-                self._trace_hold(port, now, "input_busy")
-            return
-        if port.ni_sink is None and (
-            (credit_port or port).credits[port.held_dst_vc] < 1
-        ):
-            if self.network.tracer.enabled:
-                self._trace_hold(port, now, "no_credit")
-            return
-        used_inputs.add(direction)
-        if self._pop_and_send(port, vc, now).is_tail:
-            self._release(port, now)
-
-    def _release(self, port: OutputPort, now: int) -> None:
-        """The holder's tail flit left: free the switch."""
-        tracer = self.network.tracer
-        if tracer.enabled:
-            tracer.emit(now, EV_SWITCH_RELEASE, pid=port.held_by.pid,
-                        node=self.node, direction=port_name(port.direction))
-        port.release()
+    def _count_blocked(self, waiting, used_inputs) -> None:
+        """Hook: a port the PRA arbiter owns this cycle had requests."""
 
     def _trace_hold(self, port: OutputPort, now: int, reason: str) -> None:
         """Record a held port that could not advance this cycle."""
-        tracer = self.network.tracer
-        if tracer.enabled:
-            tracer.emit(
-                now, EV_SWITCH_HOLD,
-                pid=port.held_by.pid if port.held_by is not None else None,
-                node=self.node,
-                direction=port_name(port.direction),
-                reason=reason,
-            )
-
-    # -- head-flit allocation (RC + VA + speculative SA in one cycle) --------
-
-    def _try_grant(
-        self, port: OutputPort, direction: Port, now: int,
-        used_inputs: Set[Port], candidates: List[VirtualChannel],
-    ) -> None:
-        """Grant ``port`` to one of the head flits requesting it.
-
-        A candidate is eligible when its crossbar input is free this
-        cycle and VC allocation succeeds: the downstream VC
-        (``port.next_vc`` of the VC the head sits in) is unallocated,
-        empty, and has a credit (ejection always succeeds).
-        """
-        if port.ni_sink is not None:
-            eligible = [vc for vc in candidates
-                        if vc.unit.direction not in used_inputs]
-        else:
-            eligible = []
-            next_vc = port.next_vc
-            down_vcs = port.downstream_unit.vcs
-            credits = port.credits
-            for vc in candidates:
-                if vc.unit.direction in used_inputs:
-                    continue
-                dst_vc = next_vc[vc.index]
-                down_vc = down_vcs[dst_vc]
-                if (down_vc.allocated_to is None and not down_vc.flits
-                        and credits[dst_vc] >= 1):
-                    eligible.append(vc)
-        if eligible:
-            choice = self._round_robin_pick(direction, eligible)
-            self._grant(port, choice, choice.flits[0].packet, now,
-                        used_inputs)
+        self.network.tracer.emit(
+            now, EV_SWITCH_HOLD,
+            pid=port.held_by.pid if port.held_by is not None else None,
+            node=self.node,
+            direction=port_name(port.direction),
+            reason=reason,
+        )
 
     def _claim_downstream(self, port: OutputPort, packet: Packet,
                           dst_vc: int, now: int) -> None:
-        """Allocate the downstream VC that ``_try_grant`` found free."""
+        """Allocate the downstream VC the grant found free (the hook a
+        router family resolves its own link setup in)."""
         port.downstream_unit.vcs[dst_vc].allocated_to = packet
         boundary = self.boundary
         if boundary is not None:
@@ -452,29 +440,3 @@ class MeshRouter(BaseRouter):
             # router lives in another shard (the write above landed
             # on a local replica; the owner must replay it).
             boundary.note_grant(port, packet, now)
-
-    def _grant(
-        self,
-        port: OutputPort,
-        vc: VirtualChannel,
-        packet: Packet,
-        now: int,
-        used_inputs: Set[Port],
-    ) -> None:
-        tracer = self.network.tracer
-        dst_vc = packet.vc_index
-        if port.ni_sink is None:
-            dst_vc = port.next_vc[vc.index]
-            self._claim_downstream(port, packet, dst_vc, now)
-            if tracer.enabled:
-                tracer.emit(now, EV_VC_ALLOC, pid=packet.pid, node=self.node,
-                            direction=port_name(port.direction), vc=dst_vc)
-        port.hold(packet, vc, dst_vc)
-        if tracer.enabled:
-            tracer.emit(now, EV_SWITCH_GRANT, pid=packet.pid, node=self.node,
-                        direction=port_name(port.direction),
-                        input=port_name(vc.unit.direction),
-                        input_vc=vc.index)
-        used_inputs.add(vc.unit.direction)
-        if self._pop_and_send(port, vc, now).is_tail:
-            self._release(port, now)

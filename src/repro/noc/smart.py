@@ -27,15 +27,13 @@ Bypass rules (SMART_1D with local priority):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Optional
 
-from repro.noc.flit import Flit
 from repro.noc.mesh import MeshNetwork
 from repro.noc.packet import Packet
 from repro.noc.ports import OutputPort
 from repro.noc.router import MeshRouter
 from repro.noc.topology import Direction
-from repro.noc.vc import VirtualChannel
 
 #: Grant-to-visibility latency: 2-stage pipeline + link (vs. 2 for mesh).
 #: Ejection takes the extra pipeline stage too (``OutputPort.send``
@@ -43,25 +41,18 @@ from repro.noc.vc import VirtualChannel
 SMART_HOP_LATENCY = 3
 
 
-class _BypassState:
-    """Per-output-port record of an active 2-tile pass-through."""
-
-    __slots__ = ("via_port", "landing_router", "landing_entry")
-
-    def __init__(self, via_port: OutputPort):
-        self.via_port = via_port
-        self.landing_router = via_port.downstream_router
-        self.landing_entry = via_port.downstream_unit.direction
-
-
 class SmartRouter(MeshRouter):
-    """Mesh router with SSR-based 2-tile bypass and a 3-cycle hop."""
+    """Mesh router with SSR-based 2-tile bypass and a 3-cycle hop.
+
+    A won bypass is port data: the granted port's ``credit_port`` is
+    the intermediate router's port, which the mesh router's pass
+    streams the packet through and ``OutputPort.release`` frees, so
+    only the grant differs here.
+    """
 
     def __init__(self, node: int, network):
         super().__init__(node, network)
         self.hpc_max = network.params.smart.hops_per_cycle
-        #: Active bypasses keyed by output direction.
-        self._bypasses: Dict[Direction, _BypassState] = {}
         for port in self.output_ports.values():
             port.link_hop_latency = SMART_HOP_LATENCY
 
@@ -75,50 +66,7 @@ class SmartRouter(MeshRouter):
             return
         via_port.downstream_vc(packet.vc_index).allocated_to = packet
         via_port.hold(packet, source_vc=None)
-        self._bypasses[port.direction] = _BypassState(via_port)
-
-    def _advance_held(
-        self, port: OutputPort, now: int, used_inputs: Set[Direction]
-    ) -> None:
-        bypass = self._bypasses.get(port.direction)
-        super()._advance_held(
-            port, now, used_inputs,
-            bypass.via_port if bypass is not None else None,
-        )
-
-    # -- transmission -----------------------------------------------------------
-
-    def _pop_and_send(
-        self, port: OutputPort, vc: VirtualChannel, now: int
-    ) -> Flit:
-        bypass = self._bypasses.get(port.direction)
-        if bypass is None:
-            return super()._pop_and_send(port, vc, now)
-        # Two-tile traversal: both links this cycle, landing two hops away.
-        flit = self._pop(vc, now)
-        packet = flit.packet
-        via_port = bypass.via_port
-        port.flits_sent += 1
-        port.holder_sent += 1
-        via_port.flits_sent += 1
-        via_port.holder_sent += 1
-        via_port.credits[packet.vc_index] -= 1
-        if flit.is_head:
-            packet.hops_taken += 2
-        self.network.schedule_arrival(
-            now + SMART_HOP_LATENCY,
-            bypass.landing_router,
-            bypass.landing_entry,
-            packet.vc_index,
-            flit,
-        )
-        return flit
-
-    def _release(self, port: OutputPort, now: int) -> None:
-        bypass = self._bypasses.pop(port.direction, None)
-        if bypass is not None:
-            bypass.via_port.release()
-        super()._release(port, now)
+        port.credit_port = via_port
 
     # -- SSR arbitration -------------------------------------------------------------
 
@@ -139,7 +87,7 @@ class SmartRouter(MeshRouter):
         faults = self.network.faults
         if faults.enabled and via_port.fault_stalled(now):
             return None  # SSR refused across a stalled link
-        if inter._has_local_candidate(direction):
+        if via_port.waiting:
             return None  # local flits have priority over SSRs
         unit = via_port.downstream_unit
         if unit is None:
@@ -156,30 +104,21 @@ class SmartRouter(MeshRouter):
     def state_dict(self, ctx) -> dict:
         state = super().state_dict(ctx)
         state["bypasses"] = [
-            [int(direction),
-             bypass.via_port.router.node, int(bypass.via_port.direction)]
-            for direction, bypass in self._bypasses.items()
+            [int(port.direction),
+             port.credit_port.router.node, int(port.credit_port.direction)]
+            for port in self.port_list if port.credit_port is not port
         ]
         return state
 
     def load_state(self, state: dict, ctx) -> None:
         super().load_state(state, ctx)
-        self._bypasses = {}
         for direction_value, via_node, via_dir in state["bypasses"]:
             via_port = self.network.routers[via_node].output_ports[
                 Direction(via_dir)
             ]
-            self._bypasses[Direction(direction_value)] = _BypassState(via_port)
-
-    def _has_local_candidate(self, direction: Direction) -> bool:
-        row = self._route_row
-        for vc in self._vc_list:
-            flits = vc.flits
-            if flits:
-                front = flits[0]
-                if front.is_head and row[front.packet.dst] is direction:
-                    return True
-        return False
+            self.output_ports[Direction(direction_value)].credit_port = (
+                via_port
+            )
 
 
 class SmartNetwork(MeshNetwork):

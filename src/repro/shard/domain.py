@@ -44,8 +44,9 @@ Knowledge of a neighbor comes either from its reported ``through`` or
 from its ``promise`` (a lower bound on any future record's capture
 cycle — the null message of CMB), corrected on the receiving side by
 the earliest arrival the sender has not acknowledged yet.  No lookahead
-window wider than that exists on a flat mesh: ``MeshRouter._try_grant``
-reads the downstream VC in the very cycle it allocates it.
+window wider than that exists on a flat mesh: a grant in
+``MeshRouter.step`` reads the downstream VC in the very cycle it
+allocates it.
 """
 
 from __future__ import annotations
@@ -283,9 +284,9 @@ class ShardDomain:
             port = net.routers[node].output_ports[Direction(d)]
             net.schedule_credit(capture + 2, port, vc_index)
             # Replay the pop on the replica of the downstream buffer so
-            # this shard's can_accept/credit reads keep matching serial.
-            port.downstream_unit.vcs[vc_index].pop()
-            port.downstream_router.active_flits -= 1
+            # this shard's can_accept/credit reads keep matching serial
+            # (and the replica's wait lists stay bounded).
+            port.downstream_router._dequeue(port.downstream_unit.vcs[vc_index])
         else:  # "g"
             _, capture, node, d, vc_index, pid = record
             unit = net.routers[node].input_units[Direction(d)]

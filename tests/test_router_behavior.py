@@ -63,7 +63,32 @@ class TestArbitration:
         assert_quiescent(net)
 
 
+def _offer(net, router, vc, time):
+    """Land a one-flit request for ``router``'s own NI in ``vc`` at
+    ``time`` (behind whatever the VC already buffers)."""
+    packet = Packet(src=router.node, dst=router.node,
+                    msg_class=MessageClass.REQUEST, created=net.cycle)
+    net.schedule_arrival(time, router, vc.unit.direction, vc.index,
+                         packet.flits[0])
+
+
 class TestRoundRobinFairness:
+    """Arbitration driven through ``step``: three input VCs of an
+    interior router compete for its ejection port, which grants one
+    head per cycle (ejection always has room)."""
+
+    @staticmethod
+    def _setup():
+        net = make_network(NocKind.MESH)
+        router = net.routers[5]  # interior node: N/E/S/W all present
+        competitors = [
+            router.input_units[d].vcs[0]
+            for d in (Direction.WEST, Direction.NORTH, Direction.SOUTH)
+        ]
+        by_rr_id = {vc.rr_id: vc for vc in competitors}
+        port = router.output_ports[Direction.LOCAL]
+        return net, router, competitors, lambda: by_rr_id[port.rr_last]
+
     def test_churning_membership_cannot_starve_a_competitor(self):
         """Regression: three persistent competitors for one output where
         the previous winner sits out the following round (its next head
@@ -73,35 +98,35 @@ class TestRoundRobinFairness:
         serves all three evenly."""
         from collections import Counter
 
-        net = make_network(NocKind.MESH)
-        router = net.routers[5]  # interior node: N/E/S/W all present
-        competitors = [
-            router.input_units[Direction.WEST].vcs[0],
-            router.input_units[Direction.NORTH].vcs[0],
-            router.input_units[Direction.SOUTH].vcs[0],
-        ]
+        net, router, competitors, winner = self._setup()
+        for vc in competitors:
+            _offer(net, router, vc, net.cycle + 1)
+        net.step()  # the heads land next cycle
         grants = Counter()
-        absent = None
         for _ in range(30):
-            candidates = [vc for vc in competitors if vc is not absent]
-            choice = router._round_robin_pick(Direction.EAST, candidates)
+            net.step()
+            choice = winner()
+            assert not choice.flits
             grants[choice.unit.direction] += 1
-            absent = choice
+            # The winner's next head arrives a cycle late: it sits out
+            # the next round while the other two compete.
+            _offer(net, router, choice, net.cycle + 1)
         assert len(grants) == 3, f"a competitor was starved: {grants}"
         assert max(grants.values()) - min(grants.values()) <= 1, grants
 
     def test_stable_membership_rotates(self):
-        """With a fixed candidate set the arbiter is a plain rotor."""
-        net = make_network(NocKind.MESH)
-        router = net.routers[5]
-        competitors = [
-            router.input_units[d].vcs[0]
-            for d in (Direction.WEST, Direction.NORTH, Direction.SOUTH)
-        ]
-        picks = [
-            router._round_robin_pick(Direction.EAST, list(competitors))
-            for _ in range(6)
-        ]
+        """With a fixed candidate set the arbiter is a plain rotor (each
+        VC buffers several requests, so the next head is uncovered the
+        moment the previous one leaves)."""
+        net, router, competitors, winner = self._setup()
+        for vc in competitors:
+            for _ in range(3):
+                _offer(net, router, vc, net.cycle + 1)
+        net.step()
+        picks = []
+        for _ in range(6):
+            net.step()
+            picks.append(winner())
         assert picks[:3] == picks[3:6]
         assert len(set(picks[:3])) == 3
 

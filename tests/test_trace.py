@@ -320,8 +320,11 @@ def test_attaching_a_tracer_is_digest_neutral(label):
 
 
 def _chaos_digest(kind, tracer=None):
-    """Fault sweep with the invariant suite attached (mirrors the
-    time-skip chaos parity scenario)."""
+    """One chaos run: an 8x8 network under a seeded random fault
+    schedule with the invariant suite attached (recording, not
+    raising), 300 cycles of uniform traffic and 1 500 more to drain.
+    Returns the stats digest, the injected-fault counts, the audits run
+    and the violations found."""
     reset_packet_ids()
     net = build_network(NocParams(kind=kind, mesh_width=8, mesh_height=8))
     schedule = FaultSchedule.random(11, net.topology.num_nodes, 300)
