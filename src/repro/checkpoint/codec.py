@@ -44,7 +44,7 @@ from repro.tile.llc import Transaction
 
 #: Bumped whenever a change invalidates previously written snapshots or
 #: persisted evaluation-grid cells.
-CODE_VERSION = "6"
+CODE_VERSION = "7"
 
 _SCALARS = (bool, int, float, str)
 

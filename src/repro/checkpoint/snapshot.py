@@ -216,7 +216,6 @@ def snapshot_system(sim) -> dict:
         "network_class": _network_class(sim.chip.network),
         "workload": sim.profile.name,
         "noc": sim.noc_kind.value,
-        "detailed_llc": sim.chip.slices[0].cache is not None,
         "chip_params": params_state(sim.params),
         "system": body,
         "registries": ctx.finalize(),
@@ -238,7 +237,6 @@ def restore_system(snap: dict):
             snap["workload"],
             NocKind(snap["noc"]),
             chip_params=params_from_state(ChipParams, snap["chip_params"]),
-            detailed_llc=snap["detailed_llc"],
         )
         ctx = RestoreContext(sim.chip.network, snap["registries"])
         _register_system_owners(ctx, sim)

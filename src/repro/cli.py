@@ -302,10 +302,8 @@ def _cmd_trace(args: argparse.Namespace, _config: RunConfig) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, _config: RunConfig) -> int:
-    from dataclasses import replace
-
     from repro.noc.network import build_network, supported_kinds
-    from repro.params import NocParams, RouterParams
+    from repro.params import NocParams
     from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
 
     pattern = TrafficPattern(args.pattern)
@@ -316,9 +314,6 @@ def _cmd_sweep(args: argparse.Namespace, _config: RunConfig) -> int:
              else supported_kinds(topology))
     rates = [float(r) for r in args.rates.split(",")]
     width, height = args.mesh
-    router = RouterParams()
-    if args.vcs is not None:
-        router = replace(router, vcs_per_port=args.vcs)
     header = "rate      " + "".join(f"{k.value:>10s}" for k in kinds)
     print(header)
     print("-" * len(header))
@@ -327,7 +322,7 @@ def _cmd_sweep(args: argparse.Namespace, _config: RunConfig) -> int:
         for kind in kinds:
             net = build_network(NocParams(
                 kind=kind, mesh_width=width, mesh_height=height,
-                topology=topology, router=router,
+                topology=topology,
             ))
             SyntheticTraffic(net, pattern, rate, seed=args.seed).run(
                 args.cycles
@@ -573,8 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--mesh", type=_parse_mesh, default=(8, 8),
                    metavar="WxH", help="mesh dimensions (default 8x8)")
-    p.add_argument("--vcs", type=int, default=None,
-                   help="virtual channels per port (default: per class)")
     _add_topology_flag(p)
     p.set_defaults(func=_cmd_sweep)
 

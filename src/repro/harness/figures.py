@@ -11,7 +11,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.config import RunConfig
-from repro.params import ChipParams, NocKind, PACKET_FLITS, MessageClass
+from repro.noc.topology import Direction
+from repro.params import (
+    NUM_MESSAGE_CLASSES, ChipParams, NocKind, PACKET_FLITS, MessageClass,
+)
 from repro.perf.metrics import geomean
 from repro.harness.runner import (
     ALL_KINDS,
@@ -482,8 +485,8 @@ def table1(chip: Optional[ChipParams] = None) -> Dict:
                  f"{chip.core.rob_entries}-entry ROB, "
                  f"{chip.core.lsq_entries}-entry LSQ, "
                  f"{chip.core.area_mm2} mm^2, {chip.core.power_w} W"],
-        ["Router", f"{chip.noc.router.num_ports} ports, "
-                   f"{chip.noc.router.vcs_per_port} VCs/port, "
+        ["Router", f"{len(Direction)} ports, "
+                   f"{NUM_MESSAGE_CLASSES} VCs/port, "
                    f"{chip.noc.router.flits_per_vc} flits/VC"],
         ["Link", f"{chip.noc.router.link_width_bits} bits"],
         ["Packet sizes", ", ".join(

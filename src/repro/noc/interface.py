@@ -37,13 +37,12 @@ class NetworkInterface:
         self.queues: List[Deque[Packet]] = [
             deque() for _ in range(NUM_MESSAGE_CLASSES)
         ]
-        params = network.params.router
         self.port = OutputPort(
             router=None,
             direction=Direction.LOCAL,
             network=network,
-            num_vcs=params.vcs_per_port,
-            vc_depth=params.flits_per_vc,
+            num_vcs=network.num_vcs,
+            vc_depth=network.params.router.flits_per_vc,
             node=node,
         )
         self.port.connect(router, Direction.LOCAL)

@@ -18,7 +18,6 @@ by ``tests/test_golden_determinism.py``).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from importlib import import_module
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -66,21 +65,18 @@ class Network:
 
     def __init__(self, params: NocParams):
         self.topology = build_topology(params)
-        # VC provisioning: every message class gets one VC per escape
-        # layer of the topology (more if the caller asked for more).
-        layers = self.topology.vc_layers
-        if params.router.vcs_per_port < NUM_MESSAGE_CLASSES * layers:
-            params = replace(params, router=replace(
-                params.router, vcs_per_port=NUM_MESSAGE_CLASSES * layers,
-            ))
         self.params = params
+        #: VCs per port, on every router and NI: one per message class
+        #: and escape layer of the topology (``Packet.vc_index`` is the
+        #: class, so no packet could enter a VC beyond these).
+        layers = self.topology.vc_layers
+        self.num_vcs = num_vcs = NUM_MESSAGE_CLASSES * layers
         #: The three ``OutputPort.next_vc`` rows (shared, hence tuples):
         #: a hop keeps a packet in its VC, except that a link the
         #: topology marks layer-advancing lands it in its class's
         #: layer-1 VC (a single-layer topology marks none and the row
         #: degenerates to the identity), and an NI injects class ``c``
         #: on its layer-0 VC.
-        num_vcs = params.router.vcs_per_port
         self.same_vcs = tuple(range(num_vcs))
         self.escape_vcs = tuple(
             vc - vc % layers + min(1, layers - 1) for vc in range(num_vcs)

@@ -48,9 +48,8 @@ class BaseRouter:
         self.node = node
         self.network = network
         self.topology = network.topology
-        params = network.params.router
-        self.num_vcs = params.vcs_per_port
-        self.vc_depth = params.flits_per_vc
+        self.num_vcs = network.num_vcs
+        self.vc_depth = network.params.router.flits_per_vc
         self.input_units: Dict[Port, InputUnit] = {}
         self.output_ports: Dict[Port, OutputPort] = {}
         #: Flits currently buffered in this router (early-exit counter).

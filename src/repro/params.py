@@ -30,7 +30,7 @@ class MessageClass(Enum):
     RESPONSE = 2
 
 
-#: Number of message classes / VCs per port in every organization.
+#: Number of message classes: VCs per port on a single-layer topology.
 NUM_MESSAGE_CLASSES = len(MessageClass)
 
 
@@ -41,13 +41,9 @@ class TechnologyParams:
     node_nm: int = 32
     vdd: float = 0.9
     frequency_ghz: float = 2.0
-    #: Semi-global wires with power-delay-optimized repeaters.
-    wire_delay_ps_per_mm: float = 85.0
-    #: Link energy on random data.
+    #: Link energy on random data.  Wire delay, pitch and the repeater
+    #: share are embedded in :mod:`repro.physical.wires`' calibration.
     link_energy_fj_per_bit_mm: float = 50.0
-    #: Fraction of link energy dissipated in repeaters.
-    repeater_energy_fraction: float = 0.19
-    wire_pitch_nm: float = 200.0
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,6 @@ class CacheParams:
     #: Serial tag then data lookup (energy-optimized LLC).
     tag_lookup_cycles: int = 1
     data_lookup_cycles: int = 4
-    block_bytes: int = 64
 
 
 @dataclass(frozen=True)
@@ -87,23 +82,16 @@ class MemoryParams:
 
 @dataclass(frozen=True)
 class RouterParams:
-    """Per-router structure shared by all organizations."""
+    """Per-router structure shared by all organizations.
 
-    num_ports: int = 5
-    vcs_per_port: int = NUM_MESSAGE_CLASSES
+    The topology decides a router's ports, and the network gives every
+    port one VC per message class and escape layer.
+    """
+
     flits_per_vc: int = 5
     link_width_bits: int = 128
 
     def __post_init__(self) -> None:
-        if self.num_ports < 2:
-            raise ValueError(
-                f"num_ports must be at least 2, got {self.num_ports}"
-            )
-        if not NUM_MESSAGE_CLASSES <= self.vcs_per_port <= 32:
-            raise ValueError(
-                f"vcs_per_port must be between {NUM_MESSAGE_CLASSES} (one "
-                f"VC per message class) and 32, got {self.vcs_per_port}"
-            )
         if self.flits_per_vc < 1:
             raise ValueError(
                 f"flits_per_vc must be positive, got {self.flits_per_vc}"
@@ -156,8 +144,16 @@ class PraParams:
 class SmartParams:
     """Parameters unique to the SMART organization."""
 
-    #: HPC_max: tiles traversed per cycle when bypass is granted.
+    #: HPC_max: tiles traversed per cycle when bypass is granted.  An
+    #: SSR reserves at most one intermediate router, so 1 or 2.
     hops_per_cycle: int = 2
+
+    def __post_init__(self) -> None:
+        if self.hops_per_cycle not in (1, 2):
+            raise ValueError(
+                f"smart hops_per_cycle must be 1 or 2, got "
+                f"{self.hops_per_cycle}"
+            )
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,6 @@ class SystemSimulator:
         noc_kind: NocKind,
         chip_params: Optional[ChipParams] = None,
         seed: int = 0,
-        detailed_llc: bool = False,
     ):
         self.profile = (
             workload if isinstance(workload, WorkloadProfile)
@@ -145,7 +144,6 @@ class SystemSimulator:
         self.chip = Chip(
             params,
             llc_hit_ratio=self.profile.llc_hit_ratio,
-            detailed_llc=detailed_llc,
             seed=seed,
         )
         self.cores = [

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.params import ChipParams
+from repro.noc.topology import Direction
+from repro.params import NUM_MESSAGE_CLASSES, ChipParams
 
 #: Flip-flop storage cell (incl. local control overhead), mm² per bit at
 #: 32 nm.  Calibration anchor for the Figure 8 totals.
@@ -39,18 +40,22 @@ class BufferModel:
 
 
 def router_vc_buffer_bits(chip: ChipParams) -> int:
-    """Standard VC storage of one router (all organizations)."""
+    """Standard VC storage of one router (all organizations): a mesh
+    router's five input ports (one per :class:`Direction`), each with
+    one VC per message class, as Figure 8's single-layer mesh builds."""
     r = chip.noc.router
-    return r.num_ports * r.vcs_per_port * r.flits_per_vc * r.link_width_bits
+    return (len(Direction) * NUM_MESSAGE_CLASSES * r.flits_per_vc
+            * r.link_width_bits)
 
 
 def pra_extra_buffer_bits(chip: ChipParams) -> int:
     """Mesh+PRA additions per router: one latch per input port plus the
     per-output-port reservation bit vectors (Figure 4)."""
     r = chip.noc.router
-    latch_bits = r.num_ports * r.link_width_bits
+    latch_bits = len(Direction) * r.link_width_bits
     # Per slot: valid + input select (3b) + local VC select (3b, incl.
     # bypass/latch encodings) + downstream VC select (3b).
     slot_bits = 1 + 3 + 3 + 3
-    vector_bits = r.num_ports * chip.noc.pra.reservation_horizon * slot_bits
+    vector_bits = (len(Direction) * chip.noc.pra.reservation_horizon
+                   * slot_bits)
     return latch_bits + vector_bits

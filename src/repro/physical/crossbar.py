@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.noc.topology import Direction
 from repro.params import ChipParams
 
 #: Matrix-crossbar area coefficient (wire pitch squared with layout
@@ -38,9 +39,9 @@ class CrossbarModel:
 
 
 def data_crossbar(chip: ChipParams, extra_input_fraction: float = 0.0) -> CrossbarModel:
-    r = chip.noc.router
+    """A mesh router's switch: one leg per :class:`Direction`."""
     return CrossbarModel(
-        ports=r.num_ports,
-        width_bits=r.link_width_bits,
+        ports=len(Direction),
+        width_bits=chip.noc.router.link_width_bits,
         extra_input_fraction=extra_input_fraction,
     )

@@ -7,7 +7,6 @@ the mesh edges.  Blocks are interleaved across slices by block address.
 """
 
 from repro.tile.address import home_slice, memory_channel, block_of
-from repro.tile.cache import SetAssociativeCache
 from repro.tile.llc import LlcSlice, Transaction
 from repro.tile.memory import MemoryChannel
 from repro.tile.directory import DirectorySlice
@@ -17,7 +16,6 @@ __all__ = [
     "home_slice",
     "memory_channel",
     "block_of",
-    "SetAssociativeCache",
     "LlcSlice",
     "Transaction",
     "MemoryChannel",

@@ -21,7 +21,6 @@ from repro.noc.network import Network, build_network
 from repro.noc.packet import Packet
 from repro.params import ChipParams, MessageClass
 from repro.tile.address import home_slice, memory_channel
-from repro.tile.cache import SetAssociativeCache
 from repro.tile.directory import DirectorySlice
 from repro.tile.llc import LlcSlice, Transaction
 from repro.tile.memory import MemoryChannel
@@ -36,8 +35,7 @@ class Chip:
     def __init__(
         self,
         params: ChipParams,
-        llc_hit_ratio: Optional[float] = 0.9,
-        detailed_llc: bool = False,
+        llc_hit_ratio: float = 0.9,
         seed: int = 0,
     ):
         self.params = params
@@ -46,16 +44,10 @@ class Chip:
         self.network.on_delivery(self._on_delivery)
         self.network.on_head_arrival(self._on_head_arrival)
         num_tiles = params.num_tiles
-        slice_bytes = int(params.llc_slice_mb * 1024 * 1024)
-        self.slices: List[LlcSlice] = []
-        for node in range(num_tiles):
-            if detailed_llc:
-                cache = SetAssociativeCache(slice_bytes, ways=16)
-                self.slices.append(LlcSlice(node, self, cache=cache))
-            else:
-                self.slices.append(
-                    LlcSlice(node, self, hit_ratio=llc_hit_ratio)
-                )
+        self.slices: List[LlcSlice] = [
+            LlcSlice(node, self, hit_ratio=llc_hit_ratio)
+            for node in range(num_tiles)
+        ]
         self.directories = [DirectorySlice(n) for n in range(num_tiles)]
         self.channels = [
             MemoryChannel(c, params.memory, self.schedule)

@@ -12,13 +12,7 @@ request waits for the bank, spends one cycle in the tag array, and on a
 hit another four cycles in the data array.  Misses release the bank at
 tag-done and go to a memory channel.
 
-Hit/miss can be decided two ways:
-
-* **statistical** (default for paper-scale runs): drawn from the
-  workload profile's LLC hit ratio;
-* **detailed**: a real :class:`~repro.tile.cache.SetAssociativeCache`
-  models the slice contents (``SystemSimulator(detailed_llc=True)``;
-  only tests use it).
+Hit or miss is drawn from the workload profile's LLC hit ratio.
 """
 
 from __future__ import annotations
@@ -29,7 +23,6 @@ from typing import Optional, TYPE_CHECKING
 from repro.noc.packet import Packet
 from repro.params import MessageClass
 from repro.tile.address import block_of
-from repro.tile.cache import SetAssociativeCache
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tile.chip import Chip
@@ -104,15 +97,11 @@ class LlcSlice:
         self,
         node: int,
         chip: "Chip",
-        hit_ratio: Optional[float] = None,
-        cache: Optional[SetAssociativeCache] = None,
+        hit_ratio: float,
     ):
-        if (hit_ratio is None) == (cache is None):
-            raise ValueError("provide exactly one of hit_ratio or cache")
         self.node = node
         self.chip = chip
         self.hit_ratio = hit_ratio
-        self.cache = cache
         self._busy_until = 0
         self.hits = 0
         self.misses = 0
@@ -127,7 +116,7 @@ class LlcSlice:
         """A request arrived (over the NoC or from the local core)."""
         start = max(now, self._busy_until)
         tag_done = start + self.params.tag_lookup_cycles
-        hit = self._decide_hit(txn)
+        hit = self.chip.rng.random() < self.hit_ratio
         txn.llc_hit = hit
         if hit:
             self.hits += 1
@@ -139,11 +128,6 @@ class LlcSlice:
             self.chip.schedule(tag_done, self._tag_miss, txn)
         if txn.is_write:
             self._handle_write_coherence(txn)
-
-    def _decide_hit(self, txn: Transaction) -> bool:
-        if self.cache is not None:
-            return self.cache.lookup(txn.addr, write=txn.is_write)
-        return self.chip.rng.random() < self.hit_ratio
 
     # -- hit path: the PRA window --------------------------------------------
 
@@ -205,8 +189,6 @@ class LlcSlice:
 
     def _mem_done(self, txn: Transaction,
                   response: Optional[Packet]) -> None:
-        if self.cache is not None:
-            self.cache.fill(txn.addr, dirty=txn.is_write)
         if response is None:
             self.chip.complete_local(txn)
             return
@@ -231,18 +213,13 @@ class LlcSlice:
     # -- checkpointing ---------------------------------------------------
 
     def state_dict(self) -> dict:
-        state = {
+        return {
             "busy_until": self._busy_until,
             "hits": self.hits,
             "misses": self.misses,
         }
-        if self.cache is not None:
-            state["cache"] = self.cache.state_dict()
-        return state
 
     def load_state(self, state: dict) -> None:
         self._busy_until = state["busy_until"]
         self.hits = state["hits"]
         self.misses = state["misses"]
-        if self.cache is not None:
-            self.cache.load_state(state["cache"])

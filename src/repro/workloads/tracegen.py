@@ -6,7 +6,7 @@ instruction footprint (the defining property of server workloads [1],
 Every :class:`~repro.perf.core_model.CoreModel` draws its misses and
 the instruction gaps between them from here, and each miss's address
 picks its home LLC slice, its memory channel and its directory
-sharers — in the statistical LLC mode as much as in the detailed one.
+sharers.
 """
 
 from __future__ import annotations

@@ -165,14 +165,17 @@ def test_sweep_rejects_malformed_mesh(capsys):
 
 
 def test_sweep_rejects_out_of_range_vcs(capsys):
-    rc = main(["sweep", "--noc", "mesh", "--vcs", "99",
-               "--rates", "0.005", "--cycles", "100"])
-    assert rc == 2
-    assert "vcs_per_port" in capsys.readouterr().err
+    """There is no ``--vcs``: a port has one VC per message class and
+    escape layer, so any VC count is an unknown flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--noc", "mesh", "--vcs", "99",
+              "--rates", "0.005", "--cycles", "100"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --vcs" in capsys.readouterr().err
 
 
 def test_sweep_accepts_custom_mesh_and_vcs(capsys):
-    rc = main(["sweep", "--noc", "mesh", "--mesh", "2x2", "--vcs", "4",
+    rc = main(["sweep", "--noc", "mesh", "--mesh", "2x2",
                "--rates", "0.01", "--cycles", "200"])
     assert rc == 0
     assert "mesh" in capsys.readouterr().out

@@ -21,6 +21,7 @@ from repro.checkpoint import restore_network, snapshot_network
 from repro.cli import main
 from repro.noc.chiplet import build_chiplet
 from repro.noc.packet import reset_packet_ids
+from repro.noc.ring import build_ring
 from repro.noc.topology import (
     CHIPLET_VC_LAYERS,
     FIRST_INTERPOSER_PORT,
@@ -30,7 +31,7 @@ from repro.noc.topology import (
     port_name,
     topology_from_spec,
 )
-from repro.params import NocKind, NocParams
+from repro.params import NUM_MESSAGE_CLASSES, NocKind, NocParams
 from repro.shard import SyntheticSpec, plan_shards
 from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
 
@@ -169,8 +170,24 @@ def test_chaos_sweep_chiplet(spec):
 
 
 def test_chiplet_vcs_cover_escape_layers():
-    net = build_chiplet("chiplet:2x2x3x3")
-    assert net.params.router.vcs_per_port >= 3 * CHIPLET_VC_LAYERS
+    """Every port has exactly one VC per class and escape layer, and
+    every one of them is reachable: from the injection VCs through the
+    ports' ``next_vc`` rows.  A VC outside that closure would be
+    silicon no packet enters."""
+    for net in (build_ring(8), build_chiplet("chiplet:2x2x3x3"),
+                build_chiplet("chiplet:2x2x3x3:star")):
+        layers = net.topology.vc_layers
+        assert layers == CHIPLET_VC_LAYERS  # the ring has two as well
+        assert net.num_vcs == NUM_MESSAGE_CLASSES * layers
+        assert {len(unit.vcs) for router in net.routers
+                for unit in router.input_units.values()} == {net.num_vcs}
+        rows = {port.next_vc for router in net.routers
+                for port in router.output_ports.values()}
+        reached, frontier = set(), set(net.injection_vcs)
+        while frontier:
+            reached |= frontier
+            frontier = {row[vc] for row in rows for vc in frontier} - reached
+        assert reached == set(range(net.num_vcs)), net.params.topology
 
 
 # -- checkpoint round-trip (bit-for-bit) -----------------------------------

@@ -22,7 +22,6 @@ from repro.params import (
     MessageClass,
     NocKind,
     NocParams,
-    RouterParams,
 )
 from tests.helpers import make_network
 
@@ -247,7 +246,7 @@ def test_next_vc_rows_follow_the_topology_escape_rule(build):
     net = build()
     topo = net.topology
     layers = topo.vc_layers
-    num_vcs = net.params.router.vcs_per_port
+    num_vcs = net.num_vcs
     assert layers == 2 and num_vcs == NUM_MESSAGE_CLASSES * layers
     advancing = 0
     for router in net.routers:
@@ -265,10 +264,10 @@ def test_next_vc_rows_follow_the_topology_escape_rule(build):
         ]
 
 
-@pytest.mark.parametrize("vcs", [3, 6])
+@pytest.mark.parametrize("vcs", [3])
 def test_every_mesh_port_aliases_the_identity_row(vcs):
-    net = make_network(NocKind.MESH, 8, 8,
-                       router=RouterParams(vcs_per_port=vcs))
+    net = make_network(NocKind.MESH, 8, 8)
+    assert net.num_vcs == vcs
     assert net.same_vcs == tuple(range(vcs))
     assert all(port.next_vc is net.same_vcs
                for router in net.routers

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.noc.network import build_network
 from repro.params import ChipParams, NocKind
 from repro.physical.area import noc_area
 from repro.physical.buffers import BufferModel, router_vc_buffer_bits
@@ -112,6 +113,18 @@ class TestDensity:
 class TestBuffers:
     def test_router_buffer_bits(self):
         assert router_vc_buffer_bits(CHIP) == 5 * 3 * 5 * 128
+
+    def test_buffer_bits_are_what_the_network_builds(self):
+        """Fig. 8 bills the VC storage of a mesh router the simulator
+        actually builds: an interior one, which has every port."""
+        net = build_network(CHIP.noc)
+        router = net.routers[CHIP.noc.mesh_width + 1]
+        assert len(router.input_units) == 5
+        flits = sum(vc.capacity for unit in router.input_units.values()
+                    for vc in unit.vcs)
+        assert router_vc_buffer_bits(CHIP) == (
+            flits * CHIP.noc.router.link_width_bits
+        )
 
     def test_leakage_positive(self):
         assert BufferModel(1000).leakage_w > 0

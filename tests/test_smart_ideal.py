@@ -2,9 +2,11 @@
 
 import random
 
+import pytest
+
 from repro.noc.network import build_network
 from repro.noc.packet import Packet
-from repro.params import MessageClass, NocKind, NocParams
+from repro.params import MessageClass, NocKind, NocParams, SmartParams
 
 
 def make_net(kind, width=4, height=4):
@@ -12,6 +14,16 @@ def make_net(kind, width=4, height=4):
 
 
 class TestSmart:
+    @pytest.mark.parametrize("hpc", [0, 3, 4])
+    def test_hops_per_cycle_outside_one_or_two_is_refused(self, hpc):
+        """An SSR reserves one intermediate router, so a bypass covers
+        at most two tiles; a larger HPC_max would be simulated as 2
+        while the analytic law divides by it."""
+        with pytest.raises(ValueError,
+                           match=f"smart hops_per_cycle must be 1 or 2, "
+                                 f"got {hpc}"):
+            SmartParams(hops_per_cycle=hpc)
+
     def test_single_packet_delivery(self):
         net = make_net(NocKind.SMART)
         pkt = Packet(src=0, dst=15, msg_class=MessageClass.REQUEST,

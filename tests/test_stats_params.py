@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.noc.network import build_network
 from repro.noc.packet import Packet
 from repro.noc.stats import NetworkStats
 from repro.params import (
@@ -67,7 +68,8 @@ class TestParams:
         assert chip.llc_slice_mb == pytest.approx(0.125)
         assert chip.technology.frequency_ghz == 2.0
         assert chip.memory.num_channels == 4
-        assert chip.noc.router.vcs_per_port == 3
+        # One VC per message class on the single-layer mesh.
+        assert build_network(chip.noc).num_vcs == 3
         assert chip.noc.router.flits_per_vc == 5
 
     def test_packet_sizes(self):

@@ -1,10 +1,9 @@
-"""Tests for the tiled-CMP substrate: address map, caches, LLC, memory."""
+"""Tests for the tiled-CMP substrate: address map, LLC, directory, memory."""
 
 import pytest
 
 from repro.params import NocKind, default_chip
 from repro.tile.address import block_of, home_slice, memory_channel, BLOCK_BYTES
-from repro.tile.cache import SetAssociativeCache
 from repro.tile.chip import Chip
 from repro.tile.directory import DirectorySlice
 from repro.tile.llc import Transaction
@@ -30,42 +29,6 @@ class TestAddress:
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
             block_of(-1)
-
-
-class TestCache:
-    def test_hit_after_fill(self):
-        c = SetAssociativeCache(size_bytes=8192, ways=4)
-        assert not c.lookup(0x1000)
-        c.fill(0x1000)
-        assert c.lookup(0x1000)
-
-    def test_lru_eviction(self):
-        c = SetAssociativeCache(size_bytes=4 * 64, ways=4)  # one set
-        addrs = [i * 64 for i in range(5)]
-        for a in addrs[:4]:
-            c.fill(a)
-        c.lookup(addrs[0])  # freshen the first block
-        evicted = c.fill(addrs[4])
-        assert evicted == block_of(addrs[1])  # LRU was block 1
-        assert c.contains(addrs[0])
-
-    def test_occupancy_bounded(self):
-        c = SetAssociativeCache(size_bytes=2048, ways=2)
-        for i in range(1000):
-            c.fill(i * 64)
-        assert c.occupancy <= 2048 // 64
-
-    def test_bad_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            SetAssociativeCache(size_bytes=1000, ways=3)
-
-    def test_hit_ratio_statistics(self):
-        c = SetAssociativeCache(size_bytes=8192, ways=4)
-        c.fill(0)
-        c.lookup(0)
-        c.lookup(64 * 1024)
-        assert c.hits == 1 and c.misses == 1
-        assert c.hit_ratio == 0.5
 
 
 class TestDirectory:
@@ -152,15 +115,3 @@ class TestChip:
                                is_write=True))
         chip.run(100)
         assert chip.coherence_sent == 2
-
-    def test_detailed_llc_mode(self):
-        chip = Chip(default_chip(NocKind.MESH), detailed_llc=True, seed=1)
-        done = []
-        chip.on_complete = lambda txn, now: done.append(txn)
-        addr = 8 * 64
-        chip.issue(Transaction(core_node=0, addr=addr, is_instruction=False))
-        chip.run(400)
-        assert done[0].llc_hit is False  # cold cache
-        chip.issue(Transaction(core_node=0, addr=addr, is_instruction=False))
-        chip.run(400)
-        assert done[1].llc_hit is True  # filled by the first miss
