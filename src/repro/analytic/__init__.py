@@ -4,19 +4,17 @@ Following Mandal et al.'s program (PAPERS.md: analytical NoC performance
 from a per-router queueing decomposition, no simulation), this package
 maps (topology, organization, injection parameters) to predicted
 per-hop contention, packet latency, and saturation throughput — pure
-Python, deterministic, microseconds per evaluation.  Three consumers:
+Python, deterministic, microseconds per evaluation.  The model checks
+the simulator; no figure is ever served from it.  Two consumers:
 
-* :func:`repro.analytic.screen.screen_cell` — the ``REPRO_ANALYTIC``
-  pre-screen that lets :func:`repro.harness.runner.evaluation_grid`
-  serve deep-unsaturated cells analytically instead of simulating them;
-* :func:`repro.analytic.saturation.find_saturation` — the bisection
-  saturation search behind ``python -m repro saturate``, warm-started
-  from the model's estimate;
 * :func:`repro.analytic.validate.validate_grid` — the model-vs-sim
   error report behind ``python -m repro analytic --validate`` (gated in
-  CI so the pruning margin stays honest).
+  CI against the committed margins);
+* :func:`repro.analytic.saturation.find_saturation` — the bisection
+  saturation search behind ``python -m repro saturate``, warm-started
+  from the model's capacity bound.
 
-See docs/performance.md ("The analytical fast path") for the model's
+See docs/performance.md ("The analytical model") for the model's
 assumptions and the error-margin policy.
 """
 
@@ -31,7 +29,6 @@ from repro.analytic.queueing import (
     zero_load_latency,
 )
 from repro.analytic.saturation import SaturationResult, find_saturation
-from repro.analytic.screen import ScreenDecision, screen_cell
 from repro.analytic.system import CellPrediction, predict_cell
 from repro.analytic.validate import (
     IPC_ERROR_MARGIN,
@@ -52,7 +49,6 @@ __all__ = [
     "LATENCY_ERROR_MARGIN",
     "NetworkPoint",
     "SaturationResult",
-    "ScreenDecision",
     "TrafficGeometry",
     "TrafficMix",
     "ValidationReport",
@@ -60,7 +56,6 @@ __all__ = [
     "predict_cell",
     "predict_network",
     "saturation_rate",
-    "screen_cell",
     "synthetic_mix",
     "validate_chiplet",
     "validate_grid",

@@ -38,36 +38,23 @@ fitted constant, since the simulator's sharer lists truncate under
 directory eviction in a rate-dependent way no closed form captures.
 
 The result converges in tens of iterations to < 1e-10, is deterministic
-and parameter-pure, and takes ~100 microseconds per cell — the quantity
-the ``REPRO_ANALYTIC=prune`` fast path serves in place of a multi-second
-cycle-accurate run.
+and parameter-pure, and takes ~100 microseconds per cell.  It checks
+the simulator and never stands in for it: ``analytic --validate``
+compares every cell against the cycle-accurate grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional
+from typing import Optional
 
 from math import exp
 
-from repro.analytic.geometry import geometry_for
-from repro.analytic.queueing import (
-    NetworkPoint,
-    TrafficMix,
-    predict_network,
-)
+from repro.analytic.queueing import TrafficMix, predict_network
 from repro.params import ChipParams, NocKind, default_chip
-from repro.perf.system import PerfSample
 from repro.tile.chip import LOCAL_ACCESS_OVERHEAD
 from repro.workloads.profiles import get_profile
-
-#: PRA bookkeeping constants, fit once against cycle-accurate smoke
-#: runs (they only shape the PRA diagnostic columns of pruned samples,
-#: not latency or IPC; the validation harness tracks the real error).
-_PRA_CONTROL_PER_ANNOUNCE = 1.27
-_PRA_BLOCKED_FRACTION = 0.004
-_PRA_LAG_DISTRIBUTION = {0: 0.55, 1: 0.20, 2: 0.12, 3: 0.08, 4: 0.05}
 
 #: Expected directory invalidations per write reaching the LLC, fit
 #: against the simulator's packet counts (coherence is ~2-5% of
@@ -138,74 +125,15 @@ def _data_stall(l_txn: float, w_exec: float, p_instr: float,
 
 @dataclass(frozen=True)
 class CellPrediction:
-    """Analytic stand-in for one evaluation-grid cell."""
+    """The model's answer for one evaluation-grid cell."""
 
     workload: str
     kind: NocKind
     #: Aggregate (64-core) application instructions per cycle.
     ipc: float
-    #: Packets injected per node per cycle at the fixed point.
-    node_rate: float
-    #: The network model's output at that rate.
-    network: NetworkPoint
-    #: Per-class (label, packet fraction, flits) mix at the fixed point.
-    mix: TrafficMix
     #: Mix-weighted mean packet latency (the grid's
     #: ``avg_network_latency`` analogue).
     avg_network_latency: float
-    #: Mean LLC-transaction latency (issue to completion).
-    transaction_latency: float
-    #: Bottleneck-link flit utilization (the pruning confidence signal).
-    max_util: float
-    #: Expected hops per packet (for the power model's activity counts).
-    avg_hops: float
-
-    def sample(self, measure: int,
-               num_tiles: int = 64) -> PerfSample:
-        """Materialize a :class:`PerfSample` covering ``measure`` cycles.
-
-        Count-shaped fields scale with the interval; latency fields are
-        the model's steady-state expectations.  ``analytic=True`` marks
-        the sample's provenance (kept out of every persistent store).
-        """
-        packets = round(num_tiles * self.node_rate * measure)
-        instructions = round(self.ipc * measure)
-        e_flits = sum(w * size for _, w, size in self.mix)
-        resp_weight = sum(w for label, w, _ in self.mix
-                          if label == "response")
-        control = 0
-        per_data = 0.0
-        lag: Dict[int, float] = {}
-        blocked = 0.0
-        if self.kind is NocKind.MESH_PRA and packets:
-            # Announcements fire once per remote LLC hit; the simulator
-            # reports ~1.27 control injections per announce (per-segment
-            # re-injections after drops).
-            responses = packets * resp_weight
-            profile = get_profile(self.workload)
-            control = round(
-                responses * profile.llc_hit_ratio
-                * _PRA_CONTROL_PER_ANNOUNCE
-            )
-            per_data = control / packets
-            lag = dict(_PRA_LAG_DISTRIBUTION)
-            blocked = _PRA_BLOCKED_FRACTION
-        return PerfSample(
-            workload=self.workload,
-            noc_kind=self.kind,
-            instructions=instructions,
-            cycles=measure,
-            packets=packets,
-            avg_network_latency=self.avg_network_latency,
-            avg_transaction_latency=self.avg_network_latency,
-            control_packets=control,
-            control_per_data=per_data,
-            lag_distribution=lag,
-            pra_blocked_fraction=blocked,
-            flits_delivered=round(packets * e_flits),
-            total_hops=round(packets * self.avg_hops),
-            analytic=True,
-        )
 
 
 def predict_cell(
@@ -316,18 +244,11 @@ def _solve(workload: str, kind: NocKind,
     lam_miss = ipc_core * profile.total_mpki / 1000.0
     node_rate, mix = rates_and_mix(lam_miss)
     net = predict_network(kind, node_rate, mix, noc)
-    geom = geometry_for(noc)
     return CellPrediction(
         workload=profile.name,
         kind=kind,
         ipc=ipc_core * num_tiles,
-        node_rate=node_rate,
-        network=net,
-        mix=mix,
         avg_network_latency=net.latency,
-        transaction_latency=l_txn,
-        max_util=net.max_util,
-        avg_hops=geom.e_hops,
     )
 
 

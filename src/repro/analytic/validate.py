@@ -1,12 +1,12 @@
-"""Model-vs-simulation validation: the honesty check behind pruning.
+"""Model-vs-simulation validation: the model's honesty check.
 
 ``python -m repro analytic --validate`` (and the CI ``analytic-smoke``
-job) runs the cycle-accurate evaluation grid with pruning forced off,
-asks the model for the same cells, and reports the per-cell relative
-latency and IPC error.  :data:`LATENCY_ERROR_MARGIN` is the committed
-bound: validation fails (CI goes red) the moment a model change or a
-simulator change pushes any cell past it, so ``REPRO_ANALYTIC=prune``
-can never silently serve answers worse than the documented margin.
+job) runs the cycle-accurate evaluation grid, asks the model for the
+same cells, and reports the per-cell relative latency and IPC error.
+:data:`LATENCY_ERROR_MARGIN` is the committed bound: validation fails
+(CI goes red) the moment a model change or a simulator change pushes
+any cell past it, so the model cannot drift from the simulator it
+checks, nor from the capacity bound that seeds ``saturate``.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from typing import Iterable, Optional, Tuple
 from repro.analytic.system import predict_cell
 from repro.params import NocKind
 
-#: Committed relative-error bound on per-cell mean packet latency (and
-#: aggregate IPC) in the deep-unsaturated regime the pruning policy
-#: admits.  Measured at smoke and default scales across all 24 cells;
-#: see docs/performance.md for the fit and the re-validation policy.
+#: Committed relative-error bound on per-cell mean packet latency at
+#: the paper's operating points.  Measured at smoke and default scales
+#: across all 24 cells; see docs/performance.md for the fit and the
+#: re-validation policy.
 LATENCY_ERROR_MARGIN = 0.12
 
 #: IPC tracks latency through the closed loop but is additionally
@@ -145,19 +145,17 @@ def validate_grid(
     kinds: Optional[Iterable[NocKind]] = None,
     config=None,
 ) -> ValidationReport:
-    """Compare the model against a (pruning-disabled) simulated grid.
+    """Compare the model against the simulated grid.
 
     Honors the usual grid machinery — scales, the cell store, worker
-    pools — but forces ``analytic="off"`` so the reference numbers are
-    always cycle-accurate even under ``REPRO_ANALYTIC=prune``.
+    pools — so a validation after ``figures`` simulates nothing new.
     """
     from repro.harness.runner import ALL_KINDS, evaluation_grid
     from repro.workloads.profiles import WORKLOAD_NAMES
 
     workloads = tuple(workloads) if workloads is not None else WORKLOAD_NAMES
     kinds = tuple(kinds) if kinds is not None else ALL_KINDS
-    grid = evaluation_grid(workloads, kinds, scale, analytic="off",
-                           config=config)
+    grid = evaluation_grid(workloads, kinds, scale, config=config)
     entries = []
     for workload in workloads:
         for kind in kinds:

@@ -56,6 +56,7 @@ from repro.harness import (
 )
 from repro.harness.figures import MissingCellError
 from repro.harness.reporting import render_bars
+from repro.resilience import clear_reports, run_reports
 
 #: name -> callable(config); only the grid-backed figures use it.
 _FIGURES = {
@@ -73,8 +74,8 @@ _FIGURES = {
 }
 
 #: ``figures`` without ``--only`` runs these; the analytic validation
-#: figure is opt-in because it forces a fully *simulated* grid (pruning
-#: off) — exactly what ``REPRO_ANALYTIC=prune`` users are avoiding.
+#: figure is opt-in: it checks the model against the simulated grid and
+#: adds low-rate chiplet runs of its own.
 _DEFAULT_FIGURES = [name for name in _FIGURES if name != "analytic"]
 
 #: CLI spellings of the NoC kinds: the canonical value plus an
@@ -114,15 +115,14 @@ def _add_topology_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _report_grid_outcome() -> int:
-    """Exit code for a finished grid sweep: nonzero when cells were
-    quarantined or the run degraded, with the RunReport on stderr."""
-    from repro.resilience import last_run_report
-
-    report = last_run_report()
-    if report is not None and (report.quarantined or report.degraded):
+    """Exit code for the command's grid sweeps: nonzero when any of
+    them quarantined cells or degraded, with each such RunReport on
+    stderr."""
+    troubled = [report for report in run_reports()
+                if report.quarantined or report.degraded]
+    for report in troubled:
         print(report.render(), file=sys.stderr)
-        return 1
-    return 0
+    return 1 if troubled else 0
 
 
 def _cmd_figures(args: argparse.Namespace, config: RunConfig) -> int:
@@ -620,11 +620,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analytic",
-        help="the queueing-model fast path: predictions and validation",
+        help="the queueing model: predictions and validation",
     )
     p.add_argument("--validate", action="store_true",
-                   help="simulate the full grid (pruning off) and fail "
-                        "if any cell's model error exceeds the margin")
+                   help="simulate the full grid and fail if any cell's "
+                        "model error exceeds the margin")
     p.add_argument("--scale", default=None,
                    help="smoke | default | full (or REPRO_SCALE)")
     p.set_defaults(func=_cmd_analytic)
@@ -645,6 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    clear_reports()
     try:
         # The one place a CLI run's configuration is resolved: the
         # environment, then the flags that override it.

@@ -10,19 +10,17 @@ and (the wall budget) inside every task the grid hands to a pool
 worker.  :meth:`RunConfig.from_env` is the only code under ``src/``
 that reads ``os.environ``; nothing writes it.
 
-======================= ================= ==============================
-environment variable    field             meaning
-======================= ================= ==============================
-``REPRO_SCALE``         ``scale``         ``smoke`` | ``default`` | ``full``
-``REPRO_JOBS``          ``jobs``          grid worker processes
-                                          (``0`` = one per CPU)
-``REPRO_CELL_STORE``    ``cell_store``    directory persisting finished
-                                          grid cells (unset: none)
-``REPRO_WALL_LIMIT``    ``wall_limit``    per-cell wall-clock budget in
-                                          seconds (unset: none)
-``REPRO_ANALYTIC``      ``analytic``      ``off`` | ``prune``
-``REPRO_ANALYTIC_UTIL`` ``analytic_util`` deep-unsaturated pruning bound
-======================= ================= ==============================
+==================== ============== ==============================
+environment variable field          meaning
+==================== ============== ==============================
+``REPRO_SCALE``      ``scale``      ``smoke`` | ``default`` | ``full``
+``REPRO_JOBS``       ``jobs``       grid worker processes
+                                    (``0`` = one per CPU)
+``REPRO_CELL_STORE`` ``cell_store`` directory persisting finished
+                                    grid cells (unset: none)
+``REPRO_WALL_LIMIT`` ``wall_limit`` per-cell wall-clock budget in
+                                    seconds (unset: none)
+==================== ============== ==============================
 
 An unset or blank variable leaves the field at its default; anything
 else that does not parse raises a :class:`ValueError` naming the
@@ -52,14 +50,6 @@ SCALES = {
                                num_seeds=1),
     "full": EvaluationScale("full", warmup=2000, measure=10000, num_seeds=3),
 }
-
-ANALYTIC_MODES = ("off", "prune")
-
-#: Default deep-unsaturated bound: below half the bottleneck link's
-#: capacity the M/G/1 waiting term is small and near-linear, and the
-#: validated model error stays inside LATENCY_ERROR_MARGIN (the
-#: ``analytic-smoke`` CI job re-checks this every run).
-PRUNE_MAX_UTIL = 0.5
 
 
 def _scale_name(raw, source: str) -> str:
@@ -93,35 +83,18 @@ def _store_path(raw, source: str) -> Optional[str]:
     return None if raw is None else os.fspath(raw)
 
 
-def _number(raw, source: str, valid, expected: str) -> float:
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        value = None
-    if value is None or not valid(value):
-        raise ValueError(f"{source} must be {expected}, got {raw!r}")
-    return value
-
-
 def _wall_seconds(raw, source: str) -> Optional[float]:
     if raw is None:
         return None
-    return _number(raw, source, lambda v: v > 0,
-                   "a positive number of seconds")
-
-
-def _analytic_mode(raw, source: str) -> str:
-    mode = raw.strip().lower() if isinstance(raw, str) else raw
-    if mode not in ANALYTIC_MODES:
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = 0.0
+    if not value > 0:
         raise ValueError(
-            f"{source} must be one of {ANALYTIC_MODES}, got {raw!r}"
+            f"{source} must be a positive number of seconds, got {raw!r}"
         )
-    return mode
-
-
-def _utilization(raw, source: str) -> float:
-    return _number(raw, source, lambda v: 0.0 < v <= 1.0,
-                   "a utilization in (0, 1]")
+    return value
 
 
 #: (field, environment variable, parser).  A parser takes the raw value
@@ -132,8 +105,6 @@ _FIELDS = (
     ("jobs", "REPRO_JOBS", parse_worker_count),
     ("cell_store", "REPRO_CELL_STORE", _store_path),
     ("wall_limit", "REPRO_WALL_LIMIT", _wall_seconds),
-    ("analytic", "REPRO_ANALYTIC", _analytic_mode),
-    ("analytic_util", "REPRO_ANALYTIC_UTIL", _utilization),
 )
 
 
@@ -153,8 +124,6 @@ class RunConfig:
     jobs: int = 1
     cell_store: Optional[str] = None
     wall_limit: Optional[float] = None
-    analytic: str = "off"
-    analytic_util: float = PRUNE_MAX_UTIL
 
     def __post_init__(self):
         for name, _variable, parse in _FIELDS:

@@ -407,13 +407,12 @@ def chiplet_comparison(scale: Optional[EvaluationScale] = None) -> Dict:
 
 def analytic_validation(scale: Optional[EvaluationScale] = None,
                         config: Optional[RunConfig] = None) -> Dict:
-    """Model-vs-simulation error per grid cell (the pruning contract).
+    """Model-vs-simulation error per grid cell (the model's contract).
 
-    Runs the cycle-accurate grid with pruning forced off and compares
-    every cell against :func:`repro.analytic.predict_cell`.  Not in the
-    default ``figures`` set (it forces a full simulated grid even under
-    ``REPRO_ANALYTIC=prune``); ``--only analytic`` or ``python -m repro
-    analytic --validate`` requests it explicitly.
+    Runs the cycle-accurate grid and compares every cell against
+    :func:`repro.analytic.predict_cell`.  Not in the default ``figures``
+    set; ``--only analytic`` or ``python -m repro analytic --validate``
+    requests it explicitly.
     """
     from repro.analytic import (LATENCY_ERROR_MARGIN, validate_chiplet,
                                 validate_grid)

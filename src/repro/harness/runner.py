@@ -22,7 +22,7 @@ module-wide ``grid_stats`` object and appear in
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -40,17 +40,13 @@ ALL_KINDS = (NocKind.MESH, NocKind.SMART, NocKind.MESH_PRA, NocKind.IDEAL)
 
 @dataclass
 class GridStats:
-    """Harness counters: what the grid and the analytic screen did in
-    this process (no simulation state lives here; recovery is recorded
-    on the sweep's ``RunReport``)."""
+    """Harness counters: what the grid did in this process (no
+    simulation state lives here; recovery is recorded on the sweep's
+    ``RunReport``)."""
 
     #: Cells served by the call's store vs. cells it had to simulate.
     grid_cache_hits: int = 0
     grid_cache_misses: int = 0
-    #: Grid cells served by the queueing model under
-    #: ``REPRO_ANALYTIC=prune`` vs. cells that were still simulated.
-    analytic_cells: int = 0
-    simulated_cells: int = 0
 
     def summary(self) -> Dict[str, int]:
         return asdict(self)
@@ -134,14 +130,14 @@ def evaluation_grid(
     scale: Optional[EvaluationScale] = None,
     store=_UNSET,
     faults=None,
-    analytic: Optional[str] = None,
+    analytic: str = "off",
     config: Optional[RunConfig] = None,
 ) -> Dict[GridKey, PerfSample]:
     """Run (or fetch) the {workload} x {organization} simulation grid.
 
     ``config`` is the sweep's :class:`~repro.config.RunConfig`; without
     one, the environment is resolved here, at call time.  Explicit
-    ``scale``, ``store`` and ``analytic`` arguments win over it.
+    ``scale`` and ``store`` arguments win over it.
 
     ``store`` is the :class:`~repro.checkpoint.store.CellStore` the
     cells are read from and written to; by default it is the one
@@ -155,11 +151,11 @@ def evaluation_grid(
     partial measurement.  Multi-seed scales merge per-seed samples by
     summing instructions and cycles into one sample per cell.
 
-    ``analytic`` selects the queueing-model fast path: ``"prune"``
-    serves high-confidence cells from :mod:`repro.analytic` instead of
-    simulating them (marked ``PerfSample.analytic``, counted on
-    ``grid_stats.analytic_cells``, never looked up in or put to the
-    store); ``"off"`` simulates everything.
+    Every cell is simulated or served from the store; the queueing
+    model never stands in for one.  ``analytic`` survives only because
+    the frozen benchmark ledger passes ``analytic="off"``, and it goes
+    with Ledger v2 (ROADMAP item 2 f).  Any other value raises
+    :class:`ValueError`: grid pruning was removed.
 
     The sweep runs supervised (see :mod:`repro.resilience`): failing
     cells retry with backoff and are quarantined after repeated
@@ -173,9 +169,12 @@ def evaluation_grid(
     """
     from repro.resilience import supervise
 
+    if analytic != "off":
+        raise ValueError(
+            f"analytic={analytic!r}: grid pruning was removed; every "
+            f"cell is simulated"
+        )
     config = config or RunConfig.from_env()
-    if analytic is not None:
-        config = replace(config, analytic=analytic)
     scale = scale or get_scale(config.scale)
     workloads = tuple(workloads)
     kinds = tuple(kinds)
@@ -183,22 +182,6 @@ def evaluation_grid(
         store = CellStore(config.cell_store) if config.cell_store else None
     if store is None:
         store = _MemoryStore() if faults is not None else _process_store
-    pruned: Dict[GridKey, PerfSample] = {}
-    if config.analytic == "prune":
-        from repro.analytic.screen import screen_cell
-
-        for workload in workloads:
-            for kind in kinds:
-                decision = screen_cell(workload, kind,
-                                       config.analytic_util)
-                if decision.prune:
-                    pruned[(workload, kind)] = decision.sample(
-                        scale.measure
-                    )
-        grid_stats.analytic_cells += len(pruned)
-        grid_stats.simulated_cells += (
-            len(workloads) * len(kinds) - len(pruned)
-        )
     cells: List[Cell] = [
         (workload, kind, scale.warmup, scale.measure, seed)
         for workload in workloads
@@ -206,15 +189,9 @@ def evaluation_grid(
         for seed in range(1, scale.num_seeds + 1)
     ]
     results: List[Optional[PerfSample]] = [None] * len(cells)
-    keys: Dict[int, str] = {}
+    keys = [cell_key(_cell_payload(cell)) for cell in cells]
     pending: Dict[int, tuple] = {}
     for index, cell in enumerate(cells):
-        # Each seed slot of a pruned cell gets the same deterministic
-        # model sample, so _merge treats it exactly like a simulated one.
-        results[index] = pruned.get(cell[:2])
-        if results[index] is not None:
-            continue
-        keys[index] = cell_key(_cell_payload(cell))
         try:
             results[index] = PerfSample.from_state(
                 store.get(keys[index])["sample"]
@@ -300,7 +277,6 @@ def _merge(samples) -> PerfSample:
         total_hops=sum(s.total_hops for s in samples),
         packets_unfinished=sum(s.packets_unfinished for s in samples),
         timed_out=any(s.timed_out for s in samples),
-        analytic=all(s.analytic for s in samples),
     )
 
 

@@ -795,7 +795,14 @@ def parse_topology_spec(spec: str) -> TopologySpec:
         )
     variant = "mesh"
     ilat = 4
+    seen = set()
     for token in tokens[2:]:
+        option = token.partition("=")[0]
+        if option in seen:
+            raise ValueError(
+                f"chiplet option {option!r} given twice in {spec!r}"
+            )
+        seen.add(option)
         if token == "star":
             variant = "star"
         elif token.startswith("ilat="):

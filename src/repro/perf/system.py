@@ -51,10 +51,6 @@ class PerfSample:
     #: True when the wall-clock limit cut the interval short; the
     #: counters then cover only the cycles actually simulated.
     timed_out: bool = False
-    #: True when the sample came from the closed-form queueing model
-    #: (``REPRO_ANALYTIC=prune``) rather than cycle-accurate simulation.
-    #: Analytic samples are never persisted to a cell store.
-    analytic: bool = False
 
     @property
     def ipc(self) -> float:
@@ -109,12 +105,16 @@ class PerfSample:
             "total_hops": self.total_hops,
             "packets_unfinished": self.packets_unfinished,
             "timed_out": self.timed_out,
-            "analytic": self.analytic,
+            # Constant since grid pruning went (every sample is
+            # simulated).  The key stays so the state's bytes, and with
+            # them stored cells and the ledger's grid digest, hold.
+            "analytic": False,
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "PerfSample":
         state = dict(state)
+        state.pop("analytic", None)
         state["noc_kind"] = NocKind(state["noc_kind"])
         state["lag_distribution"] = {
             lag: frac for lag, frac in state["lag_distribution"]

@@ -18,9 +18,9 @@ and the supervisor keeps the sweep alive through those deaths:
 :class:`ProcessFaultPlan` / :class:`ProcFault` make cells fail on
 command (kill / error), so every recovery path is deterministically
 testable.  :class:`RunReport` / :class:`FailureRecord` are the
-supervisor's flight record: the CLI prints it on nonzero exit, the
-benchmark ledger reads its counters, and :func:`last_run_report`
-fetches the most recent one.
+supervisor's flight record: the CLI prints every troubled one on
+nonzero exit (:func:`run_reports`), the benchmark ledger reads its
+counters, and :func:`last_run_report` fetches the most recent one.
 """
 
 from __future__ import annotations
@@ -127,25 +127,30 @@ class RunReport:
         return "\n".join(lines)
 
 
-#: The most recent grid sweep's report; the CLI reads this to print
-#: diagnostics on nonzero exit.
-_LAST_REPORT: Optional[RunReport] = None
+#: Every grid sweep's report since the last :func:`clear_reports`, in
+#: order.  The CLI clears it per command and reads all of it: one
+#: command may run several sweeps, and a troubled one must not be
+#: hidden by a clean one after it.
+_REPORTS: List[RunReport] = []
 
 
 def publish(report: RunReport) -> None:
     """Record ``report`` as the latest sweep's."""
-    global _LAST_REPORT
-    _LAST_REPORT = report
+    _REPORTS.append(report)
+
+
+def run_reports() -> List[RunReport]:
+    """The reports published since the last :func:`clear_reports`."""
+    return list(_REPORTS)
 
 
 def last_run_report() -> Optional[RunReport]:
-    return _LAST_REPORT
+    return _REPORTS[-1] if _REPORTS else None
 
 
-def clear_last_report() -> None:
-    """Forget the latest report (tests use this for isolation)."""
-    global _LAST_REPORT
-    _LAST_REPORT = None
+def clear_reports() -> None:
+    """Forget every published report."""
+    _REPORTS.clear()
 
 
 # -- deterministic fault injection ------------------------------------------

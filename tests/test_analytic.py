@@ -1,9 +1,12 @@
-"""Tests for the analytic fast path (repro.analytic).
+"""Tests for the analytic queueing model (repro.analytic).
 
 Three layers: the queueing model itself (zero-load laws, monotonicity,
-saturation), the pruning screen (modes, bounds, decisions), and the
-grid integration (store-key regression, pruned sweeps, validation).
+saturation), its validation against the simulated grid (the committed
+margins), and the grid's promise that the model never serves a cell
+(store-key regression, the stored-cell format, the refused prune mode).
 """
+
+import json
 
 import pytest
 
@@ -16,17 +19,14 @@ from repro.analytic import (
     predict_cell,
     predict_network,
     saturation_rate,
-    screen_cell,
     synthetic_mix,
     zero_load_latency,
 )
 from repro.analytic.geometry import geometry_for
 from repro.analytic.queueing import _zero_load_mean
 from repro.analytic.saturation import measure_point
-from repro.analytic.screen import PRUNE_MAX_UTIL
 from repro.analytic.system import clear_prediction_cache
-from repro.checkpoint.store import CellStore
-from repro.config import RunConfig
+from repro.checkpoint.store import CellStore, cell_key
 from repro.harness.figures import zero_load_table
 from repro.harness.runner import (
     ALL_KINDS,
@@ -144,15 +144,6 @@ class TestPredictNetwork:
 
 
 class TestPredictCell:
-    def test_sample_is_deterministic(self):
-        a = predict_cell("Web Search", NocKind.MESH).sample(1500)
-        b = predict_cell("Web Search", NocKind.MESH).sample(1500)
-        assert a.to_state() == b.to_state()
-        assert a.analytic
-        assert a.cycles == 1500
-        assert a.packets > 0
-        assert a.ipc > 0
-
     def test_ideal_beats_mesh(self):
         """The paper's headline ordering must survive the model."""
         for workload in ("Web Search", "Data Serving"):
@@ -163,14 +154,15 @@ class TestPredictCell:
 
     def test_agrees_with_simulation_within_margin(self):
         """The documented contract: every organization's model error on
-        a cycle-accurate smoke-scale run stays inside the margins that
-        gate pruning (full-grid coverage runs in the CI analytic-smoke
-        job; one workload keeps this tier-1 test affordable)."""
+        a cycle-accurate smoke-scale run stays inside the committed
+        validation margins (full-grid coverage runs in the CI
+        analytic-smoke job; one workload keeps this tier-1 test
+        affordable)."""
         clear_grid_cache()
         smoke = EvaluationScale("smoke", warmup=300, measure=1500,
                                 num_seeds=1)
         grid = evaluation_grid(("Web Search",), ALL_KINDS, smoke,
-                               store=None, analytic="off")
+                               store=None)
         for kind in ALL_KINDS:
             sample = grid[("Web Search", kind)]
             prediction = predict_cell("Web Search", kind)
@@ -181,79 +173,6 @@ class TestPredictCell:
             assert lat_err <= LATENCY_ERROR_MARGIN, (kind, lat_err)
             assert ipc_err <= IPC_ERROR_MARGIN, (kind, ipc_err)
         clear_grid_cache()
-
-
-class TestModes:
-    """The live-environment spelling of the two analytic variables (the
-    value/junk table is in tests/test_config.py)."""
-
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ANALYTIC", raising=False)
-        assert RunConfig.from_env().analytic == "off"
-        monkeypatch.setenv("REPRO_ANALYTIC", "prune")
-        assert RunConfig.from_env().analytic == "prune"
-        monkeypatch.setenv("REPRO_ANALYTIC", " PRUNE ")
-        assert RunConfig.from_env().analytic == "prune"
-        for junk in ("sometimes", "warm"):
-            monkeypatch.setenv("REPRO_ANALYTIC", junk)
-            with pytest.raises(ValueError, match="REPRO_ANALYTIC must be"):
-                RunConfig.from_env()
-
-    def test_override_wins_over_env(self, monkeypatch):
-        """An explicit ``analytic=`` beats the environment the call
-        resolves (what ``validate_grid`` and the ledger rely on)."""
-        monkeypatch.setenv("REPRO_ANALYTIC", "prune")
-        cells = (("Web Search",), (NocKind.MESH,))
-        key = ("Web Search", NocKind.MESH)
-        clear_grid_cache()
-        assert evaluation_grid(*cells, TINY, store=None)[key].analytic
-        forced = evaluation_grid(*cells, TINY, store=None, analytic="off")
-        assert not forced[key].analytic
-        with pytest.raises(ValueError, match="analytic must be one of"):
-            evaluation_grid(*cells, TINY, store=None, analytic="maybe")
-        clear_grid_cache()
-
-    def test_util_bound_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ANALYTIC_UTIL", raising=False)
-        assert RunConfig.from_env().analytic_util == PRUNE_MAX_UTIL
-        monkeypatch.setenv("REPRO_ANALYTIC_UTIL", "0.25")
-        assert RunConfig.from_env().analytic_util == 0.25
-        for bad in ("zero", "0", "1.5", "-0.1"):
-            monkeypatch.setenv("REPRO_ANALYTIC_UTIL", bad)
-            with pytest.raises(ValueError,
-                               match="REPRO_ANALYTIC_UTIL must be"):
-                RunConfig.from_env()
-
-
-class TestScreen:
-    def test_default_bound_prunes_the_paper_grid(self):
-        """Every cell of the paper's grid sits well below half the
-        bottleneck link's capacity, so the default policy prunes all of
-        them (the ISSUE's >= 2x sweep speedup follows directly)."""
-        from repro.workloads.profiles import WORKLOAD_NAMES
-
-        for workload in WORKLOAD_NAMES:
-            for kind in ALL_KINDS:
-                decision = screen_cell(workload, kind)
-                assert decision.prune, (workload, kind)
-                assert decision.reason == "deep-unsaturated"
-
-    def test_tightened_bound_forces_partial_prune(self):
-        verdicts = {
-            kind: screen_cell("Data Serving", kind, max_util=0.24)
-            for kind in ALL_KINDS
-        }
-        assert verdicts[NocKind.MESH].prune
-        assert verdicts[NocKind.SMART].prune
-        assert not verdicts[NocKind.MESH_PRA].prune
-        assert verdicts[NocKind.MESH_PRA].reason == "contested"
-        assert not verdicts[NocKind.IDEAL].prune
-
-    def test_sample_carries_the_analytic_mark(self):
-        decision = screen_cell("Web Search", NocKind.MESH)
-        sample = decision.sample(900)
-        assert sample.analytic
-        assert sample.cycles == 900
 
 
 class TestGridStoreKey:
@@ -280,60 +199,42 @@ class TestGridStoreKey:
             assert grid[key].to_state() == grid_a[key].to_state()
         clear_grid_cache()
 
-    def test_cache_distinguishes_analytic_modes(self):
-        clear_grid_cache()
-        cells = (("Web Search",), (NocKind.MESH,))
-        pruned = evaluation_grid(*cells, TINY, store=None,
-                                 analytic="prune")
-        full = evaluation_grid(*cells, TINY, store=None, analytic="off")
-        assert pruned is not full
-        assert pruned[("Web Search", NocKind.MESH)].analytic
-        assert not full[("Web Search", NocKind.MESH)].analytic
-        clear_grid_cache()
+class TestEveryCellSimulated:
+    """The model never stands in for a grid cell, and removing the
+    prune mode left the stored-cell format byte-identical."""
 
+    #: A cell state as it was stored while grid pruning existed: the
+    #: ``analytic`` key included, in ``to_state``'s key order.
+    STORED = {
+        "workload": "Web Search", "noc_kind": "mesh",
+        "instructions": 27181, "cycles": 700, "packets": 1712,
+        "avg_network_latency": 18.25, "avg_transaction_latency": 18.25,
+        "control_packets": 0, "control_per_data": 0.0,
+        "lag_distribution": [], "pra_blocked_fraction": 0.0,
+        "flits_delivered": 5012, "total_hops": 9140,
+        "packets_unfinished": 3, "timed_out": False, "analytic": False,
+    }
 
-class TestPrunedGrid:
-    def test_pruned_sweep_counts_and_skips_the_store(self, tmp_path):
-        clear_grid_cache()
-        a0 = grid_stats.analytic_cells
-        s0 = grid_stats.simulated_cells
+    def test_stored_cell_is_a_hit_and_round_trips_bytewise(self, tmp_path):
+        from repro.harness.runner import _cell_payload
+        from repro.perf.system import PerfSample
+
+        cell = ("Web Search", NocKind.MESH, TINY.warmup, TINY.measure, 1)
         store = CellStore(str(tmp_path / "cells"))
-        grid = evaluation_grid(("Web Search", "Data Serving"), ALL_KINDS,
-                               TINY, store=store, analytic="prune")
-        assert len(grid) == 8
-        assert all(sample.analytic for sample in grid.values())
-        assert grid_stats.analytic_cells - a0 == 8
-        assert grid_stats.simulated_cells - s0 == 0
-        # Model samples must never be persisted as simulation results.
-        assert len(store) == 0
-        summary = grid_stats.summary()
-        assert summary["analytic_cells"] >= 8
-        clear_grid_cache()
+        store.put(cell_key(_cell_payload(cell)), {"sample": self.STORED})
+        hits = grid_stats.grid_cache_hits
+        grid = evaluation_grid(("Web Search",), (NocKind.MESH,), TINY,
+                               store=store)
+        assert grid_stats.grid_cache_hits == hits + 1
+        sample = grid[("Web Search", NocKind.MESH)]
+        assert json.dumps(sample.to_state()) == json.dumps(self.STORED)
+        again = PerfSample.from_state(self.STORED).to_state()
+        assert json.dumps(again) == json.dumps(self.STORED)
 
-    def test_partial_prune_reproduces_simulated_cells_bitwise(self):
-        """The acceptance bit-identity: cells the screen does NOT prune
-        must come out of a pruned sweep byte-for-byte equal to the same
-        cells of an unpruned sweep."""
-        clear_grid_cache()
-        config = RunConfig(analytic_util=0.24)
-        cells = (("Data Serving",), ALL_KINDS)
-        full = evaluation_grid(*cells, TINY, store=None, analytic="off",
-                               config=config)
-        pruned = evaluation_grid(*cells, TINY, store=None,
-                                 analytic="prune", config=config)
-        expected_analytic = {NocKind.MESH, NocKind.SMART}
-        for kind in ALL_KINDS:
-            sample = pruned[("Data Serving", kind)]
-            assert sample.analytic == (kind in expected_analytic)
-            if not sample.analytic:
-                reference = full[("Data Serving", kind)]
-                assert sample.to_state() == reference.to_state()
-        clear_grid_cache()
-
-    def test_summary_omits_counters_when_unused(self):
-        from repro.noc.stats import NetworkStats
-
-        assert "analytic_cells" not in NetworkStats().summary()
+    def test_prune_mode_is_refused(self):
+        with pytest.raises(ValueError, match="pruning was removed"):
+            evaluation_grid(("Web Search",), (NocKind.MESH,), TINY,
+                            store=None, analytic="prune")
 
 
 class TestBaselineGuard:

@@ -150,7 +150,9 @@ def test_chiplet_gateways_and_star_hub():
 
 def test_parse_topology_spec_rejects_junk():
     for junk in ("chiplet", "chiplet:2x2", "chiplet:axbxcxd", "torus",
-                 "chiplet:2x2x3x3:ilat=0", "chiplet:2x2x3x3:frob"):
+                 "chiplet:2x2x3x3:ilat=0", "chiplet:2x2x3x3:frob",
+                 "chiplet:2x2x4x4:ilat=1:ilat=9",
+                 "chiplet:2x2x4x4:star:star"):
         with pytest.raises(ValueError):
             parse_topology_spec(junk)
 

@@ -1,7 +1,7 @@
 """``RunConfig``: the one resolver of the environment.
 
 Every ``REPRO_*`` variable is parsed here and nowhere else, so the
-value/junk cases of all six live in one parametrised test; the rest of
+value/junk cases of all four live in one parametrised test; the rest of
 the file pins the structural promise (one reader of ``os.environ``
 under ``src/repro``, no writer) and the CLI consequence (flags cannot
 outlive the ``main()`` call that parsed them).
@@ -17,18 +17,16 @@ from dataclasses import replace
 import pytest
 
 import repro
-from repro.config import PRUNE_MAX_UTIL, RunConfig, get_scale
+from repro.config import RunConfig, get_scale
 
 CPUS = os.cpu_count() or 1
 
 
 @pytest.mark.parametrize("environ,expected", [
-    ({}, dict(scale="default", jobs=1, cell_store=None, wall_limit=None,
-              analytic="off", analytic_util=PRUNE_MAX_UTIL)),
+    ({}, dict(scale="default", jobs=1, cell_store=None, wall_limit=None)),
     # Blank means unset, for every variable.
     ({"REPRO_SCALE": "", "REPRO_JOBS": " ", "REPRO_CELL_STORE": "",
-      "REPRO_WALL_LIMIT": "", "REPRO_ANALYTIC": " ",
-      "REPRO_ANALYTIC_UTIL": ""}, {}),
+      "REPRO_WALL_LIMIT": ""}, {}),
     ({"REPRO_SCALE": "smoke"}, dict(scale="smoke")),
     ({"REPRO_SCALE": "huge"}, "unknown REPRO_SCALE 'huge'; choose from"),
     ({"REPRO_JOBS": "4"}, dict(jobs=4)),
@@ -41,18 +39,19 @@ CPUS = os.cpu_count() or 1
     ({"REPRO_WALL_LIMIT": "junk"}, "REPRO_WALL_LIMIT must be a positive"),
     ({"REPRO_WALL_LIMIT": "-1"}, "REPRO_WALL_LIMIT must be a positive"),
     ({"REPRO_WALL_LIMIT": "0"}, "REPRO_WALL_LIMIT must be a positive"),
-    ({"REPRO_ANALYTIC": "prune"}, dict(analytic="prune")),
-    ({"REPRO_ANALYTIC": " PRUNE "}, dict(analytic="prune")),
-    ({"REPRO_ANALYTIC": "off"}, dict(analytic="off")),
-    ({"REPRO_ANALYTIC": "sometimes"}, "REPRO_ANALYTIC must be one of"),
-    # The dead third mode is junk like any other.
-    ({"REPRO_ANALYTIC": "warm"}, "REPRO_ANALYTIC must be one of"),
-    ({"REPRO_ANALYTIC_UTIL": "0.25"}, dict(analytic_util=0.25)),
-    ({"REPRO_ANALYTIC_UTIL": "zero"}, "REPRO_ANALYTIC_UTIL must be a util"),
-    ({"REPRO_ANALYTIC_UTIL": "0"}, "REPRO_ANALYTIC_UTIL must be a util"),
-    ({"REPRO_ANALYTIC_UTIL": "1.5"}, "REPRO_ANALYTIC_UTIL must be a util"),
-    ({"REPRO_ANALYTIC_UTIL": "-0.1"}, "REPRO_ANALYTIC_UTIL must be a util"),
-    # Variables this tree no longer reads are ignored, not errors.
+    # Variables this tree no longer reads are ignored, not errors: the
+    # grid-pruning switches, at values they once took or once refused...
+    ({"REPRO_ANALYTIC": "prune"}, {}),
+    ({"REPRO_ANALYTIC": " PRUNE "}, {}),
+    ({"REPRO_ANALYTIC": "off"}, {}),
+    ({"REPRO_ANALYTIC": "sometimes"}, {}),
+    ({"REPRO_ANALYTIC": "warm"}, {}),
+    ({"REPRO_ANALYTIC_UTIL": "0.25"}, {}),
+    ({"REPRO_ANALYTIC_UTIL": "zero"}, {}),
+    ({"REPRO_ANALYTIC_UTIL": "0"}, {}),
+    ({"REPRO_ANALYTIC_UTIL": "1.5"}, {}),
+    ({"REPRO_ANALYTIC_UTIL": "-0.1"}, {}),
+    # ...and the sharding and retry knobs before them.
     ({"REPRO_SHARDS": "nope", "REPRO_MAX_RETRIES": "-1"}, {}),
 ])
 def test_from_env(environ, expected):
@@ -81,13 +80,10 @@ def test_cli_exits_2_on_junk_jobs(monkeypatch, capsys):
 
 def test_direct_construction_validates_and_names_the_field():
     assert RunConfig(jobs=0).jobs == CPUS
-    assert RunConfig(analytic=" Prune ").analytic == "prune"
     for kwargs, match in [
         (dict(jobs=-1), "jobs must be"),
         (dict(jobs=None), "jobs must be"),
         (dict(wall_limit=0), "wall_limit must be"),
-        (dict(analytic="warm"), "analytic must be one of"),
-        (dict(analytic_util=1.5), "analytic_util must be"),
         (dict(scale="huge"), "unknown scale 'huge'"),
     ]:
         with pytest.raises(ValueError, match=match):

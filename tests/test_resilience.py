@@ -24,7 +24,7 @@ from repro.resilience import (
     ProcFault,
     ProcessFaultPlan,
     backoff,
-    clear_last_report,
+    clear_reports,
     last_run_report,
 )
 from repro.shard import GOLDEN_SPEC, WorkerFailure, run_sharded
@@ -188,7 +188,7 @@ def test_poison_cell_quarantined_sweep_completes(baseline_grid, fast):
     """A cell failing on every attempt is quarantined after
     ``quarantine_after`` failures; the sweep finishes and every other
     cell is bit-identical to the unfaulted baseline."""
-    clear_last_report()
+    clear_reports()
     plan = ProcessFaultPlan(faults=(
         ProcFault(target=POISON_INDEX, action="error", attempt=None),
     ))
@@ -210,7 +210,7 @@ def test_poison_cell_quarantined_sweep_completes(baseline_grid, fast):
 def test_transient_cell_failure_retries_to_full_grid(baseline_grid, fast):
     """A cell that fails only on its first attempt recovers on retry:
     one retry recorded, nothing quarantined, full grid, identical."""
-    clear_last_report()
+    clear_reports()
     plan = ProcessFaultPlan(faults=(
         ProcFault(target=2, action="error", attempt=0),
     ))
@@ -229,7 +229,7 @@ def test_grid_pool_rebuilt_after_worker_death(baseline_grid, monkeypatch,
     the parent) triggers one pool rebuild; outstanding cells are
     resubmitted and the finished grid matches the baseline exactly."""
     monkeypatch.setenv("REPRO_JOBS", "2")
-    clear_last_report()
+    clear_reports()
     plan = ProcessFaultPlan(faults=(
         ProcFault(target=0, action="kill", attempt=0),
     ))
@@ -249,7 +249,7 @@ def test_parallel_poison_cell_quarantines_exactly_one(baseline_grid,
     AND one killed worker finishes, quarantines exactly the poison
     cell, and reproduces every other sample bit for bit."""
     monkeypatch.setenv("REPRO_JOBS", "2")
-    clear_last_report()
+    clear_reports()
     plan = ProcessFaultPlan(faults=(
         ProcFault(target=POISON_INDEX, action="error", attempt=None),
         ProcFault(target=3, action="kill", attempt=0),
@@ -343,6 +343,43 @@ def test_quarantined_cell_fails_the_figure_with_the_report(monkeypatch,
     err = capsys.readouterr().err
     assert "grid run report:" in err
     assert "Web Search/mesh+pra" in err
+
+
+def test_degraded_sweep_is_reported_after_a_clean_one(monkeypatch, capsys,
+                                                     fast):
+    """``figures`` runs one sweep per figure.  Fig. 6's sweep loses its
+    worker pool and finishes degraded; Fig. 7's sweep right after is
+    all store hits and clean.  The exit status and the stderr report
+    cover both sweeps, not only the last."""
+    import multiprocessing
+
+    from repro.cli import main
+    from repro.config import SCALES
+
+    for name in [k for k in os.environ if k.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    monkeypatch.setattr(resilience, "MAX_POOL_REBUILDS", 0)
+    monkeypatch.setitem(SCALES, "degrade", EvaluationScale(
+        "degrade", warmup=20, measure=80, num_seeds=1))
+    real = runner._simulate_cell
+
+    def crash_a_worker(cell, wall_limit):
+        if cell[:2] == ("Web Search", NocKind.MESH) \
+                and multiprocessing.parent_process() is not None:
+            os._exit(13)
+        return real(cell, wall_limit)
+
+    monkeypatch.setattr(runner, "_simulate_cell", crash_a_worker)
+    runner.clear_grid_cache()
+    try:
+        assert main(["figures", "--only", "fig6,fig7",
+                     "--scale", "degrade"]) == 1
+    finally:
+        runner.clear_grid_cache()
+    err = capsys.readouterr().err
+    assert err.count("grid run report:") == 1
+    assert "degraded:" in err
 
 
 # -- backoff and plan validation --------------------------------------------
