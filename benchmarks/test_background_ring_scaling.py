@@ -13,7 +13,6 @@ import random
 from repro.harness.reporting import format_table
 from repro.noc.network import build_network
 from repro.noc.packet import Packet
-from repro.noc.ring import build_ring
 from repro.params import MessageClass, NocKind, NocParams
 
 SIZES = ((16, 4, 4), (36, 6, 6), (64, 8, 8))
@@ -35,7 +34,11 @@ def test_background_ring_scaling(benchmark, save_result):
     def run_all():
         rows = []
         for nodes, w, h in SIZES:
-            ring = _uniform_latency(build_ring(nodes), nodes)
+            ring = _uniform_latency(
+                build_network(NocParams(mesh_width=nodes, mesh_height=1,
+                                        topology="ring")),
+                nodes,
+            )
             mesh = _uniform_latency(
                 build_network(NocParams(kind=NocKind.MESH, mesh_width=w,
                                         mesh_height=h)),

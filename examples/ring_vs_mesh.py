@@ -13,7 +13,6 @@ import random
 
 from repro.noc.network import build_network
 from repro.noc.packet import Packet
-from repro.noc.ring import build_ring
 from repro.params import MessageClass, NocKind, NocParams
 
 
@@ -34,7 +33,9 @@ def main() -> None:
     print(f"{'tiles':>6s} {'ring':>8s} {'mesh':>8s} {'ring hops':>10s} "
           f"{'mesh hops':>10s}")
     for nodes, w, h in ((16, 4, 4), (36, 6, 6), (64, 8, 8)):
-        ring_lat, ring_hops = measure(build_ring(nodes), nodes)
+        ring = build_network(NocParams(mesh_width=nodes, mesh_height=1,
+                                       topology="ring"))
+        ring_lat, ring_hops = measure(ring, nodes)
         mesh = build_network(NocParams(kind=NocKind.MESH, mesh_width=w,
                                        mesh_height=h))
         mesh_lat, mesh_hops = measure(mesh, nodes)

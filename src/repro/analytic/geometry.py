@@ -21,7 +21,8 @@ from functools import lru_cache
 from math import ceil
 from typing import Dict, Optional, Tuple
 
-from repro.noc.topology import parse_topology_spec, topology_from_spec
+from repro.noc.topology import build_topology
+from repro.params import PRA_HOPS_PER_CYCLE
 from repro.workloads.synthetic import TrafficPattern
 
 
@@ -104,7 +105,6 @@ def topology_geometry(
     pattern: TrafficPattern,
     hotspot_nodes: Tuple[int, ...],
     smart_hpc: int,
-    pra_hpc: int,
     ideal_hpc: int,
     pra_overflow_hops: int,
 ) -> TrafficGeometry:
@@ -115,12 +115,13 @@ def topology_geometry(
     counts, per-hop link latencies and directed-link loads are those of
     the routing law the simulator runs (XY on the mesh; intra-mesh ->
     gateway -> interposer -> intra-mesh on a chiplet hierarchy).  The
-    three ``*_hpc`` divisors are the hops-per-cycle parameters of the
-    point laws in :func:`repro.analytic.queueing.zero_load_latency`;
+    two ``*_hpc`` divisors and :data:`~repro.params.PRA_HOPS_PER_CYCLE`
+    are the hops-per-cycle rules of the point laws in
+    :func:`repro.analytic.queueing.zero_load_latency`;
     ``pra_overflow_hops`` is the distance beyond which an announced PRA
     packet outruns its reservation horizon.
     """
-    topo = topology_from_spec(parse_topology_spec(topology), width, height)
+    topo = build_topology(topology, width, height)
     limit = topo.num_endpoints
     weights: Dict[Tuple[int, int], float] = {}
     for src in range(limit):
@@ -162,7 +163,7 @@ def topology_geometry(
         e_lat += p * lat
         e_ideal += p * ceil(hops / ideal_hpc)
         e_seg += p * sum(ceil(run / smart_hpc) for run in runs)
-        e_pra += p * (sum(ceil(run / pra_hpc) for run in runs)
+        e_pra += p * (sum(ceil(run / PRA_HOPS_PER_CYCLE) for run in runs)
                       + 2 * max(0, hops - pra_overflow_hops))
     coeffs = tuple(sorted(link_load.values(), reverse=True))
     return TrafficGeometry(
@@ -191,7 +192,6 @@ def geometry_for(
         pattern,
         tuple(hotspot_nodes) if hotspot_nodes else (0,),
         params.smart.hops_per_cycle,
-        params.pra.hops_per_cycle,
         params.ideal_hops_per_cycle,
         pra_overflow_hops(params.pra.reservation_horizon,
                           params.pra.max_lag),

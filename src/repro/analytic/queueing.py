@@ -36,7 +36,7 @@ from math import ceil, inf
 from typing import Dict, Optional, Tuple
 
 from repro.analytic.geometry import TrafficGeometry, geometry_for
-from repro.params import NocKind, NocParams
+from repro.params import PRA_HOPS_PER_CYCLE, NocKind, NocParams
 from repro.workloads.synthetic import TrafficPattern
 
 #: (label, weight, flits) components of a traffic mix.
@@ -118,8 +118,8 @@ def zero_load_latency(
         segments = ceil(dx / hpc) + ceil(dy / hpc)
         return 3 * segments + 4 + (size - 1)
     if kind is NocKind.MESH_PRA and announced:
-        hpc = params.pra.hops_per_cycle
-        segments = ceil(dx / hpc) + ceil(dy / hpc)
+        segments = (ceil(dx / PRA_HOPS_PER_CYCLE)
+                    + ceil(dy / PRA_HOPS_PER_CYCLE))
         horizon = params.pra.reservation_horizon - params.pra.max_lag
         return segments + 7.0 + 2 * max(0, hops - horizon)
     # Mesh, and mesh+PRA packets without a plan.

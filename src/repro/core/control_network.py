@@ -41,6 +41,7 @@ from repro.core.plan import (
 from repro.core.reservation import IN, LATCH, OUT
 from repro.noc.packet import Packet
 from repro.noc.topology import Direction
+from repro.params import PRA_HOPS_PER_CYCLE
 from repro.trace.events import (
     EV_CONTROL_DROP,
     EV_CONTROL_INJECT,
@@ -242,7 +243,7 @@ class ControlNetwork:
         (turns are not allowed within a multi-drop segment)."""
         nxt = plan.pos + 1
         if nxt < len(plan.route) and plan.route[nxt][1] is direction:
-            return 2
+            return PRA_HOPS_PER_CYCLE
         return 1
 
     # -- reservation attempts (all-or-nothing per step) -----------------------

@@ -13,7 +13,8 @@ from typing import Dict, Iterable, List, Optional
 from repro.config import RunConfig
 from repro.noc.topology import Direction
 from repro.params import (
-    NUM_MESSAGE_CLASSES, ChipParams, NocKind, PACKET_FLITS, MessageClass,
+    NUM_MESSAGE_CLASSES, ChipParams, NocKind, PACKET_FLITS,
+    PRA_HOPS_PER_CYCLE, MessageClass,
 )
 from repro.perf.metrics import geomean
 from repro.harness.runner import (
@@ -330,11 +331,9 @@ def _modeled_pra_interposer(topology: str) -> float:
     """
     from math import ceil
 
-    from repro.noc.topology import (Direction, parse_topology_spec,
-                                    topology_from_spec)
+    from repro.noc.topology import Direction, build_topology
 
-    spec = parse_topology_spec(topology)
-    topo = topology_from_spec(spec, 8, 8)
+    topo = build_topology(topology, 8, 8)
     limit = topo.num_endpoints
     total = 0.0
     pairs = 0
@@ -492,7 +491,7 @@ def table1(chip: Optional[ChipParams] = None) -> Dict:
             f"{mc.name.lower()}={PACKET_FLITS[mc]}f" for mc in MessageClass
         )],
         ["PRA", f"max lag {chip.noc.pra.max_lag}, "
-                f"{chip.noc.pra.hops_per_cycle} tiles/cycle, "
+                f"{PRA_HOPS_PER_CYCLE} tiles/cycle, "
                 f"{chip.noc.pra.control_link_width_bits}-bit control links"],
     ]
     return {

@@ -24,6 +24,7 @@ from repro.noc.packet import Packet
 from repro.noc.topology import (
     ChipletTopology,
     Direction,
+    Link,
     MeshTopology,
     RingTopology,
     Topology,
@@ -32,20 +33,19 @@ from repro.noc.topology import (
     build_topology,
     parse_topology_spec,
     port_name,
-    topology_from_spec,
 )
 from repro.noc.stats import NetworkStats
 from repro.noc.network import Network, build_network
-from repro.noc.ring import build_ring
-from repro.noc.chiplet import build_chiplet
+# Loaded with the package, so the router modules are in memory before a
+# sharded run forks its workers, which then share them.
+from repro.noc.mesh import MeshNetwork
 
 __all__ = [
-    "build_ring",
-    "build_chiplet",
     "Flit",
     "FlitType",
     "Packet",
     "Direction",
+    "Link",
     "Topology",
     "TopologySpec",
     "MeshTopology",
@@ -54,9 +54,9 @@ __all__ = [
     "as_port",
     "port_name",
     "parse_topology_spec",
-    "topology_from_spec",
     "build_topology",
     "NetworkStats",
     "Network",
+    "MeshNetwork",
     "build_network",
 ]

@@ -4,10 +4,10 @@ An 8x8 grid of 1-stage speculative routers, 3 VCs per port (request,
 coherence, response), 5 flits per VC, 2 cycles per hop at zero load.
 
 Wiring is topology-driven: routers expose whatever port set the
-topology graph declares for their node, links connect through
-``topology.entry_port`` (the far-side input port), and each link takes
-its hop latency from ``topology.link_latency`` — so the same wiring
-code builds plain meshes, rings, and chiplet hierarchies.
+topology graph declares for their node, and one pass over the
+topology's link table (``topology.links``) connects each link to its
+far-side entry port with its hop latency — so the same wiring code
+builds plain meshes, rings, and chiplet hierarchies.
 """
 
 from __future__ import annotations
@@ -38,18 +38,15 @@ class MeshNetwork(Network):
         self._wire_ejection()
 
     def _wire_links(self) -> None:
-        topo = self.topology
         for router in self.routers:
-            for direction, neighbor in topo.neighbors(router.node):
-                port = router.output_ports[direction]
-                port.connect(self.routers[neighbor],
-                             topo.entry_port(router.node, direction))
+            for link in self.topology.links[router.node]:
+                port = router.output_ports[link.port]
+                port.connect(self.routers[link.neighbor], link.entry)
                 # Only impose topology latencies that deviate from the
                 # single-hop default: router classes own their pipeline
                 # depth (SMART sets 3 on every port at construction).
-                latency = topo.link_latency(router.node, direction)
-                if latency != 2:
-                    port.link_hop_latency = latency
+                if link.latency != 2:
+                    port.link_hop_latency = link.latency
 
     def _wire_ejection(self) -> None:
         for router, ni in zip(self.routers, self.interfaces):

@@ -64,7 +64,8 @@ class Network:
     latch_arrivals = False
 
     def __init__(self, params: NocParams):
-        self.topology = build_topology(params)
+        self.topology = build_topology(params.topology, params.mesh_width,
+                                       params.mesh_height)
         self.params = params
         #: VCs per port, on every router and NI: one per message class
         #: and escape layer of the topology (``Packet.vc_index`` is the

@@ -5,16 +5,19 @@ structure.  The contract (see docs/simulator_internals.md, "The topology
 graph contract"):
 
 * nodes are integers ``0 .. num_nodes-1``;
-* each node exposes an ordered **port set** (:meth:`Topology.ports`) of
-  non-local ports; ports ``0..4`` are the classic :class:`Direction`
-  values, ports ``>= 5`` are plain ints used by hierarchical topologies
-  (interposer / IO-die links);
-* every listed port has a neighbor (:meth:`Topology.neighbor`) and a
-  matching **entry port** on that neighbor (:meth:`Topology.entry_port`)
-  such that ``neighbor(neighbor(n, p), entry_port(n, p)) == n``;
-* each directed edge carries a **link latency**
-  (:meth:`Topology.link_latency`), cycles from switch grant to
-  downstream allocation eligibility (2 for on-die hops);
+* the graph is data: :attr:`Topology.links` holds, per node, one
+  :class:`Link` per non-local port in the router's processing order —
+  the neighbour, the **entry port** on that neighbour, the **link
+  latency** (cycles from switch grant to downstream allocation
+  eligibility, 2 for on-die hops) and the escape-layer flag.  Ports
+  ``0..4`` are the classic :class:`Direction` values, ports ``>= 5``
+  plain ints used by hierarchical topologies (interposer / IO-die
+  links).  The table is built once, from the subclass's link generator,
+  and :meth:`Topology.ports`, :meth:`Topology.neighbor`,
+  :meth:`Topology.entry_port`, :meth:`Topology.link_latency` and
+  :meth:`Topology.advances_layer` all read it;
+* every link has a reverse: ``neighbor(neighbor(n, p), entry_port(n,
+  p)) == n``;
 * :meth:`Topology.next_port` is the pure deterministic routing law;
   :meth:`Topology.route_port` reads it through dense per-node tables
   (:meth:`Topology.route_row`) and :meth:`Topology.route` through a
@@ -22,11 +25,11 @@ graph contract"):
   topologies can never serve each other's cached routes;
 * deadlock freedom is part of the graph: each message class owns
   :attr:`Topology.vc_layers` consecutive VCs, a packet starts in layer 0
-  and moves to layer 1 on the first link for which
-  :meth:`Topology.advances_layer` holds.  The advancing links are chosen
-  so that every layer's channel graph is acyclic and the only
-  cross-layer dependency is 0 -> 1 (``tests/test_properties.py`` checks
-  the channel-dependency graph of every topology here).
+  and moves to layer 1 on the first link whose :attr:`Link.advances`
+  flag is set.  The advancing links are chosen so that every layer's
+  channel graph is acyclic and the only cross-layer dependency is
+  0 -> 1 (``tests/test_properties.py`` checks the channel-dependency
+  graph of every topology here).
 
 Concrete graphs:
 
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 
 class Direction(IntEnum):
@@ -93,8 +96,10 @@ Port = Union[Direction, int]
 #: First extended port id; any port >= this crosses a chiplet boundary.
 FIRST_INTERPOSER_PORT = 5
 
-#: Gateway ports onto the interposer mesh (one per interposer cardinal).
+#: Gateway ports onto the interposer mesh, one per interposer cardinal:
+#: ``_INT_SHIFT + direction`` for the cardinal it points along.
 INT_NORTH, INT_EAST, INT_SOUTH, INT_WEST = 5, 6, 7, 8
+_INT_SHIFT = INT_NORTH - Direction.NORTH
 
 #: Star variant: the gateway's uplink to the IO die, and the IO die's
 #: per-chiplet downlinks (``IO_DOWN_BASE + chiplet_index``).
@@ -104,11 +109,6 @@ IO_DOWN_BASE = 6
 #: Bound on the full-route memo (``Topology.route``); past it the memo
 #: is dropped wholesale and rebuilt on demand from the dense rows.
 _ROUTE_CACHE_CAP = 4096
-
-_INT_OPPOSITE = {INT_NORTH: INT_SOUTH, INT_SOUTH: INT_NORTH,
-                 INT_EAST: INT_WEST, INT_WEST: INT_EAST}
-_INT_DELTAS = {INT_NORTH: (0, -1), INT_SOUTH: (0, 1),
-               INT_EAST: (1, 0), INT_WEST: (-1, 0)}
 
 #: VC layers per message class on a chiplet topology: a packet starts in
 #: layer 0 and moves to layer 1 when it first crosses an inter-chiplet
@@ -134,12 +134,52 @@ def port_name(port: Port) -> str:
     return _PORT_NAMES.get(port, f"P{int(port)}")
 
 
-class Topology:
-    """Base class: per-instance route memos + generic graph queries.
+class Link(NamedTuple):
+    """One directed link out of a node: an entry of the link table."""
 
-    Subclasses implement :meth:`ports`, :meth:`neighbor`,
-    :meth:`entry_port`, and :meth:`next_port`; everything else has a
-    generic (overridable) implementation on top of those.
+    #: Output port at the node the link leaves.
+    port: Port
+    #: The node it reaches.
+    neighbor: int
+    #: Input port at ``neighbor`` that faces back along the link.
+    entry: Port
+    #: Cycles from switch grant to downstream allocation eligibility.
+    latency: int = 2
+    #: Crossing it moves a packet to escape layer 1.
+    advances: bool = False
+
+
+def _xy_port(x: int, y: int, tx: int, ty: int) -> Direction:
+    """Dimension-ordered (XY) step from ``(x, y)`` toward ``(tx, ty)``:
+    X fully first, then Y; ``LOCAL`` on arrival."""
+    if x < tx:
+        return Direction.EAST
+    if x > tx:
+        return Direction.WEST
+    if y < ty:
+        return Direction.SOUTH
+    if y > ty:
+        return Direction.NORTH
+    return Direction.LOCAL
+
+
+def _grid_links(x: int, y: int, width: int, height: int,
+                base: int) -> Iterator[Link]:
+    """On-die links of tile ``(x, y)`` in a ``width x height`` grid whose
+    row-major tile ids start at ``base``, in :data:`CARDINALS` order."""
+    for direction in CARDINALS:
+        dx, dy = _DELTAS[direction]
+        nx, ny = x + dx, y + dy
+        if 0 <= nx < width and 0 <= ny < height:
+            yield Link(direction, base + ny * width + nx, _OPPOSITE[direction])
+
+
+class Topology:
+    """Base class: the link table, route memos and generic queries.
+
+    Subclasses write :meth:`_links` (the graph, in their own terms) and
+    :meth:`next_port` (the routing law); the constructor turns the
+    former into :attr:`links`, which answers every graph query.
     """
 
     #: Spec kind string ("mesh", "ring", "chiplet").
@@ -148,21 +188,31 @@ class Topology:
     #: VC layers per message class (a class's VCs are ``class *
     #: vc_layers + layer``).  1 where the routing law alone is
     #: deadlock-free (XY on a mesh); graphs with a cycle to break
-    #: declare 2 and name the breaking links in :meth:`advances_layer`.
+    #: declare 2 and flag the breaking links' :attr:`Link.advances`.
     vc_layers = 1
 
     def __init__(self, num_nodes: int):
         if num_nodes < 1:
             raise ValueError("topology must have at least one node")
         self.num_nodes = num_nodes
+        #: The link table: ``links[node]`` holds every link out of
+        #: ``node`` in port order, which is the router's processing
+        #: order.  Built once; nothing else describes the graph.
+        self.links: List[Tuple[Link, ...]] = [
+            tuple(self._links(node)) for node in range(num_nodes)
+        ]
+        self._link_maps: List[Dict[Port, Link]] = [
+            {link.port: link for link in row} for row in self.links
+        ]
+        self._ports: List[Tuple[Port, ...]] = [
+            tuple(link.port for link in row) for row in self.links
+        ]
         #: Dense next-port tables, one row per source node, built lazily
         #: from :meth:`next_port` (the pure routing law, which stays the
         #: reference oracle — ``tests/test_noc_units.py`` asserts every
-        #: row entry against it).  ``row[dst]`` replaces the old
-        #: ``node * num_nodes + dst`` dict memo: routers hold their row
-        #: and route with one list index instead of a hash lookup.
-        #: Instance-owned by construction, so two live topologies can
-        #: never serve each other's routes.
+        #: row entry against it).  Routers hold their row and route with
+        #: one list index.  Instance-owned by construction, so two live
+        #: topologies can never serve each other's routes.
         self._dense_rows: List[Optional[List[Port]]] = [None] * num_nodes
         #: Full-route memo (``route()``), bounded: route tuples are only
         #: resolved outside the hot path (control packets, zero-load
@@ -170,19 +220,12 @@ class Topology:
         #: from the dense rows instead of growing O(num_nodes^2).
         self._route_cache: dict = {}
 
-    # -- the graph protocol (subclass responsibility) ----------------------
+    # -- what a subclass writes ---------------------------------------------
 
-    def ports(self, node: int) -> Tuple[Port, ...]:
-        """Ordered non-local ports of ``node``; every listed port has a
-        neighbor.  The order is the router's port processing order."""
-        raise NotImplementedError
-
-    def neighbor(self, node: int, port: Port) -> Optional[int]:
-        """Adjacent node reached through ``port`` (None if absent)."""
-        raise NotImplementedError
-
-    def entry_port(self, node: int, port: Port) -> Port:
-        """The port on ``neighbor(node, port)`` that faces back here."""
+    def _links(self, node: int) -> Iterator[Link]:
+        """The links out of ``node``, in port processing order.  Called
+        once per node by the constructor, after the subclass has set the
+        attributes it needs."""
         raise NotImplementedError
 
     def next_port(self, node: int, dst: int) -> Port:
@@ -190,15 +233,45 @@ class Topology:
         toward ``dst`` (``Direction.LOCAL`` on arrival)."""
         raise NotImplementedError
 
+    # -- the graph, read from the table ---------------------------------------
+
+    def ports(self, node: int) -> Tuple[Port, ...]:
+        """Ordered non-local ports of ``node``; every listed port has a
+        neighbor.  The order is the router's port processing order."""
+        return self._ports[node]
+
+    def neighbor(self, node: int, port: Port) -> Optional[int]:
+        """Adjacent node reached through ``port`` (None if absent)."""
+        self._check(node)
+        link = self._link_maps[node].get(port)
+        return None if link is None else link.neighbor
+
+    def entry_port(self, node: int, port: Port) -> Port:
+        """The port on ``neighbor(node, port)`` that faces back here."""
+        return self._link_maps[node][port].entry
+
     def link_latency(self, node: int, port: Port) -> int:
         """Cycles from switch grant to downstream eligibility (2 for
-        on-die mesh hops; hierarchies stretch inter-chiplet edges)."""
-        return 2
+        on-die hops; hierarchies stretch inter-chiplet edges)."""
+        return self._link_maps[node][port].latency
 
     def advances_layer(self, node: int, port: Port) -> bool:
         """Does the link out of ``node`` through ``port`` move a packet
-        to escape layer 1?  Never, on a single-layer topology."""
-        return False
+        to escape layer 1?  Never through a port with no link (LOCAL)."""
+        link = self._link_maps[node].get(port)
+        return link is not None and link.advances
+
+    def neighbors(self, node: int) -> Iterator[Tuple[Port, int]]:
+        """All (port, neighbor) pairs of ``node``, in port order."""
+        for link in self.links[node]:
+            yield link.port, link.neighbor
+
+    def bidirectional_links(self) -> List[Tuple[int, int]]:
+        """Each physical adjacent pair once; for area/power accounting
+        and link-count normalization."""
+        return [(node, link.neighbor)
+                for node, row in enumerate(self.links)
+                for link in row if link.neighbor > node]
 
     # -- generic queries ----------------------------------------------------
 
@@ -208,13 +281,6 @@ class Topology:
         Equals ``num_nodes`` except on topologies with pure transit
         routers (the chiplet star's IO die)."""
         return self.num_nodes
-
-    def neighbors(self, node: int) -> Iterator[Tuple[Port, int]]:
-        """All (port, neighbor) pairs that exist for ``node``."""
-        for port in self.ports(node):
-            other = self.neighbor(node, port)
-            if other is not None:
-                yield port, other
 
     def route_row(self, node: int) -> List[Port]:
         """Dense next-port row for ``node``: ``row[dst]`` is
@@ -273,17 +339,6 @@ class Topology:
         """Router-to-router hops along the routing law's path."""
         return len(self.route(src, dst)) - 1
 
-    def bidirectional_links(self) -> List[Tuple[int, int]]:
-        """Each physical adjacent pair once; for area/power accounting
-        and link-count normalization."""
-        links = []
-        for node in range(self.num_nodes):
-            for port in self.ports(node):
-                other = self.neighbor(node, port)
-                if other is not None and other > node:
-                    links.append((node, other))
-        return links
-
     def row_domains(self, count: int) -> List[Tuple[int, int]]:
         """Contiguous shard domains (mesh-only; see the override)."""
         if count == 1:
@@ -307,24 +362,13 @@ class MeshTopology(Topology):
     def __init__(self, width: int, height: int):
         if width < 1 or height < 1:
             raise ValueError("mesh dimensions must be positive")
-        super().__init__(width * height)
         self.width = width
         self.height = height
-        #: Precomputed neighbor table: ``_neighbor_table[node][direction]``
-        #: (None at mesh edges and for LOCAL).
-        self._neighbor_table: List[List[Optional[int]]] = []
-        self._ports: List[Tuple[Direction, ...]] = []
-        for node in range(self.num_nodes):
-            x, y = node % width, node // width
-            row: List[Optional[int]] = [None] * 5
-            for direction, (dx, dy) in _DELTAS.items():
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < width and 0 <= ny < height:
-                    row[direction] = ny * width + nx
-            self._neighbor_table.append(row)
-            self._ports.append(tuple(
-                d for d in CARDINALS if row[d] is not None
-            ))
+        super().__init__(width * height)
+
+    def _links(self, node: int) -> Iterator[Link]:
+        return _grid_links(node % self.width, node // self.width,
+                           self.width, self.height, 0)
 
     def coords(self, node: int) -> Tuple[int, int]:
         """(x, y) coordinates of ``node``."""
@@ -336,30 +380,9 @@ class MeshTopology(Topology):
             raise ValueError(f"coordinates ({x}, {y}) outside mesh")
         return y * self.width + x
 
-    def ports(self, node: int) -> Tuple[Direction, ...]:
-        return self._ports[node]
-
-    def neighbor(self, node: int, port: Port) -> Optional[int]:
-        """Adjacent node in ``port``'s direction, or None at an edge."""
-        self._check(node)
-        return self._neighbor_table[node][port]
-
-    def entry_port(self, node: int, port: Port) -> Direction:
-        return _OPPOSITE[port]
-
     def next_port(self, node: int, dst: int) -> Direction:
         """Dimension-ordered (XY) routing: X fully first, then Y."""
-        x, y = self.coords(node)
-        dx, dy = self.coords(dst)
-        if x < dx:
-            return Direction.EAST
-        if x > dx:
-            return Direction.WEST
-        if y < dy:
-            return Direction.SOUTH
-        if y > dy:
-            return Direction.NORTH
-        return Direction.LOCAL
+        return _xy_port(*self.coords(node), *self.coords(dst))
 
     def hop_distance(self, src: int, dst: int) -> int:
         """Manhattan distance between two nodes."""
@@ -397,23 +420,39 @@ class MeshTopology(Topology):
 
 
 class RingTopology(Topology):
-    """A bidirectional ring of ``num_stops`` nodes.
+    """A bidirectional ring of ``num_stops`` nodes (paper Section II-B).
 
-    Shortest-direction routing, clockwise (EAST) on ties.  Deadlock
-    freedom over the wrap-around cycle is the classic *dateline*: two
-    VC layers per class, and the two wrap links (stop N-1 -> 0 clockwise,
-    stop 0 -> N-1 counter-clockwise) advance a packet to layer 1, so
-    neither layer's channels close the ring.
+    The paper motivates tiled meshes by the ring interconnect of
+    contemporary server parts (Intel Xeon E5), whose delay grows
+    linearly with the number of stops
+    (``benchmarks/test_background_ring_scaling.py`` reproduces that).
+    Each stop has a clockwise (EAST) and a counter-clockwise (WEST)
+    port besides the local one, and runs the stock mesh router: 2
+    cycles per hop at zero load.
+
+    Shortest-direction routing, clockwise on ties.  Deadlock freedom
+    over the wrap-around cycle is the classic *dateline*: two VC layers
+    per class, and the two wrap links (stop N-1 -> 0 clockwise, stop
+    0 -> N-1 counter-clockwise) advance a packet to layer 1, so neither
+    layer's channels close the ring.
     """
 
     kind = "ring"
     vc_layers = 2
 
     def __init__(self, num_stops: int):
-        super().__init__(num_stops)
         # Mesh-shaped views (1 row) for traffic patterns and stats.
         self.width = num_stops
         self.height = 1
+        super().__init__(num_stops)
+
+    def _links(self, node: int) -> Iterator[Link]:
+        # The two wrap links are the dateline.
+        n = self.num_nodes
+        yield Link(Direction.EAST, (node + 1) % n, Direction.WEST,
+                   advances=node == n - 1)
+        yield Link(Direction.WEST, (node - 1) % n, Direction.EAST,
+                   advances=node == 0)
 
     def coords(self, node: int) -> Tuple[int, int]:
         self._check(node)
@@ -424,20 +463,6 @@ class RingTopology(Topology):
             raise ValueError(f"coordinates ({x}, {y}) outside ring")
         return x
 
-    def ports(self, node: int) -> Tuple[Direction, ...]:
-        return (Direction.EAST, Direction.WEST)
-
-    def neighbor(self, node: int, port: Port) -> Optional[int]:
-        self._check(node)
-        if port is Direction.EAST:
-            return (node + 1) % self.num_nodes
-        if port is Direction.WEST:
-            return (node - 1) % self.num_nodes
-        return None
-
-    def entry_port(self, node: int, port: Port) -> Direction:
-        return _OPPOSITE[port]
-
     def next_port(self, node: int, dst: int) -> Direction:
         self._check(node)
         self._check(dst)
@@ -446,11 +471,6 @@ class RingTopology(Topology):
         forward = (dst - node) % self.num_nodes
         backward = (node - dst) % self.num_nodes
         return Direction.EAST if forward <= backward else Direction.WEST
-
-    def advances_layer(self, node: int, port: Port) -> bool:
-        if port is Direction.EAST:
-            return node == self.num_nodes - 1
-        return port is Direction.WEST and node == 0
 
     def hop_distance(self, src: int, dst: int) -> int:
         forward = (dst - src) % self.num_nodes
@@ -463,21 +483,33 @@ class RingTopology(Topology):
 class ChipletTopology(Topology):
     """Per-chiplet sub-meshes composed over an interposer.
 
-    ``chiplets_x x chiplets_y`` chiplets, each a ``chip_width x
-    chip_height`` XY mesh with one **gateway** router at its center
-    tile.  Two interposer variants:
+    A disaggregated server part: ``chiplets_x x chiplets_y`` chiplets,
+    each a ``chip_width x chip_height`` XY mesh with one **gateway**
+    router at its center tile.  Two interposer variants:
 
     * ``"mesh"`` — the gateways form a ``chiplets_x x chiplets_y``
       interposer mesh (concentration factor = tiles per chiplet), XY
       routed over chiplet coordinates through the ``INT_*`` ports;
     * ``"star"`` — a central IO die (one extra transit router, the last
-      node id) with a dedicated link per gateway, AMD-Zen3-style.
+      node id) with a dedicated link per gateway (``IO_UP`` up,
+      ``IO_DOWN_BASE + c`` down), AMD-Zen3-style.
 
     Inter-chiplet links carry ``interposer_latency`` cycles per hop
     (on-die hops keep the usual 2).  Node ids place chiplet ``c``'s
     tiles at ``c * tiles_per_chiplet + local``, so every core keeps a
     global ``(x, y)`` grid coordinate and mesh-shaped traffic patterns
     (transpose, hotspot) apply unchanged; the IO die sits off-grid.
+
+    Deadlock freedom mirrors the ring's dateline, keyed on the hierarchy
+    instead of a wrap link: every inter-chiplet link advances the escape
+    layer.  Layer 0 carries a packet's intra-source-chiplet XY hops
+    (acyclic) and layer 1 everything after its first inter-chiplet hop —
+    interposer XY or star hops, then intra-destination XY — which is
+    acyclic because the hierarchical route never re-enters an earlier
+    phase.  The only cross-layer dependency is 0 -> 1, so the layered
+    VC dependency graph is acyclic (``tests/test_properties.py`` builds
+    that graph and checks it; the runtime deadlock watchdog keeps
+    watching on every chiplet run).
     """
 
     kind = "chiplet"
@@ -512,14 +544,38 @@ class ChipletTopology(Topology):
         self.hub: Optional[int] = (
             self.num_cores if variant == "star" else None
         )
-        super().__init__(self.num_cores + (1 if self.hub is not None else 0))
         # Global grid view over the cores (the hub sits off-grid).
         self.width = chiplets_x * chip_width
         self.height = chiplets_y * chip_height
         #: Local gateway tile (center of each chiplet's sub-mesh).
         self._gw_local = ((chip_height - 1) // 2) * chip_width \
             + (chip_width - 1) // 2
-        self._ports_cache: Dict[int, Tuple[Port, ...]] = {}
+        super().__init__(self.num_cores + (1 if self.hub is not None else 0))
+
+    def _links(self, node: int) -> Iterator[Link]:
+        ilat = self.interposer_latency
+        if node == self.hub:
+            for chiplet in range(self.num_chiplets):
+                yield Link(IO_DOWN_BASE + chiplet, self.gateway(chiplet),
+                           IO_UP, ilat, True)
+            return
+        chiplet, local = divmod(node, self.tiles_per_chiplet)
+        ly, lx = divmod(local, self.chip_width)
+        yield from _grid_links(lx, ly, self.chip_width, self.chip_height,
+                               node - local)
+        if local != self._gw_local:
+            return
+        if self.variant == "star":
+            yield Link(IO_UP, self.hub, IO_DOWN_BASE + chiplet, ilat, True)
+            return
+        cx, cy = self._chiplet_coords(chiplet)
+        for direction in CARDINALS:
+            dx, dy = _DELTAS[direction]
+            nx, ny = cx + dx, cy + dy
+            if 0 <= nx < self.chiplets_x and 0 <= ny < self.chiplets_y:
+                yield Link(_INT_SHIFT + direction,
+                           self.gateway(ny * self.chiplets_x + nx),
+                           _INT_SHIFT + _OPPOSITE[direction], ilat, True)
 
     # -- coordinate helpers -------------------------------------------------
 
@@ -568,75 +624,7 @@ class ChipletTopology(Topology):
     def num_endpoints(self) -> int:
         return self.num_cores
 
-    # -- the graph protocol -------------------------------------------------
-
-    def ports(self, node: int) -> Tuple[Port, ...]:
-        cached = self._ports_cache.get(node)
-        if cached is not None:
-            return cached
-        self._check(node)
-        result: List[Port]
-        if node == self.hub:
-            result = [IO_DOWN_BASE + c for c in range(self.num_chiplets)]
-        else:
-            lx, ly = self._local(node)
-            result = []
-            for d in CARDINALS:
-                dx, dy = _DELTAS[d]
-                if 0 <= lx + dx < self.chip_width \
-                        and 0 <= ly + dy < self.chip_height:
-                    result.append(d)
-            if self.is_gateway(node):
-                if self.variant == "star":
-                    result.append(IO_UP)
-                else:
-                    cx, cy = self._chiplet_coords(self.chiplet_of(node))
-                    for p in (INT_NORTH, INT_EAST, INT_SOUTH, INT_WEST):
-                        dx, dy = _INT_DELTAS[p]
-                        if 0 <= cx + dx < self.chiplets_x \
-                                and 0 <= cy + dy < self.chiplets_y:
-                            result.append(p)
-        ports = tuple(result)
-        self._ports_cache[node] = ports
-        return ports
-
-    def neighbor(self, node: int, port: Port) -> Optional[int]:
-        self._check(node)
-        if node == self.hub:
-            index = int(port) - IO_DOWN_BASE
-            if 0 <= index < self.num_chiplets:
-                return self.gateway(index)
-            return None
-        if port in _DELTAS:
-            lx, ly = self._local(node)
-            dx, dy = _DELTAS[port]
-            nx, ny = lx + dx, ly + dy
-            if 0 <= nx < self.chip_width and 0 <= ny < self.chip_height:
-                chiplet = self.chiplet_of(node)
-                return chiplet * self.tiles_per_chiplet \
-                    + ny * self.chip_width + nx
-            return None
-        if not self.is_gateway(node):
-            return None
-        if self.variant == "star":
-            return self.hub if port == IO_UP else None
-        delta = _INT_DELTAS.get(port)
-        if delta is None:
-            return None
-        cx, cy = self._chiplet_coords(self.chiplet_of(node))
-        nx, ny = cx + delta[0], cy + delta[1]
-        if 0 <= nx < self.chiplets_x and 0 <= ny < self.chiplets_y:
-            return self.gateway(ny * self.chiplets_x + nx)
-        return None
-
-    def entry_port(self, node: int, port: Port) -> Port:
-        if isinstance(port, Direction):
-            return _OPPOSITE[port]
-        if self.variant == "star":
-            if node == self.hub:
-                return IO_UP
-            return IO_DOWN_BASE + self.chiplet_of(node)
-        return _INT_OPPOSITE[port]
+    # -- the routing law ----------------------------------------------------
 
     def next_port(self, node: int, dst: int) -> Port:
         """Hierarchical source routing: XY to the gateway, across the
@@ -665,38 +653,12 @@ class ChipletTopology(Topology):
             return self._intra_port(node, gateway)
         if self.variant == "star":
             return IO_UP
-        cx, cy = self._chiplet_coords(chiplet)
-        dx, dy = self._chiplet_coords(dst_chiplet)
-        if cx < dx:
-            return INT_EAST
-        if cx > dx:
-            return INT_WEST
-        if cy < dy:
-            return INT_SOUTH
-        return INT_NORTH
+        return _INT_SHIFT + _xy_port(*self._chiplet_coords(chiplet),
+                                    *self._chiplet_coords(dst_chiplet))
 
     def _intra_port(self, node: int, dst: int) -> Direction:
         """XY within one chiplet's sub-mesh (local coordinates)."""
-        x, y = self._local(node)
-        dx, dy = self._local(dst)
-        if x < dx:
-            return Direction.EAST
-        if x > dx:
-            return Direction.WEST
-        if y < dy:
-            return Direction.SOUTH
-        if y > dy:
-            return Direction.NORTH
-        return Direction.LOCAL
-
-    def link_latency(self, node: int, port: Port) -> int:
-        if not isinstance(port, Direction) \
-                and int(port) >= FIRST_INTERPOSER_PORT:
-            return self.interposer_latency
-        return 2
-
-    def advances_layer(self, node: int, port: Port) -> bool:
-        return int(port) >= FIRST_INTERPOSER_PORT
+        return _xy_port(*self._local(node), *self._local(dst))
 
     def hop_distance(self, src: int, dst: int) -> int:
         """Route length: intra hops + interposer hops + intra hops."""
@@ -831,25 +793,19 @@ def parse_topology_spec(spec: str) -> TopologySpec:
                         interposer_latency=ilat)
 
 
-def topology_from_spec(spec: TopologySpec, width: int,
-                       height: int) -> Topology:
-    """Instantiate the topology a parsed spec describes.
-
-    ``width``/``height`` are the params' mesh dimensions; mesh and ring
-    take their size from them (chiplet specs carry their own)."""
-    if spec.kind == "mesh":
+def build_topology(spec: str, width: int, height: int) -> Topology:
+    """The topology a spec string describes (see
+    :func:`parse_topology_spec`).  Mesh and ring take their size from
+    ``width`` / ``height`` (a ring of ``width * height`` stops); chiplet
+    specs carry their own."""
+    parsed = parse_topology_spec(spec)
+    if parsed.kind == "mesh":
         return MeshTopology(width, height)
-    if spec.kind == "ring":
+    if parsed.kind == "ring":
         return RingTopology(width * height)
     return ChipletTopology(
-        spec.chiplets_x, spec.chiplets_y,
-        spec.chip_width, spec.chip_height,
-        variant=spec.variant,
-        interposer_latency=spec.interposer_latency,
+        parsed.chiplets_x, parsed.chiplets_y,
+        parsed.chip_width, parsed.chip_height,
+        variant=parsed.variant,
+        interposer_latency=parsed.interposer_latency,
     )
-
-
-def build_topology(params) -> Topology:
-    """The topology described by a :class:`repro.params.NocParams`."""
-    spec = parse_topology_spec(params.topology)
-    return topology_from_spec(spec, params.mesh_width, params.mesh_height)

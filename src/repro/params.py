@@ -33,6 +33,19 @@ class MessageClass(Enum):
 #: Number of message classes: VCs per port on a single-layer topology.
 NUM_MESSAGE_CLASSES = len(MessageClass)
 
+#: Tiles a pre-allocated (Mesh+PRA) data packet covers per cycle: a
+#: multi-drop segment spans two routers when the route runs straight
+#: (``ControlNetwork._step_hops``).
+PRA_HOPS_PER_CYCLE = 2
+
+
+def _require_positive(params, *names: str) -> None:
+    """Refuse a count below 1 in any of ``params``' fields ``names``."""
+    for name in names:
+        value = getattr(params, name)
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
+
 
 @dataclass(frozen=True)
 class TechnologyParams:
@@ -68,6 +81,9 @@ class CacheParams:
     tag_lookup_cycles: int = 1
     data_lookup_cycles: int = 4
 
+    def __post_init__(self) -> None:
+        _require_positive(self, "tag_lookup_cycles", "data_lookup_cycles")
+
 
 @dataclass(frozen=True)
 class MemoryParams:
@@ -78,6 +94,10 @@ class MemoryParams:
     access_cycles: int = 90
     #: Minimum cycles between successive accesses on one channel.
     service_cycles: int = 8
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "num_channels", "access_cycles",
+                          "service_cycles")
 
 
 @dataclass(frozen=True)
@@ -92,23 +112,17 @@ class RouterParams:
     link_width_bits: int = 128
 
     def __post_init__(self) -> None:
-        if self.flits_per_vc < 1:
-            raise ValueError(
-                f"flits_per_vc must be positive, got {self.flits_per_vc}"
-            )
-        if self.link_width_bits < 1:
-            raise ValueError(
-                f"link_width_bits must be positive, got "
-                f"{self.link_width_bits}"
-            )
+        _require_positive(self, "flits_per_vc", "link_width_bits")
 
 
 @dataclass(frozen=True)
 class PraParams:
-    """Parameters unique to the Mesh+PRA organization."""
+    """Parameters unique to the Mesh+PRA organization.
 
-    #: Tiles a pre-allocated data packet covers per cycle.
-    hops_per_cycle: int = 2
+    A pre-allocated data packet covers :data:`PRA_HOPS_PER_CYCLE` tiles
+    per cycle; that is structure, not a parameter.
+    """
+
     #: Maximum lag carried by a control packet (paper Section V-B).
     max_lag: int = 4
     #: Reservation table horizon in timeslots ("several timeslots").
@@ -126,18 +140,7 @@ class PraParams:
     use_memory_trigger: bool = False
 
     def __post_init__(self) -> None:
-        if self.hops_per_cycle not in (1, 2):
-            raise ValueError(
-                f"pra hops_per_cycle must be 1 or 2, got "
-                f"{self.hops_per_cycle}"
-            )
-        if self.max_lag < 1:
-            raise ValueError(f"max_lag must be positive, got {self.max_lag}")
-        if self.reservation_horizon < 1:
-            raise ValueError(
-                f"reservation_horizon must be positive, got "
-                f"{self.reservation_horizon}"
-            )
+        _require_positive(self, "max_lag", "reservation_horizon")
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,7 @@ class NocParams:
     mesh_width: int = 8
     mesh_height: int = 8
     #: Topology spec string: ``mesh`` (the grid above), ``ring``
-    #: (``mesh_width`` stops), or ``chiplet:CXxCYxWxH[:star][:ilat=N]``
+    #: (``mesh_width * mesh_height`` stops), or ``chiplet:CXxCYxWxH[:star][:ilat=N]``
     #: (see :func:`repro.noc.topology.parse_topology_spec`).  For
     #: chiplet specs the mesh dimensions are derived from the spec's
     #: global tile grid, so ``num_nodes`` stays the endpoint count.
@@ -182,11 +185,7 @@ class NocParams:
                 f"mesh dimensions must be positive, got "
                 f"{self.mesh_width}x{self.mesh_height}"
             )
-        if self.ideal_hops_per_cycle < 1:
-            raise ValueError(
-                f"ideal_hops_per_cycle must be positive, got "
-                f"{self.ideal_hops_per_cycle}"
-            )
+        _require_positive(self, "ideal_hops_per_cycle")
         # Validate the spec eagerly (junk fails at construction, not
         # deep inside network building) and derive the global grid for
         # chiplet specs.  Lazy import: topology has no params dependency

@@ -1,4 +1,4 @@
-"""Full-system performance model: cores, co-simulation, sampling.
+"""Full-system performance model: cores and co-simulation.
 
 The Flexus/SimFlex substitute (DESIGN.md §5): trace-driven cores whose
 every L1 miss is a real packet pair through the cycle-accurate NoC, with
@@ -10,8 +10,7 @@ over all 64 cores — and normalized to the mesh baseline.
 
 from repro.perf.core_model import CoreModel
 from repro.perf.system import PerfSample, SystemSimulator, simulate
-from repro.perf.sampling import SampleStats, measure_with_confidence
-from repro.perf.metrics import geomean, normalize_to
+from repro.perf.metrics import geomean
 from repro.perf.instrumentation import LatencyReport, PraProbe
 
 __all__ = [
@@ -19,10 +18,7 @@ __all__ = [
     "PerfSample",
     "SystemSimulator",
     "simulate",
-    "SampleStats",
-    "measure_with_confidence",
     "geomean",
-    "normalize_to",
     "LatencyReport",
     "PraProbe",
 ]

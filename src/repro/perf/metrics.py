@@ -1,9 +1,9 @@
-"""Small metric helpers shared by the harness: geomean, normalization."""
+"""The paper's GMean: the one metric helper the harness shares."""
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Sequence
+from typing import Iterable
 
 
 def geomean(values: Iterable[float]) -> float:
@@ -15,21 +15,3 @@ def geomean(values: Iterable[float]) -> float:
         raise ValueError("geomean requires positive values")
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
-
-def normalize_to(values: Dict[str, float], baseline_key: str) -> Dict[str, float]:
-    """Normalize a {name: value} mapping to one entry (e.g. to Mesh)."""
-    base = values[baseline_key]
-    if base == 0:
-        raise ValueError("baseline value is zero")
-    return {k: v / base for k, v in values.items()}
-
-
-def mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
-
-
-def stddev(values: Sequence[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    mu = mean(values)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / (len(values) - 1))

@@ -4,8 +4,7 @@ Mirrors the paper's methodology (Section IV-D): launch from a warmed
 state, run a warm-up interval of detailed simulation to reach steady
 state, then measure application instructions per cycle over the
 measurement interval.  Per-workload, per-NoC performance numbers come
-from :func:`simulate`; confidence intervals over seeds come from
-:mod:`repro.perf.sampling`.
+from :func:`simulate`.
 """
 
 from __future__ import annotations

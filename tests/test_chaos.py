@@ -14,7 +14,6 @@ from repro.cli import main
 from repro.faults import FaultInjector, FaultSchedule, LinkStall, StallWindow
 from repro.invariants import InvariantSuite
 from repro.noc.packet import reset_packet_ids
-from repro.noc.ring import build_ring
 from repro.noc.topology import Direction
 from repro.params import NocKind
 from repro.perf.system import SystemSimulator
@@ -61,7 +60,7 @@ def test_chaos_sweep_mesh_organizations(kind, fault_seed):
 
 @pytest.mark.parametrize("fault_seed", [3, 11])
 def test_chaos_sweep_ring(fault_seed):
-    chaos_run(build_ring(16), fault_seed)
+    chaos_run(make_network(NocKind.MESH, 16, 1, topology="ring"), fault_seed)
 
 
 def test_chaos_high_intensity_pra():
@@ -101,7 +100,7 @@ def test_chaos_full_system_pra(fault_seed):
 
 
 def test_ring_stall_only_schedule():
-    net = build_ring(8)
+    net = make_network(NocKind.MESH, 8, 1, topology="ring")
     schedule = FaultSchedule(
         router_stalls=(StallWindow(node=2, start=40, duration=30),),
         link_stalls=(

@@ -36,11 +36,11 @@ from repro.core.reservation import OUT, PIN
 from repro.faults import FaultInjector, FaultSchedule
 from repro.noc.network import build_network
 from repro.noc.packet import reset_packet_ids
-from repro.noc.ring import build_ring
 from repro.params import NocKind, NocParams
 from repro.perf.system import PerfSample, SystemSimulator
 from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
 
+from tests.helpers import make_network
 from tests.test_golden_determinism import (
     ALL_KINDS,
     GOLDEN_NETWORK,
@@ -260,7 +260,7 @@ def test_snapshot_with_fault_schedule_attached():
 def test_snapshot_on_ring_topology():
     reset_packet_ids()
     cycles, half = 600, 300
-    net = build_ring(16)
+    net = make_network(NocKind.MESH, 16, 1, topology="ring")
     traffic = SyntheticTraffic(net, TrafficPattern.UNIFORM_RANDOM, 0.05,
                                seed=9)
     traffic.run(cycles)
@@ -268,7 +268,7 @@ def test_snapshot_on_ring_topology():
     straight = _digest(net.stats.summary())
 
     reset_packet_ids()
-    net = build_ring(16)
+    net = make_network(NocKind.MESH, 16, 1, topology="ring")
     traffic = SyntheticTraffic(net, TrafficPattern.UNIFORM_RANDOM, 0.05,
                                seed=9)
     traffic.run(half)

@@ -19,23 +19,21 @@ from repro.analytic import validate_chiplet
 from repro.analytic.validate import LATENCY_ERROR_MARGIN
 from repro.checkpoint import restore_network, snapshot_network
 from repro.cli import main
-from repro.noc.chiplet import build_chiplet
 from repro.noc.packet import reset_packet_ids
-from repro.noc.ring import build_ring
 from repro.noc.topology import (
     CHIPLET_VC_LAYERS,
     FIRST_INTERPOSER_PORT,
     Direction,
     MeshTopology,
+    build_topology,
     parse_topology_spec,
     port_name,
-    topology_from_spec,
 )
 from repro.params import NUM_MESSAGE_CLASSES, NocKind, NocParams
 from repro.shard import SyntheticSpec, plan_shards
 from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
 
-from tests.helpers import assert_quiescent
+from tests.helpers import assert_quiescent, make_network
 from tests.test_chaos import chaos_run
 from tests.test_checkpoint import _json_round_trip
 from tests.test_golden_determinism import _digest
@@ -54,7 +52,7 @@ GOLDEN_CHIPLET = {
 
 
 def _topology(spec: str):
-    return topology_from_spec(parse_topology_spec(spec), 4, 4)
+    return build_topology(spec, 4, 4)
 
 
 ALL_TOPOLOGIES = [
@@ -65,7 +63,7 @@ ALL_TOPOLOGIES = [
 
 def _chiplet_run(spec: str):
     reset_packet_ids()
-    net = build_chiplet(spec)
+    net = make_network(NocKind.MESH, topology=spec)
     traffic = SyntheticTraffic(net, TrafficPattern.UNIFORM_RANDOM, _RATE,
                                seed=_SEED)
     return net, traffic
@@ -88,6 +86,26 @@ def test_entry_ports_are_link_symmetric(spec):
                 f"{port_name(entry)}, which is not the reverse link"
             )
             assert topo.link_latency(node, port) >= 1
+
+
+@pytest.mark.parametrize("spec", ALL_TOPOLOGIES)
+def test_every_graph_query_reads_the_link_table(spec):
+    """The link table is the graph: a topology writes links and a
+    routing law, never a query of its own, and every query answers
+    from the table."""
+    topo = _topology(spec)
+    queries = {"ports", "neighbor", "entry_port", "link_latency",
+               "advances_layer"}
+    assert not queries & set(vars(type(topo)))
+    for node, row in enumerate(topo.links):
+        assert topo.ports(node) == tuple(link.port for link in row)
+        for link in row:
+            port = link.port
+            assert (topo.neighbor(node, port), topo.entry_port(node, port),
+                    topo.link_latency(node, port),
+                    topo.advances_layer(node, port)) == link[1:]
+        assert topo.neighbor(node, Direction.LOCAL) is None
+        assert not topo.advances_layer(node, Direction.LOCAL)
 
 
 @pytest.mark.parametrize("spec", ALL_TOPOLOGIES)
@@ -168,7 +186,7 @@ def test_params_derive_mesh_dims_from_chiplet_spec():
 
 @pytest.mark.parametrize("spec", ["chiplet:2x2x3x3", "chiplet:2x2x3x3:star"])
 def test_chaos_sweep_chiplet(spec):
-    chaos_run(build_chiplet(spec), fault_seed=3)
+    chaos_run(make_network(NocKind.MESH, topology=spec), fault_seed=3)
 
 
 def test_chiplet_vcs_cover_escape_layers():
@@ -176,8 +194,8 @@ def test_chiplet_vcs_cover_escape_layers():
     every one of them is reachable: from the injection VCs through the
     ports' ``next_vc`` rows.  A VC outside that closure would be
     silicon no packet enters."""
-    for net in (build_ring(8), build_chiplet("chiplet:2x2x3x3"),
-                build_chiplet("chiplet:2x2x3x3:star")):
+    for net in (make_network(NocKind.MESH, 8, 1, topology="ring"), make_network(NocKind.MESH, topology="chiplet:2x2x3x3"),
+                make_network(NocKind.MESH, topology="chiplet:2x2x3x3:star")):
         layers = net.topology.vc_layers
         assert layers == CHIPLET_VC_LAYERS  # the ring has two as well
         assert net.num_vcs == NUM_MESSAGE_CLASSES * layers

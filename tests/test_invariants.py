@@ -8,9 +8,7 @@ from repro.core.plan import PlanStep, PraPlan, SRC_VC
 from repro.core.reservation import LATCH, OUT, Window
 from repro.faults import FaultInjector, FaultSchedule, StallWindow
 from repro.invariants import InvariantSuite, InvariantViolation, wait_graph
-from repro.noc.chiplet import build_chiplet
 from repro.noc.packet import Packet
-from repro.noc.ring import build_ring
 from repro.noc.topology import Direction
 from repro.params import MessageClass, NocKind
 from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
@@ -42,7 +40,7 @@ def test_clean_runs_have_zero_violations(kind):
 
 
 def test_clean_ring_run_has_zero_violations():
-    net = build_ring(8)
+    net = make_network(NocKind.MESH, 8, 1, topology="ring")
     suite = InvariantSuite(audit_period=1)
     net.attach(invariants=suite)
     SyntheticTraffic(
@@ -115,9 +113,9 @@ def test_wait_graph_snapshots_blocked_packets():
 
 @pytest.mark.parametrize("build,src,dst,stalled", [
     # Stop 7 -> stop 0 clockwise is the ring's dateline link.
-    (lambda: build_ring(8), 7, 1, 0),
+    (lambda: make_network(NocKind.MESH, 8, 1, topology="ring"), 7, 1, 0),
     # Gateway 0 -> gateway 4 is an inter-chiplet (interposer) link.
-    (lambda: build_chiplet("chiplet:2x2x2x2"), 0, 5, 4),
+    (lambda: make_network(NocKind.MESH, topology="chiplet:2x2x2x2"), 0, 5, 4),
 ], ids=["ring", "chiplet"])
 def test_wait_graph_follows_the_escape_layer(build, src, dst, stalled):
     """Behind a layer-advancing link a head waits for the *layer-1* VC

@@ -2,19 +2,16 @@
 
 import pytest
 
-from repro.noc.chiplet import build_chiplet
 from repro.noc.flit import Flit, FlitType
 from repro.noc.interface import NetworkInterface
 from repro.noc.mesh import MeshNetwork
 from repro.noc.network import build_network
 from repro.noc.packet import Packet, reset_packet_ids
-from repro.noc.ring import build_ring
 from repro.noc.router import MeshRouter
 from repro.noc.topology import (
     MeshTopology,
     RingTopology,
-    parse_topology_spec,
-    topology_from_spec,
+    build_topology,
 )
 from repro.noc.vc import VirtualChannel
 from repro.params import (
@@ -180,10 +177,8 @@ def _all_topologies():
     return [
         ("mesh", MeshTopology(4, 4)),
         ("ring", RingTopology(8)),
-        ("chiplet", topology_from_spec(
-            parse_topology_spec("chiplet:2x2x3x3"), 3, 3)),
-        ("chiplet-star", topology_from_spec(
-            parse_topology_spec("chiplet:2x2x3x3:star"), 3, 3)),
+        ("chiplet", build_topology("chiplet:2x2x3x3", 3, 3)),
+        ("chiplet-star", build_topology("chiplet:2x2x3x3:star", 3, 3)),
     ]
 
 
@@ -234,9 +229,9 @@ def test_route_memo_stays_bounded_and_correct():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: build_ring(8),
-    lambda: build_chiplet("chiplet:2x2x4x4"),
-    lambda: build_chiplet("chiplet:2x2x4x4:star"),
+    lambda: make_network(NocKind.MESH, 8, 1, topology="ring"),
+    lambda: make_network(NocKind.MESH, topology="chiplet:2x2x4x4"),
+    lambda: make_network(NocKind.MESH, topology="chiplet:2x2x4x4:star"),
 ], ids=["ring", "chiplet", "chiplet-star"])
 def test_next_vc_rows_follow_the_topology_escape_rule(build):
     """Every output port's ``next_vc`` is the escape rule written out

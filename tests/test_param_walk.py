@@ -1,7 +1,8 @@
 """Every parameter moves an output or is refused.
 
 The walk perturbs each numeric and bool field of :class:`ChipParams`
-and its nested dataclasses.  Either construction raises ``ValueError``,
+and its nested dataclasses, numeric ones both ways (an int by +-1, a
+float by x1.5 and x0.5).  Either construction raises ``ValueError``,
 or a cheap fingerprint changes: Table I, Fig. 8's area, NOC and chip
 power at a fixed activity, or a short full-system digest on each
 organization that reads the field's dataclass.  A field that moves
@@ -12,7 +13,7 @@ Table I and nothing else is display-only and must be listed in
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Dict, List, Tuple
 
 import pytest
@@ -71,18 +72,18 @@ def _leaves(obj, prefix: str = "") -> List[Tuple[str, type]]:
     return leaves
 
 
-def _perturbed(obj, names: List[str]):
-    """A copy of ``obj`` with the field at ``names`` nudged."""
+def _perturbed(obj, names: List[str], up: bool = True):
+    """A copy of ``obj`` with the field at ``names`` nudged up or down."""
     name, rest = names[0], names[1:]
     value = getattr(obj, name)
     if rest:
-        new = _perturbed(value, rest)
+        new = _perturbed(value, rest, up)
     elif isinstance(value, bool):
         new = not value
     elif isinstance(value, int):
-        new = value + 1
+        new = value + 1 if up else value - 1
     else:
-        new = value * 1.5
+        new = value * (1.5 if up else 0.5)
     return dataclasses.replace(obj, **{name: new})
 
 
@@ -133,12 +134,15 @@ def _moved(path: str, owner: type, chip: ChipParams) -> List[str]:
 _FIELDS = [(path, owner) for path, owner in _leaves(ChipParams())
            if path not in SELECTORS]
 
+#: The numeric fields: a bool has no second direction to walk.
+_NUMERIC = [(path, owner) for path, owner in _FIELDS
+            if not isinstance(reduce(getattr, path.split("."), ChipParams()),
+                              bool)]
 
-@pytest.mark.parametrize("path,owner", _FIELDS,
-                         ids=[path for path, _ in _FIELDS])
-def test_every_parameter_moves_an_output_or_is_refused(path, owner):
+
+def _walk(path: str, owner: type, up: bool) -> None:
     try:
-        chip = _perturbed(ChipParams(), path.split("."))
+        chip = _perturbed(ChipParams(), path.split("."), up)
     except ValueError as err:
         # Refused at construction, by a message that names the field.
         assert path.rsplit(".", 1)[1] in str(err)
@@ -151,6 +155,19 @@ def test_every_parameter_moves_an_output_or_is_refused(path, owner):
             f"{path} moves {moved or 'nothing'}: delete it, derive it, "
             f"or refuse the values it cannot honour"
         )
+
+
+@pytest.mark.parametrize("path,owner", _FIELDS,
+                         ids=[path for path, _ in _FIELDS])
+def test_every_parameter_moves_an_output_or_is_refused(path, owner):
+    _walk(path, owner, up=True)
+
+
+@pytest.mark.parametrize("path,owner", _NUMERIC,
+                         ids=[path for path, _ in _NUMERIC])
+def test_every_parameter_moved_down_moves_an_output_or_is_refused(
+        path, owner):
+    _walk(path, owner, up=False)
 
 
 def test_the_walk_sees_every_dataclass():

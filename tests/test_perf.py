@@ -1,10 +1,9 @@
-"""Tests for the performance model: cores, system simulation, sampling."""
+"""Tests for the performance model: cores and system simulation."""
 
 import pytest
 
 from repro.params import NocKind
-from repro.perf.metrics import geomean, normalize_to
-from repro.perf.sampling import measure_with_confidence
+from repro.perf.metrics import geomean
 from repro.perf.system import SystemSimulator, simulate
 from repro.workloads.profiles import CLOUDSUITE, WORKLOAD_NAMES, get_profile
 
@@ -17,10 +16,6 @@ class TestMetrics:
     def test_geomean_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             geomean([1.0, 0.0])
-
-    def test_normalize(self):
-        out = normalize_to({"a": 2.0, "b": 4.0}, "a")
-        assert out == {"a": 1.0, "b": 2.0}
 
 
 class TestProfiles:
@@ -79,15 +74,3 @@ class TestSystemSimulator:
                                      warmup=500, measure=2500, seed=3).ipc
         assert results[NocKind.IDEAL] > results[NocKind.MESH] * 1.1
 
-
-class TestSampling:
-    def test_confidence_interval(self):
-        stats = measure_with_confidence(
-            "MapReduce", NocKind.MESH, num_samples=3,
-            warmup=200, measure=800,
-        )
-        assert len(stats.samples) == 3
-        assert stats.mean_ipc > 0
-        assert stats.ci95 >= 0
-        # Steady-state sampling should be reasonably tight.
-        assert stats.relative_error < 0.25

@@ -21,8 +21,7 @@ from repro.noc.topology import (
     Direction,
     MeshTopology,
     RingTopology,
-    parse_topology_spec,
-    topology_from_spec,
+    build_topology,
 )
 from repro.params import MessageClass, NocKind
 from tests.helpers import (
@@ -165,12 +164,13 @@ def test_channel_dependency_graph_is_acyclic():
         ("chiplet:2x2x4x4", 0, 0), ("chiplet:2x2x4x4:star", 0, 0),
         ("chiplet:2x2x2x2", 0, 0), ("chiplet:3x2x3x3:ilat=6", 0, 0),
     ]:
-        topo = topology_from_spec(parse_topology_spec(spec), width, height)
+        topo = build_topology(spec, width, height)
         assert channel_dependency_cycle(topo) is None, spec
 
     class RingWithoutDateline(RingTopology):
-        def advances_layer(self, node, port):
-            return False
+        def _links(self, node):
+            for link in super()._links(node):
+                yield link._replace(advances=False)
 
     assert channel_dependency_cycle(RingWithoutDateline(8)) == [
         (stop, Direction.EAST, 0) for stop in range(8)

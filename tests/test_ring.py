@@ -3,14 +3,14 @@
 import random
 
 from repro.noc.packet import Packet
-from repro.noc.ring import build_ring
-from repro.params import MessageClass
+from repro.params import MessageClass, NocKind
 from repro.trace import EV_VC_ALLOC, RingTracer
+from tests.helpers import make_network
 
 
 class TestRingBasics:
     def test_single_packet_shortest_direction(self):
-        net = build_ring(8)
+        net = make_network(NocKind.MESH, 8, 1, topology="ring")
         pkt = Packet(src=0, dst=2, msg_class=MessageClass.REQUEST,
                      created=net.cycle)
         net.send(pkt)
@@ -18,7 +18,7 @@ class TestRingBasics:
         assert pkt.hops_taken == 2
 
     def test_wraparound_shorter_path(self):
-        net = build_ring(8)
+        net = make_network(NocKind.MESH, 8, 1, topology="ring")
         pkt = Packet(src=1, dst=7, msg_class=MessageClass.REQUEST,
                      created=net.cycle)
         net.send(pkt)
@@ -26,7 +26,7 @@ class TestRingBasics:
         assert pkt.hops_taken == 2  # 1 -> 0 -> 7 counter-clockwise
 
     def test_two_cycles_per_hop(self):
-        net = build_ring(16)
+        net = make_network(NocKind.MESH, 16, 1, topology="ring")
         pkt = Packet(src=0, dst=4, msg_class=MessageClass.REQUEST,
                      created=net.cycle)
         net.send(pkt)
@@ -34,7 +34,7 @@ class TestRingBasics:
         assert pkt.network_latency() == 2 * 4 + 2 + 1  # as on the mesh
 
     def test_dateline_crossing_delivers(self):
-        net = build_ring(8)
+        net = make_network(NocKind.MESH, 8, 1, topology="ring")
         tracer = RingTracer()
         net.attach(tracer=tracer)
         # 6 -> 1 clockwise crosses the 7 -> 0 dateline.
@@ -49,7 +49,7 @@ class TestRingBasics:
                 for event in tracer.events(pkt.pid, [EV_VC_ALLOC])] == [4, 5, 5]
 
     def test_multi_flit_across_dateline_intact(self):
-        net = build_ring(6)
+        net = make_network(NocKind.MESH, 6, 1, topology="ring")
         pkt = Packet(src=5, dst=2, msg_class=MessageClass.RESPONSE,
                      created=net.cycle)
         net.send(pkt)
@@ -60,7 +60,7 @@ class TestRingBasics:
 class TestRingLoad:
     def test_random_traffic_all_delivered(self):
         rng = random.Random(21)
-        net = build_ring(16)
+        net = make_network(NocKind.MESH, 16, 1, topology="ring")
         sent = 0
         for _ in range(300):
             src = rng.randrange(16)
@@ -76,7 +76,7 @@ class TestRingLoad:
     def test_saturating_wraparound_traffic_is_deadlock_free(self):
         """All-to-opposite traffic maximizes dateline crossings; the
         two-layer VC scheme must keep the ring deadlock-free."""
-        net = build_ring(8)
+        net = make_network(NocKind.MESH, 8, 1, topology="ring")
         sent = 0
         for round_ in range(40):
             for src in range(8):
@@ -97,7 +97,7 @@ class TestRingScaling:
         latencies = {}
         hops = {}
         for stops in (8, 16, 32):
-            net = build_ring(stops)
+            net = make_network(NocKind.MESH, stops, 1, topology="ring")
             rng = random.Random(5)
             for _ in range(60):
                 src = rng.randrange(stops)

@@ -10,6 +10,7 @@ from repro.params import (
     MessageClass,
     NocKind,
     PACKET_FLITS,
+    PRA_HOPS_PER_CYCLE,
     default_chip,
 )
 
@@ -100,7 +101,7 @@ class TestParams:
     def test_pra_defaults_match_paper(self):
         chip = ChipParams()
         assert chip.noc.pra.max_lag == 4
-        assert chip.noc.pra.hops_per_cycle == 2
+        assert PRA_HOPS_PER_CYCLE == 2
         assert chip.noc.pra.control_link_width_bits == 15
         assert chip.cache.tag_lookup_cycles == 1
         assert chip.cache.data_lookup_cycles == 4

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.noc.packet import Packet
-from repro.noc.ring import build_ring
 from repro.params import MessageClass, NocKind
 from repro.perf.system import simulate
 from tests.helpers import assert_quiescent, make_network
@@ -52,7 +51,7 @@ class TestDeterminism:
 class TestRingQuiescence:
     def test_ring_drains_clean(self):
         rng = random.Random(31)
-        net = build_ring(12)
+        net = make_network(NocKind.MESH, 12, 1, topology="ring")
         for _ in range(200):
             src = rng.randrange(12)
             dst = (src + rng.randrange(1, 12)) % 12
