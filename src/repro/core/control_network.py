@@ -351,16 +351,17 @@ class ControlNetwork:
         promises.claim(now, (OUT, direction), slot, size, plan, step, True)
         promises.claim(now, (IN, src_dir), slot, size, plan)
         # The reserved routers must be stepping when their slots arrive
-        # even if no flit is buffered there; has_work() keeps them awake
-        # until the windows are over.
-        self.network.wake_router(node)
+        # even if no flit is buffered there: each is woken at ``slot``,
+        # and has_work() keeps it awake through the window's last cycle.
+        network = self.network
+        network.wake_at(slot, node, plan)
         if via_node is not None:
             via.claim(now, (OUT, direction), slot, size, plan, step)
             via.claim(now, (IN, direction.opposite), slot, size, plan)
-            self.network.wake_router(via_node)
+            network.wake_at(slot, via_node, plan)
         if not ejecting:
             plan.claim_landing_vc(landing_port, vc_index)
-        tracer = self.network.tracer
+        tracer = network.tracer
         if tracer.enabled:
             tracer.emit(
                 now, EV_RESERVATION_COMMIT, pid=plan.packet.pid, node=node,

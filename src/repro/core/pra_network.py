@@ -13,10 +13,12 @@ Two event windows trigger proactive allocation (paper Section III):
 
 from __future__ import annotations
 
+from typing import Dict, List, Tuple
+
 from repro.core.control_network import ControlNetwork
 from repro.core.plan import PraPlan, SRC_VC
 from repro.core.pra_router import PraRouter
-from repro.core.reservation import PIN
+from repro.core.reservation import OUT, PIN
 from repro.noc.interface import NetworkInterface
 from repro.noc.mesh import MeshNetwork
 from repro.noc.packet import Packet
@@ -124,6 +126,26 @@ class PraNetwork(MeshNetwork):
     def __init__(self, params: NocParams):
         super().__init__(params)
         self.control = ControlNetwork(self)
+        #: The wake list: cycle -> ``(node, plan)`` for each router
+        #: whose promised ``OUT`` window opens at that cycle.  Derived
+        #: from the routers' windows (rebuilt on restore, never saved).
+        self._wakes: Dict[int, List[Tuple[int, PraPlan]]] = {}
+
+    def wake_at(self, cycle: int, node: int, plan: PraPlan) -> None:
+        """Wake the router at ``node`` at ``cycle`` (a future cycle: the
+        first of a window promised to ``plan``), unless the plan is
+        cancelled by then.  Until then the router may sleep."""
+        self._wakes.setdefault(cycle, []).append((node, plan))
+
+    def _begin_step(self, now: int) -> List[int]:
+        """Wake the routers whose windows open now, then begin the
+        cycle as every network does."""
+        wakes = self._wakes.pop(now, None)
+        if wakes is not None:
+            for node, plan in wakes:
+                if not plan.cancelled:
+                    self.wake_router(node)
+        return super()._begin_step(now)
 
     def announce(self, packet: Packet, ready_in: int) -> None:
         """LLC-hit trigger: pre-allocate the response's path.
@@ -171,3 +193,12 @@ class PraNetwork(MeshNetwork):
     def load_state(self, state: dict, ctx) -> None:
         super().load_state(state, ctx)
         self.control.load_state(state["control"], ctx)
+        # A restored window that has not opened yet still owes its
+        # router a wake (one already open kept the router awake, so it
+        # is in the restored wake queue).
+        self._wakes = {}
+        now = self.cycle
+        for router in self.routers:
+            for (kind, _), window in router.promises.windows():
+                if kind == OUT and window.first >= now:
+                    self.wake_at(window.first, router.node, window.plan)

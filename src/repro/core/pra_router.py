@@ -5,9 +5,12 @@ path (pre-allocated flits cross link → crossbar → link combinationally,
 modeled by the upstream driver charging this router's port for the slot)
 and a one-cycle *latch*; the router gains a table of promised future
 timeslots (the bit vectors, :class:`~repro.core.reservation.Promises`);
-and the arbiter is split: the **PRA arbiter** executes any window
-covering the current cycle, and the **local arbiter** handles
-everything else, skipping resources the PRA arbiter is using.
+and the arbiter is split: the **PRA arbiter** executes the windows
+the calendar files under the current cycle (``Promises.due``), and the
+**local arbiter** handles everything else, skipping resources the PRA
+arbiter is using.  A router with no buffered flit sleeps between
+windows: it is woken at a window's first cycle and stays awake through
+its last.
 
 The **Long Stall Detection (LSD)** unit watches for a packet stalled
 behind a multi-flit packet whose transmission end is deterministic
@@ -20,10 +23,10 @@ from __future__ import annotations
 
 from collections import deque
 from operator import attrgetter, itemgetter
-from typing import Deque, Dict, Optional, Set
+from typing import Deque, Dict, Set
 
-from repro.core.plan import LAND_LATCH, LAND_NI, LAND_VC, PraPlan, SRC_VC
-from repro.core.reservation import Promises, Window
+from repro.core.plan import LAND_LATCH, LAND_NI, LAND_VC, SRC_VC
+from repro.core.reservation import Promises
 from repro.noc.flit import Flit
 from repro.noc.network import LATCH_INDEX
 from repro.noc.router import MeshRouter
@@ -50,142 +53,145 @@ class PraRouter(MeshRouter):
             network.params.pra.reservation_horizon,
             [port.direction for port in self.port_list],
         )
+        #: The promises' calendar (never rebound): ``step`` calls
+        #: ``due`` only on a cycle filed there.
+        self._calendar = self.promises.calendar
         #: Cached PRA knobs (the step loop reads them every cycle).
         self._use_lsd = network.params.pra.use_lsd_trigger
         self._max_lag = network.params.pra.max_lag
 
     def has_work(self) -> bool:
-        """Awake while flits are buffered or any reservation is pending.
+        """Awake while flits are buffered or a window covers the next
+        cycle.
 
-        Keeping the router awake through its reserved slots reproduces
-        the always-stepping behavior exactly: the PRA arbiter must run
-        at every reserved cycle even when no flit is buffered locally.
+        Between windows an idle router sleeps: the control network
+        files a wake at each window's first cycle
+        (:meth:`~repro.core.pra_network.PraNetwork.wake_at`), and this
+        keeps the router stepping through the window's later cycles, so
+        the PRA arbiter runs at every promised cycle even when no flit
+        is buffered locally.
         """
         return (self.active_flits > 0
-                or self.promises.pending(self.network.cycle + 1))
+                or self.promises.scheduled(self.network.cycle + 1))
 
     # -- per-cycle processing ---------------------------------------------------
 
     def step(self, now: int) -> None:
-        """The PRA arbiter, then the local one, then LSD."""
-        used_inputs: Set[Direction] = set()
-        busy_dirs: Set[Direction] = set()
-        # The PRA arbiter runs even under an injected router stall:
-        # the paper splits it from the local arbiter (Figure 4), and
-        # committed reservations are the only thing that drains
-        # latches — freezing them would strand flits forever instead
-        # of modeling a recoverable hardware hiccup.
-        self._execute_reservations(now, used_inputs, busy_dirs)
+        """The PRA arbiter, then the local one, then LSD.
+
+        The PRA arbiter runs even under an injected router stall: the
+        paper splits it from the local arbiter (Figure 4), and committed
+        reservations are the only thing that drains latches — freezing
+        them would strand flits forever instead of modeling a
+        recoverable hardware hiccup.  It executes each window due now:
+        a bypassed router's window pins the port and crossbar input the
+        upstream driver's flit crosses (a normally allocated
+        transmission holding the port simply skips the cycle — the PRA
+        arbiter has priority); a driver's window reads flit
+        ``now - first`` of the packet from its source, sends it across
+        the step's one or two hops and lands it, or cancels the plan
+        when that flit is not at the front.
+        """
+        windows = self.promises.due(now) if now in self._calendar else ()
+        if windows:
+            used_inputs: Set[Direction] = set()
+            busy_dirs: Set[Direction] = set()
+            network = self.network
+            for window in windows:
+                step = window.step
+                out_dir = step.out_dir
+                if not window.is_driver:
+                    busy_dirs.add(out_dir)
+                    used_inputs.add(out_dir.opposite)
+                    continue
+                plan = window.plan
+                packet = plan.packet
+                # The source: a standard VC on the plan's first step,
+                # this router's latch on every later one.
+                if step.source_kind == SRC_VC:
+                    vc = self.input_units[step.source_dir].vcs[
+                        step.source_vc]
+                    source = vc.flits
+                else:
+                    vc = None
+                    source = self._latches[step.source_dir]
+                flit = source[0] if source else None
+                if flit is not packet.flits[now - window.first]:
+                    plan.cancel()
+                    continue
+                busy_dirs.add(out_dir)
+                used_inputs.add(step.source_dir)
+                if vc is not None:
+                    self._pop(vc, now)
+                else:
+                    source.popleft()
+                    self.active_flits -= 1
+                # Charge link/crossbar activity; a 2-hop step also
+                # crosses the bypassed router's crossbar and outgoing
+                # link this cycle.
+                self.output_ports[out_dir].flits_sent += 1
+                if step.hops == 2:
+                    network.routers[step.via_node].output_ports[
+                        out_dir].flits_sent += 1
+                if flit.is_head:
+                    packet.hops_taken += step.hops
+                tracer = network.tracer
+                if tracer.enabled:
+                    tracer.emit(
+                        now, EV_LATCH_BYPASS, pid=packet.pid,
+                        node=self.node, direction=out_dir.name,
+                        hops=step.hops, via=step.via_node, flit=flit.index,
+                        source=step.source_kind, landing=step.landing_node,
+                        landing_kind=step.landing_kind,
+                    )
+                # Land it: in the NI, in the landing router's latch, or
+                # in its standard VC on the credits the plan claimed.
+                landing_kind = step.landing_kind
+                if landing_kind == LAND_NI:
+                    network.schedule_eject(
+                        now + 1, network.interfaces[step.landing_node], flit)
+                else:
+                    if landing_kind == LAND_LATCH:
+                        vc_index = LATCH_INDEX
+                    else:
+                        assert landing_kind == LAND_VC
+                        plan.consume_landing_credit()
+                        vc_index = packet.vc_index
+                    network.schedule_arrival(
+                        now + 1, network.routers[step.landing_node],
+                        step.landing_entry, vc_index, flit)
+                if flit.is_tail and step is plan.steps[-1]:
+                    # The whole pre-allocated stretch has been traversed.
+                    plan.finished = True
+                    packet.pra_plan = None
+                    packet.pra_pending = False
+        else:
+            used_inputs = None
+            busy_dirs = ()
         if not self.active_flits:
-            # Awake purely for reserved slots (driving a bypass or
+            # Awake purely for promised cycles (driving a bypass or
             # pinning resources): the local arbiter has nothing to do.
             return
         # LSD looks at the requests as they stood before the local
-        # arbiter ran, and idles with it under a router stall.
+        # arbiter ran, and idles with it under a router stall.  Only a
+        # held port, or a free one with two or more waiting VCs, can
+        # yield a stalled candidate: the scan needs the port held after
+        # the arbiter ran, and a free port can only be granted to a VC
+        # on its own waiting list.  With one waiting VC the port stays
+        # free (no grant, or a single-flit packet left whole) or is held
+        # by that VC's packet, whose head has left — the scan skips the
+        # port or the VC either way, so other ports' lists are not
+        # copied.
         requests = self._use_lsd and [
-            (port, port.waiting[:]) for port in self.port_list if port.waiting
+            (port, port.waiting[:]) for port in self.port_list
+            if port.waiting
+            and (port.held_by is not None or len(port.waiting) > 1)
         ]
-        super().step(now, used_inputs, busy_dirs)
+        MeshRouter.step(self, now, used_inputs, busy_dirs)
         faults = self.network.faults
         if requests and not (faults.enabled
                              and faults.router_stalled(self.node, now)):
             self._lsd_scan(now, requests)
-
-    # -- the PRA arbiter ---------------------------------------------------------
-
-    def _execute_reservations(
-        self, now: int, used_inputs: Set[Direction], busy_dirs: Set[Direction]
-    ) -> None:
-        for window in self.promises.due(now):
-            if window.is_driver:
-                self._drive_window(window, now, used_inputs, busy_dirs)
-            else:
-                # A pre-allocated flit crosses this router's crossbar and
-                # output link this cycle (set up by the upstream driver);
-                # pin the port and the crossbar input for the cycle.  A
-                # normally allocated transmission holding the port simply
-                # skips this cycle (the PRA arbiter has priority).
-                out_dir = window.step.out_dir
-                busy_dirs.add(out_dir)
-                used_inputs.add(out_dir.opposite)
-
-    def _drive_window(
-        self,
-        window: Window,
-        now: int,
-        used_inputs: Set[Direction],
-        busy_dirs: Set[Direction],
-    ) -> None:
-        plan = window.plan
-        step = window.step
-        packet = plan.packet
-        flit = self._source_front(step)
-        if flit is not packet.flits[now - window.first]:
-            plan.cancel()
-            return
-        port = self.output_ports[step.out_dir]
-        busy_dirs.add(step.out_dir)
-        used_inputs.add(step.source_dir)
-        self._pop_source(step, now)
-        # Charge link/crossbar activity; a 2-hop step also crosses the
-        # bypassed router's crossbar and outgoing link this cycle.
-        port.flits_sent += 1
-        if step.hops == 2:
-            via_router = self.network.routers[step.via_node]
-            via_router.output_ports[step.out_dir].flits_sent += 1
-        if flit.is_head:
-            packet.hops_taken += step.hops
-        tracer = self.network.tracer
-        if tracer.enabled:
-            tracer.emit(
-                now, EV_LATCH_BYPASS, pid=packet.pid, node=self.node,
-                direction=step.out_dir.name, hops=step.hops,
-                via=step.via_node, flit=flit.index,
-                source=step.source_kind, landing=step.landing_node,
-                landing_kind=step.landing_kind,
-            )
-        self._deliver_to_landing(step, plan, flit, now)
-        if flit.is_tail and step is plan.steps[-1]:
-            # The whole pre-allocated stretch has been traversed.
-            plan.finished = True
-            packet.pra_plan = None
-            packet.pra_pending = False
-
-    def _source_front(self, step) -> Optional[Flit]:
-        if step.source_kind == SRC_VC:
-            vc = self.input_units[step.source_dir].vcs[step.source_vc]
-            return vc.front()
-        latch = self._latches[step.source_dir]
-        return latch[0] if latch else None
-
-    def _pop_source(self, step, now: int) -> None:
-        if step.source_kind == SRC_VC:
-            self._pop(self.input_units[step.source_dir].vcs[step.source_vc],
-                      now)
-        else:
-            self._latches[step.source_dir].popleft()
-            self.active_flits -= 1
-
-    def _deliver_to_landing(self, step, plan: PraPlan, flit: Flit, now: int) -> None:
-        if step.landing_kind == LAND_NI:
-            ni = self.network.interfaces[step.landing_node]
-            self.network.schedule_eject(now + 1, ni, flit)
-            return
-        landing_router = self.network.routers[step.landing_node]
-        if step.landing_kind == LAND_LATCH:
-            self.network.schedule_arrival(
-                now + 1, landing_router, step.landing_entry, LATCH_INDEX, flit
-            )
-            return
-        assert step.landing_kind == LAND_VC
-        plan.consume_landing_credit()
-        self.network.schedule_arrival(
-            now + 1,
-            landing_router,
-            step.landing_entry,
-            flit.packet.vc_index,
-            flit,
-        )
 
     # -- local arbiter constraints ------------------------------------------------
     #
@@ -286,4 +292,4 @@ class PraRouter(MeshRouter):
             self._latches[Direction(direction_value)] = deque(
                 ctx.flit(ref) for ref in refs
             )
-        self.promises.load_state(state["promises"], ctx)
+        self.promises.load_state(state["promises"], ctx, self.network.cycle)

@@ -27,10 +27,19 @@ refunded when a plan dies, and nothing sweeps the table: like a slot
 shifting off the end of a bit vector, a window that is over or cancelled
 is invisible to every query, and :meth:`Promises.claim` drops its row's
 dead windows before it appends.
+
+The hardware never searches its bit vectors: they shift one slot per
+cycle and the head slot is read.  The *calendar* is that read: every
+``OUT`` window is filed under each cycle it covers when it is claimed,
+so :meth:`Promises.due` pops one cycle's windows and
+:meth:`Promises.scheduled` (the router's "stay awake" query) looks one
+cycle up; neither scans a row.  The calendar is derived from the rows
+and rebuilt from them on restore.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.plan import PlanStep, PraPlan
@@ -43,6 +52,8 @@ Resource = Tuple[int, Direction]
 
 #: The attached NI's injection slots: the one ``INJ`` row.
 PIN: Resource = (INJ, Direction.LOCAL)
+
+_PORT = itemgetter(0)
 
 
 class Window(NamedTuple):
@@ -63,7 +74,7 @@ class Window(NamedTuple):
 class Promises:
     """Every window promised on one router's resources."""
 
-    __slots__ = ("horizon", "_rows", "_out")
+    __slots__ = ("horizon", "_rows", "_out", "_port", "calendar")
 
     def __init__(self, horizon: int, directions: Sequence[Direction]):
         self.horizon = horizon
@@ -75,6 +86,17 @@ class Promises:
         self._rows[PIN] = []
         #: The ``OUT`` rows in the router's port-processing order.
         self._out = [self._rows[OUT, direction] for direction in directions]
+        #: Direction -> its ``OUT`` row's index in ``_out``.
+        self._port = {direction: index
+                      for index, direction in enumerate(directions)}
+        #: cycle -> ``(port index, window)`` for every ``OUT`` window
+        #: covering that cycle, in claim order.  ``due`` pops a cycle's
+        #: entry; ``claim`` drops the entries of cycles no router step
+        #: popped (every window there was cancelled) once there are more
+        #: cycles than a claim's horizon can reach.  The router keeps
+        #: this dict (it is never rebound) to skip ``due`` on a cycle
+        #: with nothing filed.
+        self.calendar: Dict[int, List[Tuple[int, Window]]] = {}
 
     # -- queries ------------------------------------------------------------
 
@@ -91,11 +113,14 @@ class Promises:
                 return False
         return True
 
-    def pending(self, now: int) -> bool:
-        """Does a live ``OUT`` window cover ``now`` or a later cycle?"""
-        for row in self._out:
-            for window in row:
-                if window.end > now and not window.plan.cancelled:
+    def scheduled(self, cycle: int) -> bool:
+        """Does a live ``OUT`` window cover ``cycle``?  (One calendar
+        look-up: the router stays awake while this holds for the next
+        cycle.)"""
+        entries = self.calendar.get(cycle)
+        if entries:
+            for _, window in entries:
+                if not window.plan.cancelled:
                     return True
         return False
 
@@ -117,29 +142,56 @@ class Promises:
               plan: PraPlan, step: Optional[PlanStep] = None,
               is_driver: bool = False) -> None:
         """Promise ``count`` cycles from ``first``, after dropping the
-        row's windows that are over or cancelled at ``now``."""
+        row's windows that are over or cancelled at ``now``; an ``OUT``
+        window is also filed in the calendar."""
         row = self._rows[resource]
         row[:] = [window for window in row
                   if window.end > now and not window.plan.cancelled]
         if not self.free(resource, first, count):
             raise RuntimeError("double-booked reservation window")
-        row.append(Window(first, first + count, plan, step, is_driver))
+        window = Window(first, first + count, plan, step, is_driver)
+        row.append(window)
+        kind, direction = resource
+        if kind == OUT:
+            calendar = self.calendar
+            if len(calendar) > self.horizon:
+                # More cycles than the horizon spans: some are past.
+                for cycle in [cycle for cycle in calendar if cycle < now]:
+                    del calendar[cycle]
+            self._file(self._port[direction], window, first)
 
-    def due(self, now: int) -> List[Window]:
+    def _file(self, port: int, window: Window, first: int) -> None:
+        """Enter ``window`` in the calendar from cycle ``first`` on."""
+        calendar = self.calendar
+        entry = (port, window)
+        for cycle in range(first, window.end):
+            entries = calendar.get(cycle)
+            if entries is None:
+                calendar[cycle] = [entry]
+            else:
+                entries.append(entry)
+
+    def due(self, now: int) -> Sequence[Window]:
         """The live ``OUT`` windows covering ``now``, in port order (at
-        most one per port).  A window is removed with its last cycle, so
-        a live one left entirely in the past was never executed."""
+        most one per port): the calendar's entry for ``now``, popped.
+        A window is removed from its row with its last cycle, so a live
+        one left entirely in the past was never executed."""
+        entries = self.calendar.pop(now, None)
+        if entries is None:
+            return ()
+        if len(entries) > 1:
+            entries.sort(key=_PORT)
         hits = []
-        for row in self._out:
-            if not row:
-                continue  # the common case, every cycle of every router
-            for index, window in enumerate(row):
-                if (window.first <= now < window.end
-                        and not window.plan.cancelled):
-                    hits.append(window)
-                    if window.end == now + 1:
+        for port, window in entries:
+            if window.plan.cancelled:
+                continue
+            hits.append(window)
+            if window.end == now + 1:
+                row = self._out[port]
+                for index, stored in enumerate(row):
+                    if stored is window:
                         del row[index]
-                    break
+                        break
         return hits
 
     # -- checkpointing ---------------------------------------------------
@@ -163,12 +215,17 @@ class Promises:
                          window.is_driver])
         return rows
 
-    def load_state(self, state: list, ctx) -> None:
-        """Append directly: a snapshot holds only live windows."""
+    def load_state(self, state: list, ctx, now: int) -> None:
+        """Append directly (a snapshot holds only live windows), and
+        rebuild the calendar from cycle ``now`` on."""
         for row in self._rows.values():
             row.clear()
+        self.calendar.clear()
         for kind, direction, first, end, plan_ref, step_index, driver in state:
             plan = ctx.plan(plan_ref)
             step = None if step_index is None else plan.steps[step_index]
-            self._rows[kind, Direction(direction)].append(
-                Window(first, end, plan, step, driver))
+            direction = Direction(direction)
+            window = Window(first, end, plan, step, driver)
+            self._rows[kind, direction].append(window)
+            if kind == OUT:
+                self._file(self._port[direction], window, max(first, now))

@@ -110,9 +110,8 @@ class SlotPromises:
         return [cell for cell in cells
                 if cell is not None and not cell[0].cancelled]
 
-    def pending(self, now: int) -> bool:
-        return any(kind == OUT and cycle >= now and self._live((kind, d), cycle)
-                   for (kind, d), cycle in self.cells)
+    def scheduled(self, cycle: int) -> bool:
+        return any(self._live((OUT, d), cycle) for d in self.directions)
 
 
 def assert_quiescent(net: Network) -> None:

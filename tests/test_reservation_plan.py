@@ -42,11 +42,12 @@ class TestReservationTable:
         assert not promises.free(EAST, 11, 1)
         (window,) = promises.due(10)
         assert (window.plan, window.step, 10 - window.first) == (plan, step, 0)
-        assert promises.pending(11)
+        assert promises.scheduled(11)
         (window,) = promises.due(11)
         assert 11 - window.first == 1 and window.is_driver
         # Executed to its last cycle: the window is gone.
-        assert promises.free(EAST, 10, 2) and not promises.pending(11)
+        assert promises.free(EAST, 10, 2)
+        assert not any(promises.scheduled(cycle) for cycle in range(11, 20))
         assert not list(promises.windows())
 
     def test_double_booking_rejected(self):
@@ -62,7 +63,7 @@ class TestReservationTable:
         promises.claim(0, EAST, 10, 1, plan, make_step())
         plan.cancelled = True
         assert promises.free(EAST, 10, 1)
-        assert not promises.pending(0)
+        assert not any(promises.scheduled(cycle) for cycle in range(0, 20))
         # A new reservation may take the slot.
         plan2, _ = make_plan()
         promises.claim(0, EAST, 10, 1, plan2, make_step())
@@ -116,7 +117,7 @@ _OPS = st.one_of(
 @settings(max_examples=150, deadline=None)
 def test_promises_agree_with_the_per_slot_reference(ops):
     """Random claim / cancel / advance sequences give the same
-    ``free`` / ``due`` / ``pending`` answers from the window table as
+    ``free`` / ``due`` / ``scheduled`` answers from the window table as
     from one dict cell per promised cycle."""
     resources = [(kind, d) for kind in (OUT, IN, LATCH) for d in DIRECTIONS]
     promises, model = make_promises(), SlotPromises(DIRECTIONS)
@@ -145,9 +146,11 @@ def test_promises_agree_with_the_per_slot_reference(ops):
                     (w.plan, now - w.first, w.is_driver)
                     for w in promises.due(now)
                 ] == model.due(now)
-                assert promises.pending(now + 1) == model.pending(now + 1)
+                assert (promises.scheduled(now + 1)
+                        == model.scheduled(now + 1))
             now += 1
-        assert promises.pending(now) == model.pending(now)
+        for cycle in range(now, now + 20):
+            assert promises.scheduled(cycle) == model.scheduled(cycle)
         for resource in resources:
             for first in range(now, now + 20):
                 for count in (1, 3, 5):

@@ -231,7 +231,7 @@ def test_wake_flags_track_out_of_order_appends():
 def test_router_steps_track_flits_sent(kind):
     """The wake sets do not over-arm: on the paper's closed-loop
     operating point a router is stepped about once per flit it sends
-    (measured 0.81 mesh, 0.96 mesh+pra), so the ledger's 2-3 ``step``
+    (measured 0.81 mesh, 0.79 mesh+pra), so the ledger's 2-3 ``step``
     calls per packet *hop* are flits per packet, not idle steps."""
     from repro.perf.system import SystemSimulator
 
