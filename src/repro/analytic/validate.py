@@ -19,8 +19,8 @@ from repro.params import NocKind
 
 #: Committed relative-error bound on per-cell mean packet latency at
 #: the paper's operating points.  Measured at smoke and default scales
-#: across all 24 cells; see docs/performance.md for the fit and the
-#: re-validation policy.
+#: across all 24 cells; see docs/performance.md for the measured worst
+#: errors and the re-validation policy.
 LATENCY_ERROR_MARGIN = 0.12
 
 #: IPC tracks latency through the closed loop but is additionally

@@ -406,13 +406,15 @@ def _cmd_saturate(args: argparse.Namespace, _config: RunConfig) -> int:
     width, height = args.mesh
     params = NocParams(kind=kind, mesh_width=width, mesh_height=height,
                        topology=args.topology)
-    hotspot = (
-        tuple(int(n) for n in args.hotspot.split(","))
-        if args.hotspot else None
-    )
+    pattern = TrafficPattern(args.pattern)
+    hotspot = None
+    if args.hotspot is not None:
+        if pattern is not TrafficPattern.HOTSPOT:
+            raise ValueError("--hotspot needs --pattern hotspot")
+        hotspot = tuple(int(n) for n in args.hotspot.split(","))
     result = find_saturation(
         kind,
-        TrafficPattern(args.pattern),
+        pattern,
         params=params,
         cycles=args.cycles,
         seed=args.seed,

@@ -318,60 +318,21 @@ def zero_load_table(max_hops: int = 7) -> Dict:
 CHIPLET_FIGURE_SPECS = ("mesh", "chiplet:2x2x4x4", "chiplet:2x2x4x4:star")
 
 
-def _modeled_pra_interposer(topology: str) -> float:
-    """Modeled announced-response latency over a chiplet hierarchy.
-
-    PRA is simulated only on the flat mesh; this projects its announced
-    law onto hierarchical routes as an ablation axis: pre-allocation
-    compresses each maximal straight intra-chiplet run to 2 tiles/cycle
-    (the mesh law's ``ceil(run/2)`` segments, turns break runs), while
-    interposer crossings stay wire-limited at their configured link
-    latency — pre-allocation removes router delay, not substrate wire
-    delay.  The constant 7-cycle envelope matches the mesh law.
-    """
-    from math import ceil
-
-    from repro.noc.topology import Direction, build_topology
-
-    topo = build_topology(topology, 8, 8)
-    limit = topo.num_endpoints
-    total = 0.0
-    pairs = 0
-    for src in range(limit):
-        for dst in range(limit):
-            if dst == src:
-                continue
-            lat = 0.0
-            run = 0
-            run_dir = None
-            for node, port in topo.route(src, dst)[:-1]:
-                if isinstance(port, Direction):
-                    if port is run_dir:
-                        run += 1
-                    else:
-                        lat += ceil(run / 2)
-                        run, run_dir = 1, port
-                else:
-                    lat += ceil(run / 2) + topo.link_latency(node, port)
-                    run, run_dir = 0, None
-            lat += ceil(run / 2)
-            total += lat + 7.0
-            pairs += 1
-    return total / pairs
-
-
 def chiplet_comparison(scale: Optional[EvaluationScale] = None) -> Dict:
     """Chiplet hierarchies vs the flat mesh (``figures --only chiplet``).
 
     Simulates the baseline and ideal organizations over each topology
     at a deep-unsaturated rate with the analytic model's predictions
     beside them (:func:`repro.analytic.validate_chiplet`), and adds two
-    modeled ablation columns: the announced PRA-over-interposer law
-    (:func:`_modeled_pra_interposer`) and the capacity bound of the
-    bottleneck link (the gateway concentration penalty made visible).
+    modeled ablation columns: the model's mean announced Mesh+PRA
+    zero-load latency on the topology's routes (PRA is simulated only on
+    the flat mesh) and the capacity bound of the bottleneck link (the
+    gateway concentration penalty made visible).
     """
     from repro.analytic import validate_chiplet
-    from repro.analytic.queueing import saturation_rate, synthetic_mix
+    from repro.analytic.geometry import geometry_for
+    from repro.analytic.queueing import (saturation_rate, synthetic_mix,
+                                         zero_load_mean)
     from repro.params import NocParams
     from repro.workloads.synthetic import TrafficPattern
 
@@ -385,7 +346,9 @@ def chiplet_comparison(scale: Optional[EvaluationScale] = None) -> Dict:
         for entry in entries:
             if entry.topology == topology:
                 row += [entry.simulated_latency, entry.predicted_latency]
-        row.append(_modeled_pra_interposer(topology))
+        pra = NocParams(kind=NocKind.MESH_PRA, topology=topology)
+        row.append(zero_load_mean(NocKind.MESH_PRA, geometry_for(pra), 5,
+                                  pra, announced=True))
         row.append(saturation_rate(
             NocKind.MESH, mix, params=NocParams(topology=topology)
         ))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.noc.network import Network
 from repro.noc.packet import Packet
@@ -24,6 +24,18 @@ class TrafficPattern(Enum):
     #: Request to a uniform destination; the destination replies with a
     #: 5-flit response (the server request-reply shape).
     REQUEST_REPLY = "request_reply"
+
+
+def check_hotspot_nodes(nodes: Sequence[int], num_endpoints: int) -> None:
+    """Refuse hotspot nodes that are missing or not endpoints."""
+    if not nodes:
+        raise ValueError("hotspot_nodes must name at least one node")
+    bad = [n for n in nodes if not 0 <= n < num_endpoints]
+    if bad:
+        raise ValueError(
+            f"hotspot_nodes {bad} are not endpoints "
+            f"[0, {num_endpoints})"
+        )
 
 
 class SyntheticTraffic:
@@ -48,7 +60,9 @@ class SyntheticTraffic:
         self.pattern = pattern
         self.rate = injection_rate
         self.rng = random.Random(seed)
-        self.hotspot_nodes = hotspot_nodes or [0]
+        self.hotspot_nodes = [0] if hotspot_nodes is None else hotspot_nodes
+        check_hotspot_nodes(self.hotspot_nodes,
+                            network.topology.num_endpoints)
         self.response_size = response_size
         self.offered = 0
         #: Optional ``node -> bool`` predicate.  When set, packets whose

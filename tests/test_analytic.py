@@ -22,8 +22,9 @@ from repro.analytic import (
     synthetic_mix,
     zero_load_latency,
 )
-from repro.analytic.geometry import geometry_for
-from repro.analytic.queueing import _zero_load_mean
+from repro.analytic.geometry import geometry_for, route_of
+from repro.analytic.queueing import (FULL_SYSTEM_MIX, route_zero_load,
+                                     zero_load_mean)
 from repro.analytic.saturation import measure_point
 from repro.analytic.system import clear_prediction_cache
 from repro.checkpoint.store import CellStore, cell_key
@@ -62,6 +63,10 @@ class TestZeroLoad:
             assert zero_load_latency(kind, 0, 0) == 0.0
 
 
+_CHIPLET = "chiplet:2x2x4x4"
+_STAR = "chiplet:2x2x4x4:star"
+
+
 @pytest.mark.parametrize("kind,announced,overrides", [
     (NocKind.SMART, False, {"smart": SmartParams(hops_per_cycle=1)}),
     (NocKind.SMART, False, {"smart": SmartParams(hops_per_cycle=2)}),
@@ -72,41 +77,99 @@ class TestZeroLoad:
     (NocKind.IDEAL, False, {"ideal_hops_per_cycle": 1}),
     (NocKind.IDEAL, False, {"ideal_hops_per_cycle": 2}),
     (NocKind.IDEAL, False, {"ideal_hops_per_cycle": 3}),
+    (NocKind.MESH, False, {}),
+    # On a hierarchy the law applies to each pair's routed path.
+    (NocKind.MESH, False, {"topology": _CHIPLET}),
+    (NocKind.MESH_PRA, True, {"topology": _CHIPLET}),
+    (NocKind.MESH, False, {"topology": _STAR}),
+    (NocKind.MESH_PRA, True, {"topology": _STAR}),
 ], ids=["smart-1", "smart-2", "pra-1", "pra-2",
-        "ideal-1", "ideal-2", "ideal-3"])
+        "ideal-1", "ideal-2", "ideal-3", "mesh",
+        "mesh-chiplet", "pra-chiplet", "mesh-star", "pra-star"])
 def test_mean_law_is_the_pair_mean_of_the_point_law(kind, announced,
                                                     overrides):
     """The mean zero-load law honours the parameters the point law
-    reads: under uniform traffic it is the plain average of
-    ``zero_load_latency`` over all (src, dst) pairs."""
+    reads: under uniform traffic it is the plain average over all
+    (src, dst) pairs of ``zero_load_latency`` on the flat mesh, of
+    ``route_zero_load`` on the routed path elsewhere."""
+    from repro.noc.topology import build_topology
+
     params = NocParams(kind=kind, **overrides)
-    width, nodes = params.mesh_width, params.num_nodes
+    width = params.mesh_width
+    topo = build_topology(params.topology, width, params.mesh_height)
+    nodes = topo.num_endpoints
+
+    def point(src, dst):
+        if params.topology == "mesh":
+            return zero_load_latency(
+                kind, src % width - dst % width,
+                src // width - dst // width, 1, params, announced)
+        return route_zero_load(kind, route_of(topo, src, dst), 1, params,
+                               announced)
+
     pairs = [(src, dst) for src in range(nodes) for dst in range(nodes)
              if src != dst]
-    exact = sum(
-        zero_load_latency(kind, src % width - dst % width,
-                          src // width - dst // width, 1, params, announced)
-        for src, dst in pairs
-    ) / len(pairs)
-    mean = _zero_load_mean(kind, geometry_for(params), 1, params, announced)
+    exact = sum(point(src, dst) for src, dst in pairs) / len(pairs)
+    mean = zero_load_mean(kind, geometry_for(params), 1, params, announced)
     assert mean == pytest.approx(exact, abs=1e-9)
 
 
+def test_chiplet_figure_pra_column_is_the_models_announced_mean(
+        monkeypatch):
+    """``figures --only chiplet``'s PRA0(model) column is the model's
+    own announced Mesh+PRA mean on each topology, the reservation
+    overflow penalty included (10.6746 on the flat mesh, not 10.1746)."""
+    from repro.analytic.validate import ChipletValidation
+    from repro.harness.figures import CHIPLET_FIGURE_SPECS, \
+        chiplet_comparison
+
+    # The simulated columns are validate_chiplet's; skip the runs.
+    monkeypatch.setattr(
+        "repro.analytic.validate_chiplet",
+        lambda specs, rate: tuple(
+            ChipletValidation(spec, kind, 0.0, 0.0)
+            for spec in specs for kind in (NocKind.MESH, NocKind.IDEAL)),
+    )
+    figure = chiplet_comparison()
+    column = figure["headers"].index("PRA0(model)")
+    for topology, row in zip(CHIPLET_FIGURE_SPECS, figure["rows"]):
+        params = NocParams(kind=NocKind.MESH_PRA, topology=topology)
+        assert row[column] == zero_load_mean(
+            NocKind.MESH_PRA, geometry_for(params), 5, params,
+            announced=True), topology
+    assert figure["rows"][0][column] == pytest.approx(10.6746, abs=1e-4)
+
+
 def test_geometry_aggregates_are_pinned():
-    """One route-walking enumerator serves every topology; these are
-    the values the mesh-only and the generic enumerators it replaced
-    produced (exact float equality)."""
-    mesh = geometry_for(NocParams())
-    assert (mesh.e_hops, mesh.e_lat_hops, mesh.e_ceil_half_hops,
-            mesh.max_link_coeff, len(mesh.link_coeffs),
-            mesh.e_segments, mesh.e_pra_hops) == (
-        5.333333333333334, 10.666666666666668, 2.9206349206349875,
-        0.03174603174603166, 224, 3.1746031746032424, 3.674603174603201)
-    chiplet = geometry_for(NocParams(topology="chiplet:2x2x4x4"))
-    assert (chiplet.e_hops, chiplet.e_lat_hops, chiplet.e_ceil_half_hops,
-            chiplet.max_link_coeff, len(chiplet.link_coeffs)) == (
-        4.6984126984127155, 11.42857142857135, 2.6031746031746215,
+    """One route-walking enumerator serves every topology; the mesh
+    means are the values the per-law aggregates it replaced produced
+    (to 1e-9), the link loads are exact."""
+    def means(params):
+        geom = geometry_for(params)
+        laws = [zero_load_mean(kind, geom, 1, params.with_kind(kind))
+                for kind in ALL_KINDS]
+        laws.append(zero_load_mean(NocKind.MESH_PRA, geom, 1,
+                                   params.with_kind(NocKind.MESH_PRA),
+                                   announced=True))
+        return geom, laws
+
+    mesh, laws = means(NocParams())
+    assert (mesh.max_link_coeff, len(mesh.link_coeffs)) == (
+        0.03174603174603166, 224)
+    assert sum(mesh.link_coeffs) == pytest.approx(5.333333333333334,
+                                                  abs=1e-9)
+    # Mesh, SMART, Mesh+PRA unplanned, ideal, Mesh+PRA announced.
+    assert laws == pytest.approx([
+        13.666666666666668, 13.523809523809727, 13.666666666666668,
+        3.9206349206349875, 10.674603174603201], abs=1e-9)
+    chiplet, laws = means(NocParams(topology=_CHIPLET))
+    assert (chiplet.max_link_coeff, len(chiplet.link_coeffs)) == (
         0.12698412698412656, 200)
+    assert sum(chiplet.link_coeffs) == pytest.approx(4.6984126984127155,
+                                                     abs=1e-9)
+    assert laws == pytest.approx([
+        14.42857142857135, 15.238095238095216, 14.42857142857135,
+        3.6031746031746215, 13.817460317460293], abs=1e-9)
 
 
 class TestPredictNetwork:
@@ -123,7 +186,14 @@ class TestPredictNetwork:
         """As the rate goes to zero the contention term vanishes and
         the prediction converges to the zero-load mean."""
         idle = predict_network(kind, 0.0)
-        assert idle.mean_wait == 0.0
+        params = NocParams(kind=kind)
+        geom = geometry_for(params)
+        assert idle.latency == pytest.approx(sum(
+            weight * zero_load_mean(
+                kind, geom, size, params,
+                announced=kind is NocKind.MESH_PRA and label == "response")
+            for label, weight, size in FULL_SYSTEM_MIX
+        ), abs=1e-12)
         nearly = predict_network(kind, 1e-6 * saturation_rate(kind))
         assert nearly.latency == pytest.approx(idle.latency, rel=1e-3)
 

@@ -128,3 +128,18 @@ def test_unknown_workload_in_trace_command(capsys):
     rc = main(["trace", "--workload", "NoSuchWorkload"])
     assert rc == 2
     assert "unknown workload" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--pattern", "hotspot", "--hotspot", "99"], "hotspot_nodes"),
+    (["--pattern", "hotspot", "--hotspot", "-1"], "hotspot_nodes"),
+    (["--hotspot", "3"], "--hotspot needs --pattern hotspot"),
+], ids=["past-the-last-node", "negative", "without-hotspot-pattern"])
+def test_saturate_refuses_bad_hotspot_input(argv, message, capsys):
+    # Hotspot nodes must be endpoints of the topology, and only the
+    # hotspot pattern reads them.
+    rc = main(["saturate", "--mesh", "4x4", "--cycles", "100"] + argv)
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert message in err[0]

@@ -93,6 +93,14 @@ class TestSyntheticTraffic:
         with pytest.raises(ValueError):
             SyntheticTraffic(net, TrafficPattern.UNIFORM_RANDOM, 1.5)
 
+    @pytest.mark.parametrize("nodes", [[], [16], [-1]])
+    def test_hotspot_nodes_must_be_endpoints(self, nodes):
+        net = build_network(NocParams(kind=NocKind.MESH, mesh_width=4,
+                                      mesh_height=4))
+        with pytest.raises(ValueError, match="hotspot_nodes"):
+            SyntheticTraffic(net, TrafficPattern.HOTSPOT, 0.03,
+                             hotspot_nodes=nodes)
+
     @given(st.integers(0, 1000))
     @settings(max_examples=8, deadline=None)
     def test_hotspot_targets_hotspot(self, seed):
