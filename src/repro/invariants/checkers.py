@@ -33,26 +33,6 @@ from repro.noc.topology import port_name
 _DETAIL_CAP = 64
 
 
-def _shard_scope(net):
-    """``(routers, interfaces, live)`` for the part of ``net`` these
-    checks may reason about.
-
-    A sharded run (:mod:`repro.shard`) steps only the rows its
-    ``net.shard_view`` owns; rows adjacent to the stripe are passive
-    replicas whose buffers mirror another shard's real state with a
-    bounded timing skew, so audits must not treat them as local truth.
-    ``live`` is the packet count physically inside the scope: plain
-    ``stats.in_flight`` serially, the shard's resident count (local
-    in-flight plus crossings in minus crossings out) when sharded.
-    """
-    view = getattr(net, "shard_view", None)
-    if view is None:
-        return net.routers, net.interfaces, net.stats.in_flight
-    return (net.routers[view.first:view.last + 1],
-            net.interfaces[view.first:view.last + 1],
-            view.resident)
-
-
 class InvariantViolation(RuntimeError):
     """A broken simulator invariant, with a cycle-accurate report."""
 
@@ -86,10 +66,9 @@ def wait_graph(net, now: int) -> Dict[str, Any]:
     the downstream VC it needs.  Cycles in this graph are deadlocks;
     an edge-free stall is a livelock or a starved resource.
     """
-    routers, interfaces, _ = _shard_scope(net)
     blocked: List[Dict[str, Any]] = []
     edges: List[Tuple[int, int, str]] = []
-    for router in routers:
+    for router in net.routers:
         for unit in router.input_units.values():
             for vc in unit.vcs:
                 front = vc.front()
@@ -132,7 +111,7 @@ def wait_graph(net, now: int) -> Dict[str, Any]:
                     "where": f"router {router.node} latch {port_name(direction)}",
                     "reason": "latched",
                 })
-    for ni in interfaces:
+    for ni in net.interfaces:
         port = getattr(ni, "port", None)
         for queue in getattr(ni, "queues", ()):
             if not queue:
@@ -234,7 +213,7 @@ class InvariantSuite:
     # -- the watchdog -----------------------------------------------------
 
     def _check_progress(self, net, now: int) -> None:
-        _, _, live = _shard_scope(net)
+        live = net.stats.in_flight
         if live == 0:
             self._last_signature = None
             self._last_progress_cycle = now
@@ -282,12 +261,11 @@ class InvariantSuite:
         self.audits_run += 1
         if not net.routers:
             return  # the ideal network has no flit-level state to audit
-        scope = _shard_scope(net)
         pending = self._pending_events(net)
-        self._audit_structure(net, now, scope)
-        self._audit_conservation(net, now, pending, scope)
-        self._audit_credits(net, now, pending, scope)
-        self._audit_reservations(net, now, scope)
+        self._audit_structure(net, now)
+        self._audit_conservation(net, now, pending)
+        self._audit_credits(net, now, pending)
+        self._audit_reservations(net, now)
 
     @staticmethod
     def _pending_events(net) -> Dict[str, Any]:
@@ -314,10 +292,9 @@ class InvariantSuite:
                     credits[key] = credits.get(key, 0) + 1
         return {"arrivals": arrivals, "ejects": ejects, "credits": credits}
 
-    def _audit_structure(self, net, now: int, scope) -> None:
+    def _audit_structure(self, net, now: int) -> None:
         """Per-router flit counters and VC occupancy sanity."""
-        routers, _, _ = scope
-        for router in routers:
+        for router in net.routers:
             count = 0
             for unit in router.input_units.values():
                 for vc in unit.vcs:
@@ -347,10 +324,8 @@ class InvariantSuite:
                     f" but {count} flits buffered",
                 )
 
-    def _audit_conservation(self, net, now: int, pending, scope) -> None:
+    def _audit_conservation(self, net, now: int, pending) -> None:
         """Every in-flight packet is findable; no flit exists twice."""
-        routers, interfaces, live = scope
-        view = getattr(net, "shard_view", None)
         found: Dict[int, str] = {}
         flit_ids: Dict[int, str] = {}
 
@@ -365,7 +340,7 @@ class InvariantSuite:
             flit_ids[key] = where
             found.setdefault(flit.packet.pid, where)
 
-        for router in routers:
+        for router in net.routers:
             for unit in router.input_units.values():
                 for vc in unit.vcs:
                     for flit in vc.flits:
@@ -373,20 +348,15 @@ class InvariantSuite:
             for latch in getattr(router, "_latches", {}).values():
                 for flit in latch:
                     see_flit(flit, f"router {router.node} latch")
-        for ni in interfaces:
+        for ni in net.interfaces:
             for queue in ni.queues:
                 for pkt in queue:
                     found.setdefault(pkt.pid, f"NI {ni.node} queue")
         for router, _, _, flit in pending["arrivals"]:
-            # Sharded runs keep a local copy of cross-boundary sends so
-            # the sender's replica buffers fill; those flits are the
-            # receiving shard's to account for.
-            if view is not None and not view.owns(router.node):
-                continue
             see_flit(flit, f"in flight to router {router.node}")
         for flit in pending["ejects"]:
             see_flit(flit, "in flight to NI")
-        expected = live
+        expected = net.stats.in_flight
         if len(found) != expected:
             self._fail(
                 "flit_conservation", now,
@@ -396,9 +366,8 @@ class InvariantSuite:
                            for pid, where in sorted(found.items())]},
             )
 
-    def _audit_credits(self, net, now: int, pending, scope) -> None:
+    def _audit_credits(self, net, now: int, pending) -> None:
         """credits + claims + occupancy + in-flight + returns == depth."""
-        routers, interfaces, _ = scope
         in_flight: Dict[Tuple[int, int], int] = {}
         for router, direction, vc_index, _flit in pending["arrivals"]:
             if vc_index < 0:
@@ -436,21 +405,20 @@ class InvariantSuite:
                         f"!= depth {vc.capacity}",
                     )
 
-        for router in routers:
+        for router in net.routers:
             for port in router.output_ports.values():
                 check_port(
                     port,
                     f"router {router.node} port {port_name(port.direction)}",
                 )
-        for ni in interfaces:
+        for ni in net.interfaces:
             port = getattr(ni, "port", None)
             if port is not None:
                 check_port(port, f"NI {ni.node} port")
 
-    def _audit_reservations(self, net, now: int, scope) -> None:
+    def _audit_reservations(self, net, now: int) -> None:
         """No live timeslot in the past; no claim outliving its plan."""
-        routers, _, _ = scope
-        for router in routers:
+        for router in net.routers:
             promises = getattr(router, "promises", None)
             windows = promises.windows() if promises is not None else ()
             for (kind, direction), window in windows:

@@ -130,10 +130,6 @@ class Network:
         #: Idle cycles a shard stripe fast-forwarded instead of stepping
         #: (:mod:`repro.shard`); always 0 on a serial network.
         self.cycles_skipped = 0
-        #: Shard ownership view (:class:`repro.shard.domain.ShardDomain`)
-        #: consulted by the invariant suite to restrict audits to owned
-        #: components.  None in every serial run.
-        self.shard_view = None
 
     # -- observers (tracer, fault injector, invariant suite) ---------------
 
@@ -515,9 +511,9 @@ class Network:
     def _decode_bucket(self, encoded_bucket: list, ctx) -> tuple:
         """Re-classify a flat encoded event list into per-kind queues.
 
-        Classification is by tag, not position (the shard merge
-        concatenates buckets): relative order within each kind is
-        preserved, which is the only order the drain respects.
+        Classification is by tag, not position: relative order within
+        each kind is preserved, which is the only order the drain
+        respects.
         """
         bucket: tuple = ([], [], [])
         arrivals, credits, ordered = bucket

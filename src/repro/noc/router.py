@@ -27,6 +27,7 @@ from repro.noc.ports import OutputPort
 from repro.noc.topology import Direction, Port, as_port, port_name
 from repro.noc.vc import InputUnit, VirtualChannel
 from repro.trace.events import (
+    EV_LINK,
     EV_SWITCH_GRANT,
     EV_SWITCH_HOLD,
     EV_SWITCH_RELEASE,
@@ -244,7 +245,9 @@ class MeshRouter(BaseRouter):
         their cycle buckets (targets are ``now + <positive const>`` with
         ``now == network.cycle``, so the schedulers' future-only guard
         holds by construction); a shard's cut row (``boundary``) and a
-        tracer take the scheduler calls instead.
+        tracer take the scheduler calls instead, except on a SMART
+        pass-through, which ``OutputPort.send`` cannot make: it always
+        writes its bucket here and traces both links it crosses.
         """
         if not self.active_flits:
             return
@@ -397,6 +400,13 @@ class MeshRouter(BaseRouter):
                         credit_port.holder_sent += 1
                         if flit.is_head:
                             packet.hops_taken += 2
+                        if tracer.enabled:
+                            for link in (port, credit_port):
+                                tracer.emit(
+                                    now, EV_LINK, pid=packet.pid,
+                                    node=link.router.node,
+                                    direction=port_name(link.direction),
+                                    flit=flit.index, ni=False)
                     elif flit.is_head:
                         packet.hops_taken += 1
                     time = now + port.link_hop_latency

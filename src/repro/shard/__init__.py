@@ -10,7 +10,7 @@ Entry point: :func:`repro.shard.engine.run_sharded`.
 """
 
 from repro.shard.engine import ShardResult, run_sharded, summary_digest
-from repro.shard.merge import merge_snapshots, merge_stats
+from repro.shard.merge import merge_stats
 from repro.shard.spec import (GOLDEN_SPEC, ShardError, SyntheticSpec,
                               WorkerFailure, plan_shards,
                               serial_fallback_reason)
@@ -21,7 +21,6 @@ __all__ = [
     "ShardResult",
     "SyntheticSpec",
     "WorkerFailure",
-    "merge_snapshots",
     "merge_stats",
     "plan_shards",
     "run_sharded",

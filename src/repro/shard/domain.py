@@ -125,8 +125,7 @@ class _Link:
 class ShardDomain:
     """A row stripe of the mesh plus its boundary bookkeeping."""
 
-    def __init__(self, spec: SyntheticSpec, index: int, count: int,
-                 observers: str = "none"):
+    def __init__(self, spec: SyntheticSpec, index: int, count: int):
         self.spec = spec
         self.index = index
         self.count = count
@@ -138,11 +137,6 @@ class ShardDomain:
         #: Packets that crossed in, keyed by pid (body flits of a packet
         #: arrive as bare (pid, index) references).
         self.registry: dict = {}
-        #: Packets that fully crossed in / out of this stripe; together
-        #: with the local injected/ejected counters these make
-        #: :attr:`resident` the exact count of packets physically here.
-        self.entered = 0
-        self.exited = 0
         self.prev = _Link() if index > 0 else None
         self.next = _Link() if index < count - 1 else None
         width = net.topology.width
@@ -159,7 +153,6 @@ class ShardDomain:
         #: all stripes is where the serial run's drain stops.
         self.last_delivery = -1
         traffic.inject_filter = self.owns
-        net.shard_view = self
         self._install_hooks()
         # The boundary is a property of the cut rows, not of the
         # network: only a row facing another shard captures records.
@@ -175,12 +168,6 @@ class ShardDomain:
         for node in range(net.topology.num_nodes):
             if not self.owns(node):
                 net._router_awake[node] = net._ni_awake[node] = True
-        if observers == "tracing":
-            from repro.invariants import InvariantSuite
-            from repro.trace import RingTracer
-
-            net.attach(tracer=RingTracer(capacity=1 << 12))
-            net.attach(invariants=InvariantSuite())
 
     # -- ownership ---------------------------------------------------------
 
@@ -192,11 +179,6 @@ class ShardDomain:
         """Whether :meth:`advance` returned inside a cycle, at one of
         its two wait points, rather than at a cycle boundary."""
         return self._rows is not None
-
-    @property
-    def resident(self) -> int:
-        """Packets physically inside this stripe (or bound for it)."""
-        return self.net.stats.in_flight + self.entered - self.exited
 
     # -- boundary capture --------------------------------------------------
 
@@ -217,8 +199,6 @@ class ShardDomain:
                      packet.pid, flit.index, state),
                     arrival_fire=time,
                 )
-                if flit.is_tail:
-                    self.exited += 1
             # Keep the local copy either way: the sender's replica of
             # the downstream buffer must fill so credit accounting and
             # can_accept reads stay bit-identical to the serial run.
@@ -274,7 +254,6 @@ class ShardDomain:
             _, capture, node, d, vc_index, pid, flit_index, state = record
             if state is not None:
                 self.registry[pid] = Packet.from_state(state)
-                self.entered += 1
             packet = self.registry[pid]
             net.schedule_arrival(capture + 2, net.routers[node],
                                  Direction(d), vc_index,
@@ -360,22 +339,19 @@ class ShardDomain:
 
     # -- the advance loop ---------------------------------------------------
 
-    def advance(self, emit: Emit, hard_stop: Optional[int] = None) -> bool:
+    def advance(self, emit: Emit) -> bool:
         """Run as far as knowledge of the neighbors allows.
 
         Resumable: it returns at a cycle boundary or at one of a
         cycle's two wait points (before the first row, before the last)
         and picks up there on the next call.  Every flush goes to
         ``emit`` the moment it is final.  Returns True if anything ran
-        or was emitted.  ``hard_stop`` pins a checkpoint barrier: the
-        clock never passes it.
+        or was emitted.
         """
         net = self.net
         stats = net.stats
         end_inject = self.spec.cycles
         stop = end_inject + self.spec.drain
-        if hard_stop is not None and hard_stop < stop:
-            stop = hard_stop
         moved = False
         while True:
             t = net.cycle
@@ -435,8 +411,7 @@ class ShardDomain:
         """Fast-forward from the idle cycle ``t`` (its events have run,
         nothing is awake), bounded by coverage and by the cycles at
         which staged records fall due.  False if nothing is known yet
-        about ``t`` itself.  An attached invariant suite sees every
-        skipped cycle, as it would have stepped."""
+        about ``t`` itself."""
         net = self.net
         limit = min(self._coverage(self.prev),
                     self._coverage(self.next) + 1)
@@ -458,32 +433,9 @@ class ShardDomain:
         due = self._staged_min(self.next)
         if due is not None and due + 1 < target:
             target = due + 1
-        if net.invariants is not None:
-            for cycle in range(t, target):
-                net.invariants.on_cycle(net, cycle)
         net.cycles_skipped += target - t
         net.cycle = target
         return True
-
-    def barrier_snapshot(self, barrier: int) -> dict:
-        """Settle staged records at a checkpoint barrier and snapshot.
-
-        Called when every shard's clock sits exactly at ``barrier``:
-        records captured at ``barrier - 1`` by the *next* stripe (which
-        would normally apply just before executing ``barrier``) must
-        land before the snapshot so the merged checkpoint equals the
-        serial state at the barrier.
-        """
-        from repro.checkpoint.snapshot import snapshot_network
-
-        if self.net.cycle != barrier:
-            raise ShardError(
-                f"shard {self.index} at cycle {self.net.cycle}, "
-                f"expected barrier {barrier}"
-            )
-        self._drain_link(self.prev, barrier - 1)
-        self._drain_link(self.next, barrier - 1)
-        return snapshot_network(self.net, self.traffic)
 
     def final_state(self) -> dict:
         """What this finished shard contributes to the run's result."""

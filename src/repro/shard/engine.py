@@ -6,12 +6,11 @@ the scenario cannot shard (non-mesh organizations, single-row meshes,
 ``shards=1``), and otherwise drives a shard pool until the network
 drains.  Both backends — the deterministic in-process pool here and
 the worker-process pool in :mod:`repro.shard.process` — expose the same
-surface (``run`` / ``barrier`` / ``stats`` / ``close`` / ``kill``) and
-run under the same driver (:func:`drive`), which owns every decision a
-run takes: barrier reached, drained, failed to drain, stalled.  The
-backend only chooses the pool class; every test runs identically
-against either, and the inline pool is the reference the process
-backend is tested against.
+surface (``run`` / ``stats`` / ``close`` / ``kill``) and run under the
+same driver (:func:`drive`), which owns every decision a run takes:
+drained, failed to drain, stalled.  The backend only chooses the pool
+class; every test runs identically against either, and the inline
+pool is the reference the process backend is tested against.
 
 The correctness oracle is digest equality: a sharded run's merged
 statistics summary must hash to the same pinned sha256 as the serial
@@ -24,14 +23,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
-from repro.noc.topology import MeshTopology
 from repro.shard.domain import ShardDomain, flush_target
-from repro.shard.merge import merge_snapshots, merge_stats
+from repro.shard.merge import merge_stats
 from repro.shard.process import ProcessPool
 from repro.shard.spec import ShardError, SyntheticSpec, plan_shards
 
@@ -52,7 +49,6 @@ class ShardResult:
     shards: int                      # effective shard count
     backend: str                     # "serial", "inline", or "process"
     fallback_reason: Optional[str] = None
-    checkpoint: Optional[dict] = None
     #: The serial run's final clock: its drain stops on the cycle of
     #: the last delivery, wherever each shard's own clock ended up.
     cycles: int = 0
@@ -79,29 +75,24 @@ class _InlinePool:
     in which no shard moved means none ever will.
     """
 
-    def __init__(self, spec: SyntheticSpec, count: int, observers: str):
-        self.domains = [ShardDomain(spec, i, count, observers=observers)
-                        for i in range(count)]
+    def __init__(self, spec: SyntheticSpec, count: int):
+        self.domains = [ShardDomain(spec, i, count) for i in range(count)]
 
     def _deliver(self, index: int, side: str, message: dict) -> None:
         target, arrives_from = flush_target(index, side)
         self.domains[target].receive_flush(arrives_from, message)
 
-    def run(self, hard_stop: Optional[int], done: Done) -> None:
+    def run(self, done: Done) -> None:
         emits = [partial(self._deliver, i) for i in range(len(self.domains))]
         while True:
             moved = False
             for dom, emit in zip(self.domains, emits):
-                if dom.advance(emit, hard_stop):
+                if dom.advance(emit):
                     moved = True
             if done([dom.net.cycle for dom in self.domains],
                     [dom.net.stats.in_flight for dom in self.domains],
                     not moved):
                 return
-
-    def barrier(self, barrier: int) -> List[dict]:
-        """Each shard's snapshot at the cycle barrier."""
-        return [dom.barrier_snapshot(barrier) for dom in self.domains]
 
     def stats(self) -> List[dict]:
         return [dom.final_state() for dom in self.domains]
@@ -112,32 +103,21 @@ class _InlinePool:
     kill = close
 
 
-def drive(pool, spec: SyntheticSpec, barriers: Iterable[int],
-          on_barrier: Callable[[int], None]) -> None:
-    """Run ``pool`` until the network drains.
-
-    Every shard stops at each cycle in ``barriers`` (ascending); once
-    all stand there with no boundary record in transit,
-    ``on_barrier(cycle)`` runs before the shards are let go again.
-    """
-    upcoming = deque(barriers)
+def drive(pool, spec: SyntheticSpec) -> None:
+    """Run ``pool`` until the network drains."""
     end_inject = spec.cycles
     deadline = spec.cycles + spec.drain
-    hard_stop: Optional[int] = None
 
     def done(clocks: List[int], flights: List[int], settled: bool) -> bool:
         total = sum(flights)
-        if hard_stop is None:
-            # Once every shard has finished injecting and the global
-            # in-flight count is zero, no packet exists anywhere and no
-            # boundary record can ever be produced again — the
-            # statistics are final.  A count reported before its shard
-            # ran on is safe: past injection it can only over-count.
-            # Heartbeat flushes may keep flowing (promises creep as
-            # coverage rises), so termination must not wait for silence.
-            if total == 0 and all(c >= end_inject for c in clocks):
-                return True
-        elif settled and all(c == hard_stop for c in clocks):
+        # Once every shard has finished injecting and the global
+        # in-flight count is zero, no packet exists anywhere and no
+        # boundary record can ever be produced again — the statistics
+        # are final.  A count reported before its shard ran on is safe:
+        # past injection it can only over-count.  Heartbeat flushes may
+        # keep flowing (promises creep as coverage rises), so
+        # termination must not wait for silence.
+        if total == 0 and all(c >= end_inject for c in clocks):
             return True
         if total > 0 and all(c >= deadline for c in clocks):
             raise RuntimeError(
@@ -151,31 +131,7 @@ def drive(pool, spec: SyntheticSpec, barriers: Iterable[int],
             )
         return False
 
-    while True:
-        hard_stop = upcoming[0] if upcoming else None
-        pool.run(hard_stop, done)
-        if hard_stop is None:
-            return
-        on_barrier(upcoming.popleft())
-
-
-def check_run_args(spec: SyntheticSpec, observers: str,
-                   checkpoint_at: Optional[int], effective: int) -> None:
-    """Reject a bad ``observers`` / ``checkpoint_at`` before any work.
-
-    A serial run (``effective == 1``) can snapshot at cycle 0; a cycle
-    barrier across shards cannot."""
-    if observers not in ("none", "tracing"):
-        raise ValueError(
-            f"observers must be 'none' or 'tracing', got {observers!r}"
-        )
-    lowest = 0 if effective == 1 else 1
-    if checkpoint_at is not None \
-            and not lowest <= checkpoint_at <= spec.cycles:
-        raise ValueError(
-            f"checkpoint_at must be within the injection phase "
-            f"[{lowest}, {spec.cycles}], got {checkpoint_at}"
-        )
+    pool.run(done)
 
 
 def sharded_result(spec: SyntheticSpec, states: List[dict],
@@ -194,26 +150,11 @@ def sharded_result(spec: SyntheticSpec, states: List[dict],
     )
 
 
-def _run_serial(spec: SyntheticSpec, observers: str,
-                checkpoint_at: Optional[int],
+def _run_serial(spec: SyntheticSpec,
                 reason: Optional[str]) -> ShardResult:
     """The reference path: one network, exactly the golden scenario."""
     net, traffic = spec.build()
-    if observers == "tracing":
-        from repro.invariants import InvariantSuite
-        from repro.trace import RingTracer
-
-        net.attach(tracer=RingTracer(capacity=1 << 12))
-        net.attach(invariants=InvariantSuite())
-    checkpoint = None
-    if checkpoint_at is not None:
-        from repro.checkpoint.snapshot import snapshot_network
-
-        traffic.run(checkpoint_at)
-        checkpoint = snapshot_network(net, traffic)
-        traffic.run(spec.cycles - checkpoint_at)
-    else:
-        traffic.run(spec.cycles)
+    traffic.run(spec.cycles)
     net.drain(max_cycles=spec.drain)
     summary = net.stats.summary()
     return ShardResult(
@@ -222,7 +163,6 @@ def _run_serial(spec: SyntheticSpec, observers: str,
         shards=1,
         backend="serial",
         fallback_reason=reason,
-        checkpoint=checkpoint,
         cycles=net.cycle,
         cycles_skipped=net.cycles_skipped,
         offered=traffic.offered,
@@ -231,14 +171,11 @@ def _run_serial(spec: SyntheticSpec, observers: str,
 
 
 def run_sharded(spec: SyntheticSpec, shards: int,
-                backend: str = "inline", observers: str = "none",
-                checkpoint_at: Optional[int] = None) -> ShardResult:
+                backend: str = "inline") -> ShardResult:
     """Simulate ``spec`` cut into ``shards`` row stripes.
 
     Serial and sharded runs of the same spec produce bit-identical
-    statistics summaries (and therefore digests); ``checkpoint_at``
-    additionally returns a merged snapshot taken at that cycle barrier,
-    restorable by :func:`repro.checkpoint.snapshot.restore_network`.
+    statistics summaries (and therefore digests).
 
     ``backend`` picks the pool: ``"inline"`` (every shard in this
     process) or ``"process"`` (one worker process per shard).  A worker
@@ -251,25 +188,15 @@ def run_sharded(spec: SyntheticSpec, shards: int,
             f"backend must be 'inline' or 'process', got {backend!r}"
         )
     effective, reason = plan_shards(spec.params(), shards)
-    check_run_args(spec, observers, checkpoint_at, effective)
     if effective == 1:
-        return _run_serial(spec, observers, checkpoint_at, reason)
-    pool = pools[backend](spec, effective, observers)
-    checkpoint = None
-
-    def on_barrier(cycle: int) -> None:
-        nonlocal checkpoint
-        ranges = MeshTopology(spec.width, spec.height).row_domains(effective)
-        checkpoint = merge_snapshots(pool.barrier(cycle), ranges, cycle)
-
+        return _run_serial(spec, reason)
+    pool = pools[backend](spec, effective)
     try:
-        drive(pool, spec, [] if checkpoint_at is None else [checkpoint_at],
-              on_barrier)
+        drive(pool, spec)
         states = pool.stats()
     except BaseException:
         pool.kill()
         raise
     pool.close()
     return sharded_result(spec, states, shards=effective,
-                          backend=backend, fallback_reason=reason,
-                          checkpoint=checkpoint)
+                          backend=backend, fallback_reason=reason)

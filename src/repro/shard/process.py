@@ -10,10 +10,10 @@ and process sentinel at once and forwards a flush to the neighbor as it
 arrives.  A report whose consumed count equals what the parent has sent
 that worker is current (one sent before a forwarded flush was taken in
 is recognisably stale); when every worker's is, nothing is in transit —
-all the shared driver (:func:`repro.shard.engine.drive`) needs to see a
-barrier reached, the network drained, or the protocol stalled.  All
-protocol logic lives in the domain; this module is only plumbing, which
-keeps the inline and process backends digest-identical by construction.
+all the shared driver (:func:`repro.shard.engine.drive`) needs to see
+the network drained or the protocol stalled.  All protocol logic lives
+in the domain; this module is only plumbing, which keeps the inline and
+process backends digest-identical by construction.
 
 A worker that fails is diagnosed, not recovered: a dead worker (its
 sentinel fires; exit code and pid in hand), a hung worker (owing a
@@ -24,9 +24,9 @@ reports its own exception) each surface as a structured
 :func:`repro.shard.engine.run_sharded` raises after killing the pool.
 
 Workers start their pid counters a billion apart so packets minted in
-different processes never collide when a merged checkpoint stitches
-the registries back together.  (Pids are never part of the statistics
-digest; uniqueness is all that matters.)
+different processes never collide in a stripe's registry of packets
+that crossed in from both neighbors.  (Pids are never part of the
+statistics digest; uniqueness is all that matters.)
 """
 
 from __future__ import annotations
@@ -48,25 +48,23 @@ _PID_STRIDE = 1_000_000_000
 HEARTBEAT_S = 60.0
 
 
-def _worker_main(conn, spec: SyntheticSpec, index: int, count: int,
-                 observers: str) -> None:
+def _worker_main(conn, spec: SyntheticSpec, index: int, count: int) -> None:
     try:
         from repro.noc.packet import set_next_pid
 
         set_next_pid(index * _PID_STRIDE)
-        dom = ShardDomain(spec, index, count, observers=observers)
+        dom = ShardDomain(spec, index, count)
 
         def emit(side: str, flush: dict) -> None:
             conn.send(("flush", side, flush))
 
         consumed = 0        # run / flush messages taken in so far
         fresh = False       # ... any of them since the last advance
-        hard_stop: Optional[int] = None
         while True:
             if fresh and not conn.poll():
                 # Everything queued is in: one advance answers it all.
                 fresh = False
-                dom.advance(emit, hard_stop)
+                dom.advance(emit)
                 conn.send(("idle", consumed, dom.net.cycle,
                            dom.net.stats.in_flight))
                 continue
@@ -74,17 +72,12 @@ def _worker_main(conn, spec: SyntheticSpec, index: int, count: int,
             command = message[0]
             if command == "flush":
                 dom.receive_flush(message[1], message[2])
-            elif command == "run":
-                hard_stop = message[1]
-            elif command == "barrier":
-                conn.send(("snapshot", dom.barrier_snapshot(message[1])))
-                continue
             elif command == "stats":
                 conn.send(("stats", dom.final_state()))
                 continue
             elif command == "stop":
                 return
-            else:
+            elif command != "run":
                 raise ShardError(f"unknown command {command!r}")
             consumed += 1
             fresh = True
@@ -109,7 +102,7 @@ def _worker_main(conn, spec: SyntheticSpec, index: int, count: int,
 class ProcessPool:
     """Parent-side switch over one pipe per shard worker."""
 
-    def __init__(self, spec: SyntheticSpec, count: int, observers: str):
+    def __init__(self, spec: SyntheticSpec, count: int):
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else methods[0]
@@ -131,7 +124,7 @@ class ProcessPool:
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child, spec, index, count, observers),
+                args=(child, spec, index, count),
                 daemon=True,
             )
             proc.start()
@@ -211,28 +204,14 @@ class ProcessPool:
                 if not is_pipe and not conns[shard].poll():
                     raise self._died(shard)
 
-    def _collect(self, command: tuple, expect: str) -> List[tuple]:
-        """Send ``command`` to every worker; one ``expect`` reply each.
-        Flushes and idle reports still on their way up are dropped: the
-        run they belonged to is over."""
-        for shard in range(self.count):
-            self._send(shard, command)
-        replies: List[Optional[tuple]] = [None] * self.count
-        for shard, message in self._messages(("flush", "idle", expect)):
-            if message[0] == expect:
-                replies[shard] = message
-                self.idle[shard] = True
-                if None not in replies:
-                    return replies
-
     # -- the backend surface -----------------------------------------------
 
-    def run(self, hard_stop: Optional[int], done) -> None:
-        """Let the workers go (up to ``hard_stop``) and switch their
-        flushes until ``done`` accepts the reported state."""
+    def run(self, done) -> None:
+        """Let the workers go and switch their flushes until ``done``
+        accepts the reported state."""
         for shard in range(self.count):
             self.sent[shard] += 1
-            self._send(shard, ("run", hard_stop))
+            self._send(shard, ("run",))
         for shard, message in self._messages(("flush", "idle")):
             if message[0] == "flush":
                 target, arrives_from = flush_target(shard, message[1])
@@ -246,13 +225,18 @@ class ProcessPool:
                 if done(self.clocks, self.flights, all(self.idle)):
                     return
 
-    def barrier(self, barrier: int) -> List[dict]:
-        """Each shard's snapshot at the cycle barrier."""
-        return [reply[1]
-                for reply in self._collect(("barrier", barrier), "snapshot")]
-
     def stats(self) -> List[dict]:
-        return [reply[1] for reply in self._collect(("stats",), "stats")]
+        """Each worker's final state.  Flushes and idle reports still on
+        their way up are dropped: the run they belonged to is over."""
+        for shard in range(self.count):
+            self._send(shard, ("stats",))
+        states: List[Optional[dict]] = [None] * self.count
+        for shard, message in self._messages(("flush", "idle", "stats")):
+            if message[0] == "stats":
+                states[shard] = message[1]
+                self.idle[shard] = True
+                if None not in states:
+                    return states
 
     def close(self) -> None:
         for conn in self.conns:

@@ -93,7 +93,6 @@ def test_direct_construction_validates_and_names_the_field():
 
 
 def test_get_scale_reads_the_live_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_SCALE", raising=False)
     assert get_scale().name == "default"
     monkeypatch.setenv("REPRO_SCALE", "smoke")
     assert get_scale().name == "smoke"
@@ -142,8 +141,6 @@ def test_cli_flags_do_not_outlive_main(tmp_path, monkeypatch, capsys):
     from repro.cli import main
     from repro.harness.runner import clear_grid_cache, grid_stats
 
-    for name in [k for k in os.environ if k.startswith("REPRO_")]:
-        monkeypatch.delenv(name)
     before = dict(os.environ)
     store = tmp_path / "cells"
     argv = ["figures", "--only", "fig2", "--scale", "smoke"]

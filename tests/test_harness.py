@@ -1,7 +1,5 @@
 """Tests for the experiment harness at a tiny scale."""
 
-import os
-
 import pytest
 
 from repro.harness import (
@@ -95,8 +93,6 @@ class TestRunner:
         from repro.cli import main
         from repro.config import SCALES
 
-        for name in [k for k in os.environ if k.startswith("REPRO_")]:
-            monkeypatch.delenv(name)
         monkeypatch.setitem(SCALES, "cells-once", EvaluationScale(
             "cells-once", warmup=20, measure=80, num_seeds=1))
         calls = _count_simulations(monkeypatch)

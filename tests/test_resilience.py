@@ -51,18 +51,18 @@ def _misbehave(monkeypatch, shard: int, behave) -> None:
     ``shard`` instead of the real worker loop."""
     real = process._worker_main
 
-    def worker(conn, spec, index, count, observers):
+    def worker(conn, spec, index, count):
         if index == shard:
             behave(conn)
         else:
-            real(conn, spec, index, count, observers)
+            real(conn, spec, index, count)
 
     monkeypatch.setattr(process, "_worker_main", worker)
 
 
-def _failure(shards: int = 2, **kwargs) -> WorkerFailure:
+def _failure() -> WorkerFailure:
     with pytest.raises(WorkerFailure) as caught:
-        run_sharded(GOLDEN_SPEC, shards, backend="process", **kwargs)
+        run_sharded(GOLDEN_SPEC, 2, backend="process")
     return caught.value
 
 
@@ -116,8 +116,9 @@ def test_killed_worker_raises_instead_of_respawning(monkeypatch):
 
 
 def test_process_run_without_checkpoint_sends_no_barrier(monkeypatch):
-    """A run stops at a cycle barrier only where ``checkpoint_at`` asks
-    for one."""
+    """A process run never stops its workers at a cycle barrier: the
+    parent sends each one ``run``, its neighbor's flushes and ``stats``,
+    nothing else."""
     commands = []
     real_send = process.ProcessPool._send
 
@@ -129,7 +130,7 @@ def test_process_run_without_checkpoint_sends_no_barrier(monkeypatch):
     result = run_sharded(GOLDEN_SPEC, 2, backend="process")
     assert result.digest == GOLDEN_MESH
     assert result.report is None
-    assert "barrier" not in commands
+    assert set(commands) == {"run", "flush", "stats"}
     assert commands.count("stats") == 2
 
 
@@ -141,22 +142,22 @@ def test_dead_worker_diagnosed_when_it_exits_not_at_the_heartbeat():
     from repro.shard.engine import drive
     from repro.shard.process import ProcessPool
 
-    pool = ProcessPool(GOLDEN_SPEC, 2, "none")
+    pool = ProcessPool(GOLDEN_SPEC, 2)
     real_run = pool.run
     killed_at = []
 
-    def run_then_kill(hard_stop, done):
+    def run_then_kill(done):
         def done_after_kill(clocks, flights, settled):
             if not killed_at and min(clocks) > 100:
                 os.kill(pool.procs[1].pid, signal.SIGKILL)
                 killed_at.append(time.monotonic())
             return done(clocks, flights, settled)
-        real_run(hard_stop, done_after_kill)
+        real_run(done_after_kill)
 
     pool.run = run_then_kill
     try:
         with pytest.raises(WorkerFailure) as caught:
-            drive(pool, GOLDEN_SPEC, [], None)
+            drive(pool, GOLDEN_SPEC)
         elapsed = time.monotonic() - killed_at[0]
     finally:
         pool.kill()
@@ -322,8 +323,6 @@ def test_quarantined_cell_fails_the_figure_with_the_report(monkeypatch,
     from repro.cli import main
     from repro.config import SCALES
 
-    for name in [k for k in os.environ if k.startswith("REPRO_")]:
-        monkeypatch.delenv(name)
     monkeypatch.setitem(SCALES, "quarantine", EvaluationScale(
         "quarantine", warmup=20, measure=80, num_seeds=1))
     real = runner._simulate_cell
@@ -356,8 +355,6 @@ def test_degraded_sweep_is_reported_after_a_clean_one(monkeypatch, capsys,
     from repro.cli import main
     from repro.config import SCALES
 
-    for name in [k for k in os.environ if k.startswith("REPRO_")]:
-        monkeypatch.delenv(name)
     monkeypatch.setenv("REPRO_JOBS", "2")
     monkeypatch.setattr(resilience, "MAX_POOL_REBUILDS", 0)
     monkeypatch.setitem(SCALES, "degrade", EvaluationScale(
@@ -426,7 +423,6 @@ def test_wall_limit_rejects_junk(monkeypatch, raw):
 
 
 def test_wall_limit_unset_or_valid(monkeypatch):
-    monkeypatch.delenv("REPRO_WALL_LIMIT", raising=False)
     assert RunConfig.from_env().wall_limit is None
     monkeypatch.setenv("REPRO_WALL_LIMIT", "")
     assert RunConfig.from_env().wall_limit is None

@@ -3,10 +3,10 @@
 A sharded run of the pinned golden scenario must produce the exact
 stats digest of the serial simulator — for every organization (the
 non-mesh ones via the documented serial fallback), for every shard
-count, with observers attached, through a mid-run merged checkpoint,
-and on both the inline and worker-process backends.  Any divergence in
-the boundary-exchange protocol, the conservative clock discipline, or
-the snapshot merge shows up here as a digest mismatch.
+count, under any sub-cycle schedule, and on both the inline and
+worker-process backends.  Any divergence in the boundary-exchange
+protocol or the conservative clock discipline shows up here as a
+digest mismatch.
 """
 
 from __future__ import annotations
@@ -57,56 +57,6 @@ def test_sharded_run_matches_serial_golden_digest(kind, shards):
         assert (result.fallback_reason is None) == (
             shards == 1 or kind is NocKind.MESH
         )
-
-
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
-def test_observers_do_not_perturb_sharded_runs(kind, shards):
-    """Tracer + invariant suite attached to every shard must be inert,
-    exactly as they are on the serial simulator."""
-    result = run_sharded(_spec(kind), shards, observers="tracing")
-    assert result.digest == GOLDEN_NETWORK[kind]
-
-
-def test_mid_run_checkpoint_merges_and_restores():
-    """A merged snapshot taken at a cycle barrier of a 4-shard run must
-    restore into a *serial* network that finishes on the golden digest
-    — and taking it must not perturb the sharded run itself."""
-    from repro.checkpoint.snapshot import restore_network
-
-    result = run_sharded(GOLDEN_SPEC, 4, checkpoint_at=400)
-    assert result.digest == GOLDEN_NETWORK[NocKind.MESH]
-    assert result.checkpoint is not None
-
-    net, traffic = restore_network(result.checkpoint)
-    assert net.cycle == 400
-    traffic.run(GOLDEN_SPEC.cycles - 400)
-    net.drain(max_cycles=GOLDEN_SPEC.drain)
-    assert summary_digest(net.stats.summary()) == GOLDEN_NETWORK[NocKind.MESH]
-
-
-def test_checkpoint_with_observers_attached():
-    result = run_sharded(GOLDEN_SPEC, 2, observers="tracing",
-                         checkpoint_at=400)
-    assert result.digest == GOLDEN_NETWORK[NocKind.MESH]
-    assert result.checkpoint is not None
-    assert result.checkpoint["network"]["cycle"] == 400
-
-
-def test_process_checkpoint_merges_and_restores():
-    """The same merged-checkpoint contract across worker processes: the
-    snapshot stitched from the workers' barrier replies restores into a
-    serial network that finishes on the golden digest."""
-    from repro.checkpoint.snapshot import restore_network
-
-    result = run_sharded(GOLDEN_SPEC, 2, backend="process",
-                         checkpoint_at=400)
-    assert result.digest == GOLDEN_NETWORK[NocKind.MESH]
-    net, traffic = restore_network(result.checkpoint)
-    assert net.cycle == 400
-    traffic.run(GOLDEN_SPEC.cycles - 400)
-    net.drain(max_cycles=GOLDEN_SPEC.drain)
-    assert summary_digest(net.stats.summary()) == GOLDEN_NETWORK[NocKind.MESH]
 
 
 def test_process_backend_matches_inline():
@@ -233,9 +183,9 @@ def test_process_switch_forwards_a_flush_per_stripe_per_cycle():
     flushes per simulated cycle (the round protocol: two rounds of up
     to four messages), and a worker it wakes almost always moves — a
     new clock or a flush of its own before it reports idle again."""
-    pool = _TappedPool(GOLDEN_SPEC, 2, "none")
+    pool = _TappedPool(GOLDEN_SPEC, 2)
     try:
-        drive(pool, GOLDEN_SPEC, [], None)
+        drive(pool, GOLDEN_SPEC)
         states = pool.stats()
     finally:
         pool.close()
@@ -333,23 +283,6 @@ def test_plan_shards_reports_non_mesh_fallback():
 def test_run_sharded_validates_arguments():
     with pytest.raises(ValueError, match="backend must be"):
         run_sharded(GOLDEN_SPEC, 2, backend="threads")
-    with pytest.raises(ValueError, match="observers must be"):
-        run_sharded(GOLDEN_SPEC, 2, observers="all")
-    with pytest.raises(ValueError, match="checkpoint_at must be"):
-        run_sharded(GOLDEN_SPEC, 2, checkpoint_at=GOLDEN_SPEC.cycles + 1)
-    with pytest.raises(ValueError, match="checkpoint_at must be"):
-        run_sharded(GOLDEN_SPEC, 1, checkpoint_at=-1)
-
-
-def test_both_backends_validate_through_one_helper():
-    for backend in ("inline", "process"):
-        with pytest.raises(ValueError, match="observers must be"):
-            run_sharded(GOLDEN_SPEC, 2, backend=backend, observers="all")
-        with pytest.raises(ValueError, match=r"\[1, 800\], got 0"):
-            run_sharded(GOLDEN_SPEC, 2, backend=backend, checkpoint_at=0)
-        # A serial run can snapshot before its first cycle.
-        assert run_sharded(GOLDEN_SPEC, 1, backend=backend,
-                           checkpoint_at=0).checkpoint is not None
 
 
 def test_row_domains_partition_the_mesh():

@@ -376,3 +376,26 @@ def test_switch_events_balance_per_packet(label):
     for pid in delivered:
         assert grants[pid] == releases[pid], (pid, grants[pid], releases[pid])
         assert grants[pid] >= 1 or pid in planned, pid
+
+
+@pytest.mark.parametrize("kind", (NocKind.MESH, NocKind.SMART),
+                         ids=lambda k: k.value)
+def test_every_link_crossed_is_traced(kind):
+    """One ``EV_LINK`` per link a flit crosses: the NI link, each hop
+    and the ejection, so ``size x (hops_taken + 2)`` per packet.  A
+    SMART pass-through crosses two links in one cycle; the second names
+    the bypassed router."""
+    net = make_network(kind, width=8, height=8)
+    tracer = RingTracer(capacity=1 << 12)
+    net.attach(tracer=tracer)
+    pkt = Packet(src=0, dst=7, msg_class=MessageClass.RESPONSE, created=0)
+    net.send(pkt)
+    net.drain(max_cycles=300)
+    links = [e for e in tracer.events(pid=pkt.pid) if e.kind == EV_LINK]
+    assert pkt.hops_taken == 7
+    assert len(links) == pkt.size * (pkt.hops_taken + 2)
+    for index in range(pkt.size):
+        crossed = [(e.node, e.data["direction"]) for e in links
+                   if e.data["flit"] == index and not e.data["ni"]]
+        assert sorted(crossed) == [(node, "EAST") for node in range(7)] \
+            + [(7, "LOCAL")]

@@ -58,8 +58,6 @@ def test_config_reaches_pool_workers(method, monkeypatch, capfd):
 
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
-    for name in [k for k in os.environ if k.startswith("REPRO_")]:
-        monkeypatch.delenv(name)
     tiny = EvaluationScale("plumbing", warmup=20, measure=80, num_seeds=1)
     cells = (("Web Search", "Data Serving"), (NocKind.MESH,))
     previous = multiprocessing.get_start_method()
