@@ -21,9 +21,8 @@ pre-allocated by the time the port frees up.
 
 from __future__ import annotations
 
-from collections import deque
 from operator import attrgetter, itemgetter
-from typing import Deque, Dict, Set
+from typing import Dict, List, Set
 
 from repro.core.plan import LAND_LATCH, LAND_NI, LAND_VC, SRC_VC
 from repro.core.reservation import Promises
@@ -42,9 +41,10 @@ class PraRouter(MeshRouter):
 
     def __init__(self, node: int, network):
         super().__init__(node, network)
-        #: One latch per input direction (Figure 4's extra VC).
-        self._latches: Dict[Direction, Deque[Flit]] = {
-            d: deque() for d in self.input_units
+        #: One latch per input direction (Figure 4's extra VC); a list,
+        #: like a VC's buffer, since a latch holds at most a few flits.
+        self._latches: Dict[Direction, List[Flit]] = {
+            d: [] for d in self.input_units
         }
         #: Every future timeslot promised on this router's output
         #: ports, crossbar inputs and latches (the control network
@@ -124,7 +124,7 @@ class PraRouter(MeshRouter):
                 if vc is not None:
                     self._pop(vc, now)
                 else:
-                    source.popleft()
+                    source.pop(0)
                     self.active_flits -= 1
                 # Charge link/crossbar activity; a 2-hop step also
                 # crosses the bypassed router's crossbar and outgoing
@@ -289,7 +289,7 @@ class PraRouter(MeshRouter):
     def load_state(self, state: dict, ctx) -> None:
         super().load_state(state, ctx)
         for direction_value, refs in state["latches"]:
-            self._latches[Direction(direction_value)] = deque(
+            self._latches[Direction(direction_value)] = [
                 ctx.flit(ref) for ref in refs
-            )
+            ]
         self.promises.load_state(state["promises"], ctx, self.network.cycle)

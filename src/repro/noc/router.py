@@ -72,8 +72,9 @@ class BaseRouter:
             Direction.LOCAL
         )
         self._unit_list: List[InputUnit] = list(self.input_units.values())
-        #: Dense next-port row for this node (a single list index, not a
-        #: hash lookup, for the hottest routing query).
+        #: Dense next-port row for this node, shared with every router
+        #: of the topology (a single index, not a hash lookup, for the
+        #: hottest routing query).
         self._route_row = self.topology.route_row(node)
         self._rebuild_port_cache()
 
@@ -353,7 +354,7 @@ class MeshRouter(BaseRouter):
                 flits = vc.flits
             # Dequeue the front flit of ``vc`` ...
             used_inputs.add(vc.unit.direction)
-            flit = flits.popleft()
+            flit = flits.pop(0)
             if flit.is_tail:
                 vc.allocated_to = vc.next_claim
                 vc.next_claim = None

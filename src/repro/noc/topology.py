@@ -23,6 +23,11 @@ graph contract"):
   (:meth:`Topology.route_row`) and :meth:`Topology.route` through a
   bounded memo.  Tables live **on the topology instance**, so two live
   topologies can never serve each other's cached routes;
+* a topology is immutable once built: the rows and the memo are filled
+  lazily, but only with what the routing law already determines.  So
+  :func:`build_topology` hands every network of one ``(spec, width,
+  height)`` in a process the same object, and its link table, route
+  rows and route memo are built once for all of them;
 * deadlock freedom is part of the graph: each message class owns
   :attr:`Topology.vc_layers` consecutive VCs, a packet starts in layer 0
   and moves to layer 1 on the first link whose :attr:`Link.advances`
@@ -198,9 +203,9 @@ class Topology:
         #: The link table: ``links[node]`` holds every link out of
         #: ``node`` in port order, which is the router's processing
         #: order.  Built once; nothing else describes the graph.
-        self.links: List[Tuple[Link, ...]] = [
+        self.links: Tuple[Tuple[Link, ...], ...] = tuple(
             tuple(self._links(node)) for node in range(num_nodes)
-        ]
+        )
         self._link_maps: List[Dict[Port, Link]] = [
             {link.port: link for link in row} for row in self.links
         ]
@@ -211,9 +216,12 @@ class Topology:
         #: from :meth:`next_port` (the pure routing law, which stays the
         #: reference oracle — ``tests/test_noc_units.py`` asserts every
         #: row entry against it).  Routers hold their row and route with
-        #: one list index.  Instance-owned by construction, so two live
-        #: topologies can never serve each other's routes.
-        self._dense_rows: List[Optional[List[Port]]] = [None] * num_nodes
+        #: one index; a row is a tuple, so no holder can change it.
+        #: Instance-owned by construction, so two live topologies can
+        #: never serve each other's routes.
+        self._dense_rows: List[Optional[Tuple[Port, ...]]] = (
+            [None] * num_nodes
+        )
         #: Full-route memo (``route()``), bounded: route tuples are only
         #: resolved outside the hot path (control packets, zero-load
         #: laws), so on overflow the whole memo is dropped and rebuilt
@@ -282,17 +290,18 @@ class Topology:
         routers (the chiplet star's IO die)."""
         return self.num_nodes
 
-    def route_row(self, node: int) -> List[Port]:
+    def route_row(self, node: int) -> Tuple[Port, ...]:
         """Dense next-port row for ``node``: ``row[dst]`` is
         :meth:`next_port`\\ ``(node, dst)`` for every destination
         (``Direction.LOCAL`` at ``dst == node``).  Built once per node
         and shared — routers alias their row, so the hottest routing
-        query is a single list index."""
+        query is a single tuple index."""
         self._check(node)
         row = self._dense_rows[node]
         if row is None:
             next_port = self.next_port
-            row = [next_port(node, dst) for dst in range(self.num_nodes)]
+            row = tuple(next_port(node, dst)
+                        for dst in range(self.num_nodes))
             self._dense_rows[node] = row
         return row
 
@@ -793,12 +802,35 @@ def parse_topology_spec(spec: str) -> TopologySpec:
                         interposer_latency=ilat)
 
 
+#: The topologies :func:`build_topology` has built in this process, by
+#: parsed spec, width and height.
+_SHARED: Dict[Tuple[TopologySpec, int, int], Topology] = {}
+
+
 def build_topology(spec: str, width: int, height: int) -> Topology:
     """The topology a spec string describes (see
     :func:`parse_topology_spec`).  Mesh and ring take their size from
     ``width`` / ``height`` (a ring of ``width * height`` stops); chiplet
-    specs carry their own."""
+    specs carry their own.
+
+    One object per ``(spec, width, height)`` in a process: every call
+    with the same arguments (spellings of one spec count as the same)
+    returns it, so the networks of a grid, of a full-system comparison
+    and of every restored snapshot share one link table, one set of
+    route rows and one route memo.  A topology is never mutated after
+    construction (the lazily filled rows and memo hold only what the
+    routing law determines), so sharing it changes no simulated event.
+    Construct :class:`MeshTopology` and friends directly for a private
+    instance."""
     parsed = parse_topology_spec(spec)
+    key = (parsed, width, height)
+    topo = _SHARED.get(key)
+    if topo is None:
+        topo = _SHARED[key] = _construct(parsed, width, height)
+    return topo
+
+
+def _construct(parsed: TopologySpec, width: int, height: int) -> Topology:
     if parsed.kind == "mesh":
         return MeshTopology(width, height)
     if parsed.kind == "ring":

@@ -16,15 +16,19 @@ buffered VC.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 from repro.noc.flit import Flit
 from repro.noc.packet import Packet
 
 
 class VirtualChannel:
-    """A FIFO flit buffer with single-packet occupancy."""
+    """A FIFO flit buffer with single-packet occupancy.
+
+    The buffer is a plain list: it never holds more than ``capacity``
+    (five) flits, so ``pop(0)`` shifts at most four pointers, and an
+    empty list is a quarter of an empty deque's bytes.
+    """
 
     __slots__ = ("index", "capacity", "flits", "allocated_to", "next_claim",
                  "unit", "rr_key", "rr_id")
@@ -34,7 +38,7 @@ class VirtualChannel:
             raise ValueError("VC capacity must be positive")
         self.index = index
         self.capacity = capacity
-        self.flits: Deque[Flit] = deque()
+        self.flits: List[Flit] = []
         #: Packet that currently owns this VC (set at VC allocation time
         #: by the upstream arbiter, cleared when the tail flit departs).
         self.allocated_to: Optional[Packet] = None
@@ -77,7 +81,7 @@ class VirtualChannel:
     def pop(self) -> Flit:
         """Remove the front flit; releases the VC on tail departure (a
         chained proactive claim, if any, takes ownership immediately)."""
-        flit = self.flits.popleft()
+        flit = self.flits.pop(0)
         if flit.is_tail:
             self.allocated_to = self.next_claim
             self.next_claim = None
@@ -91,7 +95,7 @@ class VirtualChannel:
         }
 
     def load_state(self, state: dict, ctx) -> None:
-        self.flits = deque(ctx.flit(ref) for ref in state["flits"])
+        self.flits = [ctx.flit(ref) for ref in state["flits"]]
         self.allocated_to = ctx.packet(state["allocated_to"])
         self.next_claim = ctx.packet(state["next_claim"])
 

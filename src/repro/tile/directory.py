@@ -10,37 +10,61 @@ statistical one decides hits and misses, never sharers."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Union
 
 
 class DirectorySlice:
-    """Sharer bookkeeping for the blocks homed at one tile."""
+    """Sharer bookkeeping for the blocks homed at one tile.
+
+    An entry is the reader's tile id while a block has one sharer, which
+    is nearly every block of a server workload, and a list of the
+    sharers in first-insertion order once a second one arrives.  A
+    write iterates the set that the same ``add`` calls build, so
+    invalidations leave in the order a set of sharers has always given
+    them, and the insertion order is all a snapshot has to keep."""
 
     def __init__(self, node: int, max_tracked: int = 65536):
         self.node = node
-        self._sharers: Dict[int, Set[int]] = {}
+        self._sharers: Dict[int, Union[int, List[int]]] = {}
         self._max_tracked = max_tracked
         self.invalidations_sent = 0
 
+    def _make_room(self) -> None:
+        """Evict the oldest tracked block when the slice is full (called
+        before a new block is inserted)."""
+        if len(self._sharers) >= self._max_tracked:
+            self._sharers.pop(next(iter(self._sharers)))
+
     def record_read(self, block: int, requester: int) -> None:
-        sharers = self._sharers.get(block)
-        if sharers is None:
-            if len(self._sharers) >= self._max_tracked:
-                self._sharers.pop(next(iter(self._sharers)))
-            sharers = set()
-            self._sharers[block] = sharers
-        sharers.add(requester)
+        entry = self._sharers.get(block)
+        if entry is None:
+            self._make_room()
+            self._sharers[block] = requester
+        elif entry.__class__ is list:
+            if requester not in entry:
+                entry.append(requester)
+        elif entry != requester:
+            self._sharers[block] = [entry, requester]
 
     def record_write(self, block: int, requester: int) -> List[int]:
         """Register a writer; returns the sharers to invalidate."""
-        sharers = self._sharers.get(block, set())
-        to_invalidate = [s for s in sharers if s != requester]
-        self._sharers[block] = {requester}
+        entry = self._sharers.get(block)
+        if entry is None:
+            self._make_room()
+            to_invalidate = []
+        elif entry.__class__ is list:
+            to_invalidate = [s for s in set(entry) if s != requester]
+        else:
+            to_invalidate = [] if entry == requester else [entry]
+        self._sharers[block] = requester
         self.invalidations_sent += len(to_invalidate)
         return to_invalidate
 
     def sharers_of(self, block: int) -> Set[int]:
-        return set(self._sharers.get(block, set()))
+        entry = self._sharers.get(block)
+        if entry is None:
+            return set()
+        return set(entry) if entry.__class__ is list else {entry}
 
     @property
     def tracked_blocks(self) -> int:
@@ -50,23 +74,20 @@ class DirectorySlice:
 
     def state_dict(self) -> dict:
         """Blocks in insertion order (the eviction policy pops the
-        oldest entry); each sharer set sorted.  A sharer set built by
-        ``add`` alone iterates by value layout, not insertion history,
-        so re-adding the sorted members reproduces the original
-        invalidation order in :meth:`record_write`."""
+        oldest entry), each with its sharers in first-insertion order:
+        :meth:`record_write` rebuilds the set from that order, so a
+        restored slice invalidates in the order the original would."""
         return {
             "sharers": [
-                [block, sorted(members)]
-                for block, members in self._sharers.items()
+                [block, list(entry) if entry.__class__ is list else [entry]]
+                for block, entry in self._sharers.items()
             ],
             "invalidations_sent": self.invalidations_sent,
         }
 
     def load_state(self, state: dict) -> None:
-        self._sharers = {}
-        for block, members in state["sharers"]:
-            sharers: Set[int] = set()
-            for member in members:
-                sharers.add(member)
-            self._sharers[block] = sharers
+        self._sharers = {
+            block: members[0] if len(members) == 1 else list(members)
+            for block, members in state["sharers"]
+        }
         self.invalidations_sent = state["invalidations_sent"]

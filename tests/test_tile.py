@@ -1,5 +1,8 @@
 """Tests for the tiled-CMP substrate: address map, LLC, directory, memory."""
 
+import json
+import random
+
 import pytest
 
 from repro.params import NocKind, default_chip
@@ -50,6 +53,46 @@ class TestDirectory:
         for b in range(100):
             d.record_read(b, requester=0)
         assert d.tracked_blocks <= 10
+
+    def test_write_to_untracked_block_keeps_the_bound(self):
+        d = DirectorySlice(node=0, max_tracked=2)
+        d.record_read(1, requester=4)
+        d.record_read(2, requester=5)
+        assert d.record_write(3, requester=6) == []
+        assert d.tracked_blocks == 2
+        # The oldest block went, as a read of a new block would evict it.
+        assert d.sharers_of(1) == set()
+        assert d.sharers_of(2) == {5}
+        assert d.sharers_of(3) == {6}
+
+    def test_invalidations_leave_in_set_order(self):
+        """A write invalidates in the order a set built by the same
+        ``add`` calls iterates, whatever form the entry is kept in."""
+        rng = random.Random(3)
+        for _ in range(200):
+            d = DirectorySlice(node=0)
+            reference = set()
+            for _ in range(rng.randint(1, 40)):
+                requester = rng.randrange(64)
+                if rng.random() < 0.85:
+                    d.record_read(9, requester)
+                    reference.add(requester)
+                else:
+                    expected = [s for s in reference if s != requester]
+                    assert d.record_write(9, requester) == expected
+                    reference = {requester}
+            assert d.sharers_of(9) == reference
+
+    def test_restore_keeps_invalidation_order(self):
+        """A restored slice invalidates in the order the original
+        does (sorting the snapshot's sharers reordered them)."""
+        d = DirectorySlice(node=0)
+        d.record_read(7, requester=13)
+        d.record_read(7, requester=5)
+        restored = DirectorySlice(node=0)
+        restored.load_state(json.loads(json.dumps(d.state_dict())))
+        assert restored.record_write(7, requester=0) \
+            == d.record_write(7, requester=0)
 
 
 class TestMemoryChannel:
