@@ -25,9 +25,11 @@ Commands:
 * ``chaos [--noc KIND] [--fault-seed N] [--intensity X]`` — run a
   seeded fault schedule (dropped control packets, stalled routers and
   links, multi-drop blackouts) with the runtime invariant checkers
-  attached; exits non-zero on violations or undelivered packets;
-* ``area`` / ``power`` — the analytic physical models;
-* ``params`` — echo the Table I configuration.
+  attached; exits non-zero on violations or undelivered packets.
+
+The Table I configuration, the Figure 8 area model and the Section V-E
+power analysis are figures: ``figures --only table1``, ``fig8`` and
+``power``.
 """
 
 from __future__ import annotations
@@ -105,6 +107,22 @@ def _parse_mesh(text: str):
             f"mesh dimensions must be positive, got {text!r}"
         )
     return width, height
+
+
+def _count(least: int):
+    """argparse type for an integer flag that must be >= ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def _add_topology_flag(p: argparse.ArgumentParser) -> None:
@@ -477,21 +495,6 @@ def _cmd_analytic(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_area(_args: argparse.Namespace, _config: RunConfig) -> int:
-    print(render_figure(figure8()))
-    return 0
-
-
-def _cmd_power(args: argparse.Namespace, config: RunConfig) -> int:
-    print(render_figure(power_analysis(config=config)))
-    return 0
-
-
-def _cmd_params(_args: argparse.Namespace, _config: RunConfig) -> int:
-    print(render_figure(table1()))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -518,12 +521,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workload", nargs="?", default=None,
                    help="workload name or alias (omit with --restore)")
     p.add_argument("--noc", default="mesh+pra", choices=sorted(_NOC_KINDS))
-    p.add_argument("--warmup", type=int, default=1000)
-    p.add_argument("--measure", type=int, default=5000)
+    p.add_argument("--warmup", type=_count(0), default=1000)
+    p.add_argument("--measure", type=_count(1), default=5000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="also write a JSONL event trace of the run")
-    p.add_argument("--checkpoint-every", type=int, default=None,
+    p.add_argument("--checkpoint-every", type=_count(1), default=None,
                    metavar="N",
                    help="write a snapshot at every multiple of N cycles "
                         "(strictly before the run's end)")
@@ -630,17 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", default=None,
                    help="smoke | default | full (or REPRO_SCALE)")
     p.set_defaults(func=_cmd_analytic)
-
-    p = sub.add_parser("area", help="Figure 8 area model")
-    p.set_defaults(func=_cmd_area)
-
-    p = sub.add_parser("power", help="Section V-E power analysis")
-    p.add_argument("--scale", default=None,
-                   help="smoke | default | full (or REPRO_SCALE)")
-    p.set_defaults(func=_cmd_power)
-
-    p = sub.add_parser("params", help="echo the Table I configuration")
-    p.set_defaults(func=_cmd_params)
     return parser
 
 

@@ -129,7 +129,6 @@ def evaluation_grid(
     kinds: Iterable[NocKind] = ALL_KINDS,
     scale: Optional[EvaluationScale] = None,
     store=_UNSET,
-    faults=None,
     analytic: str = "off",
     config: Optional[RunConfig] = None,
 ) -> Dict[GridKey, PerfSample]:
@@ -162,10 +161,7 @@ def evaluation_grid(
     failures (their grid entries are dropped rather than killing the
     sweep), crashed worker pools are rebuilt, and the resulting
     :class:`~repro.resilience.RunReport` is available afterwards via
-    :func:`repro.resilience.last_run_report`.  ``faults`` injects a
-    deterministic :class:`~repro.resilience.ProcessFaultPlan` for
-    testing; without a disk store, a fault-injected sweep uses a fresh
-    in-memory store, so it neither reads nor seeds the process store.
+    :func:`repro.resilience.last_run_report`.
     """
     from repro.resilience import supervise
 
@@ -181,7 +177,7 @@ def evaluation_grid(
     if store is _UNSET:
         store = CellStore(config.cell_store) if config.cell_store else None
     if store is None:
-        store = _MemoryStore() if faults is not None else _process_store
+        store = _process_store
     cells: List[Cell] = [
         (workload, kind, scale.warmup, scale.measure, seed)
         for workload in workloads
@@ -213,7 +209,7 @@ def evaluation_grid(
             store.put(keys[index], {"sample": sample.to_state()})
 
     supervise(_run_cell, pending, finish,
-              lambda index: _cell_label(cells[index]), config.jobs, faults)
+              lambda index: _cell_label(cells[index]), config.jobs)
     by_key: Dict[GridKey, list] = {}
     for (workload, kind, *_), sample in zip(cells, results):
         by_key.setdefault((workload, kind), []).append(sample)

@@ -1,6 +1,5 @@
 """Supervised execution of the evaluation grid: retries, quarantine,
-pool rebuilds, graceful degradation, and the fault injection that
-exercises them.
+pool rebuilds and graceful degradation.
 
 The evaluation grid (:mod:`repro.harness.runner`) hands :func:`supervise`
 every cell its cell store could not serve.  Real worker processes die,
@@ -15,21 +14,23 @@ and the supervisor keeps the sweep alive through those deaths:
 * every finished cell goes back to the caller the moment it completes,
   so a crash mid-sweep keeps all work already done.
 
-:class:`ProcessFaultPlan` / :class:`ProcFault` make cells fail on
-command (kill / error), so every recovery path is deterministically
-testable.  :class:`RunReport` / :class:`FailureRecord` are the
-supervisor's flight record: the CLI prints every troubled one on
-nonzero exit (:func:`run_reports`), the benchmark ledger reads its
-counters, and :func:`last_run_report` fetches the most recent one.
+:class:`RunReport` / :class:`FailureRecord` are the supervisor's flight
+record: the CLI prints every troubled one on nonzero exit
+(:func:`run_reports`), the benchmark ledger reads its counters, and
+:func:`last_run_report` fetches the most recent one.
+
+There is no fault-injection hook here: ``tests/test_resilience.py``
+provokes each recovery path by patching the work function the grid
+hands in (``repro.harness.runner._simulate_cell``), the way the shard
+tests replace a shard worker's main loop.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 #: Worker-pool rebuilds per sweep before the remaining cells run
 #: serially in the parent.
@@ -153,93 +154,12 @@ def clear_reports() -> None:
     _REPORTS.clear()
 
 
-# -- deterministic fault injection ------------------------------------------
-
-_ACTIONS = ("kill", "error")
-
-
-class ProcessFaultError(RuntimeError):
-    """An injected (or parent-downgraded) process fault."""
-
-
-@dataclass(frozen=True)
-class ProcFault:
-    """One planned grid-cell failure.
-
-    ``"kill"`` exits the pool worker running the cell (``os._exit``,
-    the OOM-killer shape; downgraded to a raised error when the cell
-    runs in the parent); ``"error"`` raises :class:`ProcessFaultError`.
-    """
-
-    target: int         # cell index
-    action: str         # "kill" | "error"
-    #: Which attempt fails (0 = the first; ``None`` = every attempt —
-    #: a poison cell).
-    attempt: Optional[int] = 0
-
-    def __post_init__(self):
-        if self.action not in _ACTIONS:
-            raise ValueError(
-                f"faults support actions {_ACTIONS}, got {self.action!r}"
-            )
-        if self.target < 0:
-            raise ValueError(f"target must be >= 0, got {self.target}")
-
-
-@dataclass(frozen=True)
-class ProcessFaultPlan:
-    """A reproducible description of every cell that will misbehave:
-    the same plan against the same sweep reproduces the same failures
-    bit for bit."""
-
-    faults: Tuple[ProcFault, ...] = ()
-
-    def cell_action(self, index: int, attempt: int) -> Optional[str]:
-        """Action for evaluation-grid cell ``index`` on ``attempt``."""
-        for fault in self.faults:
-            if fault.target != index:
-                continue
-            if fault.attempt is None or fault.attempt == attempt:
-                return fault.action
-        return None
-
-
 # -- the supervisor ---------------------------------------------------------
-
-
-def _attempt(task: tuple) -> Any:
-    """One attempt at one cell: the pool entry point (top-level so it
-    pickles), also called in the parent for serial sweeps.
-
-    A task is ``(work, index, item, attempt, faults)``: everything a
-    worker needs arrives in it, so a spawn-start worker behaves like a
-    fork-start one and like the in-parent serial path.  The attempt
-    number keys injected-fault lookup.
-    """
-    work, index, item, attempt, faults = task
-    action = (faults.cell_action(index, attempt) if faults is not None
-              else None)
-    if action == "kill":
-        import multiprocessing
-
-        # Killing the parent would take the supervisor down with it.
-        if multiprocessing.parent_process() is not None:
-            os._exit(13)
-        raise ProcessFaultError(
-            f"injected kill for cell {index} (downgraded to an "
-            f"error outside a pool worker)"
-        )
-    if action == "error":
-        raise ProcessFaultError(
-            f"injected failure for cell {index} attempt {attempt}"
-        )
-    return work(item)
 
 
 def supervise(work: Callable[[Any], Any], items: Dict[int, Any],
               done: Callable[[int, Any], None],
-              label: Callable[[int], str], jobs: int,
-              faults: Optional[ProcessFaultPlan] = None) -> RunReport:
+              label: Callable[[int], str], jobs: int) -> RunReport:
     """Run ``work(items[i])`` for every cell ``i`` under supervision,
     calling ``done(i, result)`` in the parent as each one finishes.
 
@@ -251,10 +171,7 @@ def supervise(work: Callable[[Any], Any], items: Dict[int, Any],
     """
     report = RunReport()
     failures: Dict[int, int] = {}
-    queue = deque((index, 0) for index in items)
-
-    def task(index: int, attempt: int) -> tuple:
-        return (work, index, items[index], attempt, faults)
+    queue = deque(items)
 
     def fail(index: int, exc: Exception) -> None:
         """Count one failure of ``index``; requeue it unless that
@@ -269,7 +186,7 @@ def supervise(work: Callable[[Any], Any], items: Dict[int, Any],
             return
         report.retries += 1
         time.sleep(backoff(count))
-        queue.append((index, count))
+        queue.append(index)
 
     def run_pool(workers: int) -> bool:
         """Submit the whole queue to one pool; True when it crashed."""
@@ -284,20 +201,17 @@ def supervise(work: Callable[[Any], Any], items: Dict[int, Any],
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 while queue:
-                    index, attempt = queue.popleft()
-                    futures[pool.submit(_attempt, task(index, attempt))] = (
-                        index, attempt)
+                    index = queue.popleft()
+                    futures[pool.submit(work, items[index])] = index
                 for future in as_completed(futures):
-                    index, attempt = futures[future]
+                    index = futures[future]
                     try:
                         result = future.result()
                     except BrokenProcessPool:
                         # Collateral damage, not this cell's fault: no
-                        # failure count.  The attempt still advances so
-                        # an attempt-keyed injected kill does not
-                        # re-fire forever on resubmission.
+                        # failure count.
                         broken = True
-                        queue.append((index, attempt + 1))
+                        queue.append(index)
                         continue
                     except Exception as exc:
                         fail(index, exc)
@@ -325,13 +239,11 @@ def supervise(work: Callable[[Any], Any], items: Dict[int, Any],
             )
             break
         time.sleep(backoff(report.pool_rebuilds))
-    # The serial sweep, or what a degraded one has left.  In-parent
-    # execution still honors the fault plan (kills downgraded to
-    # errors), so poison cells quarantine identically either way.
+    # The serial sweep, or what a degraded one has left.
     while queue:
-        index, attempt = queue.popleft()
+        index = queue.popleft()
         try:
-            result = _attempt(task(index, attempt))
+            result = work(items[index])
         except Exception as exc:
             fail(index, exc)
             continue

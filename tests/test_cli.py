@@ -8,14 +8,16 @@ from repro.cli import main
 
 
 def test_params_command(capsys):
-    assert main(["params"]) == 0
+    # Table I is a figure; there is no separate ``params`` command.
+    assert main(["figures", "--only", "table1"]) == 0
     out = capsys.readouterr().out
     assert "Table I" in out
     assert "32 nm" in out
 
 
 def test_area_command(capsys):
-    assert main(["area"]) == 0
+    # The Figure 8 area model is a figure; there is no ``area`` command.
+    assert main(["figures", "--only", "fig8"]) == 0
     out = capsys.readouterr().out
     assert "Mesh+PRA" in out
     assert "4.9" in out
@@ -92,8 +94,8 @@ def test_chaos_ring_is_a_topology_not_an_organization(capsys):
 
 
 def test_power_runs_the_scale_the_environment_names(monkeypatch, capsys):
-    # ``power`` and ``figures --only power`` print the same table, so
-    # they must simulate the same grid.
+    # The power analysis simulates the grid at ``REPRO_SCALE`` unless
+    # ``--scale`` overrides it.
     scales = []
 
     def power_analysis(config):
@@ -102,9 +104,34 @@ def test_power_runs_the_scale_the_environment_names(monkeypatch, capsys):
 
     monkeypatch.setenv("REPRO_SCALE", "full")
     monkeypatch.setattr("repro.cli.power_analysis", power_analysis)
-    assert main(["power"]) == 0
-    main(["figures", "--only", "power"])
-    assert scales == ["full", "full"]
+    assert main(["figures", "--only", "power"]) == 0
+    assert main(["figures", "--only", "power", "--scale", "smoke"]) == 0
+    assert scales == ["full", "smoke"]
+
+
+@pytest.mark.parametrize("command", ["area", "power", "params"])
+def test_figure_commands_are_only_figures(command, capsys):
+    # ``figures --only fig8|power|table1`` prints each of these.
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--warmup", "-5"),
+    ("--measure", "0"),
+    ("--checkpoint-every", "0"),
+])
+def test_simulate_refuses_out_of_range_counts(flag, value, monkeypatch,
+                                              capsys):
+    # Refused while parsing: no simulator is built, no cycle runs.
+    monkeypatch.setattr("repro.perf.system.SystemSimulator", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "web", flag, value])
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: expected an integer >= " \
+        in capsys.readouterr().err
 
 
 def test_figures_json_dump(tmp_path, capsys):

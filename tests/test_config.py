@@ -74,7 +74,7 @@ def test_cli_exits_2_on_junk_jobs(monkeypatch, capsys):
     from repro.cli import main
 
     monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-    assert main(["params"]) == 2
+    assert main(["figures", "--only", "table1"]) == 2
     assert "REPRO_JOBS must be" in capsys.readouterr().err
 
 

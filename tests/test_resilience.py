@@ -5,10 +5,15 @@ dies, hangs or babbles raises a structured ``WorkerFailure`` out of
 ``run_sharded``.  The evaluation grid is supervised, and its oracle is
 bit-identical samples: a sweep with a poison cell or a crashed pool
 must reproduce the unfaulted samples for every cell it completes.
+
+Both are failed the same way: a test replaces the function a worker
+runs (``process._worker_main`` for a shard, ``runner._simulate_cell``
+for a grid cell), and a forked worker inherits the replacement.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -18,14 +23,13 @@ import pytest
 from repro import resilience
 from repro.config import RunConfig
 from repro.harness import runner
-from repro.harness.runner import EvaluationScale, evaluation_grid, grid_stats
+from repro.harness.runner import EvaluationScale, evaluation_grid
 from repro.params import NocKind
 from repro.resilience import (
-    ProcFault,
-    ProcessFaultPlan,
     backoff,
     clear_reports,
     last_run_report,
+    run_reports,
 )
 from repro.shard import GOLDEN_SPEC, WorkerFailure, run_sharded
 from repro.shard import process
@@ -172,29 +176,91 @@ def test_dead_worker_diagnosed_when_it_exits_not_at_the_heartbeat():
 TINY = EvaluationScale("resilience-tiny", warmup=20, measure=80, num_seeds=1)
 WORKLOADS = ("Data Serving", "Web Search")
 KINDS = (NocKind.MESH, NocKind.IDEAL)
-# Cell order is workload-major: Data/mesh, Data/ideal, Web/mesh, Web/ideal.
-POISON_INDEX = 1
+POISON_CELL = ("Data Serving", NocKind.IDEAL)
 POISON_LABEL = "Data Serving/ideal seed 1"
 
 
 @pytest.fixture(scope="module")
 def baseline_grid():
-    """The unfaulted samples every fault-injected sweep must reproduce."""
+    """The unfaulted samples every faulted sweep must reproduce."""
     grid = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
                            store=None)
     return {key: sample.to_state() for key, sample in grid.items()}
 
 
-def test_poison_cell_quarantined_sweep_completes(baseline_grid, fast):
+@pytest.fixture
+def cold():
+    """An empty process store around the test: the baseline's cells do
+    not serve the faulted sweep, and its cells serve no later test."""
+    runner.clear_grid_cache()
+    yield
+    runner.clear_grid_cache()
+
+
+@pytest.fixture
+def forked():
+    """Grid pool workers fork from the patched test process, so they
+    run the patched ``_simulate_cell``; a spawn-start worker imports
+    the real one and the fault never fires."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method on this platform")
+    previous = multiprocessing.get_start_method()
+    multiprocessing.set_start_method("fork", force=True)
+    yield
+    multiprocessing.set_start_method(previous, force=True)
+
+
+def _fault_cells(monkeypatch, fault) -> None:
+    """Every cell calls ``fault(cell)`` before it is simulated; the
+    fault raises or exits to fail it."""
+    real = runner._simulate_cell
+
+    def faulted(cell, wall_limit):
+        fault(cell)
+        return real(cell, wall_limit)
+
+    monkeypatch.setattr(runner, "_simulate_cell", faulted)
+
+
+def _first_time(marker) -> bool:
+    """True for exactly one caller in any process: the one that
+    creates ``marker``."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return False
+    return True
+
+
+def _poison(cell) -> None:
+    if cell[:2] == POISON_CELL:
+        raise RuntimeError("poisoned cell")
+
+
+def _kill_once(marker, target):
+    """Exit the pool worker that first runs ``target`` (the OOM-killer
+    shape); never the parent, which is the supervisor."""
+    def fault(cell):
+        if cell[:2] == target \
+                and multiprocessing.parent_process() is not None \
+                and _first_time(marker):
+            os._exit(13)
+    return fault
+
+
+def _grid():
+    return evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
+                           store=None)
+
+
+def test_poison_cell_quarantined_sweep_completes(baseline_grid, monkeypatch,
+                                                 cold, fast):
     """A cell failing on every attempt is quarantined after
-    ``quarantine_after`` failures; the sweep finishes and every other
+    ``QUARANTINE_AFTER`` failures; the sweep finishes and every other
     cell is bit-identical to the unfaulted baseline."""
     clear_reports()
-    plan = ProcessFaultPlan(faults=(
-        ProcFault(target=POISON_INDEX, action="error", attempt=None),
-    ))
-    grid = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
-                           store=None, faults=plan)
+    _fault_cells(monkeypatch, _poison)
+    grid = _grid()
     report = last_run_report()
     assert len(report.quarantined) == 1
     assert report.quarantined[0].target == POISON_LABEL
@@ -202,21 +268,26 @@ def test_poison_cell_quarantined_sweep_completes(baseline_grid, fast):
     assert not report.completed
     # The poisoned key is dropped; the other three cells are intact
     # and bit-identical.
-    assert ("Data Serving", NocKind.IDEAL) not in grid
+    assert POISON_CELL not in grid
     assert len(grid) == len(baseline_grid) - 1
     for key, sample in grid.items():
         assert sample.to_state() == baseline_grid[key]
 
 
-def test_transient_cell_failure_retries_to_full_grid(baseline_grid, fast):
+def test_transient_cell_failure_retries_to_full_grid(baseline_grid,
+                                                     monkeypatch, tmp_path,
+                                                     cold, fast):
     """A cell that fails only on its first attempt recovers on retry:
     one retry recorded, nothing quarantined, full grid, identical."""
     clear_reports()
-    plan = ProcessFaultPlan(faults=(
-        ProcFault(target=2, action="error", attempt=0),
-    ))
-    grid = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
-                           store=None, faults=plan)
+    marker = tmp_path / "failed"
+
+    def fail_once(cell):
+        if cell[:2] == ("Web Search", NocKind.MESH) and _first_time(marker):
+            raise RuntimeError("transient failure")
+
+    _fault_cells(monkeypatch, fail_once)
+    grid = _grid()
     report = last_run_report()
     assert report.retries == 1
     assert not report.quarantined
@@ -225,17 +296,15 @@ def test_transient_cell_failure_retries_to_full_grid(baseline_grid, fast):
 
 
 def test_grid_pool_rebuilt_after_worker_death(baseline_grid, monkeypatch,
-                                              fast):
+                                              tmp_path, cold, forked, fast):
     """A pool worker dying mid-cell (os._exit — BrokenProcessPool in
     the parent) triggers one pool rebuild; outstanding cells are
     resubmitted and the finished grid matches the baseline exactly."""
     monkeypatch.setenv("REPRO_JOBS", "2")
     clear_reports()
-    plan = ProcessFaultPlan(faults=(
-        ProcFault(target=0, action="kill", attempt=0),
-    ))
-    grid = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
-                           store=None, faults=plan)
+    _fault_cells(monkeypatch, _kill_once(tmp_path / "killed",
+                                         ("Data Serving", NocKind.MESH)))
+    grid = _grid()
     report = last_run_report()
     assert report.pool_rebuilds == 1
     assert report.degraded is None
@@ -245,42 +314,28 @@ def test_grid_pool_rebuilt_after_worker_death(baseline_grid, monkeypatch,
 
 
 def test_parallel_poison_cell_quarantines_exactly_one(baseline_grid,
-                                                      monkeypatch, fast):
+                                                      monkeypatch, tmp_path,
+                                                      cold, forked, fast):
     """The acceptance scenario: a parallel sweep with one poison cell
     AND one killed worker finishes, quarantines exactly the poison
     cell, and reproduces every other sample bit for bit."""
     monkeypatch.setenv("REPRO_JOBS", "2")
     clear_reports()
-    plan = ProcessFaultPlan(faults=(
-        ProcFault(target=POISON_INDEX, action="error", attempt=None),
-        ProcFault(target=3, action="kill", attempt=0),
-    ))
-    grid = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
-                           store=None, faults=plan)
+    kill = _kill_once(tmp_path / "killed", ("Web Search", NocKind.IDEAL))
+
+    def fault(cell):
+        _poison(cell)
+        kill(cell)
+
+    _fault_cells(monkeypatch, fault)
+    grid = _grid()
     report = last_run_report()
     assert [f.target for f in report.quarantined] == [POISON_LABEL]
     assert report.pool_rebuilds >= 1
-    assert ("Data Serving", NocKind.IDEAL) not in grid
+    assert POISON_CELL not in grid
+    assert len(grid) == len(baseline_grid) - 1
     for key, sample in grid.items():
         assert sample.to_state() == baseline_grid[key]
-
-
-def test_faulted_sweeps_bypass_grid_cache(baseline_grid, fast):
-    """A fault-injected sweep must neither read nor seed the process
-    store: it simulates every cell even though the baseline sweep stored
-    them, and a clean sweep right after a poisoned one sees every cell
-    again."""
-    plan = ProcessFaultPlan(faults=(
-        ProcFault(target=POISON_INDEX, action="error", attempt=None),
-    ))
-    hits = grid_stats.grid_cache_hits
-    poisoned = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
-                               store=None, faults=plan)
-    assert grid_stats.grid_cache_hits == hits
-    assert len(poisoned) == len(baseline_grid) - 1
-    clean = evaluation_grid(workloads=WORKLOADS, kinds=KINDS, scale=TINY,
-                            store=None)
-    assert {key: s.to_state() for key, s in clean.items()} == baseline_grid
 
 
 def test_streaming_puts_survive_mid_sweep_crash(tmp_path, monkeypatch, fast):
@@ -316,7 +371,8 @@ def test_streaming_puts_survive_mid_sweep_crash(tmp_path, monkeypatch, fast):
 
 
 def test_quarantined_cell_fails_the_figure_with_the_report(monkeypatch,
-                                                           capsys, fast):
+                                                           capsys, cold,
+                                                           fast):
     """A figure that needs a quarantined cell exits 1 with the run
     report and the missing cell on stderr — not a bare KeyError out of
     ``main``."""
@@ -325,86 +381,59 @@ def test_quarantined_cell_fails_the_figure_with_the_report(monkeypatch,
 
     monkeypatch.setitem(SCALES, "quarantine", EvaluationScale(
         "quarantine", warmup=20, measure=80, num_seeds=1))
-    real = runner._simulate_cell
 
-    def poisoned(cell, wall_limit):
+    def poisoned(cell):
         if cell[:2] == ("Web Search", NocKind.MESH_PRA):
             raise RuntimeError("poisoned cell")
-        return real(cell, wall_limit)
 
-    monkeypatch.setattr(runner, "_simulate_cell", poisoned)
-    runner.clear_grid_cache()
-    try:
-        assert main(["figures", "--only", "fig7",
-                     "--scale", "quarantine"]) == 1
-    finally:
-        runner.clear_grid_cache()
+    _fault_cells(monkeypatch, poisoned)
+    assert main(["figures", "--only", "fig7",
+                 "--scale", "quarantine"]) == 1
     err = capsys.readouterr().err
     assert "grid run report:" in err
     assert "Web Search/mesh+pra" in err
 
 
 def test_degraded_sweep_is_reported_after_a_clean_one(monkeypatch, capsys,
+                                                     tmp_path, cold, forked,
                                                      fast):
     """``figures`` runs one sweep per figure.  Fig. 6's sweep loses its
     worker pool and finishes degraded; Fig. 7's sweep right after is
     all store hits and clean.  The exit status and the stderr report
-    cover both sweeps, not only the last."""
-    import multiprocessing
-
+    cover both sweeps, not only the last, and the degraded sweep's
+    cells are the unfaulted ones."""
     from repro.cli import main
     from repro.config import SCALES
 
+    scale = EvaluationScale("degrade", warmup=20, measure=80, num_seeds=1)
+    baseline = {key: sample.to_state() for key, sample
+                in evaluation_grid(scale=scale, store=None).items()}
+    runner.clear_grid_cache()
     monkeypatch.setenv("REPRO_JOBS", "2")
     monkeypatch.setattr(resilience, "MAX_POOL_REBUILDS", 0)
-    monkeypatch.setitem(SCALES, "degrade", EvaluationScale(
-        "degrade", warmup=20, measure=80, num_seeds=1))
-    real = runner._simulate_cell
-
-    def crash_a_worker(cell, wall_limit):
-        if cell[:2] == ("Web Search", NocKind.MESH) \
-                and multiprocessing.parent_process() is not None:
-            os._exit(13)
-        return real(cell, wall_limit)
-
-    monkeypatch.setattr(runner, "_simulate_cell", crash_a_worker)
-    runner.clear_grid_cache()
-    try:
-        assert main(["figures", "--only", "fig6,fig7",
-                     "--scale", "degrade"]) == 1
-    finally:
-        runner.clear_grid_cache()
+    monkeypatch.setitem(SCALES, "degrade", scale)
+    _fault_cells(monkeypatch, _kill_once(tmp_path / "killed",
+                                         ("Web Search", NocKind.MESH)))
+    assert main(["figures", "--only", "fig6,fig7",
+                 "--scale", "degrade"]) == 1
     err = capsys.readouterr().err
     assert err.count("grid run report:") == 1
     assert "degraded:" in err
+    degraded, clean = run_reports()
+    assert degraded.pool_rebuilds == 1 and degraded.degraded
+    assert clean.clean
+    # Both figures' cells are in the process store now: all hits.
+    grid = evaluation_grid(scale=scale, store=None)
+    assert {key: s.to_state() for key, s in grid.items()} == baseline
 
 
-# -- backoff and plan validation --------------------------------------------
+# -- backoff ------------------------------------------------------------------
 
 
 def test_retry_policy_backoff():
     assert backoff(1) == 0.05
     assert backoff(3) == 0.2
     assert backoff(0) == 0.0
-
-
-def test_proc_fault_validation():
-    with pytest.raises(ValueError, match="faults support actions"):
-        ProcFault(target=0, action="hang")
-    with pytest.raises(ValueError, match="target must be"):
-        ProcFault(target=-1, action="kill")
-
-
-def test_fault_plan_cell_lookup():
-    plan = ProcessFaultPlan(faults=(
-        ProcFault(target=2, action="error", attempt=None),
-        ProcFault(target=3, action="kill", attempt=1),
-    ))
-    assert plan.cell_action(2, 0) == "error"
-    assert plan.cell_action(2, 7) == "error"
-    assert plan.cell_action(3, 1) == "kill"
-    assert plan.cell_action(3, 0) is None
-    assert plan.cell_action(0, 0) is None
 
 
 # -- REPRO_WALL_LIMIT validation (satellite) --------------------------------
