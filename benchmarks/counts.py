@@ -12,7 +12,10 @@ script measures what does not drift.  At pinned short sizes it records
 * ``bytes/<organization>``: the bytes ``tracemalloc`` sees held by one
   built-and-run ``SystemSimulator`` of that organization, after one of
   the same organization has run in the process (so imports and
-  process-wide tables count once, not per simulator).
+  process-wide tables count once, not per simulator);
+* ``snapshot_bytes/mesh+pra``: the JSON bytes of ``snapshot_system``
+  on that Mesh+PRA simulator, so the checkpoint codec cannot regrow
+  unnoticed.
 
 The rows are exact on one CPython minor version, so the committed rows
 in ``benchmarks/counts.json`` name theirs.  Usage::
@@ -54,6 +57,8 @@ PROFILES = ("Media Streaming", "Web Search")
 ORGS = ("mesh", "smart", "mesh+pra", "ideal")
 WARMUP, MEASURE = 200, 400
 WORKLOADS = tuple(CONTESTED) + ("server_fullsys",)
+#: The organization whose snapshot size is a row.
+SNAPSHOT_ORG = "mesh+pra"
 
 
 def _contested(name: str) -> None:
@@ -122,8 +127,11 @@ def count_bytecodes(name: str) -> int:
 
 
 def held_bytes() -> dict:
-    """``bytes/<org>`` rows: traced bytes one more simulator holds."""
+    """``bytes/<org>`` rows: traced bytes one more simulator holds; and
+    the ``snapshot_bytes`` row, measured on the same simulator."""
     import tracemalloc
+
+    from repro.checkpoint import snapshot_system
 
     rows = {}
     for org in ORGS:
@@ -134,6 +142,9 @@ def held_bytes() -> dict:
         gc.collect()
         rows[f"bytes/{org}"] = tracemalloc.get_traced_memory()[0]
         tracemalloc.stop()
+        if org == SNAPSHOT_ORG:
+            rows[f"snapshot_bytes/{org}"] = len(
+                json.dumps(snapshot_system(sim)))
         del sim
         gc.collect()
     return rows

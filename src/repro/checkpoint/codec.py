@@ -30,7 +30,9 @@ Reference encodings (JSON-safe tagged lists):
 
 from __future__ import annotations
 
+import base64
 import random
+import struct
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -44,19 +46,32 @@ from repro.tile.llc import Transaction
 
 #: Bumped whenever a change invalidates previously written snapshots or
 #: persisted evaluation-grid cells.
-CODE_VERSION = "7"
+CODE_VERSION = "8"
 
 _SCALARS = (bool, int, float, str)
 
+#: A Mersenne Twister state: 624 key words and the position index, each
+#: below 2**32, packed little-endian.
+_MT_WORDS = struct.Struct("<625I")
+
 
 def rng_state(rng: random.Random) -> list:
-    """``random.Random`` state as a JSON-safe list."""
-    state = rng.getstate()
-    return [state[0], list(state[1]), state[2]]
+    """``random.Random`` state as a JSON-safe ``[version, words,
+    gauss_next]``, the 625 state words as one base64 string: a list of
+    625 ints is 2.5x the JSON and 625 objects in the snapshot dict, and
+    a system snapshot carries a generator per core."""
+    version, words, gauss_next = rng.getstate()
+    packed = base64.b64encode(_MT_WORDS.pack(*words)).decode("ascii")
+    return [version, packed, gauss_next]
 
 
 def set_rng_state(rng: random.Random, state: list) -> None:
-    rng.setstate((state[0], tuple(state[1]), state[2]))
+    version, packed, gauss_next = state
+    raw = base64.b64decode(packed, validate=True)
+    if len(raw) != _MT_WORDS.size:
+        raise ValueError(f"packed RNG state is {len(raw)} bytes, "
+                         f"expected {_MT_WORDS.size}")
+    rng.setstate((version, _MT_WORDS.unpack(raw), gauss_next))
 
 
 class SaveContext:

@@ -18,6 +18,7 @@ raises :class:`SnapshotError`.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import gzip
 import hashlib
 import json
@@ -205,6 +206,13 @@ def restore_network(
 
 def snapshot_system(sim) -> dict:
     """Snapshot a full :class:`~repro.perf.system.SystemSimulator`."""
+    # A simulator that a restore replaced is held in reference cycles
+    # (routers <-> network, ports <-> routers, ``chip.on_complete``
+    # bound to the SystemSimulator), so only a full collection frees
+    # it.  Collect before this snapshot's buffers are built, so a
+    # snapshot -> restore loop holds one simulator, not two or three
+    # dead ones under the transient dict and JSON.
+    gc.collect()
     ctx = SaveContext()
     _register_system_owners(ctx, sim)
     body = sim.state_dict(ctx)
@@ -280,8 +288,13 @@ def write_snapshot(snap: dict, path: str) -> None:
 def read_snapshot(path: str) -> dict:
     """Read a snapshot file; gzip framing is sniffed from the content,
     not the name.  Any decode failure is a :class:`SnapshotError`."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise SnapshotError(
+            f"{path}: cannot read snapshot ({exc.strerror or exc})"
+        ) from exc
     try:
         if data.startswith(_GZIP_MAGIC):
             data = gzip.decompress(data)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from typing import List, Optional
@@ -218,6 +219,13 @@ def _drive(sim, warmup: int, measure: int, every: Optional[int],
 def _cmd_simulate(args: argparse.Namespace, _config: RunConfig) -> int:
     from repro.perf.system import SystemSimulator
 
+    if args.checkpoint_every:
+        # Fail before the first cycle, not at the first snapshot.
+        directory = os.path.dirname(args.checkpoint) or "."
+        if not os.path.isdir(directory):
+            print(f"error: checkpoint directory {directory!r} does not "
+                  f"exist", file=sys.stderr)
+            return 2
     if args.restore:
         from repro.checkpoint import read_snapshot, restore_system
 

@@ -21,6 +21,7 @@ module-wide ``grid_stats`` object and appear in
 
 from __future__ import annotations
 
+import gc
 import sys
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -115,8 +116,14 @@ def _simulate_cell(cell: Cell, wall_limit: Optional[float]) -> PerfSample:
 def _run_cell(item: tuple) -> PerfSample:
     """The supervisor's work function: ``item`` is ``(cell,
     wall_limit)``.  Top-level so it pickles for the worker pool, and
-    it looks ``_simulate_cell`` up at call time."""
-    return _simulate_cell(*item)
+    it looks ``_simulate_cell`` up at call time.
+
+    A finished simulator is cyclic garbage that only a full collection
+    frees; collecting here keeps a pool worker's peak at one cell's
+    footprint instead of several dead simulators'."""
+    sample = _simulate_cell(*item)
+    gc.collect()
+    return sample
 
 
 def _cell_label(cell: Cell) -> str:

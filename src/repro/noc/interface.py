@@ -12,8 +12,7 @@ injection pinning.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, TYPE_CHECKING
+from typing import List, TYPE_CHECKING
 
 from repro.noc.flit import Flit
 from repro.noc.packet import Packet
@@ -34,8 +33,12 @@ class NetworkInterface:
         self.node = node
         self.network = network
         self.router = router
-        self.queues: List[Deque[Packet]] = [
-            deque() for _ in range(NUM_MESSAGE_CLASSES)
+        #: One injection queue per message class.  Plain lists: below
+        #: saturation a queue holds a packet or two, and past it
+        #: ``pop(0)`` moves a few hundred pointers, small beside a
+        #: packet's other work; an empty list is 56 bytes, a deque 760.
+        self.queues: List[List[Packet]] = [
+            [] for _ in range(NUM_MESSAGE_CLASSES)
         ]
         self.port = OutputPort(
             router=None,
@@ -113,7 +116,7 @@ class NetworkInterface:
         if flit.is_tail:
             queue = self.queues[packet.vc_index]
             if queue[0] is packet:
-                queue.popleft()
+                queue.pop(0)
             else:
                 # A pinned packet picked from mid-queue (Mesh+PRA).
                 queue.remove(packet)
@@ -172,7 +175,7 @@ class NetworkInterface:
 
     def load_state(self, state: dict, ctx) -> None:
         self.queues = [
-            deque(ctx.packet(ref) for ref in refs)
+            [ctx.packet(ref) for ref in refs]
             for refs in state["queues"]
         ]
         self._rr = state["rr"]

@@ -227,6 +227,9 @@ class Topology:
         #: laws), so on overflow the whole memo is dropped and rebuilt
         #: from the dense rows instead of growing O(num_nodes^2).
         self._route_cache: dict = {}
+        #: One shared ``(node, port)`` tuple per hop value: the memoized
+        #: routes repeat at most ``num_nodes * ports`` distinct hops.
+        self._hops: Dict[Tuple[int, Port], Tuple[int, Port]] = {}
 
     # -- what a subclass writes ---------------------------------------------
 
@@ -315,8 +318,9 @@ class Topology:
     def route(self, src: int, dst: int) -> Tuple[Tuple[int, Port], ...]:
         """The full source route as ``((node, out_port), ...)``, ending
         with ``(dst, Direction.LOCAL)`` (the ejection hop).  Memoized
-        per (src, dst) pair as shared immutable tuples; the memo is
-        bounded (dropped wholesale past ``_ROUTE_CACHE_CAP`` entries)."""
+        per (src, dst) pair as shared immutable tuples of interned hops;
+        the memo is bounded (dropped wholesale past ``_ROUTE_CACHE_CAP``
+        entries)."""
         key = src * self.num_nodes + dst
         cache = self._route_cache
         hit = cache.get(key)
@@ -324,11 +328,13 @@ class Topology:
             return hit
         if len(cache) >= _ROUTE_CACHE_CAP:
             cache.clear()
+        hops = self._hops
         path = []
         node = src
         for _ in range(self.num_nodes + 1):
             port = self.route_port(node, dst)
-            path.append((node, port))
+            hop = (node, port)
+            path.append(hops.setdefault(hop, hop))
             if port is Direction.LOCAL or port == 0:
                 result = tuple(path)
                 cache[key] = result

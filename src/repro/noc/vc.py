@@ -27,7 +27,7 @@ class VirtualChannel:
 
     The buffer is a plain list: it never holds more than ``capacity``
     (five) flits, so ``pop(0)`` shifts at most four pointers, and an
-    empty list is a quarter of an empty deque's bytes.
+    empty list is 56 bytes against an empty deque's 760.
     """
 
     __slots__ = ("index", "capacity", "flits", "allocated_to", "next_claim",
@@ -87,14 +87,23 @@ class VirtualChannel:
             self.next_claim = None
         return flit
 
-    def state_dict(self, ctx) -> dict:
+    def state_dict(self, ctx) -> Optional[dict]:
+        """None for an idle VC (no flits, no owner, no claim), which is
+        most of a chip's VCs at any cycle."""
+        if not self.flits and self.allocated_to is None \
+                and self.next_claim is None:
+            return None
         return {
             "flits": [ctx.flit_ref(flit) for flit in self.flits],
             "allocated_to": ctx.packet_ref(self.allocated_to),
             "next_claim": ctx.packet_ref(self.next_claim),
         }
 
-    def load_state(self, state: dict, ctx) -> None:
+    def load_state(self, state: Optional[dict], ctx) -> None:
+        if state is None:
+            self.flits = []
+            self.allocated_to = self.next_claim = None
+            return
         self.flits = [ctx.flit(ref) for ref in state["flits"]]
         self.allocated_to = ctx.packet(state["allocated_to"])
         self.next_claim = ctx.packet(state["next_claim"])

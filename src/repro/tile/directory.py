@@ -74,20 +74,31 @@ class DirectorySlice:
 
     def state_dict(self) -> dict:
         """Blocks in insertion order (the eviction policy pops the
-        oldest entry), each with its sharers in first-insertion order:
+        oldest entry), flattened to ``[block, n, s1..sn, ...]`` with
+        each block's ``n`` sharers in first-insertion order:
         :meth:`record_write` rebuilds the set from that order, so a
         restored slice invalidates in the order the original would."""
+        flat: List[int] = []
+        for block, entry in self._sharers.items():
+            members = entry if entry.__class__ is list else [entry]
+            flat += [block, len(members), *members]
         return {
-            "sharers": [
-                [block, list(entry) if entry.__class__ is list else [entry]]
-                for block, entry in self._sharers.items()
-            ],
+            "sharers": flat,
             "invalidations_sent": self.invalidations_sent,
         }
 
     def load_state(self, state: dict) -> None:
-        self._sharers = {
-            block: members[0] if len(members) == 1 else list(members)
-            for block, members in state["sharers"]
-        }
+        flat = state["sharers"]
+        sharers: Dict[int, Union[int, List[int]]] = {}
+        at = 0
+        while at < len(flat):
+            block, count = flat[at], flat[at + 1]
+            if count < 1:
+                raise ValueError(f"block {block} has {count} sharers")
+            at += 2 + count
+            sharers[block] = flat[at - 1] if count == 1 \
+                else flat[at - count:at]
+        if at != len(flat):
+            raise ValueError("truncated sharer list")
+        self._sharers = sharers
         self.invalidations_sent = state["invalidations_sent"]

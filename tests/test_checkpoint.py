@@ -13,11 +13,14 @@ that ``ALL_KINDS`` excludes.
 
 from __future__ import annotations
 
+import base64
 import copy
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -147,10 +150,22 @@ def _mid_reservation(net) -> bool:
     )
 
 
+def _vc_states(snap: dict) -> list:
+    return [vc for router in snap["network"]["routers"]
+            for _, vcs in router["units"] for vc in vcs]
+
+
 def test_snapshot_mid_multi_flit_packet():
     snap, remaining = _snapshot_when(NocKind.MESH, _mid_multi_flit)
+    # Idle VCs encode as null beside the busy ones they share a
+    # router with.
+    states = _vc_states(snap)
+    assert None in states and any(state is not None for state in states)
     net2, traffic2 = restore_network(snap)
     assert _mid_multi_flit(net2)  # restored into the same awkward spot
+    # Busy and idle VCs alike come back exactly: the restored network
+    # snapshots to the very state it was restored from.
+    assert _json_round_trip(snapshot_network(net2, traffic2)) == snap
     digest = _continue_and_digest(net2, traffic2, remaining)
     assert digest == GOLDEN_NETWORK[NocKind.MESH]
 
@@ -456,6 +471,33 @@ def test_network_stats_hold_simulation_state_only():
     ]
 
 
+# -- what a snapshot -> restore loop holds ---------------------------------
+
+
+def test_snapshot_frees_the_simulators_that_restores_replaced():
+    """A simulator a restore replaced is a reference cycle; the next
+    ``snapshot_system`` collects it, so a resume loop holds one live
+    simulator.  Automatic collection is off, so only the snapshot's
+    own collection can free one."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        reset_packet_ids()
+        sim = SystemSimulator("Web Search", NocKind.MESH_PRA, seed=5)
+        sim.start()
+        retired = []
+        for _ in range(3):
+            sim.chip.run(50)
+            snap = snapshot_system(sim)
+            assert [ref() for ref in retired] == [None] * len(retired)
+            retired.append(weakref.ref(sim))
+            sim = restore_system(_json_round_trip(snap))
+        assert retired[-1]() is not None  # freed by the next snapshot
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # -- damaged snapshots: one typed error ------------------------------------
 
 
@@ -495,6 +537,16 @@ def _skew_code_version(snap):
     snap["code_version"] = "3"
 
 
+def _zero_sharer_count(snap):
+    snap["system"]["chip"]["directories"][0]["sharers"][1] = 0
+
+
+def _short_rng_words(snap):
+    # Valid base64, but 624 state words where a generator has 625.
+    snap["system"]["chip"]["rng"][1] = \
+        base64.b64encode(bytes(4 * 624)).decode()
+
+
 _DAMAGE = {
     "truncated-json": ("ck.json", None, _truncate),
     "truncated-gz": ("ck.json.gz", None, _truncate),
@@ -502,6 +554,8 @@ _DAMAGE = {
     "missing-router-key": ("ck.json", _drop_router_key, None),
     "missing-registry-packet": ("ck.json.gz", _drop_registry_packet, None),
     "code-version-skew": ("ck.json", _skew_code_version, None),
+    "short-rng-words": ("ck.json", _short_rng_words, None),
+    "zero-sharer-count": ("ck.json", _zero_sharer_count, None),
 }
 
 

@@ -134,6 +134,35 @@ def test_simulate_refuses_out_of_range_counts(flag, value, monkeypatch,
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["missing.json.gz", "."],
+                         ids=["missing-file", "directory"])
+def test_simulate_restore_from_an_unreadable_path(target, tmp_path,
+                                                  capsys):
+    # Not a traceback: exit 2 with one error line naming the path.
+    path = str(tmp_path / target)
+    assert main(["simulate", "--restore", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert path in err[0]
+
+
+def test_simulate_checks_the_checkpoint_directory_first(tmp_path,
+                                                        monkeypatch, capsys):
+    # Refused before a simulator is built, not at the first snapshot.
+    monkeypatch.setattr("repro.perf.system.SystemSimulator", None)
+    template = str(tmp_path / "no-such-dir" / "ck-{cycle}.json")
+    rc = main(["simulate", "web", "--warmup", "10", "--measure", "10",
+               "--checkpoint-every", "5", "--checkpoint", template])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "no-such-dir" in err[0]
+
+
 def test_figures_json_dump(tmp_path, capsys):
     path = tmp_path / "out.json"
     rc = main(["figures", "--only", "table1,fig8", "--json", str(path)])
