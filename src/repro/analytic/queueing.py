@@ -26,7 +26,8 @@ nothing fitted:
      cycle-by-cycle allocation).
 
    :func:`zero_load_latency` is the law on an XY route;
-   :func:`zero_load_mean` is its mean over a traffic pattern's routes.
+   :func:`zero_load_mean` is its mean over uniform random traffic's
+   routes.
 
 2. **Waiting time** — an M/G/1 approximation per directed link, driven
    by the exact link-crossing probabilities from
@@ -49,7 +50,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.analytic.geometry import Route, Run, TrafficGeometry, geometry_for
 from repro.params import PRA_HOPS_PER_CYCLE, NocKind, NocParams
-from repro.workloads.synthetic import TrafficPattern
 
 #: (label, weight, flits) components of a traffic mix.
 TrafficMix = Tuple[Tuple[str, float, int], ...]
@@ -59,17 +59,13 @@ TrafficMix = Tuple[Tuple[str, float, int], ...]
 #: windows, matching the simulator's per-class counts).
 FULL_SYSTEM_MIX: TrafficMix = (("request", 0.5, 1), ("response", 0.5, 5))
 
-
-def synthetic_mix(pattern: TrafficPattern,
-                  response_size: int = 5) -> TrafficMix:
-    """The class mix :class:`SyntheticTraffic` injects for ``pattern``."""
-    if pattern is TrafficPattern.REQUEST_REPLY:
-        return (("request", 0.5, 1), ("response", 0.5, response_size))
-    return (
-        ("request", 0.55, 1),
-        ("response", 0.40, 5),
-        ("coherence", 0.05, 1),
-    )
+#: The class mix :class:`~repro.workloads.synthetic.SyntheticTraffic`
+#: injects under uniform random traffic.
+SYNTHETIC_MIX: TrafficMix = (
+    ("request", 0.55, 1),
+    ("response", 0.40, 5),
+    ("coherence", 0.05, 1),
+)
 
 
 def _mix_moments(mix: TrafficMix) -> Tuple[float, float]:
@@ -137,7 +133,7 @@ def zero_load_mean(
     kind: NocKind, geom: TrafficGeometry, size: int,
     params: NocParams, announced: bool = False,
 ) -> float:
-    """E over the pattern's routes of :func:`route_zero_load` (memoized:
+    """E over the uniform routes of :func:`route_zero_load` (memoized:
     the full-system fixed point asks for the same means every
     iteration)."""
     return sum(p * route_zero_load(kind, route, size, params, announced)
@@ -162,15 +158,13 @@ def predict_network(
     node_rate: float,
     mix: TrafficMix = FULL_SYSTEM_MIX,
     params: Optional[NocParams] = None,
-    pattern: TrafficPattern = TrafficPattern.UNIFORM_RANDOM,
-    hotspot_nodes: Optional[Tuple[int, ...]] = None,
 ) -> NetworkPoint:
     """Predicted latency at ``node_rate`` packets per node per cycle
     (post dst==src drop).  Mesh+PRA responses take the announced law."""
     if node_rate < 0.0:
         raise ValueError(f"node_rate must be >= 0, got {node_rate}")
     params = params or NocParams(kind=kind)
-    geom = geometry_for(params, pattern, hotspot_nodes)
+    geom = geometry_for(params)
     e_s, e_s2 = _mix_moments(mix)
     lam_sys = node_rate * params.num_nodes
     if lam_sys * geom.max_link_coeff * e_s >= 1.0:
@@ -201,14 +195,12 @@ def saturation_rate(
     kind: NocKind,
     mix: TrafficMix = FULL_SYSTEM_MIX,
     params: Optional[NocParams] = None,
-    pattern: TrafficPattern = TrafficPattern.UNIFORM_RANDOM,
-    hotspot_nodes: Optional[Tuple[int, ...]] = None,
 ) -> float:
     """Packets per node per cycle at which the bottleneck link's flit
     utilization reaches 1.0 (the organization-independent capacity
     bound; router inefficiencies make the measured knee land somewhat
-    below it, which is what the bisection search refines)."""
+    below it)."""
     params = params or NocParams(kind=kind)
-    geom = geometry_for(params, pattern, hotspot_nodes)
+    geom = geometry_for(params)
     e_s, _ = _mix_moments(mix)
     return 1.0 / (params.num_nodes * geom.max_link_coeff * e_s)

@@ -6,7 +6,7 @@ same cells, and reports the per-cell relative latency and IPC error.
 :data:`LATENCY_ERROR_MARGIN` is the committed bound: validation fails
 (CI goes red) the moment a model change or a simulator change pushes
 any cell past it, so the model cannot drift from the simulator it
-checks, nor from the capacity bound that seeds ``saturate``.
+checks.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from repro.params import NocKind
 
 #: Committed relative-error bound on per-cell mean packet latency at
 #: the paper's operating points.  Measured at smoke and default scales
-#: across all 24 cells; see docs/performance.md for the measured worst
-#: errors and the re-validation policy.
+#: across all 24 cells; see docs/performance.md ("The analytical model")
+#: for the re-validation policy and where the worst errors are recorded.
 LATENCY_ERROR_MARGIN = 0.12
 
 #: IPC tracks latency through the closed loop but is additionally
@@ -112,7 +112,7 @@ def validate_chiplet(
     route-enumerated chiplet geometry.  Entries are judged against
     :data:`LATENCY_ERROR_MARGIN` like the grid cells.
     """
-    from repro.analytic.queueing import predict_network, synthetic_mix
+    from repro.analytic.queueing import SYNTHETIC_MIX, predict_network
     from repro.noc.network import build_network
     from repro.params import NocParams
     from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
@@ -128,10 +128,8 @@ def validate_chiplet(
             traffic.run(cycles)
             net.drain()
             sim = net.stats.summary()["avg_network_latency"]
-            pred = predict_network(
-                kind, rate, synthetic_mix(TrafficPattern.UNIFORM_RANDOM),
-                params=params,
-            ).latency
+            pred = predict_network(kind, rate, SYNTHETIC_MIX,
+                                   params=params).latency
             entries.append(ChipletValidation(
                 topology=spec, kind=kind,
                 simulated_latency=sim, predicted_latency=pred,

@@ -15,9 +15,6 @@ Commands:
   per-packet timeline (a planned response by default);
 * ``sweep [--noc KIND] [--pattern P] [--rates ...]`` — open-loop
   load-latency curves under synthetic traffic;
-* ``saturate [--noc KIND] [--pattern P]`` — bisect the saturation
-  injection rate, warm-started from the analytic queueing model's
-  capacity bound;
 * ``analytic [--validate] [--scale S]`` — print the queueing model's
   predicted grid with zero simulation, or (with ``--validate``) run
   the cycle-accurate grid and fail if the model's error exceeds the
@@ -126,6 +123,18 @@ def _count(least: int):
     return parse
 
 
+def _output_path(text: str) -> str:
+    """argparse type for a file to write: its parent (or ``.``) must be
+    an existing directory, so the run fails before it starts, not after
+    its work is done."""
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(
+            f"{directory!r} is not an existing directory"
+        )
+    return text
+
+
 def _add_topology_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topology", default="mesh", metavar="SPEC",
                    help="topology spec: mesh (default), ring, or "
@@ -219,13 +228,6 @@ def _drive(sim, warmup: int, measure: int, every: Optional[int],
 def _cmd_simulate(args: argparse.Namespace, _config: RunConfig) -> int:
     from repro.perf.system import SystemSimulator
 
-    if args.checkpoint_every:
-        # Fail before the first cycle, not at the first snapshot.
-        directory = os.path.dirname(args.checkpoint) or "."
-        if not os.path.isdir(directory):
-            print(f"error: checkpoint directory {directory!r} does not "
-                  f"exist", file=sys.stderr)
-            return 2
     if args.restore:
         from repro.checkpoint import read_snapshot, restore_system
 
@@ -423,51 +425,6 @@ def _cmd_chaos(args: argparse.Namespace, _config: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def _cmd_saturate(args: argparse.Namespace, _config: RunConfig) -> int:
-    from repro.analytic import find_saturation
-    from repro.params import NocParams
-    from repro.workloads.synthetic import TrafficPattern
-
-    kind = _NOC_KINDS[args.noc]
-    width, height = args.mesh
-    params = NocParams(kind=kind, mesh_width=width, mesh_height=height,
-                       topology=args.topology)
-    pattern = TrafficPattern(args.pattern)
-    hotspot = None
-    if args.hotspot is not None:
-        if pattern is not TrafficPattern.HOTSPOT:
-            raise ValueError("--hotspot needs --pattern hotspot")
-        hotspot = tuple(int(n) for n in args.hotspot.split(","))
-    result = find_saturation(
-        kind,
-        pattern,
-        params=params,
-        cycles=args.cycles,
-        seed=args.seed,
-        threshold=args.threshold,
-        tolerance=args.tol,
-        hotspot_nodes=hotspot,
-    )
-    print(f"organization:         {kind.value}")
-    print(f"pattern:              {result.pattern.value}")
-    print(f"model estimate:       {result.model_estimate:.4f} "
-          f"(injection probability/node/cycle)")
-    print(f"measured saturation:  {result.measured:.4f} "
-          f"(bracket [{result.bracket[0]:.4f}, {result.bracket[1]:.4f}])")
-    print(f"model error:          {result.model_error:.1%}")
-    print(f"zero-load latency:    {result.zero_load_latency:.2f} cycles "
-          f"(knee at {result.threshold:g}x)")
-    print(f"probe simulations:    {result.simulated_points} (warm start)")
-    if args.verbose:
-        print()
-        print("rate      latency   delivered saturated")
-        for point in result.points:
-            print(f"{point.rate:<10.4f}{point.latency:<10.2f}"
-                  f"{point.delivered_fraction:<10.3f}"
-                  f"{'yes' if point.saturated else 'no'}")
-    return 0
-
-
 def _cmd_analytic(args: argparse.Namespace, config: RunConfig) -> int:
     if args.validate:
         result = analytic_validation(config=config)
@@ -516,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smoke | default | full (or REPRO_SCALE)")
     p.add_argument("--only", default=None,
                    help=f"comma list from {list(_FIGURES)}")
-    p.add_argument("--json", default=None, help="also dump JSON here")
+    p.add_argument("--json", type=_output_path, default=None,
+                   help="also dump JSON here")
     p.add_argument("--bars", action="store_true",
                    help="render ASCII bar charts instead of tables")
     p.add_argument("--cell-store", default=None, metavar="PATH",
@@ -532,14 +490,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=_count(0), default=1000)
     p.add_argument("--measure", type=_count(1), default=5000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--trace", default=None, metavar="PATH",
+    p.add_argument("--trace", type=_output_path, default=None,
+                   metavar="PATH",
                    help="also write a JSONL event trace of the run")
     p.add_argument("--checkpoint-every", type=_count(1), default=None,
                    metavar="N",
                    help="write a snapshot at every multiple of N cycles "
                         "(strictly before the run's end)")
-    p.add_argument("--checkpoint", default="checkpoint-{cycle}.json",
-                   metavar="TPL",
+    p.add_argument("--checkpoint", type=_output_path,
+                   default="checkpoint-{cycle}.json", metavar="TPL",
                    help="checkpoint path template; '{cycle}' expands to "
                         "the snapshot cycle; name it .json or .json.gz "
                         "(gzip-framed) (default: %(default)s)")
@@ -560,14 +519,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", required=True,
                    help="workload name or alias (e.g. 'web')")
     p.add_argument("--noc", default="mesh_pra", choices=sorted(_NOC_KINDS))
-    p.add_argument("--cycles", type=int, default=200,
+    p.add_argument("--cycles", type=_count(1), default=200,
                    help="length of the traced cycle window")
-    p.add_argument("--warmup", type=int, default=200,
+    p.add_argument("--warmup", type=_count(0), default=200,
                    help="untraced warm-up cycles before the window")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--packet", type=int, default=None, metavar="PID",
                    help="trace and reconstruct only this packet id")
-    p.add_argument("--out", default="trace.jsonl", metavar="PATH",
+    p.add_argument("--out", type=_output_path, default="trace.jsonl",
+                   metavar="PATH",
                    help="JSONL output path (default: trace.jsonl)")
     p.add_argument("--capacity", type=int, default=1 << 17,
                    help="ring-buffer bound on captured events")
@@ -577,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noc", default=None, choices=sorted(_NOC_KINDS))
     p.add_argument("--pattern", default="uniform_random")
     p.add_argument("--rates", default="0.002,0.005,0.01,0.02")
-    p.add_argument("--cycles", type=int, default=2000)
+    p.add_argument("--cycles", type=_count(1), default=2000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--mesh", type=_parse_mesh, default=(8, 8),
                    metavar="WxH", help="mesh dimensions (default 8x8)")
@@ -593,9 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="WxH",
                    help="mesh dimensions (a ring has W*H stops; "
                         "default 4x4)")
-    p.add_argument("--cycles", type=int, default=500,
+    p.add_argument("--cycles", type=_count(1), default=500,
                    help="injection window length")
-    p.add_argument("--drain", type=int, default=4096,
+    p.add_argument("--drain", type=_count(0), default=4096,
                    help="extra cycles allowed to drain in-flight packets")
     p.add_argument("--rate", type=float, default=0.03,
                    help="per-node injection probability")
@@ -607,29 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fault-schedule intensity multiplier")
     _add_topology_flag(p)
     p.set_defaults(func=_cmd_chaos)
-
-    p = sub.add_parser(
-        "saturate",
-        help="model-seeded bisection search for the saturation rate",
-    )
-    p.add_argument("--noc", default="mesh", choices=sorted(_NOC_KINDS))
-    p.add_argument("--pattern", default="uniform_random")
-    p.add_argument("--mesh", type=_parse_mesh, default=(8, 8),
-                   metavar="WxH", help="mesh dimensions (default 8x8)")
-    p.add_argument("--cycles", type=int, default=2000,
-                   help="length of each probe window")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threshold", type=float, default=3.0,
-                   help="saturation knee: latency above THRESHOLD x "
-                        "zero-load (default 3.0)")
-    p.add_argument("--tol", type=float, default=0.002,
-                   help="bisection bracket width to converge to")
-    p.add_argument("--hotspot", default=None, metavar="N,N,...",
-                   help="hotspot node ids for --pattern hotspot")
-    p.add_argument("--verbose", action="store_true",
-                   help="also print every probe point")
-    _add_topology_flag(p)
-    p.set_defaults(func=_cmd_saturate)
 
     p = sub.add_parser(
         "analytic",

@@ -80,7 +80,20 @@ def parse_worker_count(raw, source: str) -> int:
 
 
 def _store_path(raw, source: str) -> Optional[str]:
-    return None if raw is None else os.fspath(raw)
+    """The store directory is made on first use, so its nearest existing
+    ancestor must be a directory."""
+    if raw is None:
+        return None
+    path = os.fspath(raw)
+    ancestor = os.path.abspath(path)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise ValueError(
+            f"{source} {path!r} cannot be a directory: {ancestor!r} is "
+            f"not one"
+        )
+    return path
 
 
 def _wall_seconds(raw, source: str) -> Optional[float]:

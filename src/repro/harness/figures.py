@@ -331,14 +331,12 @@ def chiplet_comparison(scale: Optional[EvaluationScale] = None) -> Dict:
     """
     from repro.analytic import validate_chiplet
     from repro.analytic.geometry import geometry_for
-    from repro.analytic.queueing import (saturation_rate, synthetic_mix,
+    from repro.analytic.queueing import (SYNTHETIC_MIX, saturation_rate,
                                          zero_load_mean)
     from repro.params import NocParams
-    from repro.workloads.synthetic import TrafficPattern
 
     rate = 0.005
     entries = validate_chiplet(CHIPLET_FIGURE_SPECS, rate=rate)
-    mix = synthetic_mix(TrafficPattern.UNIFORM_RANDOM)
     rows: List[List[object]] = []
     for topology in CHIPLET_FIGURE_SPECS:
         row: List[object] = [topology]
@@ -349,9 +347,8 @@ def chiplet_comparison(scale: Optional[EvaluationScale] = None) -> Dict:
         pra = NocParams(kind=NocKind.MESH_PRA, topology=topology)
         row.append(zero_load_mean(NocKind.MESH_PRA, geometry_for(pra), 5,
                                   pra, announced=True))
-        row.append(saturation_rate(
-            NocKind.MESH, mix, params=NocParams(topology=topology)
-        ))
+        row.append(saturation_rate(NocKind.MESH, SYNTHETIC_MIX,
+                                   params=NocParams(topology=topology)))
         rows.append(row)
     return {
         "title": (

@@ -14,18 +14,16 @@ from repro.analytic import (
     IPC_ERROR_MARGIN,
     LATENCY_ERROR_MARGIN,
     CellValidation,
+    SYNTHETIC_MIX,
     ValidationReport,
-    find_saturation,
     predict_cell,
     predict_network,
     saturation_rate,
-    synthetic_mix,
     zero_load_latency,
 )
 from repro.analytic.geometry import geometry_for, route_of
 from repro.analytic.queueing import (FULL_SYSTEM_MIX, route_zero_load,
                                      zero_load_mean)
-from repro.analytic.saturation import measure_point
 from repro.analytic.system import clear_prediction_cache
 from repro.checkpoint.store import CellStore, cell_key
 from repro.harness.figures import zero_load_table
@@ -37,7 +35,6 @@ from repro.harness.runner import (
     grid_stats,
 )
 from repro.params import NocKind, NocParams, PraParams, SmartParams
-from repro.workloads.synthetic import TrafficPattern
 
 TINY = EvaluationScale("tiny", warmup=150, measure=700, num_seeds=1)
 
@@ -208,11 +205,8 @@ class TestPredictNetwork:
             predict_network(NocKind.MESH, -0.1)
 
     def test_synthetic_mix_shapes(self):
-        rr = synthetic_mix(TrafficPattern.REQUEST_REPLY, response_size=3)
-        assert sum(w for _, w, _ in rr) == pytest.approx(1.0)
-        assert ("response", 0.5, 3) in rr
-        ur = synthetic_mix(TrafficPattern.UNIFORM_RANDOM)
-        assert sum(w for _, w, _ in ur) == pytest.approx(1.0)
+        assert sum(w for _, w, _ in SYNTHETIC_MIX) == pytest.approx(1.0)
+        assert ("response", 0.40, 5) in SYNTHETIC_MIX
 
 
 class TestPredictCell:
@@ -361,49 +355,6 @@ class TestValidationReport:
         )
         assert entry.latency_error == 0.0
         assert entry.ipc_error == 0.0
-
-
-class TestSaturation:
-    def test_warm_search_on_a_small_mesh(self):
-        params = NocParams(kind=NocKind.MESH, mesh_width=4, mesh_height=4)
-        result = find_saturation(
-            NocKind.MESH, params=params, cycles=400, tolerance=0.02,
-        )
-        lo, hi = result.bracket
-        assert 0.0 < result.measured <= 1.0
-        assert lo <= result.measured <= hi
-        assert hi - lo <= 0.02
-        assert result.model_estimate > 0.0
-        assert result.simulated_points == len(result.points) > 0
-        # The knee sits below the pure link-capacity bound.
-        assert result.measured <= result.model_estimate
-
-    def test_cold_search_agrees(self):
-        params = NocParams(kind=NocKind.MESH, mesh_width=4, mesh_height=4)
-        warm = find_saturation(NocKind.MESH, params=params, cycles=400,
-                               tolerance=0.02)
-
-        def saturated(rate):
-            return measure_point(
-                NocKind.MESH, rate, params=params, cycles=400,
-                zero_load=warm.zero_load_latency,
-            ).saturated
-
-        # The cold reference: a geometric scan up from 1 % load, then the
-        # same bisection.
-        lo, rate = 0.0, 0.01
-        while rate < 1.0 and not saturated(rate):
-            lo, rate = rate, rate * 2.0
-        hi = min(1.0, rate)
-        while hi - lo > 0.02:
-            mid = 0.5 * (lo + hi)
-            if saturated(mid):
-                hi = mid
-            else:
-                lo = mid
-        # Identical probes, identical classifier: the two searches must
-        # land in overlapping brackets.
-        assert abs(warm.measured - 0.5 * (lo + hi)) <= 0.04
 
 
 def teardown_module() -> None:

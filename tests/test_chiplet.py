@@ -248,6 +248,36 @@ def test_analytic_matches_chiplet_simulation():
         )
 
 
+#: ``chiplet_comparison()``'s modeled columns (ModelMesh, ModelIdeal,
+#: PRA0(model), SatRate), to the last bit: a change to the pair
+#: enumeration or its summation order moves them.
+_CHIPLET_MODEL_COLUMNS = {
+    "mesh": (15.505392233194497, 5.639997703898835, 10.67460317460315,
+             0.18930288461538516),
+    "chiplet:2x2x4x4": (16.55983696338685, 5.468807370582311,
+                        13.817460317460293, 0.04732572115384632),
+    "chiplet:2x2x4x4:star": (18.93192045918074, 5.892944356574501,
+                             15.8849206349206, 0.03155048076923088),
+}
+
+
+@pytest.mark.parametrize("topology", list(_CHIPLET_MODEL_COLUMNS))
+def test_chiplet_figure_model_columns_are_pinned(topology, monkeypatch):
+    from repro.harness.figures import CHIPLET_FIGURE_SPECS, \
+        chiplet_comparison
+
+    assert tuple(CHIPLET_FIGURE_SPECS) == tuple(_CHIPLET_MODEL_COLUMNS)
+    # The simulated columns need injected traffic; the modeled ones
+    # do not.
+    monkeypatch.setattr(SyntheticTraffic, "run", lambda self, cycles: None)
+    figure = chiplet_comparison()
+    row = figure["rows"][CHIPLET_FIGURE_SPECS.index(topology)]
+    columns = [figure["headers"].index(name) for name in
+               ("ModelMesh", "ModelIdeal", "PRA0(model)", "SatRate")]
+    assert tuple(row[c] for c in columns) == \
+        _CHIPLET_MODEL_COLUMNS[topology]
+
+
 # -- shard planning fallbacks (satellite 6) --------------------------------
 
 

@@ -74,13 +74,13 @@ def test_bench_is_an_unknown_command(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
-def test_removed_saturate_cold_flag_is_an_unknown_flag(capsys):
-    # The cold scan survives only inside
-    # ``test_analytic::TestSaturation::test_cold_search_agrees``, the
-    # reference the warm bracket is tested against.
+def test_saturate_is_an_unknown_command(capsys):
+    # The open-loop saturation search is gone; the chiplet figure's
+    # SatRate column is the model's capacity bound.
     with pytest.raises(SystemExit) as exc:
-        main(["saturate", "--cold"])
+        main(["saturate"])
     assert exc.value.code == 2
+    assert "invalid choice: 'saturate'" in capsys.readouterr().err
 
 
 def test_chaos_ring_is_a_topology_not_an_organization(capsys):
@@ -148,19 +148,90 @@ def test_simulate_restore_from_an_unreadable_path(target, tmp_path,
     assert path in err[0]
 
 
+def _parse_error(argv, capsys) -> str:
+    """The one ``error:`` line argparse prints when it refuses ``argv``
+    (after its usage lines), with nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1
+    return errors[0]
+
+
 def test_simulate_checks_the_checkpoint_directory_first(tmp_path,
                                                         monkeypatch, capsys):
     # Refused before a simulator is built, not at the first snapshot.
     monkeypatch.setattr("repro.perf.system.SystemSimulator", None)
     template = str(tmp_path / "no-such-dir" / "ck-{cycle}.json")
-    rc = main(["simulate", "web", "--warmup", "10", "--measure", "10",
-               "--checkpoint-every", "5", "--checkpoint", template])
-    assert rc == 2
+    error = _parse_error(
+        ["simulate", "web", "--warmup", "10", "--measure", "10",
+         "--checkpoint-every", "5", "--checkpoint", template], capsys)
+    assert "error: argument --checkpoint: " in error
+    assert "no-such-dir" in error
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["trace", "--workload", "web", "--cycles", "0"], "--cycles"),
+    (["trace", "--workload", "web", "--warmup", "-3"], "--warmup"),
+    (["sweep", "--cycles", "0"], "--cycles"),
+    (["chaos", "--cycles", "0"], "--cycles"),
+    (["chaos", "--drain", "-5"], "--drain"),
+], ids=["trace-cycles", "trace-warmup", "sweep-cycles", "chaos-cycles",
+        "chaos-drain"])
+def test_out_of_range_counts_are_refused_while_parsing(argv, flag,
+                                                       monkeypatch, capsys):
+    # No simulator or network is built, no cycle runs.
+    monkeypatch.setattr("repro.perf.system.SystemSimulator", None)
+    monkeypatch.setattr("repro.noc.network.build_network", None)
+    error = _parse_error(argv, capsys)
+    assert f"error: argument {flag}: expected an integer >= " in error
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "web", "--trace", "FILE/t.jsonl"], "--trace"),
+    (["simulate", "web", "--checkpoint", "FILE/ck-{cycle}.json"],
+     "--checkpoint"),
+    (["trace", "--workload", "web", "--out", "FILE/t.jsonl"], "--out"),
+    (["figures", "--only", "table1", "--json", "FILE/x.json"], "--json"),
+], ids=["simulate-trace", "simulate-checkpoint", "trace-out",
+        "figures-json"])
+def test_output_paths_under_a_regular_file_are_refused_while_parsing(
+        argv, flag, tmp_path, monkeypatch, capsys):
+    # Refused before any work, not with a traceback once it is done.
+    monkeypatch.setattr("repro.perf.system.SystemSimulator", None)
+    monkeypatch.setattr("repro.cli.table1", None)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [arg.replace("FILE", str(blocker)) for arg in argv]
+    error = _parse_error(argv, capsys)
+    assert f"error: argument {flag}: " in error
+    assert str(blocker) in error
+
+
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_cell_store_under_a_regular_file_is_refused(source, tmp_path,
+                                                    monkeypatch, capsys):
+    # One error line before any figure runs, not an os.makedirs
+    # traceback from the first grid sweep.
+    monkeypatch.setattr("repro.cli.table1", None)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    store = str(blocker / "cells")
+    argv = ["figures", "--only", "table1"]
+    if source == "flag":
+        argv += ["--cell-store", store]
+    else:
+        monkeypatch.setenv("REPRO_CELL_STORE", store)
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert "no-such-dir" in err[0]
+    assert store in err[0]
 
 
 def test_figures_json_dump(tmp_path, capsys):
@@ -184,18 +255,3 @@ def test_unknown_workload_in_trace_command(capsys):
     rc = main(["trace", "--workload", "NoSuchWorkload"])
     assert rc == 2
     assert "unknown workload" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["--pattern", "hotspot", "--hotspot", "99"], "hotspot_nodes"),
-    (["--pattern", "hotspot", "--hotspot", "-1"], "hotspot_nodes"),
-    (["--hotspot", "3"], "--hotspot needs --pattern hotspot"),
-], ids=["past-the-last-node", "negative", "without-hotspot-pattern"])
-def test_saturate_refuses_bad_hotspot_input(argv, message, capsys):
-    # Hotspot nodes must be endpoints of the topology, and only the
-    # hotspot pattern reads them.
-    rc = main(["saturate", "--mesh", "4x4", "--cycles", "100"] + argv)
-    assert rc == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert message in err[0]
