@@ -7,7 +7,7 @@ per-hop contention, packet latency, and saturation throughput — pure
 Python, deterministic, microseconds per evaluation.  The model checks
 the simulator; no figure is ever served from it.  Its consumer is
 :func:`repro.analytic.validate.validate_grid`, the model-vs-sim error
-report behind ``python -m repro analytic --validate`` (gated in CI
+report behind ``python -m repro figures --only analytic`` (gated in CI
 against the committed margins); the chiplet figure also prints its
 modeled columns beside the simulated ones.
 

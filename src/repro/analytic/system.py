@@ -40,7 +40,7 @@ the simulator's configuration or the queueing model's derivation.
 
 The result converges in tens of iterations to < 1e-10, is deterministic
 and parameter-pure, and takes about a millisecond per cell.  It checks
-the simulator and never stands in for it: ``analytic --validate``
+the simulator and never stands in for it: ``figures --only analytic``
 compares every cell against the cycle-accurate grid.
 """
 

@@ -1,6 +1,6 @@
 """Model-vs-simulation validation: the model's honesty check.
 
-``python -m repro analytic --validate`` (and the CI ``analytic-smoke``
+``python -m repro figures --only analytic`` (and the CI ``analytic-smoke``
 job) runs the cycle-accurate evaluation grid, asks the model for the
 same cells, and reports the per-cell relative latency and IPC error.
 :data:`LATENCY_ERROR_MARGIN` is the committed bound: validation fails

@@ -1,44 +1,37 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
+Commands (``python -m repro <command> --help`` lists each one's flags):
 
-* ``figures [--scale S] [--only fig6,...] [--json PATH]
-  [--cell-store DIR]`` — reproduce the paper's tables/figures and print
-  them (with a cell store attached, interrupted grids resume);
-* ``simulate [WORKLOAD] [--noc KIND] [--warmup N] [--measure N]
-  [--seed N] [--trace PATH] [--checkpoint-every N] [--checkpoint TPL]
-  [--restore FILE] [--digest]`` — one full-system run with diagnostics
-  (and optionally a JSONL event trace); periodic snapshots make the
-  run resumable, and ``--restore`` continues one bit-for-bit;
-* ``trace --workload W [--noc KIND] [--cycles N] [--packet PID]
-  [--out PATH]`` — run with cycle-level event tracing and reconstruct a
-  per-packet timeline (a planned response by default);
-* ``sweep [--noc KIND] [--pattern P] [--rates ...]`` — open-loop
-  load-latency curves under synthetic traffic;
-* ``analytic [--validate] [--scale S]`` — print the queueing model's
-  predicted grid with zero simulation, or (with ``--validate``) run
-  the cycle-accurate grid and fail if the model's error exceeds the
-  committed margin;
-* ``chaos [--noc KIND] [--fault-seed N] [--intensity X]`` — run a
-  seeded fault schedule (dropped control packets, stalled routers and
-  links, multi-drop blackouts) with the runtime invariant checkers
-  attached; exits non-zero on violations or undelivered packets.
+* ``figures`` — reproduce the paper's tables and figures (Table I, the
+  Figure 8 area model and the Section V-E power analysis among them);
+  ``--only analytic`` validates the queueing model against the
+  simulated grid.  Exits 1 when a printed figure reports ``"ok": False``;
+* ``simulate`` — one full-system run with diagnostics, an optional JSONL
+  event trace, and snapshots that ``--restore`` continues bit-for-bit;
+* ``trace`` — an event-traced run and one packet's timeline;
+* ``sweep`` — open-loop load-latency curves under synthetic traffic;
+* ``chaos`` — a seeded fault schedule with the invariant checkers
+  attached; exits 1 on a violation or an undelivered packet.
 
-The Table I configuration, the Figure 8 area model and the Section V-E
-power analysis are figures: ``figures --only table1``, ``fig8`` and
-``power``.
+Bad input is refused while parsing, before any work: exit 2 and one
+``error:`` line on stderr.  The one input read later, a ``--restore``
+snapshot, is refused the same way; any other exception is a bug.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.config import RunConfig
+from repro.checkpoint import SnapshotError
+from repro.config import SCALES, RunConfig
+from repro.noc.network import supported_kinds
+from repro.noc.topology import parse_topology_spec
 from repro.params import NocKind
 from repro.harness import (
     analytic_validation,
@@ -57,6 +50,8 @@ from repro.harness import (
 from repro.harness.figures import MissingCellError
 from repro.harness.reporting import render_bars
 from repro.resilience import clear_reports, run_reports
+from repro.workloads.profiles import resolve_workload
+from repro.workloads.synthetic import TrafficPattern
 
 #: name -> callable(config); only the grid-backed figures use it.
 _FIGURES = {
@@ -107,20 +102,33 @@ def _parse_mesh(text: str):
     return width, height
 
 
-def _count(least: int):
-    """argparse type for an integer flag that must be >= ``least``."""
-    def parse(text: str) -> int:
+def _bounded(convert, least, most, expected: str):
+    """argparse type for a number ``convert`` reads from the flag's text
+    that must lie in [``least``, ``most``]."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            value = None
-        if value is None or value < least:
+            value = math.nan
+        if not least <= value <= most:
             raise argparse.ArgumentTypeError(
-                f"expected an integer >= {least}, got {text!r}"
-            )
+                f"expected {expected}, got {text!r}")
         return value
 
     return parse
+
+
+def _count(least: int):
+    """argparse type for an integer flag that must be >= ``least``."""
+    return _bounded(int, least, math.inf, f"an integer >= {least}")
+
+
+_probability = _bounded(float, 0.0, 1.0, "a probability in [0, 1]")
+
+
+def _probabilities(text: str) -> List[float]:
+    """argparse type for a comma list of injection probabilities."""
+    return [_probability(rate) for rate in text.split(",")]
 
 
 def _output_path(text: str) -> str:
@@ -132,14 +140,64 @@ def _output_path(text: str) -> str:
         raise argparse.ArgumentTypeError(
             f"{directory!r} is not an existing directory"
         )
+    if not os.path.basename(text) or os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"expected a file, got {text!r}")
     return text
 
 
-def _add_topology_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--topology", default="mesh", metavar="SPEC",
+def _checkpoint_template(text: str) -> str:
+    """argparse type for ``--checkpoint``: an output path once its one
+    field, ``{cycle}``, is filled in."""
+    try:
+        path = text.format(cycle=0)
+    except (LookupError, AttributeError, TypeError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"expected a path whose only field is '{{cycle}}', got {text!r}"
+        ) from None
+    _output_path(path)
+    return text
+
+
+def _topology(text: str) -> str:
+    """argparse type for a topology spec (see ``parse_topology_spec``)."""
+    try:
+        parse_topology_spec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _workload(text: str) -> str:
+    """argparse type for a workload name or alias; the canonical name."""
+    try:
+        return resolve_workload(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
+def _figure_names(text: str) -> List[str]:
+    """argparse type for ``--only``: a comma list of figure names."""
+    names = text.split(",")
+    unknown = [name for name in names if name not in _FIGURES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown figure {unknown[0]!r}; choose from {list(_FIGURES)}")
+    return names
+
+
+def _add_network_flags(p: argparse.ArgumentParser, mesh: str) -> None:
+    """The flags ``sweep`` and ``chaos`` share: the synthetic network's
+    shape and its traffic pattern."""
+    p.add_argument("--mesh", type=_parse_mesh, default=mesh, metavar="WxH",
+                   help=f"mesh dimensions (a ring has W*H stops; "
+                        f"default {mesh})")
+    p.add_argument("--topology", type=_topology, default="mesh",
+                   metavar="SPEC",
                    help="topology spec: mesh (default), ring, or "
                         "chiplet:CXxCYxWxH[:star][:ilat=N] "
                         "(e.g. chiplet:2x2x4x4)")
+    p.add_argument("--pattern", default="uniform_random",
+                   choices=[pattern.value for pattern in TrafficPattern])
 
 
 def _report_grid_outcome() -> int:
@@ -154,17 +212,16 @@ def _report_grid_outcome() -> int:
 
 
 def _cmd_figures(args: argparse.Namespace, config: RunConfig) -> int:
-    names = args.only.split(",") if args.only else list(_DEFAULT_FIGURES)
     collected = {}
-    for name in names:
-        if name not in _FIGURES:
-            print(f"unknown figure {name!r}; choose from {list(_FIGURES)}",
-                  file=sys.stderr)
-            return 2
+    failed = False
+    for name in args.only:
         result = _FIGURES[name](config)
         collected[name] = result
         print(render_bars(result) if args.bars else render_figure(result))
         print()
+        if not result.get("ok", True):
+            failed = True
+            print(result["failure"], file=sys.stderr)
     if args.json:
         serializable = {
             name: {"title": r["title"], "headers": r["headers"],
@@ -174,18 +231,8 @@ def _cmd_figures(args: argparse.Namespace, config: RunConfig) -> int:
         with open(args.json, "w") as fh:
             json.dump(serializable, fh, indent=2)
         print(f"wrote {args.json}")
-    return _report_grid_outcome()
-
-
-def _resolve_workload_arg(name: str) -> Optional[str]:
-    """Canonical workload name, or None (with a message) on a typo."""
-    from repro.workloads.profiles import resolve_workload
-
-    try:
-        return resolve_workload(name)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return None
+    troubled = _report_grid_outcome()
+    return 1 if failed or troubled else 0
 
 
 def _drive(sim, warmup: int, measure: int, every: Optional[int],
@@ -228,22 +275,14 @@ def _drive(sim, warmup: int, measure: int, every: Optional[int],
 def _cmd_simulate(args: argparse.Namespace, _config: RunConfig) -> int:
     from repro.perf.system import SystemSimulator
 
-    if args.restore:
+    if args.restore is not None:
         from repro.checkpoint import read_snapshot, restore_system
 
         sim = restore_system(read_snapshot(args.restore))
-        workload = sim.profile.name
         kind = sim.noc_kind
     else:
-        if args.workload is None:
-            print("error: a WORKLOAD argument is required unless "
-                  "--restore is given", file=sys.stderr)
-            return 2
-        workload = _resolve_workload_arg(args.workload)
-        if workload is None:
-            return 2
         kind = _NOC_KINDS[args.noc]
-        sim = SystemSimulator(workload, kind, seed=args.seed)
+        sim = SystemSimulator(args.workload, kind, seed=args.seed)
     tracer = None
     if args.trace:
         from repro.trace import RingTracer
@@ -284,9 +323,6 @@ def _cmd_trace(args: argparse.Namespace, _config: RunConfig) -> int:
         planned_pids,
         reconstruct,
     )
-    workload = _resolve_workload_arg(args.workload)
-    if workload is None:
-        return 2
     kind = _NOC_KINDS[args.noc]
     window = (args.warmup, args.warmup + args.cycles)
     tracer = RingTracer(
@@ -294,11 +330,11 @@ def _cmd_trace(args: argparse.Namespace, _config: RunConfig) -> int:
         pids=[args.packet] if args.packet is not None else None,
         cycle_window=window,
     )
-    sim = SystemSimulator(workload, kind, seed=args.seed)
+    sim = SystemSimulator(args.workload, kind, seed=args.seed)
     sim.chip.network.attach(tracer=tracer)
     sim.run_sample(warmup=args.warmup, measure=args.cycles)
     written = tracer.write_jsonl(args.out)
-    print(f"traced {workload} on {kind.value}: cycles "
+    print(f"traced {args.workload} on {kind.value}: cycles "
           f"[{window[0]}, {window[1]}), {written} events -> {args.out}")
     if tracer.dropped:
         print(f"note: ring bound evicted {tracer.dropped} older events "
@@ -330,27 +366,23 @@ def _cmd_trace(args: argparse.Namespace, _config: RunConfig) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, _config: RunConfig) -> int:
-    from repro.noc.network import build_network, supported_kinds
+    from repro.noc.network import build_network
     from repro.params import NocParams
-    from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
+    from repro.workloads.synthetic import SyntheticTraffic
 
     pattern = TrafficPattern(args.pattern)
-    topology = args.topology
-    # An explicit --noc the topology does not run fails loudly in
-    # build_network.
     kinds = ([_NOC_KINDS[args.noc]] if args.noc
-             else supported_kinds(topology))
-    rates = [float(r) for r in args.rates.split(",")]
+             else supported_kinds(args.topology))
     width, height = args.mesh
     header = "rate      " + "".join(f"{k.value:>10s}" for k in kinds)
     print(header)
     print("-" * len(header))
-    for rate in rates:
+    for rate in args.rates:
         cells = []
         for kind in kinds:
             net = build_network(NocParams(
                 kind=kind, mesh_width=width, mesh_height=height,
-                topology=topology,
+                topology=args.topology,
             ))
             SyntheticTraffic(net, pattern, rate, seed=args.seed).run(
                 args.cycles
@@ -365,7 +397,7 @@ def _cmd_chaos(args: argparse.Namespace, _config: RunConfig) -> int:
     from repro.invariants import InvariantSuite
     from repro.noc.network import build_network
     from repro.params import NocParams
-    from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
+    from repro.workloads.synthetic import SyntheticTraffic
 
     width, height = args.mesh
     net = build_network(NocParams(
@@ -425,43 +457,18 @@ def _cmd_chaos(args: argparse.Namespace, _config: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def _cmd_analytic(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.validate:
-        result = analytic_validation(config=config)
-        print(render_figure(result))
-        if not result["ok"]:
-            report = result["report"]
-            print(
-                f"\nvalidation FAILED: max latency error "
-                f"{report.max_latency_error:.1%} (margin "
-                f"{report.margin:.0%}), max IPC error "
-                f"{report.max_ipc_error:.1%} (margin "
-                f"{report.ipc_margin:.0%})",
-                file=sys.stderr,
-            )
-            return 1
-        return _report_grid_outcome()
-    # Without --validate: print the model's grid, no simulation at all.
-    from repro.analytic import predict_cell
-    from repro.harness.runner import ALL_KINDS
-    from repro.workloads.profiles import WORKLOAD_NAMES
+class _Parser(argparse.ArgumentParser):
+    """Refuses input in one line: ``error: <message>`` on stderr, no
+    usage block, exit 2.  ``add_subparsers`` makes each subparser of
+    this class too.  A line break in an echoed argument (a path, an
+    unrecognized flag) is written as ``\\n``."""
 
-    header = ("workload             "
-              + "".join(f"{k.value:>10s}" for k in ALL_KINDS))
-    print("Analytic model IPC by organization (no simulation)")
-    print(header)
-    print("-" * len(header))
-    for workload in WORKLOAD_NAMES:
-        cells = "".join(
-            f"{predict_cell(workload, kind).ipc:10.1f}"
-            for kind in ALL_KINDS
-        )
-        print(f"{workload:<21s}{cells}")
-    return 0
+    def error(self, message: str):
+        self.exit(2, "error: " + "\\n".join(message.splitlines()) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Reproduction of 'Near-Ideal Networks-on-Chip for "
                     "Servers' (HPCA 2017)",
@@ -469,9 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("figures", help="reproduce the paper's figures")
-    p.add_argument("--scale", default=None,
-                   help="smoke | default | full (or REPRO_SCALE)")
-    p.add_argument("--only", default=None,
+    p.add_argument("--scale", default=None, choices=sorted(SCALES),
+                   help="simulation lengths (or REPRO_SCALE)")
+    p.add_argument("--only", type=_figure_names, default=_DEFAULT_FIGURES,
+                   metavar="NAMES",
                    help=f"comma list from {list(_FIGURES)}")
     p.add_argument("--json", type=_output_path, default=None,
                    help="also dump JSON here")
@@ -484,8 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser("simulate", help="one full-system run")
-    p.add_argument("workload", nargs="?", default=None,
-                   help="workload name or alias (omit with --restore)")
+    start = p.add_mutually_exclusive_group(required=True)
+    start.add_argument("workload", nargs="?", type=_workload, default=None,
+                       help="workload name or alias")
     p.add_argument("--noc", default="mesh+pra", choices=sorted(_NOC_KINDS))
     p.add_argument("--warmup", type=_count(0), default=1000)
     p.add_argument("--measure", type=_count(1), default=5000)
@@ -497,15 +506,15 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N",
                    help="write a snapshot at every multiple of N cycles "
                         "(strictly before the run's end)")
-    p.add_argument("--checkpoint", type=_output_path,
+    p.add_argument("--checkpoint", type=_checkpoint_template,
                    default="checkpoint-{cycle}.json", metavar="TPL",
                    help="checkpoint path template; '{cycle}' expands to "
                         "the snapshot cycle; name it .json or .json.gz "
                         "(gzip-framed) (default: %(default)s)")
-    p.add_argument("--restore", default=None, metavar="FILE",
-                   help="resume from a snapshot instead of starting at "
-                        "cycle 0 (pass the same --warmup/--measure as "
-                        "the original run to finish its schedule)")
+    start.add_argument("--restore", default=None, metavar="FILE",
+                       help="resume from a snapshot instead of starting "
+                            "at cycle 0 (pass the same --warmup/--measure "
+                            "as the original run to finish its schedule)")
     p.add_argument("--digest", action="store_true",
                    help="print the run's golden-determinism sha256 "
                         "digest (restored runs must match straight runs)")
@@ -516,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run with cycle-level event tracing and reconstruct a "
              "per-packet timeline",
     )
-    p.add_argument("--workload", required=True,
+    p.add_argument("--workload", type=_workload, required=True,
                    help="workload name or alias (e.g. 'web')")
     p.add_argument("--noc", default="mesh_pra", choices=sorted(_NOC_KINDS))
     p.add_argument("--cycles", type=_count(1), default=200,
@@ -524,24 +533,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=_count(0), default=200,
                    help="untraced warm-up cycles before the window")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--packet", type=int, default=None, metavar="PID",
+    p.add_argument("--packet", type=_count(0), default=None, metavar="PID",
                    help="trace and reconstruct only this packet id")
     p.add_argument("--out", type=_output_path, default="trace.jsonl",
                    metavar="PATH",
                    help="JSONL output path (default: trace.jsonl)")
-    p.add_argument("--capacity", type=int, default=1 << 17,
+    p.add_argument("--capacity", type=_count(1), default=1 << 17,
                    help="ring-buffer bound on captured events")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("sweep", help="synthetic load-latency sweep")
     p.add_argument("--noc", default=None, choices=sorted(_NOC_KINDS))
-    p.add_argument("--pattern", default="uniform_random")
-    p.add_argument("--rates", default="0.002,0.005,0.01,0.02")
+    p.add_argument("--rates", type=_probabilities,
+                   default="0.002,0.005,0.01,0.02",
+                   help="comma list of per-node injection probabilities")
     p.add_argument("--cycles", type=_count(1), default=2000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--mesh", type=_parse_mesh, default=(8, 8),
-                   metavar="WxH", help="mesh dimensions (default 8x8)")
-    _add_topology_flag(p)
+    _add_network_flags(p, mesh="8x8")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
@@ -549,62 +557,62 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-injection run with runtime invariant checking",
     )
     p.add_argument("--noc", default="mesh_pra", choices=_CHAOS_NOCS)
-    p.add_argument("--mesh", type=_parse_mesh, default=(4, 4),
-                   metavar="WxH",
-                   help="mesh dimensions (a ring has W*H stops; "
-                        "default 4x4)")
-    p.add_argument("--cycles", type=_count(1), default=500,
+    p.add_argument("--cycles", type=_count(10), default=500,
                    help="injection window length")
     p.add_argument("--drain", type=_count(0), default=4096,
                    help="extra cycles allowed to drain in-flight packets")
-    p.add_argument("--rate", type=float, default=0.03,
+    p.add_argument("--rate", type=_probability, default=0.03,
                    help="per-node injection probability")
-    p.add_argument("--pattern", default="uniform_random")
     p.add_argument("--seed", type=int, default=1, help="traffic seed")
     p.add_argument("--fault-seed", type=int, default=7,
                    help="fault-schedule seed")
-    p.add_argument("--intensity", type=float, default=1.0,
+    p.add_argument("--intensity", default=1.0,
+                   type=_bounded(float, 0.0, sys.float_info.max,
+                                 "a finite number >= 0"),
                    help="fault-schedule intensity multiplier")
-    _add_topology_flag(p)
+    _add_network_flags(p, mesh="4x4")
     p.set_defaults(func=_cmd_chaos)
 
-    p = sub.add_parser(
-        "analytic",
-        help="the queueing model: predictions and validation",
-    )
-    p.add_argument("--validate", action="store_true",
-                   help="simulate the full grid and fail if any cell's "
-                        "model error exceeds the margin")
-    p.add_argument("--scale", default=None,
-                   help="smoke | default | full (or REPRO_SCALE)")
-    p.set_defaults(func=_cmd_analytic)
     return parser
+
+
+def _check(parser: argparse.ArgumentParser,
+           args: argparse.Namespace) -> RunConfig:
+    """The checks that span flags, made right after parsing and refused
+    through the parser; returns the run's configuration, resolved from
+    the environment and then the flags that override it."""
+    if args.command in ("sweep", "chaos") and args.noc:
+        supported = supported_kinds(args.topology)
+        if _NOC_KINDS[args.noc] not in supported:
+            runs = ", ".join(kind.value for kind in supported)
+            parser.error(f"argument --noc: topology {args.topology!r} "
+                         f"runs {runs}, not {args.noc}")
+    flags = {name: value for name in ("scale", "cell_store")
+             if (value := getattr(args, name, None))}
+    try:
+        return replace(RunConfig.from_env(), **flags)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    config = _check(parser, args)
     clear_reports()
     try:
-        # The one place a CLI run's configuration is resolved: the
-        # environment, then the flags that override it.
-        flags = {name: value for name in ("scale", "cell_store")
-                 if (value := getattr(args, name, None))}
-        config = replace(RunConfig.from_env(), **flags)
         return args.func(args, config)
     except BrokenPipeError:  # e.g. piped into `head`
         return 0
+    except SnapshotError as exc:
+        # The one input read after parsing: a --restore file.
+        parser.error(str(exc))
     except MissingCellError as exc:
         # A figure needs a cell the sweep quarantined: say which, and
         # why, instead of a traceback.
         _report_grid_outcome()
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        # Invalid parameter combinations (dataclass validation, bad
-        # pattern/rate strings) exit like argparse errors do.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

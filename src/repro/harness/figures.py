@@ -370,45 +370,32 @@ def analytic_validation(scale: Optional[EvaluationScale] = None,
 
     Runs the cycle-accurate grid and compares every cell against
     :func:`repro.analytic.predict_cell`.  Not in the default ``figures``
-    set; ``--only analytic`` or ``python -m repro analytic --validate``
-    requests it explicitly.
+    set; ``figures --only analytic`` requests it explicitly, and exits 1
+    with the ``"failure"`` line on stderr when ``"ok"`` is False.
     """
     from repro.analytic import (LATENCY_ERROR_MARGIN, validate_chiplet,
                                 validate_grid)
 
     report = validate_grid(scale, config=config)
-    rows: List[List[object]] = [
-        [
-            entry.workload,
-            _KIND_LABEL[entry.kind],
-            entry.simulated_latency,
-            entry.predicted_latency,
-            entry.latency_error,
-            entry.ipc_error,
-        ]
-        for entry in report.entries
-    ]
     # Chiplet topologies have no full-system grid cells; the
     # hierarchical zero-load laws are validated on low-rate synthetic
     # traffic against the same latency margin.
-    chiplet_entries = validate_chiplet()
-    for entry in chiplet_entries:
-        rows.append([
-            f"synthetic {entry.topology}",
-            _KIND_LABEL[entry.kind],
-            entry.simulated_latency,
-            entry.predicted_latency,
-            entry.latency_error,
-            0.0,
-        ])
-    chiplet_ok = all(
-        e.latency_error <= LATENCY_ERROR_MARGIN for e in chiplet_entries
-    )
-    rows.append([
-        "Max", "", "", "",
-        report.max_latency_error, report.max_ipc_error,
-    ])
-    verdict = "PASS" if report.ok and chiplet_ok else "FAIL"
+    chiplets = validate_chiplet()
+    rows: List[List[object]] = [
+        [entry.workload, _KIND_LABEL[entry.kind], entry.simulated_latency,
+         entry.predicted_latency, entry.latency_error, entry.ipc_error]
+        for entry in report.entries
+    ] + [
+        [f"synthetic {entry.topology}", _KIND_LABEL[entry.kind],
+         entry.simulated_latency, entry.predicted_latency,
+         entry.latency_error, 0.0]
+        for entry in chiplets
+    ]
+    rows.append(["Max", "", "", "",
+                 report.max_latency_error, report.max_ipc_error])
+    ok = report.ok and all(
+        entry.latency_error <= LATENCY_ERROR_MARGIN for entry in chiplets)
+    verdict = "PASS" if ok else "FAIL"
     return {
         "title": (
             "Analytic model validation: per-cell relative error vs. the "
@@ -420,9 +407,12 @@ def analytic_validation(scale: Optional[EvaluationScale] = None,
             "LatErr", "IPCErr",
         ],
         "rows": rows,
-        "report": report,
-        "chiplet_entries": chiplet_entries,
-        "ok": report.ok and chiplet_ok,
+        "ok": ok,
+        "failure": f"validation FAILED: max latency error "
+                   f"{report.max_latency_error:.1%} (margin "
+                   f"{report.margin:.0%}), max IPC error "
+                   f"{report.max_ipc_error:.1%} (margin "
+                   f"{report.ipc_margin:.0%})",
     }
 
 

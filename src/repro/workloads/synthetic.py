@@ -130,7 +130,8 @@ class SyntheticTraffic:
             topo = self.network.topology
             limit = topo.num_endpoints
             neighbors = [n for _, n in topo.neighbors(node) if n < limit]
-            return self.rng.choice(neighbors)
+            # A star chiplet's lone tile neighbors only the IO die.
+            return self.rng.choice(neighbors) if neighbors else None
         raise ValueError(f"unhandled pattern {self.pattern}")
 
     def _random_class(self) -> MessageClass:

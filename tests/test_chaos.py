@@ -20,6 +20,7 @@ from repro.perf.system import SystemSimulator
 from repro.tile.llc import set_next_tid
 from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
 from tests.helpers import assert_quiescent, make_network
+from tests.test_cli import _parse_error
 
 CYCLES = 500
 DRAIN_LIMIT = 5000
@@ -181,7 +182,6 @@ def test_sweep_accepts_custom_mesh_and_vcs(capsys):
 
 
 def test_chaos_rejects_bad_rate(capsys):
-    rc = main(["chaos", "--noc", "mesh", "--rate", "1.5",
-               "--cycles", "100"])
-    assert rc == 2
-    assert "probability" in capsys.readouterr().err
+    error = _parse_error(["chaos", "--noc", "mesh", "--rate", "1.5",
+                          "--cycles", "100"], capsys)
+    assert "probability" in error

@@ -562,7 +562,7 @@ _DAMAGE = {
 @pytest.mark.parametrize("damage", sorted(_DAMAGE))
 def test_damaged_snapshot_raises_snapshot_error(damage, system_snapshot,
                                                 tmp_path, capsys):
-    from repro.cli import main
+    from tests.test_cli import _parse_error
 
     name, edit_state, edit_file = _DAMAGE[damage]
     snap = copy.deepcopy(system_snapshot)
@@ -576,11 +576,7 @@ def test_damaged_snapshot_raises_snapshot_error(damage, system_snapshot,
     with pytest.raises(SnapshotError):
         restore_system(read_snapshot(path))
 
-    assert main(["simulate", "--restore", path]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: ")
+    _parse_error(["simulate", "--restore", path], capsys)
 
 
 def test_reading_a_non_checkpoint_file_fails_loudly(tmp_path):

@@ -36,6 +36,7 @@ from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
 from tests.helpers import assert_quiescent, make_network
 from tests.test_chaos import chaos_run
 from tests.test_checkpoint import _json_round_trip
+from tests.test_cli import _parse_error
 from tests.test_golden_determinism import _digest
 
 #: Deterministic chiplet scenario (mirrors the golden network scenario).
@@ -307,10 +308,18 @@ def test_plan_shards_kind_and_clamp_reasons_are_structured():
 
 
 def test_sweep_rejects_junk_topology_spec(capsys):
-    rc = main(["sweep", "--topology", "chiplet:bogus",
-               "--rates", "0.005", "--cycles", "100"])
-    assert rc == 2
-    assert "chiplet dimensions" in capsys.readouterr().err
+    error = _parse_error(["sweep", "--topology", "chiplet:bogus",
+                          "--rates", "0.005", "--cycles", "100"], capsys)
+    assert "chiplet dimensions" in error
+
+
+def test_neighbor_traffic_skips_a_tile_with_no_endpoint_neighbor():
+    # A one-tile star chiplet's only neighbor is the IO die, which is
+    # not an endpoint: the tile injects nothing instead of raising.
+    net = make_network(NocKind.MESH, topology="chiplet:2x1x1x1:star")
+    traffic = SyntheticTraffic(net, TrafficPattern.NEIGHBOR, 1.0, seed=1)
+    traffic.run(20)
+    assert traffic.offered == 0
 
 
 def test_sweep_chiplet_smoke(capsys):

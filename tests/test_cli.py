@@ -7,6 +7,19 @@ import pytest
 from repro.cli import main
 
 
+def _parse_error(argv, capsys) -> str:
+    """The CLI's refusal of ``argv``: exit 2, nothing on stdout, and
+    stderr exactly one ``error:`` line, which is returned."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
 def test_params_command(capsys):
     # Table I is a figure; there is no separate ``params`` command.
     assert main(["figures", "--only", "table1"]) == 0
@@ -48,7 +61,8 @@ def test_sweep_command(capsys):
 
 
 def test_figures_unknown_name(capsys):
-    assert main(["figures", "--only", "nonsense"]) == 2
+    error = _parse_error(["figures", "--only", "nonsense"], capsys)
+    assert "unknown figure 'nonsense'" in error
 
 
 def test_removed_router_step_flag_is_an_unknown_flag(capsys):
@@ -72,6 +86,15 @@ def test_bench_is_an_unknown_command(capsys):
         main(["bench"])
     assert exc.value.code == 2
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_analytic_is_an_unknown_command(capsys):
+    # The model-vs-simulation gate is a figure: ``figures --only
+    # analytic``.
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "--validate"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'analytic'" in capsys.readouterr().err
 
 
 def test_saturate_is_an_unknown_command(capsys):
@@ -140,26 +163,24 @@ def test_simulate_restore_from_an_unreadable_path(target, tmp_path,
                                                   capsys):
     # Not a traceback: exit 2 with one error line naming the path.
     path = str(tmp_path / target)
-    assert main(["simulate", "--restore", path]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert path in err[0]
+    assert path in _parse_error(["simulate", "--restore", path], capsys)
 
 
-def _parse_error(argv, capsys) -> str:
-    """The one ``error:`` line argparse prints when it refuses ``argv``
-    (after its usage lines), with nothing on stdout."""
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    errors = [line for line in captured.err.splitlines()
-              if "error:" in line]
-    assert len(errors) == 1
-    return errors[0]
+def test_simulate_restore_from_an_empty_path(monkeypatch, capsys):
+    # An empty path is a --restore, not a missing WORKLOAD.
+    monkeypatch.setattr("repro.perf.system.SystemSimulator", None)
+    assert "cannot read snapshot" in _parse_error(
+        ["simulate", "--restore", ""], capsys)
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (["simulate", "--restore", "a\nb\x85c"], "a\\nb\\nc"),
+    (["sweep", "x\ny"], "x\\ny"),
+], ids=["restore-path", "unrecognized-argument"])
+def test_a_refusal_echoing_a_line_break_stays_one_line(argv, echoed,
+                                                       monkeypatch, capsys):
+    monkeypatch.setattr("repro.perf.system.SystemSimulator", None)
+    assert echoed in _parse_error(argv, capsys)
 
 
 def test_simulate_checks_the_checkpoint_directory_first(tmp_path,
@@ -180,8 +201,12 @@ def test_simulate_checks_the_checkpoint_directory_first(tmp_path,
     (["sweep", "--cycles", "0"], "--cycles"),
     (["chaos", "--cycles", "0"], "--cycles"),
     (["chaos", "--drain", "-5"], "--drain"),
+    (["chaos", "--cycles", "5"], "--cycles"),
+    (["trace", "--workload", "web", "--packet", "-3"], "--packet"),
+    (["trace", "--workload", "web", "--capacity", "0"], "--capacity"),
 ], ids=["trace-cycles", "trace-warmup", "sweep-cycles", "chaos-cycles",
-        "chaos-drain"])
+        "chaos-drain", "chaos-short-horizon", "trace-packet",
+        "trace-capacity"])
 def test_out_of_range_counts_are_refused_while_parsing(argv, flag,
                                                        monkeypatch, capsys):
     # No simulator or network is built, no cycle runs.
@@ -212,6 +237,25 @@ def test_output_paths_under_a_regular_file_are_refused_while_parsing(
     assert str(blocker) in error
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["figures", "--only", "table1", "--json", "DIR"], "--json"),
+    (["trace", "--workload", "web", "--out", "DIR/"], "--out"),
+    (["simulate", "web", "--checkpoint-every", "3", "--checkpoint", ""],
+     "--checkpoint"),
+    (["simulate", "web", "--checkpoint", "ck-{step}.json"], "--checkpoint"),
+    (["simulate", "web", "--checkpoint", "ck-{cycle.json"], "--checkpoint"),
+], ids=["figures-json-directory", "trace-out-directory",
+        "simulate-checkpoint-empty", "simulate-checkpoint-unknown-field",
+        "simulate-checkpoint-open-brace"])
+def test_output_paths_that_name_no_file_are_refused_while_parsing(
+        argv, flag, tmp_path, monkeypatch, capsys):
+    # Not an OSError, KeyError or ValueError at the first write.
+    monkeypatch.setattr("repro.perf.system.SystemSimulator", None)
+    monkeypatch.setattr("repro.cli.table1", None)
+    argv = [arg.replace("DIR", str(tmp_path)) for arg in argv]
+    assert f"error: argument {flag}: " in _parse_error(argv, capsys)
+
+
 @pytest.mark.parametrize("source", ["flag", "environment"])
 def test_cell_store_under_a_regular_file_is_refused(source, tmp_path,
                                                     monkeypatch, capsys):
@@ -226,12 +270,7 @@ def test_cell_store_under_a_regular_file_is_refused(source, tmp_path,
         argv += ["--cell-store", store]
     else:
         monkeypatch.setenv("REPRO_CELL_STORE", store)
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert store in err[0]
+    assert store in _parse_error(argv, capsys)
 
 
 def test_figures_json_dump(tmp_path, capsys):
@@ -243,15 +282,89 @@ def test_figures_json_dump(tmp_path, capsys):
     assert data["fig8"]["headers"][0] == "Organization"
 
 
-def test_unknown_workload_is_a_clean_cli_error(capsys):
-    rc = main(["simulate", "NoSuchWorkload", "--measure", "100"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "unknown workload 'NoSuchWorkload'" in err
-    assert "Web Search" in err  # the error names the valid choices
+def test_unknown_workload_is_a_clean_cli_error(monkeypatch, capsys):
+    monkeypatch.setattr("repro.perf.system.SystemSimulator", None)
+    error = _parse_error(["simulate", "NoSuchWorkload", "--measure", "100"],
+                         capsys)
+    assert "unknown workload 'NoSuchWorkload'" in error
+    assert "Web Search" in error  # the error names the valid choices
 
 
-def test_unknown_workload_in_trace_command(capsys):
-    rc = main(["trace", "--workload", "NoSuchWorkload"])
-    assert rc == 2
-    assert "unknown workload" in capsys.readouterr().err
+def test_unknown_workload_in_trace_command(monkeypatch, capsys):
+    monkeypatch.setattr("repro.perf.system.SystemSimulator", None)
+    error = _parse_error(["trace", "--workload", "NoSuchWorkload"], capsys)
+    assert "unknown workload" in error
+
+
+@pytest.mark.parametrize("only, bad", [
+    ("table1,bogus", "bogus"),
+    ("fig6,bogus", "bogus"),
+    ("fig8,,table1", ""),
+], ids=["after-table1", "after-fig6", "empty-name"])
+def test_figure_names_are_checked_before_any_figure_runs(only, bad,
+                                                         monkeypatch, capsys):
+    # Not after Table I is printed, or the whole grid simulated for Fig. 6.
+    ran = []
+    for name in ("table1", "figure6", "figure8"):
+        monkeypatch.setattr(f"repro.cli.{name}",
+                            lambda *a, _name=name, **k: ran.append(_name))
+    error = _parse_error(["figures", "--only", only], capsys)
+    assert f"unknown figure {bad!r}" in error
+    assert ran == []
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["sweep", "--noc", "mesh", "--rates", "0.01,2"],
+     "argument --rates: expected a probability in [0, 1], got '2'"),
+    (["sweep", "--noc", "mesh_pra", "--topology", "ring"],
+     "argument --noc: topology 'ring' runs mesh, not mesh_pra"),
+    (["chaos", "--noc", "smart", "--topology", "chiplet:2x2x2x2"],
+     "argument --noc: topology 'chiplet:2x2x2x2' runs mesh, ideal, not smart"),
+    (["chaos", "--rate", "nan"], "argument --rate: expected a probability"),
+    (["chaos", "--intensity", "-1"], "argument --intensity: expected a "),
+    (["sweep", "--pattern", "bogus"], "argument --pattern: invalid choice"),
+], ids=["sweep-rate", "sweep-ring-pra", "chaos-chiplet-smart", "chaos-rate",
+        "chaos-intensity", "sweep-pattern"])
+def test_network_runs_refuse_before_building_a_network(argv, text,
+                                                       monkeypatch, capsys):
+    # Not after the header and the first rows are printed.
+    monkeypatch.setattr("repro.noc.network.build_network", None)
+    assert text in _parse_error(argv, capsys)
+
+
+def test_figures_scale_is_a_choice(monkeypatch, capsys):
+    monkeypatch.setattr("repro.cli.power_analysis", None)
+    error = _parse_error(["figures", "--only", "power", "--scale", "huge"],
+                         capsys)
+    assert "argument --scale: invalid choice: 'huge'" in error
+
+
+def _analytic_stub(ok):
+    def analytic_validation(config):
+        return {"title": "Analytic model validation", "headers": ["Max"],
+                "rows": [[0.5]], "ok": ok,
+                "failure": "validation FAILED: max latency error 50.0%"}
+    return analytic_validation
+
+
+@pytest.mark.parametrize("ok, code", [(True, 0), (False, 1)],
+                         ids=["pass", "fail"])
+def test_figures_exit_1_when_a_figure_fails_its_check(ok, code, monkeypatch,
+                                                      capsys):
+    monkeypatch.setattr("repro.cli.analytic_validation", _analytic_stub(ok))
+    assert main(["figures", "--only", "table1,analytic"]) == code
+    captured = capsys.readouterr()
+    assert "Analytic model validation" in captured.out
+    failures = [line for line in captured.err.splitlines()
+                if "validation FAILED" in line]
+    assert len(failures) == (0 if ok else 1)
+
+
+def test_an_internal_error_is_not_a_usage_error(monkeypatch):
+    # A ValueError from inside a run is a bug: a traceback, not exit 2.
+    def run(self, cycles):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("repro.workloads.synthetic.SyntheticTraffic.run", run)
+    with pytest.raises(ValueError, match="boom"):
+        main(["sweep", "--noc", "mesh", "--rates", "0.01", "--cycles", "10"])

@@ -71,11 +71,11 @@ def test_from_env(environ, expected):
 def test_cli_exits_2_on_junk_jobs(monkeypatch, capsys):
     """A junk variable stops every subcommand, even one that never
     spawns a worker."""
-    from repro.cli import main
+    from tests.test_cli import _parse_error
 
     monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-    assert main(["figures", "--only", "table1"]) == 2
-    assert "REPRO_JOBS must be" in capsys.readouterr().err
+    assert "REPRO_JOBS must be" in _parse_error(
+        ["figures", "--only", "table1"], capsys)
 
 
 def test_direct_construction_validates_and_names_the_field():

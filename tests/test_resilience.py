@@ -460,9 +460,9 @@ def test_wall_limit_unset_or_valid(monkeypatch):
 
 
 def test_cli_exits_2_on_bad_wall_limit(monkeypatch, capsys):
-    from repro.cli import main
+    from tests.test_cli import _parse_error
 
     # Validation fails fast, before any simulation work starts.
     monkeypatch.setenv("REPRO_WALL_LIMIT", "fast")
-    assert main(["figures", "--only", "fig2", "--scale", "smoke"]) == 2
-    assert "REPRO_WALL_LIMIT must be" in capsys.readouterr().err
+    assert "REPRO_WALL_LIMIT must be" in _parse_error(
+        ["figures", "--only", "fig2", "--scale", "smoke"], capsys)
