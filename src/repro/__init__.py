@@ -13,7 +13,7 @@ Subpackage map (see DESIGN.md for the full inventory):
 * :mod:`repro.core` — the contribution: Mesh+PRA;
 * :mod:`repro.tile` — LLC slices, directory, memory channels, the chip;
 * :mod:`repro.workloads` — CloudSuite profiles and synthetic traffic;
-* :mod:`repro.perf` — cores, system co-simulation, probes;
+* :mod:`repro.perf` — cores and system co-simulation;
 * :mod:`repro.physical` — area, power, and density models;
 * :mod:`repro.harness` — every table and figure of the evaluation.
 

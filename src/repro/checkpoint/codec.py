@@ -46,7 +46,7 @@ from repro.tile.llc import Transaction
 
 #: Bumped whenever a change invalidates previously written snapshots or
 #: persisted evaluation-grid cells.
-CODE_VERSION = "8"
+CODE_VERSION = "9"
 
 _SCALARS = (bool, int, float, str)
 

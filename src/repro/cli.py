@@ -495,10 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
     start = p.add_mutually_exclusive_group(required=True)
     start.add_argument("workload", nargs="?", type=_workload, default=None,
                        help="workload name or alias")
-    p.add_argument("--noc", default="mesh+pra", choices=sorted(_NOC_KINDS))
+    p.add_argument("--noc", default=None, choices=sorted(_NOC_KINDS),
+                   help="organization (default: mesh+pra)")
     p.add_argument("--warmup", type=_count(0), default=1000)
     p.add_argument("--measure", type=_count(1), default=5000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=None,
+                   help="traffic seed (default: 1)")
     p.add_argument("--trace", type=_output_path, default=None,
                    metavar="PATH",
                    help="also write a JSONL event trace of the run")
@@ -587,6 +589,13 @@ def _check(parser: argparse.ArgumentParser,
             runs = ", ".join(kind.value for kind in supported)
             parser.error(f"argument --noc: topology {args.topology!r} "
                          f"runs {runs}, not {args.noc}")
+    if args.command == "simulate":
+        for flag, default in (("noc", "mesh+pra"), ("seed", 1)):
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
+            elif args.restore is not None:
+                parser.error(f"argument --{flag}: not allowed with argument "
+                             "--restore (the snapshot fixes it)")
     flags = {name: value for name in ("scale", "cell_store")
              if (value := getattr(args, name, None))}
     try:

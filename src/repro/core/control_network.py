@@ -139,7 +139,11 @@ class ControlNetwork:
             source_vc,
         )
         packet.pra_pending = True
-        self.stats.control_packets_injected += 1
+        stats = self.stats
+        stats.control_packets_injected += 1
+        if packet.pid in stats.plans:
+            # A fresh control packet restarts the plan-length count.
+            stats.plans[packet.pid] = 0
         if tracer.enabled:
             tracer.emit(now, EV_CONTROL_INJECT, pid=packet.pid,
                         node=source_node, accepted=True, trigger=trigger,
@@ -361,10 +365,13 @@ class ControlNetwork:
             network.wake_at(slot, via_node, plan)
         if not ejecting:
             plan.claim_landing_vc(landing_port, vc_index)
+        plans = self.stats.plans
+        pid = plan.packet.pid
+        plans[pid] = plans.get(pid, 0) + 1
         tracer = network.tracer
         if tracer.enabled:
             tracer.emit(
-                now, EV_RESERVATION_COMMIT, pid=plan.packet.pid, node=node,
+                now, EV_RESERVATION_COMMIT, pid=pid, node=node,
                 direction=direction.name, slot=slot, size=size, hops=hops,
                 via=via_node, landing=step.landing_node,
                 landing_kind=step.landing_kind,

@@ -17,9 +17,9 @@ from typing import List, TYPE_CHECKING
 from repro.noc.flit import Flit
 from repro.noc.packet import Packet
 from repro.noc.ports import OutputPort
-from repro.noc.topology import Direction
+from repro.noc.topology import Direction, port_name
 from repro.params import MessageClass, NUM_MESSAGE_CLASSES
-from repro.trace.events import EV_EJECT, EV_PACKET_INJECT
+from repro.trace.events import EV_EJECT, EV_LINK, EV_PACKET_INJECT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.network import Network
@@ -89,30 +89,27 @@ class NetworkInterface:
         # (``held_dst_vc``), which is not ``packet.vc_index`` on a
         # topology with escape layers.
         dst_vc = port.held_dst_vc
-        if port.ni_sink is None and port.credits[dst_vc] < 1:
+        if port.credits[dst_vc] < 1:
             return
         flit = packet.flits[port.holder_sent]
         network = self.network
-        if network.tracer.enabled or port.ni_sink is not None:
-            port.send(flit, now)
-        else:
-            # ``OutputPort.send`` flattened for the common case: a held
-            # injection port (holder bookkeeping and the credit charge
-            # are unconditional, and ``port.router`` is None so no hop
-            # is counted).  One NI flit per stepped cycle goes through
-            # here, so the virtual call was measurable.
-            port.flits_sent += 1
-            port.holder_sent += 1
-            if port.credits[dst_vc] <= 0:
-                raise RuntimeError("credit underflow: flow control violated")
-            port.credits[dst_vc] -= 1
-            network.schedule_arrival(
-                now + port.link_hop_latency,
-                port.downstream_router,
-                port.downstream_dir,
-                dst_vc,
-                flit,
-            )
+        # The send, written out in place: an injection link counts no
+        # hop, and the credit check above covers the charge.
+        port.flits_sent += 1
+        port.holder_sent += 1
+        tracer = network.tracer
+        if tracer.enabled:
+            tracer.emit(now, EV_LINK, pid=packet.pid, node=self.node,
+                        direction=port_name(port.direction),
+                        flit=flit.index, ni=True)
+        port.credits[dst_vc] -= 1
+        network.schedule_arrival(
+            now + port.link_hop_latency,
+            port.downstream_router,
+            port.downstream_dir,
+            dst_vc,
+            flit,
+        )
         if flit.is_tail:
             queue = self.queues[packet.vc_index]
             if queue[0] is packet:

@@ -228,26 +228,22 @@ class OutputPort:
     # -- flit transmission ----------------------------------------------
 
     def send(self, flit: Flit, now: int) -> None:
-        """Transmit one flit to the immediate downstream hop, on the
-        holder's granted VC (when held) or the packet's message class.
+        """Transmit the holder's next flit to the immediate downstream
+        hop on its granted VC, through the network's schedulers.
+
+        The one caller is ``MeshRouter.step`` on a shard's cut row
+        (``boundary``), whose schedulers the shard replaces; every other
+        flit send is written out in place where it happens.
         """
         self.flits_sent += 1
-        if self.held_by is flit.packet:
-            self.holder_sent += 1
-            vc_index = self.held_dst_vc
-        else:
-            vc_index = flit.packet.vc_index
+        self.holder_sent += 1
+        vc_index = self.held_dst_vc
         tracer = self.network.tracer
         if tracer.enabled:
-            tracer.emit(
-                now, EV_LINK,
-                pid=flit.packet.pid,
-                node=self.router.node if self.router is not None
-                else flit.packet.src,
-                direction=port_name(self.direction),
-                flit=flit.index,
-                ni=self.router is None,
-            )
+            tracer.emit(now, EV_LINK, pid=flit.packet.pid,
+                        node=self.router.node,
+                        direction=port_name(self.direction),
+                        flit=flit.index, ni=False)
         if self.ni_sink is not None:
             self.network.schedule_eject(now + self.link_hop_latency - 1,
                                         self.ni_sink, flit)
@@ -255,7 +251,7 @@ class OutputPort:
         if self.credits[vc_index] <= 0:
             raise RuntimeError("credit underflow: flow control violated")
         self.credits[vc_index] -= 1
-        if flit.is_head and self.router is not None:
+        if flit.is_head:
             flit.packet.hops_taken += 1
         self.network.schedule_arrival(
             now + self.link_hop_latency,

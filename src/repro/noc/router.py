@@ -241,14 +241,13 @@ class MeshRouter(BaseRouter):
         passing the crossbar inputs that arbiter took (``used_inputs``)
         and the output ports it drives this cycle (``busy_dirs``).
 
-        The dequeue and the send are written out in place.  With no
-        observer attached the credit and the arrival go straight into
-        their cycle buckets (targets are ``now + <positive const>`` with
-        ``now == network.cycle``, so the schedulers' future-only guard
-        holds by construction); a shard's cut row (``boundary``) and a
-        tracer take the scheduler calls instead, except on a SMART
-        pass-through, which ``OutputPort.send`` cannot make: it always
-        writes its bucket here and traces both links it crosses.
+        The dequeue and the send are written out in place: the credit
+        and the arrival go straight into their cycle buckets (targets
+        are ``now + <positive const>`` with ``now == network.cycle``, so
+        the schedulers' future-only guard holds by construction), and an
+        attached tracer sees one ``EV_LINK`` per link crossed (two on a
+        SMART pass-through).  Only a shard's cut row (``boundary``)
+        takes the scheduler calls instead, through ``OutputPort.send``.
         """
         if not self.active_flits:
             return
@@ -259,7 +258,7 @@ class MeshRouter(BaseRouter):
         if used_inputs is None:
             used_inputs = set()
         tracer = network.tracer
-        slow = self.boundary is not None or tracer.enabled
+        slow = self.boundary is not None
         events = network._events
         for port in self.port_list:
             if fault_on and port.fault_stalled(now):
@@ -378,13 +377,15 @@ class MeshRouter(BaseRouter):
                     else:
                         bucket[1].append((feeder, vc.index))
             # ... and send it through ``port``.
-            credit_port = port.credit_port
-            if slow and credit_port is port:
+            if slow:
                 port.send(flit, now)
             else:
+                credit_port = port.credit_port
                 port.flits_sent += 1
                 port.holder_sent += 1
                 vc_index = port.held_dst_vc
+                if tracer.enabled:
+                    self._trace_link(port, flit, now)
                 if port.ni_sink is not None:
                     network.schedule_eject(now + port.link_hop_latency - 1,
                                            port.ni_sink, flit)
@@ -402,12 +403,7 @@ class MeshRouter(BaseRouter):
                         if flit.is_head:
                             packet.hops_taken += 2
                         if tracer.enabled:
-                            for link in (port, credit_port):
-                                tracer.emit(
-                                    now, EV_LINK, pid=packet.pid,
-                                    node=link.router.node,
-                                    direction=port_name(link.direction),
-                                    flit=flit.index, ni=False)
+                            self._trace_link(credit_port, flit, now)
                     elif flit.is_head:
                         packet.hops_taken += 1
                     time = now + port.link_hop_latency
@@ -428,6 +424,13 @@ class MeshRouter(BaseRouter):
 
     def _count_blocked(self, waiting, used_inputs) -> None:
         """Hook: a port the PRA arbiter owns this cycle had requests."""
+
+    def _trace_link(self, port: OutputPort, flit, now: int) -> None:
+        """Record ``flit`` crossing the link out of ``port``."""
+        self.network.tracer.emit(
+            now, EV_LINK, pid=flit.packet.pid, node=port.router.node,
+            direction=port_name(port.direction), flit=flit.index, ni=False,
+        )
 
     def _trace_hold(self, port: OutputPort, now: int, reason: str) -> None:
         """Record a held port that could not advance this cycle."""

@@ -36,8 +36,8 @@ from repro.noc.router import MeshRouter
 from repro.noc.topology import Direction
 
 #: Grant-to-visibility latency: 2-stage pipeline + link (vs. 2 for mesh).
-#: Ejection takes the extra pipeline stage too (``OutputPort.send``
-#: ejects one cycle under the port's hop latency).
+#: Ejection takes the extra pipeline stage too (a router ejects one
+#: cycle under the port's hop latency).
 SMART_HOP_LATENCY = 3
 
 

@@ -65,6 +65,15 @@ class NetworkStats:
     control_refusals: Counter = field(default_factory=Counter)
     #: Data packets that began traversal with a pre-allocated path.
     pra_planned_packets: int = 0
+    #: Live planned packets: pid -> steps committed by the packet's
+    #: current control packet.  A commit adds 1, an accepted control
+    #: injection resets an existing entry to 0, ejection pops it.
+    plans: Dict[int, int] = field(default_factory=dict)
+    #: ``[sum, count]`` of network latencies of planned responses (the
+    #: unplanned ones are ``class_latency[RESPONSE]`` minus this).
+    planned_response_latency: List[int] = field(default_factory=lambda: [0, 0])
+    #: Plan lengths (non-zero step counts) of ejected planned packets.
+    plan_lengths: Counter = field(default_factory=Counter)
 
     def record_injection(self, packet: Packet) -> None:
         self.packets_injected += 1
@@ -85,6 +94,16 @@ class NetworkStats:
             acc[0] += tot
             acc[1] += 1
         self.pra_blocked_cycles += packet.pra_blocked_cycles
+        plans = self.plans
+        if plans:
+            steps = plans.pop(packet.pid, None)
+            if steps is not None:
+                if steps:
+                    self.plan_lengths[steps] += 1
+                if packet.msg_class is MessageClass.RESPONSE:
+                    acc = self.planned_response_latency
+                    acc[0] += net
+                    acc[1] += 1
 
     # -- summaries -------------------------------------------------------
 
@@ -139,6 +158,11 @@ class NetworkStats:
             for lag, count in sorted(self.control_lag_at_drop.items())
         }
 
+    def plan_length_histogram(self) -> Counter:
+        """Plan lengths of the ejected and the live planned packets."""
+        live = Counter(steps for steps in self.plans.values() if steps)
+        return self.plan_lengths + live
+
     def pra_blocked_fraction(self) -> float:
         """Blocked-behind-reservation time over total network time."""
         total_time = sum(self.network_latencies)
@@ -186,6 +210,9 @@ class NetworkStats:
                 for (check, lag), count in sorted(self.control_refusals.items())
             ],
             "pra_planned_packets": self.pra_planned_packets,
+            "plans": sorted(map(list, self.plans.items())),
+            "planned_response_latency": list(self.planned_response_latency),
+            "plan_lengths": sorted(map(list, self.plan_lengths.items())),
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
@@ -218,3 +245,6 @@ class NetworkStats:
              for check, lag, count in state["control_refusals"]}
         )
         self.pra_planned_packets = state["pra_planned_packets"]
+        self.plans = dict(state["plans"])
+        self.planned_response_latency = list(state["planned_response_latency"])
+        self.plan_lengths = Counter(dict(state["plan_lengths"]))

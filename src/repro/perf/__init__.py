@@ -11,7 +11,6 @@ over all 64 cores — and normalized to the mesh baseline.
 from repro.perf.core_model import CoreModel
 from repro.perf.system import PerfSample, SystemSimulator, simulate
 from repro.perf.metrics import geomean
-from repro.perf.instrumentation import LatencyReport, PraProbe
 
 __all__ = [
     "CoreModel",
@@ -19,6 +18,4 @@ __all__ = [
     "SystemSimulator",
     "simulate",
     "geomean",
-    "LatencyReport",
-    "PraProbe",
 ]

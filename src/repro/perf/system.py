@@ -345,18 +345,13 @@ def simulate(
     measure: int = 10000,
     seed: int = 0,
     chip_params: Optional[ChipParams] = None,
-    tracer=None,
     wall_limit: Optional[float] = None,
 ) -> PerfSample:
     """One-call convenience wrapper: build, warm up, measure.
 
-    Pass a :class:`~repro.trace.tracer.RingTracer` as ``tracer`` to
-    collect cycle-level lifecycle events over the whole run, and
-    ``wall_limit`` (seconds) to bound the run's wall-clock time.
+    Pass ``wall_limit`` (seconds) to bound the run's wall-clock time.
     """
     sim = SystemSimulator(workload, noc_kind, chip_params=chip_params,
                           seed=seed)
-    if tracer is not None:
-        sim.chip.network.attach(tracer=tracer)
     return sim.run_sample(warmup=warmup, measure=measure,
                           wall_limit=wall_limit)

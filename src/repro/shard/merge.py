@@ -28,9 +28,8 @@ def merge_stats(states: List[dict]) -> NetworkStats:
     base["network_latencies"] = [
         v for state in states for v in state["network_latencies"]
     ]
-    base["total_latency"] = [
-        sum(state["total_latency"][i] for state in states) for i in (0, 1)
-    ]
+    for key in ("total_latency", "planned_response_latency"):
+        base[key] = [sum(state[key][i] for state in states) for i in (0, 1)]
     per_class: dict = {}
     for state in states:
         for value, total, count in state["class_latency"]:
@@ -39,7 +38,7 @@ def merge_stats(states: List[dict]) -> NetworkStats:
             acc[1] += count
     base["class_latency"] = [[v, *acc] for v, acc in per_class.items()]
     for key in ("control_lag_at_drop", "control_drop_reasons",
-                "control_refusals"):
+                "control_refusals", "plans", "plan_lengths"):
         counts: dict = {}
         for state in states:
             for *item, count in state[key]:

@@ -14,9 +14,9 @@ per site and never constructs an event object.
 
 :class:`RingTracer` keeps the newest ``capacity`` events in a bounded
 ring buffer (old events fall off the back), optionally restricted to a
-packet-id set and/or a cycle window at emission time, and fans each
-accepted event out to subscribers (the latency-attribution probe in
-:mod:`repro.perf.instrumentation` is one).
+packet-id set and/or a cycle window at emission time.  Attaching one
+changes no simulated event: every emission site sits on the same code
+path a run without a tracer takes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import (
     Any,
-    Callable,
     Deque,
     Dict,
     Iterable,
@@ -74,7 +73,6 @@ class RingTracer:
         #: Half-open [start, end) cycle window, or None for all cycles.
         self._window = cycle_window
         self._seq = 0
-        self._subscribers: List[Callable[[TraceEvent], None]] = []
         #: Total accepted emissions (including those the ring dropped).
         self.emitted = 0
 
@@ -99,13 +97,6 @@ class RingTracer:
         self._seq += 1
         self.emitted += 1
         self._ring.append(event)
-        for subscriber in self._subscribers:
-            subscriber(event)
-
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Receive every accepted event as it is emitted (even ones the
-        ring later evicts)."""
-        self._subscribers.append(callback)
 
     # -- retrieval ---------------------------------------------------------
 
@@ -137,6 +128,3 @@ class RingTracer:
     def write_jsonl(self, path: str) -> int:
         """Export the buffered events; returns how many were written."""
         return write_jsonl(self._ring, path)
-
-    def clear(self) -> None:
-        self._ring.clear()

@@ -183,6 +183,30 @@ def test_a_refusal_echoing_a_line_break_stays_one_line(argv, echoed,
     assert echoed in _parse_error(argv, capsys)
 
 
+@pytest.mark.parametrize("flag, value", [("--noc", "mesh"), ("--seed", "9")])
+def test_simulate_refuses_a_run_choice_next_to_restore(flag, value, tmp_path,
+                                                       capsys):
+    # The snapshot fixes the organization and the seed; a flag that
+    # names either is refused, not silently overridden.
+    snap = str(tmp_path / "ck-3.json")
+    assert main(["simulate", "web", "--warmup", "3", "--measure", "3",
+                 "--checkpoint-every", "3", "--checkpoint", snap]) == 0
+    capsys.readouterr()
+    error = _parse_error(["simulate", "--restore", snap, flag, value,
+                          "--warmup", "3", "--measure", "3"], capsys)
+    assert f"argument {flag}: not allowed with argument --restore" in error
+
+
+def test_simulate_defaults_to_mesh_pra_and_seed_one(capsys):
+    assert main(["simulate", "web", "--warmup", "5", "--measure", "20",
+                 "--digest"]) == 0
+    default = capsys.readouterr().out
+    assert "organization:         mesh+pra" in default
+    assert main(["simulate", "web", "--noc", "mesh+pra", "--seed", "1",
+                 "--warmup", "5", "--measure", "20", "--digest"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_simulate_checks_the_checkpoint_directory_first(tmp_path,
                                                         monkeypatch, capsys):
     # Refused before a simulator is built, not at the first snapshot.

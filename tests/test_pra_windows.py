@@ -90,22 +90,22 @@ def test_exhaustive_stepping_gives_the_wake_driven_digest(run, config):
     assert run(noc, exhaustive=True) == run(noc, exhaustive=False)
 
 
+class _PlanTracer(RingTracer):
+    """Keeps only the events the window check reads: reservation
+    commits and latch bypasses."""
+
+    def emit(self, cycle, kind, pid=None, node=None, **data):
+        if kind in (EV_RESERVATION_COMMIT, EV_LATCH_BYPASS):
+            super().emit(cycle, kind, pid, node, **data)
+
+
 def _check_windows_run_on_time(net, run) -> tuple:
     """Drive ``net`` with ``run()`` under the tracer and a per-cycle
     invariant suite, recording each router step and each plan
     cancellation; check every committed step whose window closed within
     the run.  Returns (steps checked, steps cut short, 2-hop steps)."""
-    commits, crossed, cancelled_at, stepped = [], set(), {}, set()
-
-    def collect(event):
-        if event.kind == EV_RESERVATION_COMMIT:
-            commits.append(event)
-        elif event.kind == EV_LATCH_BYPASS:
-            crossed.add((event.pid, event.node, event.data["direction"],
-                         event.cycle, event.data["flit"]))
-
-    tracer = RingTracer(capacity=1)
-    tracer.subscribe(collect)
+    cancelled_at, stepped = {}, set()
+    tracer = _PlanTracer(capacity=1 << 20)
     net.attach(tracer=tracer, invariants=InvariantSuite(audit_period=1))
     for router in net.routers:
         def step(now, inner=router.step, node=router.node):
@@ -123,6 +123,11 @@ def _check_windows_run_on_time(net, run) -> tuple:
         patch.setattr(PraPlan, "cancel", recording_cancel)
         run()
 
+    assert tracer.dropped == 0
+    commits = tracer.events(kinds=[EV_RESERVATION_COMMIT])
+    crossed = {(event.pid, event.node, event.data["direction"], event.cycle,
+                event.data["flit"])
+               for event in tracer.events(kinds=[EV_LATCH_BYPASS])}
     checked = cut_short = two_hop = 0
     for event in commits:
         pid, node, data = event.pid, event.node, event.data
